@@ -281,32 +281,37 @@ let query_structured t ?(k = 10) ?deadline_ms ?page_budget nexi =
 (* ---- index management ---- *)
 
 let add_document t ~name ~xml =
-  (* Invalidate every materialized list whose term occurs in the new
-     document; the catalogs make affected (term, sid) pairs cheap to
-     find. The drops become the leading steps of the document's
-     redo-logged manifest operation, so they land atomically with the
-     base-table writes — a crash can never leave the document visible
-     with stale lists still servable, or vice versa. *)
-  let invalidation terms =
-    let term_set = Hashtbl.create 16 in
-    List.iter (fun term -> Hashtbl.replace term_set term ()) terms;
+  (* A new document moves the collection statistics every BM25 score
+     depends on (document count, mean element length), so every
+     materialized list goes stale, not only those of the document's own
+     terms. The exception is scoring pinned to corpus-wide overrides (a
+     shard): there only the lists of the document's terms change. The
+     drops become the leading steps of the document's redo-logged
+     manifest operation, so they land atomically with the base-table
+     writes — a crash can never leave the document visible with stale
+     lists still servable, or vice versa. *)
+  let invalidation doc_terms =
+    let stale =
+      if Index.has_scoring_overrides t.index then begin
+        let term_set = Hashtbl.create 16 in
+        List.iter (fun term -> Hashtbl.replace term_set term ()) doc_terms;
+        Hashtbl.mem term_set
+      end
+      else fun _ -> true
+    in
     let pair_drops =
       List.concat_map
         (fun kind ->
           List.concat_map
             (fun (term, sid, _, _) ->
-              if Hashtbl.mem term_set term then Rpl.drop_actions kind ~term ~sid
-              else [])
+              if stale term then Rpl.drop_actions kind ~term ~sid else [])
             (Rpl.catalog t.index kind))
         [ Rpl.Rpl; Rpl.Erpl ]
     in
     let full_drops =
       List.concat_map
-        (fun term ->
-          if Rpl.Full.is_materialized t.index ~term then
-            Rpl.Full.drop_actions ~term
-          else [])
-        terms
+        (fun term -> if stale term then Rpl.Full.drop_actions ~term else [])
+        (Rpl.Full.terms t.index)
     in
     pair_drops @ full_drops
   in

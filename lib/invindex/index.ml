@@ -36,6 +36,7 @@ let compressed t = t.compress
 let stats t = t.stats
 let set_scoring_overrides t o = t.overrides <- Some o
 let clear_scoring_overrides t = t.overrides <- None
+let has_scoring_overrides t = t.overrides <> None
 
 (* ---- metadata (de)serialization ---- *)
 

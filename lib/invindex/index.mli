@@ -95,6 +95,10 @@ type scoring_overrides = {
 val set_scoring_overrides : t -> scoring_overrides -> unit
 val clear_scoring_overrides : t -> unit
 
+val has_scoring_overrides : t -> bool
+(** Whether scoring is pinned to installed overrides rather than this
+    index's own statistics. *)
+
 val scoring_corpus : t -> int * float
 (** (doc_count, avg_element_length) to score against: the overrides
     when installed, this index's {!stats} otherwise. *)

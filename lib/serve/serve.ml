@@ -88,8 +88,14 @@ let sockaddr_of_string addr =
           in
           Unix.ADDR_INET (ip, port))
 
+(* Every frame is one complete request or reply, so Nagle's algorithm
+   only ever delays it behind the peer's ACK: pipelined connections lock
+   into one exchange per round trip. *)
+let no_delay fd = Unix.setsockopt fd Unix.TCP_NODELAY true
+
 let connect_with_timeout sa ~timeout_s =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  no_delay fd;
   Unix.set_nonblock fd;
   let finish ok =
     if ok then begin
@@ -287,6 +293,9 @@ let run ?(policy = default_policy) ?(remote = []) ?listen_fd ?on_ready ~dir
         Unix.listen fd 64;
         fd
   in
+  (* Accepted sockets inherit it from the listener; they set it again
+     below all the same, as not every platform inherits it. *)
+  no_delay listen;
   let bound =
     match Unix.getsockname listen with
     | Unix.ADDR_INET (a, p) ->
@@ -464,6 +473,7 @@ let run ?(policy = default_policy) ?(remote = []) ?listen_fd ?on_ready ~dir
         end
         else begin
           Unix.set_nonblock fd;
+          no_delay fd;
           Metrics.incr c_accepted;
           let c =
             {

@@ -155,6 +155,8 @@ let sockaddr_of_string addr =
 let connect_with_timeout sockaddr ~timeout_s =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.set_close_on_exec fd;
+  (* Frames are whole requests: Nagle would only hold them back. *)
+  Unix.setsockopt fd Unix.TCP_NODELAY true;
   Unix.set_nonblock fd;
   let fail () =
     (try Unix.close fd with Unix.Unix_error _ -> ());
@@ -1200,6 +1202,7 @@ let worker_listen ~dir ~shard ~addr () =
         (Unix.error_message e);
       exit 1);
   Unix.listen lfd 8;
+  Unix.setsockopt lfd Unix.TCP_NODELAY true;
   (match Unix.getsockname lfd with
   | Unix.ADDR_INET (ip, port) ->
       (* Parseable by whoever spawned us — how tests learn a port 0. *)
@@ -1214,6 +1217,7 @@ let worker_listen ~dir ~shard ~addr () =
     match Unix.accept lfd with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
     | conn, _peer ->
+        Unix.setsockopt conn Unix.TCP_NODELAY true;
         (match
            serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup
              conn conn

@@ -4,15 +4,20 @@ module Metrics = Trex_obs.Metrics
 (* Process-wide total across every tree; per-tree stats are not kept. *)
 let m_node_splits = Metrics.counter "bptree.node_splits"
 
-(* In-memory image of a node; nodes are (de)serialized to pager pages on
-   every access. Cursors keep the deserialized leaf, so scans parse each
-   leaf once. *)
+(* Nodes are immutable values, and a page's pager frame is their single
+   home: [read_node] returns the node cached in the frame (decoding the
+   page once, after a CRC-checked miss), and [write_node] hands the
+   pager a new node together with its encoding into the frame's page
+   bytes. Insert and remove build new arrays and never touch a cached
+   node, so a cursor can keep a leaf's entry array as its snapshot. *)
 type node =
-  | Leaf of { mutable entries : (string * string) array; mutable next : int }
+  | Leaf of { entries : (string * string) array; next : int }
   | Internal of {
-      mutable keys : string array; (* separators, length = #children - 1 *)
-      mutable children : int array;
+      keys : string array; (* separators, length = #children - 1 *)
+      children : int array;
     }
+
+type Pager.decoded += Node of node
 
 type t = { pager : Pager.t; mutable root : int; mutable count : int }
 
@@ -22,42 +27,53 @@ type t = { pager : Pager.t; mutable root : int; mutable count : int }
 let node_budget pager = Pager.page_size pager - 16
 let entry_budget pager = node_budget pager / 4
 
-let serialize_node pager node =
-  let b = Codec.Buf.create ~capacity:(Pager.page_size pager) () in
-  (match node with
-  | Leaf { entries; next } ->
-      Codec.Buf.add_raw b "L";
-      Codec.Buf.add_varint b (Array.length entries);
-      Array.iter
-        (fun (k, v) ->
-          Codec.Buf.add_string b k;
-          Codec.Buf.add_string b v)
-        entries;
-      Codec.Buf.add_varint b next
-  | Internal { keys; children } ->
-      Codec.Buf.add_raw b "I";
-      Codec.Buf.add_varint b (Array.length children);
-      Array.iter (fun c -> Codec.Buf.add_varint b c) children;
-      Array.iter (fun k -> Codec.Buf.add_string b k) keys);
-  Codec.Buf.contents b
+let string_size s = Codec.varint_size (String.length s) + String.length s
+let entry_size (k, v) = string_size k + string_size v
+(* Internal-node bytes of separator [i] and the child to its right. *)
+let separator_size keys children i = string_size keys.(i) + Codec.varint_size children.(i + 1)
 
-let node_size pager node = String.length (serialize_node pager node)
+(* Exactly the length [encode] writes, computed without writing. *)
+let encoded_size = function
+  | Leaf { entries; next } ->
+      Array.fold_left
+        (fun acc e -> acc + entry_size e)
+        (1 + Codec.varint_size (Array.length entries) + Codec.varint_size next)
+        entries
+  | Internal { keys; children } ->
+      let acc = 1 + Codec.varint_size (Array.length children) in
+      let acc = Array.fold_left (fun acc c -> acc + Codec.varint_size c) acc children in
+      Array.fold_left (fun acc k -> acc + string_size k) acc keys
+
+let encode node page =
+  let put_string pos s =
+    let pos = Codec.set_varint page pos (String.length s) in
+    Bytes.blit_string s 0 page pos (String.length s);
+    pos + String.length s
+  in
+  match node with
+  | Leaf { entries; next } ->
+      Bytes.set page 0 'L';
+      let pos = Codec.set_varint page 1 (Array.length entries) in
+      let pos =
+        Array.fold_left (fun pos (k, v) -> put_string (put_string pos k) v) pos entries
+      in
+      ignore (Codec.set_varint page pos next)
+  | Internal { keys; children } ->
+      Bytes.set page 0 'I';
+      let pos = Codec.set_varint page 1 (Array.length children) in
+      let pos = Array.fold_left (fun pos c -> Codec.set_varint page pos c) pos children in
+      ignore (Array.fold_left put_string pos keys)
 
 let write_node t id node =
-  let s = serialize_node t.pager node in
-  let page = Bytes.make (Pager.page_size t.pager) '\x00' in
-  Bytes.blit_string s 0 page 0 (String.length s);
-  Pager.write t.pager id page
+  Pager.write_decoded t.pager id (Node node) ~encode:(encode node)
 
 let corrupt t ~page detail =
   raise (Pager.Corruption { path = Pager.path t.pager; page; detail })
 
-(* Deserialization copies every field out of the page buffer (fresh
-   tuple/array cells, and [Codec.Reader.string] substrings), so holding
-   a node never aliases the pager's live cache — see Pager.read_copy for
-   callers that do need raw page bytes across writes. *)
-let read_node t id =
-  let page = Pager.read t.pager id in
+(* Parse a page into a node and the number of bytes its encoding took.
+   Every field is copied out of the page ([Codec.Reader.string] makes
+   substrings), so the node never aliases the frame's buffer. *)
+let decode t id page =
   let r = Codec.Reader.of_string (Bytes.unsafe_to_string page) in
   match
     match Codec.Reader.raw r 1 with
@@ -79,9 +95,14 @@ let read_node t id =
         Internal { keys; children }
     | tag -> corrupt t ~page:id (Printf.sprintf "corrupt node tag %S" tag)
   with
-  | node -> node
-  | exception Codec.Reader.Truncated ->
+  | node -> (node, Codec.Reader.pos r)
+  | exception (Codec.Reader.Truncated | Codec.Reader.Malformed _ | Invalid_argument _) ->
       corrupt t ~page:id "truncated node encoding"
+
+let read_node t id =
+  match Pager.read_decoded t.pager id ~decode:(fun page -> Node (fst (decode t id page))) with
+  | Node node -> node
+  | _ -> corrupt t ~page:id "page cached by another layer"
 
 let create pager =
   let root = Pager.allocate pager in
@@ -154,9 +175,57 @@ let array_remove arr i =
   Array.blit arr (i + 1) out i (n - 1 - i);
   out
 
+(* Byte-balanced split of [n >= 2] slots weighing [size i] bytes: the
+   smallest s in [1, n-1] whose prefix [0, s) holds at least half the
+   bytes. The prefix then exceeds half by at most one slot and the rest
+   is at most half, so with slots bounded by the entry budget both
+   halves fit a node whatever the mix of entry sizes. *)
+let balanced_split n size =
+  let total = ref 0 in
+  for i = 0 to n - 1 do
+    total := !total + size i
+  done;
+  let rec go s prefix =
+    if s >= n - 1 || 2 * prefix >= !total then s else go (s + 1) (prefix + size s)
+  in
+  go 1 (size 0)
+
 (* Result of inserting into a subtree: either the node fit, or it split
    and the parent must add (separator, right-page-id). *)
 type split = No_split | Split of string * int
+
+let split_leaf t id ~budget ~appended entries next =
+  let n = Array.length entries in
+  let right_id = Pager.allocate t.pager in
+  let left s = Leaf { entries = Array.sub entries 0 s; next = right_id } in
+  (* A key past the leaf's last entry starts the new right leaf on its
+     own: ascending inserts then leave full leaves behind them instead
+     of half-empty ones. The old entries fit with the old next pointer,
+     but [right_id] can take more varint bytes than that (a rightmost
+     leaf's -1 takes one), so a leaf that was exactly full falls back to
+     the byte-balanced split. *)
+  let s =
+    if appended && encoded_size (left (n - 1)) <= budget then n - 1
+    else balanced_split n (fun i -> entry_size entries.(i))
+  in
+  let right = Array.sub entries s (n - s) in
+  write_node t right_id (Leaf { entries = right; next });
+  write_node t id (left s);
+  Metrics.incr m_node_splits;
+  Split (fst right.(0), right_id)
+
+let split_internal t id keys children =
+  let nk = Array.length keys in
+  (* keys.(m) moves up; keys [0, m) stay left, (m, nk) go right. *)
+  let m = balanced_split nk (separator_size keys children) in
+  let right_id = Pager.allocate t.pager in
+  write_node t right_id
+    (Internal
+       { keys = Array.sub keys (m + 1) (nk - m - 1); children = Array.sub children (m + 1) (nk - m) });
+  write_node t id
+    (Internal { keys = Array.sub keys 0 m; children = Array.sub children 0 (m + 1) });
+  Metrics.incr m_node_splits;
+  Split (keys.(m), right_id)
 
 let insert t ~key ~value =
   if String.length key + String.length value > entry_budget t.pager then
@@ -167,63 +236,39 @@ let insert t ~key ~value =
   let budget = node_budget t.pager in
   let rec go id =
     match read_node t id with
-    | Leaf leaf ->
-        let i = lower_bound leaf.entries key in
-        let replaced =
-          i < Array.length leaf.entries && fst leaf.entries.(i) = key
+    | Leaf { entries; next } ->
+        let n = Array.length entries in
+        let i = lower_bound entries key in
+        let entries =
+          if i < n && fst entries.(i) = key then begin
+            let copy = Array.copy entries in
+            copy.(i) <- (key, value);
+            copy
+          end
+          else begin
+            if t.count >= 0 then t.count <- t.count + 1;
+            array_insert entries i (key, value)
+          end
         in
-        if replaced then leaf.entries.(i) <- (key, value)
-        else begin
-          leaf.entries <- array_insert leaf.entries i (key, value);
-          if t.count >= 0 then t.count <- t.count + 1
-        end;
-        let node = Leaf { entries = leaf.entries; next = leaf.next } in
-        if node_size t.pager node <= budget then begin
+        let node = Leaf { entries; next } in
+        if encoded_size node <= budget then begin
           write_node t id node;
           No_split
         end
-        else begin
-          (* Split at the midpoint entry. *)
-          let n = Array.length leaf.entries in
-          let mid = n / 2 in
-          let left = Array.sub leaf.entries 0 mid in
-          let right = Array.sub leaf.entries mid (n - mid) in
-          let right_id = Pager.allocate t.pager in
-          write_node t right_id (Leaf { entries = right; next = leaf.next });
-          write_node t id (Leaf { entries = left; next = right_id });
-          Metrics.incr m_node_splits;
-          Split (fst right.(0), right_id)
-        end
-    | Internal node -> (
-        let ci = child_index node.keys key in
-        match go node.children.(ci) with
+        else split_leaf t id ~budget ~appended:(i = n) entries next
+    | Internal { keys; children } -> (
+        let ci = child_index keys key in
+        match go children.(ci) with
         | No_split -> No_split
         | Split (sep, right_id) ->
-            node.keys <- array_insert node.keys ci sep;
-            node.children <- array_insert node.children (ci + 1) right_id;
-            let img = Internal { keys = node.keys; children = node.children } in
-            if node_size t.pager img <= budget then begin
-              write_node t id img;
+            let keys = array_insert keys ci sep in
+            let children = array_insert children (ci + 1) right_id in
+            let node = Internal { keys; children } in
+            if encoded_size node <= budget then begin
+              write_node t id node;
               No_split
             end
-            else begin
-              let nk = Array.length node.keys in
-              let mid = nk / 2 in
-              let sep_up = node.keys.(mid) in
-              let left_keys = Array.sub node.keys 0 mid in
-              let right_keys = Array.sub node.keys (mid + 1) (nk - mid - 1) in
-              let left_children = Array.sub node.children 0 (mid + 1) in
-              let right_children =
-                Array.sub node.children (mid + 1) (Array.length node.children - mid - 1)
-              in
-              let right_id = Pager.allocate t.pager in
-              write_node t right_id
-                (Internal { keys = right_keys; children = right_children });
-              write_node t id
-                (Internal { keys = left_keys; children = left_children });
-              Metrics.incr m_node_splits;
-              Split (sep_up, right_id)
-            end)
+            else split_internal t id keys children)
   in
   match go t.root with
   | No_split -> ()
@@ -238,11 +283,10 @@ let remove t key =
   let rec go id =
     match read_node t id with
     | Internal { keys; children } -> go children.(child_index keys key)
-    | Leaf leaf ->
-        let i = lower_bound leaf.entries key in
-        if i < Array.length leaf.entries && fst leaf.entries.(i) = key then begin
-          let entries = array_remove leaf.entries i in
-          write_node t id (Leaf { entries; next = leaf.next });
+    | Leaf { entries; next } ->
+        let i = lower_bound entries key in
+        if i < Array.length entries && fst entries.(i) = key then begin
+          write_node t id (Leaf { entries = array_remove entries i; next });
           if t.count >= 0 then t.count <- t.count - 1;
           true
         end
@@ -326,11 +370,9 @@ let iter t f =
 
 let iter_prefix t ~prefix f =
   let c = Cursor.seek t prefix in
-  let plen = String.length prefix in
   let rec go () =
     match Cursor.next c with
-    | Some (k, v)
-      when String.length k >= plen && String.sub k 0 plen = prefix ->
+    | Some (k, v) when String.starts_with ~prefix k ->
         f k v;
         go ()
     | Some _ | None -> ()
@@ -465,6 +507,7 @@ let verify t =
     if !n_problems <= max_reported_problems then problems := p :: !problems
   in
   let page_count = Pager.page_count t.pager in
+  let budget = node_budget t.pager in
   let visited = Hashtbl.create 256 in
   let leaves = ref [] in
   (* (id, next) in key order *)
@@ -485,6 +528,14 @@ let verify t =
                k))
       keys
   in
+  let check_size id node used =
+    if used <> encoded_size node then
+      add
+        (Printf.sprintf "page %d: encoding takes %d bytes, encoded_size says %d" id used
+           (encoded_size node));
+    if used > budget then
+      add (Printf.sprintf "page %d: node of %d bytes exceeds budget %d" id used budget)
+  in
   let rec walk id ~low ~high ~depth =
     if id < 0 || id >= page_count then
       add (Printf.sprintf "child link to page %d outside [0,%d)" id page_count)
@@ -493,10 +544,13 @@ let verify t =
     else begin
       Hashtbl.add visited id ();
       if depth > !max_depth then max_depth := depth;
-      match read_node t id with
+      (* Decode from the page bytes, not the cached node, so the
+         encoding itself is what gets checked. *)
+      match decode t id (Pager.read t.pager id) with
       | exception Pager.Corruption { detail; _ } ->
           add (Printf.sprintf "page %d: %s" id detail)
-      | Leaf { entries = es; next } ->
+      | (Leaf { entries = es; next } as node), used ->
+          check_size id node used;
           leaves := (id, next) :: !leaves;
           entries := !entries + Array.length es;
           check_sorted id "leaf keys" (Array.map fst es);
@@ -507,7 +561,8 @@ let verify t =
                   (Printf.sprintf "page %d: leaf key %S escapes separator bounds"
                      id k))
             es
-      | Internal { keys; children } ->
+      | (Internal { keys; children } as node), used ->
+          check_size id node used;
           if Array.length children <> Array.length keys + 1 then
             add
               (Printf.sprintf "page %d: %d children for %d separators" id

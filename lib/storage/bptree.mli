@@ -28,8 +28,11 @@ val refresh : t -> unit
     rebuilt the tree inside a pager this handle already points at. *)
 
 val insert : t -> key:string -> value:string -> unit
-(** Insert or replace. @raise Invalid_argument if the entry is too large
-    for a node. *)
+(** Insert or replace. A leaf that overflows splits by bytes, not entry
+    count, so both halves fit whatever the mix of entry sizes; a key
+    past the leaf's last entry instead starts the new right leaf on its
+    own, so ascending inserts leave full leaves behind.
+    @raise Invalid_argument if the entry is too large for a node. *)
 
 val find : t -> string -> string option
 
@@ -58,12 +61,17 @@ val verify : t -> verify_report
 (** Full structural check: node decodability, strict key order inside
     nodes, separator bounds along every root-to-leaf path, child links
     in range, no page reached twice, and the leaf sibling chain linking
-    the leaves in exactly DFS order. Read-only; decode failures are
-    reported as problems rather than raised. *)
+    the leaves in exactly DFS order. Nodes are decoded from the page
+    bytes, not taken from the cache,
+    so the encoding itself is checked: each node must fit the node
+    budget and take exactly the bytes its size computation predicts.
+    Read-only; decode failures are reported as problems rather than
+    raised. *)
 
 (** Ordered iteration. A cursor is positioned before an entry; [next]
-    yields it and advances. Cursors are snapshots of leaf contents at
-    positioning time; interleaving writes invalidates them logically
+    yields it and advances. Nodes are immutable, so a cursor holds the
+    current leaf as a snapshot: a write into that leaf after
+    positioning is not seen until the cursor moves to the next leaf
     (no crash, possibly stale data) — the retrieval algorithms never
     write during reads. *)
 module Cursor : sig

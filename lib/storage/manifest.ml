@@ -70,25 +70,36 @@ type t = {
 (* Hex codec: keys and values are raw B+tree bytes, so they pass
    through JSON hex-encoded. *)
 
+let hex_digits = "0123456789abcdef"
+
 let to_hex s =
-  let b = Buffer.create (2 * String.length s) in
-  String.iter (fun c -> Buffer.add_string b (Printf.sprintf "%02x" (Char.code c))) s;
-  Buffer.contents b
+  let n = String.length s in
+  let b = Bytes.create (2 * n) in
+  for i = 0 to n - 1 do
+    let c = Char.code (String.unsafe_get s i) in
+    Bytes.unsafe_set b (2 * i) hex_digits.[c lsr 4];
+    Bytes.unsafe_set b ((2 * i) + 1) hex_digits.[c land 15]
+  done;
+  Bytes.unsafe_to_string b
 
 exception Bad_hex
+
+let hex_digit c =
+  match c with
+  | '0' .. '9' -> Char.code c - Char.code '0'
+  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+  | _ -> raise Bad_hex
 
 let of_hex s =
   let n = String.length s in
   if n mod 2 <> 0 then raise Bad_hex;
-  let digit c =
-    match c with
-    | '0' .. '9' -> Char.code c - Char.code '0'
-    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-    | _ -> raise Bad_hex
-  in
-  String.init (n / 2) (fun i ->
-      Char.chr ((digit s.[2 * i] * 16) + digit s.[(2 * i) + 1]))
+  let b = Bytes.create (n / 2) in
+  for i = 0 to (n / 2) - 1 do
+    Bytes.unsafe_set b i
+      (Char.unsafe_chr ((hex_digit s.[2 * i] lsl 4) lor hex_digit s.[(2 * i) + 1]))
+  done;
+  Bytes.unsafe_to_string b
 
 (* ------------------------------------------------------------------ *)
 (* JSON codec                                                          *)

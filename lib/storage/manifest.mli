@@ -76,6 +76,20 @@ type pending = {
   p_steps : action list;  (** oldest first *)
 }
 
+(** {1 Hex codec}
+
+    Keys and values are raw B+tree bytes, so records carry them
+    hex-encoded inside their JSON payload. *)
+
+exception Bad_hex
+
+val to_hex : string -> string
+(** Lowercase, two digits per byte. *)
+
+val of_hex : string -> string
+(** Inverse of {!to_hex}; accepts either case.
+    @raise Bad_hex on odd length or a non-hex digit. *)
+
 type t
 
 val in_memory : unit -> t

@@ -53,11 +53,23 @@ type fault =
 
 type recovery = { recovered : bool; epoch_used : int; note : string }
 
-type backend =
-  | Memory of bytes array ref
-  | File of { fd : Unix.file_descr; cache_pages : int; path : string }
+type decoded = ..
 
-type cached = { buf : bytes; mutable dirty : bool; mutable stamp : int }
+(* One resident page. [decoded], when present, is the parsed form of
+   [buf] that a layer above cached here ({!read_decoded}); both always
+   describe the same page. *)
+type frame = {
+  buf : bytes;
+  mutable dirty : bool;
+  mutable stamp : int;
+  mutable decoded : decoded option;
+}
+
+(* A memory pager keeps every page as a frame in the cache and never
+   evicts; a file pager bounds the cache at [cache_pages] frames. *)
+type backend =
+  | Memory
+  | File of { fd : Unix.file_descr; cache_pages : int; path : string }
 
 type transient_op = Read_op | Write_op | Fsync_op
 
@@ -84,7 +96,7 @@ type t = {
   mutable root : int;
   mutable epoch : int;
   scratch : bytes; (* page_size + trailer; reused by physical reads/writes *)
-  cache : (int, cached) Hashtbl.t;
+  cache : (int, frame) Hashtbl.t;
   mutable tick : int;
   mutable faults : fault list;
   mutable transients : transient_state list;
@@ -118,7 +130,7 @@ let max_page_size = 1 lsl 20
 let default_page_size = 8192
 
 let path t =
-  match t.backend with Memory _ -> "<memory>" | File { path; _ } -> path
+  match t.backend with Memory -> "<memory>" | File { path; _ } -> path
 
 let corrupt t ~page detail = raise (Corruption { path = path t; page; detail })
 
@@ -144,7 +156,7 @@ let mk backend ~page_size ~page_count ~root ~epoch ~recoveries =
   }
 
 let create_memory ?(page_size = default_page_size) () =
-  mk (Memory (ref [||])) ~page_size ~page_count:0 ~root:(-1) ~epoch:0
+  mk Memory ~page_size ~page_count:0 ~root:(-1) ~epoch:0
     ~recoveries:0
 
 (* ---- fault injection ---- *)
@@ -306,7 +318,7 @@ let write_slot t fd slot =
    slot granularity: a crash mid-write invalidates only the new slot. *)
 let commit_header ?(sync = false) t =
   match t.backend with
-  | Memory _ -> ()
+  | Memory -> ()
   | File { fd; _ } ->
       t.epoch <- t.epoch + 1;
       write_slot t fd (t.epoch land 1);
@@ -476,7 +488,8 @@ let physical_write t fd id buf =
 
 let evict_one t fd =
   (* Evict the least recently used cached page. Linear scan is fine:
-     eviction is rare relative to hits and the cache is bounded. *)
+     eviction is rare relative to hits and the cache is bounded. The
+     decoded form leaves with its frame. *)
   let victim = ref (-1) and best = ref max_int in
   Hashtbl.iter
     (fun id c ->
@@ -495,80 +508,98 @@ let touch t c =
   t.tick <- t.tick + 1;
   c.stamp <- t.tick
 
+let new_frame t buf ~dirty =
+  let c = { buf; dirty; stamp = 0; decoded = None } in
+  touch t c;
+  c
+
+(* Room for one more frame: a full file cache evicts its LRU page. *)
+let make_room t =
+  match t.backend with
+  | File { fd; cache_pages; _ } when Hashtbl.length t.cache >= cache_pages ->
+      evict_one t fd
+  | Memory | File _ -> ()
+
 let allocate t =
   let id = t.page_count in
   t.page_count <- t.page_count + 1;
-  (match t.backend with
-  | Memory pages ->
-      let arr = !pages in
-      let cap = Array.length arr in
-      if id >= cap then begin
-        let ncap = max 64 (cap * 2) in
-        let narr = Array.make ncap Bytes.empty in
-        Array.blit arr 0 narr 0 cap;
-        pages := narr
-      end;
-      !pages.(id) <- Bytes.make t.page_size '\x00'
-  | File { fd; cache_pages; _ } ->
-      if Hashtbl.length t.cache >= cache_pages then evict_one t fd;
-      let c = { buf = Bytes.make t.page_size '\x00'; dirty = true; stamp = 0 } in
-      touch t c;
-      Hashtbl.replace t.cache id c);
+  make_room t;
+  Hashtbl.replace t.cache id (new_frame t (Bytes.make t.page_size '\x00') ~dirty:true);
   id
 
 let check_id t id =
   if id < 0 || id >= t.page_count then
     invalid_arg (Printf.sprintf "Pager: page id %d out of range [0,%d)" id t.page_count)
 
-let read t id =
+(* The resident frame of page [id], faulting it in (CRC-checked) on a
+   miss. Every read path goes through here, so hit/miss accounting is
+   the same whether the caller wants bytes or the decoded form. A
+   memory pager always hits until it is closed: it never evicts. *)
+let frame t id =
   check_id t id;
-  match t.backend with
-  | Memory pages ->
+  match Hashtbl.find_opt t.cache id with
+  | Some c ->
       t.cache_hits <- t.cache_hits + 1;
       Metrics.incr m_cache_hits;
-      !pages.(id)
-  | File { fd; cache_pages; _ } -> (
-      match Hashtbl.find_opt t.cache id with
-      | Some c ->
-          t.cache_hits <- t.cache_hits + 1;
-          Metrics.incr m_cache_hits;
-          touch t c;
-          c.buf
-      | None ->
+      touch t c;
+      c
+  | None -> (
+      match t.backend with
+      | Memory -> invalid_arg "Pager: memory pager used after close"
+      | File { fd; _ } ->
           t.cache_misses <- t.cache_misses + 1;
           Metrics.incr m_cache_misses;
-          if Hashtbl.length t.cache >= cache_pages then evict_one t fd;
+          make_room t;
           let buf = Bytes.create t.page_size in
           physical_read t fd id buf;
-          let c = { buf; dirty = false; stamp = 0 } in
-          touch t c;
+          let c = new_frame t buf ~dirty:false in
           Hashtbl.replace t.cache id c;
-          buf)
+          c)
 
-let read_copy t id = Bytes.copy (read t id)
+let read t id = (frame t id).buf
+
+let read_decoded t id ~decode =
+  let c = frame t id in
+  match c.decoded with
+  | Some d -> d
+  | None ->
+      let d = decode c.buf in
+      c.decoded <- Some d;
+      d
+
+(* The frame a write lands in: resident or fresh, dirty and touched.
+   Writes are not counted as hits or misses. *)
+let frame_for_write t id =
+  check_id t id;
+  match Hashtbl.find_opt t.cache id with
+  | Some c ->
+      c.dirty <- true;
+      touch t c;
+      c
+  | None ->
+      make_room t;
+      let c = new_frame t (Bytes.create t.page_size) ~dirty:true in
+      Hashtbl.replace t.cache id c;
+      c
 
 let write t id buf =
-  check_id t id;
   if Bytes.length buf <> t.page_size then
     invalid_arg "Pager.write: buffer length mismatch";
-  match t.backend with
-  | Memory pages ->
-      if not (!pages.(id) == buf) then Bytes.blit buf 0 !pages.(id) 0 t.page_size
-  | File { fd; cache_pages; _ } -> (
-      match Hashtbl.find_opt t.cache id with
-      | Some c ->
-          if not (c.buf == buf) then Bytes.blit buf 0 c.buf 0 t.page_size;
-          c.dirty <- true;
-          touch t c
-      | None ->
-          if Hashtbl.length t.cache >= cache_pages then evict_one t fd;
-          let c = { buf = Bytes.copy buf; dirty = true; stamp = 0 } in
-          touch t c;
-          Hashtbl.replace t.cache id c)
+  let c = frame_for_write t id in
+  if not (c.buf == buf) then Bytes.blit buf 0 c.buf 0 t.page_size;
+  c.decoded <- None
+
+(* The encoder writes into a zeroed page, so unused tail bytes are
+   deterministic. *)
+let write_decoded t id d ~encode =
+  let c = frame_for_write t id in
+  Bytes.fill c.buf 0 t.page_size '\x00';
+  encode c.buf;
+  c.decoded <- Some d
 
 let flush ?(sync = false) t =
   match t.backend with
-  | Memory _ -> ()
+  | Memory -> ()
   | File { fd; _ } ->
       Hashtbl.iter
         (fun id c ->
@@ -582,7 +613,7 @@ let flush ?(sync = false) t =
 
 let verify_checksums t =
   match t.backend with
-  | Memory _ -> []
+  | Memory -> []
   | File { fd; _ } ->
       let buf = Bytes.create t.page_size in
       let bad = ref [] in
@@ -596,13 +627,13 @@ let verify_checksums t =
 let close t =
   flush ~sync:true t;
   match t.backend with
-  | Memory pages -> pages := [||]
+  | Memory -> Hashtbl.reset t.cache
   | File { fd; _ } -> Unix.close fd
 
 let abort t =
   Hashtbl.reset t.cache;
   match t.backend with
-  | Memory pages -> pages := [||]
+  | Memory -> ()
   | File { fd; _ } -> ( try Unix.close fd with Unix.Unix_error _ -> ())
 
 let stats t =

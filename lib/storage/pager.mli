@@ -74,17 +74,41 @@ val allocate : t -> int
 
 val read : t -> int -> bytes
 (** [read t id] returns the page contents. The returned buffer is the
-    live cached copy: it is invalidated by a later {!write} to the same
-    id, and mutating it without a subsequent {!write} is a bug. Callers
-    that hold a page across writes must use {!read_copy}.
+    live cached copy: a later write to the same id overwrites it, and mutating it
+    without a subsequent {!write} is a bug.
     @raise Invalid_argument on an out-of-range id.
     @raise Corruption if the on-disk page fails its checksum. *)
 
-val read_copy : t -> int -> bytes
-(** Like {!read} but returns a private copy, safe to hold or mutate. *)
-
 val write : t -> int -> bytes -> unit
-(** Replace page [id]. The buffer length must equal [page_size t]. *)
+(** Replace page [id] with raw bytes, discarding any decoded form. The
+    buffer length must equal [page_size t]. *)
+
+(** {1 Decoded frames}
+
+    A cached page can also hold its parsed form, so the layer above
+    decodes a page once per cache residency instead of once per access.
+    The decoded form lives and dies with its frame. In a file pager it
+    is bounded by [cache_pages] like the bytes, and an evicted page is
+    decoded again on its next miss. A memory pager never evicts: it
+    keeps the decoded form of every page it has read next to the bytes,
+    with no bound. *)
+
+type decoded = ..
+(** Parsed page forms; each client layer adds its own constructor. *)
+
+val read_decoded : t -> int -> decode:(bytes -> decoded) -> decoded
+(** The cached decoded form of page [id]. On a frame without one (a
+    miss, read and CRC-checked, or raw bytes from {!write}) [decode]
+    runs once over the page bytes and its result is cached. [decode]
+    must copy what it keeps out of the buffer. Counts a cache hit or
+    miss exactly like {!read}.
+    @raise Corruption as {!read}, or from [decode]. *)
+
+val write_decoded : t -> int -> decoded -> encode:(bytes -> unit) -> unit
+(** Replace page [id] by a decoded form and its bytes: [encode] writes
+    the page into the zeroed frame buffer at once, and the decoded form
+    is cached beside it. The decoded value must be immutable from here
+    on: later {!read_decoded} calls return it as is. *)
 
 val set_root : t -> int -> unit
 (** Record a distinguished page id (the B+tree root). Buffered: it is

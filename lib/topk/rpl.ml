@@ -705,6 +705,15 @@ module Full = struct
         Some (entries, bytes)
 
   let is_materialized index ~term = catalog_find index ~term <> None
+
+  let terms index =
+    let env = Index.env index in
+    if not (Env.has_table env catalog_name) then []
+    else
+      List.rev
+        (Bptree.fold_range (Env.table env catalog_name) ~low:"" ~high:None ~init:[]
+           ~f:(fun acc k _ -> fst (Codec.string_of_key k ~pos:0) :: acc))
+
   let list_entries index ~term =
     match catalog_find index ~term with Some (n, _) -> n | None -> 0
 

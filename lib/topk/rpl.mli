@@ -151,6 +151,10 @@ module Full : sig
       foreign-extent blocks without decoding them. *)
 
   val is_materialized : Trex_invindex.Index.t -> term:string -> bool
+
+  val terms : Trex_invindex.Index.t -> string list
+  (** Every term with a materialized full list, in token order. *)
+
   val list_entries : Trex_invindex.Index.t -> term:string -> int
   val list_bytes : Trex_invindex.Index.t -> term:string -> int
   val drop : Trex_invindex.Index.t -> term:string -> unit

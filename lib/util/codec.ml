@@ -71,17 +71,37 @@ let string_of_key s ~pos =
 
 let concat_keys = String.concat ""
 
+(* Zig-zag LEB128: small magnitudes of either sign stay short. The
+   zig-zagged value is treated as an unsigned 63-bit pattern ([lsr]
+   shifts in zeroes), so the full int range round-trips. *)
+let zigzag n = (n lsl 1) lxor (n asr 62)
+
+let varint_size n =
+  let rec go z acc = if z lsr 7 = 0 then acc else go (z lsr 7) (acc + 1) in
+  go (zigzag n) 1
+
+let set_varint b pos n =
+  let rec go z pos =
+    let rest = z lsr 7 in
+    if rest = 0 then begin
+      Bytes.set b pos (Char.unsafe_chr z);
+      pos + 1
+    end
+    else begin
+      Bytes.set b pos (Char.unsafe_chr ((z land 0x7f) lor 0x80));
+      go rest (pos + 1)
+    end
+  in
+  go (zigzag n) pos
+
 module Buf = struct
   type t = Buffer.t
 
   let create ?(capacity = 64) () = Buffer.create capacity
   let contents = Buffer.contents
 
-  (* Zig-zag LEB128: small magnitudes of either sign stay short. The
-     zig-zagged value is treated as an unsigned 63-bit pattern ([lsr]
-     shifts in zeroes), so the full int range round-trips. *)
   let add_varint b n =
-    let z = (n lsl 1) lxor (n asr 62) in
+    let z = zigzag n in
     let rec go z =
       let low = z land 0x7f in
       let rest = z lsr 7 in

@@ -39,6 +39,14 @@ val concat_keys : string list -> string
 
 (** {1 Value (payload) encoding} *)
 
+val varint_size : int -> int
+(** Bytes {!Buf.add_varint} spends on the argument. *)
+
+val set_varint : bytes -> int -> int -> int
+(** [set_varint b pos n] writes [n] at [pos] exactly as {!Buf.add_varint}
+    would and returns the position after it.
+    @raise Invalid_argument if the encoding does not fit in [b]. *)
+
 module Buf : sig
   type t
 

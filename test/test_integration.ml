@@ -253,6 +253,26 @@ let test_add_document_invalidates_indexes () =
   Alcotest.(check bool) "merge agrees after rebuild" true
     (Trex.Answer.equal era.strategy.answers merge.strategy.answers)
 
+(* A document that shares no term with a query still moves the
+   collection statistics its scores depend on, so the query's lists must
+   not survive the add: rebuilt lists have to rank exactly like ERA. *)
+let test_add_document_invalidates_unrelated_lists () =
+  let q = Queries.find "202" in
+  let coll = Gen.ieee ~doc_count:30 ~seed:21 () in
+  let engine = Trex.build ~env:(Trex.Env.in_memory ()) ~alias:coll.alias (coll.docs ()) in
+  ignore (Trex.materialize engine q.nexi);
+  let xml =
+    "<books><journal><article><bdy><sec><st>zebra migration</st><p>zebra herds \
+     migrate across the savanna every year</p></sec></bdy></article></journal></books>"
+  in
+  ignore (Trex.add_document engine ~name:"unrelated.xml" ~xml);
+  ignore (Trex.materialize engine q.nexi);
+  let answers m = (Trex.query engine ~k:10 ~method_:m q.nexi).strategy.answers in
+  let era = Trex.Answer.top_k (answers Trex.Strategy.Era_method) 10 in
+  let ta = answers Trex.Strategy.Ta_method in
+  Alcotest.(check bool) "ta answers" true (ta <> []);
+  Alcotest.(check bool) "ta = exhaustive era" true (Trex.Answer.equal era ta)
+
 let test_vacuum_reclaims_dropped_lists () =
   let coll = Gen.ieee ~doc_count:60 ~seed:23 () in
   let engine = Trex.build ~env:(Trex.Env.in_memory ()) ~alias:coll.alias (coll.docs ()) in
@@ -317,6 +337,8 @@ let () =
             test_structured_phrase_and_must;
           Alcotest.test_case "add_document invalidates indexes" `Quick
             test_add_document_invalidates_indexes;
+          Alcotest.test_case "add_document invalidates unrelated lists" `Quick
+            test_add_document_invalidates_unrelated_lists;
           Alcotest.test_case "vacuum reclaims dropped lists" `Quick
             test_vacuum_reclaims_dropped_lists;
           Alcotest.test_case "syntax error propagates" `Quick

@@ -725,6 +725,35 @@ let test_manifest_compacts_at_open () =
     (file_length (Filename.concat dir "MANIFEST.mf") < 128);
   Trex.Env.close env2
 
+(* ---- hex codec ---- *)
+
+let prop_hex_roundtrip =
+  QCheck.Test.make ~name:"hex codec round-trips arbitrary bytes" ~count:500
+    QCheck.(string_gen Gen.char)
+    (fun s ->
+      let h = Manifest.to_hex s in
+      String.length h = 2 * String.length s
+      && Manifest.of_hex h = s
+      && Manifest.of_hex (String.uppercase_ascii h) = s)
+
+let prop_hex_rejects_junk =
+  let bad s = match Manifest.of_hex s with _ -> false | exception Manifest.Bad_hex -> true in
+  QCheck.Test.make ~name:"hex decoder rejects odd length and non-hex digits" ~count:500
+    QCheck.(pair (string_gen Gen.char) small_nat)
+    (fun (s, i) ->
+      let h = Manifest.to_hex s in
+      let n = String.length h in
+      (* odd length: one digit added or dropped *)
+      let odd = bad (h ^ "0") && (n = 0 || bad (String.sub h 0 (n - 1))) in
+      (* a non-hex character anywhere makes the input invalid *)
+      let junk =
+        n = 0
+        ||
+        let j = i mod n in
+        bad (String.mapi (fun k c -> if k = j then 'g' else c) h)
+      in
+      odd && junk)
+
 let () =
   Alcotest.run "trex_manifest"
     [
@@ -737,6 +766,11 @@ let () =
           Alcotest.test_case "corrupt frame skipped" `Quick
             test_corrupt_frame_skipped;
           Alcotest.test_case "compact to checkpoint" `Quick test_compact_checkpoint;
+        ] );
+      ( "hex",
+        [
+          QCheck_alcotest.to_alcotest prop_hex_roundtrip;
+          QCheck_alcotest.to_alcotest prop_hex_rejects_junk;
         ] );
       ( "protocol",
         [

@@ -87,16 +87,16 @@ let answers_testable =
 
 (* ---- harness: fork the daemon around a pre-bound socket ---- *)
 
-let fork_server ?(policy = Serve.default_policy) ?(remote = []) dir =
+let bind_loopback () =
   let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt listen Unix.SO_REUSEADDR true;
   Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
   Unix.listen listen 64;
-  let port =
-    match Unix.getsockname listen with
-    | Unix.ADDR_INET (_, p) -> p
-    | _ -> assert false
-  in
+  match Unix.getsockname listen with
+  | Unix.ADDR_INET (_, p) -> (listen, Printf.sprintf "127.0.0.1:%d" p)
+  | _ -> assert false
+
+let fork_daemon ?(policy = Serve.default_policy) ?(remote = []) listen dir =
   flush stdout;
   flush stderr;
   match Unix.fork () with
@@ -106,9 +106,13 @@ let fork_server ?(policy = Serve.default_policy) ?(remote = []) dir =
         with _ -> 9
       in
       Unix._exit code
-  | pid ->
-      Unix.close listen;
-      (pid, Printf.sprintf "127.0.0.1:%d" port)
+  | pid -> pid
+
+let fork_server ?policy ?remote dir =
+  let listen, addr = bind_loopback () in
+  let pid = fork_daemon ?policy ?remote listen dir in
+  Unix.close listen;
+  (pid, addr)
 
 let stop_server pid =
   (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
@@ -147,6 +151,27 @@ let test_answer_identity () =
         (baseline engine ~k:10 nexi) a.Wire.ca_answers
   | Serve.Client.Shed { reason; _ } -> Alcotest.failf "shed an idle server: %s" reason
   | Serve.Client.Draining -> Alcotest.fail "server draining unprompted"
+
+(* ---- Nagle off on both ends ----
+
+   The parent keeps its copy of the listening socket, so it can read
+   the option the daemon set on the shared socket; accepted sockets
+   inherit it. *)
+let test_no_delay () =
+  let dir, _engine = build_env ~docs:8 ~seed:7 in
+  Fun.protect ~finally:(fun () -> rm_rf dir) @@ fun () ->
+  let nodelay fd = Unix.getsockopt fd Unix.TCP_NODELAY in
+  let listen, addr = bind_loopback () in
+  Alcotest.(check bool) "a fresh listener has Nagle on" false (nodelay listen);
+  let pid = fork_daemon listen dir in
+  Fun.protect ~finally:(fun () ->
+      stop_server pid;
+      Unix.close listen)
+  @@ fun () ->
+  let c = Serve.Client.connect addr in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  Alcotest.(check bool) "client socket" true (nodelay (Serve.Client.fd c));
+  Alcotest.(check bool) "daemon's listening socket" true (nodelay listen)
 
 (* ---- overload soak: every request terminates, exactly once ----
 
@@ -443,6 +468,8 @@ let () =
         [
           Alcotest.test_case "served answers = direct evaluation" `Quick
             test_answer_identity;
+          Alcotest.test_case "TCP_NODELAY on client and listener" `Quick
+            test_no_delay;
         ] );
       ( "overload",
         [

@@ -113,30 +113,59 @@ let test_pager_open_absurd_header () =
   Alcotest.(check bool) "even with recovery" true
     (raises_corruption (fun () -> Pager.open_with_recovery path))
 
-let test_pager_read_copy_isolated () =
+type Pager.decoded += Blob of string
+
+(* A decoded frame is served as is until raw bytes replace it. Its
+   encoding lands in the frame's bytes at once, over a zeroed page, and
+   a flushed or evicted page reaches the disk in encoded form. *)
+let test_pager_decoded_frames () =
+  let decodes = ref 0 in
+  let decode page =
+    incr decodes;
+    Blob (Bytes.sub_string page 0 4)
+  in
+  let encode s page = Bytes.blit_string s 0 page 0 (String.length s) in
+  let blob p id =
+    match Pager.read_decoded p id ~decode with Blob s -> s | _ -> "?"
+  in
   let run p =
+    decodes := 0;
     let id = Pager.allocate p in
-    Pager.write p id (Bytes.make (Pager.page_size p) 'a');
-    let copy = Pager.read_copy p id in
-    Bytes.fill copy 0 (Bytes.length copy) '!';
-    check Alcotest.string "mutating the copy leaves the page alone"
-      (String.make (Pager.page_size p) 'a')
-      (Bytes.to_string (Pager.read p id));
-    (* The live buffer from [read] aliases the cache: a later write is
-       visible through it, which is exactly why read_copy exists. *)
-    let live = Pager.read p id in
-    Pager.write p id (Bytes.make (Pager.page_size p) 'b');
-    check Alcotest.string "live buffer sees the write"
-      (String.make (Pager.page_size p) 'b')
-      (Bytes.to_string live);
-    check Alcotest.string "earlier copy does not"
-      (String.make (Pager.page_size p) '!')
-      (Bytes.to_string copy)
+    Pager.write_decoded p id (Blob "abcd") ~encode:(encode "abcd");
+    check Alcotest.string "decoded form served" "abcd" (blob p id);
+    check Alcotest.int "no decode" 0 !decodes;
+    check Alcotest.string "raw read sees the encoding" "abcd"
+      (Bytes.sub_string (Pager.read p id) 0 4);
+    Pager.write_decoded p id (Blob "ef") ~encode:(encode "ef");
+    check Alcotest.string "latest decoded form" "ef" (blob p id);
+    check Alcotest.string "encoded over a zeroed page" "ef\x00\x00"
+      (Bytes.sub_string (Pager.read p id) 0 4);
+    (* Raw bytes drop the decoded form: decoded again, once. *)
+    let raw = Bytes.make (Pager.page_size p) 'z' in
+    Pager.write p id raw;
+    check Alcotest.string "decoded from raw bytes" "zzzz" (blob p id);
+    check Alcotest.string "then cached" "zzzz" (blob p id);
+    check Alcotest.int "one decode" 1 !decodes
   in
   run (Pager.create_memory ~page_size:128 ());
   let dir = temp_dir () in
-  let p = Pager.create_file ~page_size:128 (Filename.concat dir "rc.pg") in
+  let path = Filename.concat dir "df.pg" in
+  let p = Pager.create_file ~page_size:128 ~cache_pages:2 path in
   run p;
+  (* Encoded pages reach the disk through eviction and flush. *)
+  let ids = List.init 6 (fun _ -> Pager.allocate p) in
+  List.iteri
+    (fun i id ->
+      let s = Printf.sprintf "p%03d" i in
+      Pager.write_decoded p id (Blob s) ~encode:(encode s))
+    ids;
+  Pager.close p;
+  let p = Pager.open_file ~cache_pages:2 path in
+  decodes := 0;
+  List.iteri
+    (fun i id -> check Alcotest.string "reopened" (Printf.sprintf "p%03d" i) (blob p id))
+    ids;
+  check Alcotest.int "decoded once per miss" 6 !decodes;
   Pager.close p
 
 let test_pager_eviction_under_small_cache () =
@@ -354,6 +383,203 @@ let prop_bptree_model =
       Bptree.iter t (fun k v -> actual := (k, v) :: !actual);
       List.rev !actual = expected)
 
+(* The model property again, over a file pager whose cache holds only
+   3-4 pages, so dirty frames holding decoded nodes are evicted all the
+   time. Entries range from 1 byte to the full entry budget. After each
+   batch the tree must verify clean — which also checks that every node
+   fits its budget and that the decoded length of every page equals
+   [encoded_size] — and scan like the model; a close and reopen must
+   still equal the model, so the encoded bytes did reach the disk.
+   TREX_SOAK_SEEDS multiplies the case count (CI runs 8). *)
+module Smap = Map.Make (String)
+
+let soak_seeds () =
+  match Sys.getenv_opt "TREX_SOAK_SEEDS" with
+  | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 1)
+  | None -> 1
+
+type file_op =
+  | F_insert of string * int (* key, value length *)
+  | F_remove of string
+  | F_find of string
+  | F_scan of string * int (* seek key, entries to read *)
+
+let file_op_to_string = function
+  | F_insert (k, n) -> Printf.sprintf "ins(%S,%d)" k n
+  | F_remove k -> Printf.sprintf "del(%S)" k
+  | F_find k -> Printf.sprintf "find(%S)" k
+  | F_scan (k, n) -> Printf.sprintf "scan(%S,%d)" k n
+
+let prop_bptree_file_model =
+  let page_size = 256 in
+  let budget = Bptree.entry_budget (Pager.create_memory ~page_size ()) in
+  let open QCheck in
+  (* A small key space, so replaces and removes hit live keys. *)
+  let key = Gen.(map (fun cs -> String.concat "" cs) (list_size (1 -- 6) (map (String.make 1) (char_range 'a' 'e')))) in
+  let op =
+    Gen.(
+      frequency
+        [
+          ( 6,
+            key >>= fun k ->
+            map (fun n -> F_insert (k, n)) (0 -- (budget - String.length k)) );
+          (2, map (fun k -> F_remove k) key);
+          (1, map (fun k -> F_find k) key);
+          (1, map2 (fun k n -> F_scan (k, n)) key (1 -- 20));
+        ])
+  in
+  let arb =
+    make
+      ~print:(fun (cache, batches) ->
+        Printf.sprintf "cache_pages=%d\n%s" cache
+          (String.concat "\n"
+             (List.map (fun b -> String.concat ";" (List.map file_op_to_string b)) batches)))
+      Gen.(pair (3 -- 4) (list_size (1 -- 5) (list_size (0 -- 80) op)))
+  in
+  Test.make ~name:"bptree on a tiny file cache matches the model" ~count:(40 * soak_seeds ())
+    arb (fun (cache_pages, batches) ->
+      let dir = temp_dir () in
+      let path = Filename.concat dir "model.pg" in
+      let value k n = String.init n (fun i -> Char.chr (97 + ((i + String.length k) mod 26))) in
+      let scan_model model k n =
+        Smap.to_seq_from k model |> Seq.take n |> List.of_seq
+      in
+      let scan_tree t k n =
+        let c = Bptree.Cursor.seek t k in
+        List.filter_map (fun _ -> Bptree.Cursor.next c) (List.init n Fun.id)
+      in
+      let sound t model =
+        let r = Bptree.verify t in
+        if r.Bptree.problems <> [] then
+          Test.fail_reportf "verify: %s" (String.concat "; " r.Bptree.problems);
+        r.Bptree.entries = Smap.cardinal model
+        && Bptree.length t = Smap.cardinal model
+        && List.of_seq (Smap.to_seq model) = scan_tree t "" (Smap.cardinal model + 1)
+      in
+      let t = Bptree.create (Pager.create_file ~page_size ~cache_pages path) in
+      let model = ref Smap.empty in
+      let ok =
+        List.for_all
+          (fun batch ->
+            List.for_all
+              (function
+                | F_insert (k, n) ->
+                    let v = value k n in
+                    Bptree.insert t ~key:k ~value:v;
+                    model := Smap.add k v !model;
+                    true
+                | F_remove k ->
+                    let expected = Smap.mem k !model in
+                    model := Smap.remove k !model;
+                    Bptree.remove t k = expected
+                | F_find k -> Bptree.find t k = Smap.find_opt k !model
+                | F_scan (k, n) -> scan_tree t k n = scan_model !model k n)
+              batch
+            && sound t !model)
+          batches
+      in
+      Pager.close (Bptree.pager t);
+      let t = Bptree.attach (Pager.open_file ~cache_pages path) in
+      let reopened = sound t !model in
+      Pager.close (Bptree.pager t);
+      Sys.remove path;
+      Unix.rmdir dir;
+      ok && reopened)
+
+(* Splitting a leaf at its middle entry rather than its middle byte once
+   left a right half of 4 full-budget entries and 2 small ones, past the
+   page size (the write then died in [Bytes.blit]). Both the append
+   split (last key inserted last) and the byte-balanced one (a middle
+   key last) must keep every node within budget. *)
+let test_bptree_split_never_overflows () =
+  List.iter
+    (fun last ->
+      let pager = Pager.create_memory ~page_size:256 () in
+      let t = Bptree.create pager in
+      let big k = (k, String.make (Bptree.entry_budget pager - 1) 'v') in
+      let tiny = [ "a0"; "a1"; "a2"; "a3"; "a4"; "a5"; "b0"; "b1" ] in
+      let entries = List.map (fun k -> (k, "")) tiny @ List.map big [ "c"; "d"; "e"; "f" ] in
+      let first, final = List.partition (fun (k, _) -> k <> last) entries in
+      List.iter (fun (key, value) -> Bptree.insert t ~key ~value) (first @ final);
+      let r = Bptree.verify t in
+      check (Alcotest.list Alcotest.string) ("clean, " ^ last ^ " last") [] r.Bptree.problems;
+      Alcotest.(check bool) "split happened" true (r.Bptree.pages > 1);
+      List.iter
+        (fun (k, v) -> check (Alcotest.option Alcotest.string) k (Some v) (Bptree.find t k))
+        entries)
+    [ "c"; "f" ]
+
+(* The append split keeps a leaf's old entries on the left and points
+   them at the new right page. A rightmost leaf's next of -1 takes one
+   varint byte, a page id of 64 or more takes two, so a leaf that was
+   exactly full before the append must not take the append split.
+   Entries here are 6-byte keys with values under 64 bytes, so a leaf
+   of n < 64 entries takes 1 (tag) + 1 (count) + 1 (next) bytes plus
+   [8 + value length] per entry. *)
+let test_bptree_append_split_exactly_full () =
+  let pager = Pager.create_memory ~page_size:256 () in
+  let t = Bptree.create pager in
+  let budget = Pager.page_size pager - 16 in
+  let n = ref 0 in
+  let append value_len =
+    Bptree.insert t ~key:(Printf.sprintf "k%05d" !n) ~value:(String.make value_len 'v');
+    incr n
+  in
+  (* Grow with 50-byte entries (4 to a leaf) until a split lands past
+     page 64; the rightmost leaf then holds that split's key alone. *)
+  let rec grow () =
+    let pages = Pager.page_count pager in
+    append 42;
+    if pages < 64 || Pager.page_count pager = pages then grow ()
+  in
+  grow ();
+  (* 3 + 50 bytes so far; four more entries of 47, 47, 47 and 46 bytes
+     fill the leaf to exactly the budget. *)
+  List.iter append [ 39; 39; 39; 38 ];
+  assert (3 + 50 + (3 * 47) + 46 = budget);
+  let pages = Pager.page_count pager in
+  check (Alcotest.list Alcotest.string) "full leaf verifies" [] (Bptree.verify t).Bptree.problems;
+  check Alcotest.int "premise: no split while filling" pages (Pager.page_count pager);
+  append 0;
+  Alcotest.(check bool) "the append split the leaf" true (Pager.page_count pager > pages);
+  check (Alcotest.list Alcotest.string) "clean after the split" [] (Bptree.verify t).Bptree.problems;
+  for i = 0 to !n - 1 do
+    let key = Printf.sprintf "k%05d" i in
+    Alcotest.(check bool) key true (Bptree.find t key <> None)
+  done
+
+(* Nodes are immutable: a cursor keeps the leaf it loaded, so an insert
+   into that leaf after positioning does not show through. *)
+let test_bptree_cursor_snapshot () =
+  let t = Bptree.create (Pager.create_memory ~page_size:512 ()) in
+  List.iter (fun k -> Bptree.insert t ~key:k ~value:"v") [ "a"; "c"; "e" ];
+  let c = Bptree.Cursor.seek_first t in
+  Bptree.insert t ~key:"b" ~value:"new";
+  Bptree.insert t ~key:"c" ~value:"replaced";
+  let rec drain acc = match Bptree.Cursor.next c with Some e -> drain (e :: acc) | None -> List.rev acc in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "pre-insert entries" [ ("a", "v"); ("c", "v"); ("e", "v") ] (drain []);
+  check (Alcotest.option Alcotest.string) "tree sees the insert" (Some "new") (Bptree.find t "b")
+
+(* [verify] decodes every page from its bytes and compares the length
+   the decoder consumed with [encoded_size]; trees with every entry size
+   from 1 byte to the budget, leaves and internal nodes alike, must
+   agree everywhere. *)
+let test_bptree_encoded_size () =
+  let pager = Pager.create_memory ~page_size:512 () in
+  let t = Bptree.create pager in
+  let budget = Bptree.entry_budget pager in
+  for size = 1 to budget do
+    let key =
+      if size < 5 then String.make size (Char.chr (64 + size)) else Printf.sprintf "k%04d" size
+    in
+    Bptree.insert t ~key ~value:(String.make (size - String.length key) 'x')
+  done;
+  let r = Bptree.verify t in
+  check (Alcotest.list Alcotest.string) "sizes agree" [] r.Bptree.problems;
+  Alcotest.(check bool) "has internal nodes" true (r.Bptree.depth > 1)
+
 (* ---- environment ---- *)
 
 let test_env_tables () =
@@ -447,8 +673,7 @@ let () =
             test_pager_open_truncated_pages;
           Alcotest.test_case "open absurd header" `Quick
             test_pager_open_absurd_header;
-          Alcotest.test_case "read_copy isolation" `Quick
-            test_pager_read_copy_isolated;
+          Alcotest.test_case "decoded frames" `Quick test_pager_decoded_frames;
           Alcotest.test_case "eviction with small cache" `Quick
             test_pager_eviction_under_small_cache;
         ] );
@@ -471,6 +696,15 @@ let () =
             test_bptree_oversized_entry_rejected;
           Alcotest.test_case "persistence" `Quick test_bptree_persistence;
           qtest prop_bptree_model;
+          Alcotest.test_case "split never overflows a page" `Quick
+            test_bptree_split_never_overflows;
+          Alcotest.test_case "append split of an exactly full leaf" `Quick
+            test_bptree_append_split_exactly_full;
+          Alcotest.test_case "cursor keeps its snapshot" `Quick
+            test_bptree_cursor_snapshot;
+          Alcotest.test_case "encoded_size matches the encoding" `Quick
+            test_bptree_encoded_size;
+          qtest prop_bptree_file_model;
         ] );
       ( "env",
         [
