@@ -126,10 +126,10 @@ let robust_reported f =
 
 let build_engine (coll : Gen.collection) =
   let env = Trex.Env.in_memory () in
-  let t0 = Unix.gettimeofday () in
-  let engine = Trex.build ~env ~alias:coll.alias (coll.docs ()) in
-  Printf.printf "built %s: %d docs in %.1fs\n%!" coll.name coll.doc_count
-    (Unix.gettimeofday () -. t0);
+  let engine, dt =
+    time_once (fun () -> Trex.build ~env ~alias:coll.alias (coll.docs ()))
+  in
+  Printf.printf "built %s: %d docs in %.1fs\n%!" coll.name coll.doc_count dt;
   engine
 
 let engines =
@@ -817,12 +817,9 @@ let section_shard () =
         Printf.printf "%12s | %10.2f %14s %15d\n" "deadline=0" (td *. 1e3) "-"
           (List.length rd.Shard.degraded_shards);
         (* Rebalance cost, timed once — split and merge mutate the map. *)
-        let t0 = Unix.gettimeofday () in
-        let a, b = Shard.split t "shard-001" in
-        let t_split = (Unix.gettimeofday () -. t0) *. 1e3 in
-        let t0 = Unix.gettimeofday () in
-        ignore (Shard.merge t a.Shard.name b.Shard.name);
-        let t_merge = (Unix.gettimeofday () -. t0) *. 1e3 in
+        let (a, b), t_split = time_once (fun () -> Shard.split t "shard-001") in
+        let _, t_merge = time_once (fun () -> Shard.merge t a.Shard.name b.Shard.name) in
+        let t_split = t_split *. 1e3 and t_merge = t_merge *. 1e3 in
         Bench_out.record ~section:"shard" ~query:q.id ~strategy:"split" ~k
           ~ms:t_split [ ("shards", n) ];
         Bench_out.record ~section:"shard" ~query:q.id ~strategy:"merge" ~k

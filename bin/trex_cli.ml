@@ -128,6 +128,12 @@ let index_cmd =
 
 (* ---- query ---- *)
 
+(* A malformed query is the caller's error, not an internal one: one
+   line on stderr and exit 1. *)
+let syntax_error cmd ~message ~pos =
+  Printf.eprintf "trex %s: syntax error at byte %d: %s\n" cmd pos message;
+  exit 1
+
 let query_cmd =
   let nexi = Arg.(required & pos 0 (some string) None & info [] ~docv:"NEXI") in
   let k = Arg.(value & opt int 10 & info [ "k" ] ~doc:"answers to return") in
@@ -174,20 +180,24 @@ let query_cmd =
     if trace || trace_out <> None then Trex.Obs.Span.set_enabled true;
     if journal then Trex.Obs.Journal.set_enabled true;
     let outcome =
-      if structured then
-        Trex.query_structured engine ~k ?deadline_ms ?page_budget nexi
-      else
-        let m =
-          Option.map
-            (function
-              | "era" -> Trex.Strategy.Era_method
-              | "ta" -> Trex.Strategy.Ta_method
-              | "ita" -> Trex.Strategy.Ita_method
-              | "merge" -> Trex.Strategy.Merge_method
-              | other -> failwith (Printf.sprintf "unknown method %S" other))
-            method_
-        in
-        Trex.query engine ~k ?method_:m ~strict ?deadline_ms ?page_budget nexi
+      try
+        if structured then
+          Trex.query_structured engine ~k ?deadline_ms ?page_budget nexi
+        else
+          let m =
+            Option.map
+              (function
+                | "era" -> Trex.Strategy.Era_method
+                | "ta" -> Trex.Strategy.Ta_method
+                | "ita" -> Trex.Strategy.Ita_method
+                | "merge" -> Trex.Strategy.Merge_method
+                | other -> failwith (Printf.sprintf "unknown method %S" other))
+              method_
+          in
+          Trex.query engine ~k ?method_:m ~strict ?deadline_ms ?page_budget nexi
+      with Trex_nexi.Parser.Syntax_error { message; pos } ->
+        Trex.Env.close storage;
+        syntax_error "query" ~message ~pos
     in
     Printf.printf "%s: %d answers in %.2f ms (%s)\n"
       (Trex.Strategy.method_to_string outcome.strategy.method_used)
@@ -878,24 +888,27 @@ let shard_query_cmd =
         method_
     in
     let r =
-      if process then begin
-        (* Open/close first so rebalance recovery and the stale-artifact
-           sweep run; the supervisor itself only reads the map. *)
-        Shard.close (Shard.open_ dir);
-        let s = Supervisor.create dir in
-        Fun.protect
-          ~finally:(fun () -> Supervisor.close s)
-          (fun () ->
-            ignore (Supervisor.await_healthy s);
-            Supervisor.query s ~k ?method_:m ~strict ?deadline_ms ?page_budget
-              ?fanout nexi)
-      end
-      else begin
-        let t = Shard.open_ dir in
-        Fun.protect
-          ~finally:(fun () -> Shard.close t)
-          (fun () -> Shard.query t ~k ?method_:m ~strict ?deadline_ms ?page_budget nexi)
-      end
+      try
+        if process then begin
+          (* Open/close first so rebalance recovery and the stale-artifact
+             sweep run; the supervisor itself only reads the map. *)
+          Shard.close (Shard.open_ dir);
+          let s = Supervisor.create dir in
+          Fun.protect
+            ~finally:(fun () -> Supervisor.close s)
+            (fun () ->
+              ignore (Supervisor.await_healthy s);
+              Supervisor.query s ~k ?method_:m ~strict ?deadline_ms ?page_budget
+                ?fanout nexi)
+        end
+        else begin
+          let t = Shard.open_ dir in
+          Fun.protect
+            ~finally:(fun () -> Shard.close t)
+            (fun () -> Shard.query t ~k ?method_:m ~strict ?deadline_ms ?page_budget nexi)
+        end
+      with Trex_nexi.Parser.Syntax_error { message; pos } ->
+        syntax_error "shard query" ~message ~pos
     in
     Printf.printf "%d answers from %d shard(s)\n" (List.length r.answers)
       (List.length r.reports);

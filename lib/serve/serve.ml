@@ -68,60 +68,12 @@ let g_queue_depth = Metrics.gauge "serve.queue_depth"
 let h_wait_ms = Metrics.histogram "serve.wait_ms"
 let h_service_ms = Metrics.histogram "serve.service_ms"
 
-(* ---- addresses and bounded connects (client side shares these) ---- *)
-
-let sockaddr_of_string addr =
-  match String.rindex_opt addr ':' with
-  | None -> invalid_arg (Printf.sprintf "address %S is not HOST:PORT" addr)
-  | Some i -> (
-      let host = String.sub addr 0 i in
-      let host = if host = "" then "127.0.0.1" else host in
-      match int_of_string_opt (String.sub addr (i + 1) (String.length addr - i - 1)) with
-      | None -> invalid_arg (Printf.sprintf "address %S has a non-numeric port" addr)
-      | Some port ->
-          let ip =
-            try Unix.inet_addr_of_string host
-            with Failure _ -> (
-              try (Unix.gethostbyname host).Unix.h_addr_list.(0)
-              with Not_found | Invalid_argument _ ->
-                invalid_arg (Printf.sprintf "address %S: unknown host" addr))
-          in
-          Unix.ADDR_INET (ip, port))
+(* ---- sockets ---- *)
 
 (* Every frame is one complete request or reply, so Nagle's algorithm
    only ever delays it behind the peer's ACK: pipelined connections lock
    into one exchange per round trip. *)
 let no_delay fd = Unix.setsockopt fd Unix.TCP_NODELAY true
-
-let connect_with_timeout sa ~timeout_s =
-  let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
-  no_delay fd;
-  Unix.set_nonblock fd;
-  let finish ok =
-    if ok then begin
-      Unix.clear_nonblock fd;
-      Some fd
-    end
-    else begin
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      None
-    end
-  in
-  match Unix.connect fd sa with
-  | () -> finish true
-  | exception Unix.Unix_error (Unix.EINPROGRESS, _, _) ->
-      let deadline = Stopclock.now () +. timeout_s in
-      let rec wait () =
-        let remaining = deadline -. Stopclock.now () in
-        if remaining <= 0.0 then finish false
-        else
-          match Unix.select [] [ fd ] [] remaining with
-          | _, [], _ -> wait ()
-          | _, _ :: _, _ -> finish (Unix.getsockopt_error fd = None)
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
-      in
-      wait ()
-  | exception Unix.Unix_error _ -> finish false
 
 (* ---- bounded writes ----
 
@@ -289,7 +241,7 @@ let run ?(policy = default_policy) ?(remote = []) ?listen_fd ?on_ready ~dir
     | None ->
         let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
         Unix.setsockopt fd Unix.SO_REUSEADDR true;
-        Unix.bind fd (sockaddr_of_string addr);
+        Unix.bind fd (Supervisor.sockaddr_of_string addr);
         Unix.listen fd 64;
         fd
   in
@@ -688,10 +640,10 @@ module Client = struct
 
   let connect ?(timeout_s = 5.0) addr =
     let sa =
-      try sockaddr_of_string addr
+      try Supervisor.sockaddr_of_string addr
       with Invalid_argument msg -> raise (Unreachable msg)
     in
-    match connect_with_timeout sa ~timeout_s with
+    match Supervisor.connect_with_timeout sa ~timeout_s with
     | None ->
         raise
           (Unreachable

@@ -152,18 +152,18 @@ let write_file_atomic dir file json_text =
 
 let write_map_file dir json_text = write_file_atomic dir map_file json_text
 
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
 let read_map dir =
   let path = Filename.concat dir map_file in
   if not (Sys.file_exists path) then
     failwith
       (Printf.sprintf "%s: no %s (not a shard coordinator directory?)" dir map_file);
-  let ic = open_in_bin path in
-  let text =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  map_of_json (Json.parse text)
+  map_of_json (Json.parse (read_file path))
 
 (* ---- corpus-wide scoring statistics ----
 
@@ -219,14 +219,8 @@ let load_stats dir =
   let path = Filename.concat dir stats_file in
   if not (Sys.file_exists path) then None
   else
-    let ic = open_in_bin path in
-    let text =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
     match
-      let j = Json.parse text in
+      let j = Json.parse (read_file path) in
       let doc_count =
         match Json.member "doc_count" j with
         | Some (Json.Int i) -> i
@@ -260,6 +254,13 @@ let overrides_of_stats stats =
     global_df = (fun token -> Hashtbl.find_opt stats.s_df token);
   }
 
+let attach_index env =
+  match Index.attach env with
+  | index -> index
+  | exception e ->
+      Env.close env;
+      raise e
+
 (* Worker-side attach: one shard environment with the corpus-wide
    scoring overrides installed, exactly as [attach_all] does for the
    in-process coordinator — the process boundary must not change a
@@ -270,15 +271,11 @@ let overrides_of_stats stats =
    every future worker with [Pager.Corruption] at first touch. *)
 let attach_shard ~dir name =
   let env, _reports = Env.open_with_recovery (Filename.concat dir name) in
-  match Index.attach env with
-  | exception e ->
-      Env.close env;
-      raise e
-  | index ->
-      (match load_stats dir with
-      | Some stats -> Index.set_scoring_overrides index (overrides_of_stats stats)
-      | None -> ());
-      (env, index)
+  let index = attach_index env in
+  (match load_stats dir with
+  | Some stats -> Index.set_scoring_overrides index (overrides_of_stats stats)
+  | None -> ());
+  (env, index)
 
 (* ---- stale worker artifacts ----
 
@@ -340,6 +337,18 @@ let sweep_stale_worker_artifacts dir infos =
 let recover manifest dir =
   let current = ref (read_map dir) in
   let pre_blocked = ref [] and unresolved_ops = ref [] in
+  let unresolvable (p : Manifest.pending) why =
+    unresolved_ops :=
+      Printf.sprintf "op#%d %s: %s" p.Manifest.p_op_id p.Manifest.p_op why
+      :: !unresolved_ops;
+    List.iter
+      (fun tbl ->
+        if List.exists (fun i -> i.name = tbl) !current.infos then
+          pre_blocked :=
+            (tbl, Printf.sprintf "unresolvable rebalance op#%d" p.Manifest.p_op_id)
+            :: !pre_blocked)
+      p.Manifest.p_tables
+  in
   List.iter
     (fun (p : Manifest.pending) ->
       match p.Manifest.p_status with
@@ -363,18 +372,7 @@ let recover manifest dir =
               p.Manifest.p_steps
           in
           match new_map with
-          | None ->
-              unresolved_ops :=
-                Printf.sprintf "op#%d %s: committed but carries no shard map"
-                  p.Manifest.p_op_id p.Manifest.p_op
-                :: !unresolved_ops;
-              List.iter
-                (fun tbl ->
-                  if List.exists (fun i -> i.name = tbl) !current.infos then
-                    pre_blocked :=
-                      (tbl, Printf.sprintf "unresolvable rebalance op#%d" p.Manifest.p_op_id)
-                      :: !pre_blocked)
-                p.Manifest.p_tables
+          | None -> unresolvable p "committed but carries no shard map"
           | Some m ->
               let missing =
                 List.filter
@@ -383,21 +381,10 @@ let recover manifest dir =
                     && not (Sys.file_exists (Filename.concat dir name)))
                   p.Manifest.p_rollback
               in
-              if missing <> [] then begin
-                unresolved_ops :=
-                  Printf.sprintf "op#%d %s: committed but shard %s is gone"
-                    p.Manifest.p_op_id p.Manifest.p_op
-                    (String.concat ", " missing)
-                  :: !unresolved_ops;
-                List.iter
-                  (fun tbl ->
-                    if List.exists (fun i -> i.name = tbl) !current.infos then
-                      pre_blocked :=
-                        ( tbl,
-                          Printf.sprintf "unresolvable rebalance op#%d" p.Manifest.p_op_id )
-                        :: !pre_blocked)
-                  p.Manifest.p_tables
-              end
+              if missing <> [] then
+                unresolvable p
+                  (Printf.sprintf "committed but shard %s is gone"
+                     (String.concat ", " missing))
               else begin
                 write_map_file dir (Json.to_string (map_to_json m));
                 List.iter
@@ -446,11 +433,7 @@ let attach_all t pre_blocked =
         match
           if not (Sys.file_exists sdir) then failwith "shard directory missing";
           let env = Env.on_disk sdir in
-          match Index.attach env with
-          | index -> { a_info = info; a_env = env; a_index = index }
-          | exception e ->
-              Env.close env;
-              raise e
+          { a_info = info; a_env = env; a_index = attach_index env }
         with
         | a -> acc := a :: !acc
         | exception e -> blocked := !blocked @ [ (info.name, Printexc.to_string e) ]
@@ -545,7 +528,7 @@ let create ~dir ~shards:n ?(summary_criterion = Summary.Incoming)
   write_map_file dir (Json.to_string (map_to_json map));
   open_ ~scoring dir
 
-(* ---- query ---- *)
+(* ---- query: one scatter core, two dispatches ---- *)
 
 type shard_report = {
   r_shard : string;
@@ -564,9 +547,73 @@ type result = {
   reports : shard_report list;
 }
 
-let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget nexi =
+type slice = { floor : float; deadline_ms : float option; page_budget : int option }
+
+type reply = {
+  local_answers : Answer.t;
+  partial : bool;
+  method_used : Strategy.method_ option;
+  entries_read : int;
+  elapsed_s : float;
+  pages_used : int;
+}
+
+type outcome = Reply of reply | Failed of string | Lost of string
+
+type target = {
+  shard : shard_info;
+  breaker : Breaker.t;
+  unavailable : unit -> string option;
+}
+
+(* The query against one shard's summary: its translation and the
+   (sids, terms) it touches. *)
+let translate index ast =
+  let tr =
+    Translate.translate ~summary:(Index.summary index)
+      ~normalize:(Index.normalize_term index) ast
+  in
+  (tr, Translate.all_sids tr, Translate.all_terms tr)
+
+(* The per-shard half of the scatter, shared by the in-process
+   dispatch and the worker process. Truncating to k is sound because
+   the merge order is total: an entry outside this shard's top k is
+   outside the global top k too. *)
+let evaluate_shard index ~scoring ~k ~strict ?method_ slice ast =
+  let t0 = Trex_util.Stopclock.now () in
+  let guard =
+    match (slice.deadline_ms, slice.page_budget) with
+    | None, None -> None
+    | deadline_ms, page_budget -> Some (Guard.create ?deadline_ms ?page_budget ())
+  in
+  let translation, sids, terms = translate index ast in
+  let local_answers, partial, method_used, entries_read, elapsed_s =
+    if sids = [] || terms = [] then
+      (* Nothing in this shard matches the query's structure: a
+         successful (empty) contribution. *)
+      ([], false, None, 0, Trex_util.Stopclock.now () -. t0)
+    else
+      let o, _fallbacks =
+        Strategy.evaluate_resilient index ~scoring ~sids ~terms ~k ?guard
+          ~floor:slice.floor ?method_ ()
+      in
+      let target = translation.Translate.target_sids in
+      let above_floor (e : Answer.entry) =
+        e.Answer.score > slice.floor
+        && ((not strict) || List.mem e.Answer.element.Types.sid target)
+      in
+      ( Answer.top_k (List.filter above_floor o.Strategy.answers) k,
+        o.Strategy.degraded,
+        Some o.Strategy.method_used,
+        o.Strategy.entries_read,
+        o.Strategy.elapsed_seconds )
+  in
+  let pages_used = match guard with Some g -> Guard.pages_used g | None -> 0 in
+  ( translation,
+    { local_answers; partial; method_used; entries_read; elapsed_s; pages_used } )
+
+let scatter ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
   Metrics.incr m_queries;
-  Obs.Span.with_ ~name:"shard.query" @@ fun () ->
   let ast = Nexi_parser.parse nexi in
   let started = Trex_util.Stopclock.now () in
   let pages_spent = ref 0 in
@@ -574,127 +621,101 @@ let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget nexi 
   let tags = ref [] in
   let reports = ref [] in
   let tag name reason = tags := (name, reason) :: !tags in
-  List.iter
-    (fun a ->
-      let name = a.a_info.name in
-      let base = a.a_info.base in
-      let b = breaker t name in
-      (* The global k-th score achieved so far: any answer a later
-         shard could contribute must beat it, so the shard's TA may
-         stop the moment its local threshold falls below it. *)
-      let floor =
-        if List.length !merged >= k then
-          (List.nth !merged (k - 1)).Answer.score
-        else 0.0
-      in
-      let remaining_ms =
-        Option.map
-          (fun d -> d -. ((Trex_util.Stopclock.now () -. started) *. 1000.0))
-          deadline_ms
-      in
-      let remaining_pages = Option.map (fun p -> p - !pages_spent) page_budget in
-      let exhausted =
-        (match remaining_ms with Some ms -> ms <= 0.0 | None -> false)
-        || match remaining_pages with Some p -> p <= 0 | None -> false
-      in
-      if exhausted then begin
-        Metrics.incr m_skipped;
-        tag name "query budget exhausted before this shard"
-      end
-      else if not (Breaker.allow b) then begin
-        Metrics.incr m_skipped;
-        tag name "circuit open (cooling down)"
-      end
-      else begin
-        if floor > 0.0 then Metrics.incr m_early;
-        let guard =
-          match (remaining_ms, remaining_pages) with
-          | None, None -> None
-          | _ -> Some (Guard.create ?deadline_ms:remaining_ms ?page_budget:remaining_pages ())
+  let skip name reason =
+    Metrics.incr m_skipped;
+    tag name reason
+  in
+  let fold floor (tg, outcome) =
+    let name = tg.shard.name and b = tg.breaker in
+    match outcome with
+    | Reply r ->
+        if r.partial then begin
+          tag name "budget expired mid-shard (partial shard answers)";
+          if Breaker.probing b then
+            Breaker.record_failure b ~reason:"half-open probe came back degraded"
+        end
+        else Breaker.record_success b;
+        pages_spent := !pages_spent + r.pages_used;
+        let kept =
+          List.map
+            (fun (e : Answer.entry) ->
+              let el = e.Answer.element in
+              let docid = el.Types.docid + tg.shard.base in
+              { e with Answer.element = { el with Types.docid } })
+            r.local_answers
         in
-        let add_pages () =
-          match guard with
-          | Some g -> pages_spent := !pages_spent + Guard.pages_used g
-          | None -> ()
-        in
-        Obs.Span.with_ ~name:("shard.query." ^ name) @@ fun () ->
-        Obs.Journal.set_label (Some ("shard:" ^ name ^ "|" ^ nexi));
-        Fun.protect ~finally:(fun () -> Obs.Journal.set_label None) @@ fun () ->
-        match
-          Fun.protect ~finally:add_pages @@ fun () ->
-          (match t.shard_hook with Some f -> f name | None -> ());
-          let translation =
-            Translate.translate
-              ~summary:(Index.summary a.a_index)
-              ~normalize:(Index.normalize_term a.a_index)
-              ast
-          in
-          let sids = Translate.all_sids translation in
-          let terms = Translate.all_terms translation in
-          if sids = [] || terms = [] then None
-          else
-            let outcome, _fallbacks =
-              Strategy.evaluate_resilient a.a_index ~scoring:t.scoring ~sids ~terms
-                ~k ?guard ~floor ?method_ ()
-            in
-            Some (translation, outcome)
-        with
-        | None ->
-            (* Nothing in this shard matches the query's structure:
-               a successful (empty) contribution. *)
-            Breaker.record_success b;
-            reports :=
-              {
-                r_shard = name;
-                r_method = None;
-                r_entries_read = 0;
-                r_elapsed_seconds = 0.0;
-                r_kept = 0;
-                r_floor = floor;
-              }
-              :: !reports
-        | Some (translation, outcome) ->
-            if outcome.Strategy.degraded then begin
-              tag name "budget expired mid-shard (partial shard answers)";
-              if Breaker.probing b then
-                Breaker.record_failure b ~reason:"half-open probe came back degraded"
-            end
-            else Breaker.record_success b;
-            let target = translation.Translate.target_sids in
-            let kept =
-              List.filter_map
-                (fun (e : Answer.entry) ->
-                  if e.Answer.score > floor
-                     && ((not strict) || List.mem e.Answer.element.Types.sid target)
-                  then
-                    Some
-                      {
-                        e with
-                        Answer.element =
-                          { e.Answer.element with Types.docid = e.Answer.element.Types.docid + base };
-                      }
-                  else None)
-                outcome.Strategy.answers
-            in
-            merged := Answer.top_k (Answer.merge [ !merged; kept ]) k;
-            reports :=
-              {
-                r_shard = name;
-                r_method = Some outcome.Strategy.method_used;
-                r_entries_read = outcome.Strategy.entries_read;
-                r_elapsed_seconds = outcome.Strategy.elapsed_seconds;
-                r_kept = List.length kept;
-                r_floor = floor;
-              }
-              :: !reports
-        | exception (Pager.Injected_crash _ as e) -> raise e
-        | exception e ->
-            Metrics.incr m_skipped;
-            Breaker.record_failure b ~reason:(Printexc.to_string e);
-            tag name (Printexc.to_string e)
-      end)
-    t.attached;
-  List.iter (fun (name, reason) -> tag name reason) t.blocked;
+        merged := Answer.top_k (Answer.merge [ !merged; kept ]) k;
+        reports :=
+          {
+            r_shard = name;
+            r_method = r.method_used;
+            r_entries_read = r.entries_read;
+            r_elapsed_seconds = r.elapsed_s;
+            r_kept = List.length kept;
+            r_floor = floor;
+          }
+          :: !reports
+    | Failed reason ->
+        Breaker.record_failure b ~reason;
+        skip name reason
+    | Lost reason -> skip name reason
+  in
+  let run_wave wave =
+    (* The global k-th score achieved so far: any answer this wave
+       could contribute must beat it, so each shard's TA may stop the
+       moment its local threshold falls below it. *)
+    let floor =
+      if List.length !merged >= k then (List.nth !merged (k - 1)).Answer.score
+      else 0.0
+    in
+    let remaining_ms =
+      Option.map
+        (fun d -> d -. ((Trex_util.Stopclock.now () -. started) *. 1000.0))
+        deadline_ms
+    in
+    let remaining_pages = Option.map (fun p -> p - !pages_spent) page_budget in
+    let exhausted =
+      (match remaining_ms with Some ms -> ms <= 0.0 | None -> false)
+      || match remaining_pages with Some p -> p <= 0 | None -> false
+    in
+    let go =
+      List.filter
+        (fun tg ->
+          match tg.unavailable () with
+          | Some reason ->
+              skip tg.shard.name reason;
+              false
+          | None when exhausted ->
+              skip tg.shard.name "query budget exhausted before this shard";
+              false
+          | None when not (Breaker.allow tg.breaker) ->
+              skip tg.shard.name "circuit open (cooling down)";
+              false
+          | None -> true)
+        wave
+    in
+    if go <> [] then begin
+      if floor > 0.0 then Metrics.add m_early (List.length go);
+      let slice =
+        {
+          floor;
+          deadline_ms = remaining_ms;
+          page_budget =
+            Option.map (fun p -> max 1 (p / List.length go)) remaining_pages;
+        }
+      in
+      List.iter (fold floor)
+        (List.combine go (dispatch ast slice (List.map (fun tg -> tg.shard) go)))
+    end
+  in
+  let rec waves = function
+    | [] -> ()
+    | l ->
+        let this, rest = split_at wave l in
+        run_wave this;
+        waves rest
+  in
+  waves targets;
   let degraded_shards = List.rev !tags in
   if degraded_shards <> [] then Metrics.incr m_degraded;
   {
@@ -705,18 +726,39 @@ let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget nexi 
     reports = List.rev !reports;
   }
 
+let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget nexi =
+  Obs.Span.with_ ~name:"shard.query" @@ fun () ->
+  let target info =
+    {
+      shard = info;
+      breaker = breaker t info.name;
+      unavailable = (fun () -> List.assoc_opt info.name t.blocked);
+    }
+  in
+  let dispatch ast slice shards =
+    List.map
+      (fun info ->
+        Obs.Span.with_ ~name:("shard.query." ^ info.name) @@ fun () ->
+        Obs.Journal.set_label (Some ("shard:" ^ info.name ^ "|" ^ nexi));
+        Fun.protect ~finally:(fun () -> Obs.Journal.set_label None) @@ fun () ->
+        match
+          (match t.shard_hook with Some f -> f info.name | None -> ());
+          let index = Option.get (index_of t info.name) in
+          evaluate_shard index ~scoring:t.scoring ~k ~strict ?method_ slice ast
+        with
+        | _, r -> Reply r
+        | exception (Pager.Injected_crash _ as e) -> raise e
+        | exception e -> Failed (Printexc.to_string e))
+      shards
+  in
+  scatter ~k ~wave:1 ?deadline_ms ?page_budget ~dispatch
+    (List.map target t.infos) nexi
+
 let materialize t ?(kinds = [ Rpl.Rpl; Rpl.Erpl ]) ?rpl_prefix nexi =
   let ast = Nexi_parser.parse nexi in
   List.iter
     (fun a ->
-      let translation =
-        Translate.translate
-          ~summary:(Index.summary a.a_index)
-          ~normalize:(Index.normalize_term a.a_index)
-          ast
-      in
-      let sids = Translate.all_sids translation in
-      let terms = Translate.all_terms translation in
+      let _, sids, terms = translate a.a_index ast in
       if sids <> [] && terms <> [] then
         ignore (Rpl.build a.a_index ~scoring:t.scoring ~sids ~terms ~kinds ?rpl_prefix ()))
     t.attached

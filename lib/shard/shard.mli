@@ -119,7 +119,9 @@ type shard_report = {
           evaluation (no matching structure) *)
   r_entries_read : int;
   r_elapsed_seconds : float;
-  r_kept : int;  (** answers surviving the floor filter *)
+  r_kept : int;
+      (** answers kept after the floor/strict filter and the shard's
+          top-k *)
   r_floor : float;  (** global k-th score when this shard ran *)
 }
 
@@ -143,16 +145,77 @@ val query :
   ?page_budget:int ->
   string ->
   result
-(** Evaluate a NEXI query across all shards. Shards are visited in
-    ascending [base] order; each runs with [floor] set to the current
-    global k-th score, so later shards terminate early once they
-    cannot affect the ranking ([shard.early_terminations] counts
-    floor-assisted visits). [deadline_ms] / [page_budget] bound the
-    {e whole} query: each shard's guard is created with whatever
-    remains, and shards reached after exhaustion are skipped (and
-    tagged). A shard whose evaluation raises is tagged and its breaker
-    records the failure; {!Trex_storage.Pager.Injected_crash}
-    propagates (crash simulation). *)
+(** Evaluate a NEXI query across all shards: {!scatter} in waves of
+    one shard, ascending [base], each evaluated in this process. A
+    shard whose evaluation raises is tagged and its breaker records the
+    failure; {!Trex_storage.Pager.Injected_crash} propagates (crash
+    simulation). @raise Trex_nexi.Parser.Syntax_error *)
+
+(** {2 The scatter core}
+
+    One loop behind {!query} and {!Supervisor.query}, parametrised by
+    how a wave of shards is dispatched. *)
+
+type slice = {
+  floor : float;  (** global k-th score when the wave was dispatched *)
+  deadline_ms : float option;  (** what remains of the query's deadline *)
+  page_budget : int option;  (** an even share of the remaining pages *)
+}
+
+type reply = {
+  local_answers : Trex_topk.Answer.t;  (** shard-local docids *)
+  partial : bool;  (** the shard's guard expired mid-evaluation *)
+  method_used : Trex_topk.Strategy.method_ option;
+      (** [None]: no matching structure in this shard *)
+  entries_read : int;
+  elapsed_s : float;
+  pages_used : int;
+}
+
+type outcome =
+  | Reply of reply
+  | Failed of string  (** the evaluation raised: tag + breaker failure *)
+  | Lost of string  (** no reply came back: tag only *)
+
+type target = {
+  shard : shard_info;
+  breaker : Trex_resilience.Breaker.t;
+  unavailable : unit -> string option;  (** skip tag, asked per wave *)
+}
+
+val evaluate_shard :
+  Trex_invindex.Index.t ->
+  scoring:Trex_scoring.Scorer.config ->
+  k:int ->
+  strict:bool ->
+  ?method_:Trex_topk.Strategy.method_ ->
+  slice ->
+  Trex_nexi.Ast.query ->
+  Trex_nexi.Translate.t * reply
+(** One shard's contribution, in process or in a worker: translate
+    (no matching structure: an empty reply), evaluate under a guard
+    built from the slice, keep the entries above the floor (in the
+    target extent when [strict]) and truncate to [k]. *)
+
+val scatter :
+  k:int ->
+  wave:int ->
+  ?deadline_ms:float ->
+  ?page_budget:int ->
+  dispatch:(Trex_nexi.Ast.query -> slice -> shard_info list -> outcome list) ->
+  target list ->
+  string ->
+  result
+(** Parse the NEXI once, then visit the targets in waves of [wave]
+    shards. Each wave's floor is the global k-th score so far;
+    [deadline_ms]/[page_budget] bound the whole query. A shard that is
+    unavailable, reached after the budget ran out, or refused by its
+    breaker is tagged and skipped; [dispatch] gets the rest, which
+    share the wave's {!slice}, and returns one outcome per shard in
+    order. Replies are rebased by [base] and merged to k. Owns the
+    breakers' success/probe bookkeeping and the [shard.*] counters
+    ([shard.early_terminations] counts floor-assisted dispatches).
+    @raise Trex_nexi.Parser.Syntax_error before any dispatch *)
 
 val materialize :
   t -> ?kinds:Trex_topk.Rpl.kind list -> ?rpl_prefix:int -> string -> unit

@@ -2,10 +2,8 @@ module Env = Trex_storage.Env
 module Index = Trex_invindex.Index
 module Nexi_parser = Trex_nexi.Parser
 module Translate = Trex_nexi.Translate
-module Answer = Trex_topk.Answer
 module Strategy = Trex_topk.Strategy
 module Breaker = Trex_resilience.Breaker
-module Guard = Trex_resilience.Guard
 module Retry = Trex_resilience.Retry
 module Scorer = Trex_scoring.Scorer
 module Framing = Trex_util.Framing
@@ -18,10 +16,6 @@ let m_restarts = Metrics.counter "supervisor.restarts"
 let m_hb_timeouts = Metrics.counter "supervisor.heartbeat_timeouts"
 let m_kills = Metrics.counter "supervisor.kills"
 let m_escalations = Metrics.counter "supervisor.escalations"
-let m_queries = Metrics.counter "shard.queries"
-let m_degraded = Metrics.counter "shard.degraded_queries"
-let m_skipped = Metrics.counter "shard.shards_skipped"
-let m_early = Metrics.counter "shard.early_terminations"
 
 type config = {
   heartbeat_interval_s : float;
@@ -132,13 +126,13 @@ let set_fault t ~shard spec = (find_worker t shard).pending_fault <- spec
    address is a configuration error, not a transient fault. *)
 let sockaddr_of_string addr =
   match String.rindex_opt addr ':' with
-  | None -> invalid_arg (Printf.sprintf "bad worker address %S (want HOST:PORT)" addr)
+  | None -> invalid_arg (Printf.sprintf "bad address %S (want HOST:PORT)" addr)
   | Some i -> (
       let host = String.sub addr 0 i in
       let port =
         match int_of_string_opt (String.sub addr (i + 1) (String.length addr - i - 1)) with
         | Some p when p >= 0 && p < 65536 -> p
-        | _ -> invalid_arg (Printf.sprintf "bad port in worker address %S" addr)
+        | _ -> invalid_arg (Printf.sprintf "bad port in address %S" addr)
       in
       let host = if host = "" then "127.0.0.1" else host in
       match Unix.inet_addr_of_string host with
@@ -146,7 +140,7 @@ let sockaddr_of_string addr =
       | exception Failure _ -> (
           match Unix.gethostbyname host with
           | { Unix.h_addr_list = [||]; _ } | (exception Not_found) ->
-              invalid_arg (Printf.sprintf "cannot resolve worker host %S" host)
+              invalid_arg (Printf.sprintf "cannot resolve host %S" host)
           | { Unix.h_addr_list; _ } -> Unix.ADDR_INET (h_addr_list.(0), port)))
 
 (* Bounded non-blocking connect: None on refusal or timeout (the
@@ -185,6 +179,11 @@ let connect_with_timeout sockaddr ~timeout_s =
       wait ())
   | exception Unix.Unix_error _ -> fail ()
 
+let handshaking w pid fd =
+  w.proc <- Some { p_pid = pid; p_fd = fd; p_decoder = Framing.Decoder.create () };
+  w.phase <- P_starting (Stopclock.now ());
+  w.ping_outstanding <- None
+
 let spawn_local t w =
   let coord_fd, worker_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (* Later spawns' execs must not inherit this worker's coordinator
@@ -208,11 +207,7 @@ let spawn_local t w =
       exit 127
   | pid ->
       Unix.close worker_fd;
-      w.proc <-
-        Some
-          { p_pid = Some pid; p_fd = coord_fd; p_decoder = Framing.Decoder.create () };
-      w.phase <- P_starting (Stopclock.now ());
-      w.ping_outstanding <- None
+      handshaking w (Some pid) coord_fd
 
 (* Forward-declared: remote connect failures reuse the death/backoff
    path, which is defined below. *)
@@ -220,11 +215,7 @@ let on_connect_failure = ref (fun _t _w _reason -> ())
 
 let spawn_remote t w addr =
   match connect_with_timeout (sockaddr_of_string addr) ~timeout_s:t.config.connect_timeout_s with
-  | Some fd ->
-      w.proc <-
-        Some { p_pid = None; p_fd = fd; p_decoder = Framing.Decoder.create () };
-      w.phase <- P_starting (Stopclock.now ());
-      w.ping_outstanding <- None
+  | Some fd -> handshaking w None fd
   | None ->
       !on_connect_failure t w
         (Printf.sprintf "connect to %s refused or timed out" addr)
@@ -539,26 +530,14 @@ let health t =
       })
     t.workers
 
-(* ---- query: concurrent scatter, supervised gather ---- *)
+(* ---- query: the scatter core over worker round trips ---- *)
 
 type dispatch = {
   d_worker : worker;
-  d_floor : float;
   d_sent_at : float;
   d_kill_at : float option;  (* deadline slice + grace; None = no deadline *)
-  mutable d_done : bool;
+  mutable d_outcome : Shard.outcome option;
 }
-
-(* A worker that never delivered its answer (death, deadline kill)
-   leaves a tagged, child-less [supervisor.worker] span: the merged
-   trace shows the partial tree honestly instead of omitting the
-   shard. *)
-let emit_lost_worker_span w ~sent_at ~reason =
-  Obs.Span.emit ~name:"supervisor.worker"
-    ~attrs:[ ("worker", w.info.Shard.name); ("lost", reason) ]
-    ~start_s:sent_at
-    ~seconds:(Stopclock.now () -. sent_at)
-    ()
 
 (* One coordinator-level journal record per supervised query, built
    from the registry deltas (worker counter deltas were absorbed during
@@ -608,9 +587,84 @@ let journal_supervised t started ~nexi ~k ~(result : Shard.result)
            ~spans:(span_summary @ breakdown @ lost)
            ()))
 
+(* Why the core may not dispatch to this worker right now. *)
+let unavailable w () =
+  match w.phase with
+  | P_ready -> None
+  | P_starting _ -> Some "worker not ready (starting)"
+  | P_stopped _ -> Some "worker restarting (backing off)"
+  | P_escalated -> Some "circuit open (restarts exhausted)"
+  | P_busy -> Some "worker unavailable"
+
+(* Wait until every dispatch has an outcome: [accept] turns an answer
+   frame into one; a death or a blown deadline slice loses the shard
+   and leaves a tagged, child-less [supervisor.worker] span, so the
+   merged trace shows the partial tree instead of omitting the shard. *)
+let gather t ~accept dispatches =
+  let pending () = List.filter (fun d -> Option.is_none d.d_outcome) dispatches in
+  let lose d reason =
+    Obs.Span.emit ~name:"supervisor.worker"
+      ~attrs:[ ("worker", d.d_worker.info.Shard.name); ("lost", reason) ]
+      ~start_s:d.d_sent_at
+      ~seconds:(Stopclock.now () -. d.d_sent_at)
+      ();
+    d.d_outcome <- Some (Shard.Lost reason)
+  in
+  let rec loop () =
+    let now = Stopclock.now () in
+    (* Kill workers that blew their deadline slice. *)
+    List.iter
+      (fun d ->
+        match d.d_kill_at with
+        | Some at when now >= at ->
+            Metrics.incr m_kills;
+            lose d "deadline exceeded (worker killed)";
+            on_death t d.d_worker "killed for blowing its deadline slice"
+        | _ -> ())
+      (pending ());
+    match pending () with
+    | [] -> ()
+    | ps ->
+        let timeout =
+          List.fold_left
+            (fun acc d ->
+              match d.d_kill_at with
+              | Some at -> Float.min acc (Float.max 0.0 (at -. now))
+              | None -> acc)
+            0.1 ps
+        in
+        let ready_fds =
+          readable
+            (List.filter_map
+               (fun d -> Option.map (fun p -> p.p_fd) d.d_worker.proc)
+               ps)
+            timeout
+        in
+        List.iter
+          (fun d ->
+            let w = d.d_worker in
+            match w.proc with
+            | Some p when List.mem p.p_fd ready_fds ->
+                let handle = function
+                  | Wire.Answer a -> d.d_outcome <- Some (accept d a)
+                  | Wire.Pong seq -> idle_handle w (Wire.Pong seq)
+                  | Wire.Hello _ | Wire.Client_answer _ | Wire.Shed _ | Wire.Drain
+                    ->
+                      ()
+                in
+                (* pump runs on_death; the shard is lost unless its
+                   answer made it out before the stream died. *)
+                if (not (pump t w ~handle)) && Option.is_none d.d_outcome then
+                  lose d "worker died mid-query"
+            | Some _ -> () (* no data this round; keep waiting *)
+            | None -> lose d "worker died mid-query")
+          ps;
+        loop ()
+  in
+  loop ()
+
 let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget ?fanout
     nexi =
-  Metrics.incr m_queries;
   let trace = Obs.Span.enabled () in
   let jrnl = Obs.Journal.enabled () in
   let j_started = if jrnl then Some (Obs.Journal.start_query ()) else None in
@@ -619,297 +673,130 @@ let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget ?fano
     Printf.sprintf "%s-%d" (Obs.Journal.digest_of nexi) t.qseq
   in
   let worker_records = ref ([] : (string * Obs.Journal.record) list) in
-  let result =
-  Obs.Span.with_ ~name:"supervisor.query"
-    ~attrs:
-      [ ("k", string_of_int k);
-        ("workers", string_of_int (List.length t.workers));
-        ("trace_id", trace_id) ]
-  @@ fun () ->
-  let started = Stopclock.now () in
-  (* Give workers still handshaking a chance to come up before we
-     declare them unavailable — bounded by the query's own deadline. *)
-  if List.exists (fun w -> match w.phase with P_starting _ -> true | _ -> false)
-       t.workers
-  then
-    ignore
-      (await_healthy
-         ~timeout_s:
-           (match deadline_ms with
-           | Some d -> Float.min (d /. 1000.0) t.config.heartbeat_timeout_s
-           | None -> t.config.heartbeat_timeout_s)
-         t);
-  let pages_spent = ref 0 in
-  let merged = ref ([] : Answer.t) in
-  let tags = ref [] in
-  let reports = ref [] in
-  let tag name reason = tags := (name, reason) :: !tags in
-  let wave_size =
-    match fanout with Some f when f > 0 -> f | _ -> max 1 (List.length t.workers)
+  let accept d (a : Wire.answer) =
+    let w = d.d_worker in
+    let name = w.info.Shard.name in
+    w.last_beat <- Stopclock.now ();
+    w.phase <- P_ready;
+    w.restarts <- 0;
+    (* Harvest the worker's telemetry: fold its counter delta into
+       this registry (both the bare name — the merged fleet total —
+       and a per-shard [worker.<shard>.*] view), keep its journal
+       record for the coordinator-level breakdown. *)
+    Metrics.absorb_counters ~prefix:("worker." ^ name ^ ".") a.Wire.a_counters;
+    (match a.Wire.a_journal with
+    | Some r -> worker_records := (name, r) :: !worker_records
+    | None -> ());
+    (* Graft the worker's span tree under a [supervisor.worker] span
+       spanning the full round trip; the pid attribute re-homes the
+       subtree onto the worker's own track in a Chrome trace. *)
+    Obs.Span.emit ~name:"supervisor.worker"
+      ~attrs:
+        [
+          ("worker", name);
+          (* "worker_pid", not "pid": the round trip is coordinator-
+             observed time and must stay on the coordinator's trace
+             track; only the grafted children (stamped "pid" by the
+             worker itself) re-home to the worker's track. *)
+          ( "worker_pid",
+            match w.proc with
+            | Some { p_pid = Some pid; _ } -> string_of_int pid
+            | Some { p_pid = None; _ } -> "remote"
+            | None -> "-" );
+        ]
+      ~start_s:d.d_sent_at
+      ~seconds:(Stopclock.now () -. d.d_sent_at)
+      ~children:a.Wire.a_spans ();
+    match a.Wire.a_error with
+    | Some reason -> Shard.Failed reason
+    | None ->
+        Shard.Reply
+          {
+            Shard.local_answers = a.Wire.a_answers;
+            partial = a.Wire.a_degraded;
+            method_used = a.Wire.a_method;
+            entries_read = a.Wire.a_entries_read;
+            elapsed_s = a.Wire.a_elapsed_s;
+            pages_used = a.Wire.a_pages_used;
+          }
   in
-  let rec waves = function
-    | [] -> ()
-    | workers ->
-        let wave = List.filteri (fun i _ -> i < wave_size) workers in
-        let rest = List.filteri (fun i _ -> i >= wave_size) workers in
-        run_wave wave;
-        waves rest
-  and run_wave wave =
-    (* The global k-th score at dispatch: every worker in this wave may
-       prune below it; later waves see the improved floor. *)
-    let floor =
-      if List.length !merged >= k then (List.nth !merged (k - 1)).Answer.score
-      else 0.0
-    in
-    let remaining_ms =
-      Option.map
-        (fun d -> d -. ((Stopclock.now () -. started) *. 1000.0))
-        deadline_ms
-    in
-    let remaining_pages = Option.map (fun p -> p - !pages_spent) page_budget in
-    let exhausted =
-      (match remaining_ms with Some ms -> ms <= 0.0 | None -> false)
-      || match remaining_pages with Some p -> p <= 0 | None -> false
-    in
-    (* Dispatch phase. *)
-    let ready, unavailable =
-      List.partition (fun w -> w.phase = P_ready) wave
-    in
-    List.iter
-      (fun w ->
-        let name = w.info.Shard.name in
-        Metrics.incr m_skipped;
-        match w.phase with
-        | P_starting _ -> tag name "worker not ready (starting)"
-        | P_stopped _ -> tag name "worker restarting (backing off)"
-        | P_escalated -> tag name "circuit open (restarts exhausted)"
-        | P_busy | P_ready -> tag name "worker unavailable")
-      unavailable;
-    if exhausted then
-      List.iter
-        (fun w ->
-          Metrics.incr m_skipped;
-          tag w.info.Shard.name "query budget exhausted before this shard")
-        ready
-    else begin
-      let active = List.length ready in
-      let page_slice =
-        Option.map (fun p -> max 1 (p / max 1 active)) remaining_pages
-      in
-      let dispatches =
-        List.filter_map
-          (fun w ->
-            let name = w.info.Shard.name in
-            if not (Breaker.allow w.breaker) then begin
-              Metrics.incr m_skipped;
-              tag name "circuit open (cooling down)";
-              None
-            end
-            else begin
-              if floor > 0.0 then Metrics.incr m_early;
-              let fault = w.pending_fault in
-              w.pending_fault <- None;
-              let q =
-                Wire.Query
-                  {
-                    Wire.q_nexi = nexi;
-                    q_k = k;
-                    q_method = method_;
-                    q_strict = strict;
-                    q_floor = floor;
-                    q_deadline_ms = remaining_ms;
-                    q_page_budget = page_slice;
-                    q_scoring = t.scoring;
-                    q_fault = fault;
-                    q_trace = trace;
-                    q_journal = jrnl;
-                    q_trace_id = (if trace then Some trace_id else None);
-                  }
-              in
-              let now = Stopclock.now () in
-              if send t w q then begin
-                w.phase <- P_busy;
-                Some
-                  {
-                    d_worker = w;
-                    d_floor = floor;
-                    d_sent_at = now;
-                    d_kill_at =
-                      Option.map
-                        (fun ms ->
-                          now +. ((ms +. t.config.deadline_grace_ms) /. 1000.0))
-                        remaining_ms;
-                    d_done = false;
-                  }
-              end
-              else begin
-                Metrics.incr m_skipped;
-                tag name "worker died at dispatch";
-                None
-              end
-            end)
-          ready
-      in
-      gather dispatches
-    end
-  and gather dispatches =
-    let pending () = List.filter (fun d -> not d.d_done) dispatches in
-    let finish d = d.d_done <- true in
-    let accept d (a : Wire.answer) =
-      let w = d.d_worker in
-      let name = w.info.Shard.name in
-      let base = w.info.Shard.base in
-      w.last_beat <- Stopclock.now ();
-      w.phase <- P_ready;
-      w.restarts <- 0;
-      if a.Wire.a_degraded then begin
-        tag name "budget expired mid-shard (partial shard answers)";
-        if Breaker.probing w.breaker then
-          Breaker.record_failure w.breaker
-            ~reason:"half-open probe came back degraded"
-      end
-      else Breaker.record_success w.breaker;
-      pages_spent := !pages_spent + a.Wire.a_pages_used;
-      (* Harvest the worker's telemetry: fold its counter delta into
-         this registry (both the bare name — the merged fleet total —
-         and a per-shard [worker.<shard>.*] view), keep its journal
-         record for the coordinator-level breakdown. *)
-      Metrics.absorb_counters ~prefix:("worker." ^ name ^ ".")
-        a.Wire.a_counters;
-      (match a.Wire.a_journal with
-      | Some r -> worker_records := (name, r) :: !worker_records
-      | None -> ());
-      let kept =
-        List.map
-          (fun (e : Answer.entry) ->
-            {
-              e with
-              Answer.element =
-                {
-                  e.Answer.element with
-                  Trex_invindex.Types.docid =
-                    e.Answer.element.Trex_invindex.Types.docid + base;
-                };
-            })
-          a.Wire.a_answers
-      in
-      merged := Answer.top_k (Answer.merge [ !merged; kept ]) k;
-      (* Graft the worker's span tree under a [supervisor.worker] span
-         spanning the full round trip; the pid attribute re-homes the
-         subtree onto the worker's own track in a Chrome trace. *)
-      Obs.Span.emit ~name:"supervisor.worker"
-        ~attrs:
-          [
-            ("worker", name);
-            (* "worker_pid", not "pid": the round trip is coordinator-
-               observed time and must stay on the coordinator's trace
-               track; only the grafted children (stamped "pid" by the
-               worker itself) re-home to the worker's track. *)
-            ( "worker_pid",
-              match w.proc with
-              | Some { p_pid = Some pid; _ } -> string_of_int pid
-              | Some { p_pid = None; _ } -> "remote"
-              | None -> "-" );
-          ]
-        ~start_s:d.d_sent_at
-        ~seconds:(Stopclock.now () -. d.d_sent_at)
-        ~children:a.Wire.a_spans ();
-      reports :=
-        {
-          Shard.r_shard = name;
-          r_method = a.Wire.a_method;
-          r_entries_read = a.Wire.a_entries_read;
-          r_elapsed_seconds = a.Wire.a_elapsed_s;
-          r_kept = List.length kept;
-          r_floor = d.d_floor;
-        }
-        :: !reports;
-      finish d
-    in
-    let rec loop () =
-      match pending () with
-      | [] -> ()
-      | ps ->
+  let dispatch _ast (slice : Shard.slice) shards =
+    let dispatches =
+      List.map
+        (fun (info : Shard.shard_info) ->
+          let w = find_worker t info.Shard.name in
+          let fault = w.pending_fault in
+          w.pending_fault <- None;
+          let q =
+            Wire.Query
+              {
+                Wire.q_nexi = nexi;
+                q_k = k;
+                q_method = method_;
+                q_strict = strict;
+                q_floor = slice.Shard.floor;
+                q_deadline_ms = slice.Shard.deadline_ms;
+                q_page_budget = slice.Shard.page_budget;
+                q_scoring = t.scoring;
+                q_fault = fault;
+                q_trace = trace;
+                q_journal = jrnl;
+                q_trace_id = (if trace then Some trace_id else None);
+              }
+          in
           let now = Stopclock.now () in
-          (* Kill workers that blew their deadline slice. *)
-          List.iter
-            (fun d ->
-              match d.d_kill_at with
-              | Some at when now >= at ->
-                  Metrics.incr m_kills;
-                  Metrics.incr m_skipped;
-                  tag d.d_worker.info.Shard.name
-                    "deadline exceeded (worker killed)";
-                  emit_lost_worker_span d.d_worker ~sent_at:d.d_sent_at
-                    ~reason:"deadline exceeded (worker killed)";
-                  on_death t d.d_worker "killed for blowing its deadline slice";
-                  finish d
-              | _ -> ())
-            ps;
-          (match pending () with
-          | [] -> ()
-          | ps ->
-              let timeout =
-                List.fold_left
-                  (fun acc d ->
-                    match d.d_kill_at with
-                    | Some at -> Float.min acc (Float.max 0.0 (at -. now))
-                    | None -> acc)
-                  0.1 ps
-              in
-              let fds =
-                List.filter_map
-                  (fun d -> Option.map (fun p -> p.p_fd) d.d_worker.proc)
-                  ps
-              in
-              let ready_fds = readable fds timeout in
-              List.iter
-                (fun d ->
-                  let w = d.d_worker in
-                  match w.proc with
-                  | Some p when List.mem p.p_fd ready_fds ->
-                      let handle = function
-                        | Wire.Answer a -> accept d a
-                        | Wire.Pong seq -> idle_handle w (Wire.Pong seq)
-                        | Wire.Hello _ | Wire.Client_answer _ | Wire.Shed _
-                        | Wire.Drain ->
-                            ()
-                      in
-                      if not (pump t w ~handle) then begin
-                        (* pump ran on_death; tag unless the answer
-                           made it out before the stream died. *)
-                        if not d.d_done then begin
-                          Metrics.incr m_skipped;
-                          tag w.info.Shard.name "worker died mid-query";
-                          emit_lost_worker_span w ~sent_at:d.d_sent_at
-                            ~reason:"worker died mid-query";
-                          finish d
-                        end
-                      end
-                  | Some _ -> () (* no data this round; keep waiting *)
-                  | None ->
-                      if not d.d_done then begin
-                        Metrics.incr m_skipped;
-                        tag w.info.Shard.name "worker died mid-query";
-                        emit_lost_worker_span w ~sent_at:d.d_sent_at
-                          ~reason:"worker died mid-query";
-                        finish d
-                      end)
-                ps;
-              loop ())
+          let d =
+            {
+              d_worker = w;
+              d_sent_at = now;
+              d_kill_at =
+                Option.map
+                  (fun ms -> now +. ((ms +. t.config.deadline_grace_ms) /. 1000.0))
+                  slice.Shard.deadline_ms;
+              d_outcome = None;
+            }
+          in
+          if send t w q then w.phase <- P_busy
+          else d.d_outcome <- Some (Shard.Lost "worker died at dispatch");
+          d)
+        shards
     in
-    loop ()
+    gather t ~accept dispatches;
+    List.map (fun d -> Option.get d.d_outcome) dispatches
   in
-  waves t.workers;
-  let degraded_shards = List.rev !tags in
-  if degraded_shards <> [] then Metrics.incr m_degraded;
-  {
-    Shard.answers = !merged;
-    k;
-    degraded = degraded_shards <> [];
-    degraded_shards;
-    reports = List.rev !reports;
-  }
+  let result =
+    Obs.Span.with_ ~name:"supervisor.query"
+      ~attrs:
+        [
+          ("k", string_of_int k);
+          ("workers", string_of_int (List.length t.workers));
+          ("trace_id", trace_id);
+        ]
+    @@ fun () ->
+    let started = Stopclock.now () in
+    (* Give workers still handshaking a chance to come up before we
+       declare them unavailable — bounded by, and charged to, the
+       query's own deadline. *)
+    if List.exists (fun w -> match w.phase with P_starting _ -> true | _ -> false)
+         t.workers
+    then
+      ignore
+        (await_healthy
+           ~timeout_s:
+             (match deadline_ms with
+             | Some d -> Float.min (d /. 1000.0) t.config.heartbeat_timeout_s
+             | None -> t.config.heartbeat_timeout_s)
+           t);
+    let waited_ms = (Stopclock.now () -. started) *. 1000.0 in
+    Shard.scatter ~k
+      ~wave:(match fanout with Some f when f > 0 -> f | _ -> max 1 (List.length t.workers))
+      ?deadline_ms:(Option.map (fun d -> d -. waited_ms) deadline_ms)
+      ?page_budget ~dispatch
+      (List.map
+         (fun w ->
+           { Shard.shard = w.info; breaker = w.breaker; unavailable = unavailable w })
+         t.workers)
+      nexi
   in
   (* The journal record is built after the root span closes so its span
      summary covers the whole supervised evaluation. *)
@@ -954,8 +841,9 @@ let env_fault () =
   | _ -> None
 
 (* One coordinator conversation over (rx, tx): Hello, then answer
-   requests until the peer hangs up. Returns how the conversation
-   ended; [Shutdown] and an exploding evaluation exit the process in
+   requests until the peer hangs up. Returns whether the conversation
+   ended cleanly (a torn or corrupt stream is reported on stderr);
+   [Shutdown] and an exploding evaluation exit the process in
    place (containment is the point). Shared by the socketpair worker
    (one conversation, then exit) and the TCP listen worker (one
    conversation per accepted connection). *)
@@ -967,66 +855,14 @@ let serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup rx tx =
        { h_shard = shard; h_pid = Unix.getpid (); h_docs = docs;
          h_wire = Wire.version });
   let evaluate (q : Wire.query) =
-    let t0 = Stopclock.now () in
-    let guard =
-      match (q.Wire.q_deadline_ms, q.Wire.q_page_budget) with
-      | None, None -> None
-      | d, p -> Some (Guard.create ?deadline_ms:d ?page_budget:p ())
-    in
-    let pages () = match guard with Some g -> Guard.pages_used g | None -> 0 in
-    let ast = Nexi_parser.parse q.Wire.q_nexi in
-    let translation =
-      Translate.translate ~summary:(Index.summary index)
-        ~normalize:(Index.normalize_term index) ast
-    in
-    let sids = Translate.all_sids translation in
-    let terms = Translate.all_terms translation in
-    if sids = [] || terms = [] then
-      ( {
-          Wire.a_degraded = false;
-          a_method = None;
-          a_entries_read = 0;
-          a_elapsed_s = Stopclock.now () -. t0;
-          a_pages_used = pages ();
-          a_answers = [];
-          a_spans = [];
-          a_counters = [];
-          a_journal = None;
-        },
-        sids,
-        terms )
-    else begin
-      let outcome, _fallbacks =
-        Strategy.evaluate_resilient index ~scoring:q.Wire.q_scoring ~sids ~terms
-          ~k:q.Wire.q_k ?guard ~floor:q.Wire.q_floor ?method_:q.Wire.q_method ()
-      in
-      let target = translation.Translate.target_sids in
-      (* Floor and strict filters mirror the in-process coordinator;
-         truncation to k is sound because the merge order is total, so
-         an entry outside this shard's top k is outside the global
-         top k too. *)
-      let kept =
-        List.filter
-          (fun (e : Answer.entry) ->
-            e.Answer.score > q.Wire.q_floor
-            && ((not q.Wire.q_strict)
-               || List.mem e.Answer.element.Trex_invindex.Types.sid target))
-          outcome.Strategy.answers
-      in
-      ( {
-          Wire.a_degraded = outcome.Strategy.degraded;
-          a_method = Some outcome.Strategy.method_used;
-          a_entries_read = outcome.Strategy.entries_read;
-          a_elapsed_s = outcome.Strategy.elapsed_seconds;
-          a_pages_used = pages ();
-          a_answers = Answer.top_k kept q.Wire.q_k;
-          a_spans = [];
-          a_counters = [];
-          a_journal = None;
-        },
-        sids,
-        terms )
-    end
+    Shard.evaluate_shard index ~scoring:q.Wire.q_scoring ~k:q.Wire.q_k
+      ~strict:q.Wire.q_strict ?method_:q.Wire.q_method
+      {
+        Shard.floor = q.Wire.q_floor;
+        deadline_ms = q.Wire.q_deadline_ms;
+        page_budget = q.Wire.q_page_budget;
+      }
+      (Nexi_parser.parse q.Wire.q_nexi)
   in
   let decoder = Framing.Decoder.create () in
   let rec loop () =
@@ -1039,8 +875,10 @@ let serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup rx tx =
     with
     | Framing.Eof | Framing.Idle_timeout ->
         (* Coordinator went away: this conversation is over. *)
-        `Peer_gone
-    | Framing.Frame_timeout -> `Torn
+        true
+    | Framing.Frame_timeout ->
+        Printf.eprintf "shard-worker %s: torn frame (read deadline)\n%!" shard;
+        false
     | Framing.Frame payload ->
         (match Wire.decode_request payload with
         | Wire.Ping seq -> (
@@ -1085,16 +923,32 @@ let serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup rx tx =
               | Some id -> [ ("trace_id", id) ]
               | None -> [])
             in
-            let answer, sids, terms =
+            let translation, (r : Shard.reply), error =
               match
                 Obs.Span.with_ ~name:("shard.query." ^ shard)
                   ~attrs:root_attrs
                   (fun () -> evaluate q)
               with
-              | r -> r
+              | translation, r -> (Some translation, r, None)
+              | exception
+                  ((Trex_topk.Rpl.Cursor.Missing_list _ | Trex_topk.Ta.Truncated_rpl)
+                   as e) ->
+                  (* A forced method over lists this shard lacks fails
+                     the query, not the worker: reply with the failure. *)
+                  ( None,
+                    {
+                      Shard.local_answers = [];
+                      partial = false;
+                      method_used = None;
+                      entries_read = 0;
+                      elapsed_s = 0.0;
+                      pages_used = 0;
+                    },
+                    Some (Printexc.to_string e) )
               | exception e ->
-                  (* Containment is the point: an exploding evaluation
-                     kills this worker, not the coordinator. *)
+                  (* Containment is the point: any other exploding
+                     evaluation kills this worker, not the
+                     coordinator. *)
                   Printf.eprintf "shard-worker %s: query failed: %s\n%!" shard
                     (Printexc.to_string e);
                   Env.close env;
@@ -1115,25 +969,37 @@ let serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup rx tx =
             end;
             let counters = Metrics.counters_delta before (Metrics.counters ()) in
             let record =
-              Option.map
-                (fun st ->
+              match (j_started, translation) with
+              | Some st, Some translation ->
                   Obs.Journal.set_label
                     (Some ("shard:" ^ shard ^ "|" ^ q.Wire.q_nexi));
                   Fun.protect
                     ~finally:(fun () -> Obs.Journal.set_label None)
                     (fun () ->
-                      Obs.Journal.build_record st
-                        ~strategy:
-                          (match answer.Wire.a_method with
-                          | Some m -> Strategy.method_to_string m
-                          | None -> "none")
-                        ~sids ~terms ~k:q.Wire.q_k
-                        ~degraded:answer.Wire.a_degraded ~spans:span_summary ()))
-                j_started
+                      Some
+                        (Obs.Journal.build_record st
+                           ~strategy:
+                             (match r.Shard.method_used with
+                             | Some m -> Strategy.method_to_string m
+                             | None -> "none")
+                           ~sids:(Translate.all_sids translation)
+                           ~terms:(Translate.all_terms translation)
+                           ~k:q.Wire.q_k ~degraded:r.Shard.partial
+                           ~spans:span_summary ()))
+              | _ -> None
             in
             let answer =
-              { answer with
-                Wire.a_spans = spans; a_counters = counters; a_journal = record
+              {
+                Wire.a_degraded = r.Shard.partial;
+                a_method = r.Shard.method_used;
+                a_entries_read = r.Shard.entries_read;
+                a_elapsed_s = r.Shard.elapsed_s;
+                a_pages_used = r.Shard.pages_used;
+                a_answers = r.Shard.local_answers;
+                a_spans = spans;
+                a_counters = counters;
+                a_journal = record;
+                a_error = error;
               }
             in
             fault_point "pre-reply";
@@ -1142,7 +1008,9 @@ let serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup rx tx =
         loop ()
   in
   try loop ()
-  with Framing.Corrupt_frame e | Wire.Protocol_error e -> `Protocol e
+  with Framing.Corrupt_frame e | Wire.Protocol_error e ->
+    Printf.eprintf "shard-worker %s: protocol error: %s\n%!" shard e;
+    false
 
 let worker_attach ~dir ~shard ~cleanup =
   match Shard.attach_shard ~dir shard with
@@ -1170,21 +1038,12 @@ let worker_main ~dir ~shard () =
   let armed = ref (env_fault ()) in
   let fault_point = make_fault_point ~armed ~cleanup in
   let env, index = worker_attach ~dir ~shard ~cleanup in
-  match serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup rx tx with
-  | `Peer_gone ->
-      Env.close env;
-      cleanup ();
-      exit 0
-  | `Torn ->
-      Printf.eprintf "shard-worker %s: torn frame (read deadline)\n%!" shard;
-      Env.close env;
-      cleanup ();
-      exit 2
-  | `Protocol e ->
-      Printf.eprintf "shard-worker %s: protocol error: %s\n%!" shard e;
-      Env.close env;
-      cleanup ();
-      exit 2
+  let clean =
+    serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup rx tx
+  in
+  Env.close env;
+  cleanup ();
+  exit (if clean then 0 else 2)
 
 (* A remote worker: bind, announce the bound address on stderr, then
    serve one coordinator conversation per accepted connection, forever.
@@ -1222,12 +1081,7 @@ let worker_listen ~dir ~shard ~addr () =
            serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup
              conn conn
          with
-        | `Peer_gone -> ()
-        | `Torn ->
-            Printf.eprintf "shard-worker %s: torn frame (read deadline)\n%!"
-              shard
-        | `Protocol e ->
-            Printf.eprintf "shard-worker %s: protocol error: %s\n%!" shard e
+        | _clean -> ()
         | exception Unix.Unix_error _ ->
             (* A send into a vanished coordinator (EPIPE) ends the
                conversation, not the worker. *)

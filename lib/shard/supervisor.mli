@@ -17,14 +17,11 @@
       the shard's {!Trex_resilience.Breaker} is tripped (escalation):
       queries degrade to tagged partials until the cooldown elapses,
       then one respawn is admitted as the half-open probe.
-    - {b Scatter.} {!query} dispatches to all ready workers
-      concurrently (waves of [fanout]), threading the global k-th-score
-      floor at each wave and carving each worker's deadline/page-budget
-      slice from what remains; a worker that blows its deadline slice
-      is SIGKILLed and restarted. Results merge exactly as the
-      in-process coordinator's — same floor filter, same base offsets —
-      so a query over all-healthy workers is answer-identical to
-      {!Shard.query} and to the single-environment engine.
+    - {b Scatter.} {!query} is the in-process coordinator's scatter
+      core ({!Shard.scatter}) with workers as the dispatch, so a query
+      over all-healthy workers is answer-identical to {!Shard.query}
+      and to the single-environment engine; a worker that blows its
+      deadline slice is SIGKILLed and restarted.
     - {b Worker state machine.} [Starting → Ready ⇄ Busy], any death →
       [Stopped(backoff)] → [Starting]; restarts exhausted →
       [Escalated] → (breaker cooldown) → [Starting] as probe. See
@@ -151,15 +148,22 @@ val query :
   ?fanout:int ->
   string ->
   Shard.result
-(** Scatter a NEXI query across the workers in waves of [fanout]
-    (default: all at once), gather and merge. Identical semantics to
-    {!Shard.query}: the floor is the global k-th score at each wave's
-    dispatch; [deadline_ms]/[page_budget] bound the whole query, each
-    wave receiving the remainder (pages split evenly across the wave);
-    every shard that could not contribute fully — worker dead,
-    restarting, escalated, killed for its deadline, budget exhausted
-    before dispatch — is tagged in [degraded_shards] and the answers
-    remain a sound ranking of the surviving shards' holdings. *)
+(** {!Shard.scatter} with a worker round trip as the dispatch: waves
+    of [fanout] workers (default: all at once) evaluate concurrently
+    with {!Shard.evaluate_shard}, so floors, slices, skip tags and the
+    merge are {!Shard.query}'s own. Process-specific tags: worker
+    starting, restarting, escalated, died, or killed for its deadline
+    slice. A malformed query raises [Trex_nexi.Parser.Syntax_error]
+    before any worker sees it; a forced method over lists a shard
+    lacks comes back as a tagged failure, and the worker stays up. *)
+
+val sockaddr_of_string : string -> Unix.sockaddr
+(** ["HOST:PORT"] (an empty host is the loopback) as a socket address.
+    @raise Invalid_argument on a malformed address or an unknown host. *)
+
+val connect_with_timeout : Unix.sockaddr -> timeout_s:float -> Unix.file_descr option
+(** A bounded TCP connect with Nagle off: [None] when refused or timed
+    out. Remote workers and the serve front door's clients use it. *)
 
 val worker_main : dir:string -> shard:string -> unit -> 'a
 (** The worker-process entry point ([trex_cli shard-worker --dir D

@@ -16,8 +16,9 @@ exception Protocol_error of string
    telemetry. Version 3 adds the client-facing serving messages
    (Client_query / Client_answer / Shed / Drain) and remote worker
    endpoints; the same Hello equality check covers servers and remote
-   workers, so a mid-upgrade mixed fleet still fails loud. *)
-let version = 3
+   workers, so a mid-upgrade mixed fleet still fails loud. Version 4
+   adds the answer's typed evaluation failure. *)
+let version = 4
 
 type query = {
   q_nexi : string;
@@ -59,6 +60,7 @@ type answer = {
   a_spans : Span.t list;
   a_counters : (string * int) list;
   a_journal : Journal.record option;
+  a_error : string option;
 }
 
 type client_answer = {
@@ -113,6 +115,30 @@ let method_of_string s =
 
 let opt_field field f = function None -> [] | Some v -> [ (field, f v) ]
 
+let method_field =
+  opt_field "method" (fun m -> Json.String (Strategy.method_to_string m))
+
+(* Optional members shared by both query shapes and the answers. *)
+let opt_string field j =
+  Option.map
+    (function Json.String s -> s | _ -> fail "field %S: expected string" field)
+    (opt_member field j)
+
+let opt_method j = Option.map method_of_string (opt_string "method" j)
+
+let opt_deadline j =
+  Option.map
+    (function
+      | Json.Float f -> f
+      | Json.Int i -> float_of_int i
+      | _ -> fail "deadline_ms")
+    (opt_member "deadline_ms" j)
+
+let opt_page_budget j =
+  Option.map
+    (function Json.Int i -> i | _ -> fail "page_budget")
+    (opt_member "page_budget" j)
+
 (* ---- scoring config ---- *)
 
 let scoring_to_json = function
@@ -165,9 +191,7 @@ let encode_request r =
           (("client_query", Json.String c.c_nexi)
           :: ("k", Json.Int c.c_k)
           :: ("strict", Json.Bool c.c_strict)
-          :: (opt_field "method"
-                (fun m -> Json.String (Strategy.method_to_string m))
-                c.c_method
+          :: (method_field c.c_method
              @ opt_field "deadline_ms" (fun f -> Json.Float f) c.c_deadline_ms
              @ opt_field "page_budget" (fun i -> Json.Int i) c.c_page_budget))
     | Query q ->
@@ -179,9 +203,7 @@ let encode_request r =
           :: ("scoring", scoring_to_json q.q_scoring)
           :: ("trace", Json.Bool q.q_trace)
           :: ("journal", Json.Bool q.q_journal)
-          :: (opt_field "method"
-                (fun m -> Json.String (Strategy.method_to_string m))
-                q.q_method
+          :: (method_field q.q_method
              @ opt_field "deadline_ms" (fun f -> Json.Float f) q.q_deadline_ms
              @ opt_field "page_budget" (fun i -> Json.Int i) q.q_page_budget
              @ opt_field "fault" (fun s -> Json.String s) q.q_fault
@@ -204,58 +226,28 @@ let decode_request s =
         {
           c_nexi = nexi;
           c_k = get_int "k" j;
-          c_method =
-            Option.map
-              (function Json.String s -> method_of_string s | _ -> fail "method")
-              (opt_member "method" j);
+          c_method = opt_method j;
           c_strict = get_bool "strict" j;
-          c_deadline_ms =
-            Option.map
-              (function
-                | Json.Float f -> f
-                | Json.Int i -> float_of_int i
-                | _ -> fail "deadline_ms")
-              (opt_member "deadline_ms" j);
-          c_page_budget =
-            Option.map
-              (function Json.Int i -> i | _ -> fail "page_budget")
-              (opt_member "page_budget" j);
+          c_deadline_ms = opt_deadline j;
+          c_page_budget = opt_page_budget j;
         }
   | _, _, _, Some (Json.String nexi) ->
       Query
         {
           q_nexi = nexi;
           q_k = get_int "k" j;
-          q_method =
-            Option.map
-              (function Json.String s -> method_of_string s | _ -> fail "method")
-              (opt_member "method" j);
+          q_method = opt_method j;
           q_strict = get_bool "strict" j;
           q_floor = get_float "floor" j;
-          q_deadline_ms =
-            Option.map
-              (function
-                | Json.Float f -> f
-                | Json.Int i -> float_of_int i
-                | _ -> fail "deadline_ms")
-              (opt_member "deadline_ms" j);
-          q_page_budget =
-            Option.map
-              (function Json.Int i -> i | _ -> fail "page_budget")
-              (opt_member "page_budget" j);
+          q_deadline_ms = opt_deadline j;
+          q_page_budget = opt_page_budget j;
           q_scoring = scoring_of_json (get "scoring" j);
-          q_fault =
-            Option.map
-              (function Json.String s -> s | _ -> fail "fault")
-              (opt_member "fault" j);
+          q_fault = opt_string "fault" j;
           (* Required since wire v2: a coordinator that omits them is a
              version-1 binary and must fail loud, not run untelemetered. *)
           q_trace = get_bool "trace" j;
           q_journal = get_bool "journal" j;
-          q_trace_id =
-            Option.map
-              (function Json.String s -> s | _ -> fail "trace_id")
-              (opt_member "trace_id" j);
+          q_trace_id = opt_string "trace_id" j;
         }
   | _ -> fail "unrecognized request"
 
@@ -301,10 +293,9 @@ let encode_response r =
           :: ( "counters",
                Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) a.a_counters)
              )
-          :: (opt_field "method"
-                (fun m -> Json.String (Strategy.method_to_string m))
-                a.a_method
-             @ opt_field "journal" Journal.record_to_json a.a_journal))
+          :: (method_field a.a_method
+             @ opt_field "journal" Journal.record_to_json a.a_journal
+             @ opt_field "error" (fun s -> Json.String s) a.a_error))
   in
   Json.to_string j
 
@@ -351,10 +342,7 @@ let decode_response s =
           ca_k = get_int "k" j;
           ca_degraded = get_bool "degraded" j;
           ca_tags = decode_tags j;
-          ca_method =
-            Option.map
-              (function Json.String s -> s | _ -> fail "method")
-              (opt_member "method" j);
+          ca_method = opt_string "method" j;
           ca_elapsed_s = get_float "elapsed_s" j;
         }
   | None -> (
@@ -381,10 +369,7 @@ let decode_response s =
       Answer
         {
           a_degraded = get_bool "degraded" j;
-          a_method =
-            Option.map
-              (function Json.String s -> method_of_string s | _ -> fail "method")
-              (opt_member "method" j);
+          a_method = opt_method j;
           a_entries_read = get_int "entries_read" j;
           a_elapsed_s = get_float "elapsed_s" j;
           a_pages_used = get_int "pages_used" j;
@@ -405,5 +390,6 @@ let decode_response s =
                   fields
             | _ -> []);
           a_journal = Option.bind (opt_member "journal" j) Journal.record_of_json;
+          a_error = opt_string "error" j;
         }
   | _ -> fail "unrecognized response")))

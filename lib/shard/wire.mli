@@ -25,8 +25,9 @@
 exception Protocol_error of string
 
 val version : int
-(** Current wire revision (3: client serving messages + remote
-    workers; 2 added the per-query telemetry harvest). *)
+(** Current wire revision (4: the answer's typed evaluation failure;
+    3 added client serving messages + remote workers; 2 the per-query
+    telemetry harvest). *)
 
 type query = {
   q_nexi : string;
@@ -89,6 +90,11 @@ type answer = {
       (** the worker's journal record ([None] unless [q_journal]);
           built with {!Trex_obs.Journal.build_record}, never persisted
           worker-side *)
+  a_error : string option;
+      (** the evaluation raised a per-query failure the worker survives
+          (a forced method over lists this shard lacks): the answer
+          carries no entries, and the coordinator tags the shard with
+          this text and records a breaker failure *)
 }
 
 (** What a front-door client gets back: global docids, the "never

@@ -391,6 +391,41 @@ let test_remote_worker_kill_through_front_door () =
   | Serve.Client.Shed { reason; _ } -> Alcotest.failf "degraded query shed: %s" reason
   | Serve.Client.Draining -> Alcotest.fail "drain during degraded query"
 
+(* ---- a malformed query is the client's error, on either backend ----
+
+   Refused with a typed [Shed] naming the syntax error — the sharded
+   backend parses before scattering, so no worker ever sees the query
+   and the fleet keeps answering. *)
+let test_malformed_query_sheds () =
+  let expect_invalid addr =
+    let c = Serve.Client.connect ~timeout_s:15.0 addr in
+    Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+    match Serve.Client.request ~timeout_s:30.0 c (client_query "//article[") with
+    | Serve.Client.Shed { reason; _ } ->
+        Alcotest.(check bool)
+          (Printf.sprintf "shed as a syntax error: %s" reason)
+          true
+          (String.length reason >= 12 && String.sub reason 0 12 = "syntax error")
+    | Serve.Client.Answer _ -> Alcotest.fail "malformed query was answered"
+    | Serve.Client.Draining -> Alcotest.fail "server draining unprompted"
+  in
+  let single, _ = build_env ~docs:8 ~seed:13 in
+  Fun.protect ~finally:(fun () -> rm_rf single) (fun () ->
+      with_server single @@ fun _pid addr -> expect_invalid addr);
+  let sharded, engine = build_coordinator ~docs:12 ~seed:13 in
+  Fun.protect ~finally:(fun () -> rm_rf sharded) @@ fun () ->
+  with_server sharded @@ fun _pid addr ->
+  expect_invalid addr;
+  let c = Serve.Client.connect ~timeout_s:15.0 addr in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  match Serve.Client.request ~timeout_s:30.0 c (client_query ~k:5 nexi) with
+  | Serve.Client.Answer a ->
+      Alcotest.(check bool) "fleet untouched: untagged" false a.Wire.ca_degraded;
+      check answers_testable "fleet untouched: full answer" (baseline engine ~k:5 nexi)
+        a.Wire.ca_answers
+  | Serve.Client.Shed { reason; _ } -> Alcotest.failf "follow-up shed: %s" reason
+  | Serve.Client.Draining -> Alcotest.fail "drain during follow-up"
+
 (* ---- abuse: slowloris and protocol violations ---- *)
 
 let test_slowloris_disconnect () =
@@ -486,6 +521,11 @@ let () =
         [
           Alcotest.test_case "remote worker SIGKILL degrades to tagged partial"
             `Quick test_remote_worker_kill_through_front_door;
+        ] );
+      ( "invalid",
+        [
+          Alcotest.test_case "malformed NEXI sheds on single and sharded"
+            `Quick test_malformed_query_sheds;
         ] );
       ( "abuse",
         [

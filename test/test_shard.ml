@@ -289,6 +289,54 @@ let test_deadline_skips_shards () =
   Shard.close t;
   rm_rf dir
 
+(* ---- the scatter core, driven by a stub dispatch ---- *)
+
+(* A shard skipped at dispatch takes no share of its wave's page
+   budget; replies are rebased to global docids; a later wave gets what
+   the earlier ones left. *)
+let test_core_page_slicing () =
+  let target name base =
+    {
+      Shard.shard = { Shard.name; base; docs = 10 };
+      breaker = Breaker.create ("test." ^ name);
+      unavailable = (fun () -> None);
+    }
+  in
+  let targets = [ target "a" 0; target "b" 10; target "c" 20; target "d" 30 ] in
+  Breaker.trip (List.nth targets 1).Shard.breaker ~reason:"test";
+  let calls = ref [] in
+  let dispatch _ast (slice : Shard.slice) (shards : Shard.shard_info list) =
+    calls := (List.map (fun i -> i.Shard.name) shards, slice.Shard.page_budget) :: !calls;
+    List.map
+      (fun _ ->
+        Shard.Reply
+          {
+            Shard.local_answers =
+              [
+                {
+                  Answer.element = { Types.sid = 1; docid = 0; endpos = 5; length = 5 };
+                  score = 1.0;
+                };
+              ];
+            partial = false;
+            method_used = Some Strategy.Era_method;
+            entries_read = 1;
+            elapsed_s = 0.0;
+            pages_used = 20;
+          })
+      shards
+  in
+  let r = Shard.scatter ~k:10 ~wave:3 ~page_budget:90 ~dispatch targets nexi in
+  Alcotest.(check (list (pair (list string) (option int))))
+    "the open breaker's shard takes no share; the next wave gets the rest"
+    [ ([ "a"; "c" ], Some 45); ([ "d" ], Some 50) ]
+    (List.rev !calls);
+  Alcotest.(check (list (pair string string)))
+    "the skip is tagged" [ ("b", "circuit open (cooling down)") ] r.Shard.degraded_shards;
+  Alcotest.(check (list int)) "replies rebased to global docids" [ 0; 20; 30 ]
+    (List.sort compare
+       (List.map (fun (e : Answer.entry) -> e.Answer.element.Types.docid) r.Shard.answers))
+
 (* ---- rebalance: split / merge preserve the ranking ---- *)
 
 let test_rebalance_preserves_ranking () =
@@ -597,6 +645,11 @@ let () =
             test_shard_loss_mid_query;
           Alcotest.test_case "deadline skips shards soundly" `Quick
             test_deadline_skips_shards;
+        ] );
+      ( "core",
+        [
+          Alcotest.test_case "page slices go to dispatched shards only" `Quick
+            test_core_page_slicing;
         ] );
       ( "rebalance",
         [

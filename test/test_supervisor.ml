@@ -211,6 +211,7 @@ let test_wire_roundtrip () =
         a_spans = [ root ];
         a_counters = [ ("pager.physical_reads", 11); ("ta.heap_operations", 17) ];
         a_journal = Some wrecord;
+        a_error = None;
       }
   in
   match Wire.decode_response (Wire.encode_response a) with
@@ -363,6 +364,133 @@ let test_rank_identity_waved () =
     (List.exists (fun (rep : Shard.shard_report) -> rep.r_floor > 0.0)
        r.Shard.reports);
   rm_rf dir
+
+(* ---- one scatter core: the supervised path matches the in-process
+   path field for field, and per-query failures never cost a worker ---- *)
+
+let all_restarts s =
+  List.map (fun h -> h.Supervisor.w_total_restarts) (Supervisor.health s)
+
+(* (shard, method), (kept, floor): the floor in hex, so equal means
+   bit-identical. *)
+let report_sig (r : Shard.shard_report) =
+  ( (r.Shard.r_shard, Option.map Strategy.method_to_string r.Shard.r_method),
+    (r.Shard.r_kept, Printf.sprintf "%h" r.Shard.r_floor) )
+
+(* Same shard dir, same query: in-process and fanout-1 supervised
+   scatter visit the shards in the same waves with the same floors, so
+   answers, tags and per-shard reports agree exactly. *)
+let test_in_process_parity () =
+  let dir, _engine = build_coordinator ~docs:24 ~seed:42 in
+  let cases =
+    List.concat_map
+      (fun k ->
+        List.concat_map
+          (fun method_ ->
+            List.map (fun deadline_ms -> (k, method_, deadline_ms)) [ None; Some 0.0 ])
+          [ None; Some Strategy.Era_method ])
+      [ 1; 5; 10 ]
+  in
+  let run query =
+    List.concat_map
+      (fun q ->
+        List.map (fun (k, method_, deadline_ms) -> query ~k ?method_ ?deadline_ms q) cases)
+      [ nexi; nexi2 ]
+  in
+  let t = Shard.open_ dir in
+  Shard.materialize t nexi;
+  let in_process =
+    run (fun ~k ?method_ ?deadline_ms q -> Shard.query t ~k ?method_ ?deadline_ms q)
+  in
+  Shard.close t;
+  with_supervisor dir @@ fun s ->
+  require_healthy s;
+  let supervised =
+    run (fun ~k ?method_ ?deadline_ms q ->
+        Supervisor.query s ~k ?method_ ?deadline_ms ~fanout:1 q)
+  in
+  List.iteri
+    (fun i ((a : Shard.result), (b : Shard.result)) ->
+      let name what = Printf.sprintf "case %d: %s" i what in
+      check answers_testable (name "answers") a.Shard.answers b.Shard.answers;
+      Alcotest.(check (list (pair string string)))
+        (name "degraded shards") a.Shard.degraded_shards b.Shard.degraded_shards;
+      Alcotest.(check (list (pair (pair string (option string)) (pair int string))))
+        (name "reports")
+        (List.map report_sig a.Shard.reports)
+        (List.map report_sig b.Shard.reports))
+    (List.combine in_process supervised);
+  Alcotest.(check (list int)) "no worker restarted" [ 0; 0; 0 ] (all_restarts s);
+  rm_rf dir
+
+(* A malformed query is the caller's error: it is refused before any
+   dispatch, exactly as in-process, and no worker sees it. *)
+let test_malformed_nexi () =
+  let dir, engine = build_coordinator ~docs:12 ~seed:5 in
+  with_supervisor dir @@ fun s ->
+  require_healthy s;
+  (match Supervisor.query s ~k:5 "//article[" with
+  | exception Trex_nexi.Parser.Syntax_error _ -> ()
+  | _ -> Alcotest.fail "malformed NEXI was answered");
+  Alcotest.(check (list int)) "no worker restarted" [ 0; 0; 0 ] (all_restarts s);
+  let r = Supervisor.query s ~k:5 nexi in
+  Alcotest.(check bool) "fleet still whole" false r.Shard.degraded;
+  check answers_testable "follow-up answer" (baseline engine ~k:5 nexi) r.Shard.answers;
+  rm_rf dir
+
+(* A forced method over lists the shards lack fails the query on every
+   shard — tagged with the same text as in-process, a breaker failure
+   each — and every worker stays up. *)
+let test_forced_method_without_lists () =
+  let dir, _engine = build_coordinator ~docs:12 ~seed:6 in
+  let t = Shard.open_ dir in
+  let expect = Shard.query t ~k:5 ~method_:Strategy.Merge_method nexi in
+  Shard.close t;
+  Alcotest.(check int) "in-process tags every shard" 3
+    (List.length expect.Shard.degraded_shards);
+  with_supervisor dir @@ fun s ->
+  require_healthy s;
+  let r = Supervisor.query s ~k:5 ~method_:Strategy.Merge_method nexi in
+  Alcotest.(check (list (pair string string)))
+    "same tags as in-process" expect.Shard.degraded_shards r.Shard.degraded_shards;
+  Alcotest.(check int) "no answers" 0 (List.length r.Shard.answers);
+  (* Each failure counts against the shard's breaker: two more trip it,
+     with the failure text as the reason. *)
+  for _ = 1 to 2 do
+    ignore (Supervisor.query s ~k:5 ~method_:Strategy.Merge_method nexi)
+  done;
+  List.iter
+    (fun (name, reason) ->
+      let b = Supervisor.breaker s name in
+      Alcotest.(check bool) (name ^ " breaker open") true (Breaker.state b = Breaker.Open);
+      Alcotest.(check (option string)) (name ^ " trip reason") (Some reason)
+        (Breaker.last_reason b))
+    r.Shard.degraded_shards;
+  Alcotest.(check (list int)) "no worker restarted" [ 0; 0; 0 ] (all_restarts s);
+  Alcotest.(check bool) "every worker ready" true
+    (List.for_all (fun h -> h.Supervisor.w_state = Supervisor.Ready) (Supervisor.health s));
+  rm_rf dir
+
+let test_wire_answer_error () =
+  let a =
+    {
+      Wire.a_degraded = false;
+      a_method = None;
+      a_entries_read = 0;
+      a_elapsed_s = 0.0;
+      a_pages_used = 0;
+      a_answers = [];
+      a_spans = [];
+      a_counters = [];
+      a_journal = None;
+      a_error = Some "Missing_list";
+    }
+  in
+  match Wire.decode_response (Wire.encode_response (Wire.Answer a)) with
+  | Wire.Answer a' ->
+      Alcotest.(check (option string))
+        "error survives" (Some "Missing_list") a'.Wire.a_error
+  | _ -> Alcotest.fail "answer did not roundtrip"
 
 (* ---- the kill matrix ----
 
@@ -1066,6 +1194,8 @@ let () =
             test_wire_version_mismatch;
           Alcotest.test_case "client message roundtrips" `Quick
             test_wire_client_roundtrip;
+          Alcotest.test_case "answer error roundtrips" `Quick
+            test_wire_answer_error;
         ] );
       ( "identity",
         [
@@ -1073,6 +1203,15 @@ let () =
             test_rank_identity;
           Alcotest.test_case "rank-identical with waved scatter (floor)" `Quick
             test_rank_identity_waved;
+          Alcotest.test_case "fanout 1 = in-process: answers, tags, reports"
+            `Quick test_in_process_parity;
+        ] );
+      ( "query-errors",
+        [
+          Alcotest.test_case "malformed NEXI raises, no worker restarts" `Quick
+            test_malformed_nexi;
+          Alcotest.test_case "forced method without lists: tagged, workers up"
+            `Quick test_forced_method_without_lists;
         ] );
       ( "kill-matrix",
         [ Alcotest.test_case "all seeded kill points" `Quick test_kill_matrix ] );
