@@ -1206,7 +1206,7 @@ let () =
           Alcotest.test_case "fanout 1 = in-process: answers, tags, reports"
             `Quick test_in_process_parity;
         ] );
-      ( "query-errors",
+      ( "errors",
         [
           Alcotest.test_case "malformed NEXI raises, no worker restarts" `Quick
             test_malformed_nexi;
