@@ -49,17 +49,19 @@ type op_state = {
   mutable s_generation : int;
   mutable s_steps : action list; (* newest first *)
   mutable s_committed : bool;
-  mutable s_resolved : bool;
 }
 
 type backend = Mem | File of { fd : Unix.file_descr; file_path : string }
 
+(* Only unresolved operations are held in memory: an [End] or [Abort]
+   drops its op, so a long-running process's memory does not grow
+   with the records it appends. *)
 type t = {
   backend : backend;
-  ops : (int, op_state) Hashtbl.t;
-  mutable order : int list; (* op ids, newest Begin first *)
-  mutable stored : record list; (* newest first *)
-  mutable count : int;
+  ops : (int, op_state) Hashtbl.t; (* unresolved ops only *)
+  mutable order : int list; (* their ids, newest Begin first *)
+  opened : record list; (* the open-time sweep, oldest first *)
+  mutable count : int; (* records in the file *)
   mutable generation : int; (* highest committed *)
   mutable issued : int; (* highest generation any Begin carries *)
   mutable next_op_id : int;
@@ -252,7 +254,6 @@ let apply_record t r =
           s_generation = generation;
           s_steps = [];
           s_committed = false;
-          s_resolved = false;
         };
       t.order <- op_id :: t.order;
       t.issued <- max t.issued generation;
@@ -267,10 +268,12 @@ let apply_record t r =
           s.s_committed <- true;
           t.generation <- max t.generation s.s_generation
       | None -> Metrics.incr m_corrupt)
-  | Abort { op_id; _ } | End { op_id } -> (
-      match Hashtbl.find_opt t.ops op_id with
-      | Some s -> s.s_resolved <- true
-      | None -> Metrics.incr m_corrupt)
+  | Abort { op_id; _ } | End { op_id } ->
+      if Hashtbl.mem t.ops op_id then begin
+        Hashtbl.remove t.ops op_id;
+        t.order <- List.filter (fun id -> id <> op_id) t.order
+      end
+      else Metrics.incr m_corrupt
 
 (* Framed-payload codec for {!Trex_util.Framing} (same on-disk
    discipline as the query journal): undecodable JSON is a corrupt
@@ -289,20 +292,15 @@ let make backend records =
       backend;
       ops = Hashtbl.create 8;
       order = [];
-      stored = [];
-      count = 0;
+      opened = records;
+      count = List.length records;
       generation = 0;
       issued = 0;
       next_op_id = 0;
       closed = false;
     }
   in
-  List.iter
-    (fun r ->
-      apply_record t r;
-      t.stored <- r :: t.stored;
-      t.count <- t.count + 1)
-    records;
+  List.iter (apply_record t) records;
   t
 
 let in_memory () = make Mem []
@@ -315,7 +313,7 @@ let open_file file_path =
   make (File { fd = swept.Framing.fd; file_path }) swept.Framing.records
 
 let path t = match t.backend with Mem -> None | File f -> Some f.file_path
-let records t = List.rev t.stored
+let records t = t.opened
 let length t = t.count
 let generation t = t.generation
 let next_generation t = t.issued + 1
@@ -331,7 +329,6 @@ let append t r =
   | Mem -> ()
   | File { fd; _ } -> Framing.append fd (Json.to_string (record_to_json r)));
   apply_record t r;
-  t.stored <- r :: t.stored;
   t.count <- t.count + 1;
   Metrics.incr m_appends;
   (match r with
@@ -345,24 +342,22 @@ let sync t =
   | File { fd; _ } -> if not t.closed then Unix.fsync fd
 
 let pending t =
-  List.rev t.order
-  |> List.filter_map (fun op_id ->
-         match Hashtbl.find_opt t.ops op_id with
-         | Some s when not s.s_resolved ->
-             Some
-               {
-                 p_op_id = op_id;
-                 p_op = s.s_op;
-                 p_tables = s.s_tables;
-                 p_rollback = s.s_rollback;
-                 p_generation = s.s_generation;
-                 p_status = (if s.s_committed then Roll_forward else Roll_back);
-                 p_steps = List.rev s.s_steps;
-               }
-         | _ -> None)
+  List.rev_map
+    (fun op_id ->
+      let s = Hashtbl.find t.ops op_id in
+      {
+        p_op_id = op_id;
+        p_op = s.s_op;
+        p_tables = s.s_tables;
+        p_rollback = s.s_rollback;
+        p_generation = s.s_generation;
+        p_status = (if s.s_committed then Roll_forward else Roll_back);
+        p_steps = List.rev s.s_steps;
+      })
+    t.order
 
 let compact t =
-  if pending t = [] then begin
+  if Hashtbl.length t.ops = 0 then begin
     let checkpoint = Checkpoint { generation = t.generation; next_op_id = t.next_op_id } in
     (match t.backend with
     | Mem -> ()
@@ -370,9 +365,6 @@ let compact t =
         Framing.reset ~magic fd;
         Framing.append fd (Json.to_string (record_to_json checkpoint));
         Unix.fsync fd);
-    Hashtbl.reset t.ops;
-    t.order <- [];
-    t.stored <- [ checkpoint ];
     t.count <- 1
   end
 

@@ -102,9 +102,12 @@ val open_file : string -> t
 
 val path : t -> string option
 val records : t -> record list
-(** Oldest first, as reconstructed at open plus appends since. *)
+(** The records the open-time sweep recovered, oldest first. Records
+    appended since are not retained. *)
 
 val length : t -> int
+(** Records in the manifest file, appended ones included. *)
+
 val generation : t -> int
 (** Highest committed generation (0 for a fresh manifest). *)
 

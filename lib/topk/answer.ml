@@ -13,6 +13,22 @@ let of_unsorted items =
   |> List.map (fun (element, score) -> { element; score })
   |> List.sort compare_entry
 
+(* The entry ranked last is the heap minimum, so a full heap ejects it
+   first. *)
+module Last_first = Trex_util.Heap.Make (struct
+  type t = entry
+
+  let compare a b = compare_entry b a
+end)
+
+let select k iter =
+  let h = Last_first.create () in
+  iter (fun element score ->
+      let e = { element; score } in
+      if Last_first.length h < k then Last_first.push h e
+      else ignore (Last_first.push_pop h e));
+  List.rev (Last_first.to_sorted_list h)
+
 let merge lists = List.sort compare_entry (List.concat lists)
 
 let rec top_k t k =

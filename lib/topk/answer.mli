@@ -8,6 +8,11 @@ type t = entry list
 
 val of_unsorted : (Trex_invindex.Types.element * float) list -> t
 
+val select : int -> ((Trex_invindex.Types.element -> float -> unit) -> unit) -> t
+(** [select k iter] is [top_k (of_unsorted items) k] for the items
+    [iter] emits, kept in a heap of at most [k] entries instead of
+    sorting them all. *)
+
 val merge : t list -> t
 (** Merge already-sorted answer lists into one ranking (descending
     score, document-order tie-break) — the scatter-gather combine. *)

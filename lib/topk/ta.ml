@@ -3,17 +3,14 @@ module Stopclock = Trex_util.Stopclock
 module Metrics = Trex_obs.Metrics
 module Guard = Trex_resilience.Guard
 
-(* Registry totals accumulate across every run in the process; the
-   [stats] record returned by [run] is the per-run view, computed as the
-   delta of these counters over the run (single-threaded). *)
+(* Registry totals accumulate across every run in the process; each run
+   adds its [stats] counts to them when it ends. *)
 let m_runs = Metrics.counter "ta.runs"
 let m_ita_runs = Metrics.counter "ita.runs"
 let m_early_stops = Metrics.counter "ta.early_stops"
 let m_sorted = Metrics.counter "ta.sorted_accesses"
 let m_skipped = Metrics.counter "ta.skipped_accesses"
 let m_heap_ops = Metrics.counter "ta.heap_operations"
-let m_heap_pushes = Metrics.counter "ta.heap_pushes"
-let m_heap_evictions = Metrics.counter "ta.heap_evictions"
 let m_candidates = Metrics.counter "ta.candidates"
 let m_blocks_skipped = Metrics.counter "ta.blocks_skipped"
 
@@ -36,18 +33,84 @@ type candidate = {
   mutable c_worst : float; (* sum of the scores seen so far *)
   c_seen : bool array;
   mutable c_nseen : int;
-  mutable c_version : int; (* version of the live heap entry *)
-  mutable c_live : bool; (* member of the current top-k heap *)
+  mutable c_slot : int; (* position in the top-k heap, -1 outside it *)
+  mutable c_rank : int; (* position in the run's candidate order *)
 }
 
-(* Top-k min-heap entries carry a version for lazy deletion: updating a
-   candidate pushes a fresh entry and strands the old one. *)
-module Topk_heap = Trex_util.Heap.Make (struct
-  type t = float * (int * int) * int (* score, element key, version *)
+(* Candidates are keyed by element position, hashed and compared as
+   two ints. *)
+module Candidates = Hashtbl.Make (struct
+  type t = Types.element
 
-  let compare (s1, k1, _) (s2, k2, _) =
-    match compare s1 s2 with 0 -> compare k1 k2 | c -> c
+  let equal (a : t) (b : t) = a.docid = b.docid && a.endpos = b.endpos
+  let hash (e : t) = (e.docid * 65599) + e.endpos
 end)
+
+(* The top-k set: an indexed binary min-heap of at most [k] live
+   candidates, worst score first, then docid, then endpos. Each member
+   records its slot, so a score increase sifts in place and a candidate
+   outside the heap enters only by replacing a root it beats. [ops]
+   counts one per level a sift visits plus one per root comparison. *)
+type topk = {
+  k : int;
+  mutable slots : candidate array;
+  mutable size : int;
+  mutable ops : int;
+  mutable evictions : int; (* offers to a full heap: the loser leaves *)
+}
+
+let below a b =
+  a.c_worst < b.c_worst
+  || a.c_worst = b.c_worst
+     &&
+     let ea = a.c_element and eb = b.c_element in
+     ea.docid < eb.docid || (ea.docid = eb.docid && ea.endpos < eb.endpos)
+
+let place h i c =
+  h.slots.(i) <- c;
+  c.c_slot <- i
+
+(* Move [c] from the hole at [i] towards the root / the leaves. *)
+let rec sift_up h i c =
+  h.ops <- h.ops + 1;
+  let parent = (i - 1) / 2 in
+  if i > 0 && below c h.slots.(parent) then begin
+    place h i h.slots.(parent);
+    sift_up h parent c
+  end
+  else place h i c
+
+let rec sift_down h i c =
+  h.ops <- h.ops + 1;
+  let l = (2 * i) + 1 in
+  let m = if l + 1 < h.size && below h.slots.(l + 1) h.slots.(l) then l + 1 else l in
+  if m < h.size && below h.slots.(m) c then begin
+    place h i h.slots.(m);
+    sift_down h m c
+  end
+  else place h i c
+
+(* [c]'s score has just risen. *)
+let offer h c =
+  if c.c_slot >= 0 then sift_down h c.c_slot c
+  else if h.size < h.k then begin
+    if h.size = Array.length h.slots then begin
+      let bigger = Array.make (min h.k (max 16 (2 * h.size))) c in
+      Array.blit h.slots 0 bigger 0 h.size;
+      h.slots <- bigger
+    end;
+    h.size <- h.size + 1;
+    sift_up h (h.size - 1) c
+  end
+  else begin
+    h.ops <- h.ops + 1;
+    h.evictions <- h.evictions + 1;
+    let root = h.slots.(0) in
+    if below root c then begin
+      root.c_slot <- -1;
+      sift_down h 0 c
+    end
+  end
 
 exception Truncated_rpl
 
@@ -73,18 +136,6 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(use_full_rpls = false)
   if terms = [] then invalid_arg "Ta.run: no terms";
   let clock = Stopclock.create () in
   let tick_guard () = match guard with Some g -> Guard.tick g | None -> () in
-  (* [with_paused] resumes on the way out even when the guard aborts
-     mid-heap-op, keeping the ITA paused-time invariant. *)
-  let with_heap_op f =
-    if ideal_heap then
-      Stopclock.with_paused clock (fun () ->
-          tick_guard ();
-          f ())
-    else begin
-      tick_guard ();
-      f ()
-    end
-  in
   let n = List.length terms in
   let stream_of term =
     if use_full_rpls then begin
@@ -120,102 +171,105 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(use_full_rpls = false)
   let cursors = Array.of_list (List.map stream_of terms) in
   let last_seen = Array.make n infinity in
   let exhausted = Array.make n false in
-  let candidates : (int * int, candidate) Hashtbl.t = Hashtbl.create 256 in
-  let heap = Topk_heap.create () in
-  let live_count = ref 0 in
-  let pushes0 = Metrics.value m_heap_pushes
-  and evictions0 = Metrics.value m_heap_evictions in
-  let version = ref 0 in
-  let stopped_early = ref false in
-  (* Pop stale entries off the heap top so its minimum is live. *)
-  let rec settle_top () =
-    match Topk_heap.peek heap with
-    | None -> ()
-    | Some (score, key, v) -> (
-        match Hashtbl.find_opt candidates key with
-        | Some c when c.c_live && c.c_version = v ->
-            ignore score (* live minimum found *)
-        | Some _ | None ->
-            ignore (with_heap_op (fun () -> Topk_heap.pop heap));
-            settle_top ())
-  in
-  let current_w () =
-    if !live_count < k then 0.0
+  let candidates = Candidates.create 256 in
+  (* Every candidate in first-seen order, for the can-beat scan and the
+     final selection. *)
+  let order = ref [||] and count = ref 0 in
+  let heap = { k; slots = [||]; size = 0; ops = 0; evictions = 0 } in
+  let pushes = ref 0 in
+  (* [with_paused] resumes on the way out even when the guard aborts
+     mid-heap-op, keeping the ITA paused-time invariant. *)
+  let heap_offer c =
+    if ideal_heap then
+      Stopclock.with_paused clock (fun () ->
+          tick_guard ();
+          offer heap c)
     else begin
-      settle_top ();
-      match Topk_heap.peek heap with Some (s, _, _) -> s | None -> 0.0
+      tick_guard ();
+      offer heap c
     end
   in
-  let threshold () =
-    Array.fold_left (fun acc s -> acc +. if s = infinity then infinity else s) 0.0 last_seen
-  in
+  let stopped_early = ref false in
+  let current_w () = if heap.size < k then 0.0 else heap.slots.(0).c_worst in
+  let threshold () = Array.fold_left ( +. ) 0.0 last_seen in
   (* Would any candidate with unseen terms still be able to beat w?
      [last_seen] already holds the truncation bound once a stream is
-     exhausted, so it bounds the unseen contribution either way. *)
-  let some_candidate_can_beat w =
-    let result = ref false in
-    (try
-       Hashtbl.iter
-         (fun _ c ->
-           if c.c_nseen < n then begin
-             let best = ref c.c_worst in
-             for t = 0 to n - 1 do
-               if not c.c_seen.(t) then best := !best +. last_seen.(t)
-             done;
-             if !best > w then begin
-               result := true;
-               raise Exit
-             end
-           end)
-         candidates
-     with Exit -> ());
-    !result
+     exhausted, so it bounds the unseen contribution either way.
+
+     The candidates in [!order.(0 .. !cleared - 1)] are known not to:
+     a candidate's best score never rises (a seen score replaces the
+     bound it was charged, and bounds only fall) while w never falls,
+     so each is cleared once instead of rescanned at every check. The
+     first uncleared candidate is the last witness, re-verified first.
+     A newly seen score re-sums the best score in another float order,
+     so [accept_entry] moves such a candidate back past the boundary;
+     a bound that rises (an exhausted stream's truncation bound) empties
+     the cleared prefix. The answer is exactly that of a full scan. *)
+  let cleared = ref 0 in
+  let best c =
+    let b = ref c.c_worst in
+    for t = 0 to n - 1 do
+      if not c.c_seen.(t) then b := !b +. last_seen.(t)
+    done;
+    !b
+  in
+  let rec some_candidate_can_beat w =
+    !cleared < !count
+    &&
+    let c = !order.(!cleared) in
+    (c.c_nseen < n && best c > w)
+    || begin
+         incr cleared;
+         some_candidate_can_beat w
+       end
+  in
+  let set_last_seen t s =
+    if s > last_seen.(t) then cleared := 0;
+    last_seen.(t) <- s
+  in
+  let recheck c =
+    decr cleared;
+    let other = !order.(!cleared) in
+    !order.(c.c_rank) <- other;
+    other.c_rank <- c.c_rank;
+    !order.(!cleared) <- c;
+    c.c_rank <- !cleared
+  in
+  let add_candidate (element : Types.element) =
+    let c =
+      {
+        c_element = element;
+        c_worst = 0.0;
+        c_seen = Array.make n false;
+        c_nseen = 0;
+        c_slot = -1;
+        c_rank = !count;
+      }
+    in
+    Candidates.add candidates element c;
+    if !count = Array.length !order then begin
+      let bigger = Array.make (max 256 (2 * !count)) c in
+      Array.blit !order 0 bigger 0 !count;
+      order := bigger
+    end;
+    !order.(!count) <- c;
+    incr count;
+    c
   in
   let accept_entry t (entry : Rpl.entry) =
-    last_seen.(t) <- entry.score;
-    let key = (entry.element.Types.docid, entry.element.Types.endpos) in
+    set_last_seen t entry.score;
     let c =
-      match Hashtbl.find_opt candidates key with
+      match Candidates.find_opt candidates entry.element with
       | Some c -> c
-      | None ->
-          let c =
-            {
-              c_element = entry.element;
-              c_worst = 0.0;
-              c_seen = Array.make n false;
-              c_nseen = 0;
-              c_version = -1;
-              c_live = false;
-            }
-          in
-          Hashtbl.add candidates key c;
-          c
+      | None -> add_candidate entry.element
     in
     if not c.c_seen.(t) then begin
       c.c_seen.(t) <- true;
       c.c_nseen <- c.c_nseen + 1;
       c.c_worst <- c.c_worst +. entry.score;
-      incr version;
-      c.c_version <- !version;
-      Metrics.incr m_heap_pushes;
-      with_heap_op (fun () -> Topk_heap.push heap (c.c_worst, key, !version));
-      if not c.c_live then begin
-        c.c_live <- true;
-        incr live_count;
-        (* Evict the live minimum while the top-k set is over-full. *)
-        while !live_count > k do
-          settle_top ();
-          match with_heap_op (fun () -> Topk_heap.pop heap) with
-          | None -> live_count := 0 (* unreachable: live_count > 0 *)
-          | Some (_, ekey, ev) -> (
-              match Hashtbl.find_opt candidates ekey with
-              | Some ec when ec.c_live && ec.c_version = ev ->
-                  ec.c_live <- false;
-                  decr live_count;
-                  Metrics.incr m_heap_evictions
-              | Some _ | None -> ())
-        done
-      end
+      if c.c_rank < !cleared && c.c_nseen < n then recheck c;
+      incr pushes;
+      heap_offer c
     end
   in
   let check_interval = 16 in
@@ -241,7 +295,7 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(use_full_rpls = false)
                exhausted.(t) <- true;
                (* Entries past a truncated prefix (stored or
                   bound-skipped) score at most the recorded bound. *)
-               last_seen.(t) <- cursors.(t).bound ()
+               set_last_seen t (cursors.(t).bound ())
          end
        done;
        if not !progressed then running := false
@@ -257,7 +311,7 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(use_full_rpls = false)
               [max w floor] — even before k candidates are live. *)
            let w = Float.max (current_w ()) floor in
            if
-             (!live_count >= k || floor > 0.0)
+             (heap.size >= k || floor > 0.0)
              && w >= tau
              && not (some_candidate_can_beat w)
            then begin
@@ -279,17 +333,19 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(use_full_rpls = false)
        let w = Float.max (current_w ()) floor in
        if
          not
-           ((!live_count >= k || floor > 0.0)
+           ((heap.size >= k || floor > 0.0)
            && w >= tau
            && not (some_candidate_can_beat w))
        then raise Truncated_rpl
      end
    with Guard.Budget_exceeded _ -> degraded := true);
-  let answers =
-    Hashtbl.fold (fun _ c acc -> (c.c_element, c.c_worst) :: acc) candidates []
-    |> Answer.of_unsorted
+  let top =
+    Answer.select k (fun emit ->
+        for i = 0 to !count - 1 do
+          let c = !order.(i) in
+          emit c.c_element c.c_worst
+        done)
   in
-  let top = Answer.top_k answers k in
   let elapsed = Stopclock.elapsed clock in
   let total_reads = Array.fold_left (fun acc c -> acc + c.reads ()) 0 cursors in
   let total_skipped = Array.fold_left (fun acc c -> acc + c.skipped ()) 0 cursors in
@@ -300,17 +356,17 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(use_full_rpls = false)
   if !stopped_early then Metrics.incr m_early_stops;
   Metrics.add m_sorted total_reads;
   Metrics.add m_skipped total_skipped;
-  Metrics.add m_heap_ops (Topk_heap.operations heap);
-  Metrics.add m_candidates (Hashtbl.length candidates);
+  Metrics.add m_heap_ops heap.ops;
+  Metrics.add m_candidates !count;
   Metrics.add m_blocks_skipped total_blocks_skipped;
   ( top,
     {
       sorted_accesses = total_reads;
       skipped_accesses = total_skipped;
-      heap_operations = Topk_heap.operations heap;
-      heap_pushes = Metrics.value m_heap_pushes - pushes0;
-      heap_evictions = Metrics.value m_heap_evictions - evictions0;
-      candidates = Hashtbl.length candidates;
+      heap_operations = heap.ops;
+      heap_pushes = !pushes;
+      heap_evictions = heap.evictions;
+      candidates = !count;
       blocks_skipped = total_blocks_skipped;
       stopped_early = !stopped_early;
       elapsed_seconds = elapsed;

@@ -2,7 +2,8 @@
 
     One descending-score cursor per query term (restricted to the query
     sids) is consumed round-robin; partial sums accumulate per element,
-    a min-heap maintains the current top-k, and the run stops when the
+    an indexed min-heap of at most k candidates maintains the current
+    top-k, and the run stops when the
     threshold — the sum of the last score seen in each list — proves no
     unseen or partially-seen element can enter the top-k. Requires the
     RPLs of every (term, sid) pair of the query.
@@ -16,9 +17,12 @@ type stats = {
   skipped_accesses : int;
       (** foreign-sid entries read and discarded; always 0 with the
           per-(term, sid) layout, positive with full-term RPLs *)
-  heap_operations : int;  (** sift operations on the top-k heap *)
-  heap_pushes : int;
+  heap_operations : int;
+      (** top-k heap work: levels visited by sifts, plus one per
+          comparison of a newcomer against a full heap's root *)
+  heap_pushes : int;  (** score updates offered to the top-k heap *)
   heap_evictions : int;
+      (** offers to a full heap; each one leaves a candidate outside *)
   candidates : int;  (** distinct elements touched *)
   blocks_skipped : int;
       (** compressed blocks dropped undecoded — the full layout's sid

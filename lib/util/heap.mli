@@ -1,9 +1,8 @@
 (** Binary heaps.
 
-    TA maintains two heaps: a min-heap of the current top-k candidates
-    (keyed by combined score) and bookkeeping for the threshold. The
-    heap also exposes the operation count so the self-management layer
-    and ITA measurements can reason about heap cost. *)
+    Merge's k-way position merge, the RPL cursors and the final top-k
+    selection of a ranking use them. The heap also exposes its
+    operation count, a machine-independent proxy for heap cost. *)
 
 module Make (Ord : sig
   type t

@@ -174,13 +174,63 @@ let test_pending_classification () =
         && p2.Manifest.p_rollback = [ "u" ])
   | l -> Alcotest.failf "expected 2 pending ops, got %d" (List.length l)
 
+(* Resolved operations leave memory as they resolve; the ones still
+   open must classify exactly as in a fresh manifest, both before and
+   after a reopen. *)
+let test_pending_after_many_resolved () =
+  let dir = temp_dir () in
+  let path = Filename.concat dir "m.mf" in
+  let m = Manifest.open_file path in
+  let put i = Manifest.Put { table = "t"; key = string_of_int i; value = "v" } in
+  let begin_op op_id =
+    Manifest.append m
+      (Manifest.Begin
+         { op_id; op = "op"; tables = [ "t" ]; rollback = [ "t" ]; generation = op_id })
+  in
+  for op_id = 1 to 500 do
+    begin_op op_id;
+    Manifest.append m (Manifest.Step { op_id; action = put op_id });
+    if op_id mod 7 = 0 then Manifest.append m (Manifest.Abort { op_id; note = "no" })
+    else begin
+      Manifest.append m (Manifest.Commit { op_id });
+      Manifest.append m (Manifest.End { op_id })
+    end
+  done;
+  check Alcotest.int "resolved ops are not pending" 0 (List.length (Manifest.pending m));
+  check Alcotest.bool "appended records are not retained" true (Manifest.records m = []);
+  begin_op 501;
+  Manifest.append m (Manifest.Step { op_id = 501; action = put 501 });
+  Manifest.append m (Manifest.Commit { op_id = 501 });
+  begin_op 502;
+  Manifest.append m (Manifest.Step { op_id = 502; action = put 502 });
+  Manifest.sync m;
+  let classify label m =
+    match Manifest.pending m with
+    | [ p1; p2 ] ->
+        check Alcotest.bool (label ^ ": op 501 rolls forward") true
+          (p1.Manifest.p_op_id = 501
+          && p1.Manifest.p_status = Manifest.Roll_forward
+          && p1.Manifest.p_steps = [ put 501 ]);
+        check Alcotest.bool (label ^ ": op 502 rolls back") true
+          (p2.Manifest.p_op_id = 502
+          && p2.Manifest.p_status = Manifest.Roll_back
+          && p2.Manifest.p_rollback = [ "t" ])
+    | l -> Alcotest.failf "%s: expected 2 pending ops, got %d" label (List.length l)
+  in
+  classify "before reopen" m;
+  check Alcotest.int "every record counted" (500 * 4 - (500 / 7) + 5) (Manifest.length m);
+  Manifest.close m;
+  let m2 = Manifest.open_file path in
+  classify "after reopen" m2;
+  Manifest.close m2
+
 let test_torn_tail_matrix () =
   let dir = temp_dir () in
   let path = Filename.concat dir "m.mf" in
   let m = Manifest.open_file path in
   List.iter (Manifest.append m) sample_records;
   Manifest.sync m;
-  let full = Manifest.records m in
+  let full = sample_records in
   Manifest.close m;
   let total = file_length path in
   (* Truncating at any byte must yield a valid prefix of the records —
@@ -762,6 +812,8 @@ let () =
           Alcotest.test_case "record roundtrip + reopen" `Quick test_roundtrip;
           Alcotest.test_case "pending classification" `Quick
             test_pending_classification;
+          Alcotest.test_case "pending after many resolved" `Quick
+            test_pending_after_many_resolved;
           Alcotest.test_case "torn tail matrix" `Quick test_torn_tail_matrix;
           Alcotest.test_case "corrupt frame skipped" `Quick
             test_corrupt_frame_skipped;

@@ -171,6 +171,43 @@ let test_ita_same_answers_as_ta () =
       Alcotest.(check bool) "heap time measured" true (stats.heap_seconds >= 0.0)
   | [] -> Alcotest.fail "no queries"
 
+(* TA's stopping point is fixed by its sorted accesses alone: the
+   bookkeeping behind it (top-k heap, candidate table, can-beat test)
+   must never move it. The expected values were recorded with an
+   earlier lazy-deletion top-k heap. Heap work is bounded by one
+   sift of at most ceil(log2(k+1)) levels, plus a root comparison, per
+   score update; the lazy heap's stale entries broke that bound. *)
+let test_ta_stop_and_heap_work_pinned () =
+  let index, summary = Lazy.force generated in
+  let expected =
+    (* per agreement query, per k in [1; 10; 100; all]:
+       (sorted_accesses, stopped_early, candidates) *)
+    [|
+      [ (288, true, 171); (336, true, 198); (658, false, 323); (658, false, 323) ];
+      [ (48, true, 32); (144, true, 87); (288, false, 175); (288, false, 175) ];
+      [ (1480, true, 1123); (1768, true, 1290); (1941, false, 1351); (1941, false, 1351) ];
+      [ (9, false, 9); (9, false, 9); (9, false, 9); (9, false, 9) ];
+    |]
+  in
+  let rec bits k = if k = 0 then 0 else 1 + bits (k lsr 1) in
+  List.iteri
+    (fun qi (sids, terms) ->
+      ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ Rpl.Rpl ] ());
+      let all = Answer.size (era_answers index ~sids ~terms) in
+      List.iter2
+        (fun k (sorted, early, cands) ->
+          let _, s = Ta.run index ~sids ~terms ~k () in
+          let label what = Printf.sprintf "q%d k=%d %s" qi k what in
+          check Alcotest.int (label "sorted accesses") sorted s.Ta.sorted_accesses;
+          check Alcotest.bool (label "stopped early") early s.Ta.stopped_early;
+          check Alcotest.int (label "candidates") cands s.Ta.candidates;
+          let bound = s.Ta.heap_pushes * (bits k + 2) in
+          if s.Ta.heap_operations > bound then
+            Alcotest.failf "%s: %d heap operations > %d" (label "heap work")
+              s.Ta.heap_operations bound)
+        [ 1; 10; 100; all ] expected.(qi))
+    (queries_for_agreement index summary)
+
 (* ITA accounting invariants (paper §3.3): the heap-excluded clock never
    reports more than the wall time around the run, the excluded heap
    time is what paused the clock, and a non-ideal run excludes nothing.
@@ -222,10 +259,10 @@ let test_stats_are_registry_views () =
         delta "ta.sorted_accesses" (fun () -> snd (Ta.run index ~sids ~terms ~k:10 ()))
       in
       check Alcotest.int "ta sorted_accesses delta" ta_stats.Ta.sorted_accesses d_sorted;
-      let ta_stats2, d_pushes =
-        delta "ta.heap_pushes" (fun () -> snd (Ta.run index ~sids ~terms ~k:10 ()))
+      let ta_stats2, d_heap =
+        delta "ta.heap_operations" (fun () -> snd (Ta.run index ~sids ~terms ~k:10 ()))
       in
-      check Alcotest.int "ta heap_pushes delta" ta_stats2.Ta.heap_pushes d_pushes;
+      check Alcotest.int "ta heap_operations delta" ta_stats2.Ta.heap_operations d_heap;
       let era_stats, d_pos =
         delta "era.positions_scanned" (fun () -> snd (Era.run index ~sids ~terms))
       in
@@ -480,10 +517,11 @@ let test_per_term_scores_sum_to_combined () =
   | [] -> Alcotest.fail "no queries"
 
 (* Randomized cross-strategy agreement: fresh corpus per seed, all four
-   strategies on a pool of queries. *)
+   strategies on a pool of queries, TA and ITA at a random k. *)
 let prop_strategies_agree_on_random_corpora =
   QCheck.Test.make ~name:"strategies agree on random corpora" ~count:6
-    QCheck.small_nat (fun seed ->
+    QCheck.(pair small_nat (int_range 1 60))
+    (fun (seed, k) ->
       let coll = Trex_corpus.Gen.ieee ~doc_count:12 ~seed:(seed + 100) () in
       let env = Env.in_memory () in
       let summary = Summary.create ~alias:coll.alias Summary.Incoming in
@@ -504,8 +542,11 @@ let prop_strategies_agree_on_random_corpora =
             ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ Rpl.Rpl; Rpl.Erpl ] ());
             let era = era_answers index ~sids ~terms in
             let merge, _ = Merge.run index ~sids ~terms in
-            let ta, _ = Ta.run index ~sids ~terms ~k:7 () in
-            Answer.equal ~eps:1e-9 era merge && ta_matches_era ~k:7 ta era
+            let ta, _ = Ta.run index ~sids ~terms ~k () in
+            let ita, _ = Ta.run index ~sids ~terms ~k ~ideal_heap:true () in
+            Answer.equal ~eps:1e-9 era merge
+            && ta_matches_era ~k ta era
+            && ta_matches_era ~k ita era
           end)
         [
           "//sec[about(., information retrieval)]";
@@ -766,6 +807,8 @@ let () =
           Alcotest.test_case "ta matches era across k" `Quick
             test_ta_matches_era_at_many_k;
           Alcotest.test_case "ita equals ta" `Quick test_ita_same_answers_as_ta;
+          Alcotest.test_case "ta stop and heap work pinned" `Quick
+            test_ta_stop_and_heap_work_pinned;
           Alcotest.test_case "ita clock invariants" `Quick test_ita_clock_invariants;
         ] );
       ( "observability",
