@@ -19,8 +19,9 @@
      layout        - paper's skip-scanned full-term RPLs vs per-(term,sid)
                      lists; the §4 TA-vs-Merge race
      io            - page-cache size vs physical I/O on an on-disk index
-     compression   - block-compressed vs raw storage layouts: bytes on
+     compression   - block-compressed storage per Table-1 query: bytes on
                      disk, cold-cache physical reads, rank identity
+                     with exhaustive ERA
      shard         - sharded scatter-gather: shard count vs latency,
                      degraded serving, split/merge rebalance cost
      shard_proc    - process-isolated workers: supervised scatter vs
@@ -434,9 +435,7 @@ let section_selfman () =
                match c with
                | Trex.Advisor.No_index -> None
                | Trex.Advisor.Use_erpl -> Some (id ^ ":M")
-               | Trex.Advisor.Use_rpl -> Some (id ^ ":T")
-               | Trex.Advisor.Use_erpl_raw -> Some (id ^ ":Mr")
-               | Trex.Advisor.Use_rpl_raw -> Some (id ^ ":Tr"))
+               | Trex.Advisor.Use_rpl -> Some (id ^ ":T"))
              plan.Trex.Advisor.decisions)
       in
       Printf.printf "%7d%% | %-26s %11.2f | %-26s %11.2f | %5s\n" pct (show g)
@@ -644,124 +643,119 @@ let section_io () =
     [ 8; 32; 128; 1024; 8192 ];
   Bench_out.flush ~quick:!quick "io"
 
-(* ---- section: compression (block-compressed vs raw layouts) ---- *)
+(* ---- section: compression (block-compressed storage) ---- *)
 
 let section_compression () =
-  header "COMPRESSION: block-compressed vs raw storage (on-disk, same corpus)";
-  let coll = Gen.ieee ~doc_count:(if !quick then 60 else 150) ~seed:77 () in
-  let q = Queries.find "270" in
+  header "COMPRESSION: block-compressed storage (on-disk, per Table-1 query)";
   let k = 10 in
-  (* Build the same corpus twice on disk, once per layout, and
-     materialize query 270's RPLs+ERPLs in the matching layout. *)
-  let variant name ~compress ~layout =
-    let dir = Filename.temp_file "trex_bench_comp" "" in
-    Sys.remove dir;
-    Unix.mkdir dir 0o755;
-    let build_env = Trex.Env.on_disk ~cache_pages:8192 dir in
-    let engine =
-      Trex.build ~env:build_env ~alias:coll.alias ~compress (coll.docs ())
-    in
-    let tr = Trex.translate engine (Trex.parse engine q.nexi) in
-    let sids = Translate.all_sids tr and terms = Translate.all_terms tr in
-    ignore
-      (Trex.Rpl.build (Trex.index engine) ~scoring:(Trex.scoring engine) ~sids
-         ~terms ~kinds:[ Trex.Rpl.Rpl; Trex.Rpl.Erpl ] ~layout ());
-    let sizes = Trex.table_sizes engine in
-    Trex.Env.close build_env;
-    Bench_out.record ~section:"compression" ~query:q.id
-      ~strategy:("sizes-" ^ name) ~k:0 ~ms:0.0
-      [
-        ("postings_bytes", sizes.postings_bytes);
-        ("rpls_bytes", sizes.rpls_bytes);
-        ("erpls_bytes", sizes.erpls_bytes);
-      ];
-    Printf.printf "%-11s postings %10s | RPLs %10s | ERPLs %10s\n" name
-      (human_bytes sizes.postings_bytes)
-      (human_bytes sizes.rpls_bytes)
-      (human_bytes sizes.erpls_bytes);
-    (name, dir, sids, terms, sizes)
+  let collection = function
+    | Queries.Ieee -> Gen.ieee ~doc_count:(if !quick then 60 else 150) ~seed:77 ()
+    | Queries.Wikipedia ->
+        Gen.wikipedia ~doc_count:(if !quick then 100 else 250) ~seed:77 ()
   in
-  let raw = variant "raw" ~compress:false ~layout:Trex.Rpl.Raw in
-  let comp = variant "compressed" ~compress:true ~layout:Trex.Rpl.Compressed in
-  let (_, _, _, _, raw_sizes) = raw and (_, _, _, _, comp_sizes) = comp in
-  Printf.printf "saving: postings %.0f%%, RPLs %.0f%%, ERPLs %.0f%%\n"
-    (100.0
-    *. (1.0
-       -. float_of_int comp_sizes.postings_bytes
-          /. float_of_int (max 1 raw_sizes.postings_bytes)))
-    (100.0
-    *. (1.0
-       -. float_of_int comp_sizes.rpls_bytes
-          /. float_of_int (max 1 raw_sizes.rpls_bytes)))
-    (100.0
-    *. (1.0
-       -. float_of_int comp_sizes.erpls_bytes
-          /. float_of_int (max 1 raw_sizes.erpls_bytes)));
   let reads_of env =
     List.fold_left
       (fun r (_, (s : Trex_storage.Pager.stats)) -> r + s.physical_reads)
       0 (Trex.Env.io_stats env)
   in
-  (* Cold-cache physical reads (fresh attach, tiny cache) per strategy,
-     then warm timings under the usual protocol. *)
-  let run_variant (name, dir, sids, terms, _) =
-    List.map
-      (fun (label, method_) ->
-        let env = Trex.Env.on_disk ~cache_pages:32 dir in
-        let engine = Trex.attach ~env () in
-        let index = Trex.index engine and scoring = Trex.scoring engine in
-        let before = reads_of env in
-        let outcome = Strategy.evaluate index ~scoring ~sids ~terms ~k method_ in
-        let reads = reads_of env - before in
-        let t =
-          robust_time (fun () ->
-              ignore (Strategy.evaluate index ~scoring ~sids ~terms ~k method_))
-        in
-        Bench_out.record ~section:"compression" ~query:q.id
-          ~strategy:(label ^ "-" ^ name) ~k ~ms:(t *. 1e3)
-          [ ("physical_reads", reads) ];
-        Printf.printf "%-11s %-6s %4d cold reads | %8.2f ms\n" name label reads
-          (t *. 1e3);
-        (* Merge again directly for the block-decode accounting the
-           strategy façade hides. *)
-        if label = "Merge" then begin
-          let _, ms = Trex.Merge.run index ~sids ~terms in
-          Bench_out.record ~section:"compression" ~query:q.id
-            ~strategy:("Merge-blocks-" ^ name) ~k ~ms:0.0
-            [
-              ("blocks_decoded", ms.Trex.Merge.blocks_decoded);
-              ("entries_read", ms.Trex.Merge.entries_read);
-            ]
-        end;
-        Trex.Env.close env;
-        (label, outcome.Strategy.answers))
-      [
-        ("ERA", Strategy.Era_method);
-        ("TA", Strategy.Ta_method);
-        ("Merge", Strategy.Merge_method);
-      ]
-  in
-  let raw_answers = run_variant raw in
-  let comp_answers = run_variant comp in
-  (* Rank identity: compressed storage must serve bit-identical answers
-     — same elements, same order, same scores (exact rescore via the
-     per-segment score dictionary). A mismatch fails the bench run. *)
-  List.iter2
-    (fun (label, (a : Trex.Answer.entry list)) (_, b) ->
-      let key (e : Trex.Answer.entry) =
-        ( e.Trex.Answer.element.Trex.Types.docid,
-          e.Trex.Answer.element.Trex.Types.endpos,
-          e.Trex.Answer.element.Trex.Types.sid,
-          e.Trex.Answer.score )
+  Printf.printf "%-5s %-5s | %9s %9s %9s | %-13s %-13s %-13s\n" "query" "coll"
+    "postings" "RPLs" "ERPLs" "ERA rd/ms" "TA rd/ms" "Merge rd/ms";
+  (* One fresh on-disk environment per query, holding only that query's
+     RPLs and ERPLs, so each row prices exactly one query's lists. *)
+  List.iter
+    (fun (q : Queries.t) ->
+      let coll = collection q.collection in
+      let dir = Filename.temp_file "trex_bench_comp" "" in
+      Sys.remove dir;
+      Unix.mkdir dir 0o755;
+      let build_env = Trex.Env.on_disk ~cache_pages:8192 dir in
+      let engine = Trex.build ~env:build_env ~alias:coll.alias (coll.docs ()) in
+      let tr = Trex.translate engine (Trex.parse engine q.nexi) in
+      let sids = Translate.all_sids tr and terms = Translate.all_terms tr in
+      ignore
+        (Trex.Rpl.build (Trex.index engine) ~scoring:(Trex.scoring engine) ~sids
+           ~terms ~kinds:[ Trex.Rpl.Rpl; Trex.Rpl.Erpl ] ());
+      let sizes = Trex.table_sizes engine in
+      (* Exhaustive ERA over the same storage is the reference: every
+         strategy must return its top k — same elements, same order —
+         with ERA's scores. ERA and Merge sum an element's term scores in
+         term order, so theirs must match bit for bit; TA sums them in
+         arrival order, which can move the last bit of a three-term
+         score, so TA's may differ by 1e-9 at most. A mismatch fails the
+         bench run. *)
+      let exhaustive =
+        let index = Trex.index engine in
+        Trex.Answer.top_k
+          (Trex.Era.score_results index ~scoring:(Trex.scoring engine) ~terms
+             (fst (Trex.Era.run index ~sids ~terms)))
+          k
       in
-      if List.map key a <> List.map key b then
-        failwith
-          (Printf.sprintf
-             "compression: %s answers differ between raw and compressed \
-              layouts"
-             label))
-    raw_answers comp_answers;
-  Printf.printf "rank identity: ERA/TA/Merge answers bit-identical across layouts\n";
+      Trex.Env.close build_env;
+      Bench_out.record ~section:"compression" ~query:q.id
+        ~strategy:"sizes-compressed" ~k:0 ~ms:0.0
+        [
+          ("postings_bytes", sizes.postings_bytes);
+          ("rpls_bytes", sizes.rpls_bytes);
+          ("erpls_bytes", sizes.erpls_bytes);
+        ];
+      (* Cold-cache physical reads (fresh attach, tiny cache) per
+         strategy, then warm timings under the usual protocol. *)
+      let cells =
+        List.map
+          (fun (label, method_) ->
+            let env = Trex.Env.on_disk ~cache_pages:32 dir in
+            let engine = Trex.attach ~env () in
+            let index = Trex.index engine and scoring = Trex.scoring engine in
+            let before = reads_of env in
+            let outcome = Strategy.evaluate index ~scoring ~sids ~terms ~k method_ in
+            let reads = reads_of env - before in
+            let eps = if method_ = Strategy.Ta_method then 1e-9 else 0.0 in
+            if
+              not
+                (Trex.Answer.equal ~eps exhaustive
+                   (Trex.Answer.top_k outcome.Strategy.answers k))
+            then
+              failwith
+                (Printf.sprintf
+                   "compression: query %s %s answers differ from exhaustive ERA"
+                   q.id label);
+            let t =
+              robust_time (fun () ->
+                  ignore (Strategy.evaluate index ~scoring ~sids ~terms ~k method_))
+            in
+            Bench_out.record ~section:"compression" ~query:q.id
+              ~strategy:(label ^ "-compressed") ~k ~ms:(t *. 1e3)
+              [ ("physical_reads", reads) ];
+            (* Merge again directly for the block-decode accounting the
+               strategy façade hides. *)
+            if label = "Merge" then begin
+              let _, ms = Trex.Merge.run index ~sids ~terms in
+              Bench_out.record ~section:"compression" ~query:q.id
+                ~strategy:"Merge-blocks-compressed" ~k ~ms:0.0
+                [
+                  ("blocks_decoded", ms.Trex.Merge.blocks_decoded);
+                  ("entries_read", ms.Trex.Merge.entries_read);
+                ]
+            end;
+            Trex.Env.close env;
+            Printf.sprintf "%4d %8.2f" reads (t *. 1e3))
+          [
+            ("ERA", Strategy.Era_method);
+            ("TA", Strategy.Ta_method);
+            ("Merge", Strategy.Merge_method);
+          ]
+      in
+      Printf.printf "%-5s %-5s | %9s %9s %9s | %s\n%!" q.id
+        (match q.collection with Queries.Ieee -> "ieee" | Queries.Wikipedia -> "wiki")
+        (human_bytes sizes.postings_bytes)
+        (human_bytes sizes.rpls_bytes)
+        (human_bytes sizes.erpls_bytes)
+        (String.concat " | " cells))
+    Queries.all;
+  Printf.printf
+    "rank identity: ERA/TA/Merge top-%d = exhaustive ERA (ERA/Merge scores bit \
+     for bit, TA within 1e-9)\n"
+    k;
   Bench_out.flush ~quick:!quick "compression"
 
 (* ---- section: shard ---- *)

@@ -26,9 +26,9 @@ module Breaker = Trex_resilience.Breaker
 type t = { index : Index.t; scoring : Scorer.config }
 
 let build ~env ?(summary_criterion = Summary.Incoming) ?(alias = Alias.identity)
-    ?analyzer ?compress ?(scoring = Scorer.default) docs =
+    ?analyzer ?(scoring = Scorer.default) docs =
   let summary = Summary.create ~alias summary_criterion in
-  let index = Index.build ~env ~summary ?analyzer ?compress docs in
+  let index = Index.build ~env ~summary ?analyzer docs in
   { index; scoring }
 
 let attach ~env ?(verify = false) ?(scoring = Scorer.default) () =

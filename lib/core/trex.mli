@@ -60,21 +60,21 @@ val build :
   ?summary_criterion:Summary.criterion ->
   ?alias:Alias.t ->
   ?analyzer:Trex_text.Analyzer.config ->
-  ?compress:bool ->
   ?scoring:Scorer.config ->
   (string * string) Seq.t ->
   t
 (** Index a collection of (name, xml) documents. Defaults: alias
-    incoming summary, default analyzer, BM25 scoring, block-compressed
-    posting storage ([compress], default [true]; pass [false] for the
-    v1 fixed-width chunk layout — answers are identical either way, see
-    DESIGN.md §8). *)
+    incoming summary, default analyzer, BM25 scoring. Postings, and
+    every RPL/ERPL materialized later, are stored as block-compressed
+    segments (DESIGN.md §7). *)
 
 val attach : env:Env.t -> ?verify:bool -> ?scoring:Scorer.config -> unit -> t
 (** Re-open a previously built engine. With [~verify:true] every storage
     table is checksum-swept and structurally verified first.
     @raise Trex_storage.Pager.Corruption if verification finds damage —
-    the engine is never attached over corrupt tables silently. *)
+    the engine is never attached over corrupt tables silently.
+    @raise Index.Unsupported_postings on an environment
+    whose postings predate block-compressed segments. *)
 
 val verify_storage : env:Env.t -> Env.table_report list
 (** Per-table checksum sweep + B+tree structural verification (see

@@ -24,7 +24,6 @@ type t = {
   env : Env.t;
   summary : Summary.t;
   analyzer : Analyzer.config;
-  compress : bool;
   mutable stats : stats;
   mutable overrides : scoring_overrides option;
 }
@@ -32,7 +31,6 @@ type t = {
 let env t = t.env
 let summary t = t.summary
 let analyzer t = t.analyzer
-let compressed t = t.compress
 let stats t = t.stats
 let set_scoring_overrides t o = t.overrides <- Some o
 let clear_scoring_overrides t = t.overrides <- None
@@ -82,8 +80,6 @@ let decode_stats s =
 
 (* ---- building ---- *)
 
-let chunk_size = 64
-
 (* Collect the text nodes of a parsed document with their source
    offsets, tokenized through the analyzer. *)
 let doc_postings analyzer (doc : Dom.doc) =
@@ -99,7 +95,7 @@ let doc_postings analyzer (doc : Dom.doc) =
   walk doc.root;
   List.concat (List.rev !acc)
 
-let build ~env ~summary ?(analyzer = Analyzer.default) ?(compress = true) docs =
+let build ~env ~summary ?(analyzer = Analyzer.default) docs =
   let element_rows = ref [] in
   let postings : (string, (int * int) list ref) Hashtbl.t = Hashtbl.create 4096 in
   let doc_rows = ref [] in
@@ -167,36 +163,17 @@ let build ~env ~summary ?(analyzer = Analyzer.default) ?(compress = true) docs =
     (Bptree.bulk_load (Bptree.pager elements_tbl)
        (List.to_seq sorted_elements |> Seq.map Tables.Elements.encode));
   Bptree.refresh elements_tbl;
-  (* PostingLists: per-term position-sorted chunks, bulk-loaded in key
-     order. Tokens are produced in document order per term, so the
+  (* PostingLists: per-term position-sorted segments, bulk-loaded in
+     key order. Tokens are produced in document order per term, so the
      accumulated (reversed) lists just need reversing. *)
   let tokens =
     Hashtbl.fold (fun tok _ acc -> tok :: acc) postings []
     |> List.sort String.compare
   in
-  let chunk_rows ~token positions =
-    if compress then Tables.Posting_lists.segment_rows ~token positions
-    else begin
-      let rec chunks acc = function
-        | [] -> List.rev acc
-        | l ->
-            let rec take n acc rest =
-              match (n, rest) with
-              | 0, _ | _, [] -> (List.rev acc, rest)
-              | n, x :: tl -> take (n - 1) (x :: acc) tl
-            in
-            let chunk, rest = take chunk_size [] l in
-            chunks (Tables.Posting_lists.encode_chunk ~token chunk :: acc) rest
-      in
-      chunks [] positions
-    end
-  in
   let posting_rows token =
     let cell = Hashtbl.find postings token in
-    let positions =
-      List.rev_map (fun (docid, offset) -> { Types.docid; offset }) !cell
-    in
-    chunk_rows ~token positions
+    Tables.Posting_lists.segment_rows ~token
+      (List.rev_map (fun (docid, offset) -> { Types.docid; offset }) !cell)
   in
   let postings_tbl = Env.table env Tables.Posting_lists.name in
   let posting_seq =
@@ -249,11 +226,11 @@ let build ~env ~summary ?(analyzer = Analyzer.default) ?(compress = true) docs =
   Bptree.insert meta ~key:(meta_key "summary") ~value:(Summary.to_string summary);
   Bptree.insert meta ~key:(meta_key "analyzer") ~value:(encode_analyzer analyzer);
   Bptree.insert meta ~key:(meta_key "stats") ~value:(encode_stats stats);
-  Bptree.insert meta
-    ~key:(meta_key "postings_layout")
-    ~value:(if compress then "blocked" else "raw");
+  Bptree.insert meta ~key:(meta_key "postings_layout") ~value:"blocked";
   Env.flush env;
-  { env; summary; analyzer; compress; stats; overrides = None }
+  { env; summary; analyzer; stats; overrides = None }
+
+exception Unsupported_postings of string option
 
 let attach env =
   let meta = Env.table env Tables.meta_table in
@@ -262,19 +239,17 @@ let attach env =
     | Some v -> v
     | None -> failwith (Printf.sprintf "Index.attach: missing meta key %s" name)
   in
-  (* Environments predating the layout key hold v1 chunks only; keep
-     appending v1 there so a pure-raw env stays pure-raw. Reads always
-     dispatch per value, so either way is safe. *)
-  let compress =
-    match Bptree.find meta (meta_key "postings_layout") with
-    | Some "blocked" -> true
-    | Some _ | None -> false
-  in
+  (* The summary first, so an env holding no index fails as such. *)
+  let summary = Summary.of_string (get "summary") in
+  (* Postings written before segments became the only format carry no
+     layout key (or "raw"); refuse them instead of misreading them. *)
+  (match Bptree.find meta (meta_key "postings_layout") with
+  | Some "blocked" -> ()
+  | found -> raise (Unsupported_postings found));
   {
     env;
-    summary = Summary.of_string (get "summary");
+    summary;
     analyzer = decode_analyzer (get "analyzer");
-    compress;
     stats = decode_stats (get "stats");
     overrides = None;
   }
@@ -352,8 +327,8 @@ module Posting_iter = struct
     prefix : string;
     mutable chunk : Types.pos list;
     mutable segment : (Codec.Block.t * int) option;
-        (* current v2 segment and next undecoded block index: blocks
-           are decoded one at a time as the chunk drains *)
+        (* current segment and next undecoded block index: blocks are
+           decoded one at a time as the chunk drains *)
     mutable exhausted : bool;
   }
 
@@ -390,14 +365,9 @@ module Posting_iter = struct
               match Bptree.Cursor.next it.cursor with
               | Some (k, v)
                 when String.length k >= String.length it.prefix
-                     && String.sub k 0 (String.length it.prefix) = it.prefix -> (
-                  match Codec.Block.of_string v with
-                  | Some seg ->
-                      it.segment <- Some (seg, 0);
-                      next_position it
-                  | None ->
-                      it.chunk <- Tables.Posting_lists.decode_chunk v;
-                      next_position it)
+                     && String.sub k 0 (String.length it.prefix) = it.prefix ->
+                  it.segment <- Some (Codec.Block.of_string v, 0);
+                  next_position it
               | Some _ | None ->
                   it.exhausted <- true;
                   Types.m_pos
@@ -464,7 +434,7 @@ let add_document ?invalidation t ~name ~xml =
            { Types.sid; docid; endpos = el.end_pos; length = Dom.length el }))
     observed;
   (* Postings: the new docid exceeds every existing one, so fresh
-     chunks sort after each term's existing chunks. *)
+     segments sort after each term's existing segments. *)
   let tokens = doc_postings t.analyzer doc in
   let by_term : (string, Types.pos list ref) Hashtbl.t = Hashtbl.create 64 in
   List.iter
@@ -486,26 +456,9 @@ let add_document ?invalidation t ~name ~xml =
     (fun term cell ->
       doc_terms := term :: !doc_terms;
       let positions = List.rev !cell in
-      if t.compress then
-        List.iter
-          (fun row -> put Tables.Posting_lists.name row)
-          (Tables.Posting_lists.segment_rows ~token:term positions)
-      else begin
-        let rec chunked = function
-          | [] -> ()
-          | l ->
-              let rec take n acc rest =
-                match (n, rest) with
-                | 0, _ | _, [] -> (List.rev acc, rest)
-                | n, x :: tl -> take (n - 1) (x :: acc) tl
-              in
-              let chunk, rest = take chunk_size [] l in
-              put Tables.Posting_lists.name
-                (Tables.Posting_lists.encode_chunk ~token:term chunk);
-              chunked rest
-        in
-        chunked positions
-      end;
+      List.iter
+        (put Tables.Posting_lists.name)
+        (Tables.Posting_lists.segment_rows ~token:term positions);
       (* Terms rows are logged as absolute post-state (not +1 deltas)
          so replaying the step is idempotent. *)
       let row =

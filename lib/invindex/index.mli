@@ -4,7 +4,8 @@
 
     Building follows the paper's §2.2: every element is recorded under
     its summary sid keyed by (SID, docid, endpos); every term occurrence
-    is recorded in a position-ordered, chunked posting list. *)
+    is recorded in a position-ordered posting list, stored as
+    block-compressed segments (DESIGN.md §7). *)
 
 type stats = {
   doc_count : int;
@@ -21,22 +22,25 @@ val build :
   env:Trex_storage.Env.t ->
   summary:Trex_summary.Summary.t ->
   ?analyzer:Trex_text.Analyzer.config ->
-  ?compress:bool ->
   (string * string) Seq.t ->
   t
 (** [build ~env ~summary docs] parses each [(name, xml)] document,
     assigns docids in sequence order, grows the summary, and bulk-loads
-    the tables into [env]. [compress] (default [true]) stores posting
-    lists as block-compressed segments instead of v1 fixed-size chunks;
-    the choice is recorded in the [meta] table and honoured by
-    {!add_document}. Reads always dispatch on the per-value format
-    marker, so either layout (or a mix) is served identically.
+    the tables into [env]. Posting lists are written as
+    {!Trex_util.Codec.Block} segments, and the [meta] table records
+    [postings_layout = blocked].
     @raise Trex_xml.Sax.Malformed on bad input. *)
+
+exception Unsupported_postings of string option
+(** Raised by {!attach} when the [meta] table's [postings_layout] is
+    missing or is not [blocked]: the environment holds postings in a
+    format this build cannot read. Carries the value found. *)
 
 val attach : Trex_storage.Env.t -> t
 (** Re-open an index previously built in this environment (metadata,
     summary and statistics are read back from the [meta] table).
-    @raise Failure if the environment holds no index. *)
+    @raise Failure if the environment holds no index.
+    @raise Unsupported_postings if its postings are not segments. *)
 
 val add_document :
   ?invalidation:(string list -> Trex_storage.Manifest.action list) ->
@@ -65,9 +69,6 @@ val add_document :
 val env : t -> Trex_storage.Env.t
 val summary : t -> Trex_summary.Summary.t
 val analyzer : t -> Trex_text.Analyzer.config
-
-val compressed : t -> bool
-(** Whether new posting chunks are written block-compressed. *)
 
 val stats : t -> stats
 

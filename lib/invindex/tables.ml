@@ -35,53 +35,10 @@ module Posting_lists = struct
         Codec.key_of_int first.offset;
       ]
 
-  let encode_chunk ~token positions =
-    match positions with
-    | [] -> invalid_arg "Posting_lists.encode_chunk: empty chunk"
-    | first :: _ ->
-        let b = Codec.Buf.create ~capacity:256 () in
-        Codec.Buf.add_varint b (List.length positions);
-        (* Delta-encode within the chunk: docid deltas, then offset
-           (absolute when the docid changed, delta otherwise). *)
-        let prev = ref { Types.docid = 0; offset = 0 } in
-        List.iter
-          (fun (p : Types.pos) ->
-            let ddoc = p.docid - !prev.docid in
-            Codec.Buf.add_varint b ddoc;
-            if ddoc = 0 then Codec.Buf.add_varint b (p.offset - !prev.offset)
-            else Codec.Buf.add_varint b p.offset;
-            prev := p)
-          positions;
-        (key ~token ~first, Codec.Buf.contents b)
-
-  let decode_chunk v =
-    let r = Codec.Reader.of_string v in
-    let n = Codec.Reader.varint r in
-    let prev = ref { Types.docid = 0; offset = 0 } in
-    (* Explicit in-order loop: [List.init] applies its function in an
-       unspecified order, which scrambles a stateful reader. *)
-    let out = ref [] in
-    for _ = 1 to n do
-      let ddoc = Codec.Reader.varint r in
-      let docid = !prev.docid + ddoc in
-      let offset =
-        if ddoc = 0 then !prev.offset + Codec.Reader.varint r
-        else Codec.Reader.varint r
-      in
-      let p = { Types.docid; offset } in
-      prev := p;
-      out := p :: !out
-    done;
-    List.rev !out
-
-  (* ---- v2: block-compressed segments ----
-
-     Several delta-encoded blocks share one table value behind a
-     [Codec.Block] skip directory, so a posting list costs one key per
-     ~1.5KB instead of one per 64 positions and decodes lazily per
-     block. Values are self-describing (segments open with a negative
-     marker varint, v1 chunks with a non-negative count), so both
-     layouts can coexist in one table. *)
+  (* Posting values are block-compressed segments: several
+     delta-encoded blocks share one table value behind a [Codec.Block]
+     skip directory, so a posting list costs one key per ~1.5KB and
+     decodes lazily per block. *)
 
   let block_entries = 128
   let segment_budget = 1536
@@ -191,6 +148,7 @@ module Posting_lists = struct
      blocks until the byte budget (which keeps every row comfortably
      inside the B+tree entry budget even with long tokens). *)
   let segment_rows ~token positions =
+    if positions = [] then invalid_arg "Posting_lists.segment_rows: empty list";
     let rows = ref [] in
     let w = ref (Codec.Block.Writer.create ()) in
     let seg_first = ref None in
@@ -226,17 +184,14 @@ module Posting_lists = struct
     flush ();
     List.rev !rows
 
-  (* Decode any posting value, v1 chunk or v2 segment, eagerly. *)
   let decode_value v =
-    match Codec.Block.of_string v with
-    | None -> decode_chunk v
-    | Some seg ->
-        let out = ref [] in
-        for i = 0 to Codec.Block.block_count seg - 1 do
-          let info = decode_block_header (Codec.Block.header seg i) in
-          out := decode_block info (Codec.Block.payload seg i) :: !out
-        done;
-        List.concat (List.rev !out)
+    let seg = Codec.Block.of_string v in
+    let out = ref [] in
+    for i = 0 to Codec.Block.block_count seg - 1 do
+      let info = decode_block_header (Codec.Block.header seg i) in
+      out := decode_block info (Codec.Block.payload seg i) :: !out
+    done;
+    List.concat (List.rev !out)
 end
 
 module Documents = struct

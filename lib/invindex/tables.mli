@@ -26,18 +26,11 @@ module Posting_lists : sig
   val token_prefix : string -> string
   val key : token:string -> first:Types.pos -> string
 
-  val encode_chunk : token:string -> Types.pos list -> string * string
-  (** One v1 row holding consecutive positions; the chunk key is the
-      first position. The list must be non-empty and position-sorted. *)
+  (** {2 Block-compressed segments}
 
-  val decode_chunk : string -> Types.pos list
-
-  (** {2 Block-compressed segments (v2)}
-
-      Frame-of-reference bit-packed blocks (see DESIGN.md §7) behind a
-      {!Trex_util.Codec.Block} skip directory. Values are
-      self-describing, so v1 chunks and v2 segments can coexist in one
-      table and {!decode_value} reads either. *)
+      Every posting value is a run of frame-of-reference bit-packed
+      blocks (see DESIGN.md §7) behind a {!Trex_util.Codec.Block} skip
+      directory. *)
 
   type block_info = {
     first : Types.pos;
@@ -53,13 +46,17 @@ module Posting_lists : sig
   val segment_rows : token:string -> Types.pos list -> (string * string) list
   (** Cut a non-empty position-sorted list into segment rows, packing
       ~[block_entries]-position blocks until a byte budget that keeps
-      every row inside the B+tree entry budget. *)
+      every row inside the B+tree entry budget; each row's key is its
+      first position.
+      @raise Invalid_argument on an empty list. *)
 
   val decode_block_header : Trex_util.Codec.Reader.t -> block_info
   val decode_block : block_info -> Trex_util.Codec.Reader.t -> Types.pos list
 
   val decode_value : string -> Types.pos list
-  (** Eagerly decode a posting value of either format. *)
+  (** Eagerly decode a posting value.
+      @raise Trex_util.Codec.Reader.Malformed on a value that is not a
+        segment. *)
 end
 
 module Documents : sig

@@ -4,8 +4,6 @@ type choice =
   | No_index
   | Use_erpl
   | Use_rpl
-  | Use_erpl_raw
-  | Use_rpl_raw
 
 type plan = {
   decisions : (string * choice) list;
@@ -17,19 +15,8 @@ let choice_to_string = function
   | No_index -> "none"
   | Use_erpl -> "ERPL (Merge)"
   | Use_rpl -> "RPL (TA)"
-  | Use_erpl_raw -> "ERPL raw (Merge)"
-  | Use_rpl_raw -> "RPL raw (TA)"
 
-let layout_of_choice = function
-  | No_index -> None
-  | Use_erpl | Use_rpl -> Some Rpl.Compressed
-  | Use_erpl_raw | Use_rpl_raw -> Some Rpl.Raw
-
-(* The solvers weigh every choice, raw layouts included. Both layouts
-   serve identical answers, so a raw option carries the same saving at
-   (usually) a higher price — it wins only when the catalogs say raw is
-   no larger (tiny lists where block headers outweigh the gaps). *)
-let all_choices = [ Use_erpl; Use_rpl; Use_erpl_raw; Use_rpl_raw ]
+let all_choices = [ Use_erpl; Use_rpl ]
 
 (* A materializable list, identified across queries so sharing is
    accounted once. *)
@@ -63,13 +50,11 @@ let lists_of_choice (p : Cost.profile) choice =
   | No_index -> []
   | Use_erpl -> conv Rpl.Erpl p.erpl_lists
   | Use_rpl -> conv Rpl.Rpl p.rpl_lists
-  | Use_erpl_raw -> conv Rpl.Erpl p.erpl_lists_raw
-  | Use_rpl_raw -> conv Rpl.Rpl p.rpl_lists_raw
 
 let saving_of_choice p = function
   | No_index -> 0.0
-  | Use_erpl | Use_erpl_raw -> Cost.saving_merge p
-  | Use_rpl | Use_rpl_raw -> Cost.saving_ta p
+  | Use_erpl -> Cost.saving_merge p
+  | Use_rpl -> Cost.saving_ta p
 
 let add_lists set lists =
   List.fold_left
@@ -209,7 +194,7 @@ let branch_and_bound ~budget profiles =
             explore (i + 1) set' (used + cost) (saving +. saving_of_choice arr.(i) choice);
             current.(i) <- No_index
           end)
-        [ Use_rpl; Use_erpl; Use_rpl_raw; Use_erpl_raw; No_index ]
+        [ Use_rpl; Use_erpl; No_index ]
   in
   explore 0 List_set.empty 0 0.0;
   let table = Hashtbl.create 8 in
@@ -232,29 +217,20 @@ let apply index ~scoring ~workload ?(profiles = []) plan =
       (fun (id, choice) ->
         match choice with
         | No_index -> ()
-        | Use_erpl | Use_rpl | Use_erpl_raw | Use_rpl_raw -> (
+        | Use_erpl | Use_rpl -> (
             match Workload.find workload id with
             | None -> invalid_arg (Printf.sprintf "Advisor.apply: unknown query %s" id)
             | Some q ->
-                let kinds =
-                  [ (match choice with
-                    | Use_erpl | Use_erpl_raw -> Rpl.Erpl
-                    | _ -> Rpl.Rpl) ]
-                in
+                let kinds = [ (if choice = Use_erpl then Rpl.Erpl else Rpl.Rpl) ] in
                 let rpl_prefix =
-                  if choice = Use_rpl || choice = Use_rpl_raw then
+                  if choice = Use_rpl then
                     List.find_opt (fun (p : Cost.profile) -> p.id = id) profiles
                     |> Fun.flip Option.bind (fun (p : Cost.profile) -> p.rpl_prefix)
                   else None
                 in
-                let layout =
-                  match layout_of_choice choice with
-                  | Some l -> l
-                  | None -> Rpl.Compressed
-                in
                 ignore
                   (Rpl.build index ~scoring ~sids:q.sids ~terms:q.terms ~kinds
-                     ?rpl_prefix ~layout ())))
+                     ?rpl_prefix ())))
       plan.decisions;
     Trex_storage.Env.commit_op env o
   with

@@ -12,16 +12,8 @@
 
 type choice =
   | No_index
-  | Use_erpl  (** materialize the query's ERPLs, block-compressed *)
-  | Use_rpl  (** materialize the query's RPLs, block-compressed *)
-  | Use_erpl_raw  (** same lists in the raw (v1) layout *)
-  | Use_rpl_raw
-      (** Storage layout is one more 0/1 decision: both layouts serve
-          identical answers, so raw variants carry the same saving at
-          the raw price ([Cost.profile.rpl_lists_raw]) and win only
-          when raw is genuinely no larger. A list shared between
-          queries keeps the layout of whichever query materialized it
-          first (as with [rpl_prefix]). *)
+  | Use_erpl  (** materialize the query's ERPLs (so Merge can run) *)
+  | Use_rpl  (** materialize the query's RPLs (so TA can run) *)
 
 type plan = {
   decisions : (string * choice) list;  (** per query id, workload order *)
@@ -30,10 +22,6 @@ type plan = {
 }
 
 val choice_to_string : choice -> string
-
-val layout_of_choice : choice -> Trex_topk.Rpl.layout option
-(** The storage layout a choice materializes with; [None] for
-    {!No_index}. *)
 
 val greedy : budget:int -> Cost.profile list -> plan
 (** Iteratively add the query option with the best ratio of

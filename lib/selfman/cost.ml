@@ -12,8 +12,6 @@ type profile = {
   time_ta : float;
   rpl_lists : (list_id * int) list;
   erpl_lists : (list_id * int) list;
-  rpl_lists_raw : (list_id * int) list;
-  erpl_lists_raw : (list_id * int) list;
   rpl_prefix : int option;
 }
 
@@ -96,10 +94,6 @@ let measure index ~scoring ?(runs = 3) ?(prefix_rpls = false) (q : Workload.quer
     time_ta;
     rpl_lists = lists Rpl.list_bytes Rpl.Rpl;
     erpl_lists = lists Rpl.list_bytes Rpl.Erpl;
-    (* the raw prices recorded at write time, so the advisor can offer
-       raw materialization as an alternative without rebuilding *)
-    rpl_lists_raw = lists Rpl.list_raw_bytes Rpl.Rpl;
-    erpl_lists_raw = lists Rpl.list_raw_bytes Rpl.Erpl;
     rpl_prefix;
   }
 
@@ -113,8 +107,5 @@ let make ~id ~frequency ~time_era ~time_merge ~time_ta ~rpl_lists ~erpl_lists =
     time_ta;
     rpl_lists = conv rpl_lists;
     erpl_lists = conv erpl_lists;
-    (* synthetic profiles price both layouts identically *)
-    rpl_lists_raw = conv rpl_lists;
-    erpl_lists_raw = conv erpl_lists;
     rpl_prefix = None;
   }

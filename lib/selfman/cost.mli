@@ -15,13 +15,10 @@ type profile = {
   time_era : float;  (** seconds *)
   time_merge : float;
   time_ta : float;
-  rpl_lists : (list_id * int) list;  (** (list, bytes) needed by TA *)
+  rpl_lists : (list_id * int) list;
+      (** (list, bytes) needed by TA: the stored segment bytes the RPL
+          catalog records for each list *)
   erpl_lists : (list_id * int) list;  (** (list, bytes) needed by Merge *)
-  rpl_lists_raw : (list_id * int) list;
-      (** the same lists priced in the raw (v1) layout — recorded at
-          write time (see [Rpl.list_raw_bytes]) so the advisor can
-          weigh compressed against raw materialization per query *)
-  erpl_lists_raw : (list_id * int) list;
   rpl_prefix : int option;
       (** when set, [rpl_lists] sizes are for prefix-truncated RPLs of
           this depth — the paper's S_RPL, "the part that TA reads till

@@ -11,7 +11,7 @@ type stats = {
   entries_read : int;  (** ERPL entries consumed across all terms *)
   elements_merged : int;  (** distinct elements in the merged vector *)
   blocks_decoded : int;
-      (** compressed ERPL blocks decoded; 0 over raw-layout lists *)
+      (** ERPL segment blocks decoded (blocks skipped by position are not) *)
   elapsed_seconds : float;
   degraded : bool;
       (** the guard expired and the answers are a position-prefix of

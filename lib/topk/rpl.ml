@@ -15,10 +15,8 @@ let m_merged_read = Metrics.counter "rpl.merged.entries_read"
 
 type entry = { element : Types.element; score : float }
 type kind = Rpl | Erpl
-type layout = Raw | Compressed
 
 let kind_to_string = function Rpl -> "RPL" | Erpl -> "ERPL"
-let layout_to_string = function Raw -> "raw" | Compressed -> "compressed"
 let table_name = function Rpl -> "rpls" | Erpl -> "erpls"
 let catalog_name = function Rpl -> "rpl_catalog" | Erpl -> "erpl_catalog"
 
@@ -31,8 +29,6 @@ let check_generation index name =
   let env = Index.env index in
   if Env.table_blocked env name then
     raise (Stale_generation { table = name; generation = Env.generation env })
-
-let chunk_size = 32
 
 (* ---- keys ---- *)
 
@@ -52,48 +48,18 @@ let chunk_key kind ~term ~sid (first : entry) =
   in
   Codec.concat_keys (pair_prefix ~term ~sid :: tail)
 
-(* ---- entry chunk codec ---- *)
-
-let encode_chunk ~sid entries =
-  let b = Codec.Buf.create ~capacity:256 () in
-  Codec.Buf.add_varint b (List.length entries);
-  List.iter
-    (fun { element = e; score } ->
-      assert (e.Types.sid = sid);
-      Codec.Buf.add_float b score;
-      Codec.Buf.add_varint b e.docid;
-      Codec.Buf.add_varint b e.endpos;
-      Codec.Buf.add_varint b e.length)
-    entries;
-  Codec.Buf.contents b
-
-let decode_chunk ~sid v =
-  let r = Codec.Reader.of_string v in
-  let n = Codec.Reader.varint r in
-  (* Explicit in-order loop: [List.init] applies its function in an
-     unspecified order, which would scramble the stateful reader. *)
-  let out = ref [] in
-  for _ = 1 to n do
-    let score = Codec.Reader.float r in
-    let docid = Codec.Reader.varint r in
-    let endpos = Codec.Reader.varint r in
-    let length = Codec.Reader.varint r in
-    out := { element = { Types.sid; docid; endpos; length }; score } :: !out
-  done;
-  List.rev !out
-
-(* ---- block-compressed segments (v2) ----
+(* ---- block-compressed segments ----
 
    Several delta-encoded blocks share one table value behind a
    [Codec.Block] skip directory. Exact scores are dictionary-coded per
    segment (each distinct float stored once, entries carry indices), so
-   returned scores are bit-identical to the raw layout — the skip
-   directory's per-block score maxima are quantized {e up} separately
-   and used only as rank-safe pruning bounds. Block headers carry the
-   docid range and last position so a cursor can skip whole blocks by
-   score bound (TA's floor) or by position (Merge-style seeks) without
-   decoding them, plus — for full-term lists — a 63-bit sid-hash bitmap
-   so foreign-extent blocks are never decoded at all. *)
+   returned scores are bit-identical to the scores ERA computed — the
+   skip directory's per-block score maxima are quantized {e up}
+   separately and used only as rank-safe pruning bounds. Block headers
+   carry the docid range and last position so a cursor can skip whole
+   blocks by score bound (TA's floor) or by position (Merge-style
+   seeks) without decoding them, plus — for full-term lists — a 63-bit
+   sid-hash bitmap so foreign-extent blocks are never decoded at all. *)
 
 let block_entries = 64
 let segment_budget = 1536
@@ -155,6 +121,8 @@ type block_info = {
   blk_sids : int; (* 63-bit sid-hash bitmap; 0 in per-(term,sid) lists *)
 }
 
+(* Sid 62 (mod 63) owns bit 62, OCaml's sign bit, so a bitmap may be
+   negative: it is written as a raw 63-bit word, not a quantity. *)
 let sid_bit sid = 1 lsl (sid mod 63)
 
 let encode_block ~with_sid dict entries =
@@ -178,7 +146,7 @@ let encode_block ~with_sid dict entries =
       Codec.Buf.add_uvarint h !min_doc;
       Codec.Buf.add_uvarint h (!max_doc - !min_doc);
       Codec.Buf.add_uvarint h !last.element.Types.endpos;
-      if with_sid then Codec.Buf.add_uvarint h !bitmap;
+      if with_sid then Codec.Buf.add_word h !bitmap;
       (* Payload: parallel bit-packed streams (score index, [sid],
          zig-zag docid delta, zig-zag endpos delta, length), each
          preceded by its uvarint width. Frame-of-reference per stream:
@@ -320,80 +288,69 @@ let segment_rows ~with_sid ~key_of_first entries =
   flush ();
   List.rev !rows
 
+(* Store rows; returns their encoded size, keys included. *)
+let insert_rows tbl rows =
+  List.fold_left
+    (fun bytes (key, value) ->
+      Bptree.insert tbl ~key ~value;
+      bytes + String.length key + String.length value)
+    0 rows
+
 (* ---- catalog ---- *)
 
 let catalog_key ~term ~sid = pair_prefix ~term ~sid
 
-(* Catalog rows: entry count, stored bytes, what the list would cost
-   raw (for the advisor's layout pricing), the layout, and — for
-   truncated RPL prefixes — an {e explicit} truncated flag plus the
-   score bound below which entries were dropped.
+(* Catalog rows: a negative version marker, entry count, stored
+   bytes (twice: the second field once priced a since-removed layout
+   and is ignored on read), flags — bit 0 an {e explicit} truncated
+   flag, bit 1 "stored as segments" — and, for truncated RPL prefixes,
+   the score bound below which entries were dropped.
 
-   v1 rows encoded the truncation flag as [bound > 0.0], so a truncated
-   list whose bound happened to be 0.0 round-tripped as untruncated and
-   TA would never learn it had to certify. v2 rows store the flag
-   explicitly and open with a negative version marker (v1 rows start
-   with a non-negative entry count), so both row versions are read
-   transparently. *)
+   A row without the segment flag, or a v1 row (which opens with a
+   non-negative entry count), describes a list in the pre-segment
+   chunk format: it decodes as absent, so cursors raise [Missing_list]
+   and {!build} rewrites the list through the usual manifest-guarded
+   path. *)
 type catalog_row = {
   cat_entries : int;
   cat_bytes : int;
-  cat_raw_bytes : int;
   cat_bound : float;
   cat_truncated : bool;
-  cat_layout : layout;
 }
 
 let catalog_row_marker = -2
+let flag_truncated = 1
+let flag_segments = 2
 
 let decode_catalog_row v =
   let r = Codec.Reader.of_string v in
   let first = Codec.Reader.varint r in
-  if first >= 0 then begin
-    (* v1: entries, bytes, bound-present flag doubling as truncation. *)
-    let cat_bytes = Codec.Reader.varint r in
-    let cat_truncated = Codec.Reader.varint r = 1 in
-    let cat_bound = if cat_truncated then Codec.Reader.float r else 0.0 in
-    {
-      cat_entries = first;
-      cat_bytes;
-      cat_raw_bytes = cat_bytes;
-      cat_bound;
-      cat_truncated;
-      cat_layout = Raw;
-    }
-  end
+  if first >= 0 then None
   else if first = catalog_row_marker then begin
     let cat_entries = Codec.Reader.uvarint r in
     let cat_bytes = Codec.Reader.uvarint r in
-    let cat_raw_bytes = Codec.Reader.uvarint r in
+    ignore (Codec.Reader.uvarint r);
     let flags = Codec.Reader.uvarint r in
-    let cat_truncated = flags land 1 <> 0 in
-    let cat_layout = if flags land 2 <> 0 then Compressed else Raw in
+    let cat_truncated = flags land flag_truncated <> 0 in
     let cat_bound = if cat_truncated then Codec.Reader.float r else 0.0 in
-    { cat_entries; cat_bytes; cat_raw_bytes; cat_bound; cat_truncated; cat_layout }
+    if flags land flag_segments = 0 then None
+    else Some { cat_entries; cat_bytes; cat_bound; cat_truncated }
   end
   else raise (Codec.Reader.Malformed "Rpl: unknown catalog row version")
 
 let catalog_find index kind ~term ~sid =
   let tbl = Env.table (Index.env index) (catalog_name kind) in
-  match Bptree.find tbl (catalog_key ~term ~sid) with
-  | None -> None
-  | Some v -> Some (decode_catalog_row v)
+  Option.bind (Bptree.find tbl (catalog_key ~term ~sid)) decode_catalog_row
 
-let catalog_put index kind ~term ~sid ~entries ~bytes ~raw_bytes ~truncated
-    ~bound ~layout =
+let catalog_put index kind ~term ~sid ~entries ~bytes ~truncated ~bound =
   let tbl = Env.table (Index.env index) (catalog_name kind) in
   let b = Codec.Buf.create ~capacity:24 () in
   Codec.Buf.add_varint b catalog_row_marker;
   Codec.Buf.add_uvarint b entries;
   Codec.Buf.add_uvarint b bytes;
-  Codec.Buf.add_uvarint b raw_bytes;
-  let flags =
-    (if truncated then 1 else 0)
-    lor (match layout with Compressed -> 2 | Raw -> 0)
-  in
-  Codec.Buf.add_uvarint b flags;
+  Codec.Buf.add_uvarint b bytes;
+  Codec.Buf.add_uvarint b
+    (flag_segments lor if truncated then flag_truncated else 0);
   if truncated then Codec.Buf.add_float b bound;
   Bptree.insert tbl ~key:(catalog_key ~term ~sid) ~value:(Codec.Buf.contents b)
 
@@ -419,24 +376,15 @@ let list_truncated index kind ~term ~sid =
   | Some c -> c.cat_truncated
   | None -> false
 
-let list_layout index kind ~term ~sid =
-  match catalog_find index kind ~term ~sid with
-  | Some c -> Some c.cat_layout
-  | None -> None
-
-let list_raw_bytes index kind ~term ~sid =
-  match catalog_find index kind ~term ~sid with
-  | Some c -> c.cat_raw_bytes
-  | None -> 0
-
 let catalog index kind =
   let tbl = Env.table (Index.env index) (catalog_name kind) in
   let out = ref [] in
   Bptree.iter tbl (fun k v ->
       let term, p = Codec.string_of_key k ~pos:0 in
       let sid, _ = Codec.int_of_key k ~pos:p in
-      let row = decode_catalog_row v in
-      out := (term, sid, row.cat_entries, row.cat_bytes) :: !out);
+      Option.iter
+        (fun row -> out := (term, sid, row.cat_entries, row.cat_bytes) :: !out)
+        (decode_catalog_row v));
   List.rev !out
 
 let total_bytes index kind =
@@ -451,18 +399,6 @@ type build_report = {
   bytes_estimate : int;
 }
 
-let rec chunks_of n l =
-  match l with
-  | [] -> []
-  | _ ->
-      let rec take k acc rest =
-        match (k, rest) with
-        | 0, _ | _, [] -> (List.rev acc, rest)
-        | k, x :: tl -> take (k - 1) (x :: acc) tl
-      in
-      let chunk, rest = take n [] l in
-      chunk :: chunks_of n rest
-
 let compare_rpl_order a b =
   match compare b.score a.score with
   | 0 -> Types.compare_element a.element b.element
@@ -474,28 +410,11 @@ let rec list_take n = function
   | [] -> []
   | x :: rest -> if n <= 0 then [] else x :: list_take (n - 1) rest
 
-let raw_rows kind ~term ~sid sorted =
-  List.filter_map
-    (fun chunk ->
-      match chunk with
-      | [] -> None
-      | first :: _ ->
-          Some (chunk_key kind ~term ~sid first, encode_chunk ~sid chunk))
-    (chunks_of chunk_size sorted)
-
-let compressed_rows kind ~term ~sid sorted =
-  segment_rows ~with_sid:false
-    ~key_of_first:(fun first -> chunk_key kind ~term ~sid first)
-    sorted
-
-let rows_bytes rows =
-  List.fold_left (fun acc (k, v) -> acc + String.length k + String.length v) 0 rows
-
-let write_list index kind ~term ~sid ?prefix ?(layout = Compressed) entries =
+let write_list index kind ~term ~sid ?prefix entries =
   let tbl = Env.table (Index.env index) (table_name kind) in
   (* Clear any chunks left under this pair (e.g. from a list whose drop
      removed the catalog row but crashed before the chunks, or a list
-     being rebuilt in the other layout) so the new list never
+     in the pre-segment format being rebuilt) so the new list never
      interleaves with stale entries. *)
   let stale = ref [] in
   Bptree.iter_prefix tbl ~prefix:(pair_prefix ~term ~sid) (fun k _ ->
@@ -519,29 +438,21 @@ let write_list index kind ~term ~sid ?prefix ?(layout = Compressed) entries =
         (kept, bound, true)
     | (Rpl | Erpl), _ -> (sorted, 0.0, false)
   in
-  (* Both encodings are priced so the advisor can weigh compressed
-     against raw materialization; only the chosen one is stored. *)
-  let raw = raw_rows kind ~term ~sid sorted in
-  let raw_bytes = rows_bytes raw in
-  let rows =
-    match layout with Raw -> raw | Compressed -> compressed_rows kind ~term ~sid sorted
+  let bytes =
+    insert_rows tbl
+      (segment_rows ~with_sid:false
+         ~key_of_first:(fun first -> chunk_key kind ~term ~sid first)
+         sorted)
   in
-  let bytes = rows_bytes rows in
-  List.iter (fun (key, value) -> Bptree.insert tbl ~key ~value) rows;
   catalog_put index kind ~term ~sid ~entries:(List.length sorted) ~bytes
-    ~raw_bytes ~truncated ~bound ~layout;
+    ~truncated ~bound;
   (List.length sorted, bytes)
 
-let build index ~scoring ~sids ~terms ~kinds ?rpl_prefix ?(layout = Compressed) () =
+let build index ~scoring ~sids ~terms ~kinds ?rpl_prefix () =
   let sids = List.sort_uniq compare sids in
-  (* A list materialized in the other layout counts as missing: asking
-     for a layout rebuilds it through the same manifest-guarded path,
-     which is also how pre-existing raw environments migrate. *)
-  let missing kind term sid =
-    match catalog_find index kind ~term ~sid with
-    | None -> true
-    | Some row -> row.cat_layout <> layout
-  in
+  (* A list whose catalog row is absent, or describes the pre-segment
+     format, is (re)built. *)
+  let missing kind term sid = catalog_find index kind ~term ~sid = None in
   let work =
     List.concat_map
       (fun kind ->
@@ -602,7 +513,7 @@ let build index ~scoring ~sids ~terms ~kinds ?rpl_prefix ?(layout = Compressed) 
              | None -> []
            in
            let n, sz =
-             write_list index kind ~term ~sid ?prefix:rpl_prefix ~layout entries
+             write_list index kind ~term ~sid ?prefix:rpl_prefix entries
            in
            built := (term, sid) :: !built;
            entries_written := !entries_written + n;
@@ -653,8 +564,8 @@ module Full = struct
   let table_name = "rpls_full"
   let catalog_name = "rpl_full_catalog"
 
-  (* Paper schema: key (token, ir, SID, docid, endpos); the value chunk
-     carries the 5-tuples (score, sid, docid, endpos, length). *)
+  (* Paper schema: key (token, ir, SID, docid, endpos); the value is a
+     segment of (score, sid, docid, endpos, length) entries. *)
   let chunk_key ~term (first : entry) =
     let e = first.element in
     Codec.concat_keys
@@ -665,34 +576,6 @@ module Full = struct
         Codec.key_of_int e.docid;
         Codec.key_of_int e.endpos;
       ]
-
-  let encode_chunk entries =
-    let b = Codec.Buf.create ~capacity:256 () in
-    Codec.Buf.add_varint b (List.length entries);
-    List.iter
-      (fun { element = e; score } ->
-        Codec.Buf.add_float b score;
-        Codec.Buf.add_varint b e.Types.sid;
-        Codec.Buf.add_varint b e.docid;
-        Codec.Buf.add_varint b e.endpos;
-        Codec.Buf.add_varint b e.length)
-      entries;
-    Codec.Buf.contents b
-
-  let decode_chunk v =
-    let r = Codec.Reader.of_string v in
-    let n = Codec.Reader.varint r in
-    (* In-order loop, not [List.init]: the reader is stateful. *)
-    let out = ref [] in
-    for _ = 1 to n do
-      let score = Codec.Reader.float r in
-      let sid = Codec.Reader.varint r in
-      let docid = Codec.Reader.varint r in
-      let endpos = Codec.Reader.varint r in
-      let length = Codec.Reader.varint r in
-      out := { element = { Types.sid; docid; endpos; length }; score } :: !out
-    done;
-    List.rev !out
 
   let catalog_find index ~term =
     let tbl = Env.table (Index.env index) catalog_name in
@@ -720,7 +603,7 @@ module Full = struct
   let list_bytes index ~term =
     match catalog_find index ~term with Some (_, b) -> b | None -> 0
 
-  let build index ~scoring ?(layout = Compressed) ~terms () =
+  let build index ~scoring ~terms () =
     let missing = List.filter (fun t -> not (is_materialized index ~term:t)) terms in
     if missing = [] then
       {
@@ -749,36 +632,22 @@ module Full = struct
                List.map (fun (element, score) -> { element; score }) scored
                |> List.sort compare_rpl_order
              in
-             let rows =
-               match layout with
-               | Raw ->
-                   List.filter_map
-                     (fun chunk ->
-                       match chunk with
-                       | [] -> None
-                       | first :: _ -> Some (chunk_key ~term first, encode_chunk chunk))
-                     (chunks_of chunk_size sorted)
-               | Compressed ->
-                   (* Full-term segments carry the sid both per entry
-                      and as a per-block bitmap, so a cursor can skip
-                      whole foreign-extent blocks undecoded. *)
-                   segment_rows ~with_sid:true
-                     ~key_of_first:(fun first -> chunk_key ~term first)
-                     sorted
+             (* Full-term segments carry the sid both per entry and
+                as a per-block bitmap, so a cursor can skip whole
+                foreign-extent blocks undecoded. *)
+             let list_bytes =
+               insert_rows tbl
+                 (segment_rows ~with_sid:true
+                    ~key_of_first:(fun first -> chunk_key ~term first)
+                    sorted)
              in
-             let list_bytes = ref 0 in
-             List.iter
-               (fun (key, value) ->
-                 list_bytes := !list_bytes + String.length key + String.length value;
-                 Bptree.insert tbl ~key ~value)
-               rows;
              let b = Codec.Buf.create ~capacity:8 () in
              Codec.Buf.add_varint b (List.length sorted);
-             Codec.Buf.add_varint b !list_bytes;
+             Codec.Buf.add_varint b list_bytes;
              Bptree.insert cat ~key:(Codec.key_of_string term)
                ~value:(Codec.Buf.contents b);
              entries_written := !entries_written + List.length sorted;
-             bytes := !bytes + !list_bytes;
+             bytes := !bytes + list_bytes;
              built := (term, -1) :: !built)
            per_term;
          Env.commit_op env o
@@ -901,20 +770,16 @@ module Full = struct
               match Bptree.Cursor.next c.f_cursor with
               | Some (k, v)
                 when String.length k >= String.length c.f_prefix
-                     && String.sub k 0 (String.length c.f_prefix) = c.f_prefix -> (
-                  match Codec.Block.of_string v with
-                  | Some seg ->
-                      c.f_seg <-
-                        Some
-                          {
-                            fs_seg = seg;
-                            fs_dict = decode_dict (Codec.Block.extra seg);
-                            fs_next = 0;
-                          };
-                      next c
-                  | None ->
-                      c.f_chunk <- decode_chunk v;
-                      next c)
+                     && String.sub k 0 (String.length c.f_prefix) = c.f_prefix ->
+                  let seg = Codec.Block.of_string v in
+                  c.f_seg <-
+                    Some
+                      {
+                        fs_seg = seg;
+                        fs_dict = decode_dict (Codec.Block.extra seg);
+                        fs_next = 0;
+                      };
+                  next c
               | Some _ | None ->
                   c.f_done <- true;
                   None
@@ -1035,20 +900,16 @@ module Cursor = struct
               match Bptree.Cursor.next s.s_cursor with
               | Some (k, v)
                 when String.length k >= String.length s.s_prefix
-                     && String.sub k 0 (String.length s.s_prefix) = s.s_prefix -> (
-                  match Codec.Block.of_string v with
-                  | Some seg ->
-                      s.s_seg <-
-                        Some
-                          {
-                            ss_seg = seg;
-                            ss_dict = decode_dict (Codec.Block.extra seg);
-                            ss_next = 0;
-                          };
-                      stream_next s
-                  | None ->
-                      s.s_chunk <- apply_skip s (decode_chunk ~sid:s.s_sid v);
-                      stream_next s)
+                     && String.sub k 0 (String.length s.s_prefix) = s.s_prefix ->
+                  let seg = Codec.Block.of_string v in
+                  s.s_seg <-
+                    Some
+                      {
+                        ss_seg = seg;
+                        ss_dict = decode_dict (Codec.Block.extra seg);
+                        ss_next = 0;
+                      };
+                  stream_next s
               | Some _ | None ->
                   s.s_done <- true;
                   None

@@ -4,9 +4,13 @@
     Both store, per (term, sid), the scored elements of the extent that
     contain the term; an RPL keeps them in {e descending score} order
     (TA's sorted access), an ERPL in {e document position} order
-    (Merge's sequential scan). Lists are chunked over several B+tree
-    rows keyed by their first entry, and a catalog table records which
-    (term, sid) lists are materialized — the unit of the
+    (Merge's sequential scan). Lists are stored as block-compressed
+    segments: delta+bit-packed blocks with dictionary-coded exact
+    scores, behind a {!Trex_util.Codec.Block} skip directory whose
+    per-block score bounds and positions let cursors skip whole blocks
+    without decoding them (DESIGN.md §7). Each list spans several
+    B+tree rows keyed by their first entry, and a catalog table records
+    which (term, sid) lists are materialized — the unit of the
     self-management decisions.
 
     A deliberate deviation from the paper: the paper keys full-term
@@ -21,18 +25,7 @@ type entry = { element : Trex_invindex.Types.element; score : float }
 
 type kind = Rpl | Erpl
 
-type layout = Raw | Compressed
-(** How a list's chunks are stored. [Raw] is the v1 fixed-width chunk
-    codec; [Compressed] packs delta+varint blocks with
-    dictionary-coded exact scores into {!Trex_util.Codec.Block}
-    segments whose skip directory lets cursors skip whole blocks by
-    score bound or position without decoding them. Values are
-    self-describing, so cursors read either layout (or a mix)
-    transparently; returned entries — scores included — are identical.
-    See DESIGN.md §7. *)
-
 val kind_to_string : kind -> string
-val layout_to_string : layout -> string
 
 val table_name : kind -> string
 (** Env table holding the lists ("rpls" / "erpls"); exposed so the
@@ -63,14 +56,13 @@ val build :
   terms:string list ->
   kinds:kind list ->
   ?rpl_prefix:int ->
-  ?layout:layout ->
   unit ->
   build_report
 (** Run ERA once over (sids, terms) and materialize the missing lists
-    of the requested kinds. Idempotent per (kind, term, sid, layout): a
-    list already stored in [layout] (default [Compressed]) is reused, a
-    list stored in the {e other} layout is rebuilt — which is also how
-    environments written before compression migrate.
+    of the requested kinds. Idempotent per (kind, term, sid): a
+    materialized list is reused. A list whose catalog row describes
+    the pre-segment chunk format counts as missing and is rebuilt, and
+    its stale rows are cleared first.
 
     [rpl_prefix] stores only the [n] highest-scoring entries of each
     RPL — the paper's observation (§4) that "only the part of the RPLs
@@ -82,6 +74,8 @@ val build :
     truncated (Merge needs full lists). *)
 
 val is_materialized : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> bool
+(** Whether the catalog holds a segment-format row for the list; a row
+    left by the pre-segment chunk format does not count. *)
 
 val covers :
   Trex_invindex.Index.t -> kind -> sids:int list -> terms:string list -> bool
@@ -100,14 +94,6 @@ val list_bound : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> floa
 val list_truncated : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> bool
 (** Whether the stored list is a truncated prefix. Carried explicitly
     in the catalog row — a bound of 0.0 does not mean complete. *)
-
-val list_layout : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> layout option
-(** Stored layout of a materialized list; [None] when absent. *)
-
-val list_raw_bytes : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> int
-(** What the list costs (or would cost) stored raw — recorded at write
-    time so the advisor can price compressed against raw
-    materialization. Equals {!list_bytes} for raw lists. *)
 
 val drop : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> unit
 (** Remove one list and its catalog entry (catalog row first, so a
@@ -141,14 +127,13 @@ module Full : sig
   val build :
     Trex_invindex.Index.t ->
     scoring:Trex_scoring.Scorer.config ->
-    ?layout:layout ->
     terms:string list ->
     unit ->
     build_report
   (** Materialize the full RPL of each term not yet built (one ERA pass
-      over all summary extents). Compressed full-term segments carry a
-      per-block sid bitmap, so the skip-scanning cursor drops whole
-      foreign-extent blocks without decoding them. *)
+      over all summary extents). Full-term segments carry a per-block
+      sid bitmap (bit [sid mod 63]), so the skip-scanning cursor drops
+      whole foreign-extent blocks without decoding them. *)
 
   val is_materialized : Trex_invindex.Index.t -> term:string -> bool
 
@@ -173,7 +158,9 @@ module Full : sig
         manifest resolution. *)
 
   val next : cursor -> entry option
-  (** Next entry whose sid belongs to the query, descending score. *)
+  (** Next entry whose sid belongs to the query, descending score.
+      @raise Trex_util.Codec.Reader.Malformed on a stored value that is
+        not a segment. *)
 
   val entries_read : cursor -> int
   (** Entries decoded and consumed. Entries inside bitmap-skipped
@@ -207,7 +194,7 @@ module Cursor : sig
   val set_bound : t -> float -> unit
   (** RPL cursors only: install a score floor the caller has already
       achieved (e.g. the scatter-gather global k-th score). Entries at
-      or below it cannot matter, so compressed blocks whose quantized
+      or below it cannot matter, so blocks whose quantized
       max is within the bound are skipped undecoded and the stream ends
       there — the skip is recorded as a dynamic truncation
       ({!truncation_bound}/{!truncated}), keeping TA's certification
@@ -218,7 +205,9 @@ module Cursor : sig
 
   val next : t -> entry option
   (** Descending score for {!Rpl}; document position order for
-      {!Erpl}. *)
+      {!Erpl}.
+      @raise Trex_util.Codec.Reader.Malformed on a stored value that is
+        not a segment. *)
 
   val skip_to : t -> docid:int -> endpos:int -> unit
   (** ERPL cursors only: discard every entry positioned before

@@ -120,10 +120,10 @@ type term_stream = {
   pull : unit -> Rpl.entry option;
   reads : unit -> int; (* entries consumed, skipped included *)
   skipped : unit -> int;
-  blocks_skipped : unit -> int; (* compressed blocks dropped undecoded *)
+  blocks_skipped : unit -> int; (* segment blocks dropped undecoded *)
   bound : unit -> float;
       (* scores past what the stream served are at most this; dynamic
-         because bound-skipping a compressed block truncates the stream
+         because bound-skipping a block truncates the stream
          at run time *)
   truncated : unit -> bool;
       (* the stream is an incomplete prefix — stored truncated flag or

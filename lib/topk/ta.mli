@@ -25,7 +25,7 @@ type stats = {
       (** offers to a full heap; each one leaves a candidate outside *)
   candidates : int;  (** distinct elements touched *)
   blocks_skipped : int;
-      (** compressed blocks dropped undecoded — the full layout's sid
+      (** segment blocks dropped undecoded — the full layout's sid
           bitmap and the single-term floor skip (see DESIGN.md §7) *)
   stopped_early : bool;  (** threshold fired before exhausting lists *)
   elapsed_seconds : float;  (** heap time excluded when [ideal_heap] *)

@@ -100,32 +100,25 @@ module Buf = struct
   let create ?(capacity = 64) () = Buffer.create capacity
   let contents = Buffer.contents
 
-  let add_varint b n =
-    let z = zigzag n in
-    let rec go z =
-      let low = z land 0x7f in
-      let rest = z lsr 7 in
-      if rest = 0 then Buffer.add_char b (Char.chr low)
-      else (
-        Buffer.add_char b (Char.chr (low lor 0x80));
-        go rest)
-    in
-    go z
+  (* LEB128 of the full 63-bit pattern: [lsr] treats the sign bit as
+     bit 62, so a negative word takes nine bytes, which
+     {!Reader.uvarint} reads back exactly. *)
+  let rec add_word b n =
+    let low = n land 0x7f in
+    let rest = n lsr 7 in
+    if rest = 0 then Buffer.add_char b (Char.chr low)
+    else (
+      Buffer.add_char b (Char.chr (low lor 0x80));
+      add_word b rest)
+
+  let add_varint b n = add_word b (zigzag n)
 
   (* Plain LEB128 for quantities that are non-negative by construction
      (counts, lengths, docids): saves the zig-zag bit and documents the
      invariant at the call site. *)
   let add_uvarint b n =
     if n < 0 then invalid_arg "Codec.Buf.add_uvarint: negative";
-    let rec go n =
-      let low = n land 0x7f in
-      let rest = n lsr 7 in
-      if rest = 0 then Buffer.add_char b (Char.chr low)
-      else (
-        Buffer.add_char b (Char.chr (low lor 0x80));
-        go rest)
-    in
-    go n
+    add_word b n
 
   let add_int64_le b i =
     let tmp = Bytes.create 8 in
@@ -275,10 +268,10 @@ module Block = struct
               | uvarint n_blocks | n x (header, uvarint payload_len)
               | concatenated payloads
 
-     The leading varint is the format discriminant: every v1 row/chunk
-     codec in this repo starts with a non-negative count, so a negative
-     marker makes each value self-describing and lets old and new
-     formats coexist in one table without a rebuild. *)
+     The leading varint is the format check: the fixed-width chunks
+     that predate segments opened with a non-negative count, so a
+     reader handed one fails with [Malformed] instead of misreading
+     it. *)
 
   let marker = -2
 
@@ -335,48 +328,38 @@ module Block = struct
 
   let of_string s =
     let r = Reader.of_string s in
-    match Reader.varint r with
-    | v when v >= 0 -> None (* v1 value: leading non-negative count *)
-    | v when v <> marker ->
-        raise (Reader.Malformed "Codec.Block: unknown segment version")
-    | _ ->
-        let crc_stored = Reader.int32_le r in
-        let body_pos = Reader.pos r in
-        let body_len = String.length s - body_pos in
-        let crc =
-          Crc32.bytes (Bytes.unsafe_of_string s) ~pos:body_pos ~len:body_len
-        in
-        if not (Int32.equal crc crc_stored) then
-          raise (Reader.Malformed "Codec.Block: checksum mismatch");
-        let extra = Reader.string r in
-        let n = Reader.uvarint r in
-        if n > body_len then
-          raise (Reader.Malformed "Codec.Block: implausible block count");
-        let headers = Array.make n "" in
-        let lengths = Array.make n 0 in
-        (* Explicit in-order loop: the reader is stateful, so
-           Array.init/List.init (unspecified application order) would
-           be exactly the bug this module exists to avoid. *)
-        for i = 0 to n - 1 do
-          headers.(i) <- Reader.string r;
-          lengths.(i) <- Reader.uvarint r
-        done;
-        let offsets = Array.make n 0 in
-        let off = ref (Reader.pos r) in
-        for i = 0 to n - 1 do
-          offsets.(i) <- !off;
-          off := !off + lengths.(i)
-        done;
-        if !off <> String.length s then
-          raise (Reader.Malformed "Codec.Block: directory does not cover payload");
-        Some { extra; headers; offsets; lengths; raw = s }
-
-  let is_segment s =
-    String.length s > 0
-    &&
-    match Reader.varint (Reader.of_string s) with
-    | v -> v < 0
-    | exception (Reader.Truncated | Reader.Malformed _) -> false
+    if Reader.varint r <> marker then
+      raise (Reader.Malformed "Codec.Block: not a segment");
+    let crc_stored = Reader.int32_le r in
+    let body_pos = Reader.pos r in
+    let body_len = String.length s - body_pos in
+    let crc =
+      Crc32.bytes (Bytes.unsafe_of_string s) ~pos:body_pos ~len:body_len
+    in
+    if not (Int32.equal crc crc_stored) then
+      raise (Reader.Malformed "Codec.Block: checksum mismatch");
+    let extra = Reader.string r in
+    let n = Reader.uvarint r in
+    if n > body_len then
+      raise (Reader.Malformed "Codec.Block: implausible block count");
+    let headers = Array.make n "" in
+    let lengths = Array.make n 0 in
+    (* Explicit in-order loop: the reader is stateful, so
+       Array.init/List.init (unspecified application order) would
+       be exactly the bug this module exists to avoid. *)
+    for i = 0 to n - 1 do
+      headers.(i) <- Reader.string r;
+      lengths.(i) <- Reader.uvarint r
+    done;
+    let offsets = Array.make n 0 in
+    let off = ref (Reader.pos r) in
+    for i = 0 to n - 1 do
+      offsets.(i) <- !off;
+      off := !off + lengths.(i)
+    done;
+    if !off <> String.length s then
+      raise (Reader.Malformed "Codec.Block: directory does not cover payload");
+    { extra; headers; offsets; lengths; raw = s }
 
   let extra t = t.extra
   let block_count t = Array.length t.headers

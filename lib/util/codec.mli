@@ -58,6 +58,11 @@ module Buf : sig
   (** Plain (non-zig-zag) LEB128 for values that are non-negative by
       construction. @raise Invalid_argument on a negative argument. *)
 
+  val add_word : t -> int -> unit
+  (** The argument's whole 63-bit pattern as LEB128, sign bit included
+      (nine bytes when it is set): for bitmaps, not quantities. Read
+      back by {!Reader.uvarint}. *)
+
   val add_int64_le : t -> int64 -> unit
   val add_int32_le : t -> int32 -> unit
   val add_float : t -> float -> unit
@@ -124,10 +129,9 @@ end
 
 (** Block-compressed segments: several delta-encoded blocks packed into
     one table value behind a skip directory of caller-defined per-block
-    headers, CRC-protected, with lazy per-block decoding. The leading
-    varint of a segment is negative, while every v1 row codec starts
-    with a non-negative count — so values are self-describing and both
-    formats can coexist in one table. *)
+    headers, CRC-protected, with lazy per-block decoding. This is the
+    one storage format of posting, RPL and ERPL values; the leading
+    version marker lets readers refuse anything else. *)
 module Block : sig
   val scale : float
   (** Quantization step denominator for skip-entry score bounds. *)
@@ -159,13 +163,11 @@ module Block : sig
 
   type t
 
-  val of_string : string -> t option
-  (** [None] if the value is a v1 (non-segment) encoding; the parsed
-      directory otherwise. Payloads are not decoded here.
-      @raise Reader.Malformed on checksum mismatch, unknown marker or
-      an inconsistent directory. *)
-
-  val is_segment : string -> bool
+  val of_string : string -> t
+  (** The parsed directory; payloads are not decoded here.
+      @raise Reader.Malformed on a value that is not a segment (such as
+        a pre-segment fixed-width chunk), checksum mismatch or an
+        inconsistent directory. *)
 
   val extra : t -> string
   val block_count : t -> int

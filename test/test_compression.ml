@@ -1,15 +1,22 @@
-(* Raw vs block-compressed layout equivalence.
+(* Block-compressed storage against exhaustive ERA.
 
-   Compression must be invisible to every reader: identical positions
-   from posting iterators, identical entries — exact scores included —
-   from RPL/ERPL cursors, identical rankings from ERA/TA/Merge. These
-   tests build the same corpus in both layouts and compare. *)
+   Segments are the only storage format, so the reference is not a
+   second layout but the evaluation that needs no redundant list:
+   posting iterators must return exactly the positions the source text
+   yields, RPL/ERPL cursors exactly ERA's per-term scored entries
+   (scores bit for bit), and ERA/TA/Merge exactly ERA's exhaustive
+   ranking. Values in the pre-segment chunk format are refused, never
+   decoded. *)
 
+module Codec = Trex_util.Codec
 module Env = Trex_storage.Env
+module Bptree = Trex_storage.Bptree
 module Summary = Trex_summary.Summary
 module Types = Trex_invindex.Types
 module Index = Trex_invindex.Index
 module Tables = Trex_invindex.Tables
+module Analyzer = Trex_text.Analyzer
+module Dom = Trex_xml.Dom
 module Scorer = Trex_scoring.Scorer
 module Answer = Trex_topk.Answer
 module Era = Trex_topk.Era
@@ -20,17 +27,13 @@ module Merge = Trex_topk.Merge
 let check = Alcotest.check
 let scoring = Scorer.default
 
-let build_pair ?(doc_count = 25) ?(seed = 11) () =
-  let mk compress =
-    let coll = Trex_corpus.Gen.ieee ~doc_count ~seed () in
-    let env = Env.in_memory () in
-    let summary = Summary.create ~alias:coll.alias Summary.Incoming in
-    let index = Index.build ~env ~summary ~compress (coll.docs ()) in
-    (index, summary)
-  in
-  (mk false, mk true)
+let build ?(doc_count = 25) ?(seed = 11) () =
+  let coll = Trex_corpus.Gen.ieee ~doc_count ~seed () in
+  let env = Env.in_memory () in
+  let summary = Summary.create ~alias:coll.alias Summary.Incoming in
+  (Index.build ~env ~summary (coll.docs ()), summary)
 
-let fixture = lazy (build_pair ())
+let fixture = lazy (build ())
 
 let queries (index, summary) =
   let translate nexi =
@@ -47,6 +50,9 @@ let queries (index, summary) =
       "//bdy//*[about(., model checking state)]";
       "//article[about(., ontologies)]";
     ]
+
+let exhaustive index ~sids ~terms =
+  Era.score_results index ~scoring ~terms (fst (Era.run index ~sids ~terms))
 
 (* ---- posting segments ---- *)
 
@@ -72,24 +78,50 @@ let test_posting_segment_roundtrip () =
   Alcotest.(check int) "count" (List.length positions) (List.length decoded);
   Alcotest.(check bool) "positions identical" true (positions = decoded)
 
-let test_posting_layouts_agree () =
-  let (raw, raw_summary), (comp, _) = Lazy.force fixture in
+(* Every term's iterator, drained, equals the positions obtained by
+   re-tokenizing the stored sources' text nodes. *)
+let test_posting_iterators_match_source () =
+  let index, _ = Lazy.force fixture in
+  let expected = Hashtbl.create 1024 in
   List.iter
-    (fun (sids, terms) ->
-      let score ix =
-        Era.score_results ix ~scoring ~terms (fst (Era.run ix ~sids ~terms))
+    (fun (d : Tables.Documents.row) ->
+      let rec walk (el : Dom.element) =
+        List.iter
+          (function
+            | Dom.Text { content; start_pos } ->
+                List.iter
+                  (fun (term, offset) ->
+                    let l = Option.value ~default:[] (Hashtbl.find_opt expected term) in
+                    Hashtbl.replace expected term
+                      ({ Types.docid = d.docid; offset } :: l))
+                  (Analyzer.tokenize (Index.analyzer index) ~base_offset:start_pos
+                     content)
+            | Dom.Element child -> walk child)
+          el.children
       in
-      Alcotest.(check bool)
-        (Printf.sprintf "ERA identical (%d sids, %d terms)" (List.length sids)
-           (List.length terms))
-        true
-        (Answer.equal ~eps:0.0 (score raw) (score comp)))
-    (queries (raw, raw_summary))
+      walk (Dom.parse (Option.get (Index.source index d.docid))).root)
+    (Index.documents index);
+  let terms = ref 0 in
+  Index.iter_terms index (fun term ~df:_ ~cf ->
+      incr terms;
+      let it = Index.Posting_iter.create index term in
+      let rec drain acc =
+        let p = Index.Posting_iter.next_position it in
+        if Types.is_m_pos p then List.rev acc else drain (p :: acc)
+      in
+      let got = drain [] in
+      let want =
+        List.sort Types.compare_pos
+          (Option.value ~default:[] (Hashtbl.find_opt expected term))
+      in
+      if got <> want then Alcotest.failf "postings of %S differ from the source" term;
+      check Alcotest.int ("cf " ^ term) cf (List.length got));
+  check Alcotest.int "every source term indexed" (Hashtbl.length expected) !terms
 
 (* ---- RPL/ERPL cursors ---- *)
 
-let materialize index ~sids ~terms ~layout =
-  ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ Rpl.Rpl; Rpl.Erpl ] ~layout ())
+let materialize index ~sids ~terms =
+  ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ Rpl.Rpl; Rpl.Erpl ] ())
 
 let drain c =
   let out = ref [] in
@@ -105,34 +137,51 @@ let drain c =
 let entry_eq (a : Rpl.entry) (b : Rpl.entry) =
   Types.compare_element a.element b.element = 0 && a.score = b.score
 
-let test_cursor_layouts_agree () =
-  let (raw, summary), (comp, _) = Lazy.force fixture in
+let entries_eq a b = List.length a = List.length b && List.for_all2 entry_eq a b
+
+(* ERA's scored entries for one term, in the kind's stored order. *)
+let era_entries index kind ~sids ~term =
+  let results, _ = Era.run index ~sids ~terms:[ term ] in
+  let entries =
+    Era.per_term_scores index ~scoring ~terms:[ term ] results
+    |> List.concat_map snd
+    |> List.map (fun (element, score) -> { Rpl.element; score })
+  in
+  List.sort
+    (fun (a : Rpl.entry) (b : Rpl.entry) ->
+      match kind with
+      | Rpl.Rpl -> (
+          match Float.compare b.score a.score with
+          | 0 -> Types.compare_element a.element b.element
+          | c -> c)
+      | Rpl.Erpl -> Types.compare_element a.element b.element)
+    entries
+
+let test_cursors_equal_era () =
+  let index, summary = Lazy.force fixture in
   List.iter
     (fun (sids, terms) ->
-      materialize raw ~sids ~terms ~layout:Rpl.Raw;
-      materialize comp ~sids ~terms ~layout:Rpl.Compressed;
+      materialize index ~sids ~terms;
       List.iter
         (fun kind ->
           List.iter
             (fun term ->
-              let a = drain (Rpl.Cursor.create raw kind ~term ~sids) in
-              let b = drain (Rpl.Cursor.create comp kind ~term ~sids) in
+              let got = drain (Rpl.Cursor.create index kind ~term ~sids) in
+              let want = era_entries index kind ~sids ~term in
               Alcotest.(check bool)
-                (Printf.sprintf "%s %s bit-identical" (Rpl.kind_to_string kind)
+                (Printf.sprintf "%s %s = ERA, bit for bit" (Rpl.kind_to_string kind)
                    term)
-                true
-                (List.length a = List.length b && List.for_all2 entry_eq a b))
+                true (entries_eq got want))
             terms)
         [ Rpl.Rpl; Rpl.Erpl ])
-    (queries (raw, summary))
+    (queries (index, summary))
 
 let test_skip_to_equals_filtered_scan () =
-  let (raw, summary), (comp, _) = Lazy.force fixture in
-  let sids, terms = List.hd (queries (raw, summary)) in
-  materialize raw ~sids ~terms ~layout:Rpl.Raw;
-  materialize comp ~sids ~terms ~layout:Rpl.Compressed;
+  let index, summary = Lazy.force fixture in
+  let sids, terms = List.hd (queries (index, summary)) in
+  materialize index ~sids ~terms;
   let term = List.hd terms in
-  let full = drain (Rpl.Cursor.create comp Rpl.Erpl ~term ~sids) in
+  let full = drain (Rpl.Cursor.create index Rpl.Erpl ~term ~sids) in
   Alcotest.(check bool) "fixture has entries" true (List.length full > 4);
   (* Aim at the position of an entry past the middle of the stream. *)
   let target = List.nth full (List.length full / 2) in
@@ -145,30 +194,22 @@ let test_skip_to_equals_filtered_scan () =
         || (e.element.Types.docid = docid && e.element.Types.endpos >= endpos))
       full
   in
-  List.iter
-    (fun index ->
-      let c = Rpl.Cursor.create index Rpl.Erpl ~term ~sids in
-      Rpl.Cursor.skip_to c ~docid ~endpos;
-      let got = drain c in
-      Alcotest.(check bool) "skip_to = filtered scan" true
-        (List.length got = List.length expected
-        && List.for_all2 entry_eq got expected);
-      Alcotest.(check bool) "skips recorded" true
-        (Rpl.Cursor.entries_skipped c > 0))
-    [ raw; comp ]
+  let c = Rpl.Cursor.create index Rpl.Erpl ~term ~sids in
+  Rpl.Cursor.skip_to c ~docid ~endpos;
+  Alcotest.(check bool) "skip_to = filtered scan" true (entries_eq (drain c) expected);
+  Alcotest.(check bool) "skips recorded" true (Rpl.Cursor.entries_skipped c > 0)
 
 let test_set_bound_yields_prefix () =
-  let (raw, summary), (comp, _) = Lazy.force fixture in
-  let sids, terms = List.hd (queries (raw, summary)) in
-  materialize raw ~sids ~terms ~layout:Rpl.Raw;
-  materialize comp ~sids ~terms ~layout:Rpl.Compressed;
+  let index, summary = Lazy.force fixture in
+  let sids, terms = List.hd (queries (index, summary)) in
+  materialize index ~sids ~terms;
   let term = List.hd terms in
   let sid = [ List.hd sids ] in
-  let full = drain (Rpl.Cursor.create comp Rpl.Rpl ~term ~sids:sid) in
+  let full = drain (Rpl.Cursor.create index Rpl.Rpl ~term ~sids:sid) in
   if List.length full > 2 then begin
     (* Floor at the median score: everything above it must survive. *)
     let floor = (List.nth full (List.length full / 2)).Rpl.score in
-    let c = Rpl.Cursor.create comp Rpl.Rpl ~term ~sids:sid in
+    let c = Rpl.Cursor.create index Rpl.Rpl ~term ~sids:sid in
     Rpl.Cursor.set_bound c floor;
     let bounded = drain c in
     let rec is_prefix a b =
@@ -193,7 +234,7 @@ let test_set_bound_yields_prefix () =
     end
   end;
   (* ERPL cursors must refuse a score bound. *)
-  let e = Rpl.Cursor.create comp Rpl.Erpl ~term ~sids:sid in
+  let e = Rpl.Cursor.create index Rpl.Erpl ~term ~sids:sid in
   Alcotest.check_raises "ERPL set_bound rejected"
     (Invalid_argument "Rpl.Cursor.set_bound: RPL cursors only") (fun () ->
       Rpl.Cursor.set_bound e 1.0)
@@ -203,86 +244,87 @@ let test_set_bound_yields_prefix () =
 let test_catalog_truncation_flag () =
   (* Fresh index: [Rpl.build] reuses existing complete lists, which
      would turn the prefix build below into a no-op. *)
-  let _, (comp, summary) = build_pair ~doc_count:8 ~seed:5 () in
-  let sids, terms = List.hd (queries (comp, summary)) in
+  let index, summary = build ~doc_count:8 ~seed:5 () in
+  let sids, terms = List.hd (queries (index, summary)) in
   let term = List.hd terms and sid = List.hd sids in
   ignore
-    (Rpl.build comp ~scoring ~sids:[ sid ] ~terms:[ term ] ~kinds:[ Rpl.Rpl ]
+    (Rpl.build index ~scoring ~sids:[ sid ] ~terms:[ term ] ~kinds:[ Rpl.Rpl ]
        ~rpl_prefix:1 ());
   Alcotest.(check bool) "prefix list flagged truncated" true
-    (Rpl.list_truncated comp Rpl.Rpl ~term ~sid);
-  let c = Rpl.Cursor.create comp Rpl.Rpl ~term ~sids:[ sid ] in
+    (Rpl.list_truncated index Rpl.Rpl ~term ~sid);
+  let c = Rpl.Cursor.create index Rpl.Rpl ~term ~sids:[ sid ] in
   Alcotest.(check bool) "cursor sees the flag" true (Rpl.Cursor.truncated c);
-  Rpl.drop comp Rpl.Rpl ~term ~sid;
+  Rpl.drop index Rpl.Rpl ~term ~sid;
   ignore
-    (Rpl.build comp ~scoring ~sids:[ sid ] ~terms:[ term ] ~kinds:[ Rpl.Rpl ] ());
+    (Rpl.build index ~scoring ~sids:[ sid ] ~terms:[ term ] ~kinds:[ Rpl.Rpl ] ());
   Alcotest.(check bool) "complete list not truncated" false
-    (Rpl.list_truncated comp Rpl.Rpl ~term ~sid);
+    (Rpl.list_truncated index Rpl.Rpl ~term ~sid);
   check (Alcotest.float 0.0) "complete list bound 0.0" 0.0
-    (Rpl.list_bound comp Rpl.Rpl ~term ~sid)
+    (Rpl.list_bound index Rpl.Rpl ~term ~sid)
 
 (* ---- strategy rank identity ---- *)
 
-let test_strategies_rank_identical_across_layouts () =
-  let (raw, summary), (comp, _) = Lazy.force fixture in
+let test_strategies_rank_identical_to_era () =
+  let index, summary = Lazy.force fixture in
   List.iter
     (fun (sids, terms) ->
-      materialize raw ~sids ~terms ~layout:Rpl.Raw;
-      materialize comp ~sids ~terms ~layout:Rpl.Compressed;
-      let ta ix = fst (Ta.run ix ~sids ~terms ~k:10 ()) in
-      let merge ix = fst (Merge.run ix ~sids ~terms) in
-      Alcotest.(check bool) "TA identical" true
-        (Answer.equal ~eps:0.0 (ta raw) (ta comp));
-      Alcotest.(check bool) "Merge identical" true
-        (Answer.equal ~eps:0.0 (merge raw) (merge comp)))
-    (queries (raw, summary))
+      materialize index ~sids ~terms;
+      let era = exhaustive index ~sids ~terms in
+      Alcotest.(check bool) "fixture has answers" true (era <> []);
+      List.iter
+        (fun k ->
+          let strategy m =
+            Answer.top_k
+              (Trex_topk.Strategy.evaluate index ~scoring ~sids ~terms ~k m)
+                .Trex_topk.Strategy.answers k
+          in
+          let want = Answer.top_k era k in
+          Alcotest.(check bool) (Printf.sprintf "ERA k=%d" k) true
+            (Answer.equal ~eps:0.0 want (strategy Trex_topk.Strategy.Era_method));
+          Alcotest.(check bool) (Printf.sprintf "TA k=%d" k) true
+            (Answer.equal want (fst (Ta.run index ~sids ~terms ~k ()))))
+        [ 1; 10; 1000 ];
+      Alcotest.(check bool) "Merge = exhaustive ERA" true
+        (Answer.equal ~eps:0.0 era (fst (Merge.run index ~sids ~terms))))
+    (queries (index, summary))
 
 let test_full_rpl_skip_identical () =
-  let (raw, summary), (comp, _) = Lazy.force fixture in
-  let sids, terms = List.hd (queries (raw, summary)) in
-  ignore (Rpl.Full.build raw ~scoring ~layout:Rpl.Raw ~terms ());
-  ignore (Rpl.Full.build comp ~scoring ~layout:Rpl.Compressed ~terms ());
-  materialize raw ~sids ~terms ~layout:Rpl.Raw;
-  materialize comp ~sids ~terms ~layout:Rpl.Compressed;
-  let run ix ~use_full_rpls =
-    fst (Ta.run ix ~sids ~terms ~k:10 ~use_full_rpls ())
-  in
-  let base = run raw ~use_full_rpls:false in
-  List.iter
-    (fun (name, answers) ->
-      Alcotest.(check bool) (name ^ " identical") true
-        (Answer.equal ~eps:0.0 base answers))
-    [
-      ("full-rpl raw", run raw ~use_full_rpls:true);
-      ("full-rpl compressed", run comp ~use_full_rpls:true);
-      ("pair compressed", run comp ~use_full_rpls:false);
-    ]
+  let index, summary = Lazy.force fixture in
+  let sids, terms = List.hd (queries (index, summary)) in
+  ignore (Rpl.Full.build index ~scoring ~terms ());
+  materialize index ~sids ~terms;
+  let run ~use_full_rpls = fst (Ta.run index ~sids ~terms ~k:10 ~use_full_rpls ()) in
+  let pair = run ~use_full_rpls:false in
+  Alcotest.(check bool) "pair lists = ERA" true
+    (Answer.equal (Answer.top_k (exhaustive index ~sids ~terms) 10) pair);
+  Alcotest.(check bool) "full-term lists = pair lists" true
+    (Answer.equal ~eps:0.0 pair (run ~use_full_rpls:true))
 
-(* Compressed full-term segments carry a per-block sid bitmap; skipped
-   blocks must actually be skipped, not just produce the same answer.
-   A single rare sid is the best case: blocks without its hash bit are
-   dropped undecoded. *)
+let drain_full c =
+  let out = ref [] in
+  let rec go () =
+    match Rpl.Full.next c with
+    | Some e ->
+        out := e :: !out;
+        go ()
+    | None -> List.rev !out
+  in
+  go ()
+
+(* Full-term segments carry a per-block sid bitmap; skipped blocks must
+   actually be skipped, not just produce the same answer. A single rare
+   sid is the best case: blocks without its hash bit are dropped
+   undecoded. *)
 let test_full_rpl_bitmap_skips_blocks () =
   (* Enough docs that a term's full RPL spans several blocks, some of
      which hold only foreign-extent entries. *)
-  let _, (comp, summary) = build_pair ~doc_count:60 ~seed:3 () in
-  let _, terms = List.hd (queries (comp, summary)) in
-  ignore (Rpl.Full.build comp ~scoring ~layout:Rpl.Compressed ~terms ());
+  let index, summary = build ~doc_count:60 ~seed:3 () in
+  let _, terms = List.hd (queries (index, summary)) in
+  ignore (Rpl.Full.build index ~scoring ~terms ());
   let term = List.hd terms in
-  let drain_full c =
-    let out = ref [] in
-    let rec go () =
-      match Rpl.Full.next c with
-      | Some e ->
-          out := e :: !out;
-          go ()
-      | None -> List.rev !out
-    in
-    go ()
-  in
   (* Census pass over every extent, then target the rarest sid. *)
   let all_sids = Summary.sids summary in
-  let everything = drain_full (Rpl.Full.cursor comp ~term ~sids:all_sids) in
+  let everything = drain_full (Rpl.Full.cursor index ~term ~sids:all_sids) in
   Alcotest.(check bool) "multi-block fixture" true
     (List.length everything > 256);
   let by_sid = Hashtbl.create 16 in
@@ -296,16 +338,148 @@ let test_full_rpl_bitmap_skips_blocks () =
       (fun s n (bs, bn) -> if n < bn then (s, n) else (bs, bn))
       by_sid (-1, max_int)
   in
-  let c = Rpl.Full.cursor comp ~term ~sids:[ rare ] in
+  let c = Rpl.Full.cursor index ~term ~sids:[ rare ] in
   let got = drain_full c in
   let expected =
     List.filter (fun (e : Rpl.entry) -> e.element.Types.sid = rare) everything
   in
-  Alcotest.(check bool) "skip-scan equals filtered scan" true
-    (List.length got = List.length expected
-    && List.for_all2 entry_eq got expected);
+  Alcotest.(check bool) "skip-scan equals filtered scan" true (entries_eq got expected);
   Alcotest.(check bool) "blocks skipped by bitmap" true
     (Rpl.Full.blocks_skipped c > 0)
+
+(* With 63 or more extents some sid hashes to bit 62, OCaml's sign
+   bit, and the block bitmap goes negative: it must still be written,
+   and read back with the same skip decisions. The full-term lists
+   then serve the five IEEE Table-1 queries exactly as the
+   per-(term, sid) lists do. *)
+let test_full_rpl_sign_bit_sids () =
+  let coll = Trex_corpus.Gen.ieee ~doc_count:120 ~seed:42 () in
+  let engine = Trex.build ~env:(Env.in_memory ()) ~alias:coll.alias (coll.docs ()) in
+  let index = Trex.index engine in
+  let extents = List.length (Summary.sids (Index.summary index)) in
+  Alcotest.(check bool) (Printf.sprintf "%d sids >= 63" extents) true (extents >= 63);
+  List.iter
+    (fun (q : Trex_corpus.Queries.t) ->
+      let tr = Trex.translate engine (Trex.parse engine q.nexi) in
+      let sids = Trex.Translate.all_sids tr and terms = Trex.Translate.all_terms tr in
+      materialize index ~sids ~terms;
+      ignore (Rpl.Full.build index ~scoring ~terms ());
+      List.iter
+        (fun k ->
+          let run ~use_full_rpls =
+            fst (Ta.run index ~sids ~terms ~k ~use_full_rpls ())
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "query %s k=%d full = pair, bit for bit" q.id k)
+            true
+            (Answer.equal ~eps:0.0 (run ~use_full_rpls:false)
+               (run ~use_full_rpls:true)))
+        [ 10; 1000 ])
+    (Trex_corpus.Queries.for_collection Trex_corpus.Queries.Ieee)
+
+(* ---- pre-segment formats are refused ---- *)
+
+(* A value in the fixed-width chunk format that predates segments: a
+   non-negative entry count, then per-entry fields. *)
+let chunk_value () =
+  let b = Codec.Buf.create () in
+  Codec.Buf.add_varint b 1;
+  Codec.Buf.add_varint b 0;
+  Codec.Buf.add_varint b 5;
+  Codec.Buf.contents b
+
+let raises_malformed f =
+  match f () with
+  | _ -> false
+  | exception Codec.Reader.Malformed _ -> true
+
+let test_legacy_catalog_rows_absent () =
+  let index, summary = build ~doc_count:8 ~seed:5 () in
+  let sids, terms = List.hd (queries (index, summary)) in
+  let term = List.hd terms and sid = List.hd sids in
+  let env = Index.env index in
+  let legacy_rows =
+    let b = Codec.Buf.create () in
+    (* v1: entry count, bytes, no truncation *)
+    List.iter (Codec.Buf.add_varint b) [ 3; 40; 0 ];
+    let v1 = Codec.Buf.contents b in
+    let b = Codec.Buf.create () in
+    (* v2 without the segment flag: marker, entries, bytes, bytes, flags *)
+    Codec.Buf.add_varint b (-2);
+    List.iter (Codec.Buf.add_uvarint b) [ 3; 40; 40; 0 ];
+    [ ("v1", v1); ("unflagged v2", Codec.Buf.contents b) ]
+  in
+  List.iter
+    (fun (name, row) ->
+      List.iter
+        (fun kind ->
+          let key = Codec.concat_keys [ Codec.key_of_string term; Codec.key_of_int sid ] in
+          Bptree.insert (Env.table env (Rpl.catalog_name kind)) ~key ~value:row;
+          (* A stale chunk under the pair, as the old format left it. *)
+          Bptree.insert
+            (Env.table env (Rpl.table_name kind))
+            ~key:(key ^ "\xff") ~value:(chunk_value ());
+          let label = Printf.sprintf "%s %s row" name (Rpl.kind_to_string kind) in
+          Alcotest.(check bool) (label ^ " not materialized") false
+            (Rpl.is_materialized index kind ~term ~sid);
+          Alcotest.(check bool) (label ^ " not listed") false
+            (List.exists (fun (t, s, _, _) -> t = term && s = sid) (Rpl.catalog index kind));
+          (match Rpl.Cursor.create index kind ~term ~sids:[ sid ] with
+          | _ -> Alcotest.failf "%s: cursor created" label
+          | exception Rpl.Cursor.Missing_list _ -> ());
+          let report =
+            Rpl.build index ~scoring ~sids:[ sid ] ~terms:[ term ] ~kinds:[ kind ] ()
+          in
+          check Alcotest.(list (pair string int)) (label ^ " rebuilt")
+            [ (term, sid) ] report.pairs_built;
+          Alcotest.(check bool) (label ^ " materialized") true
+            (Rpl.is_materialized index kind ~term ~sid);
+          Alcotest.(check bool) (label ^ " stale chunk cleared, entries = ERA") true
+            (entries_eq
+               (drain (Rpl.Cursor.create index kind ~term ~sids:[ sid ]))
+               (era_entries index kind ~sids:[ sid ] ~term)))
+        [ Rpl.Rpl; Rpl.Erpl ])
+    legacy_rows
+
+let test_attach_refuses_unsegmented_postings () =
+  let index, _ = build ~doc_count:4 ~seed:5 () in
+  let env = Index.env index in
+  let meta = Env.table env Tables.meta_table in
+  let key = Codec.key_of_string "postings_layout" in
+  ignore (Index.attach env);
+  Bptree.insert meta ~key ~value:"raw";
+  Alcotest.check_raises "layout raw" (Index.Unsupported_postings (Some "raw"))
+    (fun () -> ignore (Index.attach env));
+  ignore (Bptree.remove meta key);
+  Alcotest.check_raises "layout missing" (Index.Unsupported_postings None)
+    (fun () -> ignore (Index.attach env))
+
+let test_non_segment_values_refused () =
+  let index, summary = build ~doc_count:4 ~seed:5 () in
+  let env = Index.env index in
+  (* A posting row of an otherwise unknown token. *)
+  Bptree.insert
+    (Env.table env Tables.Posting_lists.name)
+    ~key:(Tables.Posting_lists.key ~token:"zzlegacy" ~first:{ Types.docid = 0; offset = 5 })
+    ~value:(chunk_value ());
+  Alcotest.(check bool) "decode_value refuses" true
+    (raises_malformed (fun () -> Tables.Posting_lists.decode_value (chunk_value ())));
+  let it = Index.Posting_iter.create index "zzlegacy" in
+  Alcotest.(check bool) "posting iterator refuses" true
+    (raises_malformed (fun () -> Index.Posting_iter.next_position it));
+  (* A list value behind a valid catalog row. *)
+  let sids, terms = List.hd (queries (index, summary)) in
+  let term = List.hd terms and sid = List.hd sids in
+  ignore (Rpl.build index ~scoring ~sids:[ sid ] ~terms:[ term ] ~kinds:[ Rpl.Erpl ] ());
+  let tbl = Env.table env (Rpl.table_name Rpl.Erpl) in
+  let prefix = Codec.concat_keys [ Codec.key_of_string term; Codec.key_of_int sid ] in
+  let keys = ref [] in
+  Bptree.iter_prefix tbl ~prefix (fun k _ -> keys := k :: !keys);
+  Alcotest.(check bool) "list has rows" true (!keys <> []);
+  List.iter (fun key -> Bptree.insert tbl ~key ~value:(chunk_value ())) !keys;
+  Alcotest.(check bool) "list cursor refuses" true
+    (raises_malformed (fun () ->
+         drain (Rpl.Cursor.create index Rpl.Erpl ~term ~sids:[ sid ])))
 
 let () =
   Alcotest.run "trex_compression"
@@ -314,13 +488,12 @@ let () =
         [
           Alcotest.test_case "segment roundtrip" `Quick
             test_posting_segment_roundtrip;
-          Alcotest.test_case "layouts agree under ERA" `Quick
-            test_posting_layouts_agree;
+          Alcotest.test_case "iterators match the source text" `Quick
+            test_posting_iterators_match_source;
         ] );
       ( "cursors",
         [
-          Alcotest.test_case "entries bit-identical" `Quick
-            test_cursor_layouts_agree;
+          Alcotest.test_case "entries bit-identical" `Quick test_cursors_equal_era;
           Alcotest.test_case "skip_to = filtered scan" `Quick
             test_skip_to_equals_filtered_scan;
           Alcotest.test_case "set_bound yields a prefix" `Quick
@@ -330,11 +503,22 @@ let () =
         ] );
       ( "strategies",
         [
-          Alcotest.test_case "rank identity across layouts" `Quick
-            test_strategies_rank_identical_across_layouts;
+          Alcotest.test_case "rank identity with exhaustive ERA" `Quick
+            test_strategies_rank_identical_to_era;
           Alcotest.test_case "full-RPL skip identical" `Quick
             test_full_rpl_skip_identical;
           Alcotest.test_case "sid bitmap skips blocks" `Quick
             test_full_rpl_bitmap_skips_blocks;
+          Alcotest.test_case "full-RPL over 63+ sids" `Quick
+            test_full_rpl_sign_bit_sids;
+        ] );
+      ( "legacy",
+        [
+          Alcotest.test_case "pre-segment catalog rows are absent" `Quick
+            test_legacy_catalog_rows_absent;
+          Alcotest.test_case "attach refuses unsegmented postings" `Quick
+            test_attach_refuses_unsegmented_postings;
+          Alcotest.test_case "non-segment values refused" `Quick
+            test_non_segment_values_refused;
         ] );
     ]

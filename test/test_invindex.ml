@@ -68,14 +68,19 @@ let test_posting_chunk_roundtrip () =
       { Types.docid = 2; offset = 1000 };
     ]
   in
-  let _, v = Tables.Posting_lists.encode_chunk ~token:"fox" positions in
-  check Alcotest.bool "roundtrip" true
-    (Tables.Posting_lists.decode_chunk v = positions)
+  match Tables.Posting_lists.segment_rows ~token:"fox" positions with
+  | [ (k, v) ] ->
+      check Alcotest.string "keyed by the first position"
+        (Tables.Posting_lists.key ~token:"fox" ~first:(List.hd positions))
+        k;
+      check Alcotest.bool "roundtrip" true
+        (Tables.Posting_lists.decode_value v = positions)
+  | rows -> Alcotest.failf "%d rows for four positions" (List.length rows)
 
 let test_posting_chunk_empty_rejected () =
   Alcotest.(check bool) "empty chunk" true
     (try
-       ignore (Tables.Posting_lists.encode_chunk ~token:"t" []);
+       ignore (Tables.Posting_lists.segment_rows ~token:"t" []);
        false
      with Invalid_argument _ -> true)
 
@@ -162,17 +167,25 @@ let test_posting_iterator () =
     fox
 
 let test_posting_chunks_span_rows () =
-  (* 200 occurrences exceed the 64-entry chunk size, so the posting list
-     spans several B+tree rows; iteration must splice them seamlessly. *)
-  let body = String.concat " " (List.init 200 (fun i -> Printf.sprintf "zz x%d" i)) in
+  (* 5,000 occurrences fill more than one segment row (each row holds
+     ~1.5KB of 128-entry blocks); iteration must splice blocks and rows
+     seamlessly. *)
+  let n = 5000 in
+  let body = String.concat " " (List.init n (fun i -> Printf.sprintf "zz x%d" i)) in
   let env = Env.in_memory () in
   let summary = Summary.create Summary.Incoming in
   let index =
     Index.build ~env ~summary ~analyzer:Analyzer.exact
       (List.to_seq [ ("big.xml", "<a>" ^ body ^ "</a>") ])
   in
+  let rows = ref 0 in
+  Trex_storage.Bptree.iter_prefix
+    (Env.table env Tables.Posting_lists.name)
+    ~prefix:(Tables.Posting_lists.token_prefix "zz")
+    (fun _ _ -> incr rows);
+  check Alcotest.bool "several rows" true (!rows > 1);
   let positions = collect_positions index "zz" in
-  check Alcotest.int "all occurrences" 200 (List.length positions);
+  check Alcotest.int "all occurrences" n (List.length positions);
   let sorted = List.sort Types.compare_pos positions in
   check Alcotest.bool "ordered across chunks" true (positions = sorted)
 

@@ -344,10 +344,10 @@ let test_measure_and_apply () =
     (fun (id, choice) ->
       let qq = Option.get (Workload.find w id) in
       match choice with
-      | Advisor.Use_rpl | Advisor.Use_rpl_raw ->
+      | Advisor.Use_rpl ->
           let answers, _ = Ta.run index ~sids:qq.sids ~terms:qq.terms ~k:qq.k () in
           ignore answers
-      | Advisor.Use_erpl | Advisor.Use_erpl_raw ->
+      | Advisor.Use_erpl ->
           let answers, _ = Merge.run index ~sids:qq.sids ~terms:qq.terms in
           ignore answers
       | Advisor.No_index -> ())

@@ -576,6 +576,17 @@ let prop_uvarint_roundtrip =
       Codec.Buf.add_uvarint b n;
       Codec.Reader.uvarint (Codec.Reader.of_string (Codec.Buf.contents b)) = n)
 
+(* Bitmaps use all 63 bits: bit 62 is the sign bit, so a word is any
+   int, negative ones included. *)
+let prop_word_roundtrip =
+  QCheck.Test.make ~name:"word roundtrip, sign bit included" ~count:500
+    QCheck.(oneof [ int; oneofl [ min_int; -1; max_int; 1 lsl 62 ] ])
+    (fun n ->
+      let b = Codec.Buf.create () in
+      Codec.Buf.add_word b n;
+      let r = Codec.Reader.of_string (Codec.Buf.contents b) in
+      Codec.Reader.uvarint r = n && Codec.Reader.at_end r)
+
 let prop_bitpack_roundtrip =
   QCheck.Test.make ~name:"bitpack roundtrip at exact width" ~count:500
     QCheck.(pair (int_bound Codec.Bitpack.max_width) (list small_nat))
@@ -630,20 +641,17 @@ let prop_block_segment_roundtrip =
       List.iter
         (fun (header, payload) -> Codec.Block.Writer.add w ~header ~payload)
         blocks;
-      let s = Codec.Block.Writer.contents ~extra w in
-      match Codec.Block.of_string s with
-      | None -> false
-      | Some seg ->
-          Codec.Block.extra seg = extra
-          && Codec.Block.block_count seg = List.length blocks
-          && List.for_all2
-               (fun i (header, payload) ->
-                 let h = Codec.Block.header seg i in
-                 let p = Codec.Block.payload seg i in
-                 Codec.Reader.raw h (String.length header) = header
-                 && Codec.Reader.raw p (String.length payload) = payload)
-               (List.init (List.length blocks) Fun.id)
-               blocks)
+      let seg = Codec.Block.of_string (Codec.Block.Writer.contents ~extra w) in
+      Codec.Block.extra seg = extra
+      && Codec.Block.block_count seg = List.length blocks
+      && List.for_all2
+           (fun i (header, payload) ->
+             let h = Codec.Block.header seg i in
+             let p = Codec.Block.payload seg i in
+             Codec.Reader.raw h (String.length header) = header
+             && Codec.Reader.raw p (String.length payload) = payload)
+           (List.init (List.length blocks) Fun.id)
+           blocks)
 
 let prop_block_segment_corruption_detected =
   QCheck.Test.make ~name:"corrupt segment never decodes" ~count:300
@@ -659,12 +667,10 @@ let prop_block_segment_corruption_detected =
       Bytes.set b byte
         (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl bit)));
       (* A single flipped bit must never yield a valid segment: the CRC
-         rejects it (Malformed), the length prefix overruns (Truncated),
-         or the marker no longer reads as a segment (None — handed to
-         the v1 decoder, which has its own checks). *)
+         or the marker check rejects it (Malformed), or the length
+         prefix overruns (Truncated). *)
       match Codec.Block.of_string (Bytes.to_string b) with
-      | None -> true
-      | Some _ -> false
+      | _ -> false
       | exception (Codec.Reader.Malformed _ | Codec.Reader.Truncated) -> true)
 
 let qtest = QCheck_alcotest.to_alcotest
@@ -694,6 +700,7 @@ let () =
             test_malformed_varints;
           Alcotest.test_case "bitpack bounds" `Quick test_bitpack_bounds;
           qtest prop_uvarint_roundtrip;
+          qtest prop_word_roundtrip;
           qtest prop_bitpack_roundtrip;
           qtest prop_block_segment_roundtrip;
           qtest prop_block_segment_corruption_detected;
