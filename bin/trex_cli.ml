@@ -53,6 +53,13 @@ let alias_of_name = function
   | "none" -> Trex.Alias.identity
   | other -> failwith (Printf.sprintf "unknown alias set %S (ieee|wiki|none)" other)
 
+let method_of_string = function
+  | "era" -> Trex.Strategy.Era_method
+  | "ta" -> Trex.Strategy.Ta_method
+  | "ita" -> Trex.Strategy.Ita_method
+  | "merge" -> Trex.Strategy.Merge_method
+  | other -> failwith (Printf.sprintf "unknown method %S" other)
+
 (* ---- gen ---- *)
 
 let gen_cmd =
@@ -184,17 +191,9 @@ let query_cmd =
         if structured then
           Trex.query_structured engine ~k ?deadline_ms ?page_budget nexi
         else
-          let m =
-            Option.map
-              (function
-                | "era" -> Trex.Strategy.Era_method
-                | "ta" -> Trex.Strategy.Ta_method
-                | "ita" -> Trex.Strategy.Ita_method
-                | "merge" -> Trex.Strategy.Merge_method
-                | other -> failwith (Printf.sprintf "unknown method %S" other))
-              method_
-          in
-          Trex.query engine ~k ?method_:m ~strict ?deadline_ms ?page_budget nexi
+          Trex.query engine ~k
+            ?method_:(Option.map method_of_string method_)
+            ~strict ?deadline_ms ?page_budget nexi
       with Trex_nexi.Parser.Syntax_error { message; pos } ->
         Trex.Env.close storage;
         syntax_error "query" ~message ~pos
@@ -877,16 +876,7 @@ let shard_query_cmd =
     let want_trace = trace || trace_out <> None in
     if want_trace then Trex.Obs.Span.set_enabled true;
     if journal then Trex.Obs.Journal.set_enabled true;
-    let m =
-      Option.map
-        (function
-          | "era" -> Trex.Strategy.Era_method
-          | "ta" -> Trex.Strategy.Ta_method
-          | "ita" -> Trex.Strategy.Ita_method
-          | "merge" -> Trex.Strategy.Merge_method
-          | other -> failwith (Printf.sprintf "unknown method %S" other))
-        method_
-    in
+    let m = Option.map method_of_string method_ in
     let r =
       try
         if process then begin
@@ -1104,13 +1094,6 @@ let parse_remotes specs =
       | None ->
           failwith (Printf.sprintf "--remote expects NAME=HOST:PORT, got %S" spec))
     specs
-
-let method_of_string = function
-  | "era" -> Trex.Strategy.Era_method
-  | "ta" -> Trex.Strategy.Ta_method
-  | "ita" -> Trex.Strategy.Ita_method
-  | "merge" -> Trex.Strategy.Merge_method
-  | other -> failwith (Printf.sprintf "unknown method %S" other)
 
 let serve_cmd =
   let dir =

@@ -70,6 +70,7 @@ type outcome = {
   k : int;
   degraded : bool;
   fallbacks : Strategy.failover list;
+  pages_used : int;
 }
 
 let mk_guard ?deadline_ms ?page_budget () =
@@ -77,38 +78,46 @@ let mk_guard ?deadline_ms ?page_budget () =
   | None, None -> None
   | _ -> Some (Guard.create ?deadline_ms ?page_budget ())
 
+let pages_used = function Some g -> Guard.pages_used g | None -> 0
+
+let evaluate t ~k ?method_ ~strict ~floor ?deadline_ms ?page_budget ast =
+  let translation = Obs.Span.with_ ~name:"translate" (fun () -> translate t ast) in
+  let sids = Translate.all_sids translation in
+  let terms = Translate.all_terms translation in
+  (* With no matching extent or no query term there is nothing to
+     read: ERA answers that empty retrieval without touching an index,
+     where TA and Merge would need lists that cannot exist. *)
+  let method_ = if sids = [] || terms = [] then Some Strategy.Era_method else method_ in
+  let guard = mk_guard ?deadline_ms ?page_budget () in
+  let strategy, fallbacks =
+    Strategy.evaluate_resilient t.index ~scoring:t.scoring ~sids ~terms ~k
+      ?guard ~floor ?method_ ()
+  in
+  (* Entries at or below the floor cannot enter the caller's top k;
+     strict keeps the target extent only. Unfloored vague queries skip
+     the pass. *)
+  let answers =
+    if floor <= 0.0 && not strict then strategy.Strategy.answers
+    else
+      let target = translation.Translate.target_sids in
+      List.filter
+        (fun (e : Answer.entry) ->
+          e.score > floor && ((not strict) || List.mem e.element.Types.sid target))
+        strategy.Strategy.answers
+  in
+  (* ERA and Merge compute all answers; present a consistent top-k. *)
+  let strategy = { strategy with Strategy.answers = Answer.top_k answers k } in
+  let degraded = strategy.Strategy.degraded in
+  { translation; strategy; k; degraded; fallbacks; pages_used = pages_used guard }
+
 let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget nexi =
   Obs.Span.with_ ~name:"query" @@ fun () ->
   (* The journal label makes records carry the NEXI text the caller
      actually posed (and digest by it), not just the translated
      (sids, terms) shape. *)
-  Obs.Journal.set_label (Some nexi);
-  Fun.protect ~finally:(fun () -> Obs.Journal.set_label None) @@ fun () ->
-  let translation =
-    Obs.Span.with_ ~name:"parse+translate" (fun () -> translate t (parse t nexi))
-  in
-  let sids = Translate.all_sids translation in
-  let terms = Translate.all_terms translation in
-  let guard = mk_guard ?deadline_ms ?page_budget () in
-  let strategy, fallbacks =
-    Strategy.evaluate_resilient t.index ~scoring:t.scoring ~sids ~terms ~k
-      ?guard ?method_ ()
-  in
-  let strategy =
-    if not strict then strategy
-    else begin
-      let target = translation.Translate.target_sids in
-      let answers =
-        List.filter
-          (fun (e : Answer.entry) -> List.mem e.element.Types.sid target)
-          strategy.Strategy.answers
-      in
-      { strategy with Strategy.answers }
-    end
-  in
-  (* ERA and Merge compute all answers; present a consistent top-k. *)
-  let strategy = { strategy with Strategy.answers = Answer.top_k strategy.Strategy.answers k } in
-  { translation; strategy; k; degraded = strategy.Strategy.degraded; fallbacks }
+  Obs.Journal.with_label nexi @@ fun () ->
+  let ast = Obs.Span.with_ ~name:"parse" (fun () -> parse t nexi) in
+  evaluate t ~k ?method_ ~strict ~floor:0.0 ?deadline_ms ?page_budget ast
 
 (* Unique extent element of [sid] containing [inner], if any: extents
    are nesting-free, so at most one candidate exists and a single B+tree
@@ -156,8 +165,7 @@ let element_has_phrase t (e : Types.element) phrase =
 
 let query_structured t ?(k = 10) ?deadline_ms ?page_budget nexi =
   Obs.Span.with_ ~name:"query_structured" @@ fun () ->
-  Obs.Journal.set_label (Some nexi);
-  Fun.protect ~finally:(fun () -> Obs.Journal.set_label None) @@ fun () ->
+  Obs.Journal.with_label nexi @@ fun () ->
   (* The structured evaluator drives ERA directly, bypassing Strategy's
      journaling hook, so it writes its own record under the synthetic
      strategy name "structured". *)
@@ -276,7 +284,8 @@ let query_structured t ?(k = 10) ?deadline_ms ?page_budget nexi =
            ~sids:(Translate.all_sids translation)
            ~terms:(Translate.all_terms translation)
            ~k ~degraded:!degraded ()));
-  { translation; strategy; k; degraded = !degraded; fallbacks = [] }
+  let degraded = !degraded in
+  { translation; strategy; k; degraded; fallbacks = []; pages_used = pages_used guard }
 
 (* ---- index management ---- *)
 

@@ -100,7 +100,36 @@ type outcome = {
           possibly-partial best-effort prefix *)
   fallbacks : Strategy.failover list;
       (** methods abandoned after storage failures on this query *)
+  pages_used : int;  (** physical page reads charged to the guard (0 without one) *)
 }
+
+val evaluate :
+  t ->
+  k:int ->
+  ?method_:Strategy.method_ ->
+  strict:bool ->
+  floor:float ->
+  ?deadline_ms:float ->
+  ?page_budget:int ->
+  Ast.query ->
+  outcome
+(** The one evaluation of a parsed query on this environment, behind
+    {!query}, both shard dispatches and the shard worker: translate,
+    evaluate the union of the (sids, terms) — the paper's retrieval
+    unit — keep the entries scoring above [floor] (a scatter's global
+    k-th score; [<= 0] filters nothing), in the target extent when
+    [strict], and truncate to [k]. The method defaults to
+    {!Strategy.choose}'s pick; a translation with no sid or no term is
+    answered by ERA, which has nothing to read.
+
+    Resilience: [deadline_ms]/[page_budget] arm a {!Guard}; on expiry
+    the run stops where it is and returns best-effort answers with
+    [degraded = true] instead of raising. Storage failures
+    ([Pager.Corruption], retry exhaustion) inside TA/ITA/Merge trip the
+    affected tables' circuit breakers and the query transparently falls
+    back to the next surviving method (recorded in [fallbacks]); only
+    failures of the base tables — which have no redundant substitute —
+    propagate. *)
 
 val query :
   t ->
@@ -111,22 +140,11 @@ val query :
   ?page_budget:int ->
   string ->
   outcome
-(** Parse, translate and evaluate a NEXI query over the union of its
-    (sids, terms) — the paper's retrieval unit. [k] defaults to 10; the
-    method defaults to {!Strategy.choose}'s pick. With [strict:true]
-    answers are filtered to the target extent (the structural path must
-    hold exactly); the default vague interpretation accepts any sid of
-    the translation.
-
-    Resilience: [deadline_ms]/[page_budget] arm a {!Guard}; on expiry
-    the run stops where it is and returns best-effort answers with
-    [degraded = true] instead of raising. Storage failures
-    ([Pager.Corruption], retry exhaustion) inside TA/ITA/Merge trip the
-    affected tables' circuit breakers and the query transparently falls
-    back to the next surviving method (recorded in [fallbacks]); only
-    failures of the base tables — which have no redundant substitute —
-    propagate.
-    @raise Trex_nexi.Parser.Syntax_error on bad syntax. *)
+(** Parse a NEXI query and {!evaluate} it without a floor, under a
+    journal label carrying the NEXI text. [k] defaults to 10, [strict]
+    (the structural path must hold exactly) to the vague
+    interpretation. @raise Trex_nexi.Parser.Syntax_error on bad
+    syntax. *)
 
 val query_structured :
   t -> ?k:int -> ?deadline_ms:float -> ?page_budget:int -> string -> outcome

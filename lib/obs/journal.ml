@@ -205,7 +205,9 @@ let enabled_flag = ref false
 let set_enabled b = enabled_flag := b
 let enabled () = !enabled_flag
 let label_ref : string option ref = ref None
-let set_label l = label_ref := l
+let with_label l f =
+  label_ref := Some l;
+  Fun.protect ~finally:(fun () -> label_ref := None) f
 let label () = !label_ref
 
 (* ------------------------------------------------------------------ *)

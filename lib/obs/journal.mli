@@ -94,7 +94,10 @@ val close : t -> unit
 
 val set_enabled : bool -> unit
 val enabled : unit -> bool
-val set_label : string option -> unit
+val with_label : string -> (unit -> 'a) -> 'a
+(** [with_label l f] runs [f] with the label set to [l], clearing it
+    however [f] returns. *)
+
 val label : unit -> string option
 
 (** {1 Measuring one query}

@@ -21,7 +21,6 @@ module Wire = Trex_shard.Wire
 module Shard = Trex_shard.Shard
 module Supervisor = Trex_shard.Supervisor
 module Strategy = Trex_topk.Strategy
-module Answer = Trex_topk.Answer
 
 type policy = {
   queue_limit : int;
@@ -130,54 +129,32 @@ type pending = {
   p_k : int;
 }
 
-type backend = Single of Trex.t | Sharded of Supervisor.t
-
 let clamp_page_budget policy requested =
   match (requested, policy.max_page_budget) with
   | Some r, Some m -> Some (min r m)
   | Some r, None -> Some r
   | None, cap -> cap
 
-let evaluate backend (p : pending) ~deadline_ms =
-  let cq = p.p_query in
-  match backend with
-  | Single engine ->
-      let o =
-        Trex.query engine ~k:p.p_k ?method_:cq.Wire.c_method
-          ~strict:cq.Wire.c_strict ~deadline_ms ?page_budget:p.p_page_budget
-          cq.Wire.c_nexi
-      in
-      let tags =
-        List.map
-          (fun (f : Strategy.failover) ->
-            (Strategy.method_to_string f.failed, f.error))
-          o.Trex.fallbacks
-        @ (if o.Trex.degraded then [ ("guard", "budget expired") ] else [])
-      in
-      {
-        Wire.ca_answers = Answer.top_k o.Trex.strategy.Strategy.answers p.p_k;
-        ca_k = p.p_k;
-        ca_degraded = o.Trex.degraded;
-        ca_tags = tags;
-        ca_method =
-          Some (Strategy.method_to_string o.Trex.strategy.Strategy.method_used);
-        ca_elapsed_s = o.Trex.strategy.Strategy.elapsed_seconds;
-      }
-  | Sharded s ->
-      let t0 = Stopclock.now () in
-      let r =
-        Supervisor.query s ~k:p.p_k ?method_:cq.Wire.c_method
-          ~strict:cq.Wire.c_strict ~deadline_ms ?page_budget:p.p_page_budget
-          cq.Wire.c_nexi
-      in
-      {
-        Wire.ca_answers = r.Shard.answers;
-        ca_k = r.Shard.k;
-        ca_degraded = r.Shard.degraded;
-        ca_tags = r.Shard.degraded_shards;
-        ca_method = None;
-        ca_elapsed_s = Stopclock.now () -. t0;
-      }
+(* Every answer the daemon sends, from the scatter's result whatever
+   the backend. Fallback tags ride along without degrading: the
+   answers they come with are complete. *)
+let client_answer (r : Shard.result) ~elapsed_s =
+  let methods =
+    List.sort_uniq compare (List.filter_map (fun rep -> rep.Shard.r_method) r.Shard.reports)
+  in
+  {
+    Wire.ca_answers = r.Shard.answers;
+    ca_k = r.Shard.k;
+    ca_degraded = r.Shard.degraded;
+    ca_tags =
+      r.Shard.degraded_shards
+      @ List.map
+          (fun (f : Strategy.failover) -> (Strategy.method_to_string f.failed, f.error))
+          r.Shard.fallbacks;
+    ca_method =
+      (match methods with [ m ] -> Some (Strategy.method_to_string m) | _ -> None);
+    ca_elapsed_s = elapsed_s;
+  }
 
 (* One journal frame per refused-or-abandoned request: the strategy
    field carries the disposition ("shed:<code>" or "drained"), the
@@ -211,10 +188,11 @@ let run ?(policy = default_policy) ?(remote = []) ?listen_fd ?on_ready ~dir
   let on_term = Sys.Signal_handle (fun _ -> drain_requested := true) in
   Sys.set_signal Sys.sigterm on_term;
   Sys.set_signal Sys.sigint on_term;
-  (* Backend: a coordinator directory is served through a supervisor,
-     anything else attaches as a plain index environment. *)
+  (* The query path, picked once: a coordinator directory scatters
+     over supervised workers, anything else is a plain index
+     environment served as a one-shard plan. *)
   let sharded = Sys.file_exists (Filename.concat dir "SHARDMAP.json") in
-  let backend, docs, close_backend =
+  let query, tick, docs, close_backend =
     if sharded then begin
       (* Open/close first so rebalance recovery and the stale-artifact
          sweep run; the supervisor itself only reads the map. *)
@@ -226,13 +204,19 @@ let run ?(policy = default_policy) ?(remote = []) ?listen_fd ?on_ready ~dir
           (fun acc (i : Shard.shard_info) -> acc + i.docs)
           0 (Supervisor.shards s)
       in
-      (Sharded s, docs, fun () -> Supervisor.close s)
+      ( Supervisor.query s ?fanout:None,
+        (fun () -> Supervisor.tick s),
+        docs,
+        fun () -> Supervisor.close s )
     end
     else begin
       let env = Trex.Env.on_disk dir in
       let engine = Trex.attach ~env () in
       let stats = Trex.Index.stats (Trex.index engine) in
-      (Single engine, stats.Trex.Index.doc_count, fun () -> Trex.Env.close env)
+      ( Shard.query_env engine,
+        ignore,
+        stats.Trex.Index.doc_count,
+        fun () -> Trex.Env.close env )
     end
   in
   let listen =
@@ -487,10 +471,15 @@ let run ?(policy = default_policy) ?(remote = []) ?listen_fd ?on_ready ~dir
             ~reason:"deadline expired while queued" ~retry_after_ms:0.0
             ~queued_ms
         else begin
-          let deadline_ms = (p.p_deadline -. now) *. 1000.0 in
-          match evaluate backend p ~deadline_ms with
-          | ca ->
+          let cq = p.p_query in
+          match
+            query ~k:p.p_k ?method_:cq.Wire.c_method ~strict:cq.Wire.c_strict
+              ~deadline_ms:((p.p_deadline -. now) *. 1000.0)
+              ?page_budget:p.p_page_budget nexi
+          with
+          | r ->
               let dt = Stopclock.now () -. now in
+              let ca = client_answer r ~elapsed_s:dt in
               ewma_service_s := (0.8 *. !ewma_service_s) +. (0.2 *. dt);
               Metrics.observe h_service_ms (dt *. 1000.0);
               if send_resp p.p_conn (Wire.Client_answer ca) then begin
@@ -581,7 +570,7 @@ let run ?(policy = default_policy) ?(remote = []) ?listen_fd ?on_ready ~dir
     else begin
       conns := List.filter (fun c -> c.c_open) !conns;
       Metrics.set g_queue_depth (float_of_int (Queue.length queue));
-      (match backend with Sharded s -> Supervisor.tick s | Single _ -> ());
+      tick ();
       let timeout = if Queue.is_empty queue then 0.2 else 0.0 in
       let rd =
         (if !draining then [] else [ listen ])

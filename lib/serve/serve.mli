@@ -4,9 +4,12 @@
     daemon that accepts {!Trex_shard.Wire} client conversations
     ([Client_query] in, [Client_answer]/[Shed]/[Drain] out over the
     same CRC-framed transport the shard workers speak) and evaluates
-    them against [D] — through {!Trex.query} when [D] is a plain index
-    environment, or through a {!Trex_shard.Supervisor} (process-isolated
-    or remote workers) when [D] is a shard-coordinator directory.
+    them against [D] through one query path, picked at startup: a
+    scatter over a {!Trex_shard.Supervisor}'s process-isolated or
+    remote workers when [D] is a shard-coordinator directory, else
+    {!Trex_shard.Shard.query_env}, the one-shard plan of a plain index
+    environment. Every answer is built from the scatter's result in one
+    place, so tags, method and elapsed time mean the same on both.
 
     The contract extends "never wrong, possibly partial, always
     tagged" with "never queued past its deadline":
@@ -91,11 +94,13 @@ val run :
   int
 (** Serve [dir] on [addr] ("HOST:PORT"; port 0 binds an ephemeral
     port) until a drain completes; returns the process exit code (0 on
-    clean drain). [dir] containing [SHARDMAP.json] is served through a
-    supervisor ([remote] names shards served by {!
+    clean drain). [dir] containing [SHARDMAP.json] is served through
+    {!Trex_shard.Supervisor.query} ([remote] names shards served by {!
     Trex_shard.Supervisor.worker_listen} processes, as in
     {!Trex_shard.Supervisor.create}); any other [dir] is attached as a
-    plain index environment. [on_ready] is called once with the actual
+    plain index environment and served through
+    {!Trex_shard.Shard.query_env}, whose evaluation errors are shed as
+    [error]. [on_ready] is called once with the actual
     bound ["HOST:PORT"] before the first accept. [listen_fd] hands the
     server an already-bound, already-listening socket (tests bind port
     0 in the parent, fork, and pass the fd — no port race); [addr] is

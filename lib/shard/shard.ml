@@ -6,14 +6,10 @@ module Tables = Trex_invindex.Tables
 module Types = Trex_invindex.Types
 module Summary = Trex_summary.Summary
 module Alias = Trex_summary.Alias
-module Scorer = Trex_scoring.Scorer
 module Nexi_parser = Trex_nexi.Parser
-module Translate = Trex_nexi.Translate
 module Answer = Trex_topk.Answer
-module Rpl = Trex_topk.Rpl
 module Strategy = Trex_topk.Strategy
 module Breaker = Trex_resilience.Breaker
-module Guard = Trex_resilience.Guard
 module Obs = Trex_obs
 module Json = Trex_obs.Json
 module Metrics = Trex_obs.Metrics
@@ -34,11 +30,12 @@ type shard_info = { name : string; base : int; docs : int }
 type map = { next_id : int; infos : shard_info list }
 
 (* One attached (servable) shard. *)
-type attached = { a_info : shard_info; a_env : Env.t; a_index : Index.t }
+type attached = { a_info : shard_info; a_env : Env.t; a_engine : Trex.t }
+
+let a_index a = Trex.index a.a_engine
 
 type t = {
   t_dir : string;
-  scoring : Scorer.config;
   manifest : Manifest.t;
   breakers : (string, Breaker.t) Hashtbl.t;
   mutable next_id : int;
@@ -68,10 +65,12 @@ let breaker t name =
       Hashtbl.add t.breakers name b;
       b
 
-let index_of t name =
+let engine_of t name =
   Option.map
-    (fun a -> a.a_index)
+    (fun a -> a.a_engine)
     (List.find_opt (fun a -> a.a_info.name = name) t.attached)
+
+let index_of t name = Option.map Trex.index (engine_of t name)
 
 (* ---- filesystem helpers ---- *)
 
@@ -254,9 +253,9 @@ let overrides_of_stats stats =
     global_df = (fun token -> Hashtbl.find_opt stats.s_df token);
   }
 
-let attach_index env =
-  match Index.attach env with
-  | index -> index
+let attach_engine env =
+  match Trex.attach ~env () with
+  | engine -> engine
   | exception e ->
       Env.close env;
       raise e
@@ -271,11 +270,11 @@ let attach_index env =
    every future worker with [Pager.Corruption] at first touch. *)
 let attach_shard ~dir name =
   let env, _reports = Env.open_with_recovery (Filename.concat dir name) in
-  let index = attach_index env in
+  let engine = attach_engine env in
   (match load_stats dir with
-  | Some stats -> Index.set_scoring_overrides index (overrides_of_stats stats)
+  | Some stats -> Index.set_scoring_overrides (Trex.index engine) (overrides_of_stats stats)
   | None -> ());
-  (env, index)
+  (env, engine)
 
 (* ---- stale worker artifacts ----
 
@@ -414,10 +413,10 @@ let install_overrides t =
       let stats =
         match load_stats t.t_dir with
         | Some s -> s
-        | None -> stats_of_indexes (List.map (fun a -> a.a_index) attached)
+        | None -> stats_of_indexes (List.map a_index attached)
       in
       let overrides = overrides_of_stats stats in
-      List.iter (fun a -> Index.set_scoring_overrides a.a_index overrides) attached
+      List.iter (fun a -> Index.set_scoring_overrides (a_index a) overrides) attached
 
 (* (Re-)attach every servable shard of the map. Shards that fail to
    attach are quarantined, not fatal — the coordinator serves what it
@@ -433,7 +432,7 @@ let attach_all t pre_blocked =
         match
           if not (Sys.file_exists sdir) then failwith "shard directory missing";
           let env = Env.on_disk sdir in
-          { a_info = info; a_env = env; a_index = attach_index env }
+          { a_info = info; a_env = env; a_engine = attach_engine env }
         with
         | a -> acc := a :: !acc
         | exception e -> blocked := !blocked @ [ (info.name, Printexc.to_string e) ]
@@ -446,14 +445,13 @@ let attach_all t pre_blocked =
 
 let load_map dir = sort_infos (read_map dir).infos
 
-let open_ ?(scoring = Scorer.default) dir =
+let open_ dir =
   let manifest = Manifest.open_file (Filename.concat dir manifest_file) in
   let map, pre_blocked, unresolved_ops = recover manifest dir in
   ignore (sweep_stale_worker_artifacts dir (sort_infos map.infos));
   let t =
     {
       t_dir = dir;
-      scoring;
       manifest;
       breakers = Hashtbl.create 8;
       next_id = map.next_id;
@@ -490,7 +488,7 @@ let rec split_at n l =
         (x :: a, b)
 
 let create ~dir ~shards:n ?(summary_criterion = Summary.Incoming)
-    ?(alias = Alias.identity) ?analyzer ?(scoring = Scorer.default) docs =
+    ?(alias = Alias.identity) ?analyzer docs =
   if n <= 0 then invalid_arg "Shard.create: shard count must be positive";
   let total = List.length docs in
   if total < n then
@@ -526,9 +524,9 @@ let create ~dir ~shards:n ?(summary_criterion = Summary.Incoming)
   List.iter (fun (env, _) -> Env.close env) built;
   let map = { next_id = n; infos = List.map fst slices } in
   write_map_file dir (Json.to_string (map_to_json map));
-  open_ ~scoring dir
+  open_ dir
 
-(* ---- query: one scatter core, two dispatches ---- *)
+(* ---- query: one scatter core, in-process and worker dispatches ---- *)
 
 type shard_report = {
   r_shard : string;
@@ -545,6 +543,7 @@ type result = {
   degraded : bool;
   degraded_shards : (string * string) list;
   reports : shard_report list;
+  fallbacks : Strategy.failover list;
 }
 
 type slice = { floor : float; deadline_ms : float option; page_budget : int option }
@@ -565,52 +564,6 @@ type target = {
   breaker : Breaker.t;
   unavailable : unit -> string option;
 }
-
-(* The query against one shard's summary: its translation and the
-   (sids, terms) it touches. *)
-let translate index ast =
-  let tr =
-    Translate.translate ~summary:(Index.summary index)
-      ~normalize:(Index.normalize_term index) ast
-  in
-  (tr, Translate.all_sids tr, Translate.all_terms tr)
-
-(* The per-shard half of the scatter, shared by the in-process
-   dispatch and the worker process. Truncating to k is sound because
-   the merge order is total: an entry outside this shard's top k is
-   outside the global top k too. *)
-let evaluate_shard index ~scoring ~k ~strict ?method_ slice ast =
-  let t0 = Trex_util.Stopclock.now () in
-  let guard =
-    match (slice.deadline_ms, slice.page_budget) with
-    | None, None -> None
-    | deadline_ms, page_budget -> Some (Guard.create ?deadline_ms ?page_budget ())
-  in
-  let translation, sids, terms = translate index ast in
-  let local_answers, partial, method_used, entries_read, elapsed_s =
-    if sids = [] || terms = [] then
-      (* Nothing in this shard matches the query's structure: a
-         successful (empty) contribution. *)
-      ([], false, None, 0, Trex_util.Stopclock.now () -. t0)
-    else
-      let o, _fallbacks =
-        Strategy.evaluate_resilient index ~scoring ~sids ~terms ~k ?guard
-          ~floor:slice.floor ?method_ ()
-      in
-      let target = translation.Translate.target_sids in
-      let above_floor (e : Answer.entry) =
-        e.Answer.score > slice.floor
-        && ((not strict) || List.mem e.Answer.element.Types.sid target)
-      in
-      ( Answer.top_k (List.filter above_floor o.Strategy.answers) k,
-        o.Strategy.degraded,
-        Some o.Strategy.method_used,
-        o.Strategy.entries_read,
-        o.Strategy.elapsed_seconds )
-  in
-  let pages_used = match guard with Some g -> Guard.pages_used g | None -> 0 in
-  ( translation,
-    { local_answers; partial; method_used; entries_read; elapsed_s; pages_used } )
 
 let scatter ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
   Metrics.incr m_queries;
@@ -724,7 +677,43 @@ let scatter ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
     degraded = degraded_shards <> [];
     degraded_shards;
     reports = List.rev !reports;
+    fallbacks = [];
   }
+
+(* The in-process dispatch, one shard per wave: each target's engine
+   evaluates under the journal label [label] gives it, and [contain]
+   turns an evaluation exception into the shard's outcome — or
+   re-raises it. A shard's own top k is all it ships: the merge order
+   is total, so an entry outside a shard's top k is outside the global
+   top k too. *)
+let scatter_in_process ~engine ~label ~contain ~k ?method_ ~strict ?deadline_ms
+    ?page_budget targets nexi =
+  let fallbacks = ref [] in
+  let dispatch ast slice shards =
+    List.map
+      (fun info ->
+        Obs.Span.with_ ~name:("shard.query." ^ info.name) @@ fun () ->
+        Obs.Journal.with_label (label info) @@ fun () ->
+        match
+          Trex.evaluate (engine info) ~k ~strict ?method_ ~floor:slice.floor
+            ?deadline_ms:slice.deadline_ms ?page_budget:slice.page_budget ast
+        with
+        | { Trex.strategy = s; degraded = partial; pages_used; fallbacks = f; _ } ->
+            fallbacks := !fallbacks @ f;
+            Reply
+              {
+                local_answers = s.Strategy.answers;
+                partial;
+                method_used = Some s.Strategy.method_used;
+                entries_read = s.Strategy.entries_read;
+                elapsed_s = s.Strategy.elapsed_seconds;
+                pages_used;
+              }
+        | exception e -> contain e)
+      shards
+  in
+  let r = scatter ~k ~wave:1 ?deadline_ms ?page_budget ~dispatch targets nexi in
+  { r with fallbacks = !fallbacks }
 
 let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget nexi =
   Obs.Span.with_ ~name:"shard.query" @@ fun () ->
@@ -735,32 +724,35 @@ let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget nexi 
       unavailable = (fun () -> List.assoc_opt info.name t.blocked);
     }
   in
-  let dispatch ast slice shards =
-    List.map
-      (fun info ->
-        Obs.Span.with_ ~name:("shard.query." ^ info.name) @@ fun () ->
-        Obs.Journal.set_label (Some ("shard:" ^ info.name ^ "|" ^ nexi));
-        Fun.protect ~finally:(fun () -> Obs.Journal.set_label None) @@ fun () ->
-        match
-          (match t.shard_hook with Some f -> f info.name | None -> ());
-          let index = Option.get (index_of t info.name) in
-          evaluate_shard index ~scoring:t.scoring ~k ~strict ?method_ slice ast
-        with
-        | _, r -> Reply r
-        | exception (Pager.Injected_crash _ as e) -> raise e
-        | exception e -> Failed (Printexc.to_string e))
-      shards
+  (* The hook runs inside the contained evaluation, so a hook that
+     raises loses the shard like a failing evaluation would. *)
+  let engine info =
+    (match t.shard_hook with Some f -> f info.name | None -> ());
+    Option.get (engine_of t info.name)
   in
-  scatter ~k ~wave:1 ?deadline_ms ?page_budget ~dispatch
-    (List.map target t.infos) nexi
+  let contain = function
+    | Pager.Injected_crash _ as e -> raise e
+    | e -> Failed (Printexc.to_string e)
+  in
+  scatter_in_process ~engine
+    ~label:(fun info -> "shard:" ^ info.name ^ "|" ^ nexi)
+    ~contain ~k ?method_ ~strict ?deadline_ms ?page_budget (List.map target t.infos)
+    nexi
 
-let materialize t ?(kinds = [ Rpl.Rpl; Rpl.Erpl ]) ?rpl_prefix nexi =
-  let ast = Nexi_parser.parse nexi in
+let query_env engine ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget
+    nexi =
+  (* Exceptions propagate, so the breaker never records a failure: it
+     is there because every target has one. *)
+  let shard = { name = "env"; base = 0; docs = 0 } in
+  let target = { shard; breaker = Breaker.create "env"; unavailable = (fun () -> None) } in
+  scatter_in_process
+    ~engine:(fun _ -> engine)
+    ~label:(fun _ -> nexi)
+    ~contain:raise ~k ?method_ ~strict ?deadline_ms ?page_budget [ target ] nexi
+
+let materialize t ?kinds ?rpl_prefix nexi =
   List.iter
-    (fun a ->
-      let _, sids, terms = translate a.a_index ast in
-      if sids <> [] && terms <> [] then
-        ignore (Rpl.build a.a_index ~scoring:t.scoring ~sids ~terms ~kinds ?rpl_prefix ()))
+    (fun a -> ignore (Trex.materialize a.a_engine ?kinds ?rpl_prefix nexi))
     t.attached
 
 (* ---- health ---- *)
@@ -803,12 +795,12 @@ let read_docs a =
     (fun (row : Tables.Documents.row) ->
       Option.map
         (fun xml -> (row.Tables.Documents.name, xml))
-        (Index.source a.a_index row.Tables.Documents.docid))
-    (Index.documents a.a_index)
+        (Index.source (a_index a) row.Tables.Documents.docid))
+    (Index.documents (a_index a))
 
 (* Extent classification must not change across a rebuild, or scores
    would: new shards start from a clone of the source summary. *)
-let summary_clone a = Summary.of_string (Summary.to_string (Index.summary a.a_index))
+let summary_clone a = Summary.of_string (Summary.to_string (Index.summary (a_index a)))
 
 (* The rebalance protocol (build-op discipline, §DESIGN 6):
      Begin(tables = sources + new, rollback = new)   [fsynced]
@@ -893,7 +885,7 @@ let split t name =
   let n1 = shard_name t.next_id and n2 = shard_name (t.next_id + 1) in
   let i1 = { name = n1; base = info.base; docs = List.length part1 } in
   let i2 = { name = n2; base = info.base + List.length part1; docs = List.length part2 } in
-  let analyzer = Index.analyzer src.a_index in
+  let analyzer = Index.analyzer (a_index src) in
   let added =
     [ (n1, part1, summary_clone src, analyzer); (n2, part2, summary_clone src, analyzer) ]
   in
@@ -912,7 +904,7 @@ let merge t name_a name_b =
   let info = { name; base = a.a_info.base; docs = List.length docs } in
   (* One clone of the first source's summary; observing the second
      source's documents grows it exactly as a combined build would. *)
-  let added = [ (name, docs, summary_clone a, Index.analyzer a.a_index) ] in
+  let added = [ (name, docs, summary_clone a, Index.analyzer (a_index a)) ] in
   let new_infos =
     info :: List.filter (fun i -> i.name <> name_a && i.name <> name_b) t.infos
   in

@@ -42,7 +42,6 @@ val create :
   ?summary_criterion:Trex_summary.Summary.criterion ->
   ?alias:Trex_summary.Alias.t ->
   ?analyzer:Trex_text.Analyzer.config ->
-  ?scoring:Trex_scoring.Scorer.config ->
   (string * string) list ->
   t
 (** [create ~dir ~shards docs] partitions [docs] (in order — position
@@ -55,7 +54,7 @@ val create :
     atomically) and opens the coordinator. @raise Invalid_argument
     when [shards] is not positive or exceeds the document count. *)
 
-val open_ : ?scoring:Trex_scoring.Scorer.config -> string -> t
+val open_ : string -> t
 (** Open an existing coordinator directory. Pending rebalance
     operations in the coordinator manifest ([SHARDS.mf]) are resolved
     first — committed ones roll forward (shard map reinstalled, source
@@ -94,12 +93,11 @@ val load_map : string -> shard_info list
     before spawning workers (no recovery is run; open the coordinator
     first if rebalance operations may be pending). *)
 
-val attach_shard :
-  dir:string -> string -> Trex_storage.Env.t * Trex_invindex.Index.t
-(** [attach_shard ~dir name] opens the single shard [dir/name] with the
-    coordinator's corpus-wide scoring overrides installed — the
-    worker-process side of {!Supervisor}. The caller owns the returned
-    environment. *)
+val attach_shard : dir:string -> string -> Trex_storage.Env.t * Trex.t
+(** [attach_shard ~dir name] opens the single shard [dir/name] as an
+    engine with the default scorer and the coordinator's corpus-wide
+    scoring overrides installed — the worker-process side of
+    {!Supervisor}. The caller owns the returned environment. *)
 
 val sweep_stale_worker_artifacts : string -> shard_info list -> int
 (** Remove orphaned worker droppings ([worker.pid] whose process is
@@ -115,8 +113,7 @@ val index_of : t -> string -> Trex_invindex.Index.t option
 type shard_report = {
   r_shard : string;
   r_method : Trex_topk.Strategy.method_ option;
-      (** [None] when the shard was skipped or contributed no
-          evaluation (no matching structure) *)
+      (** the reply's [method_used] *)
   r_entries_read : int;
   r_elapsed_seconds : float;
   r_kept : int;
@@ -134,6 +131,10 @@ type result = {
           or returned a partial — the answers are a sound ranking of
           what the remaining shards hold *)
   reports : shard_report list;  (** per evaluated shard, scatter order *)
+  fallbacks : Trex_topk.Strategy.failover list;
+      (** methods in-process evaluations abandoned after storage
+          failures — not a degradation, the answers are complete; [[]]
+          from {!Supervisor.query}, whose wire does not carry them *)
 }
 
 val query :
@@ -146,15 +147,35 @@ val query :
   string ->
   result
 (** Evaluate a NEXI query across all shards: {!scatter} in waves of
-    one shard, ascending [base], each evaluated in this process. A
-    shard whose evaluation raises is tagged and its breaker records the
-    failure; {!Trex_storage.Pager.Injected_crash} propagates (crash
-    simulation). @raise Trex_nexi.Parser.Syntax_error *)
+    one shard, ascending [base], each evaluated in this process by
+    {!Trex.evaluate} with the wave's floor and slice, under the journal
+    label ["shard:<name>|<nexi>"]. A shard whose evaluation raises is
+    tagged and its breaker records the failure;
+    {!Trex_storage.Pager.Injected_crash} propagates (crash simulation).
+    @raise Trex_nexi.Parser.Syntax_error *)
+
+val query_env :
+  Trex.t ->
+  ?k:int ->
+  ?method_:Trex_topk.Strategy.method_ ->
+  ?strict:bool ->
+  ?deadline_ms:float ->
+  ?page_budget:int ->
+  string ->
+  result
+(** The plain-env plan: {!query}'s in-process dispatch over one target,
+    the whole environment (tagged ["env"], base 0). The floor stays 0,
+    so answers, method, entries read and the one journal record
+    (labelled with the NEXI text) are {!Trex.query}'s. An evaluation
+    exception propagates instead of tripping a breaker: a lone
+    environment has nothing to degrade to.
+    @raise Trex_nexi.Parser.Syntax_error *)
 
 (** {2 The scatter core}
 
-    One loop behind {!query} and {!Supervisor.query}, parametrised by
-    how a wave of shards is dispatched. *)
+    One loop behind {!query}, {!query_env} and {!Supervisor.query},
+    parametrised by how a wave of shards is dispatched. Every dispatch
+    evaluates a shard with {!Trex.evaluate}. *)
 
 type slice = {
   floor : float;  (** global k-th score when the wave was dispatched *)
@@ -166,7 +187,7 @@ type reply = {
   local_answers : Trex_topk.Answer.t;  (** shard-local docids *)
   partial : bool;  (** the shard's guard expired mid-evaluation *)
   method_used : Trex_topk.Strategy.method_ option;
-      (** [None]: no matching structure in this shard *)
+      (** the built-in dispatches always name one *)
   entries_read : int;
   elapsed_s : float;
   pages_used : int;
@@ -182,20 +203,6 @@ type target = {
   breaker : Trex_resilience.Breaker.t;
   unavailable : unit -> string option;  (** skip tag, asked per wave *)
 }
-
-val evaluate_shard :
-  Trex_invindex.Index.t ->
-  scoring:Trex_scoring.Scorer.config ->
-  k:int ->
-  strict:bool ->
-  ?method_:Trex_topk.Strategy.method_ ->
-  slice ->
-  Trex_nexi.Ast.query ->
-  Trex_nexi.Translate.t * reply
-(** One shard's contribution, in process or in a worker: translate
-    (no matching structure: an empty reply), evaluate under a guard
-    built from the slice, keep the entries above the floor (in the
-    target extent when [strict]) and truncate to [k]. *)
 
 val scatter :
   k:int ->
@@ -219,9 +226,9 @@ val scatter :
 
 val materialize :
   t -> ?kinds:Trex_topk.Rpl.kind list -> ?rpl_prefix:int -> string -> unit
-(** Materialize RPLs/ERPLs for the query's (sids, terms) on every
-    shard — list scores use the corpus-wide statistics, so TA over the
-    lists stays rank-identical too. *)
+(** {!Trex.materialize} on every attached shard — list scores use the
+    corpus-wide statistics, so TA over the lists stays rank-identical
+    too. *)
 
 type health = {
   h_shard : string;

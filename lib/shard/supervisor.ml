@@ -1,11 +1,9 @@
 module Env = Trex_storage.Env
 module Index = Trex_invindex.Index
-module Nexi_parser = Trex_nexi.Parser
 module Translate = Trex_nexi.Translate
 module Strategy = Trex_topk.Strategy
 module Breaker = Trex_resilience.Breaker
 module Retry = Trex_resilience.Retry
-module Scorer = Trex_scoring.Scorer
 module Framing = Trex_util.Framing
 module Stopclock = Trex_util.Stopclock
 module Obs = Trex_obs
@@ -85,7 +83,6 @@ type worker = {
 type t = {
   t_dir : string;
   config : config;
-  scoring : Scorer.config;
   workers : worker list;  (* ascending base *)
   mutable closed : bool;
   mutable qseq : int;  (* trace-id sequence for supervised queries *)
@@ -422,8 +419,7 @@ let await_healthy ?(timeout_s = 5.0) t =
 
 (* ---- lifecycle ---- *)
 
-let create ?(config = default_config) ?(scoring = Scorer.default) ?(remote = [])
-    dir =
+let create ?(config = default_config) ?(remote = []) dir =
   (* A worker death between our write and the kernel's delivery must
      surface as EPIPE on the write, not SIGPIPE to the coordinator. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -438,7 +434,6 @@ let create ?(config = default_config) ?(scoring = Scorer.default) ?(remote = [])
     {
       t_dir = dir;
       config;
-      scoring;
       workers =
         List.map
           (fun info ->
@@ -577,15 +572,12 @@ let journal_supervised t started ~nexi ~k ~(result : Shard.result)
     List.sort_uniq String.compare
       (List.concat_map (fun (_, r) -> r.Obs.Journal.terms) worker_records)
   in
-  Obs.Journal.set_label (Some nexi);
-  Fun.protect
-    ~finally:(fun () -> Obs.Journal.set_label None)
-    (fun () ->
-      ignore
-        (Obs.Journal.finish_query j started ~strategy:"supervised" ~sids ~terms
-           ~k ~degraded:result.Shard.degraded
-           ~spans:(span_summary @ breakdown @ lost)
-           ()))
+  Obs.Journal.with_label nexi @@ fun () ->
+  ignore
+    (Obs.Journal.finish_query j started ~strategy:"supervised" ~sids ~terms ~k
+       ~degraded:result.Shard.degraded
+       ~spans:(span_summary @ breakdown @ lost)
+       ())
 
 (* Why the core may not dispatch to this worker right now. *)
 let unavailable w () =
@@ -737,7 +729,6 @@ let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget ?fano
                 q_floor = slice.Shard.floor;
                 q_deadline_ms = slice.Shard.deadline_ms;
                 q_page_budget = slice.Shard.page_budget;
-                q_scoring = t.scoring;
                 q_fault = fault;
                 q_trace = trace;
                 q_journal = jrnl;
@@ -847,22 +838,18 @@ let env_fault () =
    place (containment is the point). Shared by the socketpair worker
    (one conversation, then exit) and the TCP listen worker (one
    conversation per accepted connection). *)
-let serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup rx tx =
+let serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup rx tx =
   let send resp = Framing.write_all tx (Framing.frame (Wire.encode_response resp)) in
-  let docs = (Index.stats index).Index.doc_count in
+  let docs = (Index.stats (Trex.index engine)).Index.doc_count in
   send
     (Wire.Hello
        { h_shard = shard; h_pid = Unix.getpid (); h_docs = docs;
          h_wire = Wire.version });
   let evaluate (q : Wire.query) =
-    Shard.evaluate_shard index ~scoring:q.Wire.q_scoring ~k:q.Wire.q_k
-      ~strict:q.Wire.q_strict ?method_:q.Wire.q_method
-      {
-        Shard.floor = q.Wire.q_floor;
-        deadline_ms = q.Wire.q_deadline_ms;
-        page_budget = q.Wire.q_page_budget;
-      }
-      (Nexi_parser.parse q.Wire.q_nexi)
+    Trex.evaluate engine ~k:q.Wire.q_k ~strict:q.Wire.q_strict
+      ?method_:q.Wire.q_method ~floor:q.Wire.q_floor
+      ?deadline_ms:q.Wire.q_deadline_ms ?page_budget:q.Wire.q_page_budget
+      (Trex.parse engine q.Wire.q_nexi)
   in
   let decoder = Framing.Decoder.create () in
   let rec loop () =
@@ -923,28 +910,19 @@ let serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup rx tx =
               | Some id -> [ ("trace_id", id) ]
               | None -> [])
             in
-            let translation, (r : Shard.reply), error =
+            let evaluated =
               match
                 Obs.Span.with_ ~name:("shard.query." ^ shard)
                   ~attrs:root_attrs
                   (fun () -> evaluate q)
               with
-              | translation, r -> (Some translation, r, None)
+              | o -> Ok o
               | exception
                   ((Trex_topk.Rpl.Cursor.Missing_list _ | Trex_topk.Ta.Truncated_rpl)
                    as e) ->
                   (* A forced method over lists this shard lacks fails
                      the query, not the worker: reply with the failure. *)
-                  ( None,
-                    {
-                      Shard.local_answers = [];
-                      partial = false;
-                      method_used = None;
-                      entries_read = 0;
-                      elapsed_s = 0.0;
-                      pages_used = 0;
-                    },
-                    Some (Printexc.to_string e) )
+                  Error (Printexc.to_string e)
               | exception e ->
                   (* Containment is the point: any other exploding
                      evaluation kills this worker, not the
@@ -968,39 +946,47 @@ let serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup rx tx =
               Obs.Span.reset ()
             end;
             let counters = Metrics.counters_delta before (Metrics.counters ()) in
-            let record =
-              match (j_started, translation) with
-              | Some st, Some translation ->
-                  Obs.Journal.set_label
-                    (Some ("shard:" ^ shard ^ "|" ^ q.Wire.q_nexi));
-                  Fun.protect
-                    ~finally:(fun () -> Obs.Journal.set_label None)
-                    (fun () ->
-                      Some
-                        (Obs.Journal.build_record st
-                           ~strategy:
-                             (match r.Shard.method_used with
-                             | Some m -> Strategy.method_to_string m
-                             | None -> "none")
-                           ~sids:(Translate.all_sids translation)
-                           ~terms:(Translate.all_terms translation)
-                           ~k:q.Wire.q_k ~degraded:r.Shard.partial
-                           ~spans:span_summary ()))
-              | _ -> None
-            in
             let answer =
-              {
-                Wire.a_degraded = r.Shard.partial;
-                a_method = r.Shard.method_used;
-                a_entries_read = r.Shard.entries_read;
-                a_elapsed_s = r.Shard.elapsed_s;
-                a_pages_used = r.Shard.pages_used;
-                a_answers = r.Shard.local_answers;
-                a_spans = spans;
-                a_counters = counters;
-                a_journal = record;
-                a_error = error;
-              }
+              match evaluated with
+              | Ok { Trex.strategy = s; translation; degraded; pages_used; _ } ->
+                  let method_ = s.Strategy.method_used in
+                  let record =
+                    Option.map
+                      (fun st ->
+                        Obs.Journal.with_label ("shard:" ^ shard ^ "|" ^ q.Wire.q_nexi)
+                        @@ fun () ->
+                        Obs.Journal.build_record st
+                          ~strategy:(Strategy.method_to_string method_)
+                          ~sids:(Translate.all_sids translation)
+                          ~terms:(Translate.all_terms translation)
+                          ~k:q.Wire.q_k ~degraded ~spans:span_summary ())
+                      j_started
+                  in
+                  {
+                    Wire.a_degraded = degraded;
+                    a_method = Some method_;
+                    a_entries_read = s.Strategy.entries_read;
+                    a_elapsed_s = s.Strategy.elapsed_seconds;
+                    a_pages_used = pages_used;
+                    a_answers = s.Strategy.answers;
+                    a_spans = spans;
+                    a_counters = counters;
+                    a_journal = record;
+                    a_error = None;
+                  }
+              | Error error ->
+                  {
+                    Wire.a_degraded = false;
+                    a_method = None;
+                    a_entries_read = 0;
+                    a_elapsed_s = 0.0;
+                    a_pages_used = 0;
+                    a_answers = [];
+                    a_spans = spans;
+                    a_counters = counters;
+                    a_journal = None;
+                    a_error = Some error;
+                  }
             in
             fault_point "pre-reply";
             send (Wire.Answer answer);
@@ -1037,9 +1023,9 @@ let worker_main ~dir ~shard () =
   let cleanup () = try Sys.remove pid_path with Sys_error _ -> () in
   let armed = ref (env_fault ()) in
   let fault_point = make_fault_point ~armed ~cleanup in
-  let env, index = worker_attach ~dir ~shard ~cleanup in
+  let env, engine = worker_attach ~dir ~shard ~cleanup in
   let clean =
-    serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup rx tx
+    serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup rx tx
   in
   Env.close env;
   cleanup ();
@@ -1070,15 +1056,14 @@ let worker_listen ~dir ~shard ~addr () =
   let cleanup () = () in
   let armed = ref (env_fault ()) in
   let fault_point = make_fault_point ~armed ~cleanup in
-  let env, index = worker_attach ~dir ~shard ~cleanup in
-  ignore env;
+  let env, engine = worker_attach ~dir ~shard ~cleanup in
   let rec accept_loop () =
     match Unix.accept lfd with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop ()
     | conn, _peer ->
         Unix.setsockopt conn Unix.TCP_NODELAY true;
         (match
-           serve_worker_conn ~shard ~env ~index ~armed ~fault_point ~cleanup
+           serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup
              conn conn
          with
         | _clean -> ()

@@ -85,12 +85,7 @@ type worker_health = {
 
 type t
 
-val create :
-  ?config:config ->
-  ?scoring:Trex_scoring.Scorer.config ->
-  ?remote:(string * string) list ->
-  string ->
-  t
+val create : ?config:config -> ?remote:(string * string) list -> string -> t
 (** Open coordinator directory [dir] in process-isolated mode: read the
     shard map, sweep stale worker artifacts, and spawn one worker per
     shard (handshakes complete asynchronously — see {!await_healthy}).
@@ -150,8 +145,8 @@ val query :
   Shard.result
 (** {!Shard.scatter} with a worker round trip as the dispatch: waves
     of [fanout] workers (default: all at once) evaluate concurrently
-    with {!Shard.evaluate_shard}, so floors, slices, skip tags and the
-    merge are {!Shard.query}'s own. Process-specific tags: worker
+    with {!Trex.evaluate}, so floors, slices, skip tags and the merge
+    are {!Shard.query}'s own. Process-specific tags: worker
     starting, restarting, escalated, died, or killed for its deadline
     slice. A malformed query raises [Trex_nexi.Parser.Syntax_error]
     before any worker sees it; a forced method over lists a shard
@@ -168,9 +163,10 @@ val connect_with_timeout : Unix.sockaddr -> timeout_s:float -> Unix.file_descr o
 val worker_main : dir:string -> shard:string -> unit -> 'a
 (** The worker-process entry point ([trex_cli shard-worker --dir D
     --shard S] — and the test/bench executables dispatch here too,
-    since workers exec their parent's binary). Attaches the shard with
-    corpus-wide scoring overrides, writes [worker.pid], answers
-    {!Wire} requests over stdin/stdout (the protocol fds are dup'd
+    since workers exec their parent's binary). Attaches the shard once,
+    as an engine with the default scorer and the corpus-wide scoring
+    overrides, writes [worker.pid], answers each query with
+    {!Trex.evaluate} over {!Wire} requests on stdin/stdout (the protocol fds are dup'd
     away and stdout is re-pointed at stderr first, so stray prints
     cannot tear frames), and exits on [Shutdown] or EOF. Never
     returns.

@@ -4,21 +4,12 @@ module Journal = Trex_obs.Journal
 module Strategy = Trex_topk.Strategy
 module Answer = Trex_topk.Answer
 module Types = Trex_invindex.Types
-module Scorer = Trex_scoring.Scorer
 
 exception Protocol_error of string
 
-(* Bumped whenever a message gains or changes a field. The worker
-   announces its version in Hello; the coordinator refuses a mismatch
-   (and an old worker that never sends one). A version-2 worker decoding
-   a version-1 query fails on the missing telemetry fields — so a mixed
-   fleet fails loud in both directions rather than silently dropping
-   telemetry. Version 3 adds the client-facing serving messages
-   (Client_query / Client_answer / Shed / Drain) and remote worker
-   endpoints; the same Hello equality check covers servers and remote
-   workers, so a mid-upgrade mixed fleet still fails loud. Version 4
-   adds the answer's typed evaluation failure. *)
-let version = 4
+(* Bumped whenever a message gains or changes a field; wire.mli keeps
+   the revision history and how a mixed fleet fails loud. *)
+let version = 5
 
 type query = {
   q_nexi : string;
@@ -28,14 +19,13 @@ type query = {
   q_floor : float;
   q_deadline_ms : float option;
   q_page_budget : int option;
-  q_scoring : Scorer.config;
   q_fault : string option;
   q_trace : bool;
   q_journal : bool;
   q_trace_id : string option;
 }
 
-(* What a front-door client asks: no floor/scoring/fault/telemetry
+(* What a front-door client asks: no floor/fault/telemetry
    knobs — those belong to the coordinator↔worker conversation. The
    deadline and page budget are {e requests}; the server clamps them
    to its own policy. *)
@@ -139,21 +129,6 @@ let opt_page_budget j =
     (function Json.Int i -> i | _ -> fail "page_budget")
     (opt_member "page_budget" j)
 
-(* ---- scoring config ---- *)
-
-let scoring_to_json = function
-  | Scorer.Bm25 { k1; b } ->
-      Json.Obj [ ("bm25", Json.Obj [ ("k1", Json.Float k1); ("b", Json.Float b) ]) ]
-  | Scorer.Tf_idf -> Json.String "tf_idf"
-
-let scoring_of_json = function
-  | Json.String "tf_idf" -> Scorer.Tf_idf
-  | Json.Obj _ as j -> (
-      match Json.member "bm25" j with
-      | Some o -> Scorer.Bm25 { k1 = get_float "k1" o; b = get_float "b" o }
-      | None -> fail "scoring: unknown config")
-  | _ -> fail "scoring: unknown config"
-
 (* ---- answers ---- *)
 
 let entry_to_json (e : Answer.entry) =
@@ -200,7 +175,6 @@ let encode_request r =
           :: ("k", Json.Int q.q_k)
           :: ("strict", Json.Bool q.q_strict)
           :: ("floor", Json.Float q.q_floor)
-          :: ("scoring", scoring_to_json q.q_scoring)
           :: ("trace", Json.Bool q.q_trace)
           :: ("journal", Json.Bool q.q_journal)
           :: (method_field q.q_method
@@ -241,7 +215,6 @@ let decode_request s =
           q_floor = get_float "floor" j;
           q_deadline_ms = opt_deadline j;
           q_page_budget = opt_page_budget j;
-          q_scoring = scoring_of_json (get "scoring" j);
           q_fault = opt_string "fault" j;
           (* Required since wire v2: a coordinator that omits them is a
              version-1 binary and must fail loud, not run untelemetered. *)

@@ -25,9 +25,10 @@
 exception Protocol_error of string
 
 val version : int
-(** Current wire revision (4: the answer's typed evaluation failure;
-    3 added client serving messages + remote workers; 2 the per-query
-    telemetry harvest). *)
+(** Current wire revision (5: the query no longer carries a scoring
+    config, workers score with the default scorer; 4 added the answer's
+    typed evaluation failure; 3 client serving messages + remote
+    workers; 2 the per-query telemetry harvest). *)
 
 type query = {
   q_nexi : string;
@@ -37,7 +38,6 @@ type query = {
   q_floor : float;  (** global k-th score at dispatch time *)
   q_deadline_ms : float option;  (** this worker's slice of the deadline *)
   q_page_budget : int option;  (** this worker's slice of the page budget *)
-  q_scoring : Trex_scoring.Scorer.config;
   q_fault : string option;
       (** one-shot fault to arm before evaluating, ["action:point"]
           (e.g. ["kill:pre-reply"]) — see {!Supervisor.worker_main} *)
@@ -53,7 +53,7 @@ type query = {
 }
 
 (** A front-door client's request. Unlike {!query} it carries no
-    floor, scoring, fault, or telemetry knobs — those belong to the
+    floor, fault, or telemetry knobs — those belong to the
     coordinator↔worker conversation. The deadline and page budget are
     {e requests}: the server clamps them to its own policy before
     carving a {!Trex_resilience.Guard} slice. *)
@@ -74,8 +74,7 @@ type request =
 
 type answer = {
   a_degraded : bool;  (** the worker's guard expired mid-evaluation *)
-  a_method : Trex_topk.Strategy.method_ option;
-      (** [None]: no matching structure in this shard (empty success) *)
+  a_method : Trex_topk.Strategy.method_ option;  (** [None] only with [a_error] *)
   a_entries_read : int;
   a_elapsed_s : float;
   a_pages_used : int;  (** physical page reads charged to the budget *)
@@ -107,7 +106,11 @@ type client_answer = {
       (** (source, reason) for every degradation — shard names under a
           coordinator, table/strategy names under a single env *)
   ca_method : string option;
-  ca_elapsed_s : float;  (** server-side evaluation wall time *)
+      (** the method every evaluated shard (or the plain env) used;
+          [None] when they differ or nothing was evaluated *)
+  ca_elapsed_s : float;
+      (** server-side wall time of the query call — parse, translate,
+          scatter and evaluation; queueing excluded *)
 }
 
 type response =

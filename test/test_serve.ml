@@ -148,7 +148,13 @@ let test_answer_identity () =
   | Serve.Client.Answer a ->
       Alcotest.(check bool) "untagged" false a.Wire.ca_degraded;
       check answers_testable "served answer = direct evaluation"
-        (baseline engine ~k:10 nexi) a.Wire.ca_answers
+        (baseline engine ~k:10 nexi) a.Wire.ca_answers;
+      Alcotest.(check (option string))
+        "served method = direct evaluation's"
+        (Some
+           (Strategy.method_to_string
+              (Trex.query engine ~k:10 nexi).Trex.strategy.Strategy.method_used))
+        a.Wire.ca_method
   | Serve.Client.Shed { reason; _ } -> Alcotest.failf "shed an idle server: %s" reason
   | Serve.Client.Draining -> Alcotest.fail "server draining unprompted"
 
@@ -426,6 +432,88 @@ let test_malformed_query_sheds () =
   | Serve.Client.Shed { reason; _ } -> Alcotest.failf "follow-up shed: %s" reason
   | Serve.Client.Draining -> Alcotest.fail "drain during follow-up"
 
+(* ---- fallback and error on a plain env ----
+
+   A plain env is served as a one-shard plan. A corrupt RPL table under
+   a forced TA falls back to Merge: the answers are complete, so the
+   reply is not degraded, but the abandoned method reaches the tags. A
+   forced TA over lists the env lacks raises, the daemon sheds it as an
+   error, and the env's breaker stays closed however often it happens. *)
+
+let flip_bit_in_file path ~off ~bit =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+  let b = Bytes.create 1 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.read fd b 0 1);
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor (1 lsl (bit land 7))));
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 1);
+  Unix.close fd
+
+let test_plain_env_fallback_and_error () =
+  let forced_ta q = { (client_query ~k:5 q) with Wire.c_method = Some Strategy.Ta_method } in
+  let dir = temp_dir () in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () ->
+      let coll = Trex_corpus.Gen.ieee ~doc_count:20 ~seed:42 () in
+      let env = Env.on_disk dir in
+      let engine = Trex.build ~env ~alias:coll.alias (coll.docs ()) in
+      ignore (Trex.materialize engine nexi);
+      let merge_baseline =
+        (Trex.query engine ~k:5 ~method_:Strategy.Merge_method nexi).Trex.strategy
+          .Strategy.answers
+      in
+      Env.close env;
+      (* Damage every page of the RPL lists table; the catalogs stay
+         intact, so planning still believes TA is available. *)
+      let rpls = Filename.concat dir "rpls.tbl" in
+      let len = (Unix.stat rpls).Unix.st_size in
+      let off = ref (128 + 17) in
+      while !off < len do
+        flip_bit_in_file rpls ~off:!off ~bit:3;
+        off := !off + 8192
+      done;
+      with_server dir @@ fun _pid addr ->
+      let c = Serve.Client.connect ~timeout_s:15.0 addr in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      match Serve.Client.request ~timeout_s:30.0 c (forced_ta nexi) with
+      | Serve.Client.Answer a ->
+          Alcotest.(check bool) "fallback answers are complete: not degraded" false
+            a.Wire.ca_degraded;
+          check answers_testable "fallback answers = Merge baseline" merge_baseline
+            a.Wire.ca_answers;
+          Alcotest.(check bool) "the abandoned TA is tagged" true
+            (List.mem_assoc "TA" a.Wire.ca_tags)
+      | Serve.Client.Shed { reason; _ } -> Alcotest.failf "fallback query shed: %s" reason
+      | Serve.Client.Draining -> Alcotest.fail "server draining unprompted");
+  let bare, engine = build_env ~docs:8 ~seed:13 in
+  (match Shard.query_env engine ~k:5 ~method_:Strategy.Ta_method nexi with
+  | exception Trex.Rpl.Cursor.Missing_list _ -> ()
+  | _ -> Alcotest.fail "forced TA without lists answered in process");
+  Fun.protect ~finally:(fun () -> rm_rf bare) @@ fun () ->
+  with_server bare @@ fun _pid addr ->
+  let c = Serve.Client.connect ~timeout_s:15.0 addr in
+  Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+  (* More failures than a breaker's default threshold of three. *)
+  for _ = 1 to 4 do
+    match Serve.Client.request ~timeout_s:30.0 c (forced_ta nexi) with
+    | Serve.Client.Shed { reason; _ } ->
+        Alcotest.(check bool)
+          (Printf.sprintf "shed as an evaluation error: %s" reason)
+          true
+          (String.starts_with ~prefix:"evaluation failed" reason)
+    | Serve.Client.Answer _ -> Alcotest.fail "forced TA without lists was answered"
+    | Serve.Client.Draining -> Alcotest.fail "server draining unprompted"
+  done;
+  match Serve.Client.request ~timeout_s:30.0 c (client_query ~k:5 nexi) with
+  | Serve.Client.Answer a ->
+      Alcotest.(check bool) "breaker closed: not degraded" false a.Wire.ca_degraded;
+      Alcotest.(check (list (pair string string))) "breaker closed: no tags" []
+        a.Wire.ca_tags;
+      check answers_testable "breaker closed: full answer" (baseline engine ~k:5 nexi)
+        a.Wire.ca_answers
+  | Serve.Client.Shed { reason; _ } -> Alcotest.failf "follow-up shed: %s" reason
+  | Serve.Client.Draining -> Alcotest.fail "server draining unprompted"
+
 (* ---- abuse: slowloris and protocol violations ---- *)
 
 let test_slowloris_disconnect () =
@@ -526,6 +614,8 @@ let () =
         [
           Alcotest.test_case "malformed NEXI sheds on single and sharded"
             `Quick test_malformed_query_sheds;
+          Alcotest.test_case "plain env: fallback tagged, errors shed, breaker closed"
+            `Quick test_plain_env_fallback_and_error;
         ] );
       ( "abuse",
         [

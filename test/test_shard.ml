@@ -108,6 +108,38 @@ let check_contiguous t ~total =
   in
   check Alcotest.int "shards cover every document" total last
 
+(* The plain-env plan is Trex.query on the same engine: bit-identical
+   answers, the same method and entries read, undegraded, and with
+   journaling on exactly one record in the env's journal, labelled with
+   the NEXI text. *)
+let check_plain_env engine ?method_ ~k q =
+  let direct = (Trex.query engine ~k ?method_ q).Trex.strategy in
+  let journal = Env.journal (Index.env (Trex.index engine)) in
+  let before = Journal.length journal in
+  Journal.set_enabled true;
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Journal.set_enabled false)
+      (fun () -> Shard.query_env engine ~k ?method_ q)
+  in
+  Alcotest.(check bool) ("plain env never degraded: " ^ q) false r.Shard.degraded;
+  Alcotest.(check bool)
+    ("plain env bit-identical to Trex.query: " ^ q)
+    true
+    (r.Shard.answers = direct.Strategy.answers);
+  (match r.Shard.reports with
+  | [ rep ] ->
+      Alcotest.(check (option string))
+        "plain env: Trex.query's method"
+        (Some (Strategy.method_to_string direct.Strategy.method_used))
+        (Option.map Strategy.method_to_string rep.Shard.r_method);
+      check Alcotest.int "plain env: Trex.query's entries read"
+        direct.Strategy.entries_read rep.Shard.r_entries_read
+  | reps -> Alcotest.failf "plain env: %d reports, expected one" (List.length reps));
+  check Alcotest.int "plain env: one journal record" (before + 1) (Journal.length journal);
+  check Alcotest.string "plain env: record labelled with the NEXI" q
+    (List.nth (Journal.records journal) before).Journal.label
+
 (* ---- rank identity across shard counts (1/2/8) ---- *)
 
 let test_rank_identity () =
@@ -129,7 +161,8 @@ let test_rank_identity () =
         table1;
       Shard.close t;
       rm_rf dir)
-    [ 1; 2; 8 ]
+    [ 1; 2; 8 ];
+  List.iter (check_plain_env engine ~k:10) table1
 
 let test_rank_identity_ta () =
   (* Same identity through the materialized-list path: RPL scores are
@@ -147,7 +180,8 @@ let test_rank_identity_ta () =
       check answers_testable
         ("rank-identical via " ^ Strategy.method_to_string m)
         (baseline engine ~method_:m ~k:5 nexi)
-        sharded.Shard.answers)
+        sharded.Shard.answers;
+      check_plain_env engine ~method_:m ~k:5 nexi)
     [ Strategy.Ta_method; Strategy.Merge_method; Strategy.Era_method ];
   Shard.close t;
   rm_rf dir

@@ -135,7 +135,6 @@ let test_wire_roundtrip () =
         q_floor = 0.123456789012345678;
         q_deadline_ms = Some 1234.5;
         q_page_budget = Some 99;
-        q_scoring = Trex_scoring.Scorer.default;
         q_fault = Some "kill:pre-reply";
         q_trace = true;
         q_journal = true;
