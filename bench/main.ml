@@ -22,6 +22,9 @@
      compression   - block-compressed storage per Table-1 query: bytes on
                      disk, cold-cache physical reads, rank identity
                      with exhaustive ERA
+     ingest        - durable add_document: manifest frames and bytes,
+                     fsyncs, page writes and splits per add, checkpoints
+                     included
      shard         - sharded scatter-gather: shard count vs latency,
                      degraded serving, split/merge rebalance cost
      shard_proc    - process-isolated workers: supervised scatter vs
@@ -642,6 +645,85 @@ let section_io () =
       Trex.Env.close env)
     [ 8; 32; 128; 1024; 8192 ];
   Bench_out.flush ~quick:!quick "io"
+
+(* ---- section: ingest (the durable write path) ---- *)
+
+(* Row counter name, process-wide metric. *)
+let ingest_counters =
+  [
+    ("manifest_frames", "manifest.appends");
+    ("manifest_bytes", "manifest.bytes");
+    ("manifest_fsyncs", "manifest.fsyncs");
+    ("pager_fsyncs", "pager.fsyncs");
+    ("dir_fsyncs", "env.dir_fsyncs");
+    ("physical_writes", "pager.physical_writes");
+    ("node_splits", "bptree.node_splits");
+  ]
+
+(* A fixed probe, the same with --quick: IEEE-100 on disk with the
+   lists of four queries, then six cycles of ten durable adds, a
+   checkpoint and the lists rematerialized. Each cycle row counts its
+   adds and the checkpoint that makes them durable in the tables (not
+   the rematerialization); its ms is the cycle's median add. *)
+let section_ingest () =
+  header "INGEST: durable add_document (IEEE-100, then 6 cycles of 10 adds)";
+  let module Metrics = Trex_obs.Metrics in
+  let dir = Filename.temp_file "trex_bench_ingest" "" in
+  Sys.remove dir;
+  let coll = Gen.ieee ~doc_count:160 ~seed:91 () in
+  let docs = Array.of_seq (coll.docs ()) in
+  let env = Trex.Env.on_disk dir in
+  let engine = Trex.build ~env ~alias:coll.alias (Array.to_seq (Array.sub docs 0 100)) in
+  let queries = List.map Queries.find [ "202"; "203"; "233"; "270" ] in
+  let remat () = List.iter (fun (q : Queries.t) -> ignore (Trex.materialize engine q.nexi)) queries in
+  remat ();
+  let value name = Metrics.value (Metrics.counter name) in
+  let snapshot () = List.map (fun (_, metric) -> value metric) ingest_counters in
+  let delta before = List.map2 (fun (row, metric) b -> (row, value metric - b)) ingest_counters before in
+  let cycles = 6 and batch = 10 in
+  Printf.printf "%-7s %8s %7s %9s %7s %7s %7s %8s %7s\n" "cycle" "p50 ms" "frames" "mf bytes"
+    "mf fsync" "pg fsync" "dir fs" "writes" "splits";
+  let totals = ref (List.map (fun (row, _) -> (row, 0)) ingest_counters) in
+  let all_times = ref [] in
+  let print_row label ms counters =
+    let c name = List.assoc name counters in
+    Printf.printf "%-7s %8.2f %7d %9d %7d %7d %7d %8d %7d\n%!" label ms (c "manifest_frames")
+      (c "manifest_bytes") (c "manifest_fsyncs") (c "pager_fsyncs") (c "dir_fsyncs")
+      (c "physical_writes") (c "node_splits")
+  in
+  let median l = List.nth (List.sort compare l) (List.length l / 2) in
+  for cycle = 0 to cycles - 1 do
+    let before = snapshot () in
+    let times =
+      List.init batch (fun i ->
+          let name, xml = docs.(100 + (cycle * batch) + i) in
+          snd (time_once (fun () -> Trex.add_document engine ~name ~xml)))
+    in
+    Trex.Env.checkpoint env;
+    let counters = delta before in
+    totals := List.map2 (fun (row, t) (_, v) -> (row, t + v)) !totals counters;
+    all_times := times @ !all_times;
+    let label = Printf.sprintf "cycle%d" cycle in
+    Bench_out.record ~section:"ingest" ~query:label ~strategy:"add_document" ~k:batch
+      ~ms:(median times *. 1e3)
+      (("adds", batch) :: counters);
+    print_row label (median times *. 1e3) counters;
+    remat ()
+  done;
+  let adds = cycles * batch in
+  let p50 = median !all_times *. 1e3 in
+  Bench_out.record ~section:"ingest" ~query:"total" ~strategy:"add_document" ~k:adds ~ms:p50
+    (("adds", adds) :: !totals);
+  print_row "total" p50 !totals;
+  Printf.printf "per add: %s\n"
+    (String.concat ", "
+       (List.map
+          (fun (row, v) -> Printf.sprintf "%s %.2f" row (float_of_int v /. float_of_int adds))
+          !totals));
+  Trex.Env.close env;
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir;
+  Bench_out.flush ~quick:!quick "ingest"
 
 (* ---- section: compression (block-compressed storage) ---- *)
 
@@ -1360,6 +1442,7 @@ let () =
   if want "effectiveness" then section_effectiveness ();
   if want "io" then section_io ();
   if want "compression" then section_compression ();
+  if want "ingest" then section_ingest ();
   if want "shard" then section_shard ();
   if want "shard_proc" then section_shard_proc ();
   if want "telemetry" then section_telemetry ();

@@ -194,25 +194,26 @@ let balanced_split n size =
    and the parent must add (separator, right-page-id). *)
 type split = No_split | Split of string * int
 
-let split_leaf t id ~budget ~appended entries next =
+let split_leaf t id ~budget ~at entries next =
   let n = Array.length entries in
   let right_id = Pager.allocate t.pager in
   let left s = Leaf { entries = Array.sub entries 0 s; next = right_id } in
-  (* A key past the leaf's last entry starts the new right leaf on its
-     own: ascending inserts then leave full leaves behind them instead
-     of half-empty ones. The old entries fit with the old next pointer,
-     but [right_id] can take more varint bytes than that (a rightmost
-     leaf's -1 takes one), so a leaf that was exactly full falls back to
-     the byte-balanced split. *)
+  let right s = Leaf { entries = Array.sub entries s (n - s); next } in
+  (* Byte-balanced, unless the new entry [at] lands past that point and
+     splitting just before it leaves two fitting halves: the entries
+     ahead of it then stay packed, so a run of ascending inserts leaves
+     full leaves behind it instead of half-empty ones, at the end of the
+     table (an append, [at = n - 1]) and in its middle alike. *)
+  let s = balanced_split n (fun i -> entry_size entries.(i)) in
   let s =
-    if appended && encoded_size (left (n - 1)) <= budget then n - 1
-    else balanced_split n (fun i -> entry_size entries.(i))
+    if at > s && encoded_size (left at) <= budget && encoded_size (right at) <= budget
+    then at
+    else s
   in
-  let right = Array.sub entries s (n - s) in
-  write_node t right_id (Leaf { entries = right; next });
+  write_node t right_id (right s);
   write_node t id (left s);
   Metrics.incr m_node_splits;
-  Split (fst right.(0), right_id)
+  Split (fst entries.(s), right_id)
 
 let split_internal t id keys children =
   let nk = Array.length keys in
@@ -227,12 +228,15 @@ let split_internal t id keys children =
   Metrics.incr m_node_splits;
   Split (keys.(m), right_id)
 
-let insert t ~key ~value =
+let check_entry t key value =
   if String.length key + String.length value > entry_budget t.pager then
     invalid_arg
       (Printf.sprintf "Bptree.insert: entry of %d bytes exceeds budget %d"
          (String.length key + String.length value)
-         (entry_budget t.pager));
+         (entry_budget t.pager))
+
+let insert t ~key ~value =
+  check_entry t key value;
   let budget = node_budget t.pager in
   let rec go id =
     match read_node t id with
@@ -255,7 +259,7 @@ let insert t ~key ~value =
           write_node t id node;
           No_split
         end
-        else split_leaf t id ~budget ~appended:(i = n) entries next
+        else split_leaf t id ~budget ~at:i entries next
     | Internal { keys; children } -> (
         let ci = child_index keys key in
         match go children.(ci) with
@@ -278,6 +282,81 @@ let insert t ~key ~value =
         (Internal { keys = [| sep |]; children = [| t.root; right_id |] });
       t.root <- new_root;
       Pager.set_root t.pager new_root
+
+(* [entries] and [share] are key-sorted; on a shared key the share's
+   value wins. Returns the merge and how many keys it added. *)
+let merge_entries entries share =
+  let ne = Array.length entries and ns = Array.length share in
+  let out = Array.make (ne + ns) ("", "") in
+  let rec go i j o =
+    if i = ne then begin
+      Array.blit share j out o (ns - j);
+      o + ns - j
+    end
+    else if j = ns then begin
+      Array.blit entries i out o (ne - i);
+      o + ne - i
+    end
+    else
+      let c = String.compare (fst entries.(i)) (fst share.(j)) in
+      if c < 0 then begin
+        out.(o) <- entries.(i);
+        go (i + 1) j (o + 1)
+      end
+      else begin
+        out.(o) <- share.(j);
+        go (if c = 0 then i + 1 else i) (j + 1) (o + 1)
+      end
+  in
+  let len = go 0 0 0 in
+  (Array.sub out 0 len, len - ne)
+
+let insert_batch t puts =
+  List.iter (fun (key, value) -> check_entry t key value) puts;
+  (* Key order, the last put of a key winning: a stable sort keeps equal
+     keys in put order, and only the last of each run survives. *)
+  let batch =
+    List.stable_sort (fun (a, _) (b, _) -> String.compare a b) puts
+    |> List.fold_left
+         (fun acc ((k, _) as e) ->
+           match acc with (k', _) :: rest when k = k' -> e :: rest | _ -> e :: acc)
+         []
+    |> List.rev |> Array.of_list
+  in
+  let n = Array.length batch in
+  let budget = node_budget t.pager in
+  (* One descent per leaf: the leaf that [key] lands in, and the
+     separator bounding it on the right (the batch keys below it are the
+     leaf's share). *)
+  let rec descend id key high =
+    match read_node t id with
+    | Internal { keys; children } ->
+        let ci = child_index keys key in
+        descend children.(ci) key (if ci < Array.length keys then Some keys.(ci) else high)
+    | Leaf { entries; next } -> (id, entries, next, high)
+  in
+  let rec go i =
+    if i < n then begin
+      let id, entries, next, high = descend t.root (fst batch.(i)) None in
+      let stop = ref (i + 1) in
+      (match high with
+      | None -> stop := n
+      | Some h -> while !stop < n && String.compare (fst batch.(!stop)) h < 0 do incr stop done);
+      let share = Array.sub batch i (!stop - i) in
+      let merged, added = merge_entries entries share in
+      let node = Leaf { entries = merged; next } in
+      if encoded_size node <= budget then begin
+        write_node t id node;
+        if t.count >= 0 then t.count <- t.count + added
+      end
+      else
+        (* An overflowing share goes in key by key, so every split
+           follows the one rule of [insert]. *)
+        Array.iter (fun (key, value) -> insert t ~key ~value) share;
+      go !stop
+    end
+  in
+  go 0
 
 let remove t key =
   let rec go id =
@@ -495,6 +574,7 @@ type verify_report = {
   pages : int;
   entries : int;
   depth : int;
+  fill : float;
   problems : string list;
 }
 
@@ -512,6 +592,7 @@ let verify t =
   let leaves = ref [] in
   (* (id, next) in key order *)
   let entries = ref 0 in
+  let leaf_bytes = ref 0 in
   let max_depth = ref 0 in
   let in_bounds key low high =
     (match low with Some l -> String.compare l key <= 0 | None -> true)
@@ -552,6 +633,7 @@ let verify t =
       | (Leaf { entries = es; next } as node), used ->
           check_size id node used;
           leaves := (id, next) :: !leaves;
+          leaf_bytes := !leaf_bytes + used;
           entries := !entries + Array.length es;
           check_sorted id "leaf keys" (Array.map fst es);
           Array.iter
@@ -609,5 +691,9 @@ let verify t =
     pages = Hashtbl.length visited;
     entries = !entries;
     depth = !max_depth;
+    fill =
+      (match !leaves with
+      | [] -> 0.0
+      | l -> float_of_int !leaf_bytes /. float_of_int (List.length l * budget));
     problems = List.rev !problems;
   }

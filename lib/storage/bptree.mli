@@ -29,10 +29,20 @@ val refresh : t -> unit
 
 val insert : t -> key:string -> value:string -> unit
 (** Insert or replace. A leaf that overflows splits by bytes, not entry
-    count, so both halves fit whatever the mix of entry sizes; a key
-    past the leaf's last entry instead starts the new right leaf on its
-    own, so ascending inserts leave full leaves behind.
+    count, so both halves fit whatever the mix of entry sizes; when the
+    new entry lands past that split point and both halves still fit,
+    the leaf splits just before it instead, so ascending runs leave full
+    leaves behind, at the end of the table and in its middle alike.
     @raise Invalid_argument if the entry is too large for a node. *)
+
+val insert_batch : t -> (string * string) list -> unit
+(** Insert or replace every pair, the last pair of a key winning: the
+    same table as {!insert} over the list in order. The pairs are sorted
+    and each leaf's share is merged into it with one descent and one
+    write; a leaf whose merged share overflows takes that share key by
+    key through {!insert}, so splits follow its one rule.
+    @raise Invalid_argument, before any write, if an entry is too large
+    for a node. *)
 
 val find : t -> string -> string option
 
@@ -54,6 +64,7 @@ type verify_report = {
   pages : int;  (** distinct pages reachable from the root *)
   entries : int;
   depth : int;
+  fill : float;  (** mean leaf encoding over the node budget, in [0, 1] *)
   problems : string list;  (** empty iff the tree is structurally sound *)
 }
 

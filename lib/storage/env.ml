@@ -31,6 +31,11 @@ type t = {
      replay (an unresolvable op): queries must not rely on them. *)
   blocked : (string, unit) Hashtbl.t;
   mutable resolutions : resolution list;
+  (* Redo-logged operations whose Commit is durable but whose End waits
+     for the next {!checkpoint}, newest first, and the tables they
+     wrote. *)
+  mutable unended : int list;
+  mutable unflushed : string list;
 }
 
 let tmp_suffix = ".compact-tmp"
@@ -67,6 +72,8 @@ let in_memory ?(page_size = 8192) () =
     manifest = None;
     blocked = Hashtbl.create 4;
     resolutions = [];
+    unended = [];
+    unflushed = [];
   }
 
 (* Defined below (it needs [table]/[quarantine_table]); stored in a ref
@@ -88,6 +95,8 @@ let on_disk ?(page_size = 8192) ?(cache_pages = 4096) ?(replay = true) dir =
       manifest = None;
       blocked = Hashtbl.create 4;
       resolutions = [];
+      unended = [];
+      unflushed = [];
     }
   in
   (* An existing query journal is swept at open, like stale compaction
@@ -149,7 +158,8 @@ let has_manifest t =
 
 let generation t = match t.manifest with Some m -> Manifest.generation m | None -> 0
 let table_blocked t name = Hashtbl.mem t.blocked name
-let manifest_resolutions t = List.rev t.resolutions
+let manifest_resolutions t =
+  List.sort (fun a b -> compare a.res_op_id b.res_op_id) t.resolutions
 
 let manifest_unresolved t =
   List.length (List.filter (fun r -> not r.res_ok) t.resolutions)
@@ -191,10 +201,12 @@ let has_table t name =
   | Mem -> false
   | Disk { dir; _ } -> Sys.file_exists (path_of dir name)
 
+(* The open handle is aborted, not closed: flushing pages about to be
+   deleted is wasted I/O, and on a suspect pager possibly harmful. *)
 let drop_table t name =
   (match Hashtbl.find_opt t.tables name with
   | Some tree ->
-      Pager.close (Bptree.pager tree);
+      Pager.abort (Bptree.pager tree);
       Hashtbl.remove t.tables name
   | None -> ());
   match t.backend with
@@ -261,25 +273,12 @@ let note_table_success t name =
   | None -> ()
   | Some b -> Breaker.record_success b
 
-(* Drop a suspect table without trusting its contents: the open handle
-   is aborted (closing would flush — pointless or harmful on a corrupt
-   pager) and the backing file deleted. [table] recreates it empty; the
-   self-management layer rebuilds redundant lists from the workload. *)
+(* Drop a suspect table without trusting its contents. [table]
+   recreates it empty; the self-management layer rebuilds redundant
+   lists from the workload. *)
 let quarantine_table t name =
   Metrics.incr m_quarantines;
-  (match Hashtbl.find_opt t.tables name with
-  | Some tree ->
-      Pager.abort (Bptree.pager tree);
-      Hashtbl.remove t.tables name
-  | None -> ());
-  match t.backend with
-  | Mem -> ()
-  | Disk { dir; _ } ->
-      let path = path_of dir name in
-      if Sys.file_exists path then begin
-        Sys.remove path;
-        fsync_dir dir
-      end
+  drop_table t name
 
 let table_names t =
   let open_names = Hashtbl.fold (fun k _ acc -> k :: acc) t.tables [] in
@@ -312,8 +311,47 @@ let table_bytes t name =
 let total_bytes t =
   List.fold_left (fun acc n -> acc + table_bytes t n) 0 (table_names t)
 
+(* ---- multi-table operations (manifest protocol) ---- *)
+
+(* Test hook: called at every sequence point of the commit protocol
+   with a point name ("op:<name>:<point>", "checkpoint:<point>"); a
+   crash-matrix test raises {!Pager.Injected_crash} from it to stop the
+   protocol cold at that exact boundary. *)
+let op_hook : (string -> unit) option ref = ref None
+let set_op_hook h = op_hook := h
+
+let hook point = match !op_hook with Some f -> f point | None -> ()
+
+let sync_table t name =
+  if Hashtbl.mem t.tables name || has_table t name then
+    Pager.flush ~sync:true (Bptree.pager (table t name))
+
+let checkpoint_bound = 32
+
+(* Make every unended redo-logged operation durable in its tables:
+   sync-flush the tables they wrote, then End them all in one frame, and
+   compact resolved history away. The End and the compaction need no
+   fsync of their own: a crash that loses them replays the ops' steps,
+   which are idempotent, over tables that already hold them. *)
+let checkpoint t =
+  match (t.manifest, t.unended) with
+  | None, _ | _, [] -> ()
+  | Some m, unended ->
+      List.iter
+        (fun name ->
+          sync_table t name;
+          hook ("checkpoint:flushed:" ^ name))
+        (List.rev t.unflushed);
+      Manifest.append_records m
+        (List.rev_map (fun op_id -> Manifest.End { op_id }) unended);
+      t.unended <- [];
+      t.unflushed <- [];
+      if Manifest.pending m = [] then Manifest.compact m;
+      hook "checkpoint:ended"
+
 let compact_table ?faults t name =
   if has_table t name then begin
+    checkpoint t;
     Metrics.incr m_compactions;
     let tree = table t name in
     let entries = ref [] in
@@ -351,17 +389,6 @@ let compact_table ?faults t name =
         ignore (table t name)
   end
 
-(* ---- multi-table operations (manifest protocol) ---- *)
-
-(* Test hook: called at every sequence point of the commit protocol
-   with a point name ("op:<name>:<point>"); a crash-matrix test raises
-   {!Pager.Injected_crash} from it to stop the protocol cold at that
-   exact boundary. *)
-let op_hook : (string -> unit) option ref = ref None
-let set_op_hook h = op_hook := h
-
-let hook point = match !op_hook with Some f -> f point | None -> ()
-
 type op = {
   op_id : int;
   op_name : string;
@@ -369,11 +396,10 @@ type op = {
   op_rollback : string list;
 }
 
-let sync_table t name =
-  if Hashtbl.mem t.tables name || has_table t name then
-    Pager.flush ~sync:true (Bptree.pager (table t name))
-
 let begin_op t ~op ~tables ?(rollback = []) () =
+  (* A build starts from durable tables: its rollback quarantines whole
+     tables, which must not take unended redo with them. *)
+  checkpoint t;
   let m = manifest t in
   let op_id = Manifest.fresh_op_id m in
   Manifest.append m
@@ -409,16 +435,40 @@ let abort_op t o ~note =
   Manifest.append m (Manifest.Abort { op_id = o.op_id; note });
   Manifest.sync m
 
-let apply_action t (a : Manifest.action) =
-  match a with
-  | Manifest.Put { table = name; key; value } ->
-      Bptree.insert (table t name) ~key ~value
-  | Manifest.Remove { table = name; key } -> ignore (Bptree.remove (table t name) key)
-  | Manifest.Remove_prefix { table = name; prefix } ->
-      let tbl = table t name in
-      let keys = ref [] in
-      Bptree.iter_prefix tbl ~prefix (fun k _ -> keys := k :: !keys);
-      List.iter (fun k -> ignore (Bptree.remove tbl k)) !keys
+(* Apply steps in order, each maximal run of Puts as one sorted batch
+   per table ({!Bptree.insert_batch}: the last put of a key wins, as in
+   sequence). *)
+let apply_steps t steps =
+  let put_batch = function
+    | [] -> ()
+    | puts ->
+        let by_table = Hashtbl.create 8 in
+        List.iter
+          (fun (name, kv) ->
+            Hashtbl.replace by_table name
+              (kv :: Option.value ~default:[] (Hashtbl.find_opt by_table name)))
+          puts;
+        Hashtbl.fold (fun name kvs acc -> (name, kvs) :: acc) by_table []
+        |> List.sort compare
+        |> List.iter (fun (name, kvs) -> Bptree.insert_batch (table t name) kvs)
+  in
+  (* [puts] is newest first, so each table's list comes out oldest first. *)
+  let rec go puts = function
+    | Manifest.Put { table; key; value } :: rest -> go ((table, (key, value)) :: puts) rest
+    | Manifest.Remove { table = name; key } :: rest ->
+        put_batch puts;
+        ignore (Bptree.remove (table t name) key);
+        go [] rest
+    | Manifest.Remove_prefix { table = name; prefix } :: rest ->
+        put_batch puts;
+        let tbl = table t name in
+        let keys = ref [] in
+        Bptree.iter_prefix tbl ~prefix (fun k _ -> keys := k :: !keys);
+        List.iter (fun k -> ignore (Bptree.remove tbl k)) !keys;
+        go [] rest
+    | [] -> put_batch puts
+  in
+  go [] steps
 
 let action_table (a : Manifest.action) =
   match a with
@@ -434,94 +484,106 @@ let tables_of_steps steps =
     [] steps
   |> List.rev
 
-(* Redo-logged operation: every write is recorded (with absolute
-   post-state bytes) and made durable *before* the first table is
-   touched, so a crash before the Commit record leaves the tables
-   exactly at the pre-operation state, and a crash anywhere after it is
-   repaired by replaying the steps — they are pure sets/removes, hence
-   idempotent. *)
+let note_unended t op_id tables =
+  t.unended <- op_id :: t.unended;
+  List.iter
+    (fun name -> if not (List.mem name t.unflushed) then t.unflushed <- name :: t.unflushed)
+    tables
+
+let cache_full t name =
+  match Hashtbl.find_opt t.tables name with
+  | Some tree ->
+      let p = Bptree.pager tree in
+      Pager.pinned_pages p >= Pager.cache_pages p
+  | None -> false
+
+(* Redo-logged operation: the Begin, every write (absolute post-state
+   bytes) and the Commit go down as one manifest frame, and its fsync is
+   the durability point. A crash before it leaves the tables exactly at
+   the pre-operation state; after it, replaying the steps — pure sets
+   and removes, hence idempotent — repairs any table. The tables are
+   then written in memory only; a checkpoint flushes them and Ends the
+   operation. *)
 let run_logged_op t ~op ~steps () =
   let m = manifest t in
   let tables = tables_of_steps steps in
   let op_id = Manifest.fresh_op_id m in
-  Manifest.append m
-    (Manifest.Begin
-       { op_id; op; tables; rollback = []; generation = Manifest.next_generation m });
-  List.iter (fun a -> Manifest.append m (Manifest.Step { op_id; action = a })) steps;
-  Manifest.sync m;
-  hook (Printf.sprintf "op:%s:logged" op);
-  Manifest.append m (Manifest.Commit { op_id });
+  hook (Printf.sprintf "op:%s:planned" op);
+  Manifest.append_records m
+    ((Manifest.Begin
+        { op_id; op; tables; rollback = []; generation = Manifest.next_generation m }
+     :: List.map (fun a -> Manifest.Step { op_id; action = a }) steps)
+    @ [ Manifest.Commit { op_id } ]);
   Manifest.sync m;
   hook (Printf.sprintf "op:%s:committed" op);
-  List.iter (apply_action t) steps;
+  apply_steps t steps;
+  note_unended t op_id tables;
   hook (Printf.sprintf "op:%s:applied" op);
-  List.iter
-    (fun name ->
-      sync_table t name;
-      hook (Printf.sprintf "op:%s:flushed:%s" op name))
-    tables;
-  Manifest.append m (Manifest.End { op_id });
-  Manifest.sync m;
-  hook (Printf.sprintf "op:%s:done" op)
+  if List.length t.unended >= checkpoint_bound || List.exists (cache_full t) tables then
+    checkpoint t
 
 (* Resolve every pending manifest operation: committed ones roll
-   forward (replay steps, re-flush, End), uncommitted ones roll back
-   (quarantine their rollback tables, Abort). An op that cannot be
-   resolved — e.g. its table raises [Pager.Corruption] during replay —
-   stays pending and its tables are blocked from query planning. *)
+   forward (replay steps, then one checkpoint flushes and Ends them all),
+   uncommitted ones roll back (quarantine their rollback tables, Abort).
+   An op that cannot be resolved — e.g. its table raises
+   [Pager.Corruption] during replay — stays pending and its tables are
+   blocked from query planning. *)
 let replay_manifest t =
   match t.manifest with
   | None -> ()
   | Some m ->
       Hashtbl.reset t.blocked;
       t.resolutions <- [];
-      List.iter
-        (fun (p : Manifest.pending) ->
-          let record outcome ok =
-            t.resolutions <-
-              {
-                res_op_id = p.p_op_id;
-                res_op = p.p_op;
-                res_tables = p.p_tables;
-                res_outcome = outcome;
-                res_ok = ok;
-              }
-              :: t.resolutions
-          in
-          match p.p_status with
-          | Manifest.Roll_forward -> (
-              match
-                List.iter (apply_action t) p.p_steps;
-                List.iter (sync_table t) p.p_tables
-              with
-              | () ->
-                  Manifest.append m (Manifest.End { op_id = p.p_op_id });
-                  Manifest.sync m;
-                  Metrics.incr m_rolled_forward;
-                  record "rolled forward" true
-              | exception e ->
-                  Metrics.incr m_unresolved;
-                  List.iter (fun tbl -> Hashtbl.replace t.blocked tbl ()) p.p_tables;
-                  record
-                    (Printf.sprintf "unresolved (roll-forward failed: %s)"
-                       (Printexc.to_string e))
+      let record (p : Manifest.pending) outcome ok =
+        t.resolutions <-
+          { res_op_id = p.p_op_id; res_op = p.p_op; res_tables = p.p_tables;
+            res_outcome = outcome; res_ok = ok }
+          :: t.resolutions
+      in
+      let unresolved (p : Manifest.pending) what e =
+        Metrics.incr m_unresolved;
+        List.iter (fun tbl -> Hashtbl.replace t.blocked tbl ()) p.p_tables;
+        record p
+          (Printf.sprintf "unresolved (%s failed: %s)" what (Printexc.to_string e))
+          false
+      in
+      let forwarded =
+        List.filter
+          (fun (p : Manifest.pending) ->
+            match p.p_status with
+            | Manifest.Roll_forward -> (
+                match apply_steps t p.p_steps with
+                | () ->
+                    note_unended t p.p_op_id p.p_tables;
+                    true
+                | exception e ->
+                    unresolved p "roll-forward" e;
                     false)
-          | Manifest.Roll_back -> (
-              match List.iter (quarantine_table t) p.p_rollback with
-              | () ->
-                  Manifest.append m
-                    (Manifest.Abort { op_id = p.p_op_id; note = "recovery roll-back" });
-                  Manifest.sync m;
-                  Metrics.incr m_rolled_back;
-                  record "rolled back" true
-              | exception e ->
-                  Metrics.incr m_unresolved;
-                  List.iter (fun tbl -> Hashtbl.replace t.blocked tbl ()) p.p_tables;
-                  record
-                    (Printf.sprintf "unresolved (roll-back failed: %s)"
-                       (Printexc.to_string e))
+            | Manifest.Roll_back -> (
+                match List.iter (quarantine_table t) p.p_rollback with
+                | () ->
+                    Manifest.append m
+                      (Manifest.Abort { op_id = p.p_op_id; note = "recovery roll-back" });
+                    Manifest.sync m;
+                    Metrics.incr m_rolled_back;
+                    record p "rolled back" true;
+                    false
+                | exception e ->
+                    unresolved p "roll-back" e;
                     false))
-        (Manifest.pending m);
+          (Manifest.pending m)
+      in
+      (match checkpoint t with
+      | () ->
+          List.iter
+            (fun p ->
+              Metrics.incr m_rolled_forward;
+              record p "rolled forward" true)
+            forwarded
+      | exception e ->
+          t.unended <- [];
+          t.unflushed <- [];
+          List.iter (fun p -> unresolved p "roll-forward" e) forwarded);
       (* Fully resolved history is dead weight; shrink it to a
          checkpoint so the manifest never grows without bound. *)
       if Manifest.pending m = [] then Manifest.compact m
@@ -644,9 +706,11 @@ let io_stats t =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let flush ?(sync = false) t =
+  checkpoint t;
   Hashtbl.iter (fun _ tree -> Pager.flush ~sync (Bptree.pager tree)) t.tables
 
 let close t =
+  checkpoint t;
   Hashtbl.iter (fun _ tree -> Pager.close (Bptree.pager tree)) t.tables;
   Hashtbl.reset t.tables;
   (match t.manifest with
@@ -666,6 +730,8 @@ let close t =
 let abort t =
   Hashtbl.iter (fun _ tree -> Pager.abort (Bptree.pager tree)) t.tables;
   Hashtbl.reset t.tables;
+  t.unended <- [];
+  t.unflushed <- [];
   (match t.manifest with
   | None -> ()
   | Some m ->

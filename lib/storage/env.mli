@@ -31,13 +31,14 @@ val table : t -> string -> Bptree.t
 
 val has_table : t -> string -> bool
 val drop_table : t -> string -> unit
-(** Close and delete the table; a no-op when absent. *)
+(** Delete the table without flushing it: the open handle (if any) is
+    aborted, the backing file deleted and the directory fsynced. The
+    next {!table} recreates it empty. A no-op when absent. *)
 
 val quarantine_table : t -> string -> unit
-(** Drop a suspect table {e without} flushing it: the open handle (if
-    any) is aborted and the backing file deleted. The next {!table}
-    recreates it empty; redundant index tables (RPLs/ERPLs) are then
-    rebuilt by the self-management layer. A no-op when absent. *)
+(** {!drop_table} for a suspect table, counted in [env.quarantines];
+    redundant index tables (RPLs/ERPLs) are then rebuilt by the
+    self-management layer. *)
 
 val table_names : t -> string list
 
@@ -50,8 +51,8 @@ val compact_table : ?faults:Pager.fault list -> t -> string -> unit
     space dead entries and dropped lists still hold (B+trees never
     shrink in place). On disk the table file is atomically replaced
     (temp file synced before a rename, directory fsynced after); open
-    cursors into the old tree are invalidated. A no-op when the table
-    does not exist.
+    cursors into the old tree are invalidated. Starts with a
+    {!checkpoint}. A no-op when the table does not exist.
 
     [faults] (test hook) arms a {!Pager.fault} plan on the temp-file
     pager so the crash matrix can cover the compaction window; on an
@@ -67,11 +68,12 @@ val io_stats : t -> (string * Pager.stats) list
     ({!Pager.stats} fields [checksum_failures]/[recoveries]). *)
 
 val flush : ?sync:bool -> t -> unit
-(** Flush every open table; [~sync:true] makes each a durable commit
-    point (see {!Pager.flush}). *)
+(** {!checkpoint}, then flush every open table; [~sync:true] makes each
+    a durable commit point (see {!Pager.flush}). *)
 
 val close : t -> unit
-(** Closes every open table and the query journal (if open). *)
+(** {!checkpoint}, then close every open table, the manifest and the
+    query journal (if open). *)
 
 (** {1 Query journal}
 
@@ -169,8 +171,9 @@ val note_table_success : t -> string -> unit
 
     - {!run_logged_op} — redo-logged: all writes are recorded as
       idempotent physical steps and fsynced before any table is
-      touched. Used by [add_document], where base tables hold ground
-      truth that cannot be rebuilt.
+      touched; table flushes wait for the next {!checkpoint}. Used by
+      [add_document], where base tables hold ground truth that cannot
+      be rebuilt.
     - {!begin_op}/{!commit_op} — build ops: rebuildable redundant
       tables (RPLs/ERPLs + catalogs) are written directly; on a crash
       before [Commit], recovery quarantines the [rollback] tables.
@@ -221,10 +224,10 @@ type op
 
 val begin_op :
   t -> op:string -> tables:string list -> ?rollback:string list -> unit -> op
-(** Append + fsync a [Begin] record naming the operation, every table
-    it touches, and the tables recovery must quarantine if the commit
-    record never becomes durable. Call {e before} the first table
-    write. *)
+(** {!checkpoint}, then append + fsync a [Begin] record naming the
+    operation, every table it touches, and the tables recovery must
+    quarantine if the commit record never becomes durable. Call
+    {e before} the first table write. *)
 
 val commit_op : t -> op -> unit
 (** Sync-flush each of the operation's tables in turn, then append +
@@ -238,16 +241,39 @@ val abort_op : t -> op -> note:string -> unit
 
 val run_logged_op :
   t -> op:string -> steps:Manifest.action list -> unit -> unit
-(** Redo-logged operation: append [Begin] + every [Step] + [Commit]
-    (fsynced) {e before} applying any step to its table, then apply,
-    sync-flush, and [End]. Steps must be physical and idempotent —
-    absolute post-state values, not deltas. *)
+(** Redo-logged operation. Its [Begin], every [Step] and its [Commit]
+    go down as one manifest frame, in one write, and the fsync that
+    follows is the durability point: once it returns, a crash anywhere
+    rolls the operation forward at the next open. Only then are the
+    steps applied, in memory — each maximal run of puts as one sorted
+    batch per table ({!Bptree.insert_batch}) — and the tables' flushes
+    and the op's [End] wait for the next {!checkpoint}. Steps must be
+    physical and idempotent: absolute post-state values, not deltas. *)
+
+val checkpoint_bound : int
+(** 32: the unended redo-logged operations at which {!run_logged_op}
+    checkpoints on its own. It bounds the redo a crash replays and the
+    manifest the ops fill between checkpoints. *)
+
+val checkpoint : t -> unit
+(** Make every redo-logged operation since the last checkpoint durable
+    in its tables: sync-flush each table they wrote, then append one
+    frame of [End] records; with nothing left pending, the manifest is
+    then compacted to a single record ({!Manifest.compact}). A no-op
+    when no operation waits. A checkpoint runs
+
+    - before every {!begin_op}, in {!flush}, {!close} and
+      {!compact_table};
+    - in {!run_logged_op}, once {!checkpoint_bound} operations wait, or
+      once a table the op wrote holds as many pinned dirty pages
+      ({!Pager.pinned_pages}) as its cache bound;
+    - at open, after replay rolled operations forward. *)
 
 val set_op_hook : (string -> unit) option -> unit
 (** Test hook fired at every operation sequence point, with labels like
-    ["op:add_document:logged"], ["op:rpl_build:flushed:rpls"],
-    ["op:advisor_apply:committed"]. The crash matrix raises
-    {!Pager.Injected_crash} from here. *)
+    ["op:add_document:committed"], ["op:rpl_build:flushed:rpls"],
+    ["checkpoint:flushed:postings"], ["checkpoint:ended"]. The crash
+    matrix raises {!Pager.Injected_crash} from here. *)
 
 val abort : t -> unit
 (** Test hook: abandon the environment as a crashed process would —

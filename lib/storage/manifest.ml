@@ -1,8 +1,12 @@
 module Framing = Trex_util.Framing
+module Codec = Trex_util.Codec
 module Metrics = Trex_obs.Metrics
 module Json = Trex_obs.Json
 
 let m_appends = Metrics.counter "manifest.appends"
+let m_bytes = Metrics.counter "manifest.bytes"
+let m_fsyncs = Metrics.counter "manifest.fsyncs"
+let m_upgrades = Metrics.counter "manifest.upgrades"
 let m_corrupt = Metrics.counter "manifest.corrupt_records"
 let m_torn = Metrics.counter "manifest.torn_tails"
 let m_recovered = Metrics.counter "manifest.records_recovered"
@@ -40,7 +44,11 @@ type pending = {
   p_steps : action list;
 }
 
-let magic = "TREXMF1\n"
+let magic = "TREXMF2\n"
+
+(* The format before binary frames: one JSON record per frame, keys and
+   values hex-encoded. Read once, to upgrade the file. *)
+let json_magic = "TREXMF1\n"
 
 type op_state = {
   mutable s_op : string;
@@ -69,8 +77,132 @@ type t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Hex codec: keys and values are raw B+tree bytes, so they pass
-   through JSON hex-encoded. *)
+(* Binary codec: a frame's payload is one or more records back to
+   back, each a tag byte and its fields (varints and length-prefixed
+   strings). *)
+
+module Buf = Codec.Buf
+module Reader = Codec.Reader
+
+let add_strings b l =
+  Buf.add_varint b (List.length l);
+  List.iter (Buf.add_string b) l
+
+let add_record b r =
+  let tag c = Buf.add_raw b c in
+  match r with
+  | Checkpoint { generation; next_op_id } ->
+      tag "K";
+      Buf.add_varint b generation;
+      Buf.add_varint b next_op_id
+  | Begin { op_id; op; tables; rollback; generation } ->
+      tag "B";
+      Buf.add_varint b op_id;
+      Buf.add_string b op;
+      add_strings b tables;
+      add_strings b rollback;
+      Buf.add_varint b generation
+  | Step { op_id; action } -> (
+      tag "S";
+      Buf.add_varint b op_id;
+      match action with
+      | Put { table; key; value } ->
+          tag "P";
+          Buf.add_string b table;
+          Buf.add_string b key;
+          Buf.add_string b value
+      | Remove { table; key } ->
+          tag "R";
+          Buf.add_string b table;
+          Buf.add_string b key
+      | Remove_prefix { table; prefix } ->
+          tag "X";
+          Buf.add_string b table;
+          Buf.add_string b prefix)
+  | Commit { op_id } ->
+      tag "C";
+      Buf.add_varint b op_id
+  | Abort { op_id; note } ->
+      tag "A";
+      Buf.add_varint b op_id;
+      Buf.add_string b note
+  | End { op_id } ->
+      tag "E";
+      Buf.add_varint b op_id
+
+let read_strings r = List.init (Reader.varint r) (fun _ -> Reader.string r)
+
+let read_record r =
+  match Reader.raw r 1 with
+  | "K" ->
+      let generation = Reader.varint r in
+      Checkpoint { generation; next_op_id = Reader.varint r }
+  | "B" ->
+      let op_id = Reader.varint r in
+      let op = Reader.string r in
+      let tables = read_strings r in
+      let rollback = read_strings r in
+      Begin { op_id; op; tables; rollback; generation = Reader.varint r }
+  | "S" ->
+      let op_id = Reader.varint r in
+      let action =
+        match Reader.raw r 1 with
+        | "P" ->
+            let table = Reader.string r in
+            let key = Reader.string r in
+            Put { table; key; value = Reader.string r }
+        | "R" ->
+            let table = Reader.string r in
+            Remove { table; key = Reader.string r }
+        | "X" ->
+            let table = Reader.string r in
+            Remove_prefix { table; prefix = Reader.string r }
+        | a -> raise (Reader.Malformed ("manifest action " ^ a))
+      in
+      Step { op_id; action }
+  | "C" -> Commit { op_id = Reader.varint r }
+  | "A" ->
+      let op_id = Reader.varint r in
+      Abort { op_id; note = Reader.string r }
+  | "E" -> End { op_id = Reader.varint r }
+  | tag -> raise (Reader.Malformed ("manifest record " ^ tag))
+
+(* Undecodable bytes make the whole frame corrupt: its records are all
+   or nothing. *)
+let decode payload =
+  let r = Reader.of_string payload in
+  let rec go acc = if Reader.at_end r then List.rev acc else go (read_record r :: acc) in
+  match go [] with
+  | [] -> None
+  | records -> Some records
+  | exception (Reader.Truncated | Reader.Malformed _ | Invalid_argument _) -> None
+
+let encode records =
+  let b = Buf.create () in
+  List.iter (add_record b) records;
+  Buf.contents b
+
+(* The payloads of [records]: one, unless it would pass the frame
+   limit; then as few as fit, split between records. *)
+let payloads records =
+  let whole = encode records in
+  if String.length whole <= Framing.max_payload then [ whole ]
+  else
+    let close acc cur = if cur = [] then acc else String.concat "" (List.rev cur) :: acc in
+    let rec pack acc cur size = function
+      | [] -> List.rev (close acc cur)
+      | r :: rest ->
+          let s = encode [ r ] in
+          let n = String.length s in
+          if n > Framing.max_payload then
+            invalid_arg "Manifest.append_records: record exceeds the frame limit";
+          if size + n > Framing.max_payload then pack (close acc cur) [ s ] n rest
+          else pack acc (s :: cur) (size + n) rest
+    in
+    pack [] [] 0 records
+
+(* ------------------------------------------------------------------ *)
+(* The JSON format, read-only: hex codec and record decoder. *)
 
 let hex_digits = "0123456789abcdef"
 
@@ -102,68 +234,6 @@ let of_hex s =
       (Char.unsafe_chr ((hex_digit s.[2 * i] lsl 4) lor hex_digit s.[(2 * i) + 1]))
   done;
   Bytes.unsafe_to_string b
-
-(* ------------------------------------------------------------------ *)
-(* JSON codec                                                          *)
-
-let action_to_json = function
-  | Put { table; key; value } ->
-      Json.Obj
-        [
-          ("a", Json.String "put");
-          ("tbl", Json.String table);
-          ("k", Json.String (to_hex key));
-          ("v", Json.String (to_hex value));
-        ]
-  | Remove { table; key } ->
-      Json.Obj
-        [
-          ("a", Json.String "rm");
-          ("tbl", Json.String table);
-          ("k", Json.String (to_hex key));
-        ]
-  | Remove_prefix { table; prefix } ->
-      Json.Obj
-        [
-          ("a", Json.String "rmp");
-          ("tbl", Json.String table);
-          ("k", Json.String (to_hex prefix));
-        ]
-
-let record_to_json = function
-  | Checkpoint { generation; next_op_id } ->
-      Json.Obj
-        [
-          ("t", Json.String "checkpoint");
-          ("gen", Json.Int generation);
-          ("next", Json.Int next_op_id);
-        ]
-  | Begin { op_id; op; tables; rollback; generation } ->
-      Json.Obj
-        [
-          ("t", Json.String "begin");
-          ("id", Json.Int op_id);
-          ("op", Json.String op);
-          ("tables", Json.List (List.map (fun s -> Json.String s) tables));
-          ("rollback", Json.List (List.map (fun s -> Json.String s) rollback));
-          ("gen", Json.Int generation);
-        ]
-  | Step { op_id; action } ->
-      Json.Obj
-        (("t", Json.String "step")
-        :: ("id", Json.Int op_id)
-        ::
-        (match action_to_json action with Json.Obj fields -> fields | _ -> []))
-  | Commit { op_id } ->
-      Json.Obj [ ("t", Json.String "commit"); ("id", Json.Int op_id) ]
-  | Abort { op_id; note } ->
-      Json.Obj
-        [
-          ("t", Json.String "abort");
-          ("id", Json.Int op_id);
-          ("note", Json.String note);
-        ]
-  | End { op_id } -> Json.Obj [ ("t", Json.String "end"); ("id", Json.Int op_id) ]
 
 let jstr j k = match Json.member k j with Some (Json.String s) -> Some s | _ -> None
 
@@ -275,12 +345,10 @@ let apply_record t r =
       end
       else Metrics.incr m_corrupt
 
-(* Framed-payload codec for {!Trex_util.Framing} (same on-disk
-   discipline as the query journal): undecodable JSON is a corrupt
-   frame. *)
-let decode payload =
+(* A JSON frame holds one record; undecodable JSON is a corrupt frame. *)
+let decode_json payload =
   match record_of_json (Json.parse payload) with
-  | r -> r
+  | r -> Option.map (fun r -> [ r ]) r
   | exception Json.Parse_error _ -> None
 
 (* ------------------------------------------------------------------ *)
@@ -305,12 +373,60 @@ let make backend records =
 
 let in_memory () = make Mem []
 
-let open_file file_path =
+let fsync fd =
+  Metrics.incr m_fsyncs;
+  Unix.fsync fd
+
+(* Append [records] as few frames in one write. *)
+let write_records fd records =
+  let frames = List.map Framing.frame (payloads records) in
+  let b = Bytes.concat Bytes.empty frames in
+  Framing.write_all fd b;
+  Metrics.add m_appends (List.length frames);
+  Metrics.add m_bytes (Bytes.length b)
+
+let starts_with_magic file_path m =
+  match open_in_bin file_path with
+  | exception Sys_error _ -> false
+  | ic ->
+      let head = try really_input_string ic (String.length m) with End_of_file -> "" in
+      close_in ic;
+      head = m
+
+let sweep file_path ~magic ~decode =
   let swept = Framing.open_file ~magic ~decode file_path in
   Metrics.add m_corrupt swept.Framing.corrupt;
-  Metrics.add m_recovered (List.length swept.Framing.records);
   if swept.Framing.torn then Metrics.incr m_torn;
-  make (File { fd = swept.Framing.fd; file_path }) swept.Framing.records
+  (swept.Framing.fd, List.concat swept.Framing.records)
+
+(* Rewrite a JSON-format file in the binary format, records and all,
+   before anything reads it, so its pending operations resolve like any
+   others. The new file is synced beside the old one and renamed over
+   it: a crash leaves one whole file or the other. *)
+let upgrade file_path =
+  let old, records = sweep file_path ~magic:json_magic ~decode:decode_json in
+  Unix.close old;
+  let tmp = file_path ^ ".tmp" in
+  let fd = Unix.openfile tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
+  Framing.write_all fd (Bytes.of_string magic);
+  if records <> [] then write_records fd records;
+  fsync fd;
+  Unix.rename tmp file_path;
+  (match Unix.openfile (Filename.dirname file_path) [ Unix.O_RDONLY ] 0 with
+  | exception Unix.Unix_error _ -> ()
+  | dir ->
+      (try fsync dir with Unix.Unix_error _ -> ());
+      Unix.close dir);
+  Metrics.incr m_upgrades;
+  (fd, records)
+
+let open_file file_path =
+  let fd, records =
+    if starts_with_magic file_path json_magic then upgrade file_path
+    else sweep file_path ~magic ~decode
+  in
+  Metrics.add m_recovered (List.length records);
+  make (File { fd; file_path }) records
 
 let path t = match t.backend with Mem -> None | File f -> Some f.file_path
 let records t = t.opened
@@ -323,23 +439,29 @@ let fresh_op_id t =
   t.next_op_id <- id + 1;
   id
 
-let append t r =
+let append_records t records =
   if t.closed then invalid_arg "Manifest.append: manifest is closed";
-  (match t.backend with
-  | Mem -> ()
-  | File { fd; _ } -> Framing.append fd (Json.to_string (record_to_json r)));
-  apply_record t r;
-  t.count <- t.count + 1;
-  Metrics.incr m_appends;
-  (match r with
-  | Begin _ -> Metrics.incr m_ops_begun
-  | Commit _ -> Metrics.incr m_ops_committed
-  | _ -> ())
+  if records <> [] then begin
+    (match t.backend with
+    | Mem -> Metrics.incr m_appends
+    | File { fd; _ } -> write_records fd records);
+    List.iter
+      (fun r ->
+        apply_record t r;
+        t.count <- t.count + 1;
+        match r with
+        | Begin _ -> Metrics.incr m_ops_begun
+        | Commit _ -> Metrics.incr m_ops_committed
+        | _ -> ())
+      records
+  end
+
+let append t r = append_records t [ r ]
 
 let sync t =
   match t.backend with
   | Mem -> ()
-  | File { fd; _ } -> if not t.closed then Unix.fsync fd
+  | File { fd; _ } -> if not t.closed then fsync fd
 
 let pending t =
   List.rev_map
@@ -356,15 +478,19 @@ let pending t =
       })
     t.order
 
+(* In place and unsynced: the file's next sync (the next operation's
+   commit, or close) makes it durable. A crash before then leaves the
+   old file, whose resolved operations replay idempotently, or an empty
+   one, which restarts the counters; either way every operation it held
+   is already durable in its tables. *)
 let compact t =
-  if Hashtbl.length t.ops = 0 then begin
+  if Hashtbl.length t.ops = 0 && t.count > 1 then begin
     let checkpoint = Checkpoint { generation = t.generation; next_op_id = t.next_op_id } in
     (match t.backend with
     | Mem -> ()
     | File { fd; _ } ->
         Framing.reset ~magic fd;
-        Framing.append fd (Json.to_string (record_to_json checkpoint));
-        Unix.fsync fd);
+        write_records fd [ checkpoint ]);
     t.count <- 1
   end
 
@@ -373,7 +499,7 @@ let close t =
     (match t.backend with
     | Mem -> ()
     | File { fd; _ } ->
-        (try Unix.fsync fd with Unix.Unix_error _ -> ());
+        (try fsync fd with Unix.Unix_error _ -> ());
         Unix.close fd);
     t.closed <- true
   end

@@ -12,20 +12,39 @@
        Commit
        End v}
 
-    with the same framing discipline as the query journal: an 8-byte
-    magic, then frames of [u32 length | u32 CRC32 | JSON payload]. A
-    torn tail is truncated at open, corrupt frames are skipped, and the
-    valid prefix is never lost ([manifest.torn_tails] /
-    [manifest.corrupt_records] count what the sweep found).
+    {b File format.} An 8-byte magic ([TREXMF2\n]), then frames of
+    [u32 length | u32 CRC32 | payload] ({!Trex_util.Framing}, the query
+    journal's discipline). A payload is one or more records back to
+    back in a compact binary encoding: a tag byte, then varints and
+    length-prefixed strings ({!Trex_util.Codec}), keys and values as raw
+    bytes. A frame's CRC covers all its records, so a frame is read
+    whole or not at all: {!append_records} writes a redo-logged
+    operation's Begin, every Step and its Commit as {e one} frame (split
+    between records only past [Framing.max_payload]), and recovery sees
+    the whole operation or none of it. A torn tail is truncated at open,
+    corrupt frames are skipped, and the valid prefix is never lost
+    ([manifest.torn_tails] / [manifest.corrupt_records] count what the
+    sweep found). [manifest.appends], [manifest.bytes] and
+    [manifest.fsyncs] count the frames written, their bytes and the
+    fsyncs spent on them.
+
+    {b Old files.} A manifest in the earlier format (magic [TREXMF1\n],
+    one JSON record per frame, bytes hex-encoded) is not reset: {!open_file}
+    reads it and rewrites it in the binary format, records and all,
+    before returning ([manifest.upgrades]). Its pending operations then
+    resolve at open like any others — a committed [add_document] with
+    no [End] rolls forward.
 
     Two commit disciplines share the format:
 
     - {b Redo-logged operations} ([Env.run_logged_op]): every table
       write is first recorded as a [Step] holding the absolute
-      post-state bytes, the steps and the [Commit] are fsynced, and
-      only then are the tables touched. A crash before [Commit] leaves
-      the tables untouched (roll {e back} is a no-op); after [Commit]
-      the steps replay idempotently (roll {e forward}).
+      post-state bytes, and the op's single frame is fsynced before any
+      table is touched. A crash before that leaves the tables untouched
+      (roll {e back} is a no-op); after it the steps replay
+      idempotently (roll {e forward}). The [End] comes later, at the
+      environment's next checkpoint ([Env.checkpoint]), once the tables
+      are flushed.
     - {b Build operations} ([Env.begin_op]/[commit_op]): rebuildable
       redundant tables are written directly between [Begin] and
       [Commit]; the [rollback] list names the tables recovery must
@@ -38,7 +57,7 @@
     [Env.table_blocked]). *)
 
 (** A physical, idempotent table action. [key]/[value]/[prefix] are raw
-    B+tree bytes (hex-encoded on disk). *)
+    B+tree bytes. *)
 type action =
   | Put of { table : string; key : string; value : string }
   | Remove of { table : string; key : string }
@@ -78,8 +97,8 @@ type pending = {
 
 (** {1 Hex codec}
 
-    Keys and values are raw B+tree bytes, so records carry them
-    hex-encoded inside their JSON payload. *)
+    The earlier JSON format carried keys and values hex-encoded; the
+    upgrade at {!open_file} decodes them. *)
 
 exception Bad_hex
 
@@ -98,7 +117,9 @@ val in_memory : unit -> t
 
 val open_file : string -> t
 (** Open-or-create. Sweeps the whole file: corrupt frames are skipped
-    and counted, a torn tail is truncated, a foreign file is reset. *)
+    and counted, a torn tail is truncated, a file in the earlier JSON
+    format is rewritten in the binary one (see above), and any other
+    foreign file is reset. *)
 
 val path : t -> string option
 val records : t -> record list
@@ -106,7 +127,7 @@ val records : t -> record list
     appended since are not retained. *)
 
 val length : t -> int
-(** Records in the manifest file, appended ones included. *)
+(** Records in the manifest file, appended ones included (not frames). *)
 
 val generation : t -> int
 (** Highest committed generation (0 for a fresh manifest). *)
@@ -119,9 +140,14 @@ val fresh_op_id : t -> int
 (** Allocate the next operation id (monotonic across reopens). *)
 
 val append : t -> record -> unit
-(** Frame and append one record; no fsync (see {!sync}). Updates the
-    derived state ({!generation}, {!pending}, ...) as the record
-    implies. *)
+(** [append_records t [r]]. *)
+
+val append_records : t -> record list -> unit
+(** Append the records as one frame in one write — several frames only
+    if they pass [Framing.max_payload] — with no fsync (see {!sync}).
+    Updates the derived state ({!generation}, {!pending}, ...) as the
+    records imply.
+    @raise Invalid_argument if a single record passes the frame limit. *)
 
 val sync : t -> unit
 
@@ -132,7 +158,12 @@ val pending : t -> pending list
 val compact : t -> unit
 (** When nothing is pending, truncate resolved history down to a
     {!Checkpoint} carrying the generation and op counter. A no-op if
-    any operation is pending. *)
+    any operation is pending or the file already holds a single record.
+    Not synced: the next {!sync} or {!close} makes it durable. A crash
+    before then leaves the old file, whose operations replay
+    idempotently, or an empty one that restarts the counters; every
+    operation either held is durable in its tables, since only resolved
+    history is compacted. *)
 
 val close : t -> unit
 

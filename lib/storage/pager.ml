@@ -93,6 +93,11 @@ type t = {
   backend : backend;
   page_size : int;
   mutable page_count : int;
+  (* Pages the newest committed header covers: their on-disk copies are
+     what a crash falls back to, so a dirty one is pinned in the cache
+     until the next {!flush} writes it together with a new header. *)
+  mutable committed_count : int;
+  mutable pinned : int; (* dirty frames with id < committed_count *)
   mutable root : int;
   mutable epoch : int;
   scratch : bytes; (* page_size + trailer; reused by physical reads/writes *)
@@ -139,6 +144,8 @@ let mk backend ~page_size ~page_count ~root ~epoch ~recoveries =
     backend;
     page_size;
     page_count;
+    committed_count = page_count;
+    pinned = 0;
     root;
     epoch;
     scratch = Bytes.make (page_size + page_trailer) '\x00';
@@ -322,6 +329,7 @@ let commit_header ?(sync = false) t =
   | File { fd; _ } ->
       t.epoch <- t.epoch + 1;
       write_slot t fd (t.epoch land 1);
+      t.committed_count <- t.page_count;
       if sync then do_fsync t fd
 
 type decoded_slot = {
@@ -438,6 +446,10 @@ let open_with_recovery ?cache_pages path =
 
 let page_size t = t.page_size
 let page_count t = t.page_count
+let pinned_pages t = t.pinned
+
+let cache_pages t =
+  match t.backend with Memory -> max_int | File { cache_pages; _ } -> cache_pages
 
 (* Root updates are buffered in memory and only reach the disk at the
    next {!flush} — after the pages they point into — so a crash can
@@ -486,22 +498,31 @@ let physical_write t fd id buf =
   t.physical_writes <- t.physical_writes + 1;
   Metrics.incr m_physical_writes
 
+let pinned t c id = c.dirty && id < t.committed_count
+
+(* Evict the least recently used page that may leave the cache: a clean
+   page, or a dirty one past the committed page count, whose slot no
+   committed header reaches. A dirty page the last header covers is
+   pinned: writing it back before the next header commit would tear the
+   committed tree a crash falls back to. With every frame pinned the
+   cache grows past its bound until the next flush. Linear scan is
+   fine: eviction is rare relative to hits and the cache is bounded.
+   The decoded form leaves with its frame. *)
 let evict_one t fd =
-  (* Evict the least recently used cached page. Linear scan is fine:
-     eviction is rare relative to hits and the cache is bounded. The
-     decoded form leaves with its frame. *)
-  let victim = ref (-1) and best = ref max_int in
-  Hashtbl.iter
-    (fun id c ->
-      if c.stamp < !best then begin
-        best := c.stamp;
-        victim := id
-      end)
-    t.cache;
-  if !victim >= 0 then begin
-    let c = Hashtbl.find t.cache !victim in
-    if c.dirty then physical_write t fd !victim c.buf;
-    Hashtbl.remove t.cache !victim
+  if t.pinned < Hashtbl.length t.cache then begin
+    let victim = ref (-1) and best = ref max_int in
+    Hashtbl.iter
+      (fun id c ->
+        if c.stamp < !best && not (pinned t c id) then begin
+          best := c.stamp;
+          victim := id
+        end)
+      t.cache;
+    if !victim >= 0 then begin
+      let c = Hashtbl.find t.cache !victim in
+      if c.dirty then physical_write t fd !victim c.buf;
+      Hashtbl.remove t.cache !victim
+    end
   end
 
 let touch t c =
@@ -573,11 +594,13 @@ let frame_for_write t id =
   check_id t id;
   match Hashtbl.find_opt t.cache id with
   | Some c ->
+      if (not c.dirty) && id < t.committed_count then t.pinned <- t.pinned + 1;
       c.dirty <- true;
       touch t c;
       c
   | None ->
       make_room t;
+      if id < t.committed_count then t.pinned <- t.pinned + 1;
       let c = new_frame t (Bytes.create t.page_size) ~dirty:true in
       Hashtbl.replace t.cache id c;
       c
@@ -605,6 +628,7 @@ let flush ?(sync = false) t =
         (fun id c ->
           if c.dirty then begin
             physical_write t fd id c.buf;
+            if id < t.committed_count then t.pinned <- t.pinned - 1;
             c.dirty <- false
           end)
         t.cache;
@@ -632,6 +656,7 @@ let close t =
 
 let abort t =
   Hashtbl.reset t.cache;
+  t.pinned <- 0;
   match t.backend with
   | Memory -> ()
   | File { fd; _ } -> ( try Unix.close fd with Unix.Unix_error _ -> ())

@@ -17,10 +17,16 @@
       header to the slot the previous epoch does not occupy, so a crash
       at any byte boundary leaves at least one valid header. {!flush}
       with [~sync:true] additionally [fsync]s around the header commit;
-    - there is no write-ahead log: a crash between commits can lose or
-      mix page-granularity updates, but {!open_with_recovery} plus the
-      checksum sweep guarantees the damage is detected, never silently
-      served. *)
+    - between commits, a dirty page the committed header covers is
+      {e pinned}: the cache never writes it back early, so a crash
+      between commits falls back to exactly the committed tree. Only
+      pages past the committed page count (no header reaches them) are
+      evicted dirty, and a full cache of pinned pages grows past its
+      bound until the next {!flush};
+    - there is no write-ahead log here: a crash {e during} a flush can
+      mix page-granularity updates (the operation manifest above this
+      layer replays them), and {!open_with_recovery} plus the checksum
+      sweep guarantees the damage is detected, never silently served. *)
 
 type t
 
@@ -68,6 +74,13 @@ val open_with_recovery : ?cache_pages:int -> string -> t * recovery
 
 val page_size : t -> int
 val page_count : t -> int
+
+val pinned_pages : t -> int
+(** Dirty cached pages the committed header covers, which stay in the
+    cache until the next {!flush} (0 for a memory pager). *)
+
+val cache_pages : t -> int
+(** The cache bound a file pager was opened with; [max_int] in memory. *)
 
 val allocate : t -> int
 (** Extend the store by one zeroed page and return its id. *)

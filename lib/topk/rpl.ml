@@ -498,13 +498,21 @@ let build index ~scoring ~sids ~terms ~kinds ?rpl_prefix () =
        if the commit record never lands, recovery quarantines the
        rollback tables (they are redundant — rebuildable from ERA). *)
     let env = Index.env index in
-    let op_tables =
-      List.map (fun (k, _, _) -> k) work
-      |> List.sort_uniq compare
-      |> List.concat_map (fun k -> [ table_name k; catalog_name k ])
-    in
+    let kinds = List.map (fun (k, _, _) -> k) work |> List.sort_uniq compare in
+    let op_tables = List.concat_map (fun k -> [ table_name k; catalog_name k ]) kinds in
     let o = Env.begin_op env ~op:"rpl_build" ~tables:op_tables ~rollback:op_tables () in
     (try
+       (* A kind with no list left starts from empty tables: B+trees
+          never shrink, so the pages of every dropped list would stay
+          allocated for good. A crash before the commit quarantines
+          these tables anyway. *)
+       List.iter
+         (fun kind ->
+           if catalog index kind = [] then begin
+             Env.drop_table env (table_name kind);
+             Env.drop_table env (catalog_name kind)
+           end)
+         kinds;
        List.iter
          (fun (kind, term, sid) ->
            let entries =

@@ -16,18 +16,52 @@ let frame payload =
   Bytes.blit_string payload 0 b 8 len;
   b
 
+let header_len contents pos = Int32.to_int (String.get_int32_le contents pos)
+
+(* Whether [pos] starts a chain of frames that ends exactly at the end
+   of [contents], every frame CRC-valid and decodable. Headers are
+   walked first, so most offsets are rejected without a CRC. *)
+let chain_to_end ~decode contents pos =
+  let n = String.length contents in
+  let rec fits pos =
+    pos = n
+    || pos + 8 <= n
+       &&
+       let len = header_len contents pos in
+       len >= 0 && len <= max_payload && pos + 8 + len <= n && fits (pos + 8 + len)
+  in
+  let rec valid pos =
+    pos = n
+    ||
+    let len = header_len contents pos in
+    let payload = String.sub contents (pos + 8) len in
+    Crc32.string payload = String.get_int32_le contents (pos + 4)
+    && decode payload <> None
+    && valid (pos + 8 + len)
+  in
+  fits pos && valid pos
+
 let scan ~decode contents =
   let n = String.length contents in
   let records = ref [] in
   let corrupt = ref 0 in
-  let rec go pos =
+  (* A header that is absurd or runs past the end is a torn tail —
+     unless whole frames resume later and run to the end: then the
+     header itself was damaged, and the frames after it are kept. *)
+  let rec resync ~bad p =
+    if p + 8 > n then (bad, true)
+    else if chain_to_end ~decode contents p then begin
+      incr corrupt;
+      go p
+    end
+    else resync ~bad (p + 1)
+  and go pos =
     if pos = n then (pos, false)
     else if pos + 8 > n then (pos, true) (* torn header *)
     else
-      let len = Int32.to_int (String.get_int32_le contents pos) in
+      let len = header_len contents pos in
       let crc = String.get_int32_le contents (pos + 4) in
-      if len < 0 || len > max_payload then (pos, true) (* corrupt header *)
-      else if pos + 8 + len > n then (pos, true) (* torn payload *)
+      if len < 0 || len > max_payload || pos + 8 + len > n then resync ~bad:pos (pos + 1)
       else begin
         let payload = String.sub contents (pos + 8) len in
         (if Crc32.string payload <> crc then incr corrupt

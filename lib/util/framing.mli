@@ -7,7 +7,10 @@
     files prefix a fixed magic string. The file reader skips frames
     whose CRC rejects the payload (corrupt) and truncates the file at
     the first frame that runs past EOF (torn tail), so a crash
-    mid-append never poisons later appends. The stream {!Decoder}
+    mid-append never poisons later appends. A damaged length header
+    looks like a torn tail too; when whole frames resume past it and
+    run to EOF, the reader counts the damage as corrupt and keeps them.
+    The stream {!Decoder}
     treats the same failures as connection-fatal ({!Corrupt_frame}) —
     a socket has no "later frames" worth salvaging past a corrupt one.
 
@@ -47,7 +50,10 @@ val scan :
 (** [scan ~decode body] sweeps frames in [body] (already past the
     magic): decoded records oldest first, corrupt-frame count, byte
     offset where the valid region ends, and whether the tail was
-    torn. *)
+    torn. A header that is absurd or runs past the end is skipped, as
+    one corrupt frame, when a chain of CRC-valid, decodable frames
+    starts after it and ends exactly at the end of [body]; otherwise it
+    is the torn tail. *)
 
 val read_all : Unix.file_descr -> string
 (** Whole file contents from offset 0. *)

@@ -175,6 +175,42 @@ let test_crash_matrix_inserts () =
   done;
   Alcotest.(check bool) "matrix reaches sound recoveries" true (!sound > 0)
 
+(* ---- dirty pages the committed header covers stay in the cache ---- *)
+
+(* With an 8-page cache, inserts after a durable flush dirty far more
+   committed pages than the cache holds. None may be written back
+   before the next header commit: a crash (abort) must reopen to
+   exactly the flushed tree. *)
+let test_pinned_pages_survive_crash () =
+  let dir = temp_dir () in
+  for seed = 0 to 40 do
+    let path = Filename.concat dir (Printf.sprintf "pinned-%d.tbl" seed) in
+    let order = Array.init 600 Fun.id in
+    Trex_util.Prng.shuffle (Trex_util.Prng.create seed) order;
+    let p = Pager.create_file ~page_size:512 ~cache_pages:8 path in
+    let t = Bptree.create p in
+    let put i = Bptree.insert t ~key:(key i) ~value:(value i) in
+    Array.iter put (Array.sub order 0 300);
+    Pager.flush ~sync:true p;
+    Array.iter put (Array.sub order 300 (100 + (seed * 5)));
+    Alcotest.(check bool) "some committed pages are pinned" true (Pager.pinned_pages p > 0);
+    Pager.abort p;
+    let p = Pager.open_file path in
+    let t = Bptree.attach p in
+    check (Alcotest.list Alcotest.string)
+      (Printf.sprintf "seed %d: verify clean" seed)
+      [] (Bptree.verify t).Bptree.problems;
+    Array.iteri
+      (fun n i ->
+        if n < 300 then
+          check (Alcotest.option Alcotest.string)
+            (Printf.sprintf "seed %d: durable %s" seed (key i))
+            (Some (value i)) (Bptree.find t (key i)))
+      order;
+    check Alcotest.int (Printf.sprintf "seed %d: only the durable keys" seed) 300 (Bptree.length t);
+    Pager.close p
+  done
+
 (* ---- torn header write: epoch fallback ---- *)
 
 let test_torn_header_falls_back () =
@@ -496,6 +532,8 @@ let () =
             test_crash_matrix_inserts;
           Alcotest.test_case "torn header falls back" `Quick
             test_torn_header_falls_back;
+          Alcotest.test_case "pinned pages survive a crash" `Quick
+            test_pinned_pages_survive_crash;
         ] );
       ( "corruption",
         [

@@ -426,6 +426,19 @@ let crash_add_at fx work at =
 let test_add_document_crash_matrix () =
   let fx = make_add_fixture () in
   let work = temp_dir () in
+  (* The add, then the checkpoint that makes it durable in the tables. *)
+  let crash_add_at fx work at =
+    copy_dir fx.pristine work;
+    let env = Trex.Env.on_disk work in
+    let engine = Trex.attach ~env () in
+    let seen, crashed =
+      run_with_crash_at at (fun () ->
+          ignore (Trex.add_document engine ~name:"crash-doc" ~xml:fx.doc_xml);
+          Env.checkpoint env)
+    in
+    Env.abort env;
+    (seen, crashed)
+  in
   (* Counting pass: no crash point fires. *)
   let total, crashed = crash_add_at fx work max_int in
   check Alcotest.bool "counting pass completes" false crashed;
@@ -775,6 +788,242 @@ let test_manifest_compacts_at_open () =
     (file_length (Filename.concat dir "MANIFEST.mf") < 128);
   Trex.Env.close env2
 
+(* ---- checkpoint crash matrix ---- *)
+
+let checkpoint_docs =
+  [
+    ("cp-a", "<article><sec>information retrieval of xml</sec></article>");
+    ( "cp-b",
+      "<article><sec>retrieval of information in indexed documents</sec><sec>xml \
+       information</sec></article>" );
+    ("cp-c", "<article><sec>information retrieval, information retrieval</sec></article>");
+  ]
+
+(* Three adds, then the checkpoint that makes them durable in the
+   tables, crashed at every sequence point — with the default cache, and
+   with a cache so small that pinned pages force checkpoints inside the
+   adds. Recovery must land on exactly a prefix of the adds, holding at
+   least every add whose commit was durable, and answer as an index
+   built from that prefix does. *)
+let test_checkpoint_crash_matrix () =
+  let pristine = temp_dir () in
+  let env, engine = build_collection pristine ~docs:6 ~seed:83 in
+  ignore (Trex.materialize engine nexi);
+  let pre_docs = (Index.stats (Trex.index engine)).Index.doc_count in
+  Trex.Env.close env;
+  let add_first engine n =
+    List.iteri
+      (fun i (name, xml) -> if i < n then ignore (Trex.add_document engine ~name ~xml))
+      checkpoint_docs
+  in
+  let expected =
+    Array.init 4 (fun n ->
+        let dir = temp_dir () in
+        copy_dir pristine dir;
+        let env = Trex.Env.on_disk dir in
+        let engine = Trex.attach ~env () in
+        add_first engine n;
+        let s = era_sig engine in
+        Trex.Env.close env;
+        s)
+  in
+  List.iter
+    (fun cache_pages ->
+      let work = temp_dir () in
+      (* Like [run_with_crash_at], also counting the adds whose commit
+         was durable when the crash hit: those must survive it. *)
+      let run at =
+        copy_dir pristine work;
+        let env = Trex.Env.on_disk ~cache_pages work in
+        let engine = Trex.attach ~env () in
+        let count = ref 0 and committed = ref 0 in
+        Env.set_op_hook
+          (Some
+             (fun point ->
+               if point = "op:add_document:committed" then incr committed;
+               let i = !count in
+               incr count;
+               if i = at then raise (Pager.Injected_crash ("hook:" ^ point))));
+        let crashed =
+          Fun.protect ~finally:(fun () -> Env.set_op_hook None) (fun () ->
+              match
+                add_first engine 3;
+                Env.checkpoint env
+              with
+              | () -> false
+              | exception Pager.Injected_crash _ -> true)
+        in
+        Env.abort env;
+        (!count, !committed, crashed)
+      in
+      let total, _, crashed = run max_int in
+      check Alcotest.bool "counting pass completes" false crashed;
+      let landed = Array.make 4 0 in
+      for at = 0 to total do
+        let _, committed, crashed = run at in
+        check Alcotest.bool (Printf.sprintf "point %d: crash fired" at) (at < total) crashed;
+        let ctx = Printf.sprintf "cache %d, crash at point %d" cache_pages at in
+        let env, reports = Env.open_with_recovery ~cache_pages work in
+        assert_verify_clean ctx reports;
+        check Alcotest.int (ctx ^ ": nothing unresolved") 0 (Env.manifest_unresolved env);
+        let engine = Trex.attach ~env () in
+        let n = (Index.stats (Trex.index engine)).Index.doc_count - pre_docs in
+        if n < committed || n > 3 then
+          Alcotest.failf "%s: %d documents added, %d committed" ctx n committed;
+        check sig_testable (ctx ^ ": answers of the prefix") expected.(n) (era_sig engine);
+        landed.(n) <- landed.(n) + 1;
+        Trex.Env.close env
+      done;
+      Array.iteri
+        (fun n c ->
+          check Alcotest.bool
+            (Printf.sprintf "cache %d: some crash lands on %d adds" cache_pages n)
+            true (c > 0))
+        landed)
+    [ 4096; 2 ]
+
+(* ---- an operation past the frame limit ---- *)
+
+let test_oversized_add_recovers () =
+  let dir = temp_dir () in
+  let env, _ = build_collection dir ~docs:4 ~seed:89 in
+  Trex.Env.close env;
+  let env = Trex.Env.on_disk dir in
+  let engine = Trex.attach ~env () in
+  (* The source table alone logs the whole document. *)
+  let filler = String.make (Trex_util.Framing.max_payload + (1 lsl 20)) 'x' in
+  let xml = "<article><sec>information retrieval</sec><!--" ^ filler ^ "--></article>" in
+  let appends = Metrics.counter "manifest.appends" in
+  let before = Metrics.value appends in
+  let docid = Trex.add_document engine ~name:"huge" ~xml in
+  check Alcotest.bool "logged in several frames" true (Metrics.value appends - before >= 2);
+  (* Crash before any checkpoint: only the log holds the document. *)
+  Env.abort env;
+  let env, reports = Env.open_with_recovery dir in
+  assert_verify_clean "oversized add" reports;
+  check
+    Alcotest.(list string)
+    "rolled forward"
+    [ "rolled forward" ]
+    (List.map (fun (r : Env.resolution) -> r.Env.res_outcome) (Env.manifest_resolutions env));
+  let engine = Trex.attach ~env () in
+  check Alcotest.int "document counted" 5 (Index.stats (Trex.index engine)).Index.doc_count;
+  check Alcotest.bool "source stored whole" true (Index.source (Trex.index engine) docid = Some xml);
+  Trex.Env.close env
+
+(* ---- a manifest in the JSON format ---- *)
+
+(* The format before binary frames, written by hand: one JSON record
+   per frame, keys and values hex-encoded. *)
+let json_of_record r =
+  let module J = Trex_obs.Json in
+  let id op_id = ("id", J.Int op_id) in
+  let strs l = J.List (List.map (fun s -> J.String s) l) in
+  let fields =
+    match r with
+    | Manifest.Checkpoint { generation; next_op_id } ->
+        [ ("t", J.String "checkpoint"); ("gen", J.Int generation); ("next", J.Int next_op_id) ]
+    | Manifest.Begin { op_id; op; tables; rollback; generation } ->
+        [
+          ("t", J.String "begin"); id op_id; ("op", J.String op); ("tables", strs tables);
+          ("rollback", strs rollback); ("gen", J.Int generation);
+        ]
+    | Manifest.Step { op_id; action } -> (
+        let step a tbl k = [ ("t", J.String "step"); id op_id; ("a", J.String a); ("tbl", J.String tbl); ("k", J.String (Manifest.to_hex k)) ] in
+        match action with
+        | Manifest.Put { table; key; value } -> step "put" table key @ [ ("v", J.String (Manifest.to_hex value)) ]
+        | Manifest.Remove { table; key } -> step "rm" table key
+        | Manifest.Remove_prefix { table; prefix } -> step "rmp" table prefix)
+    | Manifest.Commit { op_id } -> [ ("t", J.String "commit"); id op_id ]
+    | Manifest.Abort { op_id; note } -> [ ("t", J.String "abort"); id op_id; ("note", J.String note) ]
+    | Manifest.End { op_id } -> [ ("t", J.String "end"); id op_id ]
+  in
+  J.to_string (J.Obj fields)
+
+(* A JSON-format manifest holding a committed add_document with no End
+   is rolled forward at open: rewritten in the binary format first,
+   then replayed like any pending operation. *)
+let test_json_manifest_rolls_forward () =
+  let fx = make_add_fixture () in
+  let work = temp_dir () in
+  (* Crash right after the add's commit: the tables hold nothing of it. *)
+  let at =
+    let points = ref [] in
+    copy_dir fx.pristine work;
+    let env = Trex.Env.on_disk work in
+    let engine = Trex.attach ~env () in
+    Env.set_op_hook (Some (fun p -> points := p :: !points));
+    ignore (Trex.add_document engine ~name:"crash-doc" ~xml:fx.doc_xml);
+    Env.set_op_hook None;
+    Trex.Env.close env;
+    let rec find i = function
+      | [] -> Alcotest.fail "no committed point"
+      | "op:add_document:committed" :: _ -> i
+      | _ :: rest -> find (i + 1) rest
+    in
+    find 0 (List.rev !points)
+  in
+  let _, crashed = crash_add_at fx work at in
+  check Alcotest.bool "crashed after the commit" true crashed;
+  let path = Filename.concat work "MANIFEST.mf" in
+  let m = Manifest.open_file path in
+  let records = Manifest.records m in
+  Manifest.close m;
+  Sys.remove path;
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+  Trex_util.Framing.write_all fd (Bytes.of_string "TREXMF1\n");
+  List.iter (fun r -> Trex_util.Framing.append fd (json_of_record r)) records;
+  Unix.close fd;
+  let upgrades = Metrics.counter "manifest.upgrades" in
+  let before = Metrics.value upgrades in
+  check Alcotest.bool "JSON format rolls forward" true (assert_pre_or_post "JSON manifest" fx work);
+  check Alcotest.int "upgraded once" 1 (Metrics.value upgrades - before);
+  let ic = open_in_bin path in
+  let magic = really_input_string ic 8 in
+  close_in ic;
+  check Alcotest.string "rewritten in the binary format" "TREXMF2\n" magic
+
+(* ---- list tables start fresh once every list is dropped ---- *)
+
+(* Each cycle adds documents, which moves every score and so the keys
+   of the rebuilt lists' chunks, drops every list and rebuilds them.
+   The leaves a drop empties are not where the new chunks land, so
+   without a fresh start the list tables grow with every cycle. *)
+let test_list_tables_reclaimed () =
+  let dir = temp_dir () in
+  let coll = Trex_corpus.Gen.ieee ~doc_count:200 ~seed:91 () in
+  let docs = Array.of_seq (coll.docs ()) in
+  let env = Trex.Env.on_disk dir in
+  let engine = Trex.build ~env ~alias:coll.alias (Array.to_seq (Array.sub docs 0 100)) in
+  let index = Trex.index engine in
+  let queries =
+    List.map
+      (fun id -> (Trex_corpus.Queries.find id).Trex_corpus.Queries.nexi)
+      [ "202"; "203"; "233"; "270" ]
+  in
+  let rematerialize () = List.iter (fun q -> ignore (Trex.materialize engine q)) queries in
+  let list_bytes () =
+    List.fold_left
+      (fun acc kind ->
+        acc + Env.table_bytes env (Rpl.table_name kind) + Env.table_bytes env (Rpl.catalog_name kind))
+      0 [ Rpl.Rpl; Rpl.Erpl ]
+  in
+  rematerialize ();
+  let one_build = list_bytes () in
+  for cycle = 0 to 19 do
+    for i = 0 to 4 do
+      let name, xml = docs.(100 + (cycle * 5) + i) in
+      ignore (Trex.add_document engine ~name ~xml)
+    done;
+    List.iter (Rpl.drop_all index) [ Rpl.Rpl; Rpl.Erpl ];
+    rematerialize ()
+  done;
+  check Alcotest.bool
+    (Printf.sprintf "20 rebuilds hold %d bytes, the first build %d" (list_bytes ()) one_build)
+    true
+    (list_bytes () <= 2 * one_build);
+  Trex.Env.close env
+
 (* ---- hex codec ---- *)
 
 let prop_hex_roundtrip =
@@ -832,6 +1081,7 @@ let () =
             test_manifest_compacts_at_open;
           Alcotest.test_case "dir fsync after unlink" `Quick
             test_drop_table_syncs_directory;
+          Alcotest.test_case "list tables reclaimed" `Slow test_list_tables_reclaimed;
         ] );
       ( "crash-matrix",
         [
@@ -843,6 +1093,10 @@ let () =
             test_materialize_crash_matrix;
           Alcotest.test_case "advisor apply hook points" `Slow
             test_advisor_apply_crash_matrix;
+          Alcotest.test_case "checkpoint hook points" `Slow test_checkpoint_crash_matrix;
+          Alcotest.test_case "add past the frame limit" `Slow test_oversized_add_recovers;
+          Alcotest.test_case "JSON manifest rolls forward" `Quick
+            test_json_manifest_rolls_forward;
         ] );
       ( "generations",
         [

@@ -548,6 +548,55 @@ let test_bptree_append_split_exactly_full () =
     Alcotest.(check bool) key true (Bptree.find t key <> None)
   done
 
+(* Ascending runs landing between existing keys: each overflow splits
+   just before the new entry, so the leaves a run leaves behind stay
+   packed (a byte-balanced split would leave them about half full). *)
+let test_bptree_middle_runs_fill () =
+  let t = Bptree.create (Pager.create_memory ~page_size:1024 ()) in
+  for i = 0 to 99 do
+    Bptree.insert t ~key:(Printf.sprintf "k%03d" (i * 10)) ~value:"base"
+  done;
+  List.iter
+    (fun at ->
+      for j = 0 to 299 do
+        Bptree.insert t ~key:(Printf.sprintf "k%03d-%05d" at j) ~value:(String.make 12 'v')
+      done)
+    [ 100; 300; 500; 700; 900 ];
+  let r = Bptree.verify t in
+  check (Alcotest.list Alcotest.string) "clean" [] r.Bptree.problems;
+  check Alcotest.int "every entry" 1600 r.Bptree.entries;
+  Alcotest.(check bool)
+    (Printf.sprintf "leaves at least 2/3 full (%.2f)" r.Bptree.fill)
+    true
+    (r.Bptree.fill >= 2.0 /. 3.0)
+
+(* A batch insert leaves the same table as inserting its pairs in
+   order — the last put of a key wins — whether a leaf's share merges
+   in place or overflows into per-key splits. *)
+let prop_bptree_insert_batch =
+  let open QCheck in
+  let key = Gen.(map (Printf.sprintf "k%03d") (0 -- 150)) in
+  let put = Gen.(pair key (map (fun n -> String.make n 'v') (0 -- 40))) in
+  Test.make ~name:"insert_batch equals inserts in order" ~count:100
+    (make Gen.(pair (list_size (0 -- 120) put) (list_size (0 -- 200) put)))
+    (fun (before, batch) ->
+      let fresh () =
+        let t = Bptree.create (Pager.create_memory ~page_size:256 ()) in
+        List.iter (fun (key, value) -> Bptree.insert t ~key ~value) before;
+        t
+      in
+      let batched = fresh () and inserted = fresh () in
+      Bptree.insert_batch batched batch;
+      List.iter (fun (key, value) -> Bptree.insert inserted ~key ~value) batch;
+      let entries t =
+        let l = ref [] in
+        Bptree.iter t (fun k v -> l := (k, v) :: !l);
+        List.rev !l
+      in
+      (Bptree.verify batched).Bptree.problems = []
+      && entries batched = entries inserted
+      && Bptree.length batched = List.length (entries inserted))
+
 (* Nodes are immutable: a cursor keeps the leaf it loaded, so an insert
    into that leaf after positioning does not show through. *)
 let test_bptree_cursor_snapshot () =
@@ -700,6 +749,9 @@ let () =
             test_bptree_split_never_overflows;
           Alcotest.test_case "append split of an exactly full leaf" `Quick
             test_bptree_append_split_exactly_full;
+          Alcotest.test_case "middle runs leave full leaves" `Quick
+            test_bptree_middle_runs_fill;
+          qtest prop_bptree_insert_batch;
           Alcotest.test_case "cursor keeps its snapshot" `Quick
             test_bptree_cursor_snapshot;
           Alcotest.test_case "encoded_size matches the encoding" `Quick
