@@ -16,8 +16,6 @@
                      sweep, with the paper's prefix S_RPL accounting
      ablation      - summary-variant (tag/incoming/±alias, A(k)) and
                      scorer ablations
-     layout        - paper's skip-scanned full-term RPLs vs per-(term,sid)
-                     lists; the §4 TA-vs-Merge race
      io            - page-cache size vs physical I/O on an on-disk index
      compression   - block-compressed storage per Table-1 query: bytes on
                      disk, cold-cache physical reads, rank identity
@@ -346,7 +344,6 @@ let figure_for_query ~section (q : Queries.t) =
       let counters =
         [
           ("sorted_accesses", stats.sorted_accesses);
-          ("skipped_accesses", stats.skipped_accesses);
           ("heap_operations", stats.heap_operations);
           ("heap_pushes", stats.heap_pushes);
           ("heap_evictions", stats.heap_evictions);
@@ -539,59 +536,6 @@ let section_ablation () =
   let overlap = List.length (List.filter (fun x -> List.mem x b) a) in
   Printf.printf "\nscorer ablation (Q270): BM25 vs TF-IDF top-10 overlap = %d/10\n"
     overlap
-
-(* ---- section: layout (RPL key layout + race) ---- *)
-
-let section_layout () =
-  header "RPL LAYOUT: paper's full-term skip-scan vs per-(term,sid) merge";
-  materialize_all ();
-  Printf.printf
-    "The paper keys RPLs (token, score, sid, ...) and TA skips foreign\n\
-     sids; this implementation defaults to per-(term, sid) lists merged\n\
-     at read time (DESIGN.md). The ablation quantifies the difference.\n\n";
-  Printf.printf "%-5s %8s | %10s %10s | %10s %10s %9s\n" "query" "k" "merged ms"
-    "reads" "full ms" "reads" "skipped";
-  List.iter
-    (fun id ->
-      let q = Queries.find id in
-      let engine, sids, terms = translated q in
-      let index = Trex.index engine in
-      ignore
-        (Trex.Rpl.Full.build index ~scoring:(Trex.scoring engine) ~terms ());
-      List.iter
-        (fun k ->
-          let t_merged =
-            robust_reported (fun () ->
-                let _, s = Trex.Ta.run index ~sids ~terms ~k () in
-                s.elapsed_seconds)
-          in
-          let t_full =
-            robust_reported (fun () ->
-                let _, s = Trex.Ta.run index ~sids ~terms ~k ~use_full_rpls:true () in
-                s.elapsed_seconds)
-          in
-          let _, sm = Trex.Ta.run index ~sids ~terms ~k () in
-          let _, sf = Trex.Ta.run index ~sids ~terms ~k ~use_full_rpls:true () in
-          Printf.printf "%-5s %8d | %10.2f %10d | %10.2f %10d %9d\n" id k
-            (t_merged *. 1e3) sm.sorted_accesses (t_full *. 1e3) sf.sorted_accesses
-            sf.skipped_accesses)
-        [ 10; 1000 ])
-    [ "202"; "260" ];
-  Printf.printf
-    "\nRACE (paper 4: evaluate TA and Merge, answer from the faster):\n";
-  List.iter
-    (fun id ->
-      let q = Queries.find id in
-      let engine, sids, terms = translated q in
-      List.iter
-        (fun k ->
-          let o =
-            Strategy.race (Trex.index engine) ~scoring:(Trex.scoring engine) ~sids
-              ~terms ~k
-          in
-          Printf.printf "  %s k=%-6d -> %s\n" id k o.Strategy.detail)
-        [ 10; 100000 ])
-    [ "202"; "233"; "270" ]
 
 (* ---- section: io (pager cache sweep) ---- *)
 
@@ -1438,7 +1382,6 @@ let () =
       "233/292: TA & Merge << ERA; 290: Merge usually wins";
   if want "selfman" then section_selfman ();
   if want "ablation" then section_ablation ();
-  if want "layout" then section_layout ();
   if want "effectiveness" then section_effectiveness ();
   if want "io" then section_io ();
   if want "compression" then section_compression ();

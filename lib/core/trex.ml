@@ -308,21 +308,13 @@ let add_document t ~name ~xml =
       end
       else fun _ -> true
     in
-    let pair_drops =
-      List.concat_map
-        (fun kind ->
-          List.concat_map
-            (fun (term, sid, _, _) ->
-              if stale term then Rpl.drop_actions kind ~term ~sid else [])
-            (Rpl.catalog t.index kind))
-        [ Rpl.Rpl; Rpl.Erpl ]
-    in
-    let full_drops =
-      List.concat_map
-        (fun term -> if stale term then Rpl.Full.drop_actions ~term else [])
-        (Rpl.Full.terms t.index)
-    in
-    pair_drops @ full_drops
+    List.concat_map
+      (fun kind ->
+        List.concat_map
+          (fun (term, sid, _, _) ->
+            if stale term then Rpl.drop_actions kind ~term ~sid else [])
+          (Rpl.catalog t.index kind))
+      [ Rpl.Rpl; Rpl.Erpl ]
   in
   let docid, _terms = Index.add_document t.index ~invalidation ~name ~xml in
   docid
@@ -359,7 +351,7 @@ let vacuum t =
   let env = Index.env t.index in
   let present =
     List.filter (Env.has_table env)
-      [ "rpls"; "erpls"; "rpl_catalog"; "erpl_catalog"; "rpls_full"; "rpl_full_catalog" ]
+      [ "rpls"; "erpls"; "rpl_catalog"; "erpl_catalog" ]
   in
   if present <> [] then begin
     let o = Env.begin_op env ~op:"vacuum" ~tables:present () in

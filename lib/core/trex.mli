@@ -159,9 +159,10 @@ val query_structured :
 
 val add_document : t -> name:string -> xml:string -> int
 (** Index one more document and {e self-manage} the redundant indexes:
-    every RPL/ERPL (and full-term RPL) list of a term occurring in the
-    new document is dropped, so stale lists can never serve queries;
-    they rebuild on the next {!materialize}. Returns the docid.
+    every materialized RPL/ERPL list is dropped (only those of the new
+    document's terms when scoring is pinned by shard overrides), so
+    stale lists can never serve queries; they rebuild on the next
+    {!materialize}. Returns the docid.
     @raise Trex_xml.Sax.Malformed on invalid XML. *)
 
 val materialize :

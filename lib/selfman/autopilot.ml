@@ -147,12 +147,11 @@ let maybe_replan t =
    longer exist — cursors would silently serve empty results, which is
    wrong, not degraded. So a trip on either member condemns the pair. *)
 let quarantine_group name =
-  let pair kind = [ Rpl.table_name kind; Rpl.catalog_name kind ] in
-  let full_pair = [ Rpl.Full.table_name; Rpl.Full.catalog_name ] in
-  if List.mem name (pair Rpl.Rpl) then Some (pair Rpl.Rpl, Some Rpl.Rpl)
-  else if List.mem name (pair Rpl.Erpl) then Some (pair Rpl.Erpl, Some Rpl.Erpl)
-  else if List.mem name full_pair then Some (full_pair, None)
-  else None
+  List.find_map
+    (fun kind ->
+      let pair = [ Rpl.table_name kind; Rpl.catalog_name kind ] in
+      if List.mem name pair then Some (pair, kind) else None)
+    [ Rpl.Rpl; Rpl.Erpl ]
 
 type heal_action =
   | Cooling_down  (** breaker open, cooldown not yet elapsed *)
@@ -177,7 +176,7 @@ let heal_one t env name b =
   else
     (* [allow] admitted us as the half-open probe for this table. *)
     match quarantine_group name with
-    | Some (tables, rebuild_kind) -> (
+    | Some (tables, kind) -> (
         (* The quarantine + rebuild is one manifest op with the pair as
            rollback: an interruption (including an injected crash during
            the rebuild) either stays pending for recovery to quarantine,
@@ -187,11 +186,7 @@ let heal_one t env name b =
         let o = Env.begin_op env ~op:"heal" ~tables ~rollback:tables () in
         match
           List.iter (Env.quarantine_table env) tables;
-          let entries_written =
-            match rebuild_kind with
-            | Some kind -> rebuild_from_workload t kind
-            | None -> 0 (* full-term RPLs rebuild on the next materialize *)
-          in
+          let entries_written = rebuild_from_workload t kind in
           let probes = List.map (Env.verify_table env) tables in
           (entries_written, List.filter (fun r -> not r.Env.ok) probes)
         with

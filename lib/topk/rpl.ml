@@ -7,10 +7,8 @@ module Types = Trex_invindex.Types
 module Index = Trex_invindex.Index
 module Metrics = Trex_obs.Metrics
 
-(* Process-wide cursor traffic, split by layout; the per-cursor
-   [entries_read]/[entries_skipped] accessors stay the per-run view. *)
-let m_full_read = Metrics.counter "rpl.full.entries_read"
-let m_full_skipped = Metrics.counter "rpl.full.entries_skipped"
+(* Process-wide cursor traffic; the per-cursor [entries_read] accessor
+   stays the per-run view. *)
 let m_merged_read = Metrics.counter "rpl.merged.entries_read"
 
 type entry = { element : Types.element; score : float }
@@ -58,8 +56,8 @@ let chunk_key kind ~term ~sid (first : entry) =
    separately and used only as rank-safe pruning bounds. Block headers
    carry the docid range and last position so a cursor can skip whole
    blocks by score bound (TA's floor) or by position (Merge-style
-   seeks) without decoding them, plus — for full-term lists — a 63-bit
-   sid-hash bitmap so foreign-extent blocks are never decoded at all. *)
+   seeks) without decoding them. Every entry of a segment shares the
+   list's sid, so no entry stores it. *)
 
 let block_entries = 64
 let segment_budget = 1536
@@ -118,26 +116,19 @@ type block_info = {
   blk_min_docid : int;
   blk_max_docid : int;
   blk_last_endpos : int; (* endpos of the last entry (position order) *)
-  blk_sids : int; (* 63-bit sid-hash bitmap; 0 in per-(term,sid) lists *)
 }
 
-(* Sid 62 (mod 63) owns bit 62, OCaml's sign bit, so a bitmap may be
-   negative: it is written as a raw 63-bit word, not a quantity. *)
-let sid_bit sid = 1 lsl (sid mod 63)
-
-let encode_block ~with_sid dict entries =
+let encode_block dict entries =
   match entries with
   | [] -> invalid_arg "Rpl.encode_block: empty block"
   | _ ->
       let qmax = ref 0 and min_doc = ref max_int and max_doc = ref 0 in
-      let bitmap = ref 0 in
       let last = ref (List.hd entries) in
       List.iter
         (fun ({ element = e; score } as entry) ->
           qmax := max !qmax (Codec.Block.quantize_up score);
           min_doc := min !min_doc e.Types.docid;
           max_doc := max !max_doc e.Types.docid;
-          bitmap := !bitmap lor sid_bit e.Types.sid;
           last := entry)
         entries;
       let h = Codec.Buf.create ~capacity:24 () in
@@ -146,8 +137,7 @@ let encode_block ~with_sid dict entries =
       Codec.Buf.add_uvarint h !min_doc;
       Codec.Buf.add_uvarint h (!max_doc - !min_doc);
       Codec.Buf.add_uvarint h !last.element.Types.endpos;
-      if with_sid then Codec.Buf.add_word h !bitmap;
-      (* Payload: parallel bit-packed streams (score index, [sid],
+      (* Payload: parallel bit-packed streams (score index,
          zig-zag docid delta, zig-zag endpos delta, length), each
          preceded by its uvarint width. Frame-of-reference per stream:
          a block's score indexes or deltas rarely need more than a few
@@ -156,7 +146,6 @@ let encode_block ~with_sid dict entries =
          blocks never read them. *)
       let n = List.length entries in
       let idxs = Array.make n 0
-      and sids = Array.make (if with_sid then n else 0) 0
       and zdocs = Array.make n 0
       and zends = Array.make n 0
       and lens = Array.make n 0 in
@@ -165,7 +154,6 @@ let encode_block ~with_sid dict entries =
       List.iteri
         (fun i { element = e; score } ->
           idxs.(i) <- Dict.index dict score;
-          if with_sid then sids.(i) <- e.Types.sid;
           zdocs.(i) <- zz (e.docid - !prev_doc);
           zends.(i) <- zz (e.endpos - !prev_end);
           lens.(i) <- e.length;
@@ -179,29 +167,26 @@ let encode_block ~with_sid dict entries =
         Codec.Bitpack.pack b ~width:w a
       in
       put idxs;
-      if with_sid then put sids;
       put zdocs;
       put zends;
       put lens;
       (Codec.Buf.contents h, Codec.Buf.contents b)
 
-let decode_block_header ~with_sid r =
+let decode_block_header r =
   let blk_count = Codec.Reader.uvarint r in
   let blk_qmax = Codec.Reader.uvarint r in
   let blk_min_docid = Codec.Reader.uvarint r in
   let blk_max_docid = blk_min_docid + Codec.Reader.uvarint r in
   let blk_last_endpos = Codec.Reader.uvarint r in
-  let blk_sids = if with_sid then Codec.Reader.uvarint r else 0 in
-  { blk_count; blk_qmax; blk_min_docid; blk_max_docid; blk_last_endpos; blk_sids }
+  { blk_count; blk_qmax; blk_min_docid; blk_max_docid; blk_last_endpos }
 
-let decode_block ~with_sid ~sid dict info r =
+let decode_block ~sid dict info r =
   let n = info.blk_count in
   let stream () =
     let w = Codec.Reader.uvarint r in
     Codec.Bitpack.unpack r ~width:w ~count:n
   in
   let idxs = stream () in
-  let sids = if with_sid then stream () else [||] in
   let zdocs = stream () in
   let zends = stream () in
   let lens = stream () in
@@ -213,7 +198,6 @@ let decode_block ~with_sid ~sid dict info r =
     if idx >= Array.length dict then
       raise (Codec.Reader.Malformed "Rpl.decode_block: score index out of range");
     let score = dict.(idx) in
-    let sid = if with_sid then sids.(i) else sid in
     let docid = !prev_doc + unzz zdocs.(i) in
     let endpos = !prev_end + unzz zends.(i) in
     let length = lens.(i) in
@@ -228,7 +212,7 @@ let decode_block ~with_sid ~sid dict info r =
    budget so every row stays inside the B+tree entry budget. The
    dictionary grows per segment; a block whose addition would overflow
    is re-encoded against the next segment's fresh dictionary. *)
-let segment_rows ~with_sid ~key_of_first entries =
+let segment_rows ~key_of_first entries =
   let rec chunk_blocks acc = function
     | [] -> List.rev acc
     | l ->
@@ -258,7 +242,7 @@ let segment_rows ~with_sid ~key_of_first entries =
   List.iter
     (fun block ->
       let news = Dict.news !dict block in
-      let header, payload = encode_block ~with_sid !dict block in
+      let header, payload = encode_block !dict block in
       let projected =
         Codec.Block.Writer.byte_estimate !w
         + String.length header + String.length payload
@@ -276,7 +260,7 @@ let segment_rows ~with_sid ~key_of_first entries =
           (let rec drop n l = if n = 0 then l else drop (n - 1) (List.tl l) in
            drop (List.length news) d.Dict.rev);
         flush ();
-        let header, payload = encode_block ~with_sid !dict block in
+        let header, payload = encode_block !dict block in
         seg_first := Some (List.hd block);
         Codec.Block.Writer.add !w ~header ~payload
       end
@@ -440,7 +424,7 @@ let write_list index kind ~term ~sid ?prefix entries =
   in
   let bytes =
     insert_rows tbl
-      (segment_rows ~with_sid:false
+      (segment_rows
          ~key_of_first:(fun first -> chunk_key kind ~term ~sid first)
          sorted)
   in
@@ -568,237 +552,6 @@ let drop_actions kind ~term ~sid =
 let drop_all index kind =
   List.iter (fun (term, sid, _, _) -> drop index kind ~term ~sid) (catalog index kind)
 
-module Full = struct
-  let table_name = "rpls_full"
-  let catalog_name = "rpl_full_catalog"
-
-  (* Paper schema: key (token, ir, SID, docid, endpos); the value is a
-     segment of (score, sid, docid, endpos, length) entries. *)
-  let chunk_key ~term (first : entry) =
-    let e = first.element in
-    Codec.concat_keys
-      [
-        Codec.key_of_string term;
-        Codec.key_of_float (-.first.score);
-        Codec.key_of_int e.Types.sid;
-        Codec.key_of_int e.docid;
-        Codec.key_of_int e.endpos;
-      ]
-
-  let catalog_find index ~term =
-    let tbl = Env.table (Index.env index) catalog_name in
-    match Bptree.find tbl (Codec.key_of_string term) with
-    | None -> None
-    | Some v ->
-        let r = Codec.Reader.of_string v in
-        let entries = Codec.Reader.varint r in
-        let bytes = Codec.Reader.varint r in
-        Some (entries, bytes)
-
-  let is_materialized index ~term = catalog_find index ~term <> None
-
-  let terms index =
-    let env = Index.env index in
-    if not (Env.has_table env catalog_name) then []
-    else
-      List.rev
-        (Bptree.fold_range (Env.table env catalog_name) ~low:"" ~high:None ~init:[]
-           ~f:(fun acc k _ -> fst (Codec.string_of_key k ~pos:0) :: acc))
-
-  let list_entries index ~term =
-    match catalog_find index ~term with Some (n, _) -> n | None -> 0
-
-  let list_bytes index ~term =
-    match catalog_find index ~term with Some (_, b) -> b | None -> 0
-
-  let build index ~scoring ~terms () =
-    let missing = List.filter (fun t -> not (is_materialized index ~term:t)) terms in
-    if missing = [] then
-      {
-        pairs_built = [];
-        pairs_reused = List.length terms;
-        entries_written = 0;
-        bytes_estimate = 0;
-      }
-    else begin
-      let all_sids = Trex_summary.Summary.sids (Index.summary index) in
-      let results, _ = Era.run index ~sids:all_sids ~terms:missing in
-      let per_term = Era.per_term_scores index ~scoring ~terms:missing results in
-      let env = Index.env index in
-      let tbl = Env.table env table_name in
-      let cat = Env.table env catalog_name in
-      let entries_written = ref 0 and bytes = ref 0 and built = ref [] in
-      let op_tables = [ table_name; catalog_name ] in
-      let o =
-        Env.begin_op env ~op:"rpl_full_build" ~tables:op_tables
-          ~rollback:op_tables ()
-      in
-      (try
-         List.iter
-           (fun (term, scored) ->
-             let sorted =
-               List.map (fun (element, score) -> { element; score }) scored
-               |> List.sort compare_rpl_order
-             in
-             (* Full-term segments carry the sid both per entry and
-                as a per-block bitmap, so a cursor can skip whole
-                foreign-extent blocks undecoded. *)
-             let list_bytes =
-               insert_rows tbl
-                 (segment_rows ~with_sid:true
-                    ~key_of_first:(fun first -> chunk_key ~term first)
-                    sorted)
-             in
-             let b = Codec.Buf.create ~capacity:8 () in
-             Codec.Buf.add_varint b (List.length sorted);
-             Codec.Buf.add_varint b list_bytes;
-             Bptree.insert cat ~key:(Codec.key_of_string term)
-               ~value:(Codec.Buf.contents b);
-             entries_written := !entries_written + List.length sorted;
-             bytes := !bytes + list_bytes;
-             built := (term, -1) :: !built)
-           per_term;
-         Env.commit_op env o
-       with
-      | Pager.Injected_crash _ as e -> raise e
-      | e ->
-          Env.abort_op env o ~note:(Printexc.to_string e);
-          raise e);
-      {
-        pairs_built = List.rev !built;
-        pairs_reused = List.length terms - List.length missing;
-        entries_written = !entries_written;
-        bytes_estimate = !bytes;
-      }
-    end
-
-  let drop index ~term =
-    let prefix = Codec.key_of_string term in
-    (* Catalog first, as in the pair-list {!drop}. *)
-    ignore (Bptree.remove (Env.table (Index.env index) catalog_name) prefix);
-    let tbl = Env.table (Index.env index) table_name in
-    let keys = ref [] in
-    Bptree.iter_prefix tbl ~prefix (fun k _ -> keys := k :: !keys);
-    List.iter (fun k -> ignore (Bptree.remove tbl k)) !keys
-
-  let drop_actions ~term =
-    let prefix = Codec.key_of_string term in
-    [
-      Manifest.Remove { table = catalog_name; key = prefix };
-      Manifest.Remove_prefix { table = table_name; prefix };
-    ]
-
-  type seg_state = {
-    fs_seg : Codec.Block.t;
-    fs_dict : float array;
-    mutable fs_next : int;
-  }
-
-  type cursor = {
-    f_cursor : Bptree.Cursor.cursor;
-    f_prefix : string;
-    f_sids : (int, unit) Hashtbl.t;
-    f_bitmap : int; (* union of the query sids' hash bits *)
-    mutable f_chunk : entry list;
-    mutable f_seg : seg_state option;
-    mutable f_done : bool;
-    mutable f_read : int;
-    mutable f_skipped : int;
-    mutable f_blocks_decoded : int;
-    mutable f_blocks_skipped : int;
-  }
-
-  exception Missing of string
-
-  let cursor index ~term ~sids =
-    check_generation index table_name;
-    check_generation index catalog_name;
-    if not (is_materialized index ~term) then raise (Missing term);
-    let tbl = Env.table (Index.env index) table_name in
-    let prefix = Codec.key_of_string term in
-    let f_sids = Hashtbl.create 16 in
-    List.iter (fun s -> Hashtbl.replace f_sids s ()) sids;
-    {
-      f_cursor = Bptree.Cursor.seek tbl prefix;
-      f_prefix = prefix;
-      f_sids;
-      f_bitmap = List.fold_left (fun acc s -> acc lor sid_bit s) 0 sids;
-      f_chunk = [];
-      f_seg = None;
-      f_done = false;
-      f_read = 0;
-      f_skipped = 0;
-      f_blocks_decoded = 0;
-      f_blocks_skipped = 0;
-    }
-
-  let rec next c =
-    match c.f_chunk with
-    | e :: rest ->
-        c.f_chunk <- rest;
-        c.f_read <- c.f_read + 1;
-        Metrics.incr m_full_read;
-        if Hashtbl.mem c.f_sids e.element.Types.sid then Some e
-        else begin
-          c.f_skipped <- c.f_skipped + 1;
-          Metrics.incr m_full_skipped;
-          next c
-        end
-    | [] -> (
-        match c.f_seg with
-        | Some st when st.fs_next < Codec.Block.block_count st.fs_seg ->
-            let i = st.fs_next in
-            st.fs_next <- i + 1;
-            let info =
-              decode_block_header ~with_sid:true (Codec.Block.header st.fs_seg i)
-            in
-            (* The bitmap can collide (sid mod 63), so a hit may still
-               hold only foreign sids — decoded entries are re-checked
-               above. A miss is definitive: skip the block undecoded.
-               These entries are counted skipped but not read: never
-               touching them is exactly the access the paper's skip
-               pattern pays for. *)
-            if info.blk_sids land c.f_bitmap = 0 then begin
-              c.f_blocks_skipped <- c.f_blocks_skipped + 1;
-              c.f_skipped <- c.f_skipped + info.blk_count;
-              Metrics.add m_full_skipped info.blk_count;
-              next c
-            end
-            else begin
-              c.f_blocks_decoded <- c.f_blocks_decoded + 1;
-              c.f_chunk <-
-                decode_block ~with_sid:true ~sid:0 st.fs_dict info
-                  (Codec.Block.payload st.fs_seg i);
-              next c
-            end
-        | _ ->
-            c.f_seg <- None;
-            if c.f_done then None
-            else begin
-              match Bptree.Cursor.next c.f_cursor with
-              | Some (k, v)
-                when String.length k >= String.length c.f_prefix
-                     && String.sub k 0 (String.length c.f_prefix) = c.f_prefix ->
-                  let seg = Codec.Block.of_string v in
-                  c.f_seg <-
-                    Some
-                      {
-                        fs_seg = seg;
-                        fs_dict = decode_dict (Codec.Block.extra seg);
-                        fs_next = 0;
-                      };
-                  next c
-              | Some _ | None ->
-                  c.f_done <- true;
-                  None
-            end)
-
-  let entries_read c = c.f_read
-  let entries_skipped c = c.f_skipped
-  let blocks_decoded c = c.f_blocks_decoded
-  let blocks_skipped c = c.f_blocks_skipped
-end
-
 (* ---- cursors ---- *)
 
 module Cursor = struct
@@ -861,7 +614,7 @@ module Cursor = struct
         | Some st when st.ss_next < Codec.Block.block_count st.ss_seg ->
             let i = st.ss_next in
             let info =
-              decode_block_header ~with_sid:false (Codec.Block.header st.ss_seg i)
+              decode_block_header (Codec.Block.header st.ss_seg i)
             in
             if
               s.s_kind = Rpl && s.s_bound > 0.0
@@ -897,7 +650,7 @@ module Cursor = struct
               s.s_blocks_decoded <- s.s_blocks_decoded + 1;
               s.s_chunk <-
                 apply_skip s
-                  (decode_block ~with_sid:false ~sid:s.s_sid st.ss_dict info
+                  (decode_block ~sid:s.s_sid st.ss_dict info
                      (Codec.Block.payload st.ss_seg i));
               stream_next s
             end

@@ -13,13 +13,14 @@
     which (term, sid) lists are materialized — the unit of the
     self-management decisions.
 
-    A deliberate deviation from the paper: the paper keys full-term
-    RPLs as [(token, ir, SID, ...)] and lets TA {e skip} entries with
-    foreign sids, while we key by [(token, SID, ir, ...)] and merge the
-    requested sid lists. Skipping would make TA read entries partial
-    materialization can avoid; with per-(term, sid) lists the
-    self-manager's space accounting is exact, and TA's access pattern
-    (global descending score over the query's sids) is unchanged. *)
+    A deliberate deviation from the paper, and the only layout: the
+    paper keys one RPL per term as [(token, ir, SID, ...)] and lets TA
+    {e skip} entries with foreign sids, while we key by
+    [(token, SID, ir, ...)] and merge the requested sid lists. TA never
+    reads a foreign-extent entry, the self-manager buys, prices and
+    drops lists in exact (term, sid) units, and TA's access pattern
+    (global descending score over the query's sids) is unchanged. The
+    price is a k-way merge across the query's sids (DESIGN.md §9.1). *)
 
 type entry = { element : Trex_invindex.Types.element; score : float }
 
@@ -113,66 +114,6 @@ val catalog : Trex_invindex.Index.t -> kind -> (string * int * int * int) list
 (** All materialized lists as (term, sid, entries, bytes). *)
 
 val total_bytes : Trex_invindex.Index.t -> kind -> int
-
-(** Full-term RPLs keyed exactly as the paper's
-    [RPLs(token, ir, SID, docid, endpos, rpldataentry)]: one
-    descending-score list per term covering {e every} extent, which TA
-    consumes while {e skipping} entries whose sid is not in the query —
-    the paper's original access pattern, kept alongside the
-    per-(term, sid) layout for comparison (see the ablation bench). *)
-module Full : sig
-  val table_name : string
-  val catalog_name : string
-
-  val build :
-    Trex_invindex.Index.t ->
-    scoring:Trex_scoring.Scorer.config ->
-    terms:string list ->
-    unit ->
-    build_report
-  (** Materialize the full RPL of each term not yet built (one ERA pass
-      over all summary extents). Full-term segments carry a per-block
-      sid bitmap (bit [sid mod 63]), so the skip-scanning cursor drops
-      whole foreign-extent blocks without decoding them. *)
-
-  val is_materialized : Trex_invindex.Index.t -> term:string -> bool
-
-  val terms : Trex_invindex.Index.t -> string list
-  (** Every term with a materialized full list, in token order. *)
-
-  val list_entries : Trex_invindex.Index.t -> term:string -> int
-  val list_bytes : Trex_invindex.Index.t -> term:string -> int
-  val drop : Trex_invindex.Index.t -> term:string -> unit
-
-  val drop_actions : term:string -> Trex_storage.Manifest.action list
-  (** {!drop} as physical manifest actions (see the pair-list
-      {!Rpl.drop_actions}). *)
-
-  type cursor
-
-  exception Missing of string
-
-  val cursor : Trex_invindex.Index.t -> term:string -> sids:int list -> cursor
-  (** @raise Missing when the term's full RPL is absent.
-      @raise Stale_generation when the table is blocked pending
-        manifest resolution. *)
-
-  val next : cursor -> entry option
-  (** Next entry whose sid belongs to the query, descending score.
-      @raise Trex_util.Codec.Reader.Malformed on a stored value that is
-        not a segment. *)
-
-  val entries_read : cursor -> int
-  (** Entries decoded and consumed. Entries inside bitmap-skipped
-      blocks are counted by {!entries_skipped} but never read — the
-      access the skip directory avoids. *)
-
-  val entries_skipped : cursor -> int
-
-  val blocks_decoded : cursor -> int
-  val blocks_skipped : cursor -> int
-  (** Blocks dropped by the per-block sid bitmap, undecoded. *)
-end
 
 (** Merged read cursors over the materialized lists of one term,
     restricted to a sid set. *)

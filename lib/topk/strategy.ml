@@ -91,59 +91,51 @@ let evaluate_inner index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
             stats.elements_merged;
       }
 
-(* One journal record per *top-level* evaluation. [evaluate], [race]
-   and [evaluate_resilient] all funnel through [with_journal]; the
-   scope flag keeps the inner [evaluate] calls (race legs, resilient
-   failover attempts) from writing their own records, because each
-   journal record is one observed query — [Workload.of_journal] turns
+(* One journal record per observed query: [Workload.of_journal] turns
    record counts into frequencies, so double-counting would skew the
-   advisor. An evaluation that escapes by exception writes nothing;
-   [evaluate_resilient]'s salvaged fallbacks record the method that
-   finally answered plus the failover count. *)
-let journal_scope = ref false
-
+   advisor. The two entry points, [evaluate] and [evaluate_resilient],
+   each wrap exactly one [with_journal] around [evaluate_unjournaled],
+   which never journals, so a resilient run's failover attempts write
+   nothing of their own. An evaluation that escapes by exception writes
+   nothing; [evaluate_resilient]'s salvaged fallbacks record the method
+   that finally answered plus the failover count. *)
 let with_journal index ~sids ~terms ~k ~summary run =
-  if (not (Journal.enabled ())) || !journal_scope then run ()
+  if not (Journal.enabled ()) then run ()
   else begin
-    journal_scope := true;
-    Fun.protect
-      ~finally:(fun () -> journal_scope := false)
-      (fun () ->
-        let started = Journal.start_query () in
-        let result = run () in
-        let outcome, fallbacks = summary result in
-        let spans =
-          if Span.enabled () then
-            match Span.last () with
-            | Some s -> Span.summarize s
-            | None -> []
-          else []
-        in
-        let j = Env.journal (Trex_invindex.Index.env index) in
-        ignore
-          (Journal.finish_query j started
-             ~strategy:(method_to_string outcome.method_used)
-             ~sids ~terms ~k ~degraded:outcome.degraded ~fallbacks ~spans ());
-        result)
+    let started = Journal.start_query () in
+    let result = run () in
+    let outcome, fallbacks = summary result in
+    let spans =
+      if Span.enabled () then
+        match Span.last () with
+        | Some s -> Span.summarize s
+        | None -> []
+      else []
+    in
+    let j = Env.journal (Trex_invindex.Index.env index) in
+    ignore
+      (Journal.finish_query j started
+         ~strategy:(method_to_string outcome.method_used)
+         ~sids ~terms ~k ~degraded:outcome.degraded ~fallbacks ~spans ());
+    result
   end
 
-let evaluate index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
+let evaluate_unjournaled index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
   let name = method_to_string method_ in
+  let outcome =
+    Span.with_ ~name:("eval." ^ name)
+      ~attrs:[ ("strategy", name); ("k", string_of_int k) ]
+      (fun () -> evaluate_inner index ~scoring ~sids ~terms ~k ?guard ?floor method_)
+  in
+  Metrics.incr (Metrics.counter ("strategy.runs." ^ name));
+  if outcome.degraded then Metrics.incr m_degraded_runs;
+  Metrics.observe (Metrics.histogram ("strategy.seconds." ^ name)) outcome.elapsed_seconds;
+  outcome
+
+let evaluate index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
   with_journal index ~sids ~terms ~k
     ~summary:(fun o -> (o, 0))
-    (fun () ->
-      let outcome =
-        Span.with_ ~name:("eval." ^ name)
-          ~attrs:[ ("strategy", name); ("k", string_of_int k) ]
-          (fun () ->
-            evaluate_inner index ~scoring ~sids ~terms ~k ?guard ?floor method_)
-      in
-      Metrics.incr (Metrics.counter ("strategy.runs." ^ name));
-      if outcome.degraded then Metrics.incr m_degraded_runs;
-      Metrics.observe
-        (Metrics.histogram ("strategy.seconds." ^ name))
-        outcome.elapsed_seconds;
-      outcome)
+    (fun () -> evaluate_unjournaled index ~scoring ~sids ~terms ~k ?guard ?floor method_)
 
 let breakers_permit index method_ =
   let env = Trex_invindex.Index.env index in
@@ -167,36 +159,15 @@ let materialized_entries index kind ~sids ~terms =
         acc sids)
     0 terms
 
-let race ?guard index ~scoring ~sids ~terms ~k =
-  with_journal index ~sids ~terms ~k ~summary:(fun o -> (o, 0)) @@ fun () ->
-  let methods = available index ~sids ~terms in
-  let has m = List.mem m methods in
-  if has Ta_method && has Merge_method then begin
-    let ta = evaluate index ~scoring ~sids ~terms ~k ?guard Ta_method in
-    let merge = evaluate index ~scoring ~sids ~terms ~k ?guard Merge_method in
-    let winner, loser = if ta.elapsed_seconds <= merge.elapsed_seconds then (ta, merge) else (merge, ta) in
-    {
-      winner with
-      detail =
-        Printf.sprintf "race winner=%s (%.3fms) loser=%s (%.3fms)"
-          (method_to_string winner.method_used)
-          (winner.elapsed_seconds *. 1e3)
-          (method_to_string loser.method_used)
-          (loser.elapsed_seconds *. 1e3);
-    }
-  end
-  else if has Merge_method then evaluate index ~scoring ~sids ~terms ~k ?guard Merge_method
-  else if has Ta_method then evaluate index ~scoring ~sids ~terms ~k ?guard Ta_method
-  else evaluate index ~scoring ~sids ~terms ~k ?guard Era_method
-
 let choose index ~sids ~terms ~k =
   let methods = available index ~sids ~terms in
   let has m = List.mem m methods in
   let total_rpl = materialized_entries index Rpl.Rpl ~sids ~terms in
   (* TA wins when it can stop after a small prefix; once k approaches
      the list sizes it reads everything and pays heap management on
-     top, where Merge's single pass wins (paper §5.2). *)
-  if has Ta_method && k * 20 <= max 1 total_rpl then Ta_method
+     top, where Merge's single pass wins (paper §5.2). The rule is
+     [20 k <= max 1 total_rpl], divided out so a huge k cannot wrap. *)
+  if has Ta_method && k <= max 1 total_rpl / 20 then Ta_method
   else if has Merge_method then Merge_method
   else if has Ta_method then Ta_method
   else Era_method
@@ -227,7 +198,7 @@ let evaluate_resilient index ~scoring ~sids ~terms ~k ?guard ?floor ?method_ ()
     let fail_probes reason =
       List.iter (fun tbl -> Env.fail_table env tbl ~reason) probes
     in
-    match evaluate index ~scoring ~sids ~terms ~k ?guard ?floor m with
+    match evaluate_unjournaled index ~scoring ~sids ~terms ~k ?guard ?floor m with
     | outcome ->
         if outcome.degraded && probes <> [] then begin
           (* The probe proved nothing: the budget expired before the

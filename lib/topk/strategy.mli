@@ -3,13 +3,15 @@
     TReX evaluates each (sids, terms) retrieval with one of three
     methods — ERA, TA, or Merge (plus the ITA measurement variant) —
     whichever the available indexes permit and the query profile
-    favours.
+    favours. One method answers each evaluation: the paper's §4 idea of
+    racing TA against Merge is not offered, since {!choose} plans from
+    catalog sizes and {!evaluate_resilient} falls back on failure.
 
-    When {!Trex_obs.Journal.set_enabled} is on, every top-level entry
-    point here ({!evaluate}, {!race}, {!evaluate_resilient}) appends
-    exactly one record per evaluation to the index environment's query
-    journal ({!Trex_storage.Env.journal}) — one record per observed
-    query, never one per internal attempt, so journaled counts are the
+    When {!Trex_obs.Journal.set_enabled} is on, each of the two entry
+    points ({!evaluate}, {!evaluate_resilient}) appends exactly one
+    record per evaluation to the index environment's query journal
+    ({!Trex_storage.Env.journal}) — one record per observed query,
+    never one per failover attempt, so journaled counts are the
     workload frequencies [Workload.of_journal] reconstructs. *)
 
 type method_ = Era_method | Ta_method | Ita_method | Merge_method
@@ -84,20 +86,8 @@ val evaluate_resilient :
 val choose :
   Trex_invindex.Index.t -> sids:int list -> terms:string list -> k:int -> method_
 (** Heuristic choice among {!available}: TA when the RPLs exist and [k]
-    is small relative to the materialized list sizes, otherwise Merge
+    is at most a twentieth of the query's materialized RPL entries
+    (exact for every [k], [max_int] included), otherwise Merge
     when the ERPLs exist, otherwise ERA — the paper's observation that
     no method dominates, operationalized. *)
 
-val race :
-  ?guard:Trex_resilience.Guard.t ->
-  Trex_invindex.Index.t ->
-  scoring:Trex_scoring.Scorer.config ->
-  sids:int list ->
-  terms:string list ->
-  k:int ->
-  outcome
-(** The paper's §4 idea: when both RPLs and ERPLs exist, run TA and
-    Merge "in parallel" and answer from whichever finishes first. The
-    storage layer is single-threaded, so the race is simulated: both
-    run and the faster outcome is returned, with both times in
-    [detail]. Falls back to whatever single method is available. *)

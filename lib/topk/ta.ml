@@ -9,14 +9,12 @@ let m_runs = Metrics.counter "ta.runs"
 let m_ita_runs = Metrics.counter "ita.runs"
 let m_early_stops = Metrics.counter "ta.early_stops"
 let m_sorted = Metrics.counter "ta.sorted_accesses"
-let m_skipped = Metrics.counter "ta.skipped_accesses"
 let m_heap_ops = Metrics.counter "ta.heap_operations"
 let m_candidates = Metrics.counter "ta.candidates"
 let m_blocks_skipped = Metrics.counter "ta.blocks_skipped"
 
 type stats = {
   sorted_accesses : int;
-  skipped_accesses : int;
   heap_operations : int;
   heap_pushes : int;
   heap_evictions : int;
@@ -114,61 +112,24 @@ let offer h c =
 
 exception Truncated_rpl
 
-(* A term stream abstracts over the two RPL layouts: per-(term, sid)
-   merged cursors or the paper's full-term skip-scanned lists. *)
-type term_stream = {
-  pull : unit -> Rpl.entry option;
-  reads : unit -> int; (* entries consumed, skipped included *)
-  skipped : unit -> int;
-  blocks_skipped : unit -> int; (* segment blocks dropped undecoded *)
-  bound : unit -> float;
-      (* scores past what the stream served are at most this; dynamic
-         because bound-skipping a block truncates the stream
-         at run time *)
-  truncated : unit -> bool;
-      (* the stream is an incomplete prefix — stored truncated flag or
-         a bound skip; exact even when [bound () = 0.0] *)
-}
-
-let run index ~sids ~terms ~k ?(ideal_heap = false) ?(use_full_rpls = false)
-    ?(floor = 0.0) ?guard () =
+let run index ~sids ~terms ~k ?(ideal_heap = false) ?(floor = 0.0) ?guard () =
   if k <= 0 then invalid_arg "Ta.run: k must be positive";
   if terms = [] then invalid_arg "Ta.run: no terms";
   let clock = Stopclock.create () in
   let tick_guard () = match guard with Some g -> Guard.tick g | None -> () in
   let n = List.length terms in
-  let stream_of term =
-    if use_full_rpls then begin
-      let c = Rpl.Full.cursor index ~term ~sids in
-      {
-        pull = (fun () -> Rpl.Full.next c);
-        reads = (fun () -> Rpl.Full.entries_read c);
-        skipped = (fun () -> Rpl.Full.entries_skipped c);
-        blocks_skipped = (fun () -> Rpl.Full.blocks_skipped c);
-        bound = (fun () -> 0.0) (* full lists are never truncated *);
-        truncated = (fun () -> false);
-      }
-    end
-    else begin
-      let c = Rpl.Cursor.create index Rpl.Rpl ~term ~sids in
-      (* A single-term query can end its stream at the floor: dropped
-         entries score at most the floor, so the exhaustion threshold
-         stays within [w] and certification below always succeeds. With
-         several terms the per-stream bounds sum past the floor, so the
-         skip could forfeit a certifiable answer — leave it off and let
-         the threshold test stop the run instead. *)
-      if floor > 0.0 && n = 1 then Rpl.Cursor.set_bound c floor;
-      {
-        pull = (fun () -> Rpl.Cursor.next c);
-        reads = (fun () -> Rpl.Cursor.entries_read c);
-        skipped = (fun () -> Rpl.Cursor.entries_skipped c);
-        blocks_skipped = (fun () -> Rpl.Cursor.blocks_skipped c);
-        bound = (fun () -> Rpl.Cursor.truncation_bound c);
-        truncated = (fun () -> Rpl.Cursor.truncated c);
-      }
-    end
+  let cursor_of term =
+    let c = Rpl.Cursor.create index Rpl.Rpl ~term ~sids in
+    (* A single-term query can end its stream at the floor: dropped
+       entries score at most the floor, so the exhaustion threshold
+       stays within [w] and certification below always succeeds. With
+       several terms the per-stream bounds sum past the floor, so the
+       skip could forfeit a certifiable answer — leave it off and let
+       the threshold test stop the run instead. *)
+    if floor > 0.0 && n = 1 then Rpl.Cursor.set_bound c floor;
+    c
   in
-  let cursors = Array.of_list (List.map stream_of terms) in
+  let cursors = Array.of_list (List.map cursor_of terms) in
   let last_seen = Array.make n infinity in
   let exhausted = Array.make n false in
   let candidates = Candidates.create 256 in
@@ -287,7 +248,7 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(use_full_rpls = false)
        for t = 0 to n - 1 do
          if not exhausted.(t) then begin
            tick_guard ();
-           match cursors.(t).pull () with
+           match Rpl.Cursor.next cursors.(t) with
            | Some entry ->
                progressed := true;
                accept_entry t entry
@@ -295,7 +256,7 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(use_full_rpls = false)
                exhausted.(t) <- true;
                (* Entries past a truncated prefix (stored or
                   bound-skipped) score at most the recorded bound. *)
-               set_last_seen t (cursors.(t).bound ())
+               set_last_seen t (Rpl.Cursor.truncation_bound cursors.(t))
          end
        done;
        if not !progressed then running := false
@@ -327,7 +288,7 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(use_full_rpls = false)
         explicit truncated flag — not [bound > 0.0] — decides whether
         certification is owed: a truncated list whose dropped entries
         all scored 0.0 is still incomplete. *)
-     if (not !stopped_early) && Array.exists (fun c -> c.truncated ()) cursors
+     if (not !stopped_early) && Array.exists Rpl.Cursor.truncated cursors
      then begin
        let tau = threshold () in
        let w = Float.max (current_w ()) floor in
@@ -347,22 +308,21 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(use_full_rpls = false)
         done)
   in
   let elapsed = Stopclock.elapsed clock in
-  let total_reads = Array.fold_left (fun acc c -> acc + c.reads ()) 0 cursors in
-  let total_skipped = Array.fold_left (fun acc c -> acc + c.skipped ()) 0 cursors in
+  let total_reads =
+    Array.fold_left (fun acc c -> acc + Rpl.Cursor.entries_read c) 0 cursors
+  in
   let total_blocks_skipped =
-    Array.fold_left (fun acc c -> acc + c.blocks_skipped ()) 0 cursors
+    Array.fold_left (fun acc c -> acc + Rpl.Cursor.blocks_skipped c) 0 cursors
   in
   Metrics.incr (if ideal_heap then m_ita_runs else m_runs);
   if !stopped_early then Metrics.incr m_early_stops;
   Metrics.add m_sorted total_reads;
-  Metrics.add m_skipped total_skipped;
   Metrics.add m_heap_ops heap.ops;
   Metrics.add m_candidates !count;
   Metrics.add m_blocks_skipped total_blocks_skipped;
   ( top,
     {
       sorted_accesses = total_reads;
-      skipped_accesses = total_skipped;
       heap_operations = heap.ops;
       heap_pushes = !pushes;
       heap_evictions = heap.evictions;

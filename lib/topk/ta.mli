@@ -1,22 +1,21 @@
 (** Threshold algorithm over RPLs (paper §3.3, TopX-style).
 
-    One descending-score cursor per query term (restricted to the query
-    sids) is consumed round-robin; partial sums accumulate per element,
-    an indexed min-heap of at most k candidates maintains the current
-    top-k, and the run stops when the
-    threshold — the sum of the last score seen in each list — proves no
-    unseen or partially-seen element can enter the top-k. Requires the
-    RPLs of every (term, sid) pair of the query.
+    One descending-score {!Rpl.Cursor} per query term, merging that
+    term's per-(term, sid) RPLs over the query sids, is consumed
+    round-robin; partial sums accumulate per element, an indexed
+    min-heap of at most k candidates maintains the current top-k, and
+    the run stops when the threshold — the sum of the last score seen
+    in each list — proves no unseen or partially-seen element can enter
+    the top-k. Requires the RPLs of every (term, sid) pair of the query.
+    Unlike the paper's full-term lists (§3.3), no entry of a foreign
+    extent is ever read or skipped (DESIGN.md §9.1).
 
     With [ideal_heap] the paper's ITA variant is measured: the
     stop-clock is paused around top-k-heap operations so their cost is
     excluded from the reported time. *)
 
 type stats = {
-  sorted_accesses : int;  (** RPL entries consumed (skipped included) *)
-  skipped_accesses : int;
-      (** foreign-sid entries read and discarded; always 0 with the
-          per-(term, sid) layout, positive with full-term RPLs *)
+  sorted_accesses : int;  (** RPL entries consumed *)
   heap_operations : int;
       (** top-k heap work: levels visited by sifts, plus one per
           comparison of a newcomer against a full heap's root *)
@@ -25,8 +24,8 @@ type stats = {
       (** offers to a full heap; each one leaves a candidate outside *)
   candidates : int;  (** distinct elements touched *)
   blocks_skipped : int;
-      (** segment blocks dropped undecoded — the full layout's sid
-          bitmap and the single-term floor skip (see DESIGN.md §7) *)
+      (** segment blocks dropped undecoded by the single-term floor
+          skip (see DESIGN.md §7) *)
   stopped_early : bool;  (** threshold fired before exhausting lists *)
   elapsed_seconds : float;  (** heap time excluded when [ideal_heap] *)
   heap_seconds : float;  (** measured only when [ideal_heap] *)
@@ -49,17 +48,11 @@ val run :
   terms:string list ->
   k:int ->
   ?ideal_heap:bool ->
-  ?use_full_rpls:bool ->
   ?floor:float ->
   ?guard:Trex_resilience.Guard.t ->
   unit ->
   Answer.t * stats
 (** Top-k answers (descending score, document-order tie-break).
-
-    By default TA merges the query's per-(term, sid) RPLs. With
-    [use_full_rpls] it consumes each term's full RPL and {e skips}
-    foreign-sid entries — the paper's original access pattern (§3.3),
-    materialized by {!Rpl.Full.build}.
 
     [floor] (default 0) is a score known to be achieved by k answers
     elsewhere — the sharded coordinator's current global k-th score.
@@ -75,6 +68,5 @@ val run :
     pause/resume around heap operations is exception-safe, so an abort
     mid-heap-op cannot corrupt the paused-time measurement.
 
-    @raise Rpl.Cursor.Missing_list (default layout) or {!Rpl.Full.Missing}
-    (full layout) when a required list is absent.
+    @raise Rpl.Cursor.Missing_list when a required list is absent.
     @raise Invalid_argument when [k <= 0] or [terms] is empty. *)

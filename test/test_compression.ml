@@ -264,118 +264,49 @@ let test_catalog_truncation_flag () =
 
 (* ---- strategy rank identity ---- *)
 
+(* The five IEEE Table-1 queries over a 120-document corpus, whose
+   summary has 63 or more extents: per-(term, sid) lists must serve
+   sids past 62 as exactly as the small fixture's. *)
+let ieee120 =
+  lazy
+    (let coll = Trex_corpus.Gen.ieee ~doc_count:120 ~seed:42 () in
+     let engine = Trex.build ~env:(Env.in_memory ()) ~alias:coll.alias (coll.docs ()) in
+     let index = Trex.index engine in
+     let extents = List.length (Summary.sids (Index.summary index)) in
+     Alcotest.(check bool) (Printf.sprintf "%d sids >= 63" extents) true (extents >= 63);
+     let translate (q : Trex_corpus.Queries.t) =
+       let tr = Trex.translate engine (Trex.parse engine q.nexi) in
+       (Trex.Translate.all_sids tr, Trex.Translate.all_terms tr)
+     in
+     ( index,
+       List.map translate (Trex_corpus.Queries.for_collection Trex_corpus.Queries.Ieee) ))
+
 let test_strategies_rank_identical_to_era () =
-  let index, summary = Lazy.force fixture in
+  let fixture = Lazy.force fixture in
   List.iter
-    (fun (sids, terms) ->
-      materialize index ~sids ~terms;
-      let era = exhaustive index ~sids ~terms in
-      Alcotest.(check bool) "fixture has answers" true (era <> []);
+    (fun (index, queries) ->
       List.iter
-        (fun k ->
-          let strategy m =
-            Answer.top_k
-              (Trex_topk.Strategy.evaluate index ~scoring ~sids ~terms ~k m)
-                .Trex_topk.Strategy.answers k
-          in
-          let want = Answer.top_k era k in
-          Alcotest.(check bool) (Printf.sprintf "ERA k=%d" k) true
-            (Answer.equal ~eps:0.0 want (strategy Trex_topk.Strategy.Era_method));
-          Alcotest.(check bool) (Printf.sprintf "TA k=%d" k) true
-            (Answer.equal want (fst (Ta.run index ~sids ~terms ~k ()))))
-        [ 1; 10; 1000 ];
-      Alcotest.(check bool) "Merge = exhaustive ERA" true
-        (Answer.equal ~eps:0.0 era (fst (Merge.run index ~sids ~terms))))
-    (queries (index, summary))
-
-let test_full_rpl_skip_identical () =
-  let index, summary = Lazy.force fixture in
-  let sids, terms = List.hd (queries (index, summary)) in
-  ignore (Rpl.Full.build index ~scoring ~terms ());
-  materialize index ~sids ~terms;
-  let run ~use_full_rpls = fst (Ta.run index ~sids ~terms ~k:10 ~use_full_rpls ()) in
-  let pair = run ~use_full_rpls:false in
-  Alcotest.(check bool) "pair lists = ERA" true
-    (Answer.equal (Answer.top_k (exhaustive index ~sids ~terms) 10) pair);
-  Alcotest.(check bool) "full-term lists = pair lists" true
-    (Answer.equal ~eps:0.0 pair (run ~use_full_rpls:true))
-
-let drain_full c =
-  let out = ref [] in
-  let rec go () =
-    match Rpl.Full.next c with
-    | Some e ->
-        out := e :: !out;
-        go ()
-    | None -> List.rev !out
-  in
-  go ()
-
-(* Full-term segments carry a per-block sid bitmap; skipped blocks must
-   actually be skipped, not just produce the same answer. A single rare
-   sid is the best case: blocks without its hash bit are dropped
-   undecoded. *)
-let test_full_rpl_bitmap_skips_blocks () =
-  (* Enough docs that a term's full RPL spans several blocks, some of
-     which hold only foreign-extent entries. *)
-  let index, summary = build ~doc_count:60 ~seed:3 () in
-  let _, terms = List.hd (queries (index, summary)) in
-  ignore (Rpl.Full.build index ~scoring ~terms ());
-  let term = List.hd terms in
-  (* Census pass over every extent, then target the rarest sid. *)
-  let all_sids = Summary.sids summary in
-  let everything = drain_full (Rpl.Full.cursor index ~term ~sids:all_sids) in
-  Alcotest.(check bool) "multi-block fixture" true
-    (List.length everything > 256);
-  let by_sid = Hashtbl.create 16 in
-  List.iter
-    (fun (e : Rpl.entry) ->
-      let s = e.element.Types.sid in
-      Hashtbl.replace by_sid s (1 + Option.value ~default:0 (Hashtbl.find_opt by_sid s)))
-    everything;
-  let rare, _ =
-    Hashtbl.fold
-      (fun s n (bs, bn) -> if n < bn then (s, n) else (bs, bn))
-      by_sid (-1, max_int)
-  in
-  let c = Rpl.Full.cursor index ~term ~sids:[ rare ] in
-  let got = drain_full c in
-  let expected =
-    List.filter (fun (e : Rpl.entry) -> e.element.Types.sid = rare) everything
-  in
-  Alcotest.(check bool) "skip-scan equals filtered scan" true (entries_eq got expected);
-  Alcotest.(check bool) "blocks skipped by bitmap" true
-    (Rpl.Full.blocks_skipped c > 0)
-
-(* With 63 or more extents some sid hashes to bit 62, OCaml's sign
-   bit, and the block bitmap goes negative: it must still be written,
-   and read back with the same skip decisions. The full-term lists
-   then serve the five IEEE Table-1 queries exactly as the
-   per-(term, sid) lists do. *)
-let test_full_rpl_sign_bit_sids () =
-  let coll = Trex_corpus.Gen.ieee ~doc_count:120 ~seed:42 () in
-  let engine = Trex.build ~env:(Env.in_memory ()) ~alias:coll.alias (coll.docs ()) in
-  let index = Trex.index engine in
-  let extents = List.length (Summary.sids (Index.summary index)) in
-  Alcotest.(check bool) (Printf.sprintf "%d sids >= 63" extents) true (extents >= 63);
-  List.iter
-    (fun (q : Trex_corpus.Queries.t) ->
-      let tr = Trex.translate engine (Trex.parse engine q.nexi) in
-      let sids = Trex.Translate.all_sids tr and terms = Trex.Translate.all_terms tr in
-      materialize index ~sids ~terms;
-      ignore (Rpl.Full.build index ~scoring ~terms ());
-      List.iter
-        (fun k ->
-          let run ~use_full_rpls =
-            fst (Ta.run index ~sids ~terms ~k ~use_full_rpls ())
-          in
-          Alcotest.(check bool)
-            (Printf.sprintf "query %s k=%d full = pair, bit for bit" q.id k)
-            true
-            (Answer.equal ~eps:0.0 (run ~use_full_rpls:false)
-               (run ~use_full_rpls:true)))
-        [ 10; 1000 ])
-    (Trex_corpus.Queries.for_collection Trex_corpus.Queries.Ieee)
+        (fun (sids, terms) ->
+          materialize index ~sids ~terms;
+          let era = exhaustive index ~sids ~terms in
+          Alcotest.(check bool) "fixture has answers" true (era <> []);
+          List.iter
+            (fun k ->
+              let strategy m =
+                Answer.top_k
+                  (Trex_topk.Strategy.evaluate index ~scoring ~sids ~terms ~k m)
+                    .Trex_topk.Strategy.answers k
+              in
+              let want = Answer.top_k era k in
+              Alcotest.(check bool) (Printf.sprintf "ERA k=%d" k) true
+                (Answer.equal ~eps:0.0 want (strategy Trex_topk.Strategy.Era_method));
+              Alcotest.(check bool) (Printf.sprintf "TA k=%d" k) true
+                (Answer.equal want (fst (Ta.run index ~sids ~terms ~k ()))))
+            [ 1; 10; 1000 ];
+          Alcotest.(check bool) "Merge = exhaustive ERA" true
+            (Answer.equal ~eps:0.0 era (fst (Merge.run index ~sids ~terms))))
+        queries)
+    [ (fst fixture, queries fixture); Lazy.force ieee120 ]
 
 (* ---- pre-segment formats are refused ---- *)
 
@@ -505,12 +436,6 @@ let () =
         [
           Alcotest.test_case "rank identity with exhaustive ERA" `Quick
             test_strategies_rank_identical_to_era;
-          Alcotest.test_case "full-RPL skip identical" `Quick
-            test_full_rpl_skip_identical;
-          Alcotest.test_case "sid bitmap skips blocks" `Quick
-            test_full_rpl_bitmap_skips_blocks;
-          Alcotest.test_case "full-RPL over 63+ sids" `Quick
-            test_full_rpl_sign_bit_sids;
         ] );
       ( "legacy",
         [

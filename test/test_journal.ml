@@ -259,30 +259,56 @@ let build_engine ~env =
   Trex.build ~env ~alias:coll.alias (coll.docs ())
 
 let test_one_record_per_query () =
-  let env = Env.in_memory () in
+  let dir = temp_dir () in
+  let env = Env.on_disk dir in
   let engine = build_engine ~env in
   let j = Env.journal env in
+  let q = "//sec[about(., information retrieval)]" in
+  let tr = Trex.translate engine (Trex.parse engine q) in
+  let sids = Trex_nexi.Translate.all_sids tr in
+  let terms = Trex_nexi.Translate.all_terms tr in
   with_journaling (fun () ->
-      let q = "//sec[about(., information retrieval)]" in
       ignore (Trex.query engine ~k:5 q);
       check Alcotest.int "one record for resilient eval" 1 (Journal.length j);
       let r = List.hd (Journal.records j) in
       Alcotest.(check bool) "label carried" true (r.Journal.label = q);
       check Alcotest.string "digest is of the label" (Journal.digest_of q)
         r.Journal.digest;
-      (* Materialize both list kinds so race really runs two legs —
-         still one journal record, because the legs are inner
-         evaluations of one top-level query. *)
       ignore (Trex.materialize engine q);
-      let tr = Trex.translate engine (Trex.parse engine q) in
-      let sids = Trex_nexi.Translate.all_sids tr in
-      let terms = Trex_nexi.Translate.all_terms tr in
-      let n_before = Journal.length j in
       ignore
-        (Trex_topk.Strategy.race (Trex.index engine)
-           ~scoring:(Trex.scoring engine) ~sids ~terms ~k:5);
-      check Alcotest.int "race writes one record" (n_before + 1)
-        (Journal.length j))
+        (Trex_topk.Strategy.evaluate (Trex.index engine)
+           ~scoring:(Trex.scoring engine) ~sids ~terms ~k:5
+           Trex_topk.Strategy.Merge_method);
+      check Alcotest.int "evaluate writes one record" 2 (Journal.length j));
+  Env.close env;
+  (* Damage every page of the RPL table, as the resilience tests do:
+     a forced TA hits a checksum failure and fails over to Merge. The
+     failover attempt is part of one observed query, so it still
+     writes one record, carrying the failover count. *)
+  let rpls = Filename.concat dir "rpls.tbl" in
+  let off = ref (128 + 17) in
+  while !off < file_length rpls do
+    flip_bit_in_file rpls ~off:!off ~bit:3;
+    off := !off + 8192 + 4
+  done;
+  let env = Env.on_disk dir in
+  let engine = Trex.attach ~env () in
+  let j = Env.journal env in
+  with_journaling (fun () ->
+      let outcome, failovers =
+        Trex_topk.Strategy.evaluate_resilient (Trex.index engine)
+          ~scoring:(Trex.scoring engine) ~sids ~terms ~k:5
+          ~method_:Trex_topk.Strategy.Ta_method ()
+      in
+      check Alcotest.int "TA failed over once" 1 (List.length failovers);
+      check Alcotest.string "Merge answered" "Merge"
+        (Trex_topk.Strategy.method_to_string outcome.method_used);
+      check Alcotest.int "failover run writes one record" 3 (Journal.length j);
+      let r = List.nth (Journal.records j) 2 in
+      check Alcotest.int "record carries the fallback" 1 r.Journal.fallbacks;
+      check Alcotest.string "record names the answering method" "Merge"
+        r.Journal.strategy);
+  Env.close env
 
 let test_spans_summarized_when_tracing () =
   let env = Env.in_memory () in

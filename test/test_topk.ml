@@ -629,85 +629,6 @@ let test_prefix_rpl_certification_boundary () =
        false
      with Ta.Truncated_rpl -> true)
 
-(* ---- full-term RPLs (the paper's skip-scanned layout) ---- *)
-
-let test_full_rpl_build_and_skipping_ta () =
-  let index, summary = Lazy.force generated in
-  match queries_for_agreement index summary with
-  | (sids, terms) :: _ ->
-      ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ Rpl.Rpl ] ());
-      let report = Rpl.Full.build index ~scoring ~terms () in
-      Alcotest.(check bool) "entries written" true (report.entries_written > 0);
-      List.iter
-        (fun term ->
-          Alcotest.(check bool) ("materialized " ^ term) true
-            (Rpl.Full.is_materialized index ~term);
-          (* The full list covers every extent, so it is at least as
-             large as the query's merged per-sid lists. *)
-          let merged =
-            List.fold_left
-              (fun acc sid -> acc + Rpl.list_entries index Rpl.Rpl ~term ~sid)
-              0 sids
-          in
-          Alcotest.(check bool) "full >= merged" true
-            (Rpl.Full.list_entries index ~term >= merged))
-        terms;
-      (* Idempotent. *)
-      let report2 = Rpl.Full.build index ~scoring ~terms () in
-      check Alcotest.int "reused" (List.length terms) report2.pairs_reused;
-      (* Skip-scanning TA agrees with the default layout. *)
-      List.iter
-        (fun k ->
-          let default_ta, _ = Ta.run index ~sids ~terms ~k () in
-          let full_ta, stats = Ta.run index ~sids ~terms ~k ~use_full_rpls:true () in
-          Alcotest.(check bool)
-            (Printf.sprintf "same scores at k=%d" k)
-            true
-            (List.for_all2
-               (fun (a : Answer.entry) (b : Answer.entry) ->
-                 Float.abs (a.score -. b.score) < 1e-9)
-               default_ta full_ta);
-          Alcotest.(check bool) "reads include skips" true
-            (stats.sorted_accesses >= stats.skipped_accesses))
-        [ 1; 10; 1000 ];
-      (* Querying a single sid forces skipping. *)
-      let one_sid = [ List.hd sids ] in
-      ignore (Rpl.build index ~scoring ~sids:one_sid ~terms ~kinds:[ Rpl.Rpl ] ());
-      let _, stats = Ta.run index ~sids:one_sid ~terms ~k:100000 ~use_full_rpls:true () in
-      Alcotest.(check bool) "skips happen on narrow queries" true
-        (stats.skipped_accesses > 0)
-  | [] -> Alcotest.fail "no queries"
-
-let test_full_rpl_missing_and_drop () =
-  let index, summary = tiny () in
-  ignore summary;
-  Alcotest.(check bool) "missing raises" true
-    (try
-       ignore (Rpl.Full.cursor index ~term:"red" ~sids:[ 1 ]);
-       false
-     with Rpl.Full.Missing _ -> true);
-  ignore (Rpl.Full.build index ~scoring ~terms:[ "red" ] ());
-  Alcotest.(check bool) "built" true (Rpl.Full.is_materialized index ~term:"red");
-  Rpl.Full.drop index ~term:"red";
-  Alcotest.(check bool) "dropped" false (Rpl.Full.is_materialized index ~term:"red")
-
-let test_full_rpl_descending_and_complete () =
-  let index, summary = tiny () in
-  let sid_b = sid_of summary [ "a"; "b" ] in
-  let sid_c = sid_of summary [ "a"; "c" ] in
-  ignore (Rpl.Full.build index ~scoring ~terms:[ "fox" ] ());
-  let c = Rpl.Full.cursor index ~term:"fox" ~sids:[ sid_b; sid_c ] in
-  let rec drain prev acc =
-    match Rpl.Full.next c with
-    | None -> List.rev acc
-    | Some e ->
-        Alcotest.(check bool) "descending" true (e.Rpl.score <= prev +. 1e-12);
-        drain e.Rpl.score (e :: acc)
-  in
-  let entries = drain infinity [] in
-  (* fox appears in 3 elements (2 b's, 1 c). *)
-  check Alcotest.int "all extents covered" 3 (List.length entries)
-
 (* ---- strategy ---- *)
 
 let test_strategy_availability () =
@@ -744,29 +665,17 @@ let test_strategy_choose () =
       let small_k = Strategy.choose index ~sids ~terms ~k:1 in
       let large_k = Strategy.choose index ~sids ~terms ~k:(max 1 total) in
       Alcotest.(check bool) "tiny k prefers TA" true (small_k = Strategy.Ta_method);
-      Alcotest.(check bool) "huge k prefers Merge" true (large_k = Strategy.Merge_method)
+      Alcotest.(check bool) "huge k prefers Merge" true (large_k = Strategy.Merge_method);
+      (* k arrives from outside (CLI [-k], wire [c_k]); the rule must
+         not wrap for k past max_int / 20. *)
+      Alcotest.(check bool) "max_int k prefers Merge" true
+        (Strategy.choose index ~sids ~terms ~k:max_int = Strategy.Merge_method)
   | [] -> Alcotest.fail "no queries"
 
 let test_strategy_choose_without_indexes () =
   let index, _ = tiny () in
   check Alcotest.string "era fallback" "ERA"
     (Strategy.method_to_string (Strategy.choose index ~sids:[ 1 ] ~terms:[ "red" ] ~k:5))
-
-let test_strategy_race () =
-  let index, summary = tiny () in
-  let sid_b = sid_of summary [ "a"; "b" ] in
-  (* With only the base index the race falls back to ERA. *)
-  let o = Strategy.race index ~scoring ~sids:[ sid_b ] ~terms:[ "red" ] ~k:5 in
-  check Alcotest.string "fallback" "ERA" (Strategy.method_to_string o.Strategy.method_used);
-  ignore
-    (Rpl.build index ~scoring ~sids:[ sid_b ] ~terms:[ "red" ]
-       ~kinds:[ Rpl.Rpl; Rpl.Erpl ] ());
-  let o = Strategy.race index ~scoring ~sids:[ sid_b ] ~terms:[ "red" ] ~k:5 in
-  Alcotest.(check bool) "winner is ta or merge" true
-    (o.Strategy.method_used = Strategy.Ta_method
-    || o.Strategy.method_used = Strategy.Merge_method);
-  Alcotest.(check bool) "race detail" true
-    (String.length o.Strategy.detail > 0 && o.Strategy.answers <> [])
 
 let test_strategy_evaluate_dispatch () =
   let index, summary = tiny () in
@@ -841,21 +750,12 @@ let () =
           Alcotest.test_case "certification boundary" `Quick
             test_prefix_rpl_certification_boundary;
         ] );
-      ( "full-rpl",
-        [
-          Alcotest.test_case "build + skipping TA" `Quick
-            test_full_rpl_build_and_skipping_ta;
-          Alcotest.test_case "missing and drop" `Quick test_full_rpl_missing_and_drop;
-          Alcotest.test_case "descending and complete" `Quick
-            test_full_rpl_descending_and_complete;
-        ] );
       ( "strategy",
         [
           Alcotest.test_case "availability" `Quick test_strategy_availability;
           Alcotest.test_case "choose by k" `Quick test_strategy_choose;
           Alcotest.test_case "choose without indexes" `Quick
             test_strategy_choose_without_indexes;
-          Alcotest.test_case "race" `Quick test_strategy_race;
           Alcotest.test_case "evaluate dispatch" `Quick test_strategy_evaluate_dispatch;
         ] );
     ]
