@@ -913,9 +913,9 @@ let section_shard_proc () =
 
 (* What the cross-process harvest costs: the same supervised scatter
    with telemetry off, with span tracing on (workers trace and ship
-   their trees over the wire), and with tracing + journaling (workers
-   additionally build and ship a journal record; the coordinator
-   appends one merged record per query). *)
+   their trees over the wire), and with tracing + journaling (the
+   coordinator's scatter appends one record per query, from the terms
+   and counter deltas the workers ship anyway). *)
 let section_telemetry () =
   header "TELEMETRY: cross-process harvest overhead on supervised scatter";
   let coll = Gen.ieee ~doc_count:(if !quick then 40 else 120) ~seed:88 () in

@@ -464,8 +464,7 @@ let health_cmd =
 (* Shared loader: a typo'd env path or a journal-less env is a user
    error (exit 1), not a reason to mint an empty journal. A shard
    coordinator directory (it holds SHARDS.mf, not an Env) is served its
-   supervised-query journal, written by shard query --process
-   --journal. *)
+   coordinator journal, written by shard query --journal. *)
 let load_journal_records cmd env =
   if not (Sys.file_exists env && Sys.is_directory env) then begin
     Printf.eprintf "trex %s: no index directory at %s\n" cmd env;
@@ -475,8 +474,8 @@ let load_journal_records cmd env =
     let path = Filename.concat env "query_journal.qj" in
     if not (Sys.file_exists path) then begin
       Printf.eprintf
-        "trex %s: no coordinator journal in %s (run shard query --process \
-         --journal first)\n"
+        "trex %s: no coordinator journal in %s (run shard query --journal \
+         first)\n"
         cmd env;
       exit 1
     end;
@@ -866,10 +865,8 @@ let shard_query_cmd =
   let journal =
     Arg.(value & flag
          & info [ "journal" ]
-             ~doc:"journal telemetry for this query: with $(b,--process) one \
-                   coordinator record (with per-shard breakdown) in \
-                   DIR/query_journal.qj, otherwise per-shard records in each \
-                   shard's own journal")
+             ~doc:"journal this query: one coordinator record, with a \
+                   per-shard breakdown, in DIR/query_journal.qj")
   in
   let run dir nexi k method_ strict deadline_ms page_budget process fanout
       trace trace_out journal =
@@ -941,14 +938,7 @@ let shard_query_cmd =
         Printf.printf "trace written to %s\n" path
     | None -> ());
     if journal then
-      if process then
-        Printf.printf "journaled to %s\n"
-          (Filename.concat dir "query_journal.qj")
-      else
-        Printf.printf
-          "journaled per shard (inspect with: trex journal tail --env \
-           %s/<shard>)\n"
-          dir;
+      Printf.printf "journaled to %s\n" (Filename.concat dir "query_journal.qj");
     if r.degraded then exit 3
   in
   Cmd.v (Cmd.info "query" ~doc:"Scatter-gather a NEXI query across the shards")

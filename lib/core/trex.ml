@@ -110,14 +110,30 @@ let evaluate t ~k ?method_ ~strict ~floor ?deadline_ms ?page_budget ast =
   let degraded = strategy.Strategy.degraded in
   { translation; strategy; k; degraded; fallbacks; pages_used = pages_used guard }
 
+(* The posed query's one journal record, written once its root span
+   has closed so the span summary covers the whole query. *)
+let journal_outcome t started ~label ~strategy o =
+  Option.iter
+    (fun started ->
+      Obs.Journal.finish_query started
+        (Env.journal (Index.env t.index))
+        ~label ~strategy
+        ~sids:(Translate.all_sids o.translation)
+        ~terms:(Translate.all_terms o.translation)
+        ~k:o.k ~degraded:o.degraded ~fallbacks:(List.length o.fallbacks) ())
+    started
+
 let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget nexi =
-  Obs.Span.with_ ~name:"query" @@ fun () ->
-  (* The journal label makes records carry the NEXI text the caller
-     actually posed (and digest by it), not just the translated
-     (sids, terms) shape. *)
-  Obs.Journal.with_label nexi @@ fun () ->
-  let ast = Obs.Span.with_ ~name:"parse" (fun () -> parse t nexi) in
-  evaluate t ~k ?method_ ~strict ~floor:0.0 ?deadline_ms ?page_budget ast
+  let started = Obs.Journal.start_query () in
+  let o =
+    Obs.Span.with_ ~name:"query" @@ fun () ->
+    let ast = Obs.Span.with_ ~name:"parse" (fun () -> parse t nexi) in
+    evaluate t ~k ?method_ ~strict ~floor:0.0 ?deadline_ms ?page_budget ast
+  in
+  journal_outcome t started ~label:nexi
+    ~strategy:(Strategy.method_to_string o.strategy.Strategy.method_used)
+    o;
+  o
 
 (* Unique extent element of [sid] containing [inner], if any: extents
    are nesting-free, so at most one candidate exists and a single B+tree
@@ -163,15 +179,7 @@ let element_has_phrase t (e : Types.element) phrase =
           in
           m > 0 && scan 0)
 
-let query_structured t ?(k = 10) ?deadline_ms ?page_budget nexi =
-  Obs.Span.with_ ~name:"query_structured" @@ fun () ->
-  Obs.Journal.with_label nexi @@ fun () ->
-  (* The structured evaluator drives ERA directly, bypassing Strategy's
-     journaling hook, so it writes its own record under the synthetic
-     strategy name "structured". *)
-  let journal_started =
-    if Obs.Journal.enabled () then Some (Obs.Journal.start_query ()) else None
-  in
+let evaluate_structured t ~k ?deadline_ms ?page_budget nexi =
   let translation = translate t (parse t nexi) in
   let guard = mk_guard ?deadline_ms ?page_budget () in
   let degraded = ref false in
@@ -274,18 +282,19 @@ let query_structured t ?(k = 10) ?deadline_ms ?page_budget nexi =
       detail = Printf.sprintf "structured: %d units" (List.length translation.Translate.units);
     }
   in
-  (match journal_started with
-  | None -> ()
-  | Some started ->
-      ignore
-        (Obs.Journal.finish_query
-           (Env.journal (Index.env t.index))
-           started ~strategy:"structured"
-           ~sids:(Translate.all_sids translation)
-           ~terms:(Translate.all_terms translation)
-           ~k ~degraded:!degraded ()));
   let degraded = !degraded in
   { translation; strategy; k; degraded; fallbacks = []; pages_used = pages_used guard }
+
+let query_structured t ?(k = 10) ?deadline_ms ?page_budget nexi =
+  let started = Obs.Journal.start_query () in
+  let o =
+    Obs.Span.with_ ~name:"query_structured" @@ fun () ->
+    evaluate_structured t ~k ?deadline_ms ?page_budget nexi
+  in
+  (* The structured evaluator drives ERA per about() path, so its
+     record names the synthetic strategy "structured". *)
+  journal_outcome t started ~label:nexi ~strategy:"structured" o;
+  o
 
 (* ---- index management ---- *)
 

@@ -120,7 +120,8 @@ val evaluate :
     k-th score; [<= 0] filters nothing), in the target extent when
     [strict], and truncate to [k]. The method defaults to
     {!Strategy.choose}'s pick; a translation with no sid or no term is
-    answered by ERA, which has nothing to read.
+    answered by ERA, which has nothing to read. Never journals: the
+    entry point that posed the query writes its record.
 
     Resilience: [deadline_ms]/[page_budget] arm a {!Guard}; on expiry
     the run stops where it is and returns best-effort answers with
@@ -140,11 +141,14 @@ val query :
   ?page_budget:int ->
   string ->
   outcome
-(** Parse a NEXI query and {!evaluate} it without a floor, under a
-    journal label carrying the NEXI text. [k] defaults to 10, [strict]
-    (the structural path must hold exactly) to the vague
-    interpretation. @raise Trex_nexi.Parser.Syntax_error on bad
-    syntax. *)
+(** Parse a NEXI query and {!evaluate} it without a floor, under the
+    root span ["query"]. [k] defaults to 10, [strict] (the structural
+    path must hold exactly) to the vague interpretation. This is a
+    query's entry point: with {!Trex_obs.Journal.set_enabled} on it
+    writes the one journal record of the posed query to the
+    environment's journal, labelled with the NEXI text ({!evaluate},
+    the strategies below it, {!advise} and the autopilot never
+    journal). @raise Trex_nexi.Parser.Syntax_error on bad syntax. *)
 
 val query_structured :
   t -> ?k:int -> ?deadline_ms:float -> ?page_budget:int -> string -> outcome
@@ -153,7 +157,8 @@ val query_structured :
     element, [-terms] exclude, and answers come from the target extent.
     Evaluated with ERA (no materialized indexes needed). The guard
     flags apply per [about()] scan; exclusion scans run unguarded (an
-    incomplete exclusion list would be wrong, not partial). *)
+    incomplete exclusion list would be wrong, not partial). Journals
+    like {!query}, under the strategy name ["structured"]. *)
 
 (** {1 Index management} *)
 

@@ -125,12 +125,24 @@ let record_of_json j =
         }
   | _ -> None
 
+(* A scatter's per-shard breakdown, as [pp_record] shows it. *)
+let pp_breakdown r =
+  String.concat ""
+    (List.filter_map
+       (fun (p, ms) ->
+         if String.starts_with ~prefix:"shard:" p then
+           Some (Printf.sprintf "  %s=%.3fms" p ms)
+         else if String.starts_with ~prefix:"lost:" p then Some ("  " ^ p)
+         else None)
+       r.spans)
+
 let pp_record fmt r =
-  Format.fprintf fmt "#%d %s %-10s k=%-4d %8.3f ms  pages=%-5d hit=%4.0f%%%s%s%s"
+  Format.fprintf fmt "#%d %s %-10s k=%-4d %8.3f ms  pages=%-5d hit=%4.0f%%%s%s%s%s"
     r.qid r.digest r.strategy r.k r.wall_ms r.pages_read
     (100.0 *. r.cache_hit_ratio)
     (if r.degraded then "  DEGRADED" else "")
     (if r.fallbacks > 0 then Printf.sprintf "  fallbacks=%d" r.fallbacks else "")
+    (pp_breakdown r)
     (if r.label = "" then "" else "  " ^ r.label)
 
 let digest_of s = Printf.sprintf "%08lx" (Crc32.string s)
@@ -199,16 +211,10 @@ let close t =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Global switches                                                     *)
+(* Global switch                                                       *)
 
 let enabled_flag = ref false
 let set_enabled b = enabled_flag := b
-let enabled () = !enabled_flag
-let label_ref : string option ref = ref None
-let with_label l f =
-  label_ref := Some l;
-  Fun.protect ~finally:(fun () -> label_ref := None) f
-let label () = !label_ref
 
 (* ------------------------------------------------------------------ *)
 (* Measuring one query                                                 *)
@@ -229,22 +235,20 @@ type started = {
 }
 
 let start_query () =
-  {
-    s_t0 = Trex_util.Stopclock.now ();
-    s_reads = Metrics.value c_reads;
-    s_hits = Metrics.value c_hits;
-    s_misses = Metrics.value c_misses;
-    s_heap = Metrics.value c_heap;
-    s_retries = Metrics.value c_retries;
-  }
+  if not !enabled_flag then None
+  else
+    Some
+      {
+        s_t0 = Trex_util.Stopclock.now ();
+        s_reads = Metrics.value c_reads;
+        s_hits = Metrics.value c_hits;
+        s_misses = Metrics.value c_misses;
+        s_heap = Metrics.value c_heap;
+        s_retries = Metrics.value c_retries;
+      }
 
-let canonical ~sids ~terms =
-  String.concat "," (List.map string_of_int (List.sort compare sids))
-  ^ "|"
-  ^ String.concat "," (List.sort String.compare terms)
-
-let build_record started ~strategy ~sids ~terms ~k ~degraded ?(fallbacks = 0)
-    ?(spans = []) () =
+let finish_query started journal ~label ~strategy ~sids ~terms ~k ~degraded
+    ?(fallbacks = 0) ?(breakdown = []) () =
   (* The record timestamp is wall time (absolute, human-facing); the
      duration is measured on the monotonic clock so a wall step mid-
      query cannot journal a negative or absurd latency. *)
@@ -253,33 +257,29 @@ let build_record started ~strategy ~sids ~terms ~k ~degraded ?(fallbacks = 0)
   let hits = Metrics.value c_hits - started.s_hits in
   let misses = Metrics.value c_misses - started.s_misses in
   let lookups = hits + misses in
-  let label = match !label_ref with Some l -> l | None -> "" in
-  let digest =
-    if label <> "" then digest_of label else digest_of (canonical ~sids ~terms)
+  let spans =
+    if Span.enabled () then
+      match Span.last () with Some s -> Span.summarize s | None -> []
+    else []
   in
-  {
-      qid = 0;
-      ts = now;
-      digest;
-      label;
-      strategy;
-      k;
-      wall_ms = (mono -. started.s_t0) *. 1e3;
-      pages_read = Metrics.value c_reads - started.s_reads;
-      cache_hit_ratio =
-        (if lookups = 0 then 0.0
-         else float_of_int hits /. float_of_int lookups);
-      heap_ops = Metrics.value c_heap - started.s_heap;
-      degraded;
-      fallbacks;
-      retried = Metrics.value c_retries > started.s_retries;
-      sids;
-      terms;
-      spans;
-    }
-
-let finish_query t started ~strategy ~sids ~terms ~k ~degraded ?(fallbacks = 0)
-    ?(spans = []) () =
-  append t
-    (build_record started ~strategy ~sids ~terms ~k ~degraded ~fallbacks ~spans
-       ())
+  ignore
+    (append journal
+       {
+         qid = 0;
+         ts = now;
+         digest = digest_of label;
+         label;
+         strategy;
+         k;
+         wall_ms = (mono -. started.s_t0) *. 1e3;
+         pages_read = Metrics.value c_reads - started.s_reads;
+         cache_hit_ratio =
+           (if lookups = 0 then 0.0 else float_of_int hits /. float_of_int lookups);
+         heap_ops = Metrics.value c_heap - started.s_heap;
+         degraded;
+         fallbacks;
+         retried = Metrics.value c_retries > started.s_retries;
+         sids;
+         terms;
+         spans = spans @ breakdown;
+       })

@@ -1,9 +1,13 @@
 (** Persistent, crash-tolerant query journal.
 
-    Every top-level strategy evaluation appends one structured record —
-    query digest, strategy, k, wall ms, physical reads, cache hit
-    ratio, heap ops, degraded/fallback/retry flags, span summary — to
-    an append-only file framed for torn-write safety:
+    Every posed query appends one structured record — query digest,
+    strategy, k, wall ms, physical reads, cache hit ratio, heap ops,
+    degraded/fallback/retry flags, span summary — to an append-only
+    file framed for torn-write safety. The entry point that receives
+    the query writes it ([Trex.query], [Trex.query_structured],
+    [Shard.scatter]), through {!finish_query}; evaluations below them
+    never journal, so record counts are the workload frequencies the
+    self-manager weighs queries by:
 
     {v
       "TREXQJ1\n"                      8-byte file magic
@@ -35,12 +39,13 @@ type record = {
   qid : int;  (** Sequence number, unique within one journal file. *)
   ts : float;  (** Unix timestamp at completion. *)
   digest : string;
-      (** 8-hex-digit CRC32 of the NEXI text when a label was set,
-          otherwise of the canonical (sids, terms) form — the workload
-          identity of the query (k excluded, so re-running a query at a
-          different k still counts toward the same frequency). *)
-  label : string;  (** NEXI text when known, [""] otherwise. *)
-  strategy : string;  (** Method that produced the answer. *)
+      (** 8-hex-digit CRC32 of [label] — the workload identity of the
+          query (k excluded, so re-running a query at a different k
+          still counts toward the same frequency). *)
+  label : string;  (** The NEXI text as posed. *)
+  strategy : string;
+      (** Method that produced the answer — on a scatter, the method
+          every evaluated shard used, ["mixed"] otherwise. *)
   k : int;
   wall_ms : float;
   pages_read : int;  (** Physical page reads during the evaluation. *)
@@ -50,15 +55,22 @@ type record = {
   fallbacks : int;  (** Methods abandoned by [evaluate_resilient]. *)
   retried : bool;  (** Any I/O retry fired during the evaluation. *)
   sids : int list;
+      (** Summary ids of the translation; empty on a scatter over more
+          than one shard, whose summaries number extents apart. *)
   terms : string list;
   spans : (string * float) list;
-      (** Flattened span-tree summary, [(path, ms)]; empty unless span
-          tracing was enabled during the query. *)
+      (** Flattened summary of the query's root span, [(path, ms)]
+          (empty unless span tracing was on), then a scatter's
+          per-shard breakdown: [shard:<name>] evaluation ms per
+          replying shard, [lost:<name>] for each shard that did not
+          reply. *)
 }
 
 val record_to_json : record -> Json.t
 val record_of_json : Json.t -> record option
 val pp_record : Format.formatter -> record -> unit
+(** One line: qid, digest, strategy, k, wall ms, pages, hit ratio,
+    flags, a scatter's per-shard breakdown, then the label. *)
 
 val digest_of : string -> string
 (** CRC32 of a string as 8 lowercase hex digits. *)
@@ -85,59 +97,39 @@ val path : t -> string option
 val sync : t -> unit
 val close : t -> unit
 
-(** {1 Global switches}
+(** {1 Global switch}
 
-    Journaling is off by default, exactly like span tracing: strategy
-    entry points check [enabled] and pay nothing when it is off. The
-    label is a hint set by the query façade so records can carry the
-    NEXI text the user actually typed. *)
+    Journaling is off by default, exactly like span tracing: entry
+    points pay nothing when it is off. *)
 
 val set_enabled : bool -> unit
-val enabled : unit -> bool
-val with_label : string -> (unit -> 'a) -> 'a
-(** [with_label l f] runs [f] with the label set to [l], clearing it
-    however [f] returns. *)
 
-val label : unit -> string option
-
-(** {1 Measuring one query}
-
-    [start_query] snapshots the wall clock and the registry counters a
-    record derives its deltas from ([pager.physical_reads],
-    [pager.cache_hits], [pager.cache_misses], [ta.heap_operations],
-    [resilience.retries]); [finish_query] computes the deltas, builds
-    the record and appends it. *)
+(** {1 Measuring one query} *)
 
 type started
 
-val start_query : unit -> started
-
-val build_record :
-  started ->
-  strategy:string ->
-  sids:int list ->
-  terms:string list ->
-  k:int ->
-  degraded:bool ->
-  ?fallbacks:int ->
-  ?spans:(string * float) list ->
-  unit ->
-  record
-(** Compute the deltas and build a record {e without} appending it
-    anywhere ([qid] is left 0 — [append] assigns the real one). Worker
-    processes use this to ship a journal record over the wire instead
-    of persisting it locally; the coordinator appends the merged
-    record to its own journal. *)
+val start_query : unit -> started option
+(** [None] when journaling is off: the entry point then builds no
+    record. Otherwise snapshots the monotonic clock and the registry
+    counters a record derives its deltas from
+    ([pager.physical_reads], [pager.cache_hits],
+    [pager.cache_misses], [ta.heap_operations],
+    [resilience.retries]). *)
 
 val finish_query :
-  t ->
   started ->
+  t ->
+  label:string ->
   strategy:string ->
   sids:int list ->
   terms:string list ->
   k:int ->
   degraded:bool ->
   ?fallbacks:int ->
-  ?spans:(string * float) list ->
+  ?breakdown:(string * float) list ->
   unit ->
-  record
+  unit
+(** The one builder of query records: computes the deltas since
+    [started], summarizes the most recently completed span when tracing
+    is on (call it just after the query's root span closes), appends
+    [breakdown] to that summary, and appends the record. *)

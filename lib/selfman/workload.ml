@@ -65,31 +65,3 @@ let of_journal records =
 
 let queries t = t
 let find t id = List.find_opt (fun q -> q.id = id) t
-
-(* Sharded coordinators label each per-shard evaluation
-   "shard:NAME|nexi", so the per-shard traffic is recoverable from one
-   journal stream. Records without the prefix group under "". *)
-let by_shard records =
-  let module J = Trex_obs.Journal in
-  let shard_of (r : J.record) =
-    let label = r.J.label in
-    if String.length label > 6 && String.sub label 0 6 = "shard:" then
-      match String.index_opt label '|' with
-      | Some bar -> String.sub label 6 (bar - 6)
-      | None -> String.sub label 6 (String.length label - 6)
-    else ""
-  in
-  let groups : (string, J.record list ref) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun r ->
-      let s = shard_of r in
-      match Hashtbl.find_opt groups s with
-      | Some cell -> cell := r :: !cell
-      | None ->
-          Hashtbl.add groups s (ref [ r ]);
-          order := s :: !order)
-    records;
-  List.rev_map
-    (fun s -> (s, of_journal (List.rev !(Hashtbl.find groups s))))
-    !order

@@ -26,13 +26,5 @@ val of_journal : Trex_obs.Journal.record list -> t
     traffic instead of a hand-assembled workload.
     @raise Invalid_argument on an empty record list. *)
 
-val by_shard : Trex_obs.Journal.record list -> (string * t) list
-(** Partition journal records by the shard that served them — the
-    coordinator labels each per-shard evaluation ["shard:NAME|nexi"] —
-    and build one observed workload per shard ({!of_journal} per
-    group; frequencies are within-shard). Records without the prefix
-    (single-env traffic) group under [""]. Groups appear in
-    first-sighting order. *)
-
 val queries : t -> query list
 val find : t -> string -> query option

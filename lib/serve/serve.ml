@@ -139,9 +139,6 @@ let clamp_page_budget policy requested =
    the backend. Fallback tags ride along without degrading: the
    answers they come with are complete. *)
 let client_answer (r : Shard.result) ~elapsed_s =
-  let methods =
-    List.sort_uniq compare (List.filter_map (fun rep -> rep.Shard.r_method) r.Shard.reports)
-  in
   {
     Wire.ca_answers = r.Shard.answers;
     ca_k = r.Shard.k;
@@ -151,8 +148,7 @@ let client_answer (r : Shard.result) ~elapsed_s =
       @ List.map
           (fun (f : Strategy.failover) -> (Strategy.method_to_string f.failed, f.error))
           r.Shard.fallbacks;
-    ca_method =
-      (match methods with [ m ] -> Some (Strategy.method_to_string m) | _ -> None);
+    ca_method = Option.map Strategy.method_to_string (Shard.method_used r);
     ca_elapsed_s = elapsed_s;
   }
 

@@ -7,6 +7,7 @@ module Types = Trex_invindex.Types
 module Summary = Trex_summary.Summary
 module Alias = Trex_summary.Alias
 module Nexi_parser = Trex_nexi.Parser
+module Translate = Trex_nexi.Translate
 module Answer = Trex_topk.Answer
 module Strategy = Trex_topk.Strategy
 module Breaker = Trex_resilience.Breaker
@@ -45,6 +46,7 @@ type t = {
   mutable unresolved_ops : string list;
   mutable shard_hook : (string -> unit) option;
   mutable op_hook : (string -> unit) option;
+  journal : Obs.Journal.t Lazy.t;
 }
 
 let dir t = t.t_dir
@@ -164,6 +166,14 @@ let read_map dir =
       (Printf.sprintf "%s: no %s (not a shard coordinator directory?)" dir map_file);
   map_of_json (Json.parse (read_file path))
 
+(* A coordinator directory is not an [Env] directory: its query journal
+   lives beside SHARDMAP.json under the file name envs use, opened at
+   the first journaled query. *)
+let coordinator_journal dir =
+  lazy (Obs.Journal.open_file (Filename.concat dir "query_journal.qj"))
+
+let close_journal j = if Lazy.is_val j then Obs.Journal.close (Lazy.force j)
+
 (* ---- corpus-wide scoring statistics ----
 
    Rank identity needs every shard to score with statistics of the
@@ -260,20 +270,25 @@ let attach_engine env =
       Env.close env;
       raise e
 
-(* Worker-side attach: one shard environment with the corpus-wide
-   scoring overrides installed, exactly as [attach_all] does for the
-   in-process coordinator — the process boundary must not change a
-   single score. Opened through table recovery, not plain [on_disk]: a
-   SIGKILLed predecessor is a genuine crash and may have left a table
-   (typically a lazily-created RPL catalog) whose creation never
-   committed; the recovery path reinitializes it instead of poisoning
-   every future worker with [Pager.Corruption] at first touch. *)
+(* The one way a shard engine gets its scoring, in process and in a
+   worker: the coordinator's corpus-wide statistics snapshot, when
+   there is one — the process boundary must not change a single
+   score. *)
+let install_stats stats engine =
+  Option.iter
+    (fun s -> Index.set_scoring_overrides (Trex.index engine) (overrides_of_stats s))
+    stats
+
+(* Worker-side attach. Opened through table recovery, not plain
+   [on_disk]: a SIGKILLed predecessor is a genuine crash and may have
+   left a table (typically a lazily-created RPL catalog) whose creation
+   never committed; the recovery path reinitializes it instead of
+   poisoning every future worker with [Pager.Corruption] at first
+   touch. *)
 let attach_shard ~dir name =
   let env, _reports = Env.open_with_recovery (Filename.concat dir name) in
   let engine = attach_engine env in
-  (match load_stats dir with
-  | Some stats -> Index.set_scoring_overrides (Trex.index engine) (overrides_of_stats stats)
-  | None -> ());
+  install_stats (load_stats dir) engine;
   (env, engine)
 
 (* ---- stale worker artifacts ----
@@ -399,28 +414,12 @@ let recover manifest dir =
   if Manifest.pending manifest = [] then Manifest.compact manifest;
   (!current, List.rev !pre_blocked, List.rev !unresolved_ops)
 
-(* Corpus-wide scoring statistics, recomputed over the attached shards
-   and installed as overrides so every shard scores as the single-env
-   engine would (doc count, mean element length, per-term df). *)
-let install_overrides t =
-  match t.attached with
-  | [] -> ()
-  | attached ->
-      (* Prefer the persisted full-corpus snapshot; recomputing from
-         the attached shards is only a fallback for coordinator
-         directories predating the stats file, and is wrong whenever a
-         shard is quarantined. *)
-      let stats =
-        match load_stats t.t_dir with
-        | Some s -> s
-        | None -> stats_of_indexes (List.map a_index attached)
-      in
-      let overrides = overrides_of_stats stats in
-      List.iter (fun a -> Index.set_scoring_overrides (a_index a) overrides) attached
-
 (* (Re-)attach every servable shard of the map. Shards that fail to
    attach are quarantined, not fatal — the coordinator serves what it
-   can and tags the rest. *)
+   can and tags the rest. A coordinator directory without a statistics
+   snapshot gets one here, recomputed while every shard is attached
+   (with one missing it would be wrong), so workers attached later
+   score exactly as this process does. *)
 let attach_all t pre_blocked =
   List.iter (fun a -> Env.close a.a_env) t.attached;
   t.attached <- [];
@@ -441,7 +440,15 @@ let attach_all t pre_blocked =
   t.attached <-
     List.sort (fun a b -> compare a.a_info.base b.a_info.base) (List.rev !acc);
   t.blocked <- blocked.contents;
-  install_overrides t
+  let stats =
+    match load_stats t.t_dir with
+    | None when t.blocked = [] && t.attached <> [] ->
+        let s = stats_of_indexes (List.map a_index t.attached) in
+        write_stats_file t.t_dir s;
+        Some s
+    | s -> s
+  in
+  List.iter (fun a -> install_stats stats a.a_engine) t.attached
 
 let load_map dir = sort_infos (read_map dir).infos
 
@@ -461,6 +468,7 @@ let open_ dir =
       unresolved_ops;
       shard_hook = None;
       op_hook = None;
+      journal = coordinator_journal dir;
     }
   in
   attach_all t pre_blocked;
@@ -469,11 +477,13 @@ let open_ dir =
 let close t =
   List.iter (fun a -> Env.close a.a_env) t.attached;
   t.attached <- [];
+  close_journal t.journal;
   Manifest.close t.manifest
 
 let abort t =
   List.iter (fun a -> Env.abort a.a_env) t.attached;
   t.attached <- [];
+  close_journal t.journal;
   Manifest.abort t.manifest
 
 (* ---- create ---- *)
@@ -555,6 +565,9 @@ type reply = {
   entries_read : int;
   elapsed_s : float;
   pages_used : int;
+  fallbacks : Strategy.failover list;
+  sids : int list;
+  terms : string list;
 }
 
 type outcome = Reply of reply | Failed of string | Lost of string
@@ -565,7 +578,27 @@ type target = {
   unavailable : unit -> string option;
 }
 
-let scatter ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
+let method_used r =
+  match
+    List.sort_uniq compare (List.filter_map (fun rep -> rep.r_method) r.reports)
+  with
+  | [ m ] -> Some m
+  | _ -> None
+
+(* A record's per-shard breakdown: each replying shard's evaluation
+   time, and a marker for each shard that contributed no reply. *)
+let breakdown r =
+  List.map (fun rep -> ("shard:" ^ rep.r_shard, rep.r_elapsed_seconds *. 1e3)) r.reports
+  @ List.sort_uniq compare
+      (List.filter_map
+         (fun (name, _) ->
+           if List.exists (fun rep -> rep.r_shard = name) r.reports then None
+           else Some ("lost:" ^ name, 0.0))
+         r.degraded_shards)
+
+(* The waves of one scatter: the merged result, and each reply's
+   translation (summary ids, terms) in arrival order. *)
+let run_waves ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
   Metrics.incr m_queries;
   let ast = Nexi_parser.parse nexi in
   let started = Trex_util.Stopclock.now () in
@@ -573,6 +606,8 @@ let scatter ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
   let merged = ref ([] : Answer.t) in
   let tags = ref [] in
   let reports = ref [] in
+  let fallbacks = ref [] in
+  let translations = ref [] in
   let tag name reason = tags := (name, reason) :: !tags in
   let skip name reason =
     Metrics.incr m_skipped;
@@ -589,6 +624,8 @@ let scatter ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
         end
         else Breaker.record_success b;
         pages_spent := !pages_spent + r.pages_used;
+        fallbacks := !fallbacks @ r.fallbacks;
+        translations := (r.sids, r.terms) :: !translations;
         let kept =
           List.map
             (fun (e : Answer.entry) ->
@@ -671,35 +708,62 @@ let scatter ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
   waves targets;
   let degraded_shards = List.rev !tags in
   if degraded_shards <> [] then Metrics.incr m_degraded;
-  {
-    answers = !merged;
-    k;
-    degraded = degraded_shards <> [];
-    degraded_shards;
-    reports = List.rev !reports;
-    fallbacks = [];
-  }
+  ( {
+      answers = !merged;
+      k;
+      degraded = degraded_shards <> [];
+      degraded_shards;
+      reports = List.rev !reports;
+      fallbacks = !fallbacks;
+    },
+    List.rev !translations )
 
-(* The in-process dispatch, one shard per wave: each target's engine
-   evaluates under the journal label [label] gives it, and [contain]
-   turns an evaluation exception into the shard's outcome — or
-   re-raises it. A shard's own top k is all it ships: the merge order
-   is total, so an entry outside a shard's top k is outside the global
-   top k too. *)
-let scatter_in_process ~engine ~label ~contain ~k ?method_ ~strict ?deadline_ms
-    ?page_budget targets nexi =
-  let fallbacks = ref [] in
+(* The scatter's one journal record. Terms are strings every shard
+   normalizes alike; summary ids are numbered per shard, so they
+   describe the query only when the plan has a single target. *)
+let journal_scatter started journal ~nexi ~k ~targets r translations =
+  let sids = match (targets, translations) with [ _ ], [ (sids, _) ] -> sids | _ -> [] in
+  let terms =
+    List.fold_left
+      (fun acc (_, ts) -> acc @ List.filter (fun t -> not (List.mem t acc)) ts)
+      [] translations
+  in
+  Obs.Journal.finish_query started journal ~label:nexi
+    ~strategy:
+      (match method_used r with
+      | Some m -> Strategy.method_to_string m
+      | None -> "mixed")
+    ~sids ~terms ~k ~degraded:r.degraded ~fallbacks:(List.length r.fallbacks)
+    ~breakdown:(breakdown r) ()
+
+let scatter ~k ~wave ?deadline_ms ?page_budget ~span ?span_attrs ~journal ~dispatch
+    targets nexi =
+  let started = Obs.Journal.start_query () in
+  let r, translations =
+    Obs.Span.with_ ~name:span ?attrs:span_attrs @@ fun () ->
+    run_waves ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi
+  in
+  Option.iter
+    (fun started -> journal_scatter started (journal ()) ~nexi ~k ~targets r translations)
+    started;
+  r
+
+(* The in-process dispatch, one shard per wave: [contain] turns an
+   evaluation exception into the shard's outcome — or re-raises it. A
+   shard's own top k is all it ships: the merge order is total, so an
+   entry outside a shard's top k is outside the global top k too. *)
+let scatter_in_process ~engine ~span ~journal ~contain ~k ?method_ ~strict
+    ?deadline_ms ?page_budget targets nexi =
   let dispatch ast slice shards =
     List.map
       (fun info ->
         Obs.Span.with_ ~name:("shard.query." ^ info.name) @@ fun () ->
-        Obs.Journal.with_label (label info) @@ fun () ->
         match
           Trex.evaluate (engine info) ~k ~strict ?method_ ~floor:slice.floor
             ?deadline_ms:slice.deadline_ms ?page_budget:slice.page_budget ast
         with
-        | { Trex.strategy = s; degraded = partial; pages_used; fallbacks = f; _ } ->
-            fallbacks := !fallbacks @ f;
+        | { Trex.strategy = s; translation; degraded = partial; pages_used; fallbacks; _ }
+          ->
             Reply
               {
                 local_answers = s.Strategy.answers;
@@ -708,15 +772,16 @@ let scatter_in_process ~engine ~label ~contain ~k ?method_ ~strict ?deadline_ms
                 entries_read = s.Strategy.entries_read;
                 elapsed_s = s.Strategy.elapsed_seconds;
                 pages_used;
+                fallbacks;
+                sids = Translate.all_sids translation;
+                terms = Translate.all_terms translation;
               }
         | exception e -> contain e)
       shards
   in
-  let r = scatter ~k ~wave:1 ?deadline_ms ?page_budget ~dispatch targets nexi in
-  { r with fallbacks = !fallbacks }
+  scatter ~k ~wave:1 ?deadline_ms ?page_budget ~span ~journal ~dispatch targets nexi
 
 let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget nexi =
-  Obs.Span.with_ ~name:"shard.query" @@ fun () ->
   let target info =
     {
       shard = info;
@@ -734,8 +799,8 @@ let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget nexi 
     | Pager.Injected_crash _ as e -> raise e
     | e -> Failed (Printexc.to_string e)
   in
-  scatter_in_process ~engine
-    ~label:(fun info -> "shard:" ^ info.name ^ "|" ^ nexi)
+  scatter_in_process ~engine ~span:"shard.query"
+    ~journal:(fun () -> Lazy.force t.journal)
     ~contain ~k ?method_ ~strict ?deadline_ms ?page_budget (List.map target t.infos)
     nexi
 
@@ -747,7 +812,8 @@ let query_env engine ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_bud
   let target = { shard; breaker = Breaker.create "env"; unavailable = (fun () -> None) } in
   scatter_in_process
     ~engine:(fun _ -> engine)
-    ~label:(fun _ -> nexi)
+    ~span:"query"
+    ~journal:(fun () -> Env.journal (Index.env (Trex.index engine)))
     ~contain:raise ~k ?method_ ~strict ?deadline_ms ?page_budget [ target ] nexi
 
 let materialize t ?kinds ?rpl_prefix nexi =

@@ -60,7 +60,10 @@ val open_ : string -> t
     first — committed ones roll forward (shard map reinstalled, source
     directories removed), uncommitted ones roll back (half-built
     directories removed); an unresolvable committed operation leaves
-    its shards quarantined (see {!unresolved} and {!health}). *)
+    its shards quarantined (see {!unresolved} and {!health}). A
+    directory without [CORPUS_STATS.json] gets one, recomputed from
+    the shards, when every shard attaches; with a shard missing, no
+    path installs corpus-wide statistics. *)
 
 val close : t -> unit
 val abort : t -> unit
@@ -96,8 +99,14 @@ val load_map : string -> shard_info list
 val attach_shard : dir:string -> string -> Trex_storage.Env.t * Trex.t
 (** [attach_shard ~dir name] opens the single shard [dir/name] as an
     engine with the default scorer and the coordinator's corpus-wide
-    scoring overrides installed — the worker-process side of
-    {!Supervisor}. The caller owns the returned environment. *)
+    scoring snapshot installed exactly as {!open_} installs it — the
+    worker-process side of {!Supervisor}. The caller owns the returned
+    environment. *)
+
+val coordinator_journal : string -> Trex_obs.Journal.t Lazy.t
+(** [coordinator_journal dir] is [dir/query_journal.qj], opened when
+    forced: where both shard dispatches journal their queries (a
+    coordinator directory is not an environment). *)
 
 val sweep_stale_worker_artifacts : string -> shard_info list -> int
 (** Remove orphaned worker droppings ([worker.pid] whose process is
@@ -137,6 +146,11 @@ type result = {
           from {!Supervisor.query}, whose wire does not carry them *)
 }
 
+val method_used : result -> Trex_topk.Strategy.method_ option
+(** The method every evaluated shard used; [None] when they differ or
+    no shard replied. The serve reply's method and the journal record's
+    strategy. *)
+
 val query :
   t ->
   ?k:int ->
@@ -148,9 +162,10 @@ val query :
   result
 (** Evaluate a NEXI query across all shards: {!scatter} in waves of
     one shard, ascending [base], each evaluated in this process by
-    {!Trex.evaluate} with the wave's floor and slice, under the journal
-    label ["shard:<name>|<nexi>"]. A shard whose evaluation raises is
-    tagged and its breaker records the failure;
+    {!Trex.evaluate} with the wave's floor and slice, under the root
+    span ["shard.query"], journaled to the coordinator's
+    [<dir>/query_journal.qj]. A shard whose evaluation raises is tagged
+    and its breaker records the failure;
     {!Trex_storage.Pager.Injected_crash} propagates (crash simulation).
     @raise Trex_nexi.Parser.Syntax_error *)
 
@@ -164,11 +179,12 @@ val query_env :
   string ->
   result
 (** The plain-env plan: {!query}'s in-process dispatch over one target,
-    the whole environment (tagged ["env"], base 0). The floor stays 0,
-    so answers, method, entries read and the one journal record
-    (labelled with the NEXI text) are {!Trex.query}'s. An evaluation
-    exception propagates instead of tripping a breaker: a lone
-    environment has nothing to degrade to.
+    the whole environment (tagged ["env"], base 0), under the root span
+    ["query"], journaled to the environment's own journal. The floor
+    stays 0, so answers, method and entries read are {!Trex.query}'s,
+    and so are its record's label, digest, k, strategy, sids and terms.
+    An evaluation exception propagates instead of tripping a breaker: a
+    lone environment has nothing to degrade to.
     @raise Trex_nexi.Parser.Syntax_error *)
 
 (** {2 The scatter core}
@@ -191,6 +207,10 @@ type reply = {
   entries_read : int;
   elapsed_s : float;
   pages_used : int;
+  fallbacks : Trex_topk.Strategy.failover list;
+      (** methods the evaluation abandoned ([[]] over the wire) *)
+  sids : int list;  (** the shard's translation: its own summary ids *)
+  terms : string list;  (** the shard's translation: normalized terms *)
 }
 
 type outcome =
@@ -209,19 +229,31 @@ val scatter :
   wave:int ->
   ?deadline_ms:float ->
   ?page_budget:int ->
+  span:string ->
+  ?span_attrs:(string * string) list ->
+  journal:(unit -> Trex_obs.Journal.t) ->
   dispatch:(Trex_nexi.Ast.query -> slice -> shard_info list -> outcome list) ->
   target list ->
   string ->
   result
 (** Parse the NEXI once, then visit the targets in waves of [wave]
-    shards. Each wave's floor is the global k-th score so far;
-    [deadline_ms]/[page_budget] bound the whole query. A shard that is
-    unavailable, reached after the budget ran out, or refused by its
-    breaker is tagged and skipped; [dispatch] gets the rest, which
-    share the wave's {!slice}, and returns one outcome per shard in
-    order. Replies are rebased by [base] and merged to k. Owns the
-    breakers' success/probe bookkeeping and the [shard.*] counters
+    shards, all under one root span named [span]. Each wave's floor is
+    the global k-th score so far; [deadline_ms]/[page_budget] bound the
+    whole query. A shard that is unavailable, reached after the budget
+    ran out, or refused by its breaker is tagged and skipped;
+    [dispatch] gets the rest, which share the wave's {!slice}, and
+    returns one outcome per shard in order. Replies are rebased by
+    [base] and merged to k. Owns the breakers' success/probe
+    bookkeeping and the [shard.*] counters
     ([shard.early_terminations] counts floor-assisted dispatches).
+
+    When journaling is on, the scatter writes the query's one record
+    to [journal ()] once the root span closes: labelled with the NEXI
+    text, strategy {!method_used} (["mixed"] when there is none), the
+    replies' terms, summary ids only when the plan has a single target
+    (shards number their summaries apart), the fallback count, and the
+    per-shard breakdown — [shard:<name>] evaluation ms per reply,
+    [lost:<name>] per shard without one. Dispatches never journal.
     @raise Trex_nexi.Parser.Syntax_error before any dispatch *)
 
 val materialize :

@@ -86,21 +86,8 @@ type t = {
   workers : worker list;  (* ascending base *)
   mutable closed : bool;
   mutable qseq : int;  (* trace-id sequence for supervised queries *)
-  mutable journal : Obs.Journal.t option;  (* coordinator journal, lazy *)
+  journal : Obs.Journal.t Lazy.t;
 }
-
-(* The shard coordinator directory is not an [Env] directory, so the
-   supervised-query journal lives directly beside SHARDMAP.json under
-   the same file name envs use. *)
-let journal_of t =
-  match t.journal with
-  | Some j -> j
-  | None ->
-      let j =
-        Obs.Journal.open_file (Filename.concat t.t_dir "query_journal.qj")
-      in
-      t.journal <- Some j;
-      j
 
 let dir t = t.t_dir
 let shards t = List.map (fun w -> w.info) t.workers
@@ -456,7 +443,7 @@ let create ?(config = default_config) ?(remote = []) dir =
           infos;
       closed = false;
       qseq = 0;
-      journal = None;
+      journal = Shard.coordinator_journal dir;
     }
   in
   List.iter (fun w -> spawn t w) t.workers;
@@ -497,11 +484,7 @@ let close t =
             (try Unix.close p.p_fd with Unix.Unix_error _ -> ());
             w.proc <- None)
       t.workers;
-    match t.journal with
-    | Some j ->
-        Obs.Journal.close j;
-        t.journal <- None
-    | None -> ()
+    if Lazy.is_val t.journal then Obs.Journal.close (Lazy.force t.journal)
   end
 
 let health t =
@@ -533,51 +516,6 @@ type dispatch = {
   d_kill_at : float option;  (* deadline slice + grace; None = no deadline *)
   mutable d_outcome : Shard.outcome option;
 }
-
-(* One coordinator-level journal record per supervised query, built
-   from the registry deltas (worker counter deltas were absorbed during
-   the gather, so pages_read/heap_ops are fleet totals) with a
-   per-shard breakdown in [spans]: the harvested span summary, each
-   shard's worker-side wall ms, and a ["lost:<shard>"] marker per shard
-   that degraded without delivering telemetry. *)
-let journal_supervised t started ~nexi ~k ~(result : Shard.result)
-    ~worker_records =
-  let j = journal_of t in
-  let span_summary =
-    if Obs.Span.enabled () then
-      match Obs.Span.last () with
-      | Some s -> Obs.Span.summarize s
-      | None -> []
-    else []
-  in
-  let breakdown =
-    List.map
-      (fun (name, (r : Obs.Journal.record)) ->
-        ("shard:" ^ name, r.Obs.Journal.wall_ms))
-      worker_records
-  in
-  let lost =
-    List.sort_uniq compare
-      (List.filter_map
-         (fun (name, _reason) ->
-           if List.mem_assoc name worker_records then None
-           else Some ("lost:" ^ name, 0.0))
-         result.Shard.degraded_shards)
-  in
-  let sids =
-    List.sort_uniq compare
-      (List.concat_map (fun (_, r) -> r.Obs.Journal.sids) worker_records)
-  in
-  let terms =
-    List.sort_uniq String.compare
-      (List.concat_map (fun (_, r) -> r.Obs.Journal.terms) worker_records)
-  in
-  Obs.Journal.with_label nexi @@ fun () ->
-  ignore
-    (Obs.Journal.finish_query j started ~strategy:"supervised" ~sids ~terms ~k
-       ~degraded:result.Shard.degraded
-       ~spans:(span_summary @ breakdown @ lost)
-       ())
 
 (* Why the core may not dispatch to this worker right now. *)
 let unavailable w () =
@@ -658,13 +596,10 @@ let gather t ~accept dispatches =
 let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget ?fanout
     nexi =
   let trace = Obs.Span.enabled () in
-  let jrnl = Obs.Journal.enabled () in
-  let j_started = if jrnl then Some (Obs.Journal.start_query ()) else None in
   t.qseq <- t.qseq + 1;
   let trace_id =
     Printf.sprintf "%s-%d" (Obs.Journal.digest_of nexi) t.qseq
   in
-  let worker_records = ref ([] : (string * Obs.Journal.record) list) in
   let accept d (a : Wire.answer) =
     let w = d.d_worker in
     let name = w.info.Shard.name in
@@ -673,12 +608,9 @@ let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget ?fano
     w.restarts <- 0;
     (* Harvest the worker's telemetry: fold its counter delta into
        this registry (both the bare name — the merged fleet total —
-       and a per-shard [worker.<shard>.*] view), keep its journal
-       record for the coordinator-level breakdown. *)
+       and a per-shard [worker.<shard>.*] view), so the scatter's
+       journal record counts the fleet's pages and heap operations. *)
     Metrics.absorb_counters ~prefix:("worker." ^ name ^ ".") a.Wire.a_counters;
-    (match a.Wire.a_journal with
-    | Some r -> worker_records := (name, r) :: !worker_records
-    | None -> ());
     (* Graft the worker's span tree under a [supervisor.worker] span
        spanning the full round trip; the pid attribute re-homes the
        subtree onto the worker's own track in a Chrome trace. *)
@@ -710,6 +642,9 @@ let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget ?fano
             entries_read = a.Wire.a_entries_read;
             elapsed_s = a.Wire.a_elapsed_s;
             pages_used = a.Wire.a_pages_used;
+            fallbacks = [];
+            sids = [];
+            terms = a.Wire.a_terms;
           }
   in
   let dispatch _ast (slice : Shard.slice) shards =
@@ -731,7 +666,6 @@ let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget ?fano
                 q_page_budget = slice.Shard.page_budget;
                 q_fault = fault;
                 q_trace = trace;
-                q_journal = jrnl;
                 q_trace_id = (if trace then Some trace_id else None);
               }
           in
@@ -755,48 +689,37 @@ let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget ?fano
     gather t ~accept dispatches;
     List.map (fun d -> Option.get d.d_outcome) dispatches
   in
-  let result =
-    Obs.Span.with_ ~name:"supervisor.query"
-      ~attrs:
-        [
-          ("k", string_of_int k);
-          ("workers", string_of_int (List.length t.workers));
-          ("trace_id", trace_id);
-        ]
-    @@ fun () ->
-    let started = Stopclock.now () in
-    (* Give workers still handshaking a chance to come up before we
-       declare them unavailable — bounded by, and charged to, the
-       query's own deadline. *)
-    if List.exists (fun w -> match w.phase with P_starting _ -> true | _ -> false)
-         t.workers
-    then
-      ignore
-        (await_healthy
-           ~timeout_s:
-             (match deadline_ms with
-             | Some d -> Float.min (d /. 1000.0) t.config.heartbeat_timeout_s
-             | None -> t.config.heartbeat_timeout_s)
-           t);
-    let waited_ms = (Stopclock.now () -. started) *. 1000.0 in
-    Shard.scatter ~k
-      ~wave:(match fanout with Some f when f > 0 -> f | _ -> max 1 (List.length t.workers))
-      ?deadline_ms:(Option.map (fun d -> d -. waited_ms) deadline_ms)
-      ?page_budget ~dispatch
-      (List.map
-         (fun w ->
-           { Shard.shard = w.info; breaker = w.breaker; unavailable = unavailable w })
-         t.workers)
-      nexi
-  in
-  (* The journal record is built after the root span closes so its span
-     summary covers the whole supervised evaluation. *)
-  (match j_started with
-  | Some started ->
-      journal_supervised t started ~nexi ~k ~result
-        ~worker_records:(List.rev !worker_records)
-  | None -> ());
-  result
+  (* Give workers still handshaking a chance to come up before we
+     declare them unavailable — bounded by, and charged to, the query's
+     own deadline. *)
+  let started = Stopclock.now () in
+  if List.exists (fun w -> match w.phase with P_starting _ -> true | _ -> false)
+       t.workers
+  then
+    ignore
+      (await_healthy
+         ~timeout_s:
+           (match deadline_ms with
+           | Some d -> Float.min (d /. 1000.0) t.config.heartbeat_timeout_s
+           | None -> t.config.heartbeat_timeout_s)
+         t);
+  let waited_ms = (Stopclock.now () -. started) *. 1000.0 in
+  Shard.scatter ~k
+    ~wave:(match fanout with Some f when f > 0 -> f | _ -> max 1 (List.length t.workers))
+    ?deadline_ms:(Option.map (fun d -> d -. waited_ms) deadline_ms)
+    ?page_budget ~span:"supervisor.query"
+    ~span_attrs:
+      [
+        ("k", string_of_int k);
+        ("workers", string_of_int (List.length t.workers));
+        ("trace_id", trace_id);
+      ]
+    ~journal:(fun () -> Lazy.force t.journal)
+    ~dispatch
+    (List.map
+       (fun w -> { Shard.shard = w.info; breaker = w.breaker; unavailable = unavailable w })
+       t.workers)
+    nexi
 
 (* ---- the worker process ---- *)
 
@@ -889,15 +812,10 @@ let serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup rx tx =
             (match q.Wire.q_fault with Some f -> armed := Some f | None -> ());
             fault_point "mid-decode";
             (* Telemetry harvest: snapshot the registry, optionally
-               trace, evaluate, then ship span tree + counter delta +
-               journal record in the answer. The journal record is
-               built, never persisted, worker-side — the coordinator
-               owns the journal file. *)
+               trace, evaluate, then ship span tree + counter delta in
+               the answer. Workers never journal: the coordinator's
+               scatter writes the query's one record. *)
             let before = Metrics.counters () in
-            let j_started =
-              if q.Wire.q_journal then Some (Obs.Journal.start_query ())
-              else None
-            in
             if q.Wire.q_trace then begin
               Obs.Span.reset ();
               Obs.Span.set_enabled true
@@ -934,13 +852,6 @@ let serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup rx tx =
                   exit 2
             in
             let spans = if q.Wire.q_trace then Obs.Span.roots () else [] in
-            let span_summary =
-              if q.Wire.q_trace then
-                match Obs.Span.last () with
-                | Some s -> Obs.Span.summarize s
-                | None -> []
-              else []
-            in
             if q.Wire.q_trace then begin
               Obs.Span.set_enabled false;
               Obs.Span.reset ()
@@ -949,29 +860,16 @@ let serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup rx tx =
             let answer =
               match evaluated with
               | Ok { Trex.strategy = s; translation; degraded; pages_used; _ } ->
-                  let method_ = s.Strategy.method_used in
-                  let record =
-                    Option.map
-                      (fun st ->
-                        Obs.Journal.with_label ("shard:" ^ shard ^ "|" ^ q.Wire.q_nexi)
-                        @@ fun () ->
-                        Obs.Journal.build_record st
-                          ~strategy:(Strategy.method_to_string method_)
-                          ~sids:(Translate.all_sids translation)
-                          ~terms:(Translate.all_terms translation)
-                          ~k:q.Wire.q_k ~degraded ~spans:span_summary ())
-                      j_started
-                  in
                   {
                     Wire.a_degraded = degraded;
-                    a_method = Some method_;
+                    a_method = Some s.Strategy.method_used;
                     a_entries_read = s.Strategy.entries_read;
                     a_elapsed_s = s.Strategy.elapsed_seconds;
                     a_pages_used = pages_used;
                     a_answers = s.Strategy.answers;
                     a_spans = spans;
                     a_counters = counters;
-                    a_journal = record;
+                    a_terms = Translate.all_terms translation;
                     a_error = None;
                   }
               | Error error ->
@@ -984,7 +882,7 @@ let serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup rx tx =
                     a_answers = [];
                     a_spans = spans;
                     a_counters = counters;
-                    a_journal = None;
+                    a_terms = [];
                     a_error = Some error;
                   }
             in

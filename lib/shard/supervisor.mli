@@ -26,17 +26,19 @@
       [Stopped(backoff)] → [Starting]; restarts exhausted →
       [Escalated] → (breaker cooldown) → [Starting] as probe. See
       DESIGN.md §6.
-    - {b Telemetry harvest.} When span tracing / journaling is enabled
-      coordinator-side, each dispatch asks the worker to trace and to
-      build (not persist) a journal record; the answer ships the
-      worker's span tree, a registry counter delta, and that record.
-      The coordinator grafts the span tree under a [supervisor.worker]
-      span, folds the counter delta into its own registry (merged
-      totals plus per-shard [worker.<shard>.*] views), and appends one
-      coordinator-level record per supervised query — with per-shard
-      breakdown — to [<dir>/query_journal.qj]. A worker that dies
-      mid-query leaves a tagged partial trace and contributes nothing
-      to the registry or journal: telemetry degrades, it never lies.
+    - {b Telemetry harvest.} When span tracing is enabled
+      coordinator-side, each dispatch asks the worker to trace; every
+      answer ships the worker's span tree (when traced), a registry
+      counter delta and the shard's translated terms. The coordinator
+      grafts the span tree under a [supervisor.worker] span and folds
+      the counter delta into its own registry (merged totals plus
+      per-shard [worker.<shard>.*] views); the scatter then writes the
+      query's one journal record — the in-process coordinator's shape,
+      with per-shard breakdown — to [<dir>/query_journal.qj]. Workers
+      never journal. A worker that dies mid-query leaves a tagged
+      partial trace and contributes nothing to the registry, and the
+      record marks it [lost:<shard>]: telemetry degrades, it never
+      lies.
 
     The supervisor is single-threaded: heartbeats and restarts advance
     inside {!query}, {!tick} and {!await_healthy} — an idle coordinator

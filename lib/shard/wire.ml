@@ -1,6 +1,5 @@
 module Json = Trex_obs.Json
 module Span = Trex_obs.Span
-module Journal = Trex_obs.Journal
 module Strategy = Trex_topk.Strategy
 module Answer = Trex_topk.Answer
 module Types = Trex_invindex.Types
@@ -9,7 +8,7 @@ exception Protocol_error of string
 
 (* Bumped whenever a message gains or changes a field; wire.mli keeps
    the revision history and how a mixed fleet fails loud. *)
-let version = 5
+let version = 6
 
 type query = {
   q_nexi : string;
@@ -21,7 +20,6 @@ type query = {
   q_page_budget : int option;
   q_fault : string option;
   q_trace : bool;
-  q_journal : bool;
   q_trace_id : string option;
 }
 
@@ -49,7 +47,7 @@ type answer = {
   a_answers : Answer.t;
   a_spans : Span.t list;
   a_counters : (string * int) list;
-  a_journal : Journal.record option;
+  a_terms : string list;
   a_error : string option;
 }
 
@@ -176,7 +174,6 @@ let encode_request r =
           :: ("strict", Json.Bool q.q_strict)
           :: ("floor", Json.Float q.q_floor)
           :: ("trace", Json.Bool q.q_trace)
-          :: ("journal", Json.Bool q.q_journal)
           :: (method_field q.q_method
              @ opt_field "deadline_ms" (fun f -> Json.Float f) q.q_deadline_ms
              @ opt_field "page_budget" (fun i -> Json.Int i) q.q_page_budget
@@ -216,10 +213,9 @@ let decode_request s =
           q_deadline_ms = opt_deadline j;
           q_page_budget = opt_page_budget j;
           q_fault = opt_string "fault" j;
-          (* Required since wire v2: a coordinator that omits them is a
+          (* Required since wire v2: a coordinator that omits it is a
              version-1 binary and must fail loud, not run untelemetered. *)
           q_trace = get_bool "trace" j;
-          q_journal = get_bool "journal" j;
           q_trace_id = opt_string "trace_id" j;
         }
   | _ -> fail "unrecognized request"
@@ -266,8 +262,8 @@ let encode_response r =
           :: ( "counters",
                Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) a.a_counters)
              )
+          :: ("terms", Json.List (List.map (fun t -> Json.String t) a.a_terms))
           :: (method_field a.a_method
-             @ opt_field "journal" Journal.record_to_json a.a_journal
              @ opt_field "error" (fun s -> Json.String s) a.a_error))
   in
   Json.to_string j
@@ -362,7 +358,11 @@ let decode_response s =
                     match v with Json.Int i -> Some (n, i) | _ -> None)
                   fields
             | _ -> []);
-          a_journal = Option.bind (opt_member "journal" j) Journal.record_of_json;
+          a_terms =
+            (match Json.member "terms" j with
+            | Some (Json.List l) ->
+                List.filter_map (function Json.String t -> Some t | _ -> None) l
+            | _ -> []);
           a_error = opt_string "error" j;
         }
   | _ -> fail "unrecognized response")))

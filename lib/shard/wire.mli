@@ -25,10 +25,12 @@
 exception Protocol_error of string
 
 val version : int
-(** Current wire revision (5: the query no longer carries a scoring
-    config, workers score with the default scorer; 4 added the answer's
-    typed evaluation failure; 3 client serving messages + remote
-    workers; 2 the per-query telemetry harvest). *)
+(** Current wire revision (6: the query drops its journal flag and the
+    answer carries the shard's translated terms in place of a journal
+    record — workers never journal; 5: the query no longer carries a
+    scoring config, workers score with the default scorer; 4 added the
+    answer's typed evaluation failure; 3 client serving messages +
+    remote workers; 2 the per-query telemetry harvest). *)
 
 type query = {
   q_nexi : string;
@@ -43,9 +45,6 @@ type query = {
           (e.g. ["kill:pre-reply"]) — see {!Supervisor.worker_main} *)
   q_trace : bool;
       (** collect a span tree during evaluation and ship it in the
-          answer *)
-  q_journal : bool;
-      (** build (not persist) a journal record and ship it in the
           answer *)
   q_trace_id : string option;
       (** coordinator-chosen id stamped on the worker's root span so a
@@ -85,10 +84,9 @@ type answer = {
   a_counters : (string * int) list;
       (** registry counter delta over the evaluation — what the
           coordinator folds into its own registry *)
-  a_journal : Trex_obs.Journal.record option;
-      (** the worker's journal record ([None] unless [q_journal]);
-          built with {!Trex_obs.Journal.build_record}, never persisted
-          worker-side *)
+  a_terms : string list;
+      (** the shard's normalized query terms, for the coordinator's
+          journal record ([[]] with [a_error]) *)
   a_error : string option;
       (** the evaluation raised a per-query failure the worker survives
           (a forced method over lists this shard lacks): the answer

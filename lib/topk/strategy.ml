@@ -1,7 +1,6 @@
 module Stopclock = Trex_util.Stopclock
 module Metrics = Trex_obs.Metrics
 module Span = Trex_obs.Span
-module Journal = Trex_obs.Journal
 module Env = Trex_storage.Env
 module Pager = Trex_storage.Pager
 module Guard = Trex_resilience.Guard
@@ -91,36 +90,7 @@ let evaluate_inner index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
             stats.elements_merged;
       }
 
-(* One journal record per observed query: [Workload.of_journal] turns
-   record counts into frequencies, so double-counting would skew the
-   advisor. The two entry points, [evaluate] and [evaluate_resilient],
-   each wrap exactly one [with_journal] around [evaluate_unjournaled],
-   which never journals, so a resilient run's failover attempts write
-   nothing of their own. An evaluation that escapes by exception writes
-   nothing; [evaluate_resilient]'s salvaged fallbacks record the method
-   that finally answered plus the failover count. *)
-let with_journal index ~sids ~terms ~k ~summary run =
-  if not (Journal.enabled ()) then run ()
-  else begin
-    let started = Journal.start_query () in
-    let result = run () in
-    let outcome, fallbacks = summary result in
-    let spans =
-      if Span.enabled () then
-        match Span.last () with
-        | Some s -> Span.summarize s
-        | None -> []
-      else []
-    in
-    let j = Env.journal (Trex_invindex.Index.env index) in
-    ignore
-      (Journal.finish_query j started
-         ~strategy:(method_to_string outcome.method_used)
-         ~sids ~terms ~k ~degraded:outcome.degraded ~fallbacks ~spans ());
-    result
-  end
-
-let evaluate_unjournaled index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
+let evaluate index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
   let name = method_to_string method_ in
   let outcome =
     Span.with_ ~name:("eval." ^ name)
@@ -131,11 +101,6 @@ let evaluate_unjournaled index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
   if outcome.degraded then Metrics.incr m_degraded_runs;
   Metrics.observe (Metrics.histogram ("strategy.seconds." ^ name)) outcome.elapsed_seconds;
   outcome
-
-let evaluate index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
-  with_journal index ~sids ~terms ~k
-    ~summary:(fun o -> (o, 0))
-    (fun () -> evaluate_unjournaled index ~scoring ~sids ~terms ~k ?guard ?floor method_)
 
 let breakers_permit index method_ =
   let env = Trex_invindex.Index.env index in
@@ -198,7 +163,7 @@ let evaluate_resilient index ~scoring ~sids ~terms ~k ?guard ?floor ?method_ ()
     let fail_probes reason =
       List.iter (fun tbl -> Env.fail_table env tbl ~reason) probes
     in
-    match evaluate_unjournaled index ~scoring ~sids ~terms ~k ?guard ?floor m with
+    match evaluate index ~scoring ~sids ~terms ~k ?guard ?floor m with
     | outcome ->
         if outcome.degraded && probes <> [] then begin
           (* The probe proved nothing: the budget expired before the
@@ -222,6 +187,4 @@ let evaluate_resilient index ~scoring ~sids ~terms ~k ?guard ?floor ?method_ ()
         fail_probes "half-open probe aborted by guard budget";
         raise e
   in
-  with_journal index ~sids ~terms ~k
-    ~summary:(fun (o, fos) -> (o, List.length fos))
-    (fun () -> go method_ [])
+  go method_ []

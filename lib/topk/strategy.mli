@@ -7,12 +7,9 @@
     racing TA against Merge is not offered, since {!choose} plans from
     catalog sizes and {!evaluate_resilient} falls back on failure.
 
-    When {!Trex_obs.Journal.set_enabled} is on, each of the two entry
-    points ({!evaluate}, {!evaluate_resilient}) appends exactly one
-    record per evaluation to the index environment's query journal
-    ({!Trex_storage.Env.journal}) — one record per observed query,
-    never one per failover attempt, so journaled counts are the
-    workload frequencies [Workload.of_journal] reconstructs. *)
+    Evaluations never write the query journal: the advisor's own timing
+    runs call them too, and a record belongs to a posed query, which
+    only the query entry points ([Trex.query], [Shard.scatter]) see. *)
 
 type method_ = Era_method | Ta_method | Ita_method | Merge_method
 

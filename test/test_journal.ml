@@ -1,7 +1,7 @@
 (* Durability and integration tests for the persistent query journal:
    framing survives torn tails and corrupt records (the valid prefix is
-   always recovered), strategy evaluation writes exactly one record per
-   top-level query, and the advisor demonstrably consumes the journaled
+   always recovered), the query entry point writes exactly one record
+   per posed query, and the advisor demonstrably consumes the journaled
    workload after an env reopen. *)
 
 module Journal = Trex_obs.Journal
@@ -248,7 +248,7 @@ let test_env_sweeps_journal_on_open () =
   check Alcotest.int "valid prefix served" 1 (Journal.length (Env.journal env2));
   Env.close env2
 
-(* ---- one record per top-level evaluation ---- *)
+(* ---- one record per posed query ---- *)
 
 let with_journaling f =
   Journal.set_enabled true;
@@ -258,33 +258,29 @@ let build_engine ~env =
   let coll = Trex_corpus.Gen.ieee ~doc_count:20 ~seed:17 () in
   Trex.build ~env ~alias:coll.alias (coll.docs ())
 
+(* Trex.query is the entry point, so it writes the one record: a plain
+   run, and a forced TA over damaged RPLs that fails over to Merge —
+   the failover attempt is part of the same posed query, so it still
+   writes one record, carrying the failover count. *)
 let test_one_record_per_query () =
   let dir = temp_dir () in
   let env = Env.on_disk dir in
   let engine = build_engine ~env in
   let j = Env.journal env in
   let q = "//sec[about(., information retrieval)]" in
-  let tr = Trex.translate engine (Trex.parse engine q) in
-  let sids = Trex_nexi.Translate.all_sids tr in
-  let terms = Trex_nexi.Translate.all_terms tr in
   with_journaling (fun () ->
       ignore (Trex.query engine ~k:5 q);
-      check Alcotest.int "one record for resilient eval" 1 (Journal.length j);
+      check Alcotest.int "one record for a plain query" 1 (Journal.length j);
       let r = List.hd (Journal.records j) in
       Alcotest.(check bool) "label carried" true (r.Journal.label = q);
       check Alcotest.string "digest is of the label" (Journal.digest_of q)
         r.Journal.digest;
-      ignore (Trex.materialize engine q);
-      ignore
-        (Trex_topk.Strategy.evaluate (Trex.index engine)
-           ~scoring:(Trex.scoring engine) ~sids ~terms ~k:5
-           Trex_topk.Strategy.Merge_method);
-      check Alcotest.int "evaluate writes one record" 2 (Journal.length j));
+      check Alcotest.string "record names the method" "ERA" r.Journal.strategy;
+      check Alcotest.int "no fallback" 0 r.Journal.fallbacks);
+  ignore (Trex.materialize engine q);
   Env.close env;
-  (* Damage every page of the RPL table, as the resilience tests do:
-     a forced TA hits a checksum failure and fails over to Merge. The
-     failover attempt is part of one observed query, so it still
-     writes one record, carrying the failover count. *)
+  (* Damage every page of the RPL table, as the resilience tests do: a
+     forced TA hits a checksum failure and fails over to Merge. *)
   let rpls = Filename.concat dir "rpls.tbl" in
   let off = ref (128 + 17) in
   while !off < file_length rpls do
@@ -295,19 +291,50 @@ let test_one_record_per_query () =
   let engine = Trex.attach ~env () in
   let j = Env.journal env in
   with_journaling (fun () ->
-      let outcome, failovers =
-        Trex_topk.Strategy.evaluate_resilient (Trex.index engine)
-          ~scoring:(Trex.scoring engine) ~sids ~terms ~k:5
-          ~method_:Trex_topk.Strategy.Ta_method ()
-      in
-      check Alcotest.int "TA failed over once" 1 (List.length failovers);
+      let o = Trex.query engine ~k:5 ~method_:Trex_topk.Strategy.Ta_method q in
+      check Alcotest.int "TA failed over once" 1 (List.length o.Trex.fallbacks);
       check Alcotest.string "Merge answered" "Merge"
-        (Trex_topk.Strategy.method_to_string outcome.method_used);
-      check Alcotest.int "failover run writes one record" 3 (Journal.length j);
-      let r = List.nth (Journal.records j) 2 in
+        (Trex_topk.Strategy.method_to_string
+           o.Trex.strategy.Trex_topk.Strategy.method_used);
+      check Alcotest.int "failover run writes one record" 2 (Journal.length j);
+      let r = List.nth (Journal.records j) 1 in
       check Alcotest.int "record carries the fallback" 1 r.Journal.fallbacks;
       check Alcotest.string "record names the answering method" "Merge"
         r.Journal.strategy);
+  Env.close env
+
+(* The advisor's timing runs and the autopilot's replanning evaluate
+   queries too, but nobody posed them: they write no record. *)
+let test_self_management_writes_no_record () =
+  let env = Env.in_memory () in
+  let engine = build_engine ~env in
+  let j = Env.journal env in
+  let qs =
+    [
+      "//sec[about(., information retrieval)]";
+      "//article[about(., music)]";
+      "//sec[about(., information retrieval)]";
+      "//article[about(., music)]";
+      "//sec[about(., information retrieval)]";
+    ]
+  in
+  with_journaling (fun () ->
+      List.iter (fun q -> ignore (Trex.query engine ~k:5 q)) qs;
+      check Alcotest.int "one record per posed query" 5 (Journal.length j);
+      let workload = Workload.of_journal (Journal.records j) in
+      ignore (Trex.advise engine ~workload ~budget:max_int ~runs:1 ());
+      check Alcotest.int "advise writes nothing" 5 (Journal.length j);
+      let pilot =
+        Autopilot.create (Trex.index engine) ~scoring:(Trex.scoring engine)
+          ~budget:max_int ~min_observations:5 ~drift_threshold:0.3 ()
+      in
+      ignore (Autopilot.absorb_journal pilot (Journal.records j));
+      (match Autopilot.maybe_replan pilot with
+      | Autopilot.Replanned _ -> ()
+      | v ->
+          Alcotest.failf "expected Replanned, got %s"
+            (Format.asprintf "%a" Autopilot.pp_verdict v));
+      check Alcotest.int "maybe_replan writes nothing" 5 (Journal.length j));
   Env.close env
 
 let test_spans_summarized_when_tracing () =
@@ -323,10 +350,9 @@ let test_spans_summarized_when_tracing () =
           ignore (Trex.query engine ~k:5 "//sec[about(., information retrieval)]"));
       match Journal.records j with
       | [ r ] ->
-          Alcotest.(check bool) "span summary present" true
+          Alcotest.(check bool) "span summary of the query's root" true
             (List.exists
-               (fun (p, _) ->
-                 String.length p >= 5 && String.sub p 0 5 = "eval.")
+               (fun (p, _) -> String.starts_with ~prefix:"query/eval." p)
                r.Journal.spans)
       | rs -> Alcotest.failf "expected one record, got %d" (List.length rs))
 
@@ -403,6 +429,8 @@ let () =
         [
           Alcotest.test_case "one record per query" `Quick
             test_one_record_per_query;
+          Alcotest.test_case "self-management writes no record" `Quick
+            test_self_management_writes_no_record;
           Alcotest.test_case "spans summarized" `Quick
             test_spans_summarized_when_tracing;
           Alcotest.test_case "journal drives advisor" `Quick

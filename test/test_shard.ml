@@ -22,7 +22,6 @@ module Answer = Trex_topk.Answer
 module Index = Trex_invindex.Index
 module Types = Trex_invindex.Types
 module Translate = Trex_nexi.Translate
-module Workload = Trex_selfman.Workload
 module Queries = Trex_corpus.Queries
 
 let check = Alcotest.check
@@ -357,10 +356,16 @@ let test_core_page_slicing () =
             entries_read = 1;
             elapsed_s = 0.0;
             pages_used = 20;
+            fallbacks = [];
+            sids = [];
+            terms = [];
           })
       shards
   in
-  let r = Shard.scatter ~k:10 ~wave:3 ~page_budget:90 ~dispatch targets nexi in
+  let r =
+    Shard.scatter ~k:10 ~wave:3 ~page_budget:90 ~span:"test.scatter"
+      ~journal:Journal.in_memory ~dispatch targets nexi
+  in
   Alcotest.(check (list (pair (list string) (option int))))
     "the open breaker's shard takes no share; the next wave gets the rest"
     [ ([ "a"; "c" ], Some 45); ([ "d" ], Some 50) ]
@@ -507,41 +512,6 @@ let test_unresolvable_rebalance_quarantines () =
     (surviving_baseline engine t2 ~lost:[ "shard-001" ] ~k:5 nexi)
     r.Shard.answers;
   Shard.close t2;
-  rm_rf dir
-
-(* ---- observed workload attribution ---- *)
-
-let test_workload_by_shard () =
-  let coll, docs, _engine = corpus ~docs:8 ~seed:17 in
-  let dir = temp_dir () in
-  let t = Shard.create ~dir ~shards:2 ~alias:coll.alias docs in
-  Journal.set_enabled true;
-  Fun.protect ~finally:(fun () -> Journal.set_enabled false) @@ fun () ->
-  ignore (Shard.query t ~k:5 nexi);
-  ignore (Shard.query t ~k:5 nexi);
-  let records =
-    List.concat_map
-      (fun (i : Shard.shard_info) ->
-        match Shard.index_of t i.Shard.name with
-        | Some index -> Journal.records (Env.journal (Index.env index))
-        | None -> [])
-      (Shard.shards t)
-  in
-  let groups = Workload.by_shard records in
-  check
-    (Alcotest.list Alcotest.string)
-    "one observed workload per shard" [ "shard-000"; "shard-001" ]
-    (List.sort String.compare (List.map fst groups));
-  List.iter
-    (fun (_, w) ->
-      match Workload.queries w with
-      | [ q ] ->
-          check (Alcotest.float 1e-9) "single query at full frequency" 1.0
-            q.Workload.frequency;
-          check Alcotest.int "k preserved" 5 q.Workload.k
-      | qs -> Alcotest.failf "expected one grouped query, got %d" (List.length qs))
-    groups;
-  Shard.close t;
   rm_rf dir
 
 (* ---- seeded shard-fault soak ---- *)
@@ -693,11 +663,6 @@ let () =
             test_rebalance_crash_matrix;
           Alcotest.test_case "unresolvable op quarantines" `Quick
             test_unresolvable_rebalance_quarantines;
-        ] );
-      ( "selfman",
-        [
-          Alcotest.test_case "journal attributes traffic per shard" `Quick
-            test_workload_by_shard;
         ] );
       ("soak", [ Alcotest.test_case "seeded shard-fault soak" `Slow test_soak ]);
     ]

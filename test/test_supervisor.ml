@@ -137,7 +137,6 @@ let test_wire_roundtrip () =
         q_page_budget = Some 99;
         q_fault = Some "kill:pre-reply";
         q_trace = true;
-        q_journal = true;
         q_trace_id = Some "deadbeef-7";
       }
   in
@@ -150,7 +149,6 @@ let test_wire_roundtrip () =
       Alcotest.(check (option string)) "fault" (Some "kill:pre-reply")
         q'.Wire.q_fault;
       Alcotest.(check bool) "trace flag" true q'.Wire.q_trace;
-      Alcotest.(check bool) "journal flag" true q'.Wire.q_journal;
       Alcotest.(check (option string)) "trace id" (Some "deadbeef-7")
         q'.Wire.q_trace_id
   | _ -> Alcotest.fail "query did not roundtrip");
@@ -178,26 +176,6 @@ let test_wire_roundtrip () =
       children = [ leaf ];
     }
   in
-  let wrecord =
-    {
-      Journal.qid = 0;
-      ts = 1700000000.0;
-      digest = "0badcafe";
-      label = "shard:shard-001|" ^ nexi;
-      strategy = "ta";
-      k = 7;
-      wall_ms = 3.25;
-      pages_read = 11;
-      cache_hit_ratio = 0.5;
-      heap_ops = 17;
-      degraded = false;
-      fallbacks = 0;
-      retried = false;
-      sids = [ 2; 9 ];
-      terms = [ "xml" ];
-      spans = [ ("shard.query.shard-001", 3.0) ];
-    }
-  in
   let a =
     Wire.Answer
       {
@@ -209,7 +187,7 @@ let test_wire_roundtrip () =
         a_answers = [ entry 0.9876543210123456; entry 1e-300 ];
         a_spans = [ root ];
         a_counters = [ ("pager.physical_reads", 11); ("ta.heap_operations", 17) ];
-        a_journal = Some wrecord;
+        a_terms = [ "xml"; "retriev" ];
         a_error = None;
       }
   in
@@ -232,12 +210,8 @@ let test_wire_roundtrip () =
         "counters roundtrip"
         [ ("pager.physical_reads", 11); ("ta.heap_operations", 17) ]
         a'.Wire.a_counters;
-      (match a'.Wire.a_journal with
-      | Some r ->
-          Alcotest.(check string) "journal strategy" "ta" r.Journal.strategy;
-          Alcotest.(check int) "journal pages" 11 r.Journal.pages_read;
-          Alcotest.(check (list int)) "journal sids" [ 2; 9 ] r.Journal.sids
-      | None -> Alcotest.fail "journal record did not roundtrip")
+      Alcotest.(check (list string)) "terms roundtrip" [ "xml"; "retriev" ]
+        a'.Wire.a_terms
   | _ -> Alcotest.fail "answer did not roundtrip"
 
 (* A worker that predates wire versioning (no "wire" member in Hello)
@@ -481,7 +455,7 @@ let test_wire_answer_error () =
       a_answers = [];
       a_spans = [];
       a_counters = [];
-      a_journal = None;
+      a_terms = [];
       a_error = Some "Missing_list";
     }
   in
@@ -861,7 +835,8 @@ let test_telemetry_merge () =
   Journal.close j;
   (match recs with
   | [ r ] ->
-      Alcotest.(check string) "strategy" "supervised" r.Journal.strategy;
+      Alcotest.(check string) "strategy is the method every shard used" "ERA"
+        r.Journal.strategy;
       Alcotest.(check string) "label is the NEXI text" nexi r.Journal.label;
       Alcotest.(check bool) "untagged" false r.Journal.degraded;
       (* Workers run warm (Hello's stats scan pages the shard in), so
@@ -938,6 +913,113 @@ let test_degraded_telemetry () =
   | recs ->
       Alcotest.failf "expected exactly one coordinator record, got %d"
         (List.length recs));
+  rm_rf dir
+
+(* ---- one journal record per posed query, in one shape ----
+
+   The same NEXI through every entry point: Trex.query and the plain-env
+   plan write one record each to the env's journal; the in-process and
+   the supervised coordinator one each to <dir>/query_journal.qj, with
+   the same per-shard breakdown and no summary ids (each shard numbers
+   its own summary). The shard environments' journals stay untouched. *)
+let read_journal path =
+  let j = Journal.open_file path in
+  let records = Journal.records j in
+  Journal.close j;
+  records
+
+let test_record_shape () =
+  let coll = Trex_corpus.Gen.ieee ~doc_count:16 ~seed:71 () in
+  let docs = List.of_seq (coll.docs ()) in
+  let env = Env.in_memory () in
+  let engine = Trex.build ~env ~alias:coll.alias (List.to_seq docs) in
+  let dir = temp_dir () in
+  Shard.close (Shard.create ~dir ~shards:2 ~alias:coll.alias docs);
+  let shard_journals () =
+    List.filter
+      (fun (i : Shard.shard_info) ->
+        Sys.file_exists
+          (Filename.concat (Filename.concat dir i.Shard.name) "query_journal.qj"))
+      (Shard.load_map dir)
+  in
+  Journal.set_enabled true;
+  Fun.protect ~finally:(fun () -> Journal.set_enabled false) @@ fun () ->
+  ignore (Trex.query engine ~k:5 nexi);
+  ignore (Shard.query_env engine ~k:5 nexi);
+  let env_records = Journal.records (Env.journal env) in
+  Alcotest.(check int) "Trex.query and query_env: one record each" 2
+    (List.length env_records);
+  let t = Shard.open_ dir in
+  ignore (Shard.query t ~k:5 nexi);
+  Shard.close t;
+  let coordinator = Filename.concat dir "query_journal.qj" in
+  Alcotest.(check int) "Shard.query: one coordinator record" 1
+    (List.length (read_journal coordinator));
+  with_supervisor dir (fun s ->
+      require_healthy s;
+      ignore (Supervisor.query s ~k:5 nexi));
+  let coord_records = read_journal coordinator in
+  Alcotest.(check int) "Supervisor.query: one more coordinator record" 2
+    (List.length coord_records);
+  let direct = List.hd env_records in
+  let shape (r : Journal.record) =
+    (r.Journal.label, r.Journal.digest, r.Journal.k, r.Journal.strategy)
+  in
+  List.iter
+    (fun r ->
+      Alcotest.(check (pair (pair string string) (pair int string)))
+        "label, digest, k and strategy as Trex.query's"
+        (let l, d, k, m = shape direct in ((l, d), (k, m)))
+        (let l, d, k, m = shape r in ((l, d), (k, m))))
+    (env_records @ coord_records);
+  Alcotest.(check string) "the NEXI is the label" nexi direct.Journal.label;
+  Alcotest.(check string) "every shard ran ERA" "ERA" direct.Journal.strategy;
+  let plain = List.nth env_records 1 in
+  Alcotest.(check (list int)) "plain env: Trex.query's sids" direct.Journal.sids
+    plain.Journal.sids;
+  let breakdown (r : Journal.record) =
+    List.filter_map
+      (fun (p, _) ->
+        if String.starts_with ~prefix:"shard:" p || String.starts_with ~prefix:"lost:" p
+        then Some p
+        else None)
+      r.Journal.spans
+  in
+  List.iter
+    (fun (r : Journal.record) ->
+      Alcotest.(check (list string)) "per-shard breakdown"
+        [ "shard:shard-000"; "shard:shard-001" ] (breakdown r);
+      Alcotest.(check (list int)) "coordinator sids stay empty" [] r.Journal.sids;
+      Alcotest.(check (list string)) "terms from the replies" direct.Journal.terms
+        r.Journal.terms)
+    coord_records;
+  Alcotest.(check (list string)) "no shard env journal was written" []
+    (List.map (fun (i : Shard.shard_info) -> i.Shard.name) (shard_journals ()));
+  rm_rf dir
+
+(* ---- one shard attach ----
+
+   A coordinator directory without its corpus-statistics snapshot:
+   opening it recomputes and writes the snapshot (byte-identical to the
+   one create wrote), so workers attached afterwards score exactly as
+   the in-process coordinator does. *)
+let test_missing_stats_snapshot () =
+  let dir, _engine = build_coordinator ~docs:18 ~seed:72 in
+  let stats = Filename.concat dir "CORPUS_STATS.json" in
+  let read path = In_channel.with_open_bin path In_channel.input_all in
+  let original = read stats in
+  Sys.remove stats;
+  let t = Shard.open_ dir in
+  Alcotest.(check bool) "open_ wrote the snapshot" true (Sys.file_exists stats);
+  Alcotest.(check string) "the snapshot create wrote" original (read stats);
+  let expect = Shard.query t ~k:10 nexi in
+  Shard.close t;
+  with_supervisor dir @@ fun s ->
+  require_healthy s;
+  let r = Supervisor.query s ~k:10 nexi in
+  Alcotest.(check bool) "untagged" false r.Shard.degraded;
+  Alcotest.(check bool) "answers bit-identical to in-process" true
+    (r.Shard.answers = expect.Shard.answers);
   rm_rf dir
 
 (* ---- heartbeat sequence integrity ----
@@ -1227,6 +1309,10 @@ let () =
             test_telemetry_merge;
           Alcotest.test_case "worker death degrades telemetry, never poisons"
             `Quick test_degraded_telemetry;
+          Alcotest.test_case "one record per query, one shape on every path"
+            `Quick test_record_shape;
+          Alcotest.test_case "missing stats snapshot: workers score alike"
+            `Quick test_missing_stats_snapshot;
         ] );
       ( "heartbeat",
         [
