@@ -659,7 +659,12 @@ let add_cmd =
     let storage = Trex.Env.on_disk env in
     let engine = Trex.attach ~env:storage () in
     let docid =
-      Trex.add_document engine ~name:(Filename.basename file) ~xml:(read_file file)
+      try Trex.add_document engine ~name:(Filename.basename file) ~xml:(read_file file)
+      with Invalid_argument reason ->
+        (* A coordinator's shard: adding here would collide with the
+           next shard's docids. *)
+        Printf.eprintf "trex add: %s\n" reason;
+        exit 1
     in
     Printf.printf "indexed %s as document %d (affected RPL/ERPL lists dropped)\n"
       file docid;

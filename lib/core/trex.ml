@@ -23,15 +23,14 @@ module Guard = Trex_resilience.Guard
 module Retry = Trex_resilience.Retry
 module Breaker = Trex_resilience.Breaker
 
-type t = { index : Index.t; scoring : Scorer.config }
+type t = { index : Index.t }
 
 let build ~env ?(summary_criterion = Summary.Incoming) ?(alias = Alias.identity)
     ?analyzer ?(scoring = Scorer.default) docs =
   let summary = Summary.create ~alias summary_criterion in
-  let index = Index.build ~env ~summary ?analyzer docs in
-  { index; scoring }
+  { index = Index.build ~env ~summary ?analyzer ~scoring docs }
 
-let attach ~env ?(verify = false) ?(scoring = Scorer.default) () =
+let attach ~env ?(verify = false) () =
   if verify then begin
     let bad = List.filter (fun (r : Env.table_report) -> not r.ok) (Env.verify env) in
     match bad with
@@ -47,13 +46,13 @@ let attach ~env ?(verify = false) ?(scoring = Scorer.default) () =
                    (String.concat "; " r.problems);
              })
   end;
-  { index = Index.attach env; scoring }
+  { index = Index.attach env }
 
 let verify_storage ~env = Env.verify env
 
 let index t = t.index
 let summary t = Index.summary t.index
-let scoring t = t.scoring
+let scoring t = Index.scoring t.index
 
 (* ---- evaluation ---- *)
 
@@ -90,7 +89,7 @@ let evaluate t ~k ?method_ ~strict ~floor ?deadline_ms ?page_budget ast =
   let method_ = if sids = [] || terms = [] then Some Strategy.Era_method else method_ in
   let guard = mk_guard ?deadline_ms ?page_budget () in
   let strategy, fallbacks =
-    Strategy.evaluate_resilient t.index ~scoring:t.scoring ~sids ~terms ~k
+    Strategy.evaluate_resilient t.index ~scoring:(scoring t) ~sids ~terms ~k
       ?guard ~floor ?method_ ()
   in
   (* Entries at or below the floor cannot enter the caller's top k;
@@ -213,7 +212,9 @@ let evaluate_structured t ~k ?deadline_ms ?page_budget nexi =
               results
           end
         in
-        let answers = Era.score_results t.index ~scoring:t.scoring ~terms:u.terms results in
+        let answers =
+          Era.score_results t.index ~scoring:(scoring t) ~terms:u.terms results
+        in
         (* -keywords exclude: drop unit hits containing an excluded term. *)
         let answers =
           if u.excluded_terms = [] then answers
@@ -299,29 +300,18 @@ let query_structured t ?(k = 10) ?deadline_ms ?page_budget nexi =
 (* ---- index management ---- *)
 
 let add_document t ~name ~xml =
-  (* A new document moves the collection statistics every BM25 score
+  (* A new document moves the collection statistics every score
      depends on (document count, mean element length), so every
      materialized list goes stale, not only those of the document's own
-     terms. The exception is scoring pinned to corpus-wide overrides (a
-     shard): there only the lists of the document's terms change. The
-     drops become the leading steps of the document's redo-logged
-     manifest operation, so they land atomically with the base-table
-     writes — a crash can never leave the document visible with stale
-     lists still servable, or vice versa. *)
-  let invalidation doc_terms =
-    let stale =
-      if Index.has_scoring_overrides t.index then begin
-        let term_set = Hashtbl.create 16 in
-        List.iter (fun term -> Hashtbl.replace term_set term ()) doc_terms;
-        Hashtbl.mem term_set
-      end
-      else fun _ -> true
-    in
+     terms. The drops become the leading steps of the document's
+     redo-logged manifest operation, so they land atomically with the
+     base-table writes — a crash can never leave the document visible
+     with stale lists still servable, or vice versa. *)
+  let invalidation _doc_terms =
     List.concat_map
       (fun kind ->
         List.concat_map
-          (fun (term, sid, _, _) ->
-            if stale term then Rpl.drop_actions kind ~term ~sid else [])
+          (fun (term, sid, _, _) -> Rpl.drop_actions kind ~term ~sid)
           (Rpl.catalog t.index kind))
       [ Rpl.Rpl; Rpl.Erpl ]
   in
@@ -331,7 +321,7 @@ let add_document t ~name ~xml =
 let materialize t ?(kinds = [ Rpl.Rpl; Rpl.Erpl ]) ?rpl_prefix nexi =
   Obs.Span.with_ ~name:"materialize" @@ fun () ->
   let translation = translate t (parse t nexi) in
-  Rpl.build t.index ~scoring:t.scoring
+  Rpl.build t.index ~scoring:(scoring t)
     ~sids:(Translate.all_sids translation)
     ~terms:(Translate.all_terms translation)
     ~kinds ?rpl_prefix ()
@@ -340,7 +330,7 @@ let advise t ~workload ~budget ?(optimal = false) ?(runs = 3) ?(prefix_rpls = fa
     () =
   let profiles =
     List.map
-      (fun q -> Cost.measure t.index ~scoring:t.scoring ~runs ~prefix_rpls q)
+      (fun q -> Cost.measure t.index ~scoring:(scoring t) ~runs ~prefix_rpls q)
       (Workload.queries workload)
   in
   let plan =

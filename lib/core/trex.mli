@@ -68,9 +68,13 @@ val build :
     every RPL/ERPL materialized later, are stored as block-compressed
     segments (DESIGN.md §7). *)
 
-val attach : env:Env.t -> ?verify:bool -> ?scoring:Scorer.config -> unit -> t
-(** Re-open a previously built engine. With [~verify:true] every storage
-    table is checksum-swept and structurally verified first.
+val attach : env:Env.t -> ?verify:bool -> unit -> t
+(** Re-open a previously built engine, with the scorer stored at
+    {!build} (BM25 for an environment built before the scorer was
+    stored) and the scoring statistics stored in the environment, so a
+    coordinator's shard attaches like a plain environment. With
+    [~verify:true] every storage table is checksum-swept and
+    structurally verified first.
     @raise Trex_storage.Pager.Corruption if verification finds damage —
     the engine is never attached over corrupt tables silently.
     @raise Index.Unsupported_postings on an environment
@@ -164,11 +168,14 @@ val query_structured :
 
 val add_document : t -> name:string -> xml:string -> int
 (** Index one more document and {e self-manage} the redundant indexes:
-    every materialized RPL/ERPL list is dropped (only those of the new
-    document's terms when scoring is pinned by shard overrides), so
-    stale lists can never serve queries; they rebuild on the next
-    {!materialize}. Returns the docid.
-    @raise Trex_xml.Sax.Malformed on invalid XML. *)
+    the document moves the statistics every list was scored with, so
+    every materialized RPL/ERPL list is dropped and stale lists can
+    never serve queries; they rebuild on the next {!materialize}.
+    Returns the docid.
+    @raise Trex_xml.Sax.Malformed on invalid XML.
+    @raise Invalid_argument, before the manifest sees the document, on
+    a coordinator's shard (its statistics and docids are the
+    coordinator's). *)
 
 val materialize :
   t -> ?kinds:Rpl.kind list -> ?rpl_prefix:int -> string -> Rpl.build_report

@@ -4,6 +4,7 @@ module Bptree = Trex_storage.Bptree
 module Summary = Trex_summary.Summary
 module Analyzer = Trex_text.Analyzer
 module Dom = Trex_xml.Dom
+module Scorer = Trex_scoring.Scorer
 
 type stats = {
   doc_count : int;
@@ -14,27 +15,20 @@ type stats = {
   posting_count : int;
 }
 
-type scoring_overrides = {
-  corpus_doc_count : int;
-  corpus_avg_element_length : float;
-  global_df : string -> int option;
-}
-
 type t = {
   env : Env.t;
   summary : Summary.t;
   analyzer : Analyzer.config;
+  scoring : Scorer.config;
   mutable stats : stats;
-  mutable overrides : scoring_overrides option;
+  mutable corpus : stats option;  (* a shard's pinned corpus-wide statistics *)
 }
 
 let env t = t.env
 let summary t = t.summary
 let analyzer t = t.analyzer
+let scoring t = t.scoring
 let stats t = t.stats
-let set_scoring_overrides t o = t.overrides <- Some o
-let clear_scoring_overrides t = t.overrides <- None
-let has_scoring_overrides t = t.overrides <> None
 
 (* ---- metadata (de)serialization ---- *)
 
@@ -57,6 +51,25 @@ let decode_analyzer s : Analyzer.config =
   let stem = flag () in
   let min_token_length = Codec.Reader.varint r in
   { fold_case; strip_stopwords; stem; min_token_length }
+
+let encode_scoring config =
+  let buf = Codec.Buf.create ~capacity:20 () in
+  (match config with
+  | Scorer.Bm25 { k1; b } ->
+      Codec.Buf.add_varint buf 0;
+      Codec.Buf.add_float buf k1;
+      Codec.Buf.add_float buf b
+  | Scorer.Tf_idf -> Codec.Buf.add_varint buf 1);
+  Codec.Buf.contents buf
+
+let decode_scoring s =
+  let r = Codec.Reader.of_string s in
+  match Codec.Reader.varint r with
+  | 0 ->
+      let k1 = Codec.Reader.float r in
+      let b = Codec.Reader.float r in
+      Scorer.Bm25 { k1; b }
+  | _ -> Scorer.Tf_idf
 
 let encode_stats s =
   let b = Codec.Buf.create ~capacity:32 () in
@@ -95,7 +108,8 @@ let doc_postings analyzer (doc : Dom.doc) =
   walk doc.root;
   List.concat (List.rev !acc)
 
-let build ~env ~summary ?(analyzer = Analyzer.default) docs =
+let build ~env ~summary ?(analyzer = Analyzer.default) ?(scoring = Scorer.default)
+    docs =
   let element_rows = ref [] in
   let postings : (string, (int * int) list ref) Hashtbl.t = Hashtbl.create 4096 in
   let doc_rows = ref [] in
@@ -225,17 +239,19 @@ let build ~env ~summary ?(analyzer = Analyzer.default) docs =
   let meta = Env.table env Tables.meta_table in
   Bptree.insert meta ~key:(meta_key "summary") ~value:(Summary.to_string summary);
   Bptree.insert meta ~key:(meta_key "analyzer") ~value:(encode_analyzer analyzer);
+  Bptree.insert meta ~key:(meta_key "scoring") ~value:(encode_scoring scoring);
   Bptree.insert meta ~key:(meta_key "stats") ~value:(encode_stats stats);
   Bptree.insert meta ~key:(meta_key "postings_layout") ~value:"blocked";
   Env.flush env;
-  { env; summary; analyzer; stats; overrides = None }
+  { env; summary; analyzer; scoring; stats; corpus = None }
 
 exception Unsupported_postings of string option
 
 let attach env =
   let meta = Env.table env Tables.meta_table in
+  let find name = Bptree.find meta (meta_key name) in
   let get name =
-    match Bptree.find meta (meta_key name) with
+    match find name with
     | Some v -> v
     | None -> failwith (Printf.sprintf "Index.attach: missing meta key %s" name)
   in
@@ -243,15 +259,18 @@ let attach env =
   let summary = Summary.of_string (get "summary") in
   (* Postings written before segments became the only format carry no
      layout key (or "raw"); refuse them instead of misreading them. *)
-  (match Bptree.find meta (meta_key "postings_layout") with
+  (match find "postings_layout" with
   | Some "blocked" -> ()
   | found -> raise (Unsupported_postings found));
   {
     env;
     summary;
     analyzer = decode_analyzer (get "analyzer");
+    (* Indexes built before the scorer was stored were reopened with
+       the default, so that is what their lists were scored with. *)
+    scoring = Option.fold ~none:Scorer.default ~some:decode_scoring (find "scoring");
     stats = decode_stats (get "stats");
-    overrides = None;
+    corpus = Option.map decode_stats (find "corpus");
   }
 
 (* ---- lookups ---- *)
@@ -261,24 +280,32 @@ let term_stats t token =
   | Some v -> Some (Tables.Terms.decode (Codec.key_of_string token) v)
   | None -> None
 
-(* Override-aware scoring statistics: a sharded coordinator installs
-   corpus-wide doc_count / avg_element_length / df so every shard
-   scores exactly as the single-env index would; standalone indexes
-   fall through to their own tables. *)
-let scoring_corpus t =
-  match t.overrides with
-  | Some o -> (o.corpus_doc_count, o.corpus_avg_element_length)
-  | None -> (t.stats.doc_count, t.stats.avg_element_length)
+(* ---- scoring statistics ---- *)
+
+let scoring_stats t = Option.value t.corpus ~default:t.stats
 
 let term_df t token =
-  let local () =
-    match term_stats t token with
-    | Some row -> row.Tables.Terms.df
-    | None -> 0
-  in
-  match t.overrides with
-  | Some o -> ( match o.global_df token with Some df -> df | None -> local ())
-  | None -> local ()
+  match term_stats t token with Some row -> row.Tables.Terms.df | None -> 0
+
+(* A shard's Terms rows take the corpus-wide df, so a shard scores
+   through the same lookups as a whole-corpus index; its own [stats]
+   stay local, since their doc_count allocates the next docid. *)
+let pin_corpus t corpus ~df =
+  let terms_tbl = Env.table t.env Tables.Terms.name in
+  let rows = ref [] in
+  Bptree.iter terms_tbl (fun k v ->
+      let row = Tables.Terms.decode k v in
+      rows :=
+        Tables.Terms.encode { row with Tables.Terms.df = df row.Tables.Terms.token }
+        :: !rows);
+  Bptree.insert_batch terms_tbl (List.rev !rows);
+  Bptree.insert (Env.table t.env Tables.meta_table) ~key:(meta_key "corpus")
+    ~value:(encode_stats corpus);
+  t.corpus <- Some corpus
+
+exception Unpinned_statistics
+
+let require_pinned t = if t.corpus = None then raise Unpinned_statistics
 
 let iter_terms t f =
   Bptree.iter (Env.table t.env Tables.Terms.name) (fun k v ->
@@ -417,6 +444,10 @@ end
    [Elements]/[PostingLists] could leave a half-indexed document with
    stale lists still servable. *)
 let add_document ?invalidation t ~name ~xml =
+  (* A shard's docids are a slice of its coordinator's, and its
+     statistics are the coordinator's to move. *)
+  if t.corpus <> None then
+    invalid_arg "Index.add_document: this index holds a coordinator's shard";
   let docid = t.stats.doc_count in
   let doc = Dom.parse xml in
   let observed = Summary.observe_document t.summary doc in

@@ -22,13 +22,15 @@ val build :
   env:Trex_storage.Env.t ->
   summary:Trex_summary.Summary.t ->
   ?analyzer:Trex_text.Analyzer.config ->
+  ?scoring:Trex_scoring.Scorer.config ->
   (string * string) Seq.t ->
   t
 (** [build ~env ~summary docs] parses each [(name, xml)] document,
     assigns docids in sequence order, grows the summary, and bulk-loads
     the tables into [env]. Posting lists are written as
     {!Trex_util.Codec.Block} segments, and the [meta] table records
-    [postings_layout = blocked].
+    [postings_layout = blocked] and the scorer every list of this index
+    is scored with ([scoring], default BM25).
     @raise Trex_xml.Sax.Malformed on bad input. *)
 
 exception Unsupported_postings of string option
@@ -38,7 +40,9 @@ exception Unsupported_postings of string option
 
 val attach : Trex_storage.Env.t -> t
 (** Re-open an index previously built in this environment (metadata,
-    summary and statistics are read back from the [meta] table).
+    summary, scorer and statistics — pinned corpus statistics included
+    — are read back from the [meta] table; an index built before the
+    scorer was stored reads as BM25).
     @raise Failure if the environment holds no index.
     @raise Unsupported_postings if its postings are not segments. *)
 
@@ -60,15 +64,17 @@ val add_document :
     lists (RPLs/ERPLs) those terms make stale; they execute {e first}
     and atomically with the base-table writes, so a crash can never
     leave a half-indexed document with stale lists still servable (see
-    [Trex.add_document], which wires this to the RPL catalogs).
-    Existing lists of untouched terms remain consistent at the content
-    level; relevance scores keep using the statistics of the index
-    they were computed against until their lists are rebuilt.
-    @raise Trex_xml.Sax.Malformed on bad input. *)
+    [Trex.add_document], which drops every materialized list).
+    @raise Trex_xml.Sax.Malformed on bad input.
+    @raise Invalid_argument, before anything is written, on an index
+    with pinned corpus statistics (a coordinator's shard). *)
 
 val env : t -> Trex_storage.Env.t
 val summary : t -> Trex_summary.Summary.t
 val analyzer : t -> Trex_text.Analyzer.config
+
+val scoring : t -> Trex_scoring.Scorer.config
+(** The scorer stored at {!build}. *)
 
 val stats : t -> stats
 
@@ -77,36 +83,35 @@ val term_stats : t -> string -> Tables.Terms.row option
 
 (** {1 Scoring statistics}
 
-    Relevance scoring must use corpus-wide statistics even when this
-    index holds only one shard of a partitioned corpus. A coordinator
-    installs overrides at open time; all scoring flows through
-    {!scoring_corpus} and {!term_df}, so overridden statistics cover
-    every strategy and RPL build uniformly. The overrides are in-memory
-    only — they never touch {!stats} (whose [doc_count] also allocates
-    the next local docid in {!add_document}). *)
+    All scoring flows through {!scoring_stats} and {!term_df}, so
+    every strategy and RPL build scores with the same statistics. They
+    live in the environment: a plain index scores with its own, and a
+    shard of a partitioned corpus with the corpus-wide ones its
+    coordinator pinned at build time (see {!pin_corpus}), so it
+    attaches and scores like any other index. *)
 
-type scoring_overrides = {
-  corpus_doc_count : int;
-  corpus_avg_element_length : float;
-  global_df : string -> int option;
-      (** corpus-wide document frequency of a normalized term; [None]
-          falls back to this index's own Terms row *)
-}
-
-val set_scoring_overrides : t -> scoring_overrides -> unit
-val clear_scoring_overrides : t -> unit
-
-val has_scoring_overrides : t -> bool
-(** Whether scoring is pinned to installed overrides rather than this
-    index's own statistics. *)
-
-val scoring_corpus : t -> int * float
-(** (doc_count, avg_element_length) to score against: the overrides
-    when installed, this index's {!stats} otherwise. *)
+val scoring_stats : t -> stats
+(** The statistics to score against (their [doc_count] and
+    [avg_element_length]): the pinned corpus statistics when there are
+    some, this index's {!stats} otherwise. *)
 
 val term_df : t -> string -> int
-(** Document frequency to score with (overridden or local; 0 for an
+(** Document frequency to score with: the term's Terms row (0 for an
     unknown term). *)
+
+val pin_corpus : t -> stats -> df:(string -> int) -> unit
+(** [pin_corpus t corpus ~df] stores corpus-wide scoring statistics in
+    this index's environment: [corpus] in the [meta] table, in the
+    encoding of this index's own {!stats} (which stay local), and
+    [df token] as the df of every Terms row (df is read only by
+    scoring). *)
+
+exception Unpinned_statistics
+
+val require_pinned : t -> unit
+(** A shard's attach check. @raise Unpinned_statistics when no corpus
+    statistics were pinned — a shard built before shards stored them,
+    which would score with its own. *)
 
 val iter_terms : t -> (string -> df:int -> cf:int -> unit) -> unit
 (** Enumerate the Terms table in token order (for a coordinator

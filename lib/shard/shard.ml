@@ -23,7 +23,6 @@ let m_rebalances = Metrics.counter "shard.rebalances"
 let m_stale_sweeps = Metrics.counter "supervisor.stale_sweeps"
 
 let map_file = "SHARDMAP.json"
-let stats_file = "CORPUS_STATS.json"
 let manifest_file = "SHARDS.mf"
 let map_table = "shardmap"
 
@@ -137,8 +136,8 @@ let sort_infos infos = List.sort (fun a b -> compare a.base b.base) infos
 
 (* The map flip must be atomic: a fully-written, fsynced temp file is
    renamed over the old map and the directory entry is fsynced. *)
-let write_file_atomic dir file json_text =
-  let path = Filename.concat dir file in
+let write_map_file dir json_text =
+  let path = Filename.concat dir map_file in
   let tmp = path ^ ".tmp" in
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   Fun.protect
@@ -150,8 +149,6 @@ let write_file_atomic dir file json_text =
       Unix.fsync fd);
   Sys.rename tmp path;
   fsync_dir dir
-
-let write_map_file dir json_text = write_file_atomic dir map_file json_text
 
 let read_file path =
   let ic = open_in_bin path in
@@ -180,116 +177,56 @@ let close_journal j = if Lazy.is_val j then Obs.Journal.close (Lazy.force j)
    WHOLE corpus, and those statistics must not drift when a shard is
    quarantined or fails to attach — a lost shard may cost answers, but
    it must never change the scores of the answers the surviving shards
-   produce. So the statistics are coordinator metadata: computed once
-   at {!create} from the full document set, persisted next to the
-   shard map, and loaded verbatim at every {!open_}. Rebalances leave
-   the file alone (the corpus is unchanged). *)
+   produce. So each shard stores them in its own environment
+   ([Index.pin_corpus]): computed at {!create} from the full document
+   set, copied from the source shards by a rebalance (the corpus is
+   unchanged), and read back by every attach. *)
 
-type stats = {
-  s_doc_count : int;
-  s_avg_element_length : float;
-  s_df : (string, int) Hashtbl.t;
-}
+(* A corpus's statistics: its [Index.stats] and each term's df. *)
+let pin (stats, df) index =
+  Index.pin_corpus index stats
+    ~df:(fun token -> Option.value ~default:0 (Hashtbl.find_opt df token))
 
-let stats_of_indexes indexes =
-  let doc_count = ref 0 and element_count = ref 0 and length_sum = ref 0.0 in
-  let df : (string, int) Hashtbl.t = Hashtbl.create 4096 in
+let sum_statistics indexes =
+  let df = Hashtbl.create 4096 in
   List.iter
     (fun index ->
-      let s = Index.stats index in
-      doc_count := !doc_count + s.Index.doc_count;
-      element_count := !element_count + s.Index.element_count;
-      length_sum :=
-        !length_sum +. (s.Index.avg_element_length *. float_of_int s.Index.element_count);
       Index.iter_terms index (fun token ~df:d ~cf:_ ->
           Hashtbl.replace df token
             (d + Option.value ~default:0 (Hashtbl.find_opt df token))))
     indexes;
-  let avg =
-    if !element_count = 0 then 0.0 else !length_sum /. float_of_int !element_count
+  let sum field =
+    List.fold_left (fun acc index -> acc + field (Index.stats index)) 0 indexes
   in
-  { s_doc_count = !doc_count; s_avg_element_length = avg; s_df = df }
-
-let write_stats_file dir stats =
-  let df =
-    Hashtbl.fold (fun token d acc -> (token, Json.Int d) :: acc) stats.s_df []
+  (* Each slice's mean length times its element count rounds back to
+     its exact length sum, so the corpus mean is bit for bit the one a
+     single index over the corpus computes. *)
+  let length_sum s =
+    int_of_float
+      (Float.round (s.Index.avg_element_length *. float_of_int s.Index.element_count))
   in
-  let json =
-    Json.Obj
-      [
-        ("doc_count", Json.Int stats.s_doc_count);
-        ("avg_element_length", Json.Float stats.s_avg_element_length);
-        ("df", Json.Obj (List.sort (fun (a, _) (b, _) -> String.compare a b) df));
-      ]
-  in
-  write_file_atomic dir stats_file (Json.to_string json)
+  let element_count = sum (fun s -> s.Index.element_count) in
+  ( {
+      Index.doc_count = sum (fun s -> s.Index.doc_count);
+      total_bytes = sum (fun s -> s.Index.total_bytes);
+      element_count;
+      avg_element_length =
+        (if element_count = 0 then 0.0
+         else float_of_int (sum length_sum) /. float_of_int element_count);
+      term_count = Hashtbl.length df;
+      posting_count = sum (fun s -> s.Index.posting_count);
+    },
+    df )
 
-let load_stats dir =
-  let path = Filename.concat dir stats_file in
-  if not (Sys.file_exists path) then None
-  else
-    match
-      let j = Json.parse (read_file path) in
-      let doc_count =
-        match Json.member "doc_count" j with
-        | Some (Json.Int i) -> i
-        | _ -> failwith "corpus stats: missing doc_count"
-      in
-      let avg =
-        match Json.member "avg_element_length" j with
-        | Some (Json.Float f) -> f
-        | Some (Json.Int i) -> float_of_int i
-        | _ -> failwith "corpus stats: missing avg_element_length"
-      in
-      let df = Hashtbl.create 4096 in
-      (match Json.member "df" j with
-      | Some (Json.Obj fields) ->
-          List.iter
-            (fun (token, v) ->
-              match v with
-              | Json.Int d -> Hashtbl.replace df token d
-              | _ -> failwith "corpus stats: non-integer df")
-            fields
-      | _ -> failwith "corpus stats: missing df");
-      { s_doc_count = doc_count; s_avg_element_length = avg; s_df = df }
-    with
-    | s -> Some s
-    | exception _ -> None
-
-let overrides_of_stats stats =
-  {
-    Index.corpus_doc_count = stats.s_doc_count;
-    corpus_avg_element_length = stats.s_avg_element_length;
-    global_df = (fun token -> Hashtbl.find_opt stats.s_df token);
-  }
-
-let attach_engine env =
-  match Trex.attach ~env () with
-  | engine -> engine
-  | exception e ->
-      Env.close env;
-      raise e
-
-(* The one way a shard engine gets its scoring, in process and in a
-   worker: the coordinator's corpus-wide statistics snapshot, when
-   there is one — the process boundary must not change a single
-   score. *)
-let install_stats stats engine =
-  Option.iter
-    (fun s -> Index.set_scoring_overrides (Trex.index engine) (overrides_of_stats s))
-    stats
-
-(* Worker-side attach. Opened through table recovery, not plain
-   [on_disk]: a SIGKILLed predecessor is a genuine crash and may have
-   left a table (typically a lazily-created RPL catalog) whose creation
-   never committed; the recovery path reinitializes it instead of
-   poisoning every future worker with [Pager.Corruption] at first
-   touch. *)
-let attach_shard ~dir name =
-  let env, _reports = Env.open_with_recovery (Filename.concat dir name) in
-  let engine = attach_engine env in
-  install_stats (load_stats dir) engine;
-  (env, engine)
+(* The statistics pinned in rebalance sources: every source holds the
+   same corpus stats, and each the corpus-wide df of its own terms. *)
+let pinned_statistics indexes =
+  let df = Hashtbl.create 4096 in
+  List.iter
+    (fun index ->
+      Index.iter_terms index (fun token ~df:d ~cf:_ -> Hashtbl.replace df token d))
+    indexes;
+  (Index.scoring_stats (List.hd indexes), df)
 
 (* ---- stale worker artifacts ----
 
@@ -414,12 +351,21 @@ let recover manifest dir =
   if Manifest.pending manifest = [] then Manifest.compact manifest;
   (!current, List.rev !pre_blocked, List.rev !unresolved_ops)
 
+let attach_engine env =
+  match
+    let engine = Trex.attach ~env () in
+    Index.require_pinned (Trex.index engine);
+    engine
+  with
+  | engine -> engine
+  | exception e ->
+      Env.close env;
+      raise e
+
 (* (Re-)attach every servable shard of the map. Shards that fail to
    attach are quarantined, not fatal — the coordinator serves what it
-   can and tags the rest. A coordinator directory without a statistics
-   snapshot gets one here, recomputed while every shard is attached
-   (with one missing it would be wrong), so workers attached later
-   score exactly as this process does. *)
+   can and tags the rest. A shard without pinned statistics is one of
+   them: scoring it with its own would be wrong, not partial. *)
 let attach_all t pre_blocked =
   List.iter (fun a -> Env.close a.a_env) t.attached;
   t.attached <- [];
@@ -439,16 +385,7 @@ let attach_all t pre_blocked =
     t.infos;
   t.attached <-
     List.sort (fun a b -> compare a.a_info.base b.a_info.base) (List.rev !acc);
-  t.blocked <- blocked.contents;
-  let stats =
-    match load_stats t.t_dir with
-    | None when t.blocked = [] && t.attached <> [] ->
-        let s = stats_of_indexes (List.map a_index t.attached) in
-        write_stats_file t.t_dir s;
-        Some s
-    | s -> s
-  in
-  List.iter (fun a -> install_stats stats a.a_engine) t.attached
+  t.blocked <- blocked.contents
 
 let load_map dir = sort_infos (read_map dir).infos
 
@@ -517,10 +454,10 @@ let create ~dir ~shards:n ?(summary_criterion = Summary.Incoming)
     end
   in
   let slices = build_slices 0 0 docs [] in
-  (* Build every slice, then snapshot the full-corpus scoring
-     statistics while all freshly built indexes are still open — they
-     are persisted once, here, and never recomputed from a
-     possibly-partial set of shards. *)
+  (* Build every slice, then pin the full-corpus scoring statistics
+     in each while all freshly built indexes are still open — they are
+     computed once, here, and never from a possibly-partial set of
+     shards. *)
   let built =
     List.map
       (fun (info, part) ->
@@ -530,8 +467,12 @@ let create ~dir ~shards:n ?(summary_criterion = Summary.Incoming)
         (env, index))
       slices
   in
-  write_stats_file dir (stats_of_indexes (List.map snd built));
-  List.iter (fun (env, _) -> Env.close env) built;
+  let corpus = sum_statistics (List.map snd built) in
+  List.iter
+    (fun (env, index) ->
+      pin corpus index;
+      Env.close env)
+    built;
   let map = { next_id = n; infos = List.map fst slices } in
   write_map_file dir (Json.to_string (map_to_json map));
   open_ dir
@@ -884,7 +825,8 @@ let do_rebalance t ~op ~sources ~added ~new_infos ~new_next_id =
   let source_names = List.map (fun a -> a.a_info.name) sources in
   let added_names = List.map (fun (name, _, _, _) -> name) added in
   (* Detach the sources now: their directories are about to become
-     removable, and their docs are already materialized in [added]. *)
+     removable, and their docs and statistics are already read. *)
+  let corpus = pinned_statistics (List.map a_index sources) in
   List.iter (fun a -> Env.close a.a_env) sources;
   t.attached <-
     List.filter (fun a -> not (List.mem a.a_info.name source_names)) t.attached;
@@ -906,7 +848,7 @@ let do_rebalance t ~op ~sources ~added ~new_infos ~new_next_id =
          let sdir = Filename.concat t.t_dir name in
          rm_rf sdir;
          let env = Env.on_disk sdir in
-         ignore (Index.build ~env ~summary ~analyzer (List.to_seq docs));
+         pin corpus (Index.build ~env ~summary ~analyzer (List.to_seq docs));
          Env.close env;
          fire t ("rebalance:built:" ^ name))
        added

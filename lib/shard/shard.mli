@@ -7,7 +7,7 @@
     design:
 
     - {b Rank identity.} Each shard scores with corpus-wide statistics
-      (installed via [Index.set_scoring_overrides]), and the gather
+      stored in its own environment ([Index.pin_corpus]), and the gather
       passes each shard the coordinator's current global k-th score as
       a {e floor} ([Strategy.evaluate_resilient ~floor]) — Fagin's
       threshold composes across shards, so a shard stops reading pages
@@ -47,10 +47,10 @@ val create :
 (** [create ~dir ~shards docs] partitions [docs] (in order — position
     is the global docid) into [shards] contiguous slices of near-equal
     document count, builds one index per slice under [dir/shard-NNN/],
-    snapshots the full-corpus scoring statistics
-    ([CORPUS_STATS.json] — loaded at every {!open_} so a quarantined
-    or lost shard never changes the scores the surviving shards
-    produce), writes the shard map ([SHARDMAP.json], installed
+    pins the full-corpus scoring statistics in each slice's environment
+    (document count, mean element length, and each term's df — so a
+    quarantined or lost shard never changes the scores the surviving
+    shards produce), writes the shard map ([SHARDMAP.json], installed
     atomically) and opens the coordinator. @raise Invalid_argument
     when [shards] is not positive or exceeds the document count. *)
 
@@ -60,10 +60,12 @@ val open_ : string -> t
     first — committed ones roll forward (shard map reinstalled, source
     directories removed), uncommitted ones roll back (half-built
     directories removed); an unresolvable committed operation leaves
-    its shards quarantined (see {!unresolved} and {!health}). A
-    directory without [CORPUS_STATS.json] gets one, recomputed from
-    the shards, when every shard attaches; with a shard missing, no
-    path installs corpus-wide statistics. *)
+    its shards quarantined (see {!unresolved} and {!health}). Each
+    shard attaches with the statistics stored in its environment; a
+    shard built before shards stored them is blocked with
+    [Index.Unpinned_statistics], so an old coordinator directory gives
+    tagged partial answers, never ones scored with per-shard
+    statistics. *)
 
 val close : t -> unit
 val abort : t -> unit
@@ -96,13 +98,6 @@ val load_map : string -> shard_info list
     before spawning workers (no recovery is run; open the coordinator
     first if rebalance operations may be pending). *)
 
-val attach_shard : dir:string -> string -> Trex_storage.Env.t * Trex.t
-(** [attach_shard ~dir name] opens the single shard [dir/name] as an
-    engine with the default scorer and the coordinator's corpus-wide
-    scoring snapshot installed exactly as {!open_} installs it — the
-    worker-process side of {!Supervisor}. The caller owns the returned
-    environment. *)
-
 val coordinator_journal : string -> Trex_obs.Journal.t Lazy.t
 (** [coordinator_journal dir] is [dir/query_journal.qj], opened when
     forced: where both shard dispatches journal their queries (a
@@ -115,8 +110,8 @@ val sweep_stale_worker_artifacts : string -> shard_info list -> int
     ["supervisor.stale_sweeps"]. {!open_} runs this sweep itself. *)
 
 val index_of : t -> string -> Trex_invindex.Index.t option
-(** The attached shard's index, corpus-wide scoring overrides
-    installed — for tests and tools that evaluate one shard directly;
+(** The attached shard's index, scoring with its stored corpus-wide
+    statistics — for tests and tools that evaluate one shard directly;
     [None] when the shard is unknown or quarantined. *)
 
 type shard_report = {
@@ -280,7 +275,9 @@ val split : t -> string -> shard_info * shard_info
     new map is committed through the coordinator manifest, installed
     atomically, and only then is the source directory removed. The
     source shard's summary is cloned so extent classification — and
-    therefore scores — are unchanged. @raise Invalid_argument when the
+    therefore scores — are unchanged, and its pinned corpus statistics
+    are copied into both new shards before the
+    ["rebalance:built:<name>"] hook fires. @raise Invalid_argument when the
     shard is unknown, quarantined, or holds fewer than two
     documents. *)
 

@@ -896,8 +896,19 @@ let serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup rx tx =
     Printf.eprintf "shard-worker %s: protocol error: %s\n%!" shard e;
     false
 
+(* Opened through table recovery, not plain [on_disk]: a SIGKILLed
+   predecessor is a genuine crash and may have left a table (typically
+   a lazily-created RPL catalog) whose creation never committed; the
+   recovery path reinitializes it instead of poisoning every future
+   worker with [Pager.Corruption] at first touch. The shard scores with
+   the statistics stored in it, exactly as in process. *)
 let worker_attach ~dir ~shard ~cleanup =
-  match Shard.attach_shard ~dir shard with
+  match
+    let env, _reports = Env.open_with_recovery (Filename.concat dir shard) in
+    let engine = Trex.attach ~env () in
+    Index.require_pinned (Trex.index engine);
+    (env, engine)
+  with
   | pair -> pair
   | exception e ->
       Printf.eprintf "shard-worker %s: attach failed: %s\n%!" shard

@@ -165,9 +165,10 @@ val connect_with_timeout : Unix.sockaddr -> timeout_s:float -> Unix.file_descr o
 val worker_main : dir:string -> shard:string -> unit -> 'a
 (** The worker-process entry point ([trex_cli shard-worker --dir D
     --shard S] — and the test/bench executables dispatch here too,
-    since workers exec their parent's binary). Attaches the shard once,
-    as an engine with the default scorer and the corpus-wide scoring
-    overrides, writes [worker.pid], answers each query with
+    since workers exec their parent's binary). Attaches the shard once
+    ([Env.open_with_recovery], then {!Trex.attach}: the scorer and the
+    corpus-wide statistics stored in the shard; a shard without them
+    fails its attach, exit 1), writes [worker.pid], answers each query with
     {!Trex.evaluate} over {!Wire} requests on stdin/stdout (the protocol fds are dup'd
     away and stdout is re-pointed at stderr first, so stray prints
     cannot tear frames), and exits on [Shutdown] or EOF. Never

@@ -112,8 +112,9 @@ let term_weight index ~scoring ~corpus term element_length tf =
   Scorer.score scoring ~corpus ~df ~tf ~element_length
 
 let corpus_of index =
-  let doc_count, avg_element_length = Index.scoring_corpus index in
-  { Scorer.doc_count; avg_element_length }
+  let s = Index.scoring_stats index in
+  { Scorer.doc_count = s.Index.doc_count;
+    avg_element_length = s.Index.avg_element_length }
 
 let score_results index ~scoring ~terms results =
   let corpus = corpus_of index in

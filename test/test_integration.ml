@@ -151,6 +151,29 @@ let test_persistence_roundtrip () =
     (Trex.Answer.equal answers1 o2.strategy.answers);
   Trex.Env.close env2
 
+(* The scorer is stored with the index: reopened, an engine built with
+   TF-IDF still scores ERA with TF-IDF, so TA over the TF-IDF lists it
+   materialized ranks exactly like exhaustive ERA. *)
+let test_scorer_survives_reopen () =
+  let dir = Filename.temp_file "trex_engine" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let coll = Gen.ieee ~doc_count:40 ~seed:21 () in
+  let nexi = "//article//sec[about(., information retrieval)]" in
+  let env = Trex.Env.on_disk dir in
+  let engine = Trex.build ~env ~alias:coll.alias ~scoring:Trex.Scorer.Tf_idf (coll.docs ()) in
+  ignore (Trex.materialize engine nexi);
+  Trex.Env.close env;
+  let env = Trex.Env.on_disk dir in
+  let engine = Trex.attach ~env () in
+  Alcotest.(check bool) "TF-IDF read back" true (Trex.scoring engine = Trex.Scorer.Tf_idf);
+  let answers m = (Trex.query engine ~k:5 ~method_:m nexi).strategy.answers in
+  let ta = answers Trex.Strategy.Ta_method in
+  Alcotest.(check bool) "ta answers" true (ta <> []);
+  Alcotest.(check bool) "ta = exhaustive era" true
+    (Trex.Answer.equal (answers Trex.Strategy.Era_method) ta);
+  Trex.Env.close env
+
 let test_table_sizes_reported () =
   let engine = engine_for Queries.Ieee in
   let sizes = Trex.table_sizes engine in
@@ -331,6 +354,7 @@ let () =
           Alcotest.test_case "structured exclusion" `Quick test_structured_exclusion;
           Alcotest.test_case "hits presentable" `Quick test_hits_are_presentable;
           Alcotest.test_case "persistence roundtrip" `Quick test_persistence_roundtrip;
+          Alcotest.test_case "scorer survives reopen" `Quick test_scorer_survives_reopen;
           Alcotest.test_case "table sizes" `Quick test_table_sizes_reported;
           Alcotest.test_case "advise end-to-end" `Quick test_advise_end_to_end;
           Alcotest.test_case "structured phrase and must" `Quick

@@ -514,6 +514,52 @@ let test_unresolvable_rebalance_quarantines () =
   Shard.close t2;
   rm_rf dir
 
+(* ---- no add through a shard ----
+
+   A shard's docids are a slice of its coordinator's, so an add through
+   the shard's own environment would take the next shard's first global
+   docid. It is refused before the manifest sees the document. *)
+
+let test_add_to_shard_refused () =
+  let coll, docs, engine = corpus ~docs:12 ~seed:31 in
+  let dir = temp_dir () in
+  Shard.close (Shard.create ~dir ~shards:2 ~alias:coll.alias docs);
+  let sdir = Filename.concat dir "shard-000" in
+  let files () =
+    List.map
+      (fun f -> (f, In_channel.with_open_bin (Filename.concat sdir f) In_channel.input_all))
+      (List.sort compare (Array.to_list (Sys.readdir sdir)))
+  in
+  let attached f =
+    let env = Env.on_disk sdir in
+    Fun.protect ~finally:(fun () -> Env.close env) (fun () -> f (Trex.attach ~env ()))
+  in
+  let doc_count shard = (Index.stats (Trex.index shard)).Index.doc_count in
+  let docs_before = attached doc_count in
+  attached (fun shard ->
+      (* Closing an environment stamps its headers, so the files are
+         compared while it is still open: the manifest and every table
+         file as the refused add left them. *)
+      let before = files () in
+      (match
+         Trex.add_document shard ~name:"extra.xml"
+           ~xml:"<article><sec>information retrieval</sec></article>"
+       with
+      | _ -> Alcotest.fail "an add through a shard must be refused"
+      | exception Invalid_argument _ -> ());
+      let after = files () in
+      check (Alcotest.list Alcotest.string) "same files" (List.map fst before)
+        (List.map fst after);
+      List.iter2
+        (fun (f, a) (_, b) -> Alcotest.(check bool) (f ^ " unchanged") true (a = b))
+        before after);
+  check Alcotest.int "no document was added" docs_before (attached doc_count);
+  let t = Shard.open_ dir in
+  check answers_testable "the coordinator still answers exactly"
+    (baseline engine ~k:5 nexi) (Shard.query t ~k:5 nexi).Shard.answers;
+  Shard.close t;
+  rm_rf dir
+
 (* ---- seeded shard-fault soak ---- *)
 
 let soak_seeds () =
@@ -663,6 +709,11 @@ let () =
             test_rebalance_crash_matrix;
           Alcotest.test_case "unresolvable op quarantines" `Quick
             test_unresolvable_rebalance_quarantines;
+        ] );
+      ( "ingest",
+        [
+          Alcotest.test_case "add through a shard refused, nothing written" `Quick
+            test_add_to_shard_refused;
         ] );
       ("soak", [ Alcotest.test_case "seeded shard-fault soak" `Slow test_soak ]);
     ]

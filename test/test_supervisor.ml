@@ -997,29 +997,107 @@ let test_record_shape () =
     (List.map (fun (i : Shard.shard_info) -> i.Shard.name) (shard_journals ()));
   rm_rf dir
 
-(* ---- one shard attach ----
+(* ---- scoring statistics stored in every shard ----
 
-   A coordinator directory without its corpus-statistics snapshot:
-   opening it recomputes and writes the snapshot (byte-identical to the
-   one create wrote), so workers attached afterwards score exactly as
-   the in-process coordinator does. *)
-let test_missing_stats_snapshot () =
-  let dir, _engine = build_coordinator ~docs:18 ~seed:72 in
-  let stats = Filename.concat dir "CORPUS_STATS.json" in
-  let read path = In_channel.with_open_bin path In_channel.input_all in
-  let original = read stats in
-  Sys.remove stats;
+   Each shard carries the corpus-wide statistics in its own
+   environment, so a worker attaches it exactly as the in-process
+   coordinator does, a rebalance carries them over, and a lost shard
+   changes no surviving score. Bit-identity is over (docid, endpos,
+   length) and the exact score: shard summaries number sids locally. *)
+
+let exact_testable =
+  let equal a b =
+    List.compare_lengths a b = 0
+    && List.for_all2
+         (fun (x : Answer.entry) (y : Answer.entry) ->
+           x.element.Types.docid = y.element.Types.docid
+           && x.element.Types.endpos = y.element.Types.endpos
+           && x.element.Types.length = y.element.Types.length
+           && Int64.equal (Int64.bits_of_float x.Answer.score)
+                (Int64.bits_of_float y.Answer.score))
+         a b
+  in
+  Alcotest.testable Answer.pp equal
+
+let test_split_workers_score_alike () =
+  let dir, engine = build_coordinator ~docs:18 ~seed:72 in
   let t = Shard.open_ dir in
-  Alcotest.(check bool) "open_ wrote the snapshot" true (Sys.file_exists stats);
-  Alcotest.(check string) "the snapshot create wrote" original (read stats);
+  ignore (Shard.split t "shard-001");
   let expect = Shard.query t ~k:10 nexi in
   Shard.close t;
+  Alcotest.(check bool) "in process untagged" false expect.Shard.degraded;
+  check exact_testable "in process = single-env ERA"
+    (baseline engine ~method_:Strategy.Era_method ~k:10 nexi)
+    expect.Shard.answers;
   with_supervisor dir @@ fun s ->
   require_healthy s;
+  Alcotest.(check int) "four workers after the split" 4 (List.length (Supervisor.shards s));
   let r = Supervisor.query s ~k:10 nexi in
   Alcotest.(check bool) "untagged" false r.Shard.degraded;
   Alcotest.(check bool) "answers bit-identical to in-process" true
     (r.Shard.answers = expect.Shard.answers);
+  rm_rf dir
+
+let test_lost_shard_keeps_scores () =
+  let dir, engine = build_coordinator ~docs:18 ~seed:73 in
+  let infos = Shard.load_map dir in
+  rm_rf (Filename.concat dir "shard-001");
+  let t = Shard.open_ dir in
+  Alcotest.(check bool) "the lost shard is blocked" true
+    (List.mem_assoc "shard-001" (Shard.blocked t));
+  let r = Shard.query t ~k:5 nexi in
+  Shard.close t;
+  Alcotest.(check bool) "tagged" true (List.mem_assoc "shard-001" r.Shard.degraded_shards);
+  check exact_testable "survivors score as in the whole corpus"
+    (surviving_baseline engine infos ~lost:[ "shard-001" ] ~k:5 nexi)
+    r.Shard.answers;
+  rm_rf dir
+
+(* A shard built before shards stored their statistics: a plain index
+   over the shard's documents. Scoring it with its own statistics would
+   be wrong, so it is blocked in process and its worker never attaches;
+   the rest answer a tagged sound partial. *)
+let test_unpinned_shard_blocked () =
+  let doc_count = 18 and seed = 74 and victim = "shard-001" in
+  let dir, engine = build_coordinator ~docs:doc_count ~seed in
+  let infos = Shard.load_map dir in
+  let coll = Trex_corpus.Gen.ieee ~doc_count ~seed () in
+  let info = List.find (fun (i : Shard.shard_info) -> i.Shard.name = victim) infos in
+  let slice =
+    List.filteri
+      (fun i _ -> i >= info.Shard.base && i < info.Shard.base + info.Shard.docs)
+      (List.of_seq (coll.docs ()))
+  in
+  let sdir = Filename.concat dir victim in
+  rm_rf sdir;
+  let env = Env.on_disk sdir in
+  ignore (Trex.build ~env ~alias:coll.alias (List.to_seq slice));
+  Env.close env;
+  let t = Shard.open_ dir in
+  (match List.assoc_opt victim (Shard.blocked t) with
+  | Some reason ->
+      Alcotest.(check string) "typed reason"
+        (Printexc.to_string Trex_invindex.Index.Unpinned_statistics)
+        reason
+  | None -> Alcotest.fail "an unpinned shard must be blocked");
+  let expect = surviving_baseline engine infos ~lost:[ victim ] ~k:5 nexi in
+  let r = Shard.query t ~k:5 nexi in
+  Shard.close t;
+  Alcotest.(check bool) "in process tagged" true (List.mem_assoc victim r.Shard.degraded_shards);
+  check exact_testable "in-process partial is sound" expect r.Shard.answers;
+  let config = { fast_config with Supervisor.max_restarts = 1 } in
+  with_supervisor ~config dir @@ fun s ->
+  let b = Supervisor.breaker s victim in
+  let t0 = Unix.gettimeofday () in
+  while Breaker.state b <> Breaker.Open && Unix.gettimeofday () -. t0 < 10.0 do
+    ignore (Supervisor.await_healthy ~timeout_s:0.2 s)
+  done;
+  Alcotest.(check bool) "the worker's attach failures escalate" true
+    (Breaker.state b = Breaker.Open);
+  let r = Supervisor.query s ~k:5 nexi in
+  Alcotest.(check bool) "worker path tagged" true
+    (List.mem_assoc victim r.Shard.degraded_shards);
+  check exact_testable "worker partial is sound" expect r.Shard.answers;
   rm_rf dir
 
 (* ---- heartbeat sequence integrity ----
@@ -1311,8 +1389,15 @@ let () =
             `Quick test_degraded_telemetry;
           Alcotest.test_case "one record per query, one shape on every path"
             `Quick test_record_shape;
-          Alcotest.test_case "missing stats snapshot: workers score alike"
-            `Quick test_missing_stats_snapshot;
+        ] );
+      ( "statistics",
+        [
+          Alcotest.test_case "after a split: workers = in process = ERA" `Quick
+            test_split_workers_score_alike;
+          Alcotest.test_case "lost shard directory: survivors keep their scores"
+            `Quick test_lost_shard_keeps_scores;
+          Alcotest.test_case "unpinned shard blocked, typed reason" `Quick
+            test_unpinned_shard_blocked;
         ] );
       ( "heartbeat",
         [
