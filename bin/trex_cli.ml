@@ -24,7 +24,11 @@
    query missing shards); 4 health found an open circuit breaker; 5
    autopilot had too few journaled observations to replan; 6 the serve
    daemon shed the request (admission control); 7 the serve daemon is
-   draining or unreachable.
+   draining or unreachable. An environment in a format this build does
+   not read (an older or newer manifest magic, or a [meta] [format] key
+   other than this build's) is refused by every subcommand, [verify]
+   included, with one stderr line naming the format found and the one
+   expected, and exit 1; nothing is written.
 
    Example session:
      dune exec bin/trex_cli.exe -- gen --collection ieee --docs 100 --out /tmp/docs
@@ -313,6 +317,14 @@ let verify_cmd =
         let s = Trex.Env.on_disk env in
         (s, Trex.Env.verify s)
     in
+    (* The format check reads the meta table, so only once it verified:
+       a damaged one is reported below as corruption. *)
+    if
+      List.exists
+        (fun (r : Trex.Env.table_report) ->
+          r.table = Trex_invindex.Tables.meta_table && r.ok)
+        reports
+    then Trex.Index.check_format storage;
     List.iter
       (fun (r : Trex.Env.table_report) ->
         let status =
@@ -1262,7 +1274,21 @@ let () =
   | _ -> ());
   let doc = "TReX: self-managing top-k (summary, keyword) indexes for XML retrieval" in
   let info = Cmd.info "trex" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info
+      [ gen_cmd; index_cmd; add_cmd; query_cmd; materialize_cmd; stats_cmd; advise_cmd; vacuum_cmd; verify_cmd; health_cmd; journal_cmd; autopilot_cmd; xpath_cmd; shard_cmd; serve_cmd; client_cmd ]
+  in
+  (* Exceptions are caught here, not by cmdliner, so an unreadable
+     environment is one line and exit 1 rather than an internal error;
+     any other exception is reported as cmdliner would (exit 125). *)
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ gen_cmd; index_cmd; add_cmd; query_cmd; materialize_cmd; stats_cmd; advise_cmd; vacuum_cmd; verify_cmd; health_cmd; journal_cmd; autopilot_cmd; xpath_cmd; shard_cmd; serve_cmd; client_cmd ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception (Trex_storage.Manifest.Unsupported_format _ as e) ->
+        prerr_endline ("trex: " ^ Printexc.to_string e);
+        1
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Printf.eprintf "trex: internal error, uncaught exception:\n%s\n%s%!"
+          (Printexc.to_string e) (Printexc.raw_backtrace_to_string bt);
+        Cmd.Exit.internal_error)

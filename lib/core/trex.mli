@@ -70,15 +70,14 @@ val build :
 
 val attach : env:Env.t -> ?verify:bool -> unit -> t
 (** Re-open a previously built engine, with the scorer stored at
-    {!build} (BM25 for an environment built before the scorer was
-    stored) and the scoring statistics stored in the environment, so a
+    {!build} and the scoring statistics stored in the environment, so a
     coordinator's shard attaches like a plain environment. With
     [~verify:true] every storage table is checksum-swept and
     structurally verified first.
     @raise Trex_storage.Pager.Corruption if verification finds damage —
     the engine is never attached over corrupt tables silently.
-    @raise Index.Unsupported_postings on an environment
-    whose postings predate block-compressed segments. *)
+    @raise Trex_storage.Manifest.Unsupported_format on an environment
+    written in another format version (see {!Index.attach}). *)
 
 val verify_storage : env:Env.t -> Env.table_report list
 (** Per-table checksum sweep + B+tree structural verification (see

@@ -1,5 +1,6 @@
 module Codec = Trex_util.Codec
 module Env = Trex_storage.Env
+module Manifest = Trex_storage.Manifest
 module Bptree = Trex_storage.Bptree
 module Summary = Trex_summary.Summary
 module Analyzer = Trex_text.Analyzer
@@ -33,6 +34,10 @@ let stats t = t.stats
 (* ---- metadata (de)serialization ---- *)
 
 let meta_key name = Codec.key_of_string name
+
+(* The on-disk format every table of this build is written in; any
+   other value of the [format] key, or none, is refused at attach. *)
+let format = "trex-1"
 
 let encode_analyzer (a : Analyzer.config) =
   let b = Codec.Buf.create ~capacity:8 () in
@@ -241,36 +246,33 @@ let build ~env ~summary ?(analyzer = Analyzer.default) ?(scoring = Scorer.defaul
   Bptree.insert meta ~key:(meta_key "analyzer") ~value:(encode_analyzer analyzer);
   Bptree.insert meta ~key:(meta_key "scoring") ~value:(encode_scoring scoring);
   Bptree.insert meta ~key:(meta_key "stats") ~value:(encode_stats stats);
-  Bptree.insert meta ~key:(meta_key "postings_layout") ~value:"blocked";
+  Bptree.insert meta ~key:(meta_key "format") ~value:format;
   Env.flush env;
   { env; summary; analyzer; scoring; stats; corpus = None }
 
-exception Unsupported_postings of string option
+let check_format env =
+  match Bptree.find (Env.table env Tables.meta_table) (meta_key "format") with
+  | Some found when found = format -> ()
+  | found -> raise (Manifest.Unsupported_format { found; expected = format })
 
 let attach env =
   let meta = Env.table env Tables.meta_table in
-  let find name = Bptree.find meta (meta_key name) in
   let get name =
-    match find name with
+    match Bptree.find meta (meta_key name) with
     | Some v -> v
     | None -> failwith (Printf.sprintf "Index.attach: missing meta key %s" name)
   in
-  (* The summary first, so an env holding no index fails as such. *)
-  let summary = Summary.of_string (get "summary") in
-  (* Postings written before segments became the only format carry no
-     layout key (or "raw"); refuse them instead of misreading them. *)
-  (match find "postings_layout" with
-  | Some "blocked" -> ()
-  | found -> raise (Unsupported_postings found));
+  (* The summary first, so an env holding no index fails as such; then
+     the format, before anything is decoded. *)
+  let summary = get "summary" in
+  check_format env;
   {
     env;
-    summary;
+    summary = Summary.of_string summary;
     analyzer = decode_analyzer (get "analyzer");
-    (* Indexes built before the scorer was stored were reopened with
-       the default, so that is what their lists were scored with. *)
-    scoring = Option.fold ~none:Scorer.default ~some:decode_scoring (find "scoring");
+    scoring = decode_scoring (get "scoring");
     stats = decode_stats (get "stats");
-    corpus = Option.map decode_stats (find "corpus");
+    corpus = Option.map decode_stats (Bptree.find meta (meta_key "corpus"));
   }
 
 (* ---- lookups ---- *)

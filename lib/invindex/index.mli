@@ -28,23 +28,29 @@ val build :
 (** [build ~env ~summary docs] parses each [(name, xml)] document,
     assigns docids in sequence order, grows the summary, and bulk-loads
     the tables into [env]. Posting lists are written as
-    {!Trex_util.Codec.Block} segments, and the [meta] table records
-    [postings_layout = blocked] and the scorer every list of this index
-    is scored with ([scoring], default BM25).
+    {!Trex_util.Codec.Block} segments, and the [meta] table records the
+    environment's {!format} and the scorer every list of this index is
+    scored with ([scoring], default BM25).
     @raise Trex_xml.Sax.Malformed on bad input. *)
 
-exception Unsupported_postings of string option
-(** Raised by {!attach} when the [meta] table's [postings_layout] is
-    missing or is not [blocked]: the environment holds postings in a
-    format this build cannot read. Carries the value found. *)
+val format : string
+(** The on-disk format this build writes and reads, stored under the
+    [meta] key [format]. One value at a time: a format change bumps it,
+    and environments of every earlier value are refused, not read. *)
+
+val check_format : Trex_storage.Env.t -> unit
+(** @raise Trex_storage.Manifest.Unsupported_format unless the [meta]
+    table's [format] key is {!format} (a missing key is [found = None]).
+    Reads nothing else; [verify] runs it on an env with a [meta]
+    table. *)
 
 val attach : Trex_storage.Env.t -> t
 (** Re-open an index previously built in this environment (metadata,
     summary, scorer and statistics — pinned corpus statistics included
-    — are read back from the [meta] table; an index built before the
-    scorer was stored reads as BM25).
+    — are read back from the [meta] table), after {!check_format}.
     @raise Failure if the environment holds no index.
-    @raise Unsupported_postings if its postings are not segments. *)
+    @raise Trex_storage.Manifest.Unsupported_format, before anything is
+    decoded, if it was written in another format. *)
 
 val add_document :
   ?invalidation:(string list -> Trex_storage.Manifest.action list) ->
@@ -110,8 +116,9 @@ exception Unpinned_statistics
 
 val require_pinned : t -> unit
 (** A shard's attach check. @raise Unpinned_statistics when no corpus
-    statistics were pinned — a shard built before shards stored them,
-    which would score with its own. *)
+    statistics were pinned. This guards a role, not a format version: a
+    plain environment of the current format placed in a shard slot
+    would score with its own statistics, so it is refused. *)
 
 val iter_terms : t -> (string -> df:int -> cf:int -> unit) -> unit
 (** Enumerate the Terms table in token order (for a coordinator

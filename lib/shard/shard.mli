@@ -61,11 +61,13 @@ val open_ : string -> t
     directories removed), uncommitted ones roll back (half-built
     directories removed); an unresolvable committed operation leaves
     its shards quarantined (see {!unresolved} and {!health}). Each
-    shard attaches with the statistics stored in its environment; a
-    shard built before shards stored them is blocked with
-    [Index.Unpinned_statistics], so an old coordinator directory gives
-    tagged partial answers, never ones scored with per-shard
-    statistics. *)
+    shard attaches with the statistics stored in its environment. A
+    shard that fails its attach is blocked with the exception's text
+    as its reason: one of another format version
+    ([Manifest.Unsupported_format]), or one with no pinned statistics
+    ([Index.Unpinned_statistics], a plain environment in a shard slot).
+    Queries then give tagged partial answers, never ones scored with
+    per-shard statistics. *)
 
 val close : t -> unit
 val abort : t -> unit

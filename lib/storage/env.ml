@@ -99,19 +99,21 @@ let on_disk ?(page_size = 8192) ?(cache_pages = 4096) ?(replay = true) dir =
       unflushed = [];
     }
   in
-  (* An existing query journal is swept at open, like stale compaction
-     temp files: a torn or corrupt tail from a crash is repaired here
-     rather than on the first journaled query. *)
+  (* An existing operation manifest is swept at open, first: one of
+     another format version refuses the environment before anything
+     else is opened. *)
+  if Sys.file_exists (Filename.concat dir manifest_file) then
+    env.manifest <- Some (Manifest.open_file (Filename.concat dir manifest_file));
+  (* Same for the query journal, like stale compaction temp files: a
+     torn or corrupt tail from a crash is repaired here rather than on
+     the first journaled query. *)
   if Sys.file_exists (Filename.concat dir journal_file) then
     env.journal <- Some (Journal.open_file (Filename.concat dir journal_file));
-  (* Same for the operation manifest — and, unless the caller defers to
-     run table recovery first ({!open_with_recovery}), pending
-     operations are resolved right here so a reopened environment never
-     serves the middle of a multi-table operation. *)
-  if Sys.file_exists (Filename.concat dir manifest_file) then begin
-    env.manifest <- Some (Manifest.open_file (Filename.concat dir manifest_file));
-    if replay then !replay_ref env
-  end;
+  (* Unless the caller defers to run table recovery first
+     ({!open_with_recovery}), pending operations are resolved right
+     here so a reopened environment never serves the middle of a
+     multi-table operation. *)
+  if replay && env.manifest <> None then !replay_ref env;
   env
 
 let journal_path t =

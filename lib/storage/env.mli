@@ -22,7 +22,10 @@ val on_disk : ?page_size:int -> ?cache_pages:int -> ?replay:bool -> string -> t
     never finished roll forward, uncommitted ones roll back (see
     {!Manifest} and {!manifest_resolutions}). [~replay:false] defers
     replay (used by {!open_with_recovery}, which must repair table
-    headers first). *)
+    headers first).
+    @raise Manifest.Unsupported_format, the manifest untouched and no
+    journal or table opened, when the manifest is of another format
+    version. *)
 
 val table : t -> string -> Bptree.t
 (** Create-or-attach. Table names must match [[A-Za-z0-9_.-]+].

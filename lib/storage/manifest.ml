@@ -1,12 +1,10 @@
 module Framing = Trex_util.Framing
 module Codec = Trex_util.Codec
 module Metrics = Trex_obs.Metrics
-module Json = Trex_obs.Json
 
 let m_appends = Metrics.counter "manifest.appends"
 let m_bytes = Metrics.counter "manifest.bytes"
 let m_fsyncs = Metrics.counter "manifest.fsyncs"
-let m_upgrades = Metrics.counter "manifest.upgrades"
 let m_corrupt = Metrics.counter "manifest.corrupt_records"
 let m_torn = Metrics.counter "manifest.torn_tails"
 let m_recovered = Metrics.counter "manifest.records_recovered"
@@ -46,9 +44,17 @@ type pending = {
 
 let magic = "TREXMF2\n"
 
-(* The format before binary frames: one JSON record per frame, keys and
-   values hex-encoded. Read once, to upgrade the file. *)
-let json_magic = "TREXMF1\n"
+exception Unsupported_format of { found : string option; expected : string }
+
+let () =
+  Printexc.register_printer (function
+    | Unsupported_format { found; expected } ->
+        Some
+          (Printf.sprintf
+             "environment format %s, this build reads %s; rebuild it from its documents"
+             (Option.value found ~default:"none")
+             expected)
+    | _ -> None)
 
 type op_state = {
   mutable s_op : string;
@@ -202,107 +208,6 @@ let payloads records =
     pack [] [] 0 records
 
 (* ------------------------------------------------------------------ *)
-(* The JSON format, read-only: hex codec and record decoder. *)
-
-let hex_digits = "0123456789abcdef"
-
-let to_hex s =
-  let n = String.length s in
-  let b = Bytes.create (2 * n) in
-  for i = 0 to n - 1 do
-    let c = Char.code (String.unsafe_get s i) in
-    Bytes.unsafe_set b (2 * i) hex_digits.[c lsr 4];
-    Bytes.unsafe_set b ((2 * i) + 1) hex_digits.[c land 15]
-  done;
-  Bytes.unsafe_to_string b
-
-exception Bad_hex
-
-let hex_digit c =
-  match c with
-  | '0' .. '9' -> Char.code c - Char.code '0'
-  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
-  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
-  | _ -> raise Bad_hex
-
-let of_hex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then raise Bad_hex;
-  let b = Bytes.create (n / 2) in
-  for i = 0 to (n / 2) - 1 do
-    Bytes.unsafe_set b i
-      (Char.unsafe_chr ((hex_digit s.[2 * i] lsl 4) lor hex_digit s.[(2 * i) + 1]))
-  done;
-  Bytes.unsafe_to_string b
-
-let jstr j k = match Json.member k j with Some (Json.String s) -> Some s | _ -> None
-
-let jint j k =
-  match Json.member k j with
-  | Some (Json.Int i) -> Some i
-  | Some (Json.Float f) -> Some (int_of_float f)
-  | _ -> None
-
-let jstrs j k =
-  match Json.member k j with
-  | Some (Json.List l) ->
-      Some (List.filter_map (function Json.String s -> Some s | _ -> None) l)
-  | _ -> None
-
-let action_of_json j =
-  match (jstr j "a", jstr j "tbl", jstr j "k") with
-  | Some "put", Some table, Some k -> (
-      match jstr j "v" with
-      | Some v -> (
-          match (of_hex k, of_hex v) with
-          | key, value -> Some (Put { table; key; value })
-          | exception Bad_hex -> None)
-      | None -> None)
-  | Some "rm", Some table, Some k -> (
-      match of_hex k with
-      | key -> Some (Remove { table; key })
-      | exception Bad_hex -> None)
-  | Some "rmp", Some table, Some k -> (
-      match of_hex k with
-      | prefix -> Some (Remove_prefix { table; prefix })
-      | exception Bad_hex -> None)
-  | _ -> None
-
-let record_of_json j =
-  match jstr j "t" with
-  | Some "checkpoint" -> (
-      match (jint j "gen", jint j "next") with
-      | Some generation, Some next_op_id -> Some (Checkpoint { generation; next_op_id })
-      | _ -> None)
-  | Some "begin" -> (
-      match (jint j "id", jstr j "op", jint j "gen") with
-      | Some op_id, Some op, Some generation ->
-          Some
-            (Begin
-               {
-                 op_id;
-                 op;
-                 tables = Option.value ~default:[] (jstrs j "tables");
-                 rollback = Option.value ~default:[] (jstrs j "rollback");
-                 generation;
-               })
-      | _ -> None)
-  | Some "step" -> (
-      match (jint j "id", action_of_json j) with
-      | Some op_id, Some action -> Some (Step { op_id; action })
-      | _ -> None)
-  | Some "commit" -> (
-      match jint j "id" with Some op_id -> Some (Commit { op_id }) | None -> None)
-  | Some "abort" -> (
-      match jint j "id" with
-      | Some op_id ->
-          Some (Abort { op_id; note = Option.value ~default:"" (jstr j "note") })
-      | None -> None)
-  | Some "end" -> (
-      match jint j "id" with Some op_id -> Some (End { op_id }) | None -> None)
-  | _ -> None
-
-(* ------------------------------------------------------------------ *)
 (* Derived state                                                       *)
 
 (* Fold one record into the op table. Orphan records (a Step/Commit/End
@@ -345,12 +250,6 @@ let apply_record t r =
       end
       else Metrics.incr m_corrupt
 
-(* A JSON frame holds one record; undecodable JSON is a corrupt frame. *)
-let decode_json payload =
-  match record_of_json (Json.parse payload) with
-  | r -> Option.map (fun r -> [ r ]) r
-  | exception Json.Parse_error _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
 
@@ -385,48 +284,27 @@ let write_records fd records =
   Metrics.add m_appends (List.length frames);
   Metrics.add m_bytes (Bytes.length b)
 
-let starts_with_magic file_path m =
+(* Refuse a whole [TREXMF?\n] magic other than ours — an older version
+   or a newer one — before the sweep, which would restart the file. A
+   torn or foreign head holds nothing to preserve, and is restarted. *)
+let check_version file_path =
   match open_in_bin file_path with
-  | exception Sys_error _ -> false
+  | exception Sys_error _ -> ()
   | ic ->
-      let head = try really_input_string ic (String.length m) with End_of_file -> "" in
+      let head = try really_input_string ic (String.length magic) with End_of_file -> "" in
       close_in ic;
-      head = m
+      let family = String.sub magic 0 (String.length magic - 2) in
+      if head <> magic && String.starts_with ~prefix:family head && String.ends_with ~suffix:"\n" head
+      then raise (Unsupported_format { found = Some (String.trim head); expected = String.trim magic })
 
-let sweep file_path ~magic ~decode =
+let open_file file_path =
+  check_version file_path;
   let swept = Framing.open_file ~magic ~decode file_path in
   Metrics.add m_corrupt swept.Framing.corrupt;
   if swept.Framing.torn then Metrics.incr m_torn;
-  (swept.Framing.fd, List.concat swept.Framing.records)
-
-(* Rewrite a JSON-format file in the binary format, records and all,
-   before anything reads it, so its pending operations resolve like any
-   others. The new file is synced beside the old one and renamed over
-   it: a crash leaves one whole file or the other. *)
-let upgrade file_path =
-  let old, records = sweep file_path ~magic:json_magic ~decode:decode_json in
-  Unix.close old;
-  let tmp = file_path ^ ".tmp" in
-  let fd = Unix.openfile tmp [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
-  Framing.write_all fd (Bytes.of_string magic);
-  if records <> [] then write_records fd records;
-  fsync fd;
-  Unix.rename tmp file_path;
-  (match Unix.openfile (Filename.dirname file_path) [ Unix.O_RDONLY ] 0 with
-  | exception Unix.Unix_error _ -> ()
-  | dir ->
-      (try fsync dir with Unix.Unix_error _ -> ());
-      Unix.close dir);
-  Metrics.incr m_upgrades;
-  (fd, records)
-
-let open_file file_path =
-  let fd, records =
-    if starts_with_magic file_path json_magic then upgrade file_path
-    else sweep file_path ~magic ~decode
-  in
+  let records = List.concat swept.Framing.records in
   Metrics.add m_recovered (List.length records);
-  make (File { fd; file_path }) records
+  make (File { fd = swept.Framing.fd; file_path }) records
 
 let path t = match t.backend with Mem -> None | File f -> Some f.file_path
 let records t = t.opened

@@ -28,12 +28,13 @@
     [manifest.fsyncs] count the frames written, their bytes and the
     fsyncs spent on them.
 
-    {b Old files.} A manifest in the earlier format (magic [TREXMF1\n],
-    one JSON record per frame, bytes hex-encoded) is not reset: {!open_file}
-    reads it and rewrites it in the binary format, records and all,
-    before returning ([manifest.upgrades]). Its pending operations then
-    resolve at open like any others — a committed [add_document] with
-    no [End] rolls forward.
+    {b One version.} The magic names the format's version. A file
+    whose first 8 bytes are a whole [TREXMF?\n] magic other than this
+    build's — an older version or a newer one — is refused by
+    {!open_file} with {!Unsupported_format}, untouched: no build reads
+    a format but its own, and an environment in another one is rebuilt
+    from its documents. A torn or empty magic is restarted like any
+    foreign file.
 
     Two commit disciplines share the format:
 
@@ -95,19 +96,12 @@ type pending = {
   p_steps : action list;  (** oldest first *)
 }
 
-(** {1 Hex codec}
-
-    The earlier JSON format carried keys and values hex-encoded; the
-    upgrade at {!open_file} decodes them. *)
-
-exception Bad_hex
-
-val to_hex : string -> string
-(** Lowercase, two digits per byte. *)
-
-val of_hex : string -> string
-(** Inverse of {!to_hex}; accepts either case.
-    @raise Bad_hex on odd length or a non-hex digit. *)
+exception Unsupported_format of { found : string option; expected : string }
+(** An environment in a format this build does not read: the manifest
+    magic at {!open_file}, or the index's [meta] [format] key at
+    [Index.attach] ([found] is [None] when the key is absent). Its
+    printer reads "environment format <found|none>, this build reads
+    <expected>; rebuild it from its documents". *)
 
 type t
 
@@ -117,9 +111,10 @@ val in_memory : unit -> t
 
 val open_file : string -> t
 (** Open-or-create. Sweeps the whole file: corrupt frames are skipped
-    and counted, a torn tail is truncated, a file in the earlier JSON
-    format is rewritten in the binary one (see above), and any other
-    foreign file is reset. *)
+    and counted, a torn tail is truncated, and a foreign or torn magic
+    restarts the file.
+    @raise Unsupported_format, the file untouched, on another version's
+    magic. *)
 
 val path : t -> string option
 val records : t -> record list

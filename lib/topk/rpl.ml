@@ -284,17 +284,10 @@ let insert_rows tbl rows =
 
 let catalog_key ~term ~sid = pair_prefix ~term ~sid
 
-(* Catalog rows: a negative version marker, entry count, stored
-   bytes (twice: the second field once priced a since-removed layout
-   and is ignored on read), flags — bit 0 an {e explicit} truncated
-   flag, bit 1 "stored as segments" — and, for truncated RPL prefixes,
-   the score bound below which entries were dropped.
-
-   A row without the segment flag, or a v1 row (which opens with a
-   non-negative entry count), describes a list in the pre-segment
-   chunk format: it decodes as absent, so cursors raise [Missing_list]
-   and {!build} rewrites the list through the usual manifest-guarded
-   path. *)
+(* Catalog rows: entry count, stored bytes, a truncated flag — {e
+   explicit}, since a bound of 0.0 must still certify — and, for
+   truncated RPL prefixes, the score bound below which entries were
+   dropped. *)
 type catalog_row = {
   cat_entries : int;
   cat_bytes : int;
@@ -302,39 +295,24 @@ type catalog_row = {
   cat_truncated : bool;
 }
 
-let catalog_row_marker = -2
-let flag_truncated = 1
-let flag_segments = 2
-
 let decode_catalog_row v =
   let r = Codec.Reader.of_string v in
-  let first = Codec.Reader.varint r in
-  if first >= 0 then None
-  else if first = catalog_row_marker then begin
-    let cat_entries = Codec.Reader.uvarint r in
-    let cat_bytes = Codec.Reader.uvarint r in
-    ignore (Codec.Reader.uvarint r);
-    let flags = Codec.Reader.uvarint r in
-    let cat_truncated = flags land flag_truncated <> 0 in
-    let cat_bound = if cat_truncated then Codec.Reader.float r else 0.0 in
-    if flags land flag_segments = 0 then None
-    else Some { cat_entries; cat_bytes; cat_bound; cat_truncated }
-  end
-  else raise (Codec.Reader.Malformed "Rpl: unknown catalog row version")
+  let cat_entries = Codec.Reader.uvarint r in
+  let cat_bytes = Codec.Reader.uvarint r in
+  let cat_truncated = Codec.Reader.uvarint r = 1 in
+  let cat_bound = if cat_truncated then Codec.Reader.float r else 0.0 in
+  { cat_entries; cat_bytes; cat_bound; cat_truncated }
 
 let catalog_find index kind ~term ~sid =
   let tbl = Env.table (Index.env index) (catalog_name kind) in
-  Option.bind (Bptree.find tbl (catalog_key ~term ~sid)) decode_catalog_row
+  Option.map decode_catalog_row (Bptree.find tbl (catalog_key ~term ~sid))
 
 let catalog_put index kind ~term ~sid ~entries ~bytes ~truncated ~bound =
   let tbl = Env.table (Index.env index) (catalog_name kind) in
   let b = Codec.Buf.create ~capacity:24 () in
-  Codec.Buf.add_varint b catalog_row_marker;
   Codec.Buf.add_uvarint b entries;
   Codec.Buf.add_uvarint b bytes;
-  Codec.Buf.add_uvarint b bytes;
-  Codec.Buf.add_uvarint b
-    (flag_segments lor if truncated then flag_truncated else 0);
+  Codec.Buf.add_uvarint b (if truncated then 1 else 0);
   if truncated then Codec.Buf.add_float b bound;
   Bptree.insert tbl ~key:(catalog_key ~term ~sid) ~value:(Codec.Buf.contents b)
 
@@ -366,9 +344,8 @@ let catalog index kind =
   Bptree.iter tbl (fun k v ->
       let term, p = Codec.string_of_key k ~pos:0 in
       let sid, _ = Codec.int_of_key k ~pos:p in
-      Option.iter
-        (fun row -> out := (term, sid, row.cat_entries, row.cat_bytes) :: !out)
-        (decode_catalog_row v));
+      let row = decode_catalog_row v in
+      out := (term, sid, row.cat_entries, row.cat_bytes) :: !out);
   List.rev !out
 
 let total_bytes index kind =
@@ -396,10 +373,9 @@ let rec list_take n = function
 
 let write_list index kind ~term ~sid ?prefix entries =
   let tbl = Env.table (Index.env index) (table_name kind) in
-  (* Clear any chunks left under this pair (e.g. from a list whose drop
-     removed the catalog row but crashed before the chunks, or a list
-     in the pre-segment format being rebuilt) so the new list never
-     interleaves with stale entries. *)
+  (* Clear any chunks left under this pair (from a list whose drop
+     removed the catalog row but crashed before the chunks) so the new
+     list never interleaves with stale entries. *)
   let stale = ref [] in
   Bptree.iter_prefix tbl ~prefix:(pair_prefix ~term ~sid) (fun k _ ->
       stale := k :: !stale);
@@ -434,8 +410,6 @@ let write_list index kind ~term ~sid ?prefix entries =
 
 let build index ~scoring ~sids ~terms ~kinds ?rpl_prefix () =
   let sids = List.sort_uniq compare sids in
-  (* A list whose catalog row is absent, or describes the pre-segment
-     format, is (re)built. *)
   let missing kind term sid = catalog_find index kind ~term ~sid = None in
   let work =
     List.concat_map

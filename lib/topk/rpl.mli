@@ -61,9 +61,8 @@ val build :
   build_report
 (** Run ERA once over (sids, terms) and materialize the missing lists
     of the requested kinds. Idempotent per (kind, term, sid): a
-    materialized list is reused. A list whose catalog row describes
-    the pre-segment chunk format counts as missing and is rebuilt, and
-    its stale rows are cleared first.
+    materialized list is reused. A list without a catalog row is
+    built, and any rows left under its pair are cleared first.
 
     [rpl_prefix] stores only the [n] highest-scoring entries of each
     RPL — the paper's observation (§4) that "only the part of the RPLs
@@ -75,8 +74,7 @@ val build :
     truncated (Merge needs full lists). *)
 
 val is_materialized : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> bool
-(** Whether the catalog holds a segment-format row for the list; a row
-    left by the pre-segment chunk format does not count. *)
+(** Whether the catalog holds a row for the list. *)
 
 val covers :
   Trex_invindex.Index.t -> kind -> sids:int list -> terms:string list -> bool

@@ -268,10 +268,9 @@ module Block = struct
               | uvarint n_blocks | n x (header, uvarint payload_len)
               | concatenated payloads
 
-     The leading varint is the format check: the fixed-width chunks
-     that predate segments opened with a non-negative count, so a
-     reader handed one fails with [Malformed] instead of misreading
-     it. *)
+     The leading varint is the shape check: a value that is not a
+     segment (a fixed-width chunk opens with a non-negative count) or
+     is corrupt fails with [Malformed] instead of being misread. *)
 
   let marker = -2
 

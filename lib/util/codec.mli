@@ -165,9 +165,9 @@ module Block : sig
 
   val of_string : string -> t
   (** The parsed directory; payloads are not decoded here.
-      @raise Reader.Malformed on a value that is not a segment (such as
-        a pre-segment fixed-width chunk), checksum mismatch or an
-        inconsistent directory. *)
+      @raise Reader.Malformed on a value that is not a segment (its
+        leading marker is how a corrupt value is told apart), checksum
+        mismatch or an inconsistent directory. *)
 
   val extra : t -> string
   val block_count : t -> int

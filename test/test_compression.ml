@@ -308,10 +308,10 @@ let test_strategies_rank_identical_to_era () =
         queries)
     [ (fst fixture, queries fixture); Lazy.force ieee120 ]
 
-(* ---- pre-segment formats are refused ---- *)
+(* ---- values that are not segments are refused ---- *)
 
-(* A value in the fixed-width chunk format that predates segments: a
-   non-negative entry count, then per-entry fields. *)
+(* A value in a fixed-width chunk shape, not a segment: a non-negative
+   entry count, then per-entry fields. *)
 let chunk_value () =
   let b = Codec.Buf.create () in
   Codec.Buf.add_varint b 1;
@@ -323,67 +323,6 @@ let raises_malformed f =
   match f () with
   | _ -> false
   | exception Codec.Reader.Malformed _ -> true
-
-let test_legacy_catalog_rows_absent () =
-  let index, summary = build ~doc_count:8 ~seed:5 () in
-  let sids, terms = List.hd (queries (index, summary)) in
-  let term = List.hd terms and sid = List.hd sids in
-  let env = Index.env index in
-  let legacy_rows =
-    let b = Codec.Buf.create () in
-    (* v1: entry count, bytes, no truncation *)
-    List.iter (Codec.Buf.add_varint b) [ 3; 40; 0 ];
-    let v1 = Codec.Buf.contents b in
-    let b = Codec.Buf.create () in
-    (* v2 without the segment flag: marker, entries, bytes, bytes, flags *)
-    Codec.Buf.add_varint b (-2);
-    List.iter (Codec.Buf.add_uvarint b) [ 3; 40; 40; 0 ];
-    [ ("v1", v1); ("unflagged v2", Codec.Buf.contents b) ]
-  in
-  List.iter
-    (fun (name, row) ->
-      List.iter
-        (fun kind ->
-          let key = Codec.concat_keys [ Codec.key_of_string term; Codec.key_of_int sid ] in
-          Bptree.insert (Env.table env (Rpl.catalog_name kind)) ~key ~value:row;
-          (* A stale chunk under the pair, as the old format left it. *)
-          Bptree.insert
-            (Env.table env (Rpl.table_name kind))
-            ~key:(key ^ "\xff") ~value:(chunk_value ());
-          let label = Printf.sprintf "%s %s row" name (Rpl.kind_to_string kind) in
-          Alcotest.(check bool) (label ^ " not materialized") false
-            (Rpl.is_materialized index kind ~term ~sid);
-          Alcotest.(check bool) (label ^ " not listed") false
-            (List.exists (fun (t, s, _, _) -> t = term && s = sid) (Rpl.catalog index kind));
-          (match Rpl.Cursor.create index kind ~term ~sids:[ sid ] with
-          | _ -> Alcotest.failf "%s: cursor created" label
-          | exception Rpl.Cursor.Missing_list _ -> ());
-          let report =
-            Rpl.build index ~scoring ~sids:[ sid ] ~terms:[ term ] ~kinds:[ kind ] ()
-          in
-          check Alcotest.(list (pair string int)) (label ^ " rebuilt")
-            [ (term, sid) ] report.pairs_built;
-          Alcotest.(check bool) (label ^ " materialized") true
-            (Rpl.is_materialized index kind ~term ~sid);
-          Alcotest.(check bool) (label ^ " stale chunk cleared, entries = ERA") true
-            (entries_eq
-               (drain (Rpl.Cursor.create index kind ~term ~sids:[ sid ]))
-               (era_entries index kind ~sids:[ sid ] ~term)))
-        [ Rpl.Rpl; Rpl.Erpl ])
-    legacy_rows
-
-let test_attach_refuses_unsegmented_postings () =
-  let index, _ = build ~doc_count:4 ~seed:5 () in
-  let env = Index.env index in
-  let meta = Env.table env Tables.meta_table in
-  let key = Codec.key_of_string "postings_layout" in
-  ignore (Index.attach env);
-  Bptree.insert meta ~key ~value:"raw";
-  Alcotest.check_raises "layout raw" (Index.Unsupported_postings (Some "raw"))
-    (fun () -> ignore (Index.attach env));
-  ignore (Bptree.remove meta key);
-  Alcotest.check_raises "layout missing" (Index.Unsupported_postings None)
-    (fun () -> ignore (Index.attach env))
 
 let test_non_segment_values_refused () =
   let index, summary = build ~doc_count:4 ~seed:5 () in
@@ -439,10 +378,6 @@ let () =
         ] );
       ( "legacy",
         [
-          Alcotest.test_case "pre-segment catalog rows are absent" `Quick
-            test_legacy_catalog_rows_absent;
-          Alcotest.test_case "attach refuses unsegmented postings" `Quick
-            test_attach_refuses_unsegmented_postings;
           Alcotest.test_case "non-segment values refused" `Quick
             test_non_segment_values_refused;
         ] );

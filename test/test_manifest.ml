@@ -911,77 +911,77 @@ let test_oversized_add_recovers () =
   check Alcotest.bool "source stored whole" true (Index.source (Trex.index engine) docid = Some xml);
   Trex.Env.close env
 
-(* ---- a manifest in the JSON format ---- *)
+(* ---- environments of another format version are refused ---- *)
 
-(* The format before binary frames, written by hand: one JSON record
-   per frame, keys and values hex-encoded. *)
-let json_of_record r =
-  let module J = Trex_obs.Json in
-  let id op_id = ("id", J.Int op_id) in
-  let strs l = J.List (List.map (fun s -> J.String s) l) in
-  let fields =
-    match r with
-    | Manifest.Checkpoint { generation; next_op_id } ->
-        [ ("t", J.String "checkpoint"); ("gen", J.Int generation); ("next", J.Int next_op_id) ]
-    | Manifest.Begin { op_id; op; tables; rollback; generation } ->
-        [
-          ("t", J.String "begin"); id op_id; ("op", J.String op); ("tables", strs tables);
-          ("rollback", strs rollback); ("gen", J.Int generation);
-        ]
-    | Manifest.Step { op_id; action } -> (
-        let step a tbl k = [ ("t", J.String "step"); id op_id; ("a", J.String a); ("tbl", J.String tbl); ("k", J.String (Manifest.to_hex k)) ] in
-        match action with
-        | Manifest.Put { table; key; value } -> step "put" table key @ [ ("v", J.String (Manifest.to_hex value)) ]
-        | Manifest.Remove { table; key } -> step "rm" table key
-        | Manifest.Remove_prefix { table; prefix } -> step "rmp" table prefix)
-    | Manifest.Commit { op_id } -> [ ("t", J.String "commit"); id op_id ]
-    | Manifest.Abort { op_id; note } -> [ ("t", J.String "abort"); id op_id; ("note", J.String note) ]
-    | Manifest.End { op_id } -> [ ("t", J.String "end"); id op_id ]
-  in
-  J.to_string (J.Obj fields)
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* A JSON-format manifest holding a committed add_document with no End
-   is rolled forward at open: rewritten in the binary format first,
-   then replayed like any pending operation. *)
-let test_json_manifest_rolls_forward () =
-  let fx = make_add_fixture () in
-  let work = temp_dir () in
-  (* Crash right after the add's commit: the tables hold nothing of it. *)
-  let at =
-    let points = ref [] in
-    copy_dir fx.pristine work;
-    let env = Trex.Env.on_disk work in
-    let engine = Trex.attach ~env () in
-    Env.set_op_hook (Some (fun p -> points := p :: !points));
-    ignore (Trex.add_document engine ~name:"crash-doc" ~xml:fx.doc_xml);
-    Env.set_op_hook None;
-    Trex.Env.close env;
-    let rec find i = function
-      | [] -> Alcotest.fail "no committed point"
-      | "op:add_document:committed" :: _ -> i
-      | _ :: rest -> find (i + 1) rest
-    in
-    find 0 (List.rev !points)
+(* Every file of [dir], name and bytes. *)
+let snapshot dir =
+  List.map
+    (fun f -> (f, read_file (Filename.concat dir f)))
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+let check_untouched ctx before dir =
+  let after = snapshot dir in
+  let changed =
+    List.filter_map
+      (fun (f, bytes) -> if List.assoc_opt f before = Some bytes then None else Some f)
+      after
   in
-  let _, crashed = crash_add_at fx work at in
-  check Alcotest.bool "crashed after the commit" true crashed;
-  let path = Filename.concat work "MANIFEST.mf" in
-  let m = Manifest.open_file path in
-  let records = Manifest.records m in
-  Manifest.close m;
-  Sys.remove path;
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
-  Trex_util.Framing.write_all fd (Bytes.of_string "TREXMF1\n");
-  List.iter (fun r -> Trex_util.Framing.append fd (json_of_record r)) records;
-  Unix.close fd;
-  let upgrades = Metrics.counter "manifest.upgrades" in
-  let before = Metrics.value upgrades in
-  check Alcotest.bool "JSON format rolls forward" true (assert_pre_or_post "JSON manifest" fx work);
-  check Alcotest.int "upgraded once" 1 (Metrics.value upgrades - before);
-  let ic = open_in_bin path in
-  let magic = really_input_string ic 8 in
-  close_in ic;
-  check Alcotest.string "rewritten in the binary format" "TREXMF2\n" magic
+  check Alcotest.(list string) (ctx ^ ": same files") (List.map fst before) (List.map fst after);
+  check Alcotest.(list string) (ctx ^ ": files changed") [] changed
+
+(* The JSON manifest's magic (an older version) and a newer one: the
+   open refuses the environment before the sweep could restart the
+   file, and writes nothing. *)
+let test_other_manifest_versions_refused () =
+  let dir = temp_dir () in
+  let env, _ = build_collection dir ~docs:4 ~seed:21 in
+  Trex.Env.close env;
+  let path = Filename.concat dir "MANIFEST.mf" in
+  List.iter
+    (fun version ->
+      let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC; Unix.O_CREAT ] 0o644 in
+      Trex_util.Framing.write_all fd (Bytes.of_string ("TREXMF" ^ version ^ "\n"));
+      Trex_util.Framing.append fd {|{"t":"checkpoint","gen":1,"next":1}|};
+      Unix.close fd;
+      let before = snapshot dir in
+      let refused = Manifest.Unsupported_format { found = Some ("TREXMF" ^ version); expected = "TREXMF2" } in
+      Alcotest.check_raises ("TREXMF" ^ version ^ " refused at open") refused (fun () ->
+          ignore (Env.on_disk dir));
+      Alcotest.check_raises ("TREXMF" ^ version ^ " refused by recovery") refused (fun () ->
+          ignore (Env.open_with_recovery dir));
+      check_untouched ("TREXMF" ^ version) before dir)
+    [ "1"; "9" ]
+
+(* An index written before the [format] key (its meta says
+   [postings_layout = blocked] instead) and one of another format value
+   are refused at attach, every file untouched. *)
+let test_other_index_formats_refused () =
+  let dir = temp_dir () in
+  let key = Trex_util.Codec.key_of_string in
+  let set_meta f =
+    let env = Trex.Env.on_disk dir in
+    f (Env.table env Trex_invindex.Tables.meta_table);
+    Trex.Env.close env
+  in
+  let refused ctx found =
+    let before = snapshot dir in
+    let env = Trex.Env.on_disk dir in
+    Alcotest.check_raises ctx
+      (Manifest.Unsupported_format { found; expected = Index.format })
+      (fun () -> ignore (Trex.attach ~env ()));
+    check_untouched ctx before dir;
+    Trex.Env.close env
+  in
+  let env, _ = build_collection dir ~docs:4 ~seed:22 in
+  Trex.Env.close env;
+  set_meta (fun meta ->
+      ignore (Bptree.remove meta (key "format"));
+      Bptree.insert meta ~key:(key "postings_layout") ~value:"blocked");
+  refused "no format key" None;
+  set_meta (fun meta -> Bptree.insert meta ~key:(key "format") ~value:"trex-0");
+  refused "another format" (Some "trex-0")
 
 (* ---- list tables start fresh once every list is dropped ---- *)
 
@@ -1024,35 +1024,6 @@ let test_list_tables_reclaimed () =
     (list_bytes () <= 2 * one_build);
   Trex.Env.close env
 
-(* ---- hex codec ---- *)
-
-let prop_hex_roundtrip =
-  QCheck.Test.make ~name:"hex codec round-trips arbitrary bytes" ~count:500
-    QCheck.(string_gen Gen.char)
-    (fun s ->
-      let h = Manifest.to_hex s in
-      String.length h = 2 * String.length s
-      && Manifest.of_hex h = s
-      && Manifest.of_hex (String.uppercase_ascii h) = s)
-
-let prop_hex_rejects_junk =
-  let bad s = match Manifest.of_hex s with _ -> false | exception Manifest.Bad_hex -> true in
-  QCheck.Test.make ~name:"hex decoder rejects odd length and non-hex digits" ~count:500
-    QCheck.(pair (string_gen Gen.char) small_nat)
-    (fun (s, i) ->
-      let h = Manifest.to_hex s in
-      let n = String.length h in
-      (* odd length: one digit added or dropped *)
-      let odd = bad (h ^ "0") && (n = 0 || bad (String.sub h 0 (n - 1))) in
-      (* a non-hex character anywhere makes the input invalid *)
-      let junk =
-        n = 0
-        ||
-        let j = i mod n in
-        bad (String.mapi (fun k c -> if k = j then 'g' else c) h)
-      in
-      odd && junk)
-
 let () =
   Alcotest.run "trex_manifest"
     [
@@ -1068,10 +1039,12 @@ let () =
             test_corrupt_frame_skipped;
           Alcotest.test_case "compact to checkpoint" `Quick test_compact_checkpoint;
         ] );
-      ( "hex",
+      ( "format",
         [
-          QCheck_alcotest.to_alcotest prop_hex_roundtrip;
-          QCheck_alcotest.to_alcotest prop_hex_rejects_junk;
+          Alcotest.test_case "other manifest versions refused" `Quick
+            test_other_manifest_versions_refused;
+          Alcotest.test_case "other index formats refused" `Quick
+            test_other_index_formats_refused;
         ] );
       ( "protocol",
         [
@@ -1095,8 +1068,6 @@ let () =
             test_advisor_apply_crash_matrix;
           Alcotest.test_case "checkpoint hook points" `Slow test_checkpoint_crash_matrix;
           Alcotest.test_case "add past the frame limit" `Slow test_oversized_add_recovers;
-          Alcotest.test_case "JSON manifest rolls forward" `Quick
-            test_json_manifest_rolls_forward;
         ] );
       ( "generations",
         [

@@ -1053,52 +1053,72 @@ let test_lost_shard_keeps_scores () =
     r.Shard.answers;
   rm_rf dir
 
-(* A shard built before shards stored their statistics: a plain index
-   over the shard's documents. Scoring it with its own statistics would
-   be wrong, so it is blocked in process and its worker never attaches;
-   the rest answer a tagged sound partial. *)
+(* A shard that must not be scored is blocked in process with a typed
+   reason, its worker never attaches, and the rest answer a tagged
+   sound partial. Two inputs: a plain index over the shard's documents,
+   current in format but scoring with its own statistics, which would
+   be wrong; and a shard whose meta lacks the [format] key, as one of
+   an older format does. *)
 let test_unpinned_shard_blocked () =
   let doc_count = 18 and seed = 74 and victim = "shard-001" in
-  let dir, engine = build_coordinator ~docs:doc_count ~seed in
-  let infos = Shard.load_map dir in
   let coll = Trex_corpus.Gen.ieee ~doc_count ~seed () in
-  let info = List.find (fun (i : Shard.shard_info) -> i.Shard.name = victim) infos in
-  let slice =
-    List.filteri
-      (fun i _ -> i >= info.Shard.base && i < info.Shard.base + info.Shard.docs)
-      (List.of_seq (coll.docs ()))
+  let plain sdir infos =
+    let info = List.find (fun (i : Shard.shard_info) -> i.Shard.name = victim) infos in
+    let slice =
+      List.filteri
+        (fun i _ -> i >= info.Shard.base && i < info.Shard.base + info.Shard.docs)
+        (List.of_seq (coll.docs ()))
+    in
+    rm_rf sdir;
+    let env = Env.on_disk sdir in
+    ignore (Trex.build ~env ~alias:coll.alias (List.to_seq slice));
+    Env.close env
   in
-  let sdir = Filename.concat dir victim in
-  rm_rf sdir;
-  let env = Env.on_disk sdir in
-  ignore (Trex.build ~env ~alias:coll.alias (List.to_seq slice));
-  Env.close env;
-  let t = Shard.open_ dir in
-  (match List.assoc_opt victim (Shard.blocked t) with
-  | Some reason ->
-      Alcotest.(check string) "typed reason"
-        (Printexc.to_string Trex_invindex.Index.Unpinned_statistics)
-        reason
-  | None -> Alcotest.fail "an unpinned shard must be blocked");
-  let expect = surviving_baseline engine infos ~lost:[ victim ] ~k:5 nexi in
-  let r = Shard.query t ~k:5 nexi in
-  Shard.close t;
-  Alcotest.(check bool) "in process tagged" true (List.mem_assoc victim r.Shard.degraded_shards);
-  check exact_testable "in-process partial is sound" expect r.Shard.answers;
-  let config = { fast_config with Supervisor.max_restarts = 1 } in
-  with_supervisor ~config dir @@ fun s ->
-  let b = Supervisor.breaker s victim in
-  let t0 = Unix.gettimeofday () in
-  while Breaker.state b <> Breaker.Open && Unix.gettimeofday () -. t0 < 10.0 do
-    ignore (Supervisor.await_healthy ~timeout_s:0.2 s)
-  done;
-  Alcotest.(check bool) "the worker's attach failures escalate" true
-    (Breaker.state b = Breaker.Open);
-  let r = Supervisor.query s ~k:5 nexi in
-  Alcotest.(check bool) "worker path tagged" true
-    (List.mem_assoc victim r.Shard.degraded_shards);
-  check exact_testable "worker partial is sound" expect r.Shard.answers;
-  rm_rf dir
+  let unformatted sdir _ =
+    let env = Env.on_disk sdir in
+    ignore
+      (Trex_storage.Bptree.remove
+         (Env.table env Trex_invindex.Tables.meta_table)
+         (Trex_util.Codec.key_of_string "format"));
+    Env.close env
+  in
+  List.iter
+    (fun (input, damage, refusal) ->
+      let dir, engine = build_coordinator ~docs:doc_count ~seed in
+      let infos = Shard.load_map dir in
+      damage (Filename.concat dir victim) infos;
+      let t = Shard.open_ dir in
+      (match List.assoc_opt victim (Shard.blocked t) with
+      | Some reason ->
+          Alcotest.(check string) (input ^ ": typed reason") (Printexc.to_string refusal) reason
+      | None -> Alcotest.failf "%s: the shard must be blocked" input);
+      let expect = surviving_baseline engine infos ~lost:[ victim ] ~k:5 nexi in
+      let r = Shard.query t ~k:5 nexi in
+      Shard.close t;
+      Alcotest.(check bool) (input ^ ": in process tagged") true
+        (List.mem_assoc victim r.Shard.degraded_shards);
+      check exact_testable (input ^ ": in-process partial is sound") expect r.Shard.answers;
+      let config = { fast_config with Supervisor.max_restarts = 1 } in
+      (with_supervisor ~config dir @@ fun s ->
+       let b = Supervisor.breaker s victim in
+       let t0 = Unix.gettimeofday () in
+       while Breaker.state b <> Breaker.Open && Unix.gettimeofday () -. t0 < 10.0 do
+         ignore (Supervisor.await_healthy ~timeout_s:0.2 s)
+       done;
+       Alcotest.(check bool) (input ^ ": the worker's attach failures escalate") true
+         (Breaker.state b = Breaker.Open);
+       let r = Supervisor.query s ~k:5 nexi in
+       Alcotest.(check bool) (input ^ ": worker path tagged") true
+         (List.mem_assoc victim r.Shard.degraded_shards);
+       check exact_testable (input ^ ": worker partial is sound") expect r.Shard.answers);
+      rm_rf dir)
+    [
+      ("unpinned", plain, Trex_invindex.Index.Unpinned_statistics);
+      ( "no format key",
+        unformatted,
+        Trex_storage.Manifest.Unsupported_format
+          { found = None; expected = Trex_invindex.Index.format } );
+    ]
 
 (* ---- heartbeat sequence integrity ----
 
