@@ -385,10 +385,9 @@ let section_selfman () =
     Trex.Workload.create
       (List.mapi
          (fun i (q : Queries.t) ->
-           let _, sids, terms = translated q in
            (* Skew the frequencies so the choice is interesting. *)
            let frequency = float_of_int (n - i) *. 2.0 /. float_of_int (n * (n + 1)) in
-           { Trex.Workload.id = q.id; sids; terms; k = 10; frequency })
+           { Trex.Workload.id = q.id; nexi = q.nexi; k = 10; frequency })
          ieee_queries)
   in
   let engine = engine_for Queries.Ieee in

@@ -581,13 +581,7 @@ let autopilot_cmd =
          & info [ "min-observations" ]
              ~doc:"journaled executions required before planning (exit 5 below)")
   in
-  let drift_threshold =
-    Arg.(value & opt float 0.25
-         & info [ "drift-threshold" ]
-             ~doc:"total-variation distance from the planned workload that \
-                   triggers replanning")
-  in
-  let run env budget min_observations drift_threshold =
+  let run env budget min_observations =
     if not (Sys.file_exists env && Sys.is_directory env) then begin
       Printf.eprintf "trex autopilot: no index directory at %s\n" env;
       exit 1
@@ -605,11 +599,13 @@ let autopilot_cmd =
     let records = Trex.Obs.Journal.records (Trex.Env.journal storage) in
     let pilot =
       Trex.Autopilot.create (Trex.index engine) ~scoring:(Trex.scoring engine)
-        ~budget ~min_observations ~drift_threshold ()
+        ~budget ~min_observations ()
     in
     let absorbed = Trex.Autopilot.absorb_journal pilot records in
-    Printf.printf "absorbed %d journaled queries (%d distinct)\n" absorbed
-      (List.length (Trex.Autopilot.observed_frequencies pilot));
+    Printf.printf "absorbed %d journaled queries (%d distinct, %d unparsable skipped)\n"
+      absorbed
+      (List.length (Trex.Autopilot.observed_frequencies pilot))
+      (List.length records - absorbed);
     let verdict = Trex.Autopilot.maybe_replan pilot in
     Format.printf "%a@." Trex.Autopilot.pp_verdict verdict;
     (match verdict with
@@ -629,9 +625,9 @@ let autopilot_cmd =
     (Cmd.info "autopilot"
        ~doc:
          "Replay the query journal into the advisor and replan the redundant \
-          indexes for the workload actually served (exit 5 when the journal \
-          holds too few observations)")
-    Term.(const run $ env_arg $ budget $ min_observations $ drift_threshold)
+          indexes for the workload actually served; each run plans afresh \
+          (exit 5 when the journal holds too few observations)")
+    Term.(const run $ env_arg $ budget $ min_observations)
 
 (* ---- xpath ---- *)
 
@@ -728,7 +724,7 @@ let stats_cmd =
 (* ---- advise ---- *)
 
 (* Workload file: one query per line, "frequency <TAB> k <TAB> nexi". *)
-let parse_workload engine path =
+let parse_workload path =
   let lines = String.split_on_char '\n' (read_file path) in
   let specs =
     List.filter_map
@@ -744,14 +740,7 @@ let parse_workload engine path =
   Trex.Workload.create
     (List.mapi
        (fun i (frequency, k, nexi) ->
-         let t = Trex.translate engine (Trex.parse engine nexi) in
-         {
-           Trex.Workload.id = Printf.sprintf "q%d" (i + 1);
-           sids = Trex.Translate.all_sids t;
-           terms = Trex.Translate.all_terms t;
-           k;
-           frequency;
-         })
+         { Trex.Workload.id = Printf.sprintf "q%d" (i + 1); nexi; k; frequency })
        specs)
 
 let advise_cmd =
@@ -767,7 +756,7 @@ let advise_cmd =
   let run env workload budget optimal apply =
     let storage = Trex.Env.on_disk env in
     let engine = Trex.attach ~env:storage () in
-    let w = parse_workload engine workload in
+    let w = parse_workload workload in
     let plan, profiles = Trex.advise engine ~workload:w ~budget ~optimal () in
     List.iter
       (fun (p : Trex.Cost.profile) ->
@@ -782,10 +771,6 @@ let advise_cmd =
       (fun (id, choice) ->
         Printf.printf "  %-6s -> %s\n" id (Trex.Advisor.choice_to_string choice))
       plan.decisions;
-    (* Measurement materialized everything; keep only the plan if asked,
-       otherwise drop it all. *)
-    Trex.Rpl.drop_all (Trex.index engine) Trex.Rpl.Rpl;
-    Trex.Rpl.drop_all (Trex.index engine) Trex.Rpl.Erpl;
     if apply then begin
       Trex.Advisor.apply (Trex.index engine) ~scoring:(Trex.scoring engine) ~workload:w
         plan;

@@ -27,15 +27,7 @@ let () =
   let workload =
     Trex.Workload.create
       (List.map
-         (fun (id, nexi, frequency) ->
-           let t = Trex.translate engine (Trex.parse engine nexi) in
-           {
-             Trex.Workload.id;
-             sids = Trex.Translate.all_sids t;
-             terms = Trex.Translate.all_terms t;
-             k = 10;
-             frequency;
-           })
+         (fun (id, nexi, frequency) -> { Trex.Workload.id; nexi; k = 10; frequency })
          spec)
   in
 
@@ -69,11 +61,9 @@ let () =
        100.0 *. greedy.expected_saving /. optimal.expected_saving
      else 100.0);
 
-  (* The measurement pass materialized everything; reclaim that space,
-     then apply only what the plan selected and let the engine pick
-     methods. *)
-  Trex.Rpl.drop_all (Trex.index engine) Trex.Rpl.Rpl;
-  Trex.Rpl.drop_all (Trex.index engine) Trex.Rpl.Erpl;
+  (* The measurement pass dropped the lists it built; reclaim their
+     space, then apply only what the plan selected and let the engine
+     pick methods. *)
   Trex.vacuum engine;
   Trex.Advisor.apply (Trex.index engine) ~scoring:(Trex.scoring engine) ~workload greedy;
   Printf.printf "after applying the greedy plan the engine chooses:\n";
@@ -92,13 +82,9 @@ let () =
     Trex.Autopilot.create (Trex.index engine) ~scoring:(Trex.scoring engine)
       ~budget ~min_observations:20 ~drift_threshold:0.25 ()
   in
-  let observe times (id, nexi, _) =
-    let t = Trex.translate engine (Trex.parse engine nexi) in
+  let observe times (_, nexi, _) =
     for _ = 1 to times do
-      Trex.Autopilot.record pilot ~id
-        ~sids:(Trex.Translate.all_sids t)
-        ~terms:(Trex.Translate.all_terms t)
-        ~k:10
+      Trex.Autopilot.record pilot ~nexi ~k:10
     done
   in
   let report () =

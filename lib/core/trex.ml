@@ -116,10 +116,7 @@ let journal_outcome t started ~label ~strategy o =
     (fun started ->
       Obs.Journal.finish_query started
         (Env.journal (Index.env t.index))
-        ~label ~strategy
-        ~sids:(Translate.all_sids o.translation)
-        ~terms:(Translate.all_terms o.translation)
-        ~k:o.k ~degraded:o.degraded ~fallbacks:(List.length o.fallbacks) ())
+        ~label ~strategy ~k:o.k ~degraded:o.degraded ~fallbacks:(List.length o.fallbacks) ())
     started
 
 let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget nexi =
@@ -326,13 +323,24 @@ let materialize t ?(kinds = [ Rpl.Rpl; Rpl.Erpl ]) ?rpl_prefix nexi =
     ~terms:(Translate.all_terms translation)
     ~kinds ?rpl_prefix ()
 
-let advise t ~workload ~budget ?(optimal = false) ?(runs = 3) ?(prefix_rpls = false)
-    () =
+let advise t ~workload ~budget ?(optimal = false) ?(runs = 3) () =
+  (* Measurement only adds the lists it lacks (a stored list is
+     reused), so dropping what was not there before leaves the
+     environment's lists as it found them. *)
+  let each_list f =
+    List.iter
+      (fun kind -> List.iter (fun (term, sid, _, _) -> f kind term sid) (Rpl.catalog t.index kind))
+      [ Rpl.Rpl; Rpl.Erpl ]
+  in
+  let before = Hashtbl.create 64 in
+  each_list (fun kind term sid -> Hashtbl.replace before (kind, term, sid) ());
   let profiles =
     List.map
-      (fun q -> Cost.measure t.index ~scoring:(scoring t) ~runs ~prefix_rpls q)
+      (fun q -> Cost.measure t.index ~scoring:(scoring t) ~runs q)
       (Workload.queries workload)
   in
+  each_list (fun kind term sid ->
+      if not (Hashtbl.mem before (kind, term, sid)) then Rpl.drop t.index kind ~term ~sid);
   let plan =
     if optimal then Advisor.branch_and_bound ~budget profiles
     else Advisor.greedy ~budget profiles

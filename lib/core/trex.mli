@@ -189,15 +189,14 @@ val advise :
   budget:int ->
   ?optimal:bool ->
   ?runs:int ->
-  ?prefix_rpls:bool ->
   unit ->
   Advisor.plan * Cost.profile list
-(** Measure every workload query (temporarily materializing its lists),
-    then plan index selection under [budget] bytes with the greedy
-    2-approximation (or branch-and-bound when [optimal]). With
-    [prefix_rpls], TA's space cost is the paper's S_RPL: only the
-    certified top-k prefix of each list. The plan is not applied; see
-    {!Advisor.apply}. *)
+(** Measure every workload query against this environment (see
+    {!Cost.measure}), then plan index selection under [budget] bytes
+    with the greedy 2-approximation (or branch-and-bound when
+    [optimal]). Planning only: the lists measurement built are dropped
+    again, so the environment's lists are as {!advise} found them. See
+    {!Advisor.apply} to apply the plan. *)
 
 val vacuum : t -> unit
 (** Compact the redundant-index tables (RPLs, ERPLs and their

@@ -20,8 +20,6 @@ type record = {
   degraded : bool;
   fallbacks : int;
   retried : bool;
-  sids : int list;
-  terms : string list;
   spans : (string * float) list;
 }
 
@@ -56,8 +54,6 @@ let record_to_json r =
       ("degraded", Json.Bool r.degraded);
       ("fallbacks", Json.Int r.fallbacks);
       ("retried", Json.Bool r.retried);
-      ("sids", Json.List (List.map (fun s -> Json.Int s) r.sids));
-      ("terms", Json.List (List.map (fun t -> Json.String t) r.terms));
       ("spans", Json.Obj (List.map (fun (p, ms) -> (p, Json.Float ms)) r.spans));
     ]
 
@@ -80,18 +76,6 @@ let jbool j k d = match Json.member k j with Some (Json.Bool b) -> b | _ -> d
 let record_of_json j =
   match (Json.member "digest" j, Json.member "strategy" j) with
   | Some (Json.String digest), Some (Json.String strategy) ->
-      let sids =
-        match Json.member "sids" j with
-        | Some (Json.List l) ->
-            List.filter_map (function Json.Int i -> Some i | _ -> None) l
-        | _ -> []
-      in
-      let terms =
-        match Json.member "terms" j with
-        | Some (Json.List l) ->
-            List.filter_map (function Json.String s -> Some s | _ -> None) l
-        | _ -> []
-      in
       let spans =
         match Json.member "spans" j with
         | Some (Json.Obj fields) ->
@@ -119,8 +103,6 @@ let record_of_json j =
           degraded = jbool j "degraded" false;
           fallbacks = jint j "fallbacks" 0;
           retried = jbool j "retried" false;
-          sids;
-          terms;
           spans;
         }
   | _ -> None
@@ -247,7 +229,7 @@ let start_query () =
         s_retries = Metrics.value c_retries;
       }
 
-let finish_query started journal ~label ~strategy ~sids ~terms ~k ~degraded
+let finish_query started journal ~label ~strategy ~k ~degraded
     ?(fallbacks = 0) ?(breakdown = []) () =
   (* The record timestamp is wall time (absolute, human-facing); the
      duration is measured on the monotonic clock so a wall step mid-
@@ -279,7 +261,5 @@ let finish_query started journal ~label ~strategy ~sids ~terms ~k ~degraded
          degraded;
          fallbacks;
          retried = Metrics.value c_retries > started.s_retries;
-         sids;
-         terms;
          spans = spans @ breakdown;
        })

@@ -42,7 +42,10 @@ type record = {
       (** 8-hex-digit CRC32 of [label] — the workload identity of the
           query (k excluded, so re-running a query at a different k
           still counts toward the same frequency). *)
-  label : string;  (** The NEXI text as posed. *)
+  label : string;
+      (** The NEXI text as posed: all the self-manager needs of the
+          query, since it translates the text against the index it
+          plans for. *)
   strategy : string;
       (** Method that produced the answer — on a scatter, the method
           every evaluated shard used, ["mixed"] otherwise. *)
@@ -54,10 +57,6 @@ type record = {
   degraded : bool;
   fallbacks : int;  (** Methods abandoned by [evaluate_resilient]. *)
   retried : bool;  (** Any I/O retry fired during the evaluation. *)
-  sids : int list;
-      (** Summary ids of the translation; empty on a scatter over more
-          than one shard, whose summaries number extents apart. *)
-  terms : string list;
   spans : (string * float) list;
       (** Flattened summary of the query's root span, [(path, ms)]
           (empty unless span tracing was on), then a scatter's
@@ -68,6 +67,9 @@ type record = {
 
 val record_to_json : record -> Json.t
 val record_of_json : Json.t -> record option
+(** Fields are looked up by key and unknown keys ignored, so the
+    [sids]/[terms] of records written by older builds still read. *)
+
 val pp_record : Format.formatter -> record -> unit
 (** One line: qid, digest, strategy, k, wall ms, pages, hit ratio,
     flags, a scatter's per-shard breakdown, then the label. *)
@@ -121,8 +123,6 @@ val finish_query :
   t ->
   label:string ->
   strategy:string ->
-  sids:int list ->
-  terms:string list ->
   k:int ->
   degraded:bool ->
   ?fallbacks:int ->

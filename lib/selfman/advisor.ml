@@ -202,36 +202,67 @@ let branch_and_bound ~budget profiles =
   plan_of profiles table
 
 let apply index ~scoring ~workload ?(profiles = []) plan =
-  (* One outer manifest op brackets the whole plan; each [Rpl.build]
-     inside is its own (nested, rollback-carrying) op, so a crash
-     mid-apply quarantines only the build in flight while the outer
-     Begin..Commit records whether the plan as a whole finished. *)
+  (* Each selected query's lists, translated against the index now. *)
+  let builds =
+    List.filter_map
+      (fun (id, choice) ->
+        match (choice, Workload.find workload id) with
+        | No_index, _ -> None
+        | _, None -> invalid_arg (Printf.sprintf "Advisor.apply: unknown query %s" id)
+        | (Use_erpl | Use_rpl), Some q ->
+            let kind = if choice = Use_erpl then Rpl.Erpl else Rpl.Rpl in
+            let rpl_prefix =
+              if choice = Use_rpl then
+                List.find_opt (fun (p : Cost.profile) -> p.id = id) profiles
+                |> Fun.flip Option.bind (fun (p : Cost.profile) -> p.rpl_prefix)
+              else None
+            in
+            let sids, terms = Workload.translate index q.nexi in
+            Some (kind, sids, terms, rpl_prefix))
+      plan.decisions
+  in
+  (* A stored list stays only when the plan selects it complete and it
+     is complete; a list the plan wants as a prefix is rebuilt at the
+     plan's depth. *)
+  let wanted = Hashtbl.create 64 in
+  List.iter
+    (fun (kind, sids, terms, rpl_prefix) ->
+      List.iter
+        (fun term ->
+          List.iter (fun sid -> Hashtbl.replace wanted (kind, term, sid) rpl_prefix) sids)
+        terms)
+    builds;
+  let keep kind term sid =
+    Hashtbl.find_opt wanted (kind, term, sid) = Some None
+    && not (Rpl.list_truncated index kind ~term ~sid)
+  in
+  (* One manifest op drops the rest and builds what is missing, with
+     the four pair tables as rollback: a crash anywhere inside
+     quarantines them (they are rebuildable) rather than leaving half
+     the old lists beside half the plan's. Each [Rpl.build] inside is
+     its own nested op, so the outer Begin..Commit records whether the
+     plan as a whole finished. *)
   let env = Trex_invindex.Index.env index in
   let op_tables =
     [ Rpl.table_name Rpl.Rpl; Rpl.catalog_name Rpl.Rpl;
       Rpl.table_name Rpl.Erpl; Rpl.catalog_name Rpl.Erpl ]
   in
-  let o = Trex_storage.Env.begin_op env ~op:"advisor_apply" ~tables:op_tables () in
+  let o =
+    Trex_storage.Env.begin_op env ~op:"advisor_apply" ~tables:op_tables
+      ~rollback:op_tables ()
+  in
   try
     List.iter
-      (fun (id, choice) ->
-        match choice with
-        | No_index -> ()
-        | Use_erpl | Use_rpl -> (
-            match Workload.find workload id with
-            | None -> invalid_arg (Printf.sprintf "Advisor.apply: unknown query %s" id)
-            | Some q ->
-                let kinds = [ (if choice = Use_erpl then Rpl.Erpl else Rpl.Rpl) ] in
-                let rpl_prefix =
-                  if choice = Use_rpl then
-                    List.find_opt (fun (p : Cost.profile) -> p.id = id) profiles
-                    |> Fun.flip Option.bind (fun (p : Cost.profile) -> p.rpl_prefix)
-                  else None
-                in
-                ignore
-                  (Rpl.build index ~scoring ~sids:q.sids ~terms:q.terms ~kinds
-                     ?rpl_prefix ())))
-      plan.decisions;
+      (fun kind ->
+        List.iter
+          (fun (term, sid, _, _) ->
+            if not (keep kind term sid) then Rpl.drop index kind ~term ~sid)
+          (Rpl.catalog index kind))
+      [ Rpl.Rpl; Rpl.Erpl ];
+    List.iter
+      (fun (kind, sids, terms, rpl_prefix) ->
+        ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ kind ] ?rpl_prefix ()))
+      builds;
     Trex_storage.Env.commit_op env o
   with
   | Trex_storage.Pager.Injected_crash _ as e -> raise e

@@ -45,8 +45,11 @@ val apply :
   ?profiles:Cost.profile list ->
   plan ->
   unit
-(** Materialize the lists the plan selects (building via ERA), leaving
-    everything else untouched. When [profiles] are supplied, RPL
-    choices honour each profile's [rpl_prefix] (prefix-truncated lists,
-    the paper's S_RPL); note that a list shared between queries keeps
-    the depth of whichever query materialized it first. *)
+(** Replace the environment's lists with exactly the plan's: translate
+    each selected query's NEXI against [index], drop every stored list
+    the plan does not select, and materialize the missing ones (building
+    via ERA), all in one manifest op with the four list and catalog
+    tables as rollback. When [profiles] are supplied, RPL choices honour
+    each profile's [rpl_prefix] (prefix-truncated lists, the paper's
+    S_RPL); a list shared between queries keeps the depth of whichever
+    query materialized it first. *)

@@ -6,12 +6,7 @@ module Metrics = Trex_obs.Metrics
 
 let m_rebuilds = Metrics.counter "resilience.rebuilds"
 
-type observed = {
-  mutable count : int;
-  mutable sids : int list;
-  mutable terms : string list;
-  mutable k : int;
-}
+type observed = { nexi : string; mutable count : int; mutable k : int }
 
 type t = {
   index : Index.t;
@@ -40,24 +35,25 @@ let create index ~scoring ~budget ?(min_observations = 20) ?(drift_threshold = 0
     planned_freqs = [];
   }
 
-let record t ~id ~sids ~terms ~k =
+let record t ~nexi ~k =
+  ignore (Trex_nexi.Parser.parse nexi);
   t.total <- t.total + 1;
+  let id = Trex_obs.Journal.digest_of nexi in
   match Hashtbl.find_opt t.seen id with
   | Some o ->
       o.count <- o.count + 1;
-      o.sids <- sids;
-      o.terms <- terms;
       o.k <- k
-  | None -> Hashtbl.add t.seen id { count = 1; sids; terms; k }
+  | None -> Hashtbl.add t.seen id { nexi; count = 1; k }
 
+(* The journal is a file: a label that does not parse is skipped, not
+   fatal. *)
 let absorb_journal t records =
-  List.iter
-    (fun (r : Trex_obs.Journal.record) ->
-      record t ~id:r.Trex_obs.Journal.digest ~sids:r.Trex_obs.Journal.sids
-        ~terms:r.Trex_obs.Journal.terms
-        ~k:(max 1 r.Trex_obs.Journal.k))
-    records;
-  List.length records
+  List.fold_left
+    (fun absorbed (r : Trex_obs.Journal.record) ->
+      match record t ~nexi:r.label ~k:(max 1 r.k) with
+      | () -> absorbed + 1
+      | exception Trex_nexi.Parser.Syntax_error _ -> absorbed)
+    0 records
 
 let observations t = t.total
 
@@ -92,7 +88,7 @@ let observed_workload t =
     (List.map
        (fun (id, frequency) ->
          let o = Hashtbl.find t.seen id in
-         { Workload.id; sids = o.sids; terms = o.terms; k = o.k; frequency })
+         { Workload.id; nexi = o.nexi; k = o.k; frequency })
        (observed_frequencies t))
 
 let maybe_replan t =
@@ -109,31 +105,7 @@ let maybe_replan t =
           (Workload.queries workload)
       in
       let plan = Advisor.greedy ~budget:t.budget profiles in
-      (* Start from a clean slate so the budget holds over successive
-         replans, then materialize only what the plan selected. The
-         drop + rebuild spans all four pair tables, so it runs as one
-         manifest op with the pair tables as rollback: a crash anywhere
-         inside quarantines them (they are rebuildable) rather than
-         leaving half the old plan interleaved with half the new. *)
-      let env = Index.env t.index in
-      let op_tables =
-        [ Rpl.table_name Rpl.Rpl; Rpl.catalog_name Rpl.Rpl;
-          Rpl.table_name Rpl.Erpl; Rpl.catalog_name Rpl.Erpl ]
-      in
-      let o =
-        Env.begin_op env ~op:"autopilot_replan" ~tables:op_tables
-          ~rollback:op_tables ()
-      in
-      (try
-         Rpl.drop_all t.index Rpl.Rpl;
-         Rpl.drop_all t.index Rpl.Erpl;
-         Advisor.apply t.index ~scoring:t.scoring ~workload ~profiles plan;
-         Env.commit_op env o
-       with
-      | Trex_storage.Pager.Injected_crash _ as e -> raise e
-      | e ->
-          Env.abort_op env o ~note:(Printexc.to_string e);
-          raise e);
+      Advisor.apply t.index ~scoring:t.scoring ~workload ~profiles plan;
       t.plan <- Some plan;
       t.planned_freqs <- freqs;
       Replanned { plan; drift = d }
@@ -161,15 +133,24 @@ type heal_action =
 
 type heal = { table : string; action : heal_action }
 
+(* The lists of [kind] the plan selected; before any plan, those of
+   every observed query. *)
 let rebuild_from_workload t kind =
-  Hashtbl.fold
-    (fun _ (o : observed) acc ->
-      let report =
-        Rpl.build t.index ~scoring:t.scoring ~sids:o.sids ~terms:o.terms
-          ~kinds:[ kind ] ()
-      in
+  let choice = if kind = Rpl.Rpl then Advisor.Use_rpl else Advisor.Use_erpl in
+  let queries =
+    match t.plan with
+    | None -> Hashtbl.fold (fun _ o acc -> o :: acc) t.seen []
+    | Some plan ->
+        List.filter_map
+          (fun (id, c) -> if c = choice then Hashtbl.find_opt t.seen id else None)
+          plan.Advisor.decisions
+  in
+  List.fold_left
+    (fun acc (o : observed) ->
+      let sids, terms = Workload.translate t.index o.nexi in
+      let report = Rpl.build t.index ~scoring:t.scoring ~sids ~terms ~kinds:[ kind ] () in
       acc + report.Rpl.entries_written)
-    t.seen 0
+    0 queries
 
 let heal_one t env name b =
   if not (Breaker.allow b) then { table = name; action = Cooling_down }

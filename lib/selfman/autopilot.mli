@@ -7,9 +7,12 @@
     re-materializes) the redundant indexes when the observed mix has
     drifted from the one the current plan was built for.
 
-    Replanning measures query costs, which temporarily materializes the
-    workload's lists; the applied plan then respects the budget (old
-    lists are dropped first). *)
+    An observation is a query's NEXI text and k; the text is translated
+    against the index when the autopilot plans or heals, never before,
+    so documents added since the query ran are planned for. Replanning
+    measures query costs, which temporarily materializes the workload's
+    lists; {!Advisor.apply} then leaves exactly the plan's lists, so
+    the budget holds. *)
 
 type t
 
@@ -27,18 +30,20 @@ val create :
     current one (total-variation distance, in [0,1]) that triggers
     replanning. *)
 
-val record :
-  t -> id:string -> sids:int list -> terms:string list -> k:int -> unit
-(** Note one executed query. [id] identifies the query template (e.g.
-    the NEXI text); [sids]/[terms]/[k] are remembered from the latest
-    execution. *)
+val record : t -> nexi:string -> k:int -> unit
+(** Note one executed query, identified by
+    [Trex_obs.Journal.digest_of nexi]; [k] is remembered from the
+    latest execution. @raise Trex_nexi.Parser.Syntax_error, recording
+    nothing, when [nexi] does not parse. *)
 
 val absorb_journal : t -> Trex_obs.Journal.record list -> int
-(** {!record} every journal entry (id = digest, shape from the entry,
-    [k] clamped to at least 1) and return how many were absorbed — the
-    bridge from persisted telemetry to drift detection: replay the
-    env's journal into a fresh autopilot and {!maybe_replan} plans for
-    the workload the system {e actually} served. *)
+(** {!record} every journal entry's [label] ([k] clamped to at least 1)
+    and return how many were absorbed. A label that does not parse is
+    skipped and not counted: the journal is a file, its contents
+    outside input. This is the bridge from persisted telemetry to drift
+    detection: replay the env's journal into a fresh autopilot and
+    {!maybe_replan} plans for the workload the system {e actually}
+    served. *)
 
 val observations : t -> int
 val observed_frequencies : t -> (string * float) list
@@ -53,8 +58,7 @@ type verdict =
 
 val maybe_replan : t -> verdict
 (** Check drift and, when warranted, measure the observed workload,
-    solve (greedy) under the budget, drop every previously materialized
-    RPL/ERPL list and apply the new plan. *)
+    solve (greedy) under the budget and {!Advisor.apply} the plan. *)
 
 val pp_verdict : Format.formatter -> verdict -> unit
 
@@ -66,13 +70,14 @@ val pp_verdict : Format.formatter -> verdict -> unit
     tables (RPL/ERPL lists and their catalogs) are quarantined as
     (lists, catalog) pairs — dropping one without the other would leave
     a catalog advertising lists that don't exist, i.e. silent wrong
-    answers — then rebuilt from the observed workload. Base tables have
+    answers — then rebuilt: the current plan's lists of the condemned
+    kind, or before any plan every observed query's. Base tables have
     no substitute, so they are only probed in place. *)
 
 type heal_action =
   | Cooling_down  (** breaker open, cooldown not yet elapsed *)
   | Rebuilt of { tables : string list; entries_written : int }
-      (** pair quarantined, lists rebuilt from the observed workload,
+      (** pair quarantined, the plan's lists rebuilt,
           probe verified clean; breakers closed. Bumps
           ["resilience.rebuilds"]. *)
   | Probe_ok  (** non-redundant table verified clean; breaker closed *)

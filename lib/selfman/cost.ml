@@ -63,18 +63,17 @@ let certified_prefix index ~scoring ~sids ~terms ~k ~reads =
   search (max 4 (reads / n_lists))
 
 let measure index ~scoring ?(runs = 3) ?(prefix_rpls = false) (q : Workload.query) =
-  ignore
-    (Rpl.build index ~scoring ~sids:q.sids ~terms:q.terms
-       ~kinds:[ Rpl.Rpl; Rpl.Erpl ] ());
-  let time = time_method index ~scoring ~sids:q.sids ~terms:q.terms ~k:q.k ~runs in
+  let sids, terms = Workload.translate index q.nexi in
+  ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ Rpl.Rpl; Rpl.Erpl ] ());
+  let time = time_method index ~scoring ~sids ~terms ~k:q.k ~runs in
   let time_era = time Strategy.Era_method in
   let time_merge = time Strategy.Merge_method in
   let time_ta = time Strategy.Ta_method in
   let rpl_prefix =
     if not prefix_rpls then None
     else begin
-      let _, stats = Trex_topk.Ta.run index ~sids:q.sids ~terms:q.terms ~k:q.k () in
-      certified_prefix index ~scoring ~sids:q.sids ~terms:q.terms ~k:q.k
+      let _, stats = Trex_topk.Ta.run index ~sids ~terms ~k:q.k () in
+      certified_prefix index ~scoring ~sids ~terms ~k:q.k
         ~reads:stats.Trex_topk.Ta.sorted_accesses
     end
   in
@@ -83,8 +82,8 @@ let measure index ~scoring ?(runs = 3) ?(prefix_rpls = false) (q : Workload.quer
   let lists bytes_of kind =
     List.concat_map
       (fun term ->
-        List.map (fun sid -> ({ term; sid }, bytes_of index kind ~term ~sid)) q.sids)
-      q.terms
+        List.map (fun sid -> ({ term; sid }, bytes_of index kind ~term ~sid)) sids)
+      terms
   in
   {
     id = q.id;

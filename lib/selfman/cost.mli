@@ -39,7 +39,8 @@ val measure :
   ?prefix_rpls:bool ->
   Workload.query ->
   profile
-(** Materialize the query's RPLs and ERPLs (if missing), time the three
+(** Translate the query's NEXI against [index], materialize the
+    translation's RPLs and ERPLs (if missing), time the three
     methods ([runs] repetitions, keeping the median — default 3), and
     read list sizes from the catalogs.
 

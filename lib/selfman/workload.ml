@@ -1,7 +1,6 @@
 type query = {
   id : string;
-  sids : int list;
-  terms : string list;
+  nexi : string;
   k : int;
   frequency : float;
 }
@@ -30,38 +29,16 @@ let of_unweighted specs =
   if n = 0 then invalid_arg "Workload.of_unweighted: empty workload";
   let f = 1.0 /. float_of_int n in
   create
-    (List.map (fun (id, sids, terms, k) -> { id; sids; terms; k; frequency = f }) specs)
-
-let of_journal records =
-  if records = [] then invalid_arg "Workload.of_journal: no journal records";
-  let module J = Trex_obs.Journal in
-  let total = float_of_int (List.length records) in
-  let counts : (string, int ref) Hashtbl.t = Hashtbl.create 16 in
-  let latest : (string, J.record) Hashtbl.t = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (fun (r : J.record) ->
-      (match Hashtbl.find_opt counts r.J.digest with
-      | Some c -> incr c
-      | None ->
-          Hashtbl.add counts r.J.digest (ref 1);
-          order := r.J.digest :: !order);
-      (* Last write wins: the shape fields (sids/terms/k) come from the
-         most recent sighting of the digest. *)
-      Hashtbl.replace latest r.J.digest r)
-    records;
-  create
-    (List.rev_map
-       (fun digest ->
-         let r = Hashtbl.find latest digest in
-         {
-           id = digest;
-           sids = r.J.sids;
-           terms = r.J.terms;
-           k = max 1 r.J.k;
-           frequency = float_of_int !(Hashtbl.find counts digest) /. total;
-         })
-       !order)
+    (List.map (fun (id, nexi, k) -> { id; nexi; k; frequency = f }) specs)
 
 let queries t = t
 let find t id = List.find_opt (fun q -> q.id = id) t
+
+let translate index nexi =
+  let t =
+    Trex_nexi.Translate.translate
+      ~summary:(Trex_invindex.Index.summary index)
+      ~normalize:(Trex_invindex.Index.normalize_term index)
+      (Trex_nexi.Parser.parse nexi)
+  in
+  (Trex_nexi.Translate.all_sids t, Trex_nexi.Translate.all_terms t)

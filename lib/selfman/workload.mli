@@ -1,10 +1,11 @@
 (** Workloads (paper Definition 4.1): top-k retrieval queries with
-    frequencies summing to one. *)
+    frequencies summing to one. A query is its NEXI text: whoever plans
+    for an index translates it against that index, at plan time, so a
+    workload never holds summary ids an added document made stale. *)
 
 type query = {
   id : string;
-  sids : int list;
-  terms : string list;
+  nexi : string;
   k : int;
   frequency : float;
 }
@@ -15,16 +16,13 @@ val create : query list -> t
 (** Validates: non-empty, distinct ids, positive frequencies summing to
     1 (within 1e-6), positive [k]. @raise Invalid_argument otherwise. *)
 
-val of_unweighted : (string * int list * string list * int) list -> t
-(** Uniform frequencies. *)
-
-val of_journal : Trex_obs.Journal.record list -> t
-(** The {e observed} workload: one query per distinct journal digest,
-    its frequency the share of records carrying that digest, its
-    (sids, terms, k) taken from the digest's most recent record (with
-    [k] clamped to at least 1). This is how the advisor consumes real
-    traffic instead of a hand-assembled workload.
-    @raise Invalid_argument on an empty record list. *)
+val of_unweighted : (string * string * int) list -> t
+(** (id, nexi, k) triples, uniform frequencies. *)
 
 val queries : t -> query list
 val find : t -> string -> query option
+
+val translate : Trex_invindex.Index.t -> string -> int list * string list
+(** The summary ids and normalized terms a NEXI query reads on [index]
+    now: the text translated against the index's summary, as
+    [Trex.translate] does. @raise Trex_nexi.Parser.Syntax_error *)

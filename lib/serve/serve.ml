@@ -172,8 +172,6 @@ let journal_refusal journal ~nexi ~k ~disposition ~queued_ms =
          degraded = true;
          fallbacks = 0;
          retried = false;
-         sids = [];
-         terms = [];
          spans = [];
        })
 

@@ -7,7 +7,6 @@ module Types = Trex_invindex.Types
 module Summary = Trex_summary.Summary
 module Alias = Trex_summary.Alias
 module Nexi_parser = Trex_nexi.Parser
-module Translate = Trex_nexi.Translate
 module Answer = Trex_topk.Answer
 module Strategy = Trex_topk.Strategy
 module Breaker = Trex_resilience.Breaker
@@ -507,8 +506,6 @@ type reply = {
   elapsed_s : float;
   pages_used : int;
   fallbacks : Strategy.failover list;
-  sids : int list;
-  terms : string list;
 }
 
 type outcome = Reply of reply | Failed of string | Lost of string
@@ -537,8 +534,6 @@ let breakdown r =
            else Some ("lost:" ^ name, 0.0))
          r.degraded_shards)
 
-(* The waves of one scatter: the merged result, and each reply's
-   translation (summary ids, terms) in arrival order. *)
 let run_waves ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
   Metrics.incr m_queries;
   let ast = Nexi_parser.parse nexi in
@@ -548,7 +543,6 @@ let run_waves ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
   let tags = ref [] in
   let reports = ref [] in
   let fallbacks = ref [] in
-  let translations = ref [] in
   let tag name reason = tags := (name, reason) :: !tags in
   let skip name reason =
     Metrics.incr m_skipped;
@@ -566,7 +560,6 @@ let run_waves ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
         else Breaker.record_success b;
         pages_spent := !pages_spent + r.pages_used;
         fallbacks := !fallbacks @ r.fallbacks;
-        translations := (r.sids, r.terms) :: !translations;
         let kept =
           List.map
             (fun (e : Answer.entry) ->
@@ -649,43 +642,31 @@ let run_waves ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
   waves targets;
   let degraded_shards = List.rev !tags in
   if degraded_shards <> [] then Metrics.incr m_degraded;
-  ( {
-      answers = !merged;
-      k;
-      degraded = degraded_shards <> [];
-      degraded_shards;
-      reports = List.rev !reports;
-      fallbacks = !fallbacks;
-    },
-    List.rev !translations )
-
-(* The scatter's one journal record. Terms are strings every shard
-   normalizes alike; summary ids are numbered per shard, so they
-   describe the query only when the plan has a single target. *)
-let journal_scatter started journal ~nexi ~k ~targets r translations =
-  let sids = match (targets, translations) with [ _ ], [ (sids, _) ] -> sids | _ -> [] in
-  let terms =
-    List.fold_left
-      (fun acc (_, ts) -> acc @ List.filter (fun t -> not (List.mem t acc)) ts)
-      [] translations
-  in
-  Obs.Journal.finish_query started journal ~label:nexi
-    ~strategy:
-      (match method_used r with
-      | Some m -> Strategy.method_to_string m
-      | None -> "mixed")
-    ~sids ~terms ~k ~degraded:r.degraded ~fallbacks:(List.length r.fallbacks)
-    ~breakdown:(breakdown r) ()
+  {
+    answers = !merged;
+    k;
+    degraded = degraded_shards <> [];
+    degraded_shards;
+    reports = List.rev !reports;
+    fallbacks = !fallbacks;
+  }
 
 let scatter ~k ~wave ?deadline_ms ?page_budget ~span ?span_attrs ~journal ~dispatch
     targets nexi =
   let started = Obs.Journal.start_query () in
-  let r, translations =
+  let r =
     Obs.Span.with_ ~name:span ?attrs:span_attrs @@ fun () ->
     run_waves ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi
   in
   Option.iter
-    (fun started -> journal_scatter started (journal ()) ~nexi ~k ~targets r translations)
+    (fun started ->
+      Obs.Journal.finish_query started (journal ()) ~label:nexi
+        ~strategy:
+          (match method_used r with
+          | Some m -> Strategy.method_to_string m
+          | None -> "mixed")
+        ~k ~degraded:r.degraded ~fallbacks:(List.length r.fallbacks)
+        ~breakdown:(breakdown r) ())
     started;
   r
 
@@ -703,8 +684,7 @@ let scatter_in_process ~engine ~span ~journal ~contain ~k ?method_ ~strict
           Trex.evaluate (engine info) ~k ~strict ?method_ ~floor:slice.floor
             ?deadline_ms:slice.deadline_ms ?page_budget:slice.page_budget ast
         with
-        | { Trex.strategy = s; translation; degraded = partial; pages_used; fallbacks; _ }
-          ->
+        | { Trex.strategy = s; degraded = partial; pages_used; fallbacks; _ } ->
             Reply
               {
                 local_answers = s.Strategy.answers;
@@ -714,8 +694,6 @@ let scatter_in_process ~engine ~span ~journal ~contain ~k ?method_ ~strict
                 elapsed_s = s.Strategy.elapsed_seconds;
                 pages_used;
                 fallbacks;
-                sids = Translate.all_sids translation;
-                terms = Translate.all_terms translation;
               }
         | exception e -> contain e)
       shards

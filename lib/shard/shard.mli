@@ -179,7 +179,7 @@ val query_env :
     the whole environment (tagged ["env"], base 0), under the root span
     ["query"], journaled to the environment's own journal. The floor
     stays 0, so answers, method and entries read are {!Trex.query}'s,
-    and so are its record's label, digest, k, strategy, sids and terms.
+    and so are its record's label, digest, k and strategy.
     An evaluation exception propagates instead of tripping a breaker: a
     lone environment has nothing to degrade to.
     @raise Trex_nexi.Parser.Syntax_error *)
@@ -206,8 +206,6 @@ type reply = {
   pages_used : int;
   fallbacks : Trex_topk.Strategy.failover list;
       (** methods the evaluation abandoned ([[]] over the wire) *)
-  sids : int list;  (** the shard's translation: its own summary ids *)
-  terms : string list;  (** the shard's translation: normalized terms *)
 }
 
 type outcome =
@@ -247,9 +245,7 @@ val scatter :
     When journaling is on, the scatter writes the query's one record
     to [journal ()] once the root span closes: labelled with the NEXI
     text, strategy {!method_used} (["mixed"] when there is none), the
-    replies' terms, summary ids only when the plan has a single target
-    (shards number their summaries apart), the fallback count, and the
-    per-shard breakdown — [shard:<name>] evaluation ms per reply,
+    fallback count, and the per-shard breakdown — [shard:<name>] evaluation ms per reply,
     [lost:<name>] per shard without one. Dispatches never journal.
     @raise Trex_nexi.Parser.Syntax_error before any dispatch *)
 

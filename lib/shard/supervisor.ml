@@ -1,6 +1,5 @@
 module Env = Trex_storage.Env
 module Index = Trex_invindex.Index
-module Translate = Trex_nexi.Translate
 module Strategy = Trex_topk.Strategy
 module Breaker = Trex_resilience.Breaker
 module Retry = Trex_resilience.Retry
@@ -643,8 +642,6 @@ let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget ?fano
             elapsed_s = a.Wire.a_elapsed_s;
             pages_used = a.Wire.a_pages_used;
             fallbacks = [];
-            sids = [];
-            terms = a.Wire.a_terms;
           }
   in
   let dispatch _ast (slice : Shard.slice) shards =
@@ -859,7 +856,7 @@ let serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup rx tx =
             let counters = Metrics.counters_delta before (Metrics.counters ()) in
             let answer =
               match evaluated with
-              | Ok { Trex.strategy = s; translation; degraded; pages_used; _ } ->
+              | Ok { Trex.strategy = s; degraded; pages_used; _ } ->
                   {
                     Wire.a_degraded = degraded;
                     a_method = Some s.Strategy.method_used;
@@ -869,7 +866,6 @@ let serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup rx tx =
                     a_answers = s.Strategy.answers;
                     a_spans = spans;
                     a_counters = counters;
-                    a_terms = Translate.all_terms translation;
                     a_error = None;
                   }
               | Error error ->
@@ -882,7 +878,6 @@ let serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup rx tx =
                     a_answers = [];
                     a_spans = spans;
                     a_counters = counters;
-                    a_terms = [];
                     a_error = Some error;
                   }
             in

@@ -28,8 +28,8 @@
       DESIGN.md §6.
     - {b Telemetry harvest.} When span tracing is enabled
       coordinator-side, each dispatch asks the worker to trace; every
-      answer ships the worker's span tree (when traced), a registry
-      counter delta and the shard's translated terms. The coordinator
+      answer ships the worker's span tree (when traced) and a registry
+      counter delta. The coordinator
       grafts the span tree under a [supervisor.worker] span and folds
       the counter delta into its own registry (merged totals plus
       per-shard [worker.<shard>.*] views); the scatter then writes the

@@ -8,7 +8,7 @@ exception Protocol_error of string
 
 (* Bumped whenever a message gains or changes a field; wire.mli keeps
    the revision history and how a mixed fleet fails loud. *)
-let version = 6
+let version = 7
 
 type query = {
   q_nexi : string;
@@ -47,7 +47,6 @@ type answer = {
   a_answers : Answer.t;
   a_spans : Span.t list;
   a_counters : (string * int) list;
-  a_terms : string list;
   a_error : string option;
 }
 
@@ -262,7 +261,6 @@ let encode_response r =
           :: ( "counters",
                Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) a.a_counters)
              )
-          :: ("terms", Json.List (List.map (fun t -> Json.String t) a.a_terms))
           :: (method_field a.a_method
              @ opt_field "error" (fun s -> Json.String s) a.a_error))
   in
@@ -357,11 +355,6 @@ let decode_response s =
                   (fun (n, v) ->
                     match v with Json.Int i -> Some (n, i) | _ -> None)
                   fields
-            | _ -> []);
-          a_terms =
-            (match Json.member "terms" j with
-            | Some (Json.List l) ->
-                List.filter_map (function Json.String t -> Some t | _ -> None) l
             | _ -> []);
           a_error = opt_string "error" j;
         }

@@ -25,9 +25,11 @@
 exception Protocol_error of string
 
 val version : int
-(** Current wire revision (6: the query drops its journal flag and the
-    answer carries the shard's translated terms in place of a journal
-    record — workers never journal; 5: the query no longer carries a
+(** Current wire revision (7: the answer drops the shard's translated
+    terms — the self-manager translates a query's NEXI itself; 6: the
+    query drops its journal flag and the answer carries the shard's
+    translated terms in place of a journal record — workers never
+    journal; 5: the query no longer carries a
     scoring config, workers score with the default scorer; 4 added the
     answer's typed evaluation failure; 3 client serving messages +
     remote workers; 2 the per-query telemetry harvest). *)
@@ -84,9 +86,6 @@ type answer = {
   a_counters : (string * int) list;
       (** registry counter delta over the evaluation — what the
           coordinator folds into its own registry *)
-  a_terms : string list;
-      (** the shard's normalized query terms, for the coordinator's
-          journal record ([[]] with [a_error]) *)
   a_error : string option;
       (** the evaluation raised a per-query failure the worker survives
           (a forced method over lists this shard lacks): the answer

@@ -185,18 +185,21 @@ let test_table_sizes_reported () =
 let test_advise_end_to_end () =
   let coll = Gen.ieee ~doc_count:20 ~seed:9 () in
   let engine = Trex.build ~env:(Trex.Env.in_memory ()) ~alias:coll.alias (coll.docs ()) in
-  let translate nexi =
-    let o = Trex.query engine ~k:5 ~method_:Trex.Strategy.Era_method nexi in
-    ( Trex.Translate.all_sids o.translation,
-      Trex.Translate.all_terms o.translation )
-  in
-  let s1, t1 = translate "//sec[about(., information retrieval)]" in
-  let s2, t2 = translate "//article[about(., genetic algorithm)]" in
   let workload =
     Trex.Workload.create
       [
-        { Trex.Workload.id = "a"; sids = s1; terms = t1; k = 10; frequency = 0.7 };
-        { Trex.Workload.id = "b"; sids = s2; terms = t2; k = 10; frequency = 0.3 };
+        {
+          Trex.Workload.id = "a";
+          nexi = "//sec[about(., information retrieval)]";
+          k = 10;
+          frequency = 0.7;
+        };
+        {
+          Trex.Workload.id = "b";
+          nexi = "//article[about(., genetic algorithm)]";
+          k = 10;
+          frequency = 0.3;
+        };
       ]
   in
   let plan, profiles = Trex.advise engine ~workload ~budget:max_int ~runs:1 () in
@@ -208,6 +211,32 @@ let test_advise_end_to_end () =
   let plan_opt = Trex.Advisor.branch_and_bound ~budget:max_int profiles in
   Alcotest.(check bool) "optimal at least greedy" true
     (plan_opt.expected_saving >= plan.expected_saving -. 1e-9)
+
+(* advise only plans: the lists its measurement built are dropped again
+   and the ones already stored stay, entry counts and all. *)
+let test_advise_leaves_lists () =
+  let coll = Gen.ieee ~doc_count:20 ~seed:9 () in
+  let engine = Trex.build ~env:(Trex.Env.in_memory ()) ~alias:coll.alias (coll.docs ()) in
+  let ir = "//sec[about(., information retrieval)]" in
+  ignore (Trex.materialize engine ir);
+  let catalogs () =
+    List.concat_map
+      (fun kind ->
+        List.map
+          (fun (term, sid, entries, bytes) ->
+            Printf.sprintf "%s %s/%d: %d entries, %d bytes"
+              (Trex.Rpl.kind_to_string kind) term sid entries bytes)
+          (Trex.Rpl.catalog (Trex.index engine) kind))
+      [ Trex.Rpl.Rpl; Trex.Rpl.Erpl ]
+  in
+  let before = catalogs () in
+  let workload =
+    Trex.Workload.of_unweighted
+      [ ("ir", ir, 10); ("ga", "//article[about(., genetic algorithm)]", 10) ]
+  in
+  ignore (Trex.advise engine ~workload ~budget:max_int ~runs:1 ());
+  Alcotest.(check bool) "lists were stored" true (before <> []);
+  Alcotest.(check (list string)) "catalogs as advise found them" before (catalogs ())
 
 let test_structured_phrase_and_must () =
   (* Hand-built corpus where phrase adjacency and +term conjunction
@@ -357,6 +386,8 @@ let () =
           Alcotest.test_case "scorer survives reopen" `Quick test_scorer_survives_reopen;
           Alcotest.test_case "table sizes" `Quick test_table_sizes_reported;
           Alcotest.test_case "advise end-to-end" `Quick test_advise_end_to_end;
+          Alcotest.test_case "advise leaves lists as found" `Quick
+            test_advise_leaves_lists;
           Alcotest.test_case "structured phrase and must" `Quick
             test_structured_phrase_and_must;
           Alcotest.test_case "add_document invalidates indexes" `Quick

@@ -50,8 +50,6 @@ let mk ?(digest = "00c0ffee") ?(label = "") ?(strategy = "TA") ?(k = 5)
     degraded = false;
     fallbacks = 0;
     retried = false;
-    sids = [ 1; 2 ];
-    terms = [ "alpha"; "beta" ];
     spans = [ ("eval.TA", 1.25) ];
   }
 
@@ -79,6 +77,16 @@ let test_record_json_roundtrip () =
   with
   | Some r' -> Alcotest.(check bool) "roundtrip" true (r = r')
   | None -> Alcotest.fail "decode failed"
+
+(* Records written before the journal stopped carrying translations
+   still read: fields are looked up by key. *)
+let test_older_record_reads () =
+  let older = {|{"qid":3,"digest":"00c0ffee","label":"//sec[about(., x)]","strategy":"TA","k":5,"sids":[1,2],"terms":["alpha"]}|} in
+  match Journal.record_of_json (Trex_obs.Json.parse older) with
+  | Some r ->
+      check Alcotest.string "label" "//sec[about(., x)]" r.Journal.label;
+      check Alcotest.int "k" 5 r.Journal.k
+  | None -> Alcotest.fail "an older record did not decode"
 
 let test_digest_stable () =
   check Alcotest.string "stable digest" (Journal.digest_of "abc")
@@ -321,7 +329,13 @@ let test_self_management_writes_no_record () =
   with_journaling (fun () ->
       List.iter (fun q -> ignore (Trex.query engine ~k:5 q)) qs;
       check Alcotest.int "one record per posed query" 5 (Journal.length j);
-      let workload = Workload.of_journal (Journal.records j) in
+      let workload =
+        Workload.of_unweighted
+          [
+            ("ir", "//sec[about(., information retrieval)]", 5);
+            ("music", "//article[about(., music)]", 5);
+          ]
+      in
       ignore (Trex.advise engine ~workload ~budget:max_int ~runs:1 ());
       check Alcotest.int "advise writes nothing" 5 (Journal.length j);
       let pilot =
@@ -375,14 +389,6 @@ let test_journal_drives_advisor () =
   let env2 = Env.on_disk dir in
   let records = Journal.records (Env.journal env2) in
   check Alcotest.int "ten journaled queries" 10 (List.length records);
-  let wl = Workload.of_journal records in
-  let freq_of nexi =
-    match Workload.find wl (Journal.digest_of nexi) with
-    | Some q -> q.Workload.frequency
-    | None -> Alcotest.failf "query %s missing from observed workload" nexi
-  in
-  check (Alcotest.float 1e-9) "ir frequency" 0.9 (freq_of ir);
-  check (Alcotest.float 1e-9) "music frequency" 0.1 (freq_of mu);
   (* Replay into a fresh autopilot and replan: the plan must support the
      journal's heavy hitter. *)
   let engine2 = Trex.attach ~env:env2 () in
@@ -391,6 +397,13 @@ let test_journal_drives_advisor () =
       ~budget:max_int ~min_observations:10 ~drift_threshold:0.3 ()
   in
   check Alcotest.int "absorbed all" 10 (Autopilot.absorb_journal pilot records);
+  let freq_of nexi =
+    match List.assoc_opt (Journal.digest_of nexi) (Autopilot.observed_frequencies pilot) with
+    | Some f -> f
+    | None -> Alcotest.failf "query %s missing from observed workload" nexi
+  in
+  check (Alcotest.float 1e-9) "ir frequency" 0.9 (freq_of ir);
+  check (Alcotest.float 1e-9) "music frequency" 0.1 (freq_of mu);
   (match Autopilot.maybe_replan pilot with
   | Autopilot.Replanned { plan; _ } ->
       Alcotest.(check bool) "heavy query indexed" true
@@ -401,6 +414,57 @@ let test_journal_drives_advisor () =
         (Format.asprintf "%a" Autopilot.pp_verdict v));
   Env.close env2
 
+(* A workload query is its NEXI text. A document added after the
+   queries were journaled gives the query new extents; the autopilot
+   translates the label when it plans, so the plan covers them and the
+   query runs on its lists. A label that does not parse is skipped. *)
+let test_plan_translates_at_plan_time () =
+  let env = Env.in_memory () in
+  let coll = Trex_corpus.Gen.ieee ~doc_count:20 ~seed:42 () in
+  let engine = Trex.build ~env ~alias:coll.alias (coll.docs ()) in
+  let q = "//article//sec[about(., information retrieval)]" in
+  let translation () = Trex.translate engine (Trex.parse engine q) in
+  let sids () = Trex_nexi.Translate.all_sids (translation ()) in
+  with_journaling (fun () ->
+      for _ = 1 to 5 do
+        ignore (Trex.query engine ~k:5 q)
+      done);
+  let journaled = List.length (sids ()) in
+  let xml =
+    "<books><journal><article><fm><sec>information retrieval</sec></fm><bdy><p><sec>\
+     information retrieval ranking</sec></p></bdy><bm><sec>retrieval of \
+     information</sec></bm><sec>information retrieval systems</sec></article></journal></books>"
+  in
+  ignore (Trex.add_document engine ~name:"new.xml" ~xml);
+  check Alcotest.int "the document adds four extents" (journaled + 4) (List.length (sids ()));
+  let records = Journal.records (Env.journal env) @ [ mk ~label:"//sec[" () ] in
+  let pilot =
+    Autopilot.create (Trex.index engine) ~scoring:(Trex.scoring engine)
+      ~budget:max_int ~min_observations:5 ()
+  in
+  check Alcotest.int "the unparsable label is skipped" 5
+    (Autopilot.absorb_journal pilot records);
+  let planned =
+    match Autopilot.maybe_replan pilot with
+    | Autopilot.Replanned { plan; _ } -> (
+        match List.assoc (Journal.digest_of q) plan.Advisor.decisions with
+        | Advisor.Use_rpl -> Trex_topk.Strategy.Ta_method
+        | Advisor.Use_erpl -> Trex_topk.Strategy.Merge_method
+        | Advisor.No_index -> Alcotest.fail "the query was not indexed")
+    | v ->
+        Alcotest.failf "expected Replanned, got %s"
+          (Format.asprintf "%a" Autopilot.pp_verdict v)
+  in
+  let t = translation () in
+  Alcotest.(check bool) "the planned method is available" true
+    (List.mem planned
+       (Trex_topk.Strategy.available (Trex.index engine)
+          ~sids:(Trex_nexi.Translate.all_sids t) ~terms:(Trex_nexi.Translate.all_terms t)));
+  Alcotest.(check bool) "the query runs on its lists, not ERA" true
+    ((Trex.query engine ~k:5 q).Trex.strategy.Trex_topk.Strategy.method_used
+    <> Trex_topk.Strategy.Era_method);
+  Env.close env
+
 let () =
   Alcotest.run "trex_journal"
     [
@@ -409,6 +473,7 @@ let () =
           Alcotest.test_case "record json roundtrip" `Quick
             test_record_json_roundtrip;
           Alcotest.test_case "digest stable" `Quick test_digest_stable;
+          Alcotest.test_case "older record reads" `Quick test_older_record_reads;
         ] );
       ( "durability",
         [
@@ -435,5 +500,10 @@ let () =
             test_spans_summarized_when_tracing;
           Alcotest.test_case "journal drives advisor" `Quick
             test_journal_drives_advisor;
+        ] );
+      ( "advisor",
+        [
+          Alcotest.test_case "plans the current translation" `Quick
+            test_plan_translates_at_plan_time;
         ] );
     ]

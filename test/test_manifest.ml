@@ -573,18 +573,8 @@ let test_advisor_apply_crash_matrix () =
   let pre_sig = era_sig engine in
   (* Plan once (measurement passes drop/build lists; do it on the
      pristine env so crash runs only replay [apply]). *)
-  let t = Trex.translate engine (Trex.parse engine nexi) in
   let workload =
-    Trex.Workload.create
-      [
-        {
-          Trex.Workload.id = "q1";
-          sids = Trex.Translate.all_sids t;
-          terms = Trex.Translate.all_terms t;
-          k = 5;
-          frequency = 1.0;
-        };
-      ]
+    Trex.Workload.create [ { Trex.Workload.id = "q1"; nexi; k = 5; frequency = 1.0 } ]
   in
   let plan, profiles = Trex.advise engine ~workload ~budget:max_int ~runs:1 () in
   Trex.vacuum engine;
@@ -648,9 +638,7 @@ let test_heal_interrupted_converges () =
     Trex.Autopilot.create (Trex.index engine) ~scoring:(Trex.scoring engine)
       ~budget:max_int ()
   in
-  let t = Trex.translate engine (Trex.parse engine nexi) in
-  Trex.Autopilot.record pilot ~id:nexi ~sids:(Trex.Translate.all_sids t)
-    ~terms:(Trex.Translate.all_terms t) ~k:5;
+  Trex.Autopilot.record pilot ~nexi ~k:5;
   Env.trip_table env "rpls" ~reason:"injected for the interruption test";
   Breaker.set_cooldown (Env.breaker env "rpls") 0.0;
   (* First heal attempt: crash inside the rebuild's table writes. *)

@@ -587,9 +587,7 @@ let test_autopilot_heal_rebuilds () =
     Trex.Autopilot.create (Trex.index engine) ~scoring:(Trex.scoring engine)
       ~budget:max_int ()
   in
-  let t = Trex.translate engine (Trex.parse engine nexi) in
-  Trex.Autopilot.record pilot ~id:nexi ~sids:(Trex.Translate.all_sids t)
-    ~terms:(Trex.Translate.all_terms t) ~k:5;
+  Trex.Autopilot.record pilot ~nexi ~k:5;
   Env.trip_table env "rpls" ~reason:"injected for the heal test";
   (* Inside cooldown the pilot must only report, not touch the table. *)
   (match Trex.Autopilot.maybe_heal pilot with
@@ -619,6 +617,42 @@ let test_autopilot_heal_rebuilds () =
     (sig_of after.strategy.answers);
   Alcotest.(check bool) "no failover needed" true (after.fallbacks = []);
   Trex.Env.close env
+
+(* With a plan, a heal rebuilds the plan's lists of the condemned kind
+   and nothing else: whichever method the measurement picked for each
+   query, the RPL catalog lists exactly what it listed before the
+   trip. *)
+let test_autopilot_heal_keeps_plan () =
+  let dir = temp_dir () in
+  let env, engine = build_collection dir ~docs:20 ~seed:42 in
+  let pilot =
+    Trex.Autopilot.create (Trex.index engine) ~scoring:(Trex.scoring engine)
+      ~budget:max_int ~min_observations:2 ()
+  in
+  List.iter
+    (fun nexi -> Trex.Autopilot.record pilot ~nexi ~k:5)
+    [ nexi; "//article[about(., music)]" ];
+  (match Trex.Autopilot.maybe_replan pilot with
+  | Trex.Autopilot.Replanned _ -> ()
+  | v ->
+      Alcotest.failf "expected Replanned, got %s"
+        (Format.asprintf "%a" Trex.Autopilot.pp_verdict v));
+  let rpl_pairs () =
+    List.sort compare
+      (List.map
+         (fun (term, sid, _, _) -> (term, sid))
+         (Trex.Rpl.catalog (Trex.index engine) Trex.Rpl.Rpl))
+  in
+  let planned = rpl_pairs () in
+  Env.trip_table env "rpls" ~reason:"injected for the plan-heal test";
+  Breaker.set_cooldown (Env.breaker env "rpls") 0.0;
+  (match Trex.Autopilot.maybe_heal pilot with
+  | [ { Trex.Autopilot.action = Trex.Autopilot.Rebuilt _; _ } ] -> ()
+  | _ -> Alcotest.fail "expected a single rebuilt report");
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "the plan's RPLs, no more" planned (rpl_pairs ());
+  Env.close env
 
 (* ---- seeded fault soak ---- *)
 
@@ -816,6 +850,8 @@ let () =
         [
           Alcotest.test_case "heal rebuilds quarantined pair" `Quick
             test_autopilot_heal_rebuilds;
+          Alcotest.test_case "heal keeps the plan's lists" `Quick
+            test_autopilot_heal_keeps_plan;
         ] );
       ("soak", [ Alcotest.test_case "seeded fault schedules" `Slow test_soak ]);
     ]

@@ -16,7 +16,7 @@ let check = Alcotest.check
 
 (* ---- workload ---- *)
 
-let q id f = { Workload.id; sids = [ 1 ]; terms = [ "t" ]; k = 10; frequency = f }
+let q id f = { Workload.id; nexi = "//t[about(., t)]"; k = 10; frequency = f }
 
 let test_workload_valid () =
   let w = Workload.create [ q "a" 0.25; q "b" 0.75 ] in
@@ -38,7 +38,7 @@ let test_workload_invalid () =
          Workload.create [ { (q "a" 1.0) with Workload.k = 0 } ]))
 
 let test_workload_unweighted () =
-  let w = Workload.of_unweighted [ ("a", [ 1 ], [ "t" ], 5); ("b", [ 2 ], [ "u" ], 5) ] in
+  let w = Workload.of_unweighted [ ("a", "//t[about(., t)]", 5); ("b", "//u[about(., u)]", 5) ] in
   List.iter
     (fun (qq : Workload.query) ->
       check (Alcotest.float 1e-9) "uniform" 0.5 qq.frequency)
@@ -263,20 +263,15 @@ let test_measure_with_prefix_rpls () =
   let env = Env.in_memory () in
   let summary = Summary.create ~alias:coll.alias Summary.Incoming in
   let index = Index.build ~env ~summary (coll.docs ()) in
-  let t =
-    Trex_nexi.Translate.translate ~summary
-      ~normalize:(Index.normalize_term index)
-      (Trex_nexi.Parser.parse "//sec[about(., information retrieval)]")
-  in
   let q =
     {
       Workload.id = "p";
-      sids = Trex_nexi.Translate.all_sids t;
-      terms = Trex_nexi.Translate.all_terms t;
+      nexi = "//sec[about(., information retrieval)]";
       k = 3;
       frequency = 1.0;
     }
   in
+  let sids, terms = Workload.translate index q.nexi in
   let scoring = Trex_scoring.Scorer.default in
   (* Full-list profile first (on a fresh index copy semantics: measure
      rebuilds lists as needed). *)
@@ -289,7 +284,7 @@ let test_measure_with_prefix_rpls () =
       Alcotest.(check bool) "positive depth" true (depth > 0);
       Alcotest.(check bool) "S_RPL shrinks" true (bytes prefixed < bytes full);
       (* TA still answers the workload's k on the truncated lists. *)
-      let answers, _ = Ta.run index ~sids:q.sids ~terms:q.terms ~k:q.k () in
+      let answers, _ = Ta.run index ~sids ~terms ~k:q.k () in
       check Alcotest.int "k answers" q.k (List.length answers)
   | None ->
       (* Legitimate when the lists are too short to save anything. *)
@@ -302,21 +297,16 @@ let test_measure_and_apply () =
   let env = Env.in_memory () in
   let summary = Summary.create ~alias:coll.alias Summary.Incoming in
   let index = Index.build ~env ~summary (coll.docs ()) in
-  let translate nexi =
-    let t =
-      Trex_nexi.Translate.translate ~summary
-        ~normalize:(Index.normalize_term index)
-        (Trex_nexi.Parser.parse nexi)
-    in
-    (Trex_nexi.Translate.all_sids t, Trex_nexi.Translate.all_terms t)
-  in
-  let s1, t1 = translate "//sec[about(., information retrieval)]" in
-  let s2, t2 = translate "//article[about(., music)]" in
   let w =
     Workload.create
       [
-        { Workload.id = "w1"; sids = s1; terms = t1; k = 5; frequency = 0.6 };
-        { Workload.id = "w2"; sids = s2; terms = t2; k = 5; frequency = 0.4 };
+        {
+          Workload.id = "w1";
+          nexi = "//sec[about(., information retrieval)]";
+          k = 5;
+          frequency = 0.6;
+        };
+        { Workload.id = "w2"; nexi = "//article[about(., music)]"; k = 5; frequency = 0.4 };
       ]
   in
   let scoring = Trex_scoring.Scorer.default in
@@ -343,12 +333,13 @@ let test_measure_and_apply () =
   List.iter
     (fun (id, choice) ->
       let qq = Option.get (Workload.find w id) in
+      let sids, terms = Workload.translate index qq.nexi in
       match choice with
       | Advisor.Use_rpl ->
-          let answers, _ = Ta.run index ~sids:qq.sids ~terms:qq.terms ~k:qq.k () in
+          let answers, _ = Ta.run index ~sids ~terms ~k:qq.k () in
           ignore answers
       | Advisor.Use_erpl ->
-          let answers, _ = Merge.run index ~sids:qq.sids ~terms:qq.terms in
+          let answers, _ = Merge.run index ~sids ~terms in
           ignore answers
       | Advisor.No_index -> ())
     plan.decisions;
@@ -363,16 +354,8 @@ let test_autopilot_lifecycle () =
   let env = Env.in_memory () in
   let summary = Summary.create ~alias:coll.alias Summary.Incoming in
   let index = Index.build ~env ~summary (coll.docs ()) in
-  let translate nexi =
-    let t =
-      Trex_nexi.Translate.translate ~summary
-        ~normalize:(Index.normalize_term index)
-        (Trex_nexi.Parser.parse nexi)
-    in
-    (Trex_nexi.Translate.all_sids t, Trex_nexi.Translate.all_terms t)
-  in
-  let ir_sids, ir_terms = translate "//sec[about(., information retrieval)]" in
-  let mu_sids, mu_terms = translate "//article[about(., music)]" in
+  let ir = "//sec[about(., information retrieval)]" in
+  let music = "//article[about(., music)]" in
   let pilot =
     Autopilot.create index ~scoring:Trex_scoring.Scorer.default ~budget:max_int
       ~min_observations:10 ~drift_threshold:0.3 ()
@@ -383,29 +366,29 @@ let test_autopilot_lifecycle () =
   | _ -> Alcotest.fail "expected Too_few_observations");
   (* An IR-heavy mix triggers the first plan. *)
   for _ = 1 to 9 do
-    Autopilot.record pilot ~id:"ir" ~sids:ir_sids ~terms:ir_terms ~k:5
+    Autopilot.record pilot ~nexi:ir ~k:5
   done;
-  Autopilot.record pilot ~id:"music" ~sids:mu_sids ~terms:mu_terms ~k:5;
+  Autopilot.record pilot ~nexi:music ~k:5;
   (match Autopilot.maybe_replan pilot with
   | Autopilot.Replanned { plan; _ } ->
       Alcotest.(check bool) "plan recorded" true (Autopilot.current_plan pilot = Some plan);
       Alcotest.(check bool) "ir query supported" true
-        (List.assoc "ir" plan.Trex_selfman.Advisor.decisions
+        (List.assoc (Trex_obs.Journal.digest_of ir) plan.Trex_selfman.Advisor.decisions
         <> Trex_selfman.Advisor.No_index)
   | v ->
       Alcotest.failf "expected Replanned, got %s"
         (Format.asprintf "%a" Autopilot.pp_verdict v));
   (* Same mix again: no drift, no replanning. *)
   for _ = 1 to 9 do
-    Autopilot.record pilot ~id:"ir" ~sids:ir_sids ~terms:ir_terms ~k:5
+    Autopilot.record pilot ~nexi:ir ~k:5
   done;
-  Autopilot.record pilot ~id:"music" ~sids:mu_sids ~terms:mu_terms ~k:5;
+  Autopilot.record pilot ~nexi:music ~k:5;
   (match Autopilot.maybe_replan pilot with
   | Autopilot.No_drift d -> Alcotest.(check bool) "small drift" true (d < 0.3)
   | _ -> Alcotest.fail "expected No_drift");
   (* Flip the mix to music-heavy: drift fires and the plan changes. *)
   for _ = 1 to 120 do
-    Autopilot.record pilot ~id:"music" ~sids:mu_sids ~terms:mu_terms ~k:5
+    Autopilot.record pilot ~nexi:music ~k:5
   done;
   (match Autopilot.maybe_replan pilot with
   | Autopilot.Replanned { drift; _ } ->

@@ -357,8 +357,6 @@ let test_core_page_slicing () =
             elapsed_s = 0.0;
             pages_used = 20;
             fallbacks = [];
-            sids = [];
-            terms = [];
           })
       shards
   in
