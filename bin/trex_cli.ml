@@ -723,25 +723,33 @@ let stats_cmd =
 
 (* ---- advise ---- *)
 
-(* Workload file: one query per line, "frequency <TAB> k <TAB> nexi". *)
+(* Workload file: one query per line, "frequency <TAB> k <TAB> nexi";
+   a query's id is "q<line number>". *)
 let parse_workload path =
   let lines = String.split_on_char '\n' (read_file path) in
-  let specs =
-    List.filter_map
-      (fun line ->
-        let line = String.trim line in
-        if line = "" || line.[0] = '#' then None
-        else
-          match String.split_on_char '\t' line with
-          | [ f; k; nexi ] -> Some (float_of_string f, int_of_string k, nexi)
-          | _ -> failwith ("bad workload line: " ^ line))
-      lines
+  let queries =
+    List.concat
+      (List.mapi
+         (fun i line ->
+           let line = String.trim line in
+           if line = "" || line.[0] = '#' then []
+           else
+             match String.split_on_char '\t' line with
+             | [ f; k; nexi ] ->
+                 [
+                   {
+                     Trex.Workload.id = Printf.sprintf "q%d" (i + 1);
+                     nexi;
+                     k = int_of_string k;
+                     frequency = float_of_string f;
+                   };
+                 ]
+             | _ -> failwith ("bad workload line: " ^ line))
+         lines)
   in
-  Trex.Workload.create
-    (List.mapi
-       (fun i (frequency, k, nexi) ->
-         { Trex.Workload.id = Printf.sprintf "q%d" (i + 1); nexi; k; frequency })
-       specs)
+  try Trex.Workload.create queries
+  with Trex_nexi.Parser.Syntax_error { message; pos } ->
+    syntax_error "advise" ~message ~pos
 
 let advise_cmd =
   let workload =
@@ -754,9 +762,9 @@ let advise_cmd =
   let optimal = Arg.(value & flag & info [ "optimal" ] ~doc:"use branch-and-bound") in
   let apply = Arg.(value & flag & info [ "apply" ] ~doc:"materialize the plan") in
   let run env workload budget optimal apply =
+    let w = parse_workload workload in
     let storage = Trex.Env.on_disk env in
     let engine = Trex.attach ~env:storage () in
-    let w = parse_workload workload in
     let plan, profiles = Trex.advise engine ~workload:w ~budget ~optimal () in
     List.iter
       (fun (p : Trex.Cost.profile) ->

@@ -37,7 +37,7 @@ let meta_key name = Codec.key_of_string name
 
 (* The on-disk format every table of this build is written in; any
    other value of the [format] key, or none, is refused at attach. *)
-let format = "trex-1"
+let format = "trex-2"
 
 let encode_analyzer (a : Analyzer.config) =
   let b = Codec.Buf.create ~capacity:8 () in
@@ -353,7 +353,6 @@ let postings_bytes t = Env.table_bytes t.env Tables.Posting_lists.name
 module Posting_iter = struct
   type iter = {
     cursor : Bptree.Cursor.cursor;
-    prefix : string;
     mutable chunk : Types.pos list;
     mutable segment : (Codec.Block.t * int) option;
         (* current segment and next undecoded block index: blocks are
@@ -365,8 +364,7 @@ module Posting_iter = struct
     let tbl = Env.table t.env Tables.Posting_lists.name in
     let prefix = Tables.Posting_lists.token_prefix token in
     {
-      cursor = Bptree.Cursor.seek tbl prefix;
-      prefix;
+      cursor = Bptree.Cursor.seek_prefix tbl ~prefix prefix;
       chunk = [];
       segment = None;
       exhausted = false;
@@ -392,12 +390,10 @@ module Posting_iter = struct
             if it.exhausted then Types.m_pos
             else begin
               match Bptree.Cursor.next it.cursor with
-              | Some (k, v)
-                when String.length k >= String.length it.prefix
-                     && String.sub k 0 (String.length it.prefix) = it.prefix ->
+              | Some (_, v) ->
                   it.segment <- Some (Codec.Block.of_string v, 0);
                   next_position it
-              | Some _ | None ->
+              | None ->
                   it.exhausted <- true;
                   Types.m_pos
             end)
@@ -413,16 +409,13 @@ module Element_iter = struct
       prefix = Tables.Elements.sid_prefix sid;
     }
 
-  let decode_if_in_extent it = function
-    | Some (k, v)
-      when String.length k >= String.length it.prefix
-           && String.sub k 0 (String.length it.prefix) = it.prefix ->
-        Tables.Elements.decode k v
-    | Some _ | None -> Types.dummy_element
+  (* The first extent element at or after [key]. *)
+  let seek it key =
+    match Bptree.Cursor.next (Bptree.Cursor.seek_prefix it.tbl ~prefix:it.prefix key) with
+    | Some (k, v) -> Tables.Elements.decode k v
+    | None -> Types.dummy_element
 
-  let first_element it =
-    let c = Bptree.Cursor.seek it.tbl it.prefix in
-    decode_if_in_extent it (Bptree.Cursor.next c)
+  let first_element it = seek it it.prefix
 
   let next_element_after it (p : Types.pos) =
     if Types.is_m_pos p then Types.dummy_element
@@ -430,8 +423,7 @@ module Element_iter = struct
       let key =
         Tables.Elements.key ~sid:it.sid ~docid:p.docid ~endpos:(p.offset + 1)
       in
-      let c = Bptree.Cursor.seek it.tbl key in
-      decode_if_in_extent it (Bptree.Cursor.next c)
+      seek it key
     end
 end
 

@@ -45,7 +45,6 @@ module Posting_lists = struct
 
   type block_info = {
     first : Types.pos;
-    last_docid : int;
     count : int;
     w_gap : int;  (** bit width of the docid-gap stream *)
     w_delta : int;  (** bit width of same-doc offset deltas *)
@@ -69,7 +68,6 @@ module Posting_lists = struct
     match positions with
     | [] -> invalid_arg "Posting_lists.encode_block: empty block"
     | (first : Types.pos) :: rest ->
-        let last = List.fold_left (fun _ p -> p) first positions in
         let n = List.length positions in
         let gaps = Array.make (n - 1) 0 in
         let deltas = ref [] and abss = ref [] in
@@ -90,7 +88,6 @@ module Posting_lists = struct
         let h = Codec.Buf.create ~capacity:16 () in
         Codec.Buf.add_uvarint h first.docid;
         Codec.Buf.add_uvarint h first.offset;
-        Codec.Buf.add_uvarint h (last.Types.docid - first.docid);
         Codec.Buf.add_uvarint h n;
         Codec.Buf.add_uvarint h w_gap;
         Codec.Buf.add_uvarint h w_delta;
@@ -104,14 +101,13 @@ module Posting_lists = struct
   let decode_block_header r =
     let docid = Codec.Reader.uvarint r in
     let offset = Codec.Reader.uvarint r in
-    let last_docid = docid + Codec.Reader.uvarint r in
     let count = Codec.Reader.uvarint r in
     if count < 1 then
       raise (Codec.Reader.Malformed "Posting_lists: empty block");
     let w_gap = Codec.Reader.uvarint r in
     let w_delta = Codec.Reader.uvarint r in
     let w_abs = Codec.Reader.uvarint r in
-    { first = { Types.docid; offset }; last_docid; count; w_gap; w_delta; w_abs }
+    { first = { Types.docid; offset }; count; w_gap; w_delta; w_abs }
 
   let decode_block info r =
     let n = info.count in

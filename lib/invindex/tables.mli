@@ -34,14 +34,13 @@ module Posting_lists : sig
 
   type block_info = {
     first : Types.pos;
-    last_docid : int;
     count : int;
     w_gap : int;  (** bit width of the docid-gap stream *)
     w_delta : int;  (** bit width of same-doc offset deltas *)
     w_abs : int;  (** bit width of doc-change absolute offsets *)
   }
-  (** Skip entry of one block: decode is only needed for blocks whose
-      [first.docid .. last_docid] range matters. *)
+  (** Header of one block: its first position, its entry count and the
+      widths its payload streams are packed at. *)
 
   val segment_rows : token:string -> Types.pos list -> (string * string) list
   (** Cut a non-empty position-sorted list into segment rows, packing

@@ -247,25 +247,16 @@ let apply index ~scoring ~workload ?(profiles = []) plan =
     [ Rpl.table_name Rpl.Rpl; Rpl.catalog_name Rpl.Rpl;
       Rpl.table_name Rpl.Erpl; Rpl.catalog_name Rpl.Erpl ]
   in
-  let o =
-    Trex_storage.Env.begin_op env ~op:"advisor_apply" ~tables:op_tables
-      ~rollback:op_tables ()
-  in
-  try
-    List.iter
-      (fun kind ->
-        List.iter
-          (fun (term, sid, _, _) ->
-            if not (keep kind term sid) then Rpl.drop index kind ~term ~sid)
-          (Rpl.catalog index kind))
-      [ Rpl.Rpl; Rpl.Erpl ];
-    List.iter
-      (fun (kind, sids, terms, rpl_prefix) ->
-        ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ kind ] ?rpl_prefix ()))
-      builds;
-    Trex_storage.Env.commit_op env o
-  with
-  | Trex_storage.Pager.Injected_crash _ as e -> raise e
-  | e ->
-      Trex_storage.Env.abort_op env o ~note:(Printexc.to_string e);
-      raise e
+  Trex_storage.Env.with_build_op env ~op:"advisor_apply" ~tables:op_tables
+    ~rollback:op_tables (fun () ->
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun (term, sid, _, _) ->
+              if not (keep kind term sid) then Rpl.drop index kind ~term ~sid)
+            (Rpl.catalog index kind))
+        [ Rpl.Rpl; Rpl.Erpl ];
+      List.iter
+        (fun (kind, sids, terms, rpl_prefix) ->
+          ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ kind ] ?rpl_prefix ()))
+        builds)

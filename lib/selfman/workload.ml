@@ -17,7 +17,13 @@ let create queries =
       if q.frequency <= 0.0 then
         invalid_arg (Printf.sprintf "Workload.create: frequency of %s not positive" q.id);
       if q.k <= 0 then
-        invalid_arg (Printf.sprintf "Workload.create: k of %s not positive" q.id))
+        invalid_arg (Printf.sprintf "Workload.create: k of %s not positive" q.id);
+      match Trex_nexi.Parser.parse q.nexi with
+      | _ -> ()
+      | exception Trex_nexi.Parser.Syntax_error { message; pos } ->
+          raise
+            (Trex_nexi.Parser.Syntax_error
+               { message = Printf.sprintf "query %s: %s" q.id message; pos }))
     queries;
   let total = List.fold_left (fun acc q -> acc +. q.frequency) 0.0 queries in
   if Float.abs (total -. 1.0) > 1e-6 then

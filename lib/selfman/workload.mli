@@ -14,7 +14,10 @@ type t = private query list
 
 val create : query list -> t
 (** Validates: non-empty, distinct ids, positive frequencies summing to
-    1 (within 1e-6), positive [k]. @raise Invalid_argument otherwise. *)
+    1 (within 1e-6), positive [k], and NEXI that parses.
+    @raise Invalid_argument on the former.
+    @raise Trex_nexi.Parser.Syntax_error on the first query whose NEXI
+      does not parse, its message prefixed by ["query <id>: "]. *)
 
 val of_unweighted : (string * string * int) list -> t
 (** (id, nexi, k) triples, uniform frequencies. *)

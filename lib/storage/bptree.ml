@@ -376,6 +376,7 @@ let remove t key =
 module Cursor = struct
   type cursor = {
     tree : t;
+    prefix : string; (* [next] ends at the first key without it *)
     mutable entries : (string * string) array;
     mutable idx : int;
     mutable next_leaf : int;
@@ -407,31 +408,39 @@ module Cursor = struct
     go t.root
 
   let seek_first t =
-    let c = { tree = t; entries = [||]; idx = 0; next_leaf = -1 } in
+    let c = { tree = t; prefix = ""; entries = [||]; idx = 0; next_leaf = -1 } in
     load c (leftmost_leaf t);
     c
 
-  let seek t key =
+  let seek_prefix t ~prefix key =
     let rec descend id =
       match read_node t id with
       | Internal { keys; children } -> descend children.(child_index keys key)
       | Leaf _ -> id
     in
     let leaf_id = descend t.root in
-    let c = { tree = t; entries = [||]; idx = 0; next_leaf = -1 } in
+    let c = { tree = t; prefix; entries = [||]; idx = 0; next_leaf = -1 } in
     load c leaf_id;
     c.idx <- lower_bound c.entries key;
     (* The sought key may be past this leaf's last entry. *)
     if c.idx >= Array.length c.entries && c.next_leaf >= 0 then load c c.next_leaf;
     c
 
+  let seek t key = seek_prefix t ~prefix:"" key
+
   let next c =
     if c.idx < Array.length c.entries then begin
-      let e = c.entries.(c.idx) in
+      let ((k, _) as e) = c.entries.(c.idx) in
       c.idx <- c.idx + 1;
       if c.idx >= Array.length c.entries && c.next_leaf >= 0 then
         load c c.next_leaf;
-      Some e
+      if String.starts_with ~prefix:c.prefix k then Some e
+      else begin
+        (* Keys are sorted: none past this one has the prefix. *)
+        c.entries <- [||];
+        c.next_leaf <- -1;
+        None
+      end
     end
     else None
 end
@@ -448,13 +457,13 @@ let iter t f =
   go ()
 
 let iter_prefix t ~prefix f =
-  let c = Cursor.seek t prefix in
+  let c = Cursor.seek_prefix t ~prefix prefix in
   let rec go () =
     match Cursor.next c with
-    | Some (k, v) when String.starts_with ~prefix k ->
+    | Some (k, v) ->
         f k v;
         go ()
-    | Some _ | None -> ()
+    | None -> ()
   in
   go ()
 

@@ -92,6 +92,10 @@ module Cursor : sig
   val seek : t -> string -> cursor
   (** Positioned at the first entry with key [>=] the argument. *)
 
+  val seek_prefix : t -> prefix:string -> string -> cursor
+  (** Like {!seek}, but {!next} ends at the first key that does not
+      start with [prefix]; the sought key must start with it. *)
+
   val next : cursor -> (string * string) option
 end
 

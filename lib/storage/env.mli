@@ -242,6 +242,13 @@ val abort_op : t -> op -> note:string -> unit
     {e not} call this for a simulated crash ({!Pager.Injected_crash})
     — the point of the crash matrix is to leave the op pending. *)
 
+val with_build_op :
+  t -> op:string -> tables:string list -> ?rollback:string list -> (unit -> 'a) -> 'a
+(** [begin_op], then the body, then {!commit_op}. A body that raises
+    has the op {!abort_op}ed and the exception re-raised — except
+    {!Pager.Injected_crash}, which leaves the op pending, as a crash
+    would. *)
+
 val run_logged_op :
   t -> op:string -> steps:Manifest.action list -> unit -> unit
 (** Redo-logged operation. Its [Begin], every [Step] and its [Commit]

@@ -15,11 +15,12 @@ type stats = {
   degraded : bool;
 }
 
-(* The merge frontier: one heap element per non-exhausted term stream,
-   keyed by the head entry's document position so the pop order is the
-   global position order. Ties on position (the same element reached
-   from several terms) break on the stream index only to make the order
-   total; equal positions are drained together below. *)
+(* The merge frontier: one heap element per non-exhausted (term, sid)
+   list, keyed by the head entry's document position so the pop order
+   is the global position order. Ties on position (the same element
+   reached from several terms) break on the list index, which is
+   term-major, so an element's term scores are summed in query term
+   order; equal positions are drained together below. *)
 module Pos_heap = Trex_util.Heap.Make (struct
   type t = (int * int) * int (* position, stream index *)
 
@@ -30,13 +31,20 @@ end)
 let run ?guard index ~sids ~terms =
   if terms = [] then invalid_arg "Merge.run: no terms";
   let clock = Stopclock.create () in
-  let cursors =
-    Array.of_list
-      (List.map (fun term -> Rpl.Cursor.create index Rpl.Erpl ~term ~sids) terms)
+  let sids = List.sort_uniq compare sids in
+  (* One reader per (term, sid) ERPL; heads.(i) is the entry behind the
+     heap element carrying list i. Each term's readers are opened and
+     primed together. *)
+  let cursors, heads =
+    List.concat_map
+      (fun term ->
+        List.map (fun sid -> Rpl.Cursor.create index Rpl.Erpl ~term ~sid) sids
+        |> List.map (fun c -> (c, Rpl.Cursor.next c)))
+      terms
+    |> List.split
   in
+  let cursors = Array.of_list cursors and heads = Array.of_list heads in
   let position (e : Rpl.entry) = (e.element.Types.docid, e.element.Types.endpos) in
-  (* heads.(i) is the entry behind the heap element carrying stream i. *)
-  let heads = Array.map Rpl.Cursor.next cursors in
   let heap = Pos_heap.create () in
   let advance i =
     match heads.(i) with
@@ -59,11 +67,10 @@ let run ?guard index ~sids ~terms =
     match Pos_heap.pop heap with
     | None -> running := false
     | Some (p, i) ->
-        (* Sum the scores of every stream head sitting at position p:
-           keep popping while the heap minimum matches. Each stream is
-           advanced exactly once per element it contributes, so the whole
-           run is O(entries * log terms) instead of the previous
-           O(terms * answers) rescan of all heads per output element. *)
+        (* Sum the scores of every list head sitting at position p:
+           keep popping while the heap minimum matches. Each list is
+           advanced exactly once per element it contributes, so the
+           whole run is O(entries * log lists). *)
         let e = match heads.(i) with Some e -> e | None -> assert false in
         let score = ref e.score in
         let element = ref e.element in

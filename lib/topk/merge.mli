@@ -1,17 +1,17 @@
 (** The Merge algorithm over ERPLs (paper Figure 3).
 
-    One position-ordered cursor per query term; elements arriving at the
-    same document position have their per-term scores summed; the merged
+    One position-ordered multiway merge over the query's (term, sid)
+    ERPLs, one {!Rpl.Cursor} each; elements arriving at the same
+    document position have their per-term scores summed; the merged
     vector is then sorted by score. Computes {e all} answers in one
     sequential pass — no per-entry heap bookkeeping, which is exactly
     why it beats TA once TA must read most of its lists anyway.
     Requires the ERPLs of every (term, sid) pair of the query. *)
 
 type stats = {
-  entries_read : int;  (** ERPL entries consumed across all terms *)
+  entries_read : int;  (** ERPL entries read across all lists *)
   elements_merged : int;  (** distinct elements in the merged vector *)
-  blocks_decoded : int;
-      (** ERPL segment blocks decoded (blocks skipped by position are not) *)
+  blocks_decoded : int;  (** ERPL segment blocks decoded *)
   elapsed_seconds : float;
   degraded : bool;
       (** the guard expired and the answers are a position-prefix of

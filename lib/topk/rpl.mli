@@ -7,11 +7,11 @@
     (Merge's sequential scan). Lists are stored as block-compressed
     segments: delta+bit-packed blocks with dictionary-coded exact
     scores, behind a {!Trex_util.Codec.Block} skip directory whose
-    per-block score bounds and positions let cursors skip whole blocks
-    without decoding them (DESIGN.md §7). Each list spans several
-    B+tree rows keyed by their first entry, and a catalog table records
-    which (term, sid) lists are materialized — the unit of the
-    self-management decisions.
+    per-block score bounds let TA's floor end an RPL without decoding
+    the rest (DESIGN.md §7). Each list spans several B+tree rows keyed
+    by their first entry, and a catalog table records which
+    (term, sid) lists are materialized — the unit of the
+    self-management decisions. One {!Cursor} reads one list.
 
     A deliberate deviation from the paper, and the only layout: the
     paper keys one RPL per term as [(token, ir, SID, ...)] and lets TA
@@ -20,7 +20,9 @@
     reads a foreign-extent entry, the self-manager buys, prices and
     drops lists in exact (term, sid) units, and TA's access pattern
     (global descending score over the query's sids) is unchanged. The
-    price is a k-way merge across the query's sids (DESIGN.md §9.1). *)
+    price is TA's merge across the query's sids ({!Term_cursor},
+    DESIGN.md §9.1); Merge needs none, since its position merge takes
+    every (term, sid) ERPL directly. *)
 
 type entry = { element : Trex_invindex.Types.element; score : float }
 
@@ -113,62 +115,60 @@ val catalog : Trex_invindex.Index.t -> kind -> (string * int * int * int) list
 
 val total_bytes : Trex_invindex.Index.t -> kind -> int
 
-(** Merged read cursors over the materialized lists of one term,
-    restricted to a sid set. *)
+(** A reader of exactly one (term, sid) list, in the list's order:
+    descending score for {!Rpl}, document position for {!Erpl}. Merge
+    reads every (term, sid) ERPL through one. *)
 module Cursor : sig
   type t
 
   exception Missing_list of { kind : kind; term : string; sid : int }
 
-  val create :
-    Trex_invindex.Index.t ->
-    kind ->
-    term:string ->
-    sids:int list ->
-    t
-  (** @raise Missing_list if any required (term, sid) list is absent.
+  val create : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> t
+  (** @raise Missing_list if the list has no catalog row.
       @raise Stale_generation when the kind's tables are blocked
         pending manifest resolution. *)
 
-  val set_bound : t -> float -> unit
-  (** RPL cursors only: install a score floor the caller has already
-      achieved (e.g. the scatter-gather global k-th score). Entries at
-      or below it cannot matter, so blocks whose quantized
-      max is within the bound are skipped undecoded and the stream ends
-      there — the skip is recorded as a dynamic truncation
-      ({!truncation_bound}/{!truncated}), keeping TA's certification
-      obligation explicit. Entries already buffered when the bound is
-      installed are still returned, so the stream stays a prefix of the
-      unbounded one. [0.0] disables the skip.
-      @raise Invalid_argument on an ERPL cursor. *)
-
   val next : t -> entry option
-  (** Descending score for {!Rpl}; document position order for
-      {!Erpl}.
+  (** Blocks are decoded one at a time, as the reader reaches them.
       @raise Trex_util.Codec.Reader.Malformed on a stored value that is
         not a segment. *)
 
-  val skip_to : t -> docid:int -> endpos:int -> unit
-  (** ERPL cursors only: discard every entry positioned before
-      (docid, endpos). Blocks entirely before the target are dropped by
-      their skip entry without being decoded ({!blocks_skipped}).
-      @raise Invalid_argument on an RPL cursor. *)
+  val entries_read : t -> int
+  val blocks_decoded : t -> int
+end
+
+(** TA's sorted access to one term: the term's RPL readers over a sid
+    set, merged by a heap into one descending-score stream (DESIGN.md
+    §9.1). *)
+module Term_cursor : sig
+  type t
+
+  val create : Trex_invindex.Index.t -> term:string -> sids:int list -> t
+  (** @raise Cursor.Missing_list if any required RPL is absent.
+      @raise Stale_generation as {!Cursor.create}. *)
+
+  val set_bound : t -> float -> unit
+  (** Install a score floor the caller has already achieved (e.g. the
+      scatter-gather global k-th score). Entries at or below it cannot
+      matter, so each list ends at its first block whose quantized max
+      is within the floor, undecoded — recorded as a dynamic truncation
+      ({!truncation_bound}/{!truncated}), keeping TA's certification
+      obligation explicit. Entries already buffered stay, so the stream
+      stays a prefix of the unbounded one. [0.0] disables the stop. *)
+
+  val next : t -> entry option
+  (** Descending score, ties in element order. *)
 
   val entries_read : t -> int
-
-  val entries_skipped : t -> int
-  (** Entries dropped by {!skip_to} (decoded or not). *)
-
-  val blocks_decoded : t -> int
   val blocks_skipped : t -> int
 
   val truncation_bound : t -> float
   (** Upper bound on the score of any entry the materialized prefixes
-      dropped {e or} bound-skipping left undecoded; [0.] when every
-      merged list is complete and unskipped. *)
+      dropped {e or} the floor left undecoded; [0.] when every list is
+      complete and read to its end. *)
 
   val truncated : t -> bool
   (** Whether any merged list is incomplete — stored truncated flag or
-      a bound-skip this cursor performed. Unlike [truncation_bound > 0.]
-      this is exact even when the bound is 0.0. *)
+      a floor stop. Unlike [truncation_bound > 0.] this is exact even
+      when the bound is 0.0. *)
 end

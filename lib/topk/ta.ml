@@ -119,14 +119,14 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(floor = 0.0) ?guard () =
   let tick_guard () = match guard with Some g -> Guard.tick g | None -> () in
   let n = List.length terms in
   let cursor_of term =
-    let c = Rpl.Cursor.create index Rpl.Rpl ~term ~sids in
+    let c = Rpl.Term_cursor.create index ~term ~sids in
     (* A single-term query can end its stream at the floor: dropped
        entries score at most the floor, so the exhaustion threshold
        stays within [w] and certification below always succeeds. With
        several terms the per-stream bounds sum past the floor, so the
        skip could forfeit a certifiable answer — leave it off and let
        the threshold test stop the run instead. *)
-    if floor > 0.0 && n = 1 then Rpl.Cursor.set_bound c floor;
+    if floor > 0.0 && n = 1 then Rpl.Term_cursor.set_bound c floor;
     c
   in
   let cursors = Array.of_list (List.map cursor_of terms) in
@@ -248,7 +248,7 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(floor = 0.0) ?guard () =
        for t = 0 to n - 1 do
          if not exhausted.(t) then begin
            tick_guard ();
-           match Rpl.Cursor.next cursors.(t) with
+           match Rpl.Term_cursor.next cursors.(t) with
            | Some entry ->
                progressed := true;
                accept_entry t entry
@@ -256,7 +256,7 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(floor = 0.0) ?guard () =
                exhausted.(t) <- true;
                (* Entries past a truncated prefix (stored or
                   bound-skipped) score at most the recorded bound. *)
-               set_last_seen t (Rpl.Cursor.truncation_bound cursors.(t))
+               set_last_seen t (Rpl.Term_cursor.truncation_bound cursors.(t))
          end
        done;
        if not !progressed then running := false
@@ -288,7 +288,7 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(floor = 0.0) ?guard () =
         explicit truncated flag — not [bound > 0.0] — decides whether
         certification is owed: a truncated list whose dropped entries
         all scored 0.0 is still incomplete. *)
-     if (not !stopped_early) && Array.exists Rpl.Cursor.truncated cursors
+     if (not !stopped_early) && Array.exists Rpl.Term_cursor.truncated cursors
      then begin
        let tau = threshold () in
        let w = Float.max (current_w ()) floor in
@@ -309,10 +309,10 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(floor = 0.0) ?guard () =
   in
   let elapsed = Stopclock.elapsed clock in
   let total_reads =
-    Array.fold_left (fun acc c -> acc + Rpl.Cursor.entries_read c) 0 cursors
+    Array.fold_left (fun acc c -> acc + Rpl.Term_cursor.entries_read c) 0 cursors
   in
   let total_blocks_skipped =
-    Array.fold_left (fun acc c -> acc + Rpl.Cursor.blocks_skipped c) 0 cursors
+    Array.fold_left (fun acc c -> acc + Rpl.Term_cursor.blocks_skipped c) 0 cursors
   in
   Metrics.incr (if ideal_heap then m_ita_runs else m_runs);
   if !stopped_early then Metrics.incr m_early_stops;

@@ -1,6 +1,6 @@
 (** Threshold algorithm over RPLs (paper §3.3, TopX-style).
 
-    One descending-score {!Rpl.Cursor} per query term, merging that
+    One descending-score {!Rpl.Term_cursor} per query term, merging that
     term's per-(term, sid) RPLs over the query sids, is consumed
     round-robin; partial sums accumulate per element, an indexed
     min-heap of at most k candidates maintains the current top-k, and

@@ -123,16 +123,19 @@ let test_posting_iterators_match_source () =
 let materialize index ~sids ~terms =
   ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ Rpl.Rpl; Rpl.Erpl ] ())
 
-let drain c =
+let drain_with next c =
   let out = ref [] in
   let rec go () =
-    match Rpl.Cursor.next c with
+    match next c with
     | Some e ->
         out := e :: !out;
         go ()
     | None -> List.rev !out
   in
   go ()
+
+let drain = drain_with Rpl.Cursor.next
+let drain_term = drain_with Rpl.Term_cursor.next
 
 let entry_eq (a : Rpl.entry) (b : Rpl.entry) =
   Types.compare_element a.element b.element = 0 && a.score = b.score
@@ -166,38 +169,27 @@ let test_cursors_equal_era () =
         (fun kind ->
           List.iter
             (fun term ->
-              let got = drain (Rpl.Cursor.create index kind ~term ~sids) in
-              let want = era_entries index kind ~sids ~term in
-              Alcotest.(check bool)
-                (Printf.sprintf "%s %s = ERA, bit for bit" (Rpl.kind_to_string kind)
-                   term)
-                true (entries_eq got want))
+              List.iter
+                (fun sid ->
+                  let got = drain (Rpl.Cursor.create index kind ~term ~sid) in
+                  let want = era_entries index kind ~sids:[ sid ] ~term in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s %s sid %d = ERA, bit for bit"
+                       (Rpl.kind_to_string kind) term sid)
+                    true (entries_eq got want))
+                sids)
             terms)
-        [ Rpl.Rpl; Rpl.Erpl ])
+        [ Rpl.Rpl; Rpl.Erpl ];
+      (* TA's term cursor merges the sids into one descending stream. *)
+      List.iter
+        (fun term ->
+          let got = drain_term (Rpl.Term_cursor.create index ~term ~sids) in
+          Alcotest.(check bool)
+            (Printf.sprintf "RPL term cursor %s = ERA, bit for bit" term)
+            true
+            (entries_eq got (era_entries index Rpl.Rpl ~sids ~term)))
+        terms)
     (queries (index, summary))
-
-let test_skip_to_equals_filtered_scan () =
-  let index, summary = Lazy.force fixture in
-  let sids, terms = List.hd (queries (index, summary)) in
-  materialize index ~sids ~terms;
-  let term = List.hd terms in
-  let full = drain (Rpl.Cursor.create index Rpl.Erpl ~term ~sids) in
-  Alcotest.(check bool) "fixture has entries" true (List.length full > 4);
-  (* Aim at the position of an entry past the middle of the stream. *)
-  let target = List.nth full (List.length full / 2) in
-  let docid = target.Rpl.element.Types.docid
-  and endpos = target.Rpl.element.Types.endpos in
-  let expected =
-    List.filter
-      (fun (e : Rpl.entry) ->
-        e.element.Types.docid > docid
-        || (e.element.Types.docid = docid && e.element.Types.endpos >= endpos))
-      full
-  in
-  let c = Rpl.Cursor.create index Rpl.Erpl ~term ~sids in
-  Rpl.Cursor.skip_to c ~docid ~endpos;
-  Alcotest.(check bool) "skip_to = filtered scan" true (entries_eq (drain c) expected);
-  Alcotest.(check bool) "skips recorded" true (Rpl.Cursor.entries_skipped c > 0)
 
 let test_set_bound_yields_prefix () =
   let index, summary = Lazy.force fixture in
@@ -205,13 +197,13 @@ let test_set_bound_yields_prefix () =
   materialize index ~sids ~terms;
   let term = List.hd terms in
   let sid = [ List.hd sids ] in
-  let full = drain (Rpl.Cursor.create index Rpl.Rpl ~term ~sids:sid) in
+  let full = drain_term (Rpl.Term_cursor.create index ~term ~sids:sid) in
   if List.length full > 2 then begin
     (* Floor at the median score: everything above it must survive. *)
     let floor = (List.nth full (List.length full / 2)).Rpl.score in
-    let c = Rpl.Cursor.create index Rpl.Rpl ~term ~sids:sid in
-    Rpl.Cursor.set_bound c floor;
-    let bounded = drain c in
+    let c = Rpl.Term_cursor.create index ~term ~sids:sid in
+    Rpl.Term_cursor.set_bound c floor;
+    let bounded = drain_term c in
     let rec is_prefix a b =
       match (a, b) with
       | [], _ -> true
@@ -228,16 +220,11 @@ let test_set_bound_yields_prefix () =
       full;
     if List.length bounded < List.length full then begin
       Alcotest.(check bool) "skip flagged as truncation" true
-        (Rpl.Cursor.truncated c);
+        (Rpl.Term_cursor.truncated c);
       Alcotest.(check bool) "bound recorded" true
-        (Rpl.Cursor.truncation_bound c > 0.0)
+        (Rpl.Term_cursor.truncation_bound c > 0.0)
     end
-  end;
-  (* ERPL cursors must refuse a score bound. *)
-  let e = Rpl.Cursor.create index Rpl.Erpl ~term ~sids:sid in
-  Alcotest.check_raises "ERPL set_bound rejected"
-    (Invalid_argument "Rpl.Cursor.set_bound: RPL cursors only") (fun () ->
-      Rpl.Cursor.set_bound e 1.0)
+  end
 
 (* ---- catalog truncation flag ---- *)
 
@@ -252,8 +239,8 @@ let test_catalog_truncation_flag () =
        ~rpl_prefix:1 ());
   Alcotest.(check bool) "prefix list flagged truncated" true
     (Rpl.list_truncated index Rpl.Rpl ~term ~sid);
-  let c = Rpl.Cursor.create index Rpl.Rpl ~term ~sids:[ sid ] in
-  Alcotest.(check bool) "cursor sees the flag" true (Rpl.Cursor.truncated c);
+  let c = Rpl.Term_cursor.create index ~term ~sids:[ sid ] in
+  Alcotest.(check bool) "cursor sees the flag" true (Rpl.Term_cursor.truncated c);
   Rpl.drop index Rpl.Rpl ~term ~sid;
   ignore
     (Rpl.build index ~scoring ~sids:[ sid ] ~terms:[ term ] ~kinds:[ Rpl.Rpl ] ());
@@ -349,7 +336,7 @@ let test_non_segment_values_refused () =
   List.iter (fun key -> Bptree.insert tbl ~key ~value:(chunk_value ())) !keys;
   Alcotest.(check bool) "list cursor refuses" true
     (raises_malformed (fun () ->
-         drain (Rpl.Cursor.create index Rpl.Erpl ~term ~sids:[ sid ])))
+         drain (Rpl.Cursor.create index Rpl.Erpl ~term ~sid)))
 
 let () =
   Alcotest.run "trex_compression"
@@ -364,8 +351,6 @@ let () =
       ( "cursors",
         [
           Alcotest.test_case "entries bit-identical" `Quick test_cursors_equal_era;
-          Alcotest.test_case "skip_to = filtered scan" `Quick
-            test_skip_to_equals_filtered_scan;
           Alcotest.test_case "set_bound yields a prefix" `Quick
             test_set_bound_yields_prefix;
           Alcotest.test_case "catalog truncation flag" `Quick

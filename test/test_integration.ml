@@ -214,10 +214,13 @@ let test_advise_end_to_end () =
 
 (* advise only plans: the lists its measurement built are dropped again
    and the ones already stored stay, entry counts and all. *)
-let test_advise_leaves_lists () =
+let ir = "//sec[about(., information retrieval)]"
+let ga = "//article[about(., genetic algorithm)]"
+
+(* An engine holding the lists of [ir], and its catalog rows. *)
+let advise_fixture () =
   let coll = Gen.ieee ~doc_count:20 ~seed:9 () in
   let engine = Trex.build ~env:(Trex.Env.in_memory ()) ~alias:coll.alias (coll.docs ()) in
-  let ir = "//sec[about(., information retrieval)]" in
   ignore (Trex.materialize engine ir);
   let catalogs () =
     List.concat_map
@@ -229,13 +232,28 @@ let test_advise_leaves_lists () =
           (Trex.Rpl.catalog (Trex.index engine) kind))
       [ Trex.Rpl.Rpl; Trex.Rpl.Erpl ]
   in
+  (engine, catalogs)
+
+let test_advise_leaves_lists () =
+  let engine, catalogs = advise_fixture () in
   let before = catalogs () in
-  let workload =
-    Trex.Workload.of_unweighted
-      [ ("ir", ir, 10); ("ga", "//article[about(., genetic algorithm)]", 10) ]
-  in
+  let workload = Trex.Workload.of_unweighted [ ("ir", ir, 10); ("ga", ga, 10) ] in
   ignore (Trex.advise engine ~workload ~budget:max_int ~runs:1 ());
   Alcotest.(check bool) "lists were stored" true (before <> []);
+  Alcotest.(check (list string)) "catalogs as advise found them" before (catalogs ())
+
+(* A workload query that does not parse is refused before any other
+   query is measured, so no list is built for them. *)
+let test_advise_refuses_unparsable_workload () =
+  let engine, catalogs = advise_fixture () in
+  let before = catalogs () in
+  (match
+     Trex.advise engine
+       ~workload:(Trex.Workload.of_unweighted [ ("ga", ga, 10); ("bad", "//article[", 10) ])
+       ~budget:max_int ~runs:1 ()
+   with
+  | exception Trex_nexi.Parser.Syntax_error _ -> ()
+  | _ -> Alcotest.fail "an unparsable workload query was accepted");
   Alcotest.(check (list string)) "catalogs as advise found them" before (catalogs ())
 
 let test_structured_phrase_and_must () =
@@ -388,6 +406,8 @@ let () =
           Alcotest.test_case "advise end-to-end" `Quick test_advise_end_to_end;
           Alcotest.test_case "advise leaves lists as found" `Quick
             test_advise_leaves_lists;
+          Alcotest.test_case "advise refuses an unparsable workload" `Quick
+            test_advise_refuses_unparsable_workload;
           Alcotest.test_case "structured phrase and must" `Quick
             test_structured_phrase_and_must;
           Alcotest.test_case "add_document invalidates indexes" `Quick
