@@ -79,10 +79,6 @@ val attach : env:Env.t -> ?verify:bool -> unit -> t
     @raise Trex_storage.Manifest.Unsupported_format on an environment
     written in another format version (see {!Index.attach}). *)
 
-val verify_storage : env:Env.t -> Env.table_report list
-(** Per-table checksum sweep + B+tree structural verification (see
-    {!Env.verify}); read-only, safe on a live engine. *)
-
 val index : t -> Index.t
 val summary : t -> Summary.t
 val scoring : t -> Scorer.config

@@ -20,8 +20,6 @@ let planted =
     ("flemish", 1000);
   ]
 
-let planted_rank w = List.assoc_opt w planted
-
 type topic = { name : string; words : string list }
 
 let topic_specs =
@@ -85,14 +83,4 @@ let create ?(size = 1500) ~seed () =
 let size t = Array.length t.words
 let sample t rng = t.words.(Zipf.sample t.zipf rng)
 
-let word_at_rank t rank =
-  if rank < 0 || rank >= Array.length t.words then
-    invalid_arg "Vocab.word_at_rank: rank out of range";
-  t.words.(rank)
-
 let topics t = t.topics
-
-let topic_named t name =
-  match List.find_opt (fun topic -> topic.name = name) t.topics with
-  | Some topic -> topic
-  | None -> raise Not_found

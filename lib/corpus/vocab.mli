@@ -18,12 +18,6 @@ val size : t -> int
 val sample : t -> Trex_util.Prng.t -> string
 (** Zipf-distributed word. *)
 
-val word_at_rank : t -> int -> string
-(** Rank 0 is the most frequent word. *)
-
-val planted_rank : string -> int option
-(** The rank a paper query term is planted at, if it is one. *)
-
 type topic = {
   name : string;
   words : string list;  (** boosted words; includes planted terms *)
@@ -31,6 +25,3 @@ type topic = {
 
 val topics : t -> topic list
 (** The fixed topic set (semantic-web, verification, audio, ...). *)
-
-val topic_named : t -> string -> topic
-(** @raise Not_found for unknown names. *)

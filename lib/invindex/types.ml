@@ -6,10 +6,6 @@ let compare_pos a b =
 let m_pos = { docid = max_int; offset = max_int }
 let is_m_pos p = p.docid = max_int && p.offset = max_int
 
-let pp_pos fmt p =
-  if is_m_pos p then Format.pp_print_string fmt "m-pos"
-  else Format.fprintf fmt "(%d,%d)" p.docid p.offset
-
 type element = { sid : int; docid : int; endpos : int; length : int }
 
 let start_pos e = e.endpos - e.length

@@ -12,7 +12,6 @@ val m_pos : pos
     exhaustion uniformly. *)
 
 val is_m_pos : pos -> bool
-val pp_pos : Format.formatter -> pos -> unit
 
 (** An element as TReX identifies it: summary node, document, end
     position and length. [start = endpos - length]. *)

@@ -31,5 +31,3 @@ let grades t ~query =
   | Some docs ->
       Doc_map.fold (fun _ g acc -> if g > 0 then g :: acc else acc) docs []
       |> List.sort (fun a b -> compare b a)
-
-let judged_queries t = List.map fst (Query_map.bindings t)

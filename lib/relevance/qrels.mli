@@ -26,5 +26,3 @@ val relevant_count : t -> query:string -> int
 val grades : t -> query:string -> int list
 (** All positive grades judged for the query, descending — the ideal
     gain profile nDCG normalizes against. *)
-
-val judged_queries : t -> string list

@@ -168,6 +168,11 @@ let heal_one t env name b =
         match
           List.iter (Env.quarantine_table env) tables;
           let entries_written = rebuild_from_workload t kind in
+          (* The probe reads the disk, so the pair must be there even
+             when nothing was rebuilt into it (a plan holding no list
+             of this kind). *)
+          List.iter (fun tbl -> ignore (Env.table env tbl)) tables;
+          Env.flush ~sync:true env;
           let probes = List.map (Env.verify_table env) tables in
           (entries_written, List.filter (fun r -> not r.Env.ok) probes)
         with

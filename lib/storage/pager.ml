@@ -201,10 +201,6 @@ let create_faulty ~faults t =
   t.transients <- armed @ t.transients;
   t
 
-let clear_faults t =
-  t.faults <- [];
-  t.transients <- []
-
 let io_seq t = t.io_seq
 
 let op_name = function

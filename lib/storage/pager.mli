@@ -206,7 +206,6 @@ val set_retry_policy : Trex_resilience.Retry.policy -> unit
 
 val retry_policy : unit -> Trex_resilience.Retry.policy
 
-val clear_faults : t -> unit
 val io_seq : t -> int
 (** Raw writes performed so far; [Crash_after_writes (io_seq t)] crashes
     on the very next write. *)

@@ -45,20 +45,6 @@ let equal ?(eps = 1e-9) a b =
          && Float.abs (x.score -. y.score) <= eps)
        a b
 
-let agree_on_top_k ?(eps = 1e-9) k a b =
-  let key e = (e.element.Types.docid, e.element.Types.endpos) in
-  let to_map l =
-    List.fold_left
-      (fun m e -> (key e, e.score) :: m)
-      []
-      (top_k l k)
-  in
-  let ma = List.sort compare (to_map a) and mb = List.sort compare (to_map b) in
-  List.length ma = List.length mb
-  && List.for_all2
-       (fun (ka, sa) (kb, sb) -> ka = kb && Float.abs (sa -. sb) <= eps)
-       ma mb
-
 let pp fmt t =
   Format.fprintf fmt "@[<v>";
   List.iteri

@@ -24,9 +24,4 @@ val equal : ?eps:float -> t -> t -> bool
 (** Same elements in the same order with scores within [eps]
     (default 1e-9). *)
 
-val agree_on_top_k : ?eps:float -> int -> t -> t -> bool
-(** The first [k] entries agree as sets with matching scores — the
-    right notion for comparing strategies, which may order equal-score
-    ties differently beyond the guarantee. *)
-
 val pp : Format.formatter -> t -> unit

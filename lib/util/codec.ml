@@ -23,15 +23,6 @@ let key_of_float f =
   Bytes.set_int64_be b 0 u;
   Bytes.unsafe_to_string b
 
-let float_of_key s ~pos =
-  if pos + 8 > String.length s then invalid_arg "Codec.float_of_key";
-  let u = String.get_int64_be s pos in
-  let bits =
-    if Int64.compare u 0L < 0 then Int64.logxor u Int64.min_int
-    else Int64.lognot u
-  in
-  (Int64.float_of_bits bits, pos + 8)
-
 let key_of_string s =
   let n = String.length s in
   let b = Buffer.create (n + 2) in
@@ -363,6 +354,5 @@ module Block = struct
   let extra t = t.extra
   let block_count t = Array.length t.headers
   let header t i = Reader.of_string t.headers.(i)
-  let payload_bytes t i = t.lengths.(i)
   let payload t i = Reader.of_string (String.sub t.raw t.offsets.(i) t.lengths.(i))
 end

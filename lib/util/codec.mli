@@ -25,8 +25,6 @@ val key_of_float : float -> string
 (** Order-preserving encoding of a finite float (IEEE bits, sign
     massaged so that numeric order matches byte order). *)
 
-val float_of_key : string -> pos:int -> float * int
-
 val key_of_string : string -> string
 (** [key_of_string s] escapes NUL bytes and appends a [0x00 0x01]
     terminator so that concatenated composite keys never compare a field
@@ -178,6 +176,4 @@ module Block : sig
   val payload : t -> int -> Reader.t
   (** Reader over block [i]'s payload — the only per-block decode cost
       paid for skipped blocks is never paid at all. *)
-
-  val payload_bytes : t -> int -> int
 end

@@ -31,8 +31,6 @@ val iter_elements : doc -> (string list -> element -> unit) -> unit
 (** Visit every element in document order with its label path from the
     root ({e including} the element's own tag, root tag first). *)
 
-val fold_elements : doc -> init:'a -> f:('a -> string list -> element -> 'a) -> 'a
-
 val count_elements : doc -> int
 
 val find_all : doc -> (element -> bool) -> element list

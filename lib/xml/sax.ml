@@ -16,9 +16,6 @@ let is_name_start = function
 let is_name_char c =
   is_name_start c || (match c with '0' .. '9' | '-' | '.' -> true | _ -> false)
 
-let tag_is_name s =
-  String.length s > 0 && is_name_start s.[0] && String.for_all is_name_char s
-
 type state = { src : string; mutable pos : int; emit : event -> unit }
 
 let peek st = if st.pos < String.length st.src then Some st.src.[st.pos] else None

@@ -23,6 +23,3 @@ val parse : string -> (event -> unit) -> unit
 (** Parse a complete document, invoking the callback in document order.
     Events for whitespace-only text between elements are suppressed.
     @raise Malformed with a message and byte offset on invalid input. *)
-
-val tag_is_name : string -> bool
-(** Whether a string is a valid XML name (used by generators/tests). *)
