@@ -654,6 +654,28 @@ let test_autopilot_heal_keeps_plan () =
     "the plan's RPLs, no more" planned (rpl_pairs ());
   Env.close env
 
+(* A heal with nothing to rebuild (no plan, no observed query) still
+   leaves a pair its probe can verify: the empty tables are made
+   durable before they are read back. *)
+let test_autopilot_heal_nothing_to_rebuild () =
+  let dir = temp_dir () in
+  let env, engine = build_collection dir ~docs:8 ~seed:42 in
+  ignore (Trex.materialize engine nexi);
+  let pilot =
+    Trex.Autopilot.create (Trex.index engine) ~scoring:(Trex.scoring engine)
+      ~budget:max_int ()
+  in
+  Env.trip_table env "rpls" ~reason:"injected for the empty-heal test";
+  Breaker.set_cooldown (Env.breaker env "rpls") 0.0;
+  (match Trex.Autopilot.maybe_heal pilot with
+  | [ { Trex.Autopilot.action = Trex.Autopilot.Rebuilt { entries_written = 0; _ }; _ } ] ->
+      ()
+  | l ->
+      Alcotest.failf "expected one empty rebuild, got [%s]"
+        (String.concat "; " (List.map (Format.asprintf "%a" Trex.Autopilot.pp_heal) l)));
+  Alcotest.(check bool) "breaker closed" true (Env.table_available env "rpls");
+  Env.close env
+
 (* ---- seeded fault soak ---- *)
 
 let soak_seeds () =
@@ -852,6 +874,8 @@ let () =
             test_autopilot_heal_rebuilds;
           Alcotest.test_case "heal keeps the plan's lists" `Quick
             test_autopilot_heal_keeps_plan;
+          Alcotest.test_case "heal with nothing to rebuild" `Quick
+            test_autopilot_heal_nothing_to_rebuild;
         ] );
       ("soak", [ Alcotest.test_case "seeded fault schedules" `Slow test_soak ]);
     ]
