@@ -163,7 +163,7 @@ let absorb_counters ?prefix deltas =
     deltas
 
 (* Zero in place: handed-out handles must keep pointing at the cells
-   the registry reads (the same invariant Counters.reset maintains). *)
+   the registry reads. *)
 let reset () =
   Hashtbl.iter (fun _ c -> c.c_value <- 0) counters_tbl;
   Hashtbl.iter (fun _ g -> g.g_value <- 0.0) gauges_tbl;

@@ -44,8 +44,6 @@ let state_to_string = function
   | Open -> "open"
   | Half_open -> "half-open"
 
-let pp_state fmt s = Format.pp_print_string fmt (state_to_string s)
-
 let trip t ~reason =
   if t.state <> Open then Metrics.incr m_trips;
   t.state <- Open;

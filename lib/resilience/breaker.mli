@@ -60,4 +60,3 @@ val set_cooldown : t -> float -> unit
 val cooldown_s : t -> float
 
 val state_to_string : state -> string
-val pp_state : Format.formatter -> state -> unit

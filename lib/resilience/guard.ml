@@ -25,8 +25,6 @@ let reason_to_string = function
   | Deadline -> "deadline"
   | Page_budget -> "page_budget"
 
-let pp_reason fmt r = Format.pp_print_string fmt (reason_to_string r)
-
 let () =
   Printexc.register_printer (function
     | Budget_exceeded { reason; detail } ->

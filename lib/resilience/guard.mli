@@ -49,4 +49,3 @@ val remaining_ms : t -> float option
 (** Milliseconds until the deadline, if one is set. *)
 
 val reason_to_string : reason -> string
-val pp_reason : Format.formatter -> reason -> unit

@@ -25,6 +25,3 @@ let score config ~corpus ~df ~tf ~element_length =
 
 let combine scores = List.fold_left ( +. ) 0.0 scores
 
-let pp_config fmt = function
-  | Bm25 { k1; b } -> Format.fprintf fmt "BM25(k1=%.2f,b=%.2f)" k1 b
-  | Tf_idf -> Format.pp_print_string fmt "TF-IDF"

@@ -29,5 +29,3 @@ val score : config -> corpus:corpus -> df:int -> tf:int -> element_length:int ->
 
 val combine : float list -> float
 (** Summation — the monotone aggregate used by TA, Merge and ERA. *)
-
-val pp_config : Format.formatter -> config -> unit

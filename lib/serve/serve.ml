@@ -185,12 +185,8 @@ let run ?(policy = default_policy) ?(remote = []) ?listen_fd ?on_ready ~dir
   (* The query path, picked once: a coordinator directory scatters
      over supervised workers, anything else is a plain index
      environment served as a one-shard plan. *)
-  let sharded = Sys.file_exists (Filename.concat dir "SHARDMAP.json") in
   let query, tick, docs, close_backend =
-    if sharded then begin
-      (* Open/close first so rebalance recovery and the stale-artifact
-         sweep run; the supervisor itself only reads the map. *)
-      Shard.close (Shard.open_ dir);
+    if Shard.is_coordinator dir then begin
       let s = Supervisor.create ~remote dir in
       ignore (Supervisor.await_healthy s);
       let docs =

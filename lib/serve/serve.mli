@@ -94,7 +94,8 @@ val run :
   int
 (** Serve [dir] on [addr] ("HOST:PORT"; port 0 binds an ephemeral
     port) until a drain completes; returns the process exit code (0 on
-    clean drain). [dir] containing [SHARDMAP.json] is served through
+    clean drain). A coordinator [dir]
+    ({!Trex_shard.Shard.is_coordinator}) is served through
     {!Trex_shard.Supervisor.query} ([remote] names shards served by {!
     Trex_shard.Supervisor.worker_listen} processes, as in
     {!Trex_shard.Supervisor.create}); any other [dir] is attached as a

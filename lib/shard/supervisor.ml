@@ -410,7 +410,6 @@ let create ?(config = default_config) ?(remote = []) dir =
      surface as EPIPE on the write, not SIGPIPE to the coordinator. *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let infos = Shard.load_map dir in
-  ignore (Shard.sweep_stale_worker_artifacts dir infos);
   List.iter
     (fun (name, _) ->
       if not (List.exists (fun i -> i.Shard.name = name) infos) then

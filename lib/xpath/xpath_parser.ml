@@ -279,10 +279,3 @@ let parse src =
   skip_spaces st;
   if st.pos <> String.length src then fail st.pos "trailing input";
   p
-
-let parse_expr src =
-  let st = { src; pos = 0 } in
-  let e = parse_or st in
-  skip_spaces st;
-  if st.pos <> String.length src then fail st.pos "trailing input";
-  e

@@ -16,5 +16,3 @@ exception Syntax_error of { message : string; pos : int }
 val parse : string -> Xpath_ast.path
 (** @raise Syntax_error *)
 
-val parse_expr : string -> Xpath_ast.expr
-(** Parse a bare predicate expression (used in tests). *)

@@ -1,11 +1,10 @@
-(* Tests for trex_util: codecs, PRNG, Zipf, heap, stop-clock, counters. *)
+(* Tests for trex_util: codecs, PRNG, Zipf, heap, stop-clock. *)
 
 module Codec = Trex_util.Codec
 module Prng = Trex_util.Prng
 module Zipf = Trex_util.Zipf
 module Heap = Trex_util.Heap
 module Stopclock = Trex_util.Stopclock
-module Counters = Trex_util.Counters
 module Framing = Trex_util.Framing
 
 let check = Alcotest.check
@@ -308,39 +307,6 @@ let test_stopclock_now_advances () =
   spin 0.01;
   let t1 = Stopclock.now () in
   Alcotest.(check bool) "advances with elapsed time" true (t1 -. t0 >= 0.008)
-
-(* ---- Counters ---- *)
-
-let test_counters () =
-  let c = Counters.create () in
-  Counters.bump c "a";
-  Counters.bump c "a";
-  Counters.add c "b" 5;
-  check Alcotest.int "a" 2 (Counters.get c "a");
-  check Alcotest.int "b" 5 (Counters.get c "b");
-  check Alcotest.int "missing" 0 (Counters.get c "zzz");
-  check
-    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
-    "to_list sorted"
-    [ ("a", 2); ("b", 5) ]
-    (Counters.to_list c);
-  Counters.reset c;
-  check Alcotest.int "after reset" 0 (Counters.get c "a")
-
-(* Regression: reset used to Hashtbl.reset the table, orphaning every
-   ref handed out by [cell] — bumps through a pre-reset handle became
-   invisible to [get]/[to_list]. Reset must zero the cells in place. *)
-let test_counters_reset_keeps_cells () =
-  let c = Counters.create () in
-  let r = Counters.cell c "hot" in
-  r := 5;
-  check Alcotest.int "cell visible" 5 (Counters.get c "hot");
-  Counters.reset c;
-  check Alcotest.int "zeroed" 0 (Counters.get c "hot");
-  r := !r + 1;
-  check Alcotest.int "pre-reset handle still live" 1 (Counters.get c "hot");
-  Counters.bump c "hot";
-  check Alcotest.int "bump hits the same cell" 2 !r
 
 (* ---- crc32 ---- *)
 
@@ -734,12 +700,6 @@ let () =
           Alcotest.test_case "pause/resume accounting" `Quick test_stopclock_accounting;
           Alcotest.test_case "now never decreases" `Quick test_stopclock_now_monotonic;
           Alcotest.test_case "now advances" `Quick test_stopclock_now_advances;
-        ] );
-      ( "counters",
-        [
-          Alcotest.test_case "basic" `Quick test_counters;
-          Alcotest.test_case "reset keeps cells live" `Quick
-            test_counters_reset_keeps_cells;
         ] );
       ( "crc32",
         [
