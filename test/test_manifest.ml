@@ -324,6 +324,41 @@ let test_run_logged_op_applies () =
     (Bptree.find (Env.table env "b") "k2");
   check Alcotest.int "generation bumped" 1 (Env.generation env)
 
+(* A redo-logged op whose put creates a table, crashed after its
+   commit and before any checkpoint, leaves the table file with no
+   committed root. The plain open's replay reinitialises it and rolls
+   the op forward; an open of the recovered env replays nothing. *)
+let test_replay_creates_rootless_table () =
+  let dir = temp_dir () in
+  let env = Env.on_disk dir in
+  Env.set_op_hook
+    (Some
+       (fun p ->
+         if p = "op:create_put:applied" then raise (Pager.Injected_crash p)));
+  (match
+     Fun.protect ~finally:(fun () -> Env.set_op_hook None) (fun () ->
+         Env.run_logged_op env ~op:"create_put"
+           ~steps:[ Manifest.Put { table = "fresh"; key = "k"; value = "v" } ]
+           ())
+   with
+  | () -> Alcotest.fail "expected the injected crash"
+  | exception Pager.Injected_crash _ -> Env.abort env);
+  check Alcotest.bool "the table file exists" true
+    (Sys.file_exists (Filename.concat dir "fresh.tbl"));
+  let env = Env.on_disk dir in
+  check Alcotest.int "nothing unresolved" 0 (Env.manifest_unresolved env);
+  check Alcotest.(list string) "rolled forward" [ "rolled forward" ]
+    (List.map (fun r -> r.Env.res_outcome) (Env.manifest_resolutions env));
+  check Alcotest.(option string) "the put is replayed" (Some "v")
+    (Bptree.find (Env.table env "fresh") "k");
+  Env.close env;
+  let env = Env.on_disk dir in
+  check Alcotest.int "nothing left to replay" 0
+    (List.length (Env.manifest_resolutions env));
+  check Alcotest.(option string) "the put is durable" (Some "v")
+    (Bptree.find (Env.table env "fresh") "k");
+  Env.close env
+
 (* ---- add_document crash matrix (hook points) ---- *)
 
 (* Shared fixture: a small on-disk index with materialized lists, the
@@ -1068,6 +1103,8 @@ let () =
         [
           Alcotest.test_case "run_logged_op applies steps" `Quick
             test_run_logged_op_applies;
+          Alcotest.test_case "replay creates a rootless table" `Quick
+            test_replay_creates_rootless_table;
           Alcotest.test_case "manifest compacts at open" `Quick
             test_manifest_compacts_at_open;
           Alcotest.test_case "dir fsync after unlink" `Quick
