@@ -448,11 +448,13 @@ let section_selfman () =
   (* The prefix_rpls measurement left some RPLs truncated on the shared
      engine; restore complete lists for the sections that follow. *)
   let index = Trex.index engine in
-  List.iter
-    (fun (term, sid, _, _) ->
-      if Trex.Rpl.list_bound index Trex.Rpl.Rpl ~term ~sid > 0.0 then
-        Trex.Rpl.drop index Trex.Rpl.Rpl ~term ~sid)
-    (Trex.Rpl.catalog index Trex.Rpl.Rpl);
+  Trex.Rpl.drop_lists index
+    (List.filter_map
+       (fun (term, sid, _, _) ->
+         if Trex.Rpl.list_bound index Trex.Rpl.Rpl ~term ~sid > 0.0 then
+           Some (Trex.Rpl.Rpl, term, sid)
+         else None)
+       (Trex.Rpl.catalog index Trex.Rpl.Rpl));
   List.iter
     (fun (q : Queries.t) ->
       if q.collection = Queries.Ieee then ignore (Trex.materialize engine q.nexi))

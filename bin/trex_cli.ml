@@ -28,7 +28,9 @@
    not read (an older or newer manifest magic, or a [meta] [format] key
    other than this build's) is refused by every subcommand, [verify]
    included, with one stderr line naming the format found and the one
-   expected, and exit 1; nothing is written.
+   expected, and exit 1; nothing is written. So is a path that holds no
+   index, by every subcommand that reads one: one "no index at" line,
+   exit 1, and no directory or file created.
 
    Example session:
      dune exec bin/trex_cli.exe -- gen --collection ieee --docs 100 --out /tmp/docs
@@ -305,18 +307,15 @@ let verify_cmd =
                 creation never committed")
   in
   let run env recover =
-    (* Env.on_disk creates missing directories; verifying a typo'd path
-       must fail, not mint an empty index that "verifies". *)
-    if not (Sys.file_exists env && Sys.is_directory env) then begin
-      Printf.eprintf "trex verify: no index directory at %s\n" env;
-      exit 1
-    end;
     let storage, reports =
       if recover then Trex.Env.open_with_recovery env
       else
         let s = Trex.Env.on_disk env in
         (s, Trex.Env.verify s)
     in
+    (* A typo'd path must fail, not "verify" an empty environment; the
+       open wrote nothing to it. *)
+    Trex.Index.require storage;
     (* The format check reads the meta table, so only once it verified:
        a damaged one is reported below as corruption. *)
     if
@@ -384,11 +383,8 @@ let verify_cmd =
 
 let health_cmd =
   let run env =
-    if not (Sys.file_exists env && Sys.is_directory env) then begin
-      Printf.eprintf "trex health: no index directory at %s\n" env;
-      exit 1
-    end;
     let storage = Trex.Env.on_disk env in
+    Trex.Index.require storage;
     (* Probe every table so breakers reflect the current state of the
        files, not just what queries happened to touch. *)
     let reports = Trex.Env.verify storage in
@@ -478,10 +474,6 @@ let health_cmd =
    coordinator directory is an env too: its journal holds what shard
    query --journal wrote. *)
 let load_journal_records cmd env =
-  if not (Sys.file_exists env && Sys.is_directory env) then begin
-    Printf.eprintf "trex %s: no index directory at %s\n" cmd env;
-    exit 1
-  end;
   let storage = Trex.Env.on_disk env in
   if not (Trex.Env.has_journal storage) then begin
     Printf.eprintf
@@ -567,11 +559,8 @@ let autopilot_cmd =
              ~doc:"journaled executions required before planning (exit 5 below)")
   in
   let run env budget min_observations =
-    if not (Sys.file_exists env && Sys.is_directory env) then begin
-      Printf.eprintf "trex autopilot: no index directory at %s\n" env;
-      exit 1
-    end;
     let storage = Trex.Env.on_disk env in
+    let engine = Trex.attach ~env:storage () in
     if not (Trex.Env.has_journal storage) then begin
       Printf.eprintf
         "trex autopilot: no query journal in %s (run queries with --journal \
@@ -580,7 +569,6 @@ let autopilot_cmd =
       Trex.Env.close storage;
       exit 1
     end;
-    let engine = Trex.attach ~env:storage () in
     let records = Trex.Obs.Journal.records (Trex.Env.journal storage) in
     let pilot =
       Trex.Autopilot.create (Trex.index engine) ~scoring:(Trex.scoring engine)
@@ -1259,16 +1247,18 @@ let () =
       [ gen_cmd; index_cmd; add_cmd; query_cmd; materialize_cmd; stats_cmd; advise_cmd; vacuum_cmd; verify_cmd; health_cmd; journal_cmd; autopilot_cmd; xpath_cmd; shard_cmd; serve_cmd; client_cmd ]
   in
   (* Exceptions are caught here, not by cmdliner, so an unreadable
-     environment or a directory that is no shard coordinator is one line
-     and exit 1, and a coordinator whose map change could not be
-     replayed one line and exit 2 (as [verify] reports an unresolvable
-     op), rather than an internal error; any other exception is
+     environment, a path holding no index or a directory that is no
+     shard coordinator is one line and exit 1, and a coordinator whose
+     map change could not be replayed one line and exit 2 (as [verify]
+     reports an unresolvable op), rather than an internal error; any
+     other exception is
      reported as cmdliner would (exit 125). *)
   exit
     (match Cmd.eval ~catch:false cmd with
     | code -> code
     | exception
-        ((Trex_storage.Manifest.Unsupported_format _ | Shard.Not_a_coordinator _) as e) ->
+        (( Trex_storage.Manifest.Unsupported_format _ | Trex.Index.No_index _
+         | Shard.Not_a_coordinator _ ) as e) ->
         prerr_endline ("trex: " ^ Printexc.to_string e);
         1
     | exception (Shard.Map_unresolved _ as e) ->

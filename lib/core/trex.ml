@@ -325,20 +325,19 @@ let advise t ~workload ~budget ?(optimal = false) ?(runs = 3) () =
   (* Measurement only adds the lists it lacks (a stored list is
      reused), so dropping what was not there before leaves the
      environment's lists as it found them. *)
-  let each_list f =
-    List.iter
-      (fun kind -> List.iter (fun (term, sid, _, _) -> f kind term sid) (Rpl.catalog t.index kind))
+  let lists () =
+    List.concat_map
+      (fun kind -> List.map (fun (term, sid, _, _) -> (kind, term, sid)) (Rpl.catalog t.index kind))
       [ Rpl.Rpl; Rpl.Erpl ]
   in
   let before = Hashtbl.create 64 in
-  each_list (fun kind term sid -> Hashtbl.replace before (kind, term, sid) ());
+  List.iter (fun l -> Hashtbl.replace before l ()) (lists ());
   let profiles =
     List.map
       (fun q -> Cost.measure t.index ~scoring:(scoring t) ~runs q)
       (Workload.queries workload)
   in
-  each_list (fun kind term sid ->
-      if not (Hashtbl.mem before (kind, term, sid)) then Rpl.drop t.index kind ~term ~sid);
+  Rpl.drop_lists t.index (List.filter (fun l -> not (Hashtbl.mem before l)) (lists ()));
   let plan =
     if optimal then Advisor.branch_and_bound ~budget profiles
     else Advisor.greedy ~budget profiles
@@ -349,18 +348,10 @@ let vacuum t =
   (* Dropping lists leaves dead pages behind (B+trees never shrink);
      compaction rebuilds the redundant-index tables at their live size
      so the disk budget the advisor reasons about is what the disk
-     actually uses. Each compaction is individually atomic (temp file +
-     rename); the surrounding manifest op records the multi-table pass
-     so an interruption is visible at recovery. Nothing needs rolling
-     back — every table is either the old or the new file. *)
+     actually uses. Each compaction is atomic (temp file + rename), so
+     every table is either the old or the new file. *)
   let env = Index.env t.index in
-  let present =
-    List.filter (Env.has_table env)
-      [ "rpls"; "erpls"; "rpl_catalog"; "erpl_catalog" ]
-  in
-  if present <> [] then
-    Env.with_build_op env ~op:"vacuum" ~tables:present (fun () ->
-        List.iter (Env.compact_table env) present)
+  List.iter (Env.compact_table env) [ "rpls"; "erpls"; "rpl_catalog"; "erpl_catalog" ]
 
 (* ---- inspection ---- *)
 

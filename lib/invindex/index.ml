@@ -250,25 +250,36 @@ let build ~env ~summary ?(analyzer = Analyzer.default) ?(scoring = Scorer.defaul
   Env.flush env;
   { env; summary; analyzer; scoring; stats; corpus = None }
 
+exception No_index of string
+
+let () =
+  Printexc.register_printer (function
+    | No_index where -> Some ("no index at " ^ where)
+    | _ -> None)
+
+let require env =
+  if not (Env.has_table env Tables.meta_table) then
+    raise (No_index (Option.value (Env.dir env) ~default:"memory"))
+
 let check_format env =
   match Bptree.find (Env.table env Tables.meta_table) (meta_key "format") with
   | Some found when found = format -> ()
   | found -> raise (Manifest.Unsupported_format { found; expected = format })
 
 let attach env =
+  (* An env holding no index fails as such before any table is created,
+     then the format is checked before anything is decoded. *)
+  require env;
+  check_format env;
   let meta = Env.table env Tables.meta_table in
   let get name =
     match Bptree.find meta (meta_key name) with
     | Some v -> v
     | None -> failwith (Printf.sprintf "Index.attach: missing meta key %s" name)
   in
-  (* The summary first, so an env holding no index fails as such; then
-     the format, before anything is decoded. *)
-  let summary = get "summary" in
-  check_format env;
   {
     env;
-    summary = Summary.of_string summary;
+    summary = Summary.of_string (get "summary");
     analyzer = decode_analyzer (get "analyzer");
     scoring = decode_scoring (get "scoring");
     stats = decode_stats (get "stats");

@@ -38,6 +38,16 @@ val format : string
     [meta] key [format]. One value at a time: a format change bumps it,
     and environments of every earlier value are refused, not read. *)
 
+exception No_index of string
+(** The environment (named by its directory, or ["memory"]) holds no
+    index: it has no [meta] table. Its printer reads "no index at
+    <dir>". *)
+
+val require : Trex_storage.Env.t -> unit
+(** @raise No_index, having created nothing, unless the environment has
+    a [meta] table. Run by {!attach}, and by the commands that inspect
+    an environment without attaching it ([verify], [health]). *)
+
 val check_format : Trex_storage.Env.t -> unit
 (** @raise Trex_storage.Manifest.Unsupported_format unless the [meta]
     table's [format] key is {!format} (a missing key is [found = None]).
@@ -47,8 +57,10 @@ val check_format : Trex_storage.Env.t -> unit
 val attach : Trex_storage.Env.t -> t
 (** Re-open an index previously built in this environment (metadata,
     summary, scorer and statistics — pinned corpus statistics included
-    — are read back from the [meta] table), after {!check_format}.
-    @raise Failure if the environment holds no index.
+    — are read back from the [meta] table), after {!require} and
+    {!check_format}.
+    @raise No_index, before any table file is created, if the
+    environment holds no index.
     @raise Trex_storage.Manifest.Unsupported_format, before anything is
     decoded, if it was written in another format. *)
 

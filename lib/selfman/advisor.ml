@@ -236,27 +236,18 @@ let apply index ~scoring ~workload ?(profiles = []) plan =
     Hashtbl.find_opt wanted (kind, term, sid) = Some None
     && not (Rpl.list_truncated index kind ~term ~sid)
   in
-  (* One manifest op drops the rest and builds what is missing, with
-     the four pair tables as rollback: a crash anywhere inside
-     quarantines them (they are rebuildable) rather than leaving half
-     the old lists beside half the plan's. Each [Rpl.build] inside is
-     its own nested op, so the outer Begin..Commit records whether the
-     plan as a whole finished. *)
-  let env = Trex_invindex.Index.env index in
-  let op_tables =
-    [ Rpl.table_name Rpl.Rpl; Rpl.catalog_name Rpl.Rpl;
-      Rpl.table_name Rpl.Erpl; Rpl.catalog_name Rpl.Erpl ]
-  in
-  Trex_storage.Env.with_build_op env ~op:"advisor_apply" ~tables:op_tables
-    ~rollback:op_tables (fun () ->
-      List.iter
-        (fun kind ->
-          List.iter
-            (fun (term, sid, _, _) ->
-              if not (keep kind term sid) then Rpl.drop index kind ~term ~sid)
-            (Rpl.catalog index kind))
-        [ Rpl.Rpl; Rpl.Erpl ];
-      List.iter
-        (fun (kind, sids, terms, rpl_prefix) ->
-          ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ kind ] ?rpl_prefix ()))
-        builds)
+  (* One redo-logged op drops the rest; then each selected query's
+     build is its own. A crash between them leaves every list whole or
+     gone, and never touches a list the plan keeps. *)
+  Rpl.drop_lists index
+    (List.concat_map
+       (fun kind ->
+         List.filter_map
+           (fun (term, sid, _, _) ->
+             if keep kind term sid then None else Some (kind, term, sid))
+           (Rpl.catalog index kind))
+       [ Rpl.Rpl; Rpl.Erpl ]);
+  List.iter
+    (fun (kind, sids, terms, rpl_prefix) ->
+      ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ kind ] ?rpl_prefix ()))
+    builds

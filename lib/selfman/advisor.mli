@@ -48,8 +48,10 @@ val apply :
 (** Replace the environment's lists with exactly the plan's: translate
     each selected query's NEXI against [index], drop every stored list
     the plan does not select, and materialize the missing ones (building
-    via ERA), all in one manifest op with the four list and catalog
-    tables as rollback. When [profiles] are supplied, RPL choices honour
+    via ERA). The drops are one redo-logged operation
+    ([Rpl.drop_lists]) and each query's build another ([Rpl.build]), so
+    a crash anywhere leaves every list whole or gone, and every list the
+    plan keeps in place. When [profiles] are supplied, RPL choices honour
     each profile's [rpl_prefix] (prefix-truncated lists, the paper's
     S_RPL); a list shared between queries keeps the depth of whichever
     query materialized it first. *)

@@ -158,13 +158,14 @@ let heal_one t env name b =
     (* [allow] admitted us as the half-open probe for this table. *)
     match quarantine_group name with
     | Some (tables, kind) -> (
-        (* The quarantine + rebuild is one manifest op with the pair as
-           rollback: an interruption (including an injected crash during
-           the rebuild) either stays pending for recovery to quarantine,
-           or — on an in-process failure — is aborted here, leaving the
-           pair empty-quarantined rather than half-rebuilt. Either way
-           the breakers stay open and the next [maybe_heal] retries. *)
-        let o = Env.begin_op env ~op:"heal" ~tables ~rollback:tables () in
+        (* Quarantine the pair, rebuild it ([Rpl.build] writes each
+           list in one redo-logged op, durable on return), then probe.
+           An interruption leaves each list whole or absent; the
+           breakers stay open and the next [maybe_heal] retries. *)
+        let fail reason =
+          List.iter (fun tbl -> Breaker.record_failure (Env.breaker env tbl) ~reason) tables;
+          { table = name; action = Still_failing reason }
+        in
         match
           List.iter (Env.quarantine_table env) tables;
           let entries_written = rebuild_from_workload t kind in
@@ -177,24 +178,11 @@ let heal_one t env name b =
           (entries_written, List.filter (fun r -> not r.Env.ok) probes)
         with
         | entries_written, [] ->
-            Env.commit_op env o;
             Metrics.incr m_rebuilds;
             List.iter (fun tbl -> Breaker.record_success (Env.breaker env tbl)) tables;
             { table = name; action = Rebuilt { tables; entries_written } }
-        | _, bad :: _ ->
-            let reason = String.concat "; " bad.Env.problems in
-            Env.abort_op env o ~note:reason;
-            List.iter
-              (fun tbl -> Breaker.record_failure (Env.breaker env tbl) ~reason)
-              tables;
-            { table = name; action = Still_failing reason }
-        | exception e ->
-            let reason = Printexc.to_string e in
-            Env.abort_op env o ~note:reason;
-            List.iter
-              (fun tbl -> Breaker.record_failure (Env.breaker env tbl) ~reason)
-              tables;
-            { table = name; action = Still_failing reason })
+        | _, bad :: _ -> fail (String.concat "; " bad.Env.problems)
+        | exception e -> fail (Printexc.to_string e))
     | None -> (
         (* Base tables have no redundant substitute: probe in place. *)
         match Env.verify_table env name with

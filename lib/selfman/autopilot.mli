@@ -71,8 +71,11 @@ val pp_verdict : Format.formatter -> verdict -> unit
     (lists, catalog) pairs — dropping one without the other would leave
     a catalog advertising lists that don't exist, i.e. silent wrong
     answers — then rebuilt: the current plan's lists of the condemned
-    kind, or before any plan every observed query's. Base tables have
-    no substitute, so they are only probed in place. *)
+    kind, or before any plan every observed query's — then probed. The
+    rebuild is an ordinary [Rpl.build], one redo-logged operation
+    durable on return, so an interrupted heal leaves each list whole or
+    absent and the breakers open for the next pass to retry. Base
+    tables have no substitute, so they are only probed in place. *)
 
 type heal_action =
   | Cooling_down  (** breaker open, cooldown not yet elapsed *)

@@ -42,9 +42,8 @@ let certified_prefix index ~scoring ~sids ~terms ~k ~reads =
       0 terms
   in
   let rebuild prefix =
-    List.iter
-      (fun term -> List.iter (fun sid -> Rpl.drop index Rpl.Rpl ~term ~sid) sids)
-      terms;
+    Rpl.drop_lists index
+      (List.concat_map (fun term -> List.map (fun sid -> (Rpl.Rpl, term, sid)) sids) terms);
     ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ Rpl.Rpl ] ?rpl_prefix:prefix ())
   in
   let rec search depth =

@@ -36,6 +36,10 @@ type t = {
      wrote. *)
   mutable unended : int list;
   mutable unflushed : string list;
+  (* The committed operation whose apply raised: it is applied again
+     before a later operation is logged or any is Ended, so none is
+     Ended ahead of an older one the tables do not hold. *)
+  mutable unapplied : (int * string list * Manifest.action list) option;
 }
 
 let tmp_suffix = ".compact-tmp"
@@ -74,18 +78,24 @@ let in_memory ?(page_size = 8192) () =
     resolutions = [];
     unended = [];
     unflushed = [];
+    unapplied = None;
   }
 
 (* Defined below (it needs [table]/[quarantine_table]); stored in a ref
    so [on_disk] can replay the manifest it just opened. *)
 let replay_ref : (t -> unit) ref = ref (fun _ -> ())
 
+(* The directory appears with the first file written into it, so an
+   open that writes nothing leaves a missing directory missing. *)
+let ensure_dir dir = if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
+
 let on_disk ?(page_size = 8192) ?(cache_pages = 4096) ?(replay = true) ?(journal = true)
     dir =
-  if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
-  else if not (Sys.is_directory dir) then
-    invalid_arg (Printf.sprintf "Env.on_disk: %s is not a directory" dir)
-  else cleanup_stale_tmp dir;
+  if Sys.file_exists dir then begin
+    if not (Sys.is_directory dir) then
+      invalid_arg (Printf.sprintf "Env.on_disk: %s is not a directory" dir);
+    cleanup_stale_tmp dir
+  end;
   let env =
     {
       backend = Disk { dir; cache_pages };
@@ -98,6 +108,7 @@ let on_disk ?(page_size = 8192) ?(cache_pages = 4096) ?(replay = true) ?(journal
       resolutions = [];
       unended = [];
       unflushed = [];
+      unapplied = None;
     }
   in
   (* An existing operation manifest is swept at open, first: one of
@@ -117,6 +128,8 @@ let on_disk ?(page_size = 8192) ?(cache_pages = 4096) ?(replay = true) ?(journal
   if replay && env.manifest <> None then !replay_ref env;
   env
 
+let dir t = match t.backend with Mem -> None | Disk { dir; _ } -> Some dir
+
 let journal_path t =
   match t.backend with
   | Mem -> None
@@ -129,7 +142,9 @@ let journal t =
       let j =
         match journal_path t with
         | None -> Journal.in_memory ()
-        | Some path -> Journal.open_file path
+        | Some path ->
+            ensure_dir (Filename.dirname path);
+            Journal.open_file path
       in
       t.journal <- Some j;
       j
@@ -150,7 +165,9 @@ let manifest t =
       let m =
         match manifest_path t with
         | None -> Manifest.in_memory ()
-        | Some path -> Manifest.open_file path
+        | Some path ->
+            ensure_dir (Filename.dirname path);
+            Manifest.open_file path
       in
       t.manifest <- Some m;
       m
@@ -185,9 +202,11 @@ let table t name =
             let path = path_of dir name in
             if Sys.file_exists path then
               Bptree.attach (Pager.open_file ~cache_pages path)
-            else
+            else begin
+              ensure_dir dir;
               Bptree.create
                 (Pager.create_file ~page_size:t.page_size ~cache_pages path)
+            end
       in
       Hashtbl.add t.tables name tree;
       Metrics.incr m_table_opens;
@@ -312,6 +331,7 @@ let table_names t =
   let disk_names =
     match t.backend with
     | Mem -> []
+    | Disk { dir; _ } when not (Sys.file_exists dir) -> []
     | Disk { dir; _ } ->
         Sys.readdir dir |> Array.to_list
         |> List.filter_map (fun f ->
@@ -353,14 +373,90 @@ let sync_table t name =
   if Hashtbl.mem t.tables name || has_table t name then
     Pager.flush ~sync:true (Bptree.pager (table t name))
 
+(* Apply steps in order, each maximal run of Puts as one sorted batch
+   per table ({!Bptree.insert_batch}: the last put of a key wins, as in
+   sequence), the tables in the order of their first put: a list's rows
+   go in before its catalog row, so an apply that fails part way in
+   this process never advertises a partial list. *)
+let apply_steps t steps =
+  let put_batch = function
+    | [] -> ()
+    | puts ->
+        let by_table = Hashtbl.create 8 and order = ref [] in
+        List.iter
+          (fun (name, kv) ->
+            match Hashtbl.find_opt by_table name with
+            | Some kvs -> Hashtbl.replace by_table name (kv :: kvs)
+            | None ->
+                order := name :: !order;
+                Hashtbl.add by_table name [ kv ])
+          (List.rev puts);
+        List.iter
+          (fun name ->
+            Bptree.insert_batch (table t name) (List.rev (Hashtbl.find by_table name)))
+          (List.rev !order)
+  in
+  (* [puts] is newest first. *)
+  let rec go puts = function
+    | Manifest.Put { table; key; value } :: rest -> go ((table, (key, value)) :: puts) rest
+    | Manifest.Remove { table = name; key } :: rest ->
+        put_batch puts;
+        ignore (Bptree.remove (table t name) key);
+        go [] rest
+    | Manifest.Remove_prefix { table = name; prefix } :: rest ->
+        put_batch puts;
+        let tbl = table t name in
+        let keys = ref [] in
+        Bptree.iter_prefix tbl ~prefix (fun k _ -> keys := k :: !keys);
+        List.iter (fun k -> ignore (Bptree.remove tbl k)) !keys;
+        go [] rest
+    | [] -> put_batch puts
+  in
+  go [] steps
+
+let action_table (a : Manifest.action) =
+  match a with
+  | Manifest.Put { table; _ } | Manifest.Remove { table; _ }
+  | Manifest.Remove_prefix { table; _ } ->
+      table
+
+let tables_of_steps steps =
+  List.fold_left
+    (fun acc a ->
+      let tbl = action_table a in
+      if List.mem tbl acc then acc else tbl :: acc)
+    [] steps
+  |> List.rev
+
+let note_unended t op_id tables =
+  t.unended <- op_id :: t.unended;
+  List.iter
+    (fun name -> if not (List.mem name t.unflushed) then t.unflushed <- name :: t.unflushed)
+    tables
+
+let apply_committed t (op_id, tables, steps) =
+  apply_steps t steps;
+  note_unended t op_id tables
+
+(* Apply again the committed operation whose apply raised in this
+   process, as replay at open would. *)
+let catch_up t =
+  Option.iter
+    (fun op ->
+      apply_committed t op;
+      t.unapplied <- None)
+    t.unapplied
+
 let checkpoint_bound = 32
 
-(* Make every unended redo-logged operation durable in its tables:
-   sync-flush the tables they wrote, then End them all in one frame, and
+(* Make every unended redo-logged operation durable in its tables
+   (after applying again one whose apply raised): sync-flush the tables
+   they wrote, then End them all in one frame, and
    compact resolved history away. The End and the compaction need no
    fsync of their own: a crash that loses them replays the ops' steps,
    which are idempotent, over tables that already hold them. *)
 let checkpoint t =
+  catch_up t;
   match (t.manifest, t.unended) with
   | None, _ | _, [] -> ()
   | Some m, unended ->
@@ -416,120 +512,6 @@ let compact_table ?faults t name =
         ignore (table t name)
   end
 
-type op = {
-  op_id : int;
-  op_name : string;
-  op_tables : string list;
-  op_rollback : string list;
-}
-
-let begin_op t ~op ~tables ?(rollback = []) () =
-  (* A build starts from durable tables: its rollback quarantines whole
-     tables, which must not take unended redo with them. *)
-  checkpoint t;
-  let m = manifest t in
-  let op_id = Manifest.fresh_op_id m in
-  Manifest.append m
-    (Manifest.Begin
-       { op_id; op; tables; rollback; generation = Manifest.next_generation m });
-  (* The Begin must be durable before any table is touched: it is what
-     tells recovery which partial builds to quarantine. *)
-  Manifest.sync m;
-  hook (Printf.sprintf "op:%s:begun" op);
-  { op_id; op_name = op; op_tables = tables; op_rollback = rollback }
-
-let commit_op t o =
-  let m = manifest t in
-  (* Sync-flush each table in turn; each gap between two flushes is an
-     inter-table commit boundary the crash matrix covers. Only once
-     every table is durable does the Commit record — the single
-     durability point — go down. *)
-  List.iter
-    (fun name ->
-      sync_table t name;
-      hook (Printf.sprintf "op:%s:flushed:%s" o.op_name name))
-    o.op_tables;
-  Manifest.append m (Manifest.Commit { op_id = o.op_id });
-  Manifest.sync m;
-  hook (Printf.sprintf "op:%s:committed" o.op_name);
-  Manifest.append m (Manifest.End { op_id = o.op_id });
-  Manifest.sync m;
-  hook (Printf.sprintf "op:%s:done" o.op_name)
-
-let abort_op t o ~note =
-  let m = manifest t in
-  List.iter (quarantine_table t) o.op_rollback;
-  Manifest.append m (Manifest.Abort { op_id = o.op_id; note });
-  Manifest.sync m
-
-let with_build_op t ~op ~tables ?rollback f =
-  let o = begin_op t ~op ~tables ?rollback () in
-  match f () with
-  | v ->
-      commit_op t o;
-      v
-  | exception (Pager.Injected_crash _ as e) ->
-      (* Simulated process death: leave the op pending for recovery. *)
-      raise e
-  | exception e ->
-      abort_op t o ~note:(Printexc.to_string e);
-      raise e
-
-(* Apply steps in order, each maximal run of Puts as one sorted batch
-   per table ({!Bptree.insert_batch}: the last put of a key wins, as in
-   sequence). *)
-let apply_steps t steps =
-  let put_batch = function
-    | [] -> ()
-    | puts ->
-        let by_table = Hashtbl.create 8 in
-        List.iter
-          (fun (name, kv) ->
-            Hashtbl.replace by_table name
-              (kv :: Option.value ~default:[] (Hashtbl.find_opt by_table name)))
-          puts;
-        Hashtbl.fold (fun name kvs acc -> (name, kvs) :: acc) by_table []
-        |> List.sort compare
-        |> List.iter (fun (name, kvs) -> Bptree.insert_batch (table t name) kvs)
-  in
-  (* [puts] is newest first, so each table's list comes out oldest first. *)
-  let rec go puts = function
-    | Manifest.Put { table; key; value } :: rest -> go ((table, (key, value)) :: puts) rest
-    | Manifest.Remove { table = name; key } :: rest ->
-        put_batch puts;
-        ignore (Bptree.remove (table t name) key);
-        go [] rest
-    | Manifest.Remove_prefix { table = name; prefix } :: rest ->
-        put_batch puts;
-        let tbl = table t name in
-        let keys = ref [] in
-        Bptree.iter_prefix tbl ~prefix (fun k _ -> keys := k :: !keys);
-        List.iter (fun k -> ignore (Bptree.remove tbl k)) !keys;
-        go [] rest
-    | [] -> put_batch puts
-  in
-  go [] steps
-
-let action_table (a : Manifest.action) =
-  match a with
-  | Manifest.Put { table; _ } | Manifest.Remove { table; _ }
-  | Manifest.Remove_prefix { table; _ } ->
-      table
-
-let tables_of_steps steps =
-  List.fold_left
-    (fun acc a ->
-      let tbl = action_table a in
-      if List.mem tbl acc then acc else tbl :: acc)
-    [] steps
-  |> List.rev
-
-let note_unended t op_id tables =
-  t.unended <- op_id :: t.unended;
-  List.iter
-    (fun name -> if not (List.mem name t.unflushed) then t.unflushed <- name :: t.unflushed)
-    tables
-
 let cache_full t name =
   match Hashtbl.find_opt t.tables name with
   | Some tree ->
@@ -543,28 +525,33 @@ let cache_full t name =
    the pre-operation state; after it, replaying the steps — pure sets
    and removes, hence idempotent — repairs any table. The tables are
    then written in memory only; a checkpoint flushes them and Ends the
-   operation. *)
+   operation. An empty step list writes nothing. *)
 let run_logged_op t ~op ~steps () =
-  let m = manifest t in
-  let tables = tables_of_steps steps in
-  let op_id = Manifest.fresh_op_id m in
-  hook (Printf.sprintf "op:%s:planned" op);
-  Manifest.append_records m
-    ((Manifest.Begin
-        { op_id; op; tables; rollback = []; generation = Manifest.next_generation m }
-     :: List.map (fun a -> Manifest.Step { op_id; action = a }) steps)
-    @ [ Manifest.Commit { op_id } ]);
-  Manifest.sync m;
-  hook (Printf.sprintf "op:%s:committed" op);
-  apply_steps t steps;
-  note_unended t op_id tables;
-  hook (Printf.sprintf "op:%s:applied" op);
-  if List.length t.unended >= checkpoint_bound || List.exists (cache_full t) tables then
-    checkpoint t
+  if steps <> [] then begin
+    catch_up t;
+    let m = manifest t in
+    let tables = tables_of_steps steps in
+    let op_id = Manifest.fresh_op_id m in
+    hook (Printf.sprintf "op:%s:planned" op);
+    Manifest.append_records m
+      ((Manifest.Begin { op_id; op; tables; generation = Manifest.next_generation m }
+       :: List.map (fun a -> Manifest.Step { op_id; action = a }) steps)
+      @ [ Manifest.Commit { op_id } ]);
+    Manifest.sync m;
+    hook (Printf.sprintf "op:%s:committed" op);
+    let committed = (op_id, tables, steps) in
+    (try apply_committed t committed
+     with e ->
+       t.unapplied <- Some committed;
+       raise e);
+    hook (Printf.sprintf "op:%s:applied" op);
+    if List.length t.unended >= checkpoint_bound || List.exists (cache_full t) tables then
+      checkpoint t
+  end
 
 (* Resolve every pending manifest operation: committed ones roll
-   forward (replay steps, then one checkpoint flushes and Ends them all),
-   uncommitted ones roll back (quarantine their rollback tables, Abort).
+   forward (replay steps, then one checkpoint flushes and Ends them all);
+   an uncommitted one wrote no table, so it is only Aborted.
    An op that cannot be resolved — e.g. its table raises
    [Pager.Corruption] during replay — stays pending and its tables are
    blocked from query planning. *)
@@ -597,26 +584,19 @@ let replay_manifest t =
             | Manifest.Roll_forward -> (
                 match
                   List.iter (attach_for_replay t) (tables_of_steps p.p_steps);
-                  apply_steps t p.p_steps
+                  apply_committed t (p.p_op_id, p.p_tables, p.p_steps)
                 with
-                | () ->
-                    note_unended t p.p_op_id p.p_tables;
-                    true
+                | () -> true
                 | exception e ->
                     unresolved p "roll-forward" e;
                     false)
-            | Manifest.Roll_back -> (
-                match List.iter (quarantine_table t) p.p_rollback with
-                | () ->
-                    Manifest.append m
-                      (Manifest.Abort { op_id = p.p_op_id; note = "recovery roll-back" });
-                    Manifest.sync m;
-                    Metrics.incr m_rolled_back;
-                    record p "rolled back" true;
-                    false
-                | exception e ->
-                    unresolved p "roll-back" e;
-                    false))
+            | Manifest.Roll_back ->
+                Manifest.append m
+                  (Manifest.Abort { op_id = p.p_op_id; note = "never committed" });
+                Manifest.sync m;
+                Metrics.incr m_rolled_back;
+                record p "rolled back" true;
+                false)
           (Manifest.pending m)
       in
       (match checkpoint t with
@@ -774,6 +754,7 @@ let abort t =
   Hashtbl.reset t.tables;
   t.unended <- [];
   t.unflushed <- [];
+  t.unapplied <- None;
   (match t.manifest with
   | None -> ()
   | Some m ->

@@ -12,16 +12,18 @@ val in_memory : ?page_size:int -> unit -> t
 
 val on_disk :
   ?page_size:int -> ?cache_pages:int -> ?replay:bool -> ?journal:bool -> string -> t
-(** [on_disk dir] creates [dir] if needed; each table lives in
-    [dir/<name>.tbl]. Existing table files are re-attached lazily by
-    {!table}. Stale [*.compact-tmp.tbl] leftovers from a compaction that
+(** [on_disk dir] opens the environment in [dir]; each table lives in
+    [dir/<name>.tbl]. A missing [dir] is created with the first file
+    written into it (a table, the manifest or the journal), so an open
+    that writes nothing leaves it missing. Existing table files are
+    re-attached lazily by {!table}. Stale [*.compact-tmp.tbl] leftovers from a compaction that
     crashed before its atomic rename are deleted (the original table is
     intact in that case).
 
     An existing operation manifest ([MANIFEST.mf]) is swept and — with
     [replay] (default true) — replayed: operations that committed but
-    never finished roll forward, uncommitted ones roll back (see
-    {!Manifest} and {!manifest_resolutions}). A table such an operation
+    never finished roll forward, uncommitted ones (which wrote no table)
+    are aborted (see {!Manifest} and {!manifest_resolutions}). A table such an operation
     writes whose creation never committed (no root) is reinitialised
     empty before it rolls forward. [~replay:false] defers replay (used
     by {!open_with_recovery}, which must repair table headers first).
@@ -31,6 +33,9 @@ val on_disk :
     @raise Manifest.Unsupported_format, the manifest untouched and no
     journal or table opened, when the manifest is of another format
     version. *)
+
+val dir : t -> string option
+(** The environment's directory; [None] for memory-backed envs. *)
 
 val table : t -> string -> Bptree.t
 (** Create-or-attach. Table names must match [[A-Za-z0-9_.-]+].
@@ -175,17 +180,13 @@ val note_table_success : t -> string -> unit
 (** {1 Operation manifest}
 
     One {!Manifest} per environment ([dir/MANIFEST.mf]; memory-backed
-    for {!in_memory}) makes multi-table operations atomic. Two
-    disciplines (see {!Manifest} for the full protocol):
-
-    - {!run_logged_op} — redo-logged: all writes are recorded as
-      idempotent physical steps and fsynced before any table is
-      touched; table flushes wait for the next {!checkpoint}. Used by
-      [add_document], where base tables hold ground truth that cannot
-      be rebuilt.
-    - {!begin_op}/{!commit_op} — build ops: rebuildable redundant
-      tables (RPLs/ERPLs + catalogs) are written directly; on a crash
-      before [Commit], recovery quarantines the [rollback] tables.
+    for {!in_memory}) makes multi-table operations atomic, under one
+    commit rule (see {!Manifest} for the full protocol): every
+    multi-table change is a {!run_logged_op}, its writes recorded as
+    idempotent physical steps and fsynced before any table is touched;
+    table flushes wait for the next {!checkpoint}. [add_document], list
+    builds and drops, advisor plans and the shard map all write this
+    way.
 
     Replay happens at open ({!on_disk} / {!open_with_recovery});
     outcomes are exposed via {!manifest_resolutions} and the
@@ -225,33 +226,6 @@ val manifest_unresolved : t -> int
 (** Operations the last replay failed to resolve (their tables are
     blocked); [verify] exits 2 in the CLI when this is non-zero. *)
 
-type op
-(** Handle for an in-flight build operation. *)
-
-val begin_op :
-  t -> op:string -> tables:string list -> ?rollback:string list -> unit -> op
-(** {!checkpoint}, then append + fsync a [Begin] record naming the
-    operation, every table it touches, and the tables recovery must
-    quarantine if the commit record never becomes durable. Call
-    {e before} the first table write. *)
-
-val commit_op : t -> op -> unit
-(** Sync-flush each of the operation's tables in turn, then append +
-    fsync [Commit] (the single durability point) and [End]. *)
-
-val abort_op : t -> op -> note:string -> unit
-(** In-process failure path: quarantine the rollback tables now and
-    mark the operation [Abort]ed so recovery does not redo the work. Do
-    {e not} call this for a simulated crash ({!Pager.Injected_crash})
-    — the point of the crash matrix is to leave the op pending. *)
-
-val with_build_op :
-  t -> op:string -> tables:string list -> ?rollback:string list -> (unit -> 'a) -> 'a
-(** [begin_op], then the body, then {!commit_op}. A body that raises
-    has the op {!abort_op}ed and the exception re-raised — except
-    {!Pager.Injected_crash}, which leaves the op pending, as a crash
-    would. *)
-
 val run_logged_op :
   t -> op:string -> steps:Manifest.action list -> unit -> unit
 (** Redo-logged operation. Its [Begin], every [Step] and its [Commit]
@@ -261,7 +235,15 @@ val run_logged_op :
     steps applied, in memory — each maximal run of puts as one sorted
     batch per table ({!Bptree.insert_batch}) — and the tables' flushes
     and the op's [End] wait for the next {!checkpoint}. Steps must be
-    physical and idempotent: absolute post-state values, not deltas. *)
+    physical and idempotent: absolute post-state values, not deltas.
+    An empty step list writes nothing.
+
+    An apply that raises (e.g. {!Pager.Corruption} in a damaged table)
+    re-raises with the op still committed: the op is applied again
+    before the next operation is logged and before a checkpoint Ends
+    any, as replay at open would, so no operation is ever Ended ahead of
+    an older one its tables do not hold (each raises while that apply
+    still fails). *)
 
 val checkpoint_bound : int
 (** 32: the unended redo-logged operations at which {!run_logged_op}
@@ -272,11 +254,13 @@ val checkpoint : t -> unit
 (** Make every redo-logged operation since the last checkpoint durable
     in its tables: sync-flush each table they wrote, then append one
     frame of [End] records; with nothing left pending, the manifest is
-    then compacted to a single record ({!Manifest.compact}). A no-op
-    when no operation waits. A checkpoint runs
+    then compacted to a single record ({!Manifest.compact}). It first
+    applies again an operation whose apply raised ({!run_logged_op}),
+    and raises, Ending nothing, while that still fails. A no-op when no
+    operation waits. A checkpoint runs
 
-    - before every {!begin_op}, in {!flush}, {!close} and
-      {!compact_table};
+    - in {!flush}, {!close} and {!compact_table}, and before and after
+      every list build ([Rpl.build]);
     - in {!run_logged_op}, once {!checkpoint_bound} operations wait, or
       once a table the op wrote holds as many pinned dirty pages
       ({!Pager.pinned_pages}) as its cache bound;
@@ -284,8 +268,9 @@ val checkpoint : t -> unit
 
 val set_op_hook : (string -> unit) option -> unit
 (** Test hook fired at every operation sequence point, with labels like
-    ["op:add_document:committed"], ["op:rpl_build:flushed:rpls"],
-    ["checkpoint:flushed:postings"], ["checkpoint:ended"]. The crash
+    ["op:add_document:planned"], ["op:rpl_build:committed"],
+    ["op:rpl_drop:applied"], ["checkpoint:flushed:postings"],
+    ["checkpoint:ended"]. The crash
     matrix raises {!Pager.Injected_crash} from here. *)
 
 val abort : t -> unit

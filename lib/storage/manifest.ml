@@ -22,7 +22,6 @@ type record =
       op_id : int;
       op : string;
       tables : string list;
-      rollback : string list;
       generation : int;
     }
   | Step of { op_id : int; action : action }
@@ -36,13 +35,12 @@ type pending = {
   p_op_id : int;
   p_op : string;
   p_tables : string list;
-  p_rollback : string list;
   p_generation : int;
   p_status : status;
   p_steps : action list;
 }
 
-let magic = "TREXMF2\n"
+let magic = "TREXMF3\n"
 
 exception Unsupported_format of { found : string option; expected : string }
 
@@ -59,7 +57,6 @@ let () =
 type op_state = {
   mutable s_op : string;
   mutable s_tables : string list;
-  mutable s_rollback : string list;
   mutable s_generation : int;
   mutable s_steps : action list; (* newest first *)
   mutable s_committed : bool;
@@ -101,12 +98,11 @@ let add_record b r =
       tag "K";
       Buf.add_varint b generation;
       Buf.add_varint b next_op_id
-  | Begin { op_id; op; tables; rollback; generation } ->
+  | Begin { op_id; op; tables; generation } ->
       tag "B";
       Buf.add_varint b op_id;
       Buf.add_string b op;
       add_strings b tables;
-      add_strings b rollback;
       Buf.add_varint b generation
   | Step { op_id; action } -> (
       tag "S";
@@ -147,8 +143,7 @@ let read_record r =
       let op_id = Reader.varint r in
       let op = Reader.string r in
       let tables = read_strings r in
-      let rollback = read_strings r in
-      Begin { op_id; op; tables; rollback; generation = Reader.varint r }
+      Begin { op_id; op; tables; generation = Reader.varint r }
   | "S" ->
       let op_id = Reader.varint r in
       let action =
@@ -220,12 +215,11 @@ let apply_record t r =
       t.generation <- max t.generation generation;
       t.issued <- max t.issued generation;
       t.next_op_id <- max t.next_op_id next_op_id
-  | Begin { op_id; op; tables; rollback; generation } ->
+  | Begin { op_id; op; tables; generation } ->
       Hashtbl.replace t.ops op_id
         {
           s_op = op;
           s_tables = tables;
-          s_rollback = rollback;
           s_generation = generation;
           s_steps = [];
           s_committed = false;
@@ -349,7 +343,6 @@ let pending t =
         p_op_id = op_id;
         p_op = s.s_op;
         p_tables = s.s_tables;
-        p_rollback = s.s_rollback;
         p_generation = s.s_generation;
         p_status = (if s.s_committed then Roll_forward else Roll_back);
         p_steps = List.rev s.s_steps;

@@ -1,28 +1,29 @@
-(** Cross-table operation manifest: an append-only, CRC32-framed intent
+(** Cross-table operation manifest: an append-only, CRC32-framed redo
     log ([MANIFEST.mf]) that makes multi-table index operations atomic.
 
     Each table is individually crash-safe (dual-header epoch commits),
-    but operations like [add_document] or an advisor plan touch several
-    tables, and a crash between two table flushes used to leave the
-    environment mixed — e.g. a half-indexed document with stale RPLs
-    still servable. The manifest records every such operation as
+    but operations like [add_document], a list build or an advisor plan
+    touch several tables, and a crash between two table flushes would
+    leave the environment mixed — e.g. a half-indexed document with
+    stale RPLs still servable. The manifest records every such operation
+    as
 
-    {v Begin(op, tables, rollback, generation)
+    {v Begin(op, tables, generation)
        Step*(physical action: put / remove / remove-prefix)
        Commit
        End v}
 
-    {b File format.} An 8-byte magic ([TREXMF2\n]), then frames of
+    {b File format.} An 8-byte magic ([TREXMF3\n]), then frames of
     [u32 length | u32 CRC32 | payload] ({!Trex_util.Framing}, the query
     journal's discipline). A payload is one or more records back to
     back in a compact binary encoding: a tag byte, then varints and
     length-prefixed strings ({!Trex_util.Codec}), keys and values as raw
     bytes. A frame's CRC covers all its records, so a frame is read
-    whole or not at all: {!append_records} writes a redo-logged
-    operation's Begin, every Step and its Commit as {e one} frame (split
-    between records only past [Framing.max_payload]), and recovery sees
-    the whole operation or none of it. A torn tail is truncated at open,
-    corrupt frames are skipped, and the valid prefix is never lost
+    whole or not at all: {!append_records} writes an operation's Begin,
+    every Step and its Commit as {e one} frame (split between records
+    only past [Framing.max_payload]), and recovery sees the whole
+    operation or none of it. A torn tail is truncated at open, corrupt
+    frames are skipped, and the valid prefix is never lost
     ([manifest.torn_tails] / [manifest.corrupt_records] count what the
     sweep found). [manifest.appends], [manifest.bytes] and
     [manifest.fsyncs] count the frames written, their bytes and the
@@ -36,26 +37,18 @@
     from its documents. A torn or empty magic is restarted like any
     foreign file.
 
-    Two commit disciplines share the format:
-
-    - {b Redo-logged operations} ([Env.run_logged_op]): every table
-      write is first recorded as a [Step] holding the absolute
-      post-state bytes, and the op's single frame is fsynced before any
-      table is touched. A crash before that leaves the tables untouched
-      (roll {e back} is a no-op); after it the steps replay
-      idempotently (roll {e forward}). The [End] comes later, at the
-      environment's next checkpoint ([Env.checkpoint]), once the tables
-      are flushed.
-    - {b Build operations} ([Env.begin_op]/[commit_op]): rebuildable
-      redundant tables are written directly between [Begin] and
-      [Commit]; the [rollback] list names the tables recovery must
-      quarantine if the [Commit] record never became durable.
+    {b One commit rule} ([Env.run_logged_op]): every table write is
+    first recorded as a [Step] holding the absolute post-state bytes,
+    and the op's frame is fsynced before any table is touched. A crash
+    before that leaves the tables untouched, so an operation that never
+    committed is only [Abort]ed; after it the steps replay idempotently
+    (roll {e forward}). The [End] comes later, at the environment's
+    next checkpoint ([Env.checkpoint]), once the tables are flushed.
 
     [End] (or [Abort]) marks the operation resolved; a [Begin] without
-    either is {e pending} and is replayed by [Env] at open. Committed
-    generations are numbered; the environment refuses to serve
-    redundant lists whose operation is still pending (see
-    [Env.table_blocked]). *)
+    either is {e pending} and is resolved by [Env] at open. Committed
+    generations are numbered; the environment refuses to serve tables
+    whose operation could not be replayed (see [Env.table_blocked]). *)
 
 (** A physical, idempotent table action. [key]/[value]/[prefix] are raw
     B+tree bytes. *)
@@ -72,25 +65,23 @@ type record =
       op_id : int;
       op : string;  (** operation name, e.g. ["add_document"] *)
       tables : string list;  (** every table the operation touches *)
-      rollback : string list;
-          (** tables recovery quarantines if the op never committed *)
       generation : int;  (** the generation this op commits *)
     }
   | Step of { op_id : int; action : action }
   | Commit of { op_id : int }
-  | Abort of { op_id : int; note : string }  (** resolved by roll-back *)
+  | Abort of { op_id : int; note : string }
+      (** resolved without effect: the op never committed *)
   | End of { op_id : int }  (** resolved: all effects durable *)
 
 (** How recovery must resolve a pending operation. *)
 type status =
   | Roll_forward  (** [Commit] is durable: re-apply steps, finish *)
-  | Roll_back  (** never committed: quarantine [rollback] tables *)
+  | Roll_back  (** never committed, so it wrote no table: [Abort] it *)
 
 type pending = {
   p_op_id : int;
   p_op : string;
   p_tables : string list;
-  p_rollback : string list;
   p_generation : int;
   p_status : status;
   p_steps : action list;  (** oldest first *)

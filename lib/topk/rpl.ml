@@ -257,14 +257,6 @@ let segment_rows ~key_of_first entries =
   flush ();
   List.rev !rows
 
-(* Store rows; returns their encoded size, keys included. *)
-let insert_rows tbl rows =
-  List.fold_left
-    (fun bytes (key, value) ->
-      Bptree.insert tbl ~key ~value;
-      bytes + String.length key + String.length value)
-    0 rows
-
 (* ---- catalog ---- *)
 
 let catalog_key ~term ~sid = pair_prefix ~term ~sid
@@ -292,14 +284,13 @@ let catalog_find index kind ~term ~sid =
   let tbl = Env.table (Index.env index) (catalog_name kind) in
   Option.map decode_catalog_row (Bptree.find tbl (catalog_key ~term ~sid))
 
-let catalog_put index kind ~term ~sid ~entries ~bytes ~truncated ~bound =
-  let tbl = Env.table (Index.env index) (catalog_name kind) in
+let encode_catalog_row ~entries ~bytes ~truncated ~bound =
   let b = Codec.Buf.create ~capacity:24 () in
   Codec.Buf.add_uvarint b entries;
   Codec.Buf.add_uvarint b bytes;
   Codec.Buf.add_uvarint b (if truncated then 1 else 0);
   if truncated then Codec.Buf.add_float b bound;
-  Bptree.insert tbl ~key:(catalog_key ~term ~sid) ~value:(Codec.Buf.contents b)
+  Codec.Buf.contents b
 
 let is_materialized index kind ~term ~sid =
   catalog_find index kind ~term ~sid <> None
@@ -356,15 +347,19 @@ let rec list_take n = function
   | [] -> []
   | x :: rest -> if n <= 0 then [] else x :: list_take (n - 1) rest
 
-let write_list index kind ~term ~sid ?prefix entries =
-  let tbl = Env.table (Index.env index) (table_name kind) in
-  (* Clear any chunks left under this pair (from a list whose drop
-     removed the catalog row but crashed before the chunks) so the new
-     list never interleaves with stale entries. *)
-  let stale = ref [] in
-  Bptree.iter_prefix tbl ~prefix:(pair_prefix ~term ~sid) (fun k _ ->
-      stale := k :: !stale);
-  List.iter (fun k -> ignore (Bptree.remove tbl k)) !stale;
+(* The drop of one list as physical manifest actions, catalog row
+   first: once it is gone the list is not servable (planning and
+   cursors go through the catalog). *)
+let drop_actions kind ~term ~sid =
+  [
+    Manifest.Remove { table = catalog_name kind; key = catalog_key ~term ~sid };
+    Manifest.Remove_prefix
+      { table = table_name kind; prefix = pair_prefix ~term ~sid };
+  ]
+
+(* One list's rows and catalog row as puts, with its entry count and
+   encoded bytes (keys included). *)
+let list_puts kind ~term ~sid ?prefix entries =
   let sorted =
     List.sort
       (match kind with Rpl -> compare_rpl_order | Erpl -> compare_erpl_order)
@@ -383,15 +378,25 @@ let write_list index kind ~term ~sid ?prefix entries =
         (kept, bound, true)
     | (Rpl | Erpl), _ -> (sorted, 0.0, false)
   in
-  let bytes =
-    insert_rows tbl
-      (segment_rows
-         ~key_of_first:(fun first -> chunk_key kind ~term ~sid first)
-         sorted)
+  let rows =
+    segment_rows ~key_of_first:(fun first -> chunk_key kind ~term ~sid first) sorted
   in
-  catalog_put index kind ~term ~sid ~entries:(List.length sorted) ~bytes
-    ~truncated ~bound;
-  (List.length sorted, bytes)
+  let bytes =
+    List.fold_left (fun acc (k, v) -> acc + String.length k + String.length v) 0 rows
+  in
+  let entries = List.length sorted in
+  let puts =
+    List.map (fun (key, value) -> Manifest.Put { table = table_name kind; key; value }) rows
+    @ [
+        Manifest.Put
+          {
+            table = catalog_name kind;
+            key = catalog_key ~term ~sid;
+            value = encode_catalog_row ~entries ~bytes ~truncated ~bound;
+          };
+      ]
+  in
+  (puts, entries, bytes)
 
 let build index ~scoring ~sids ~terms ~kinds ?rpl_prefix () =
   let sids = List.sort_uniq compare sids in
@@ -436,70 +441,56 @@ let build index ~scoring ~sids ~terms ~kinds ?rpl_prefix () =
             cell := { element; score } :: !cell)
           entries)
       per_term;
-    let built = ref [] and entries_written = ref 0 and bytes = ref 0 in
-    (* Build op: lists are written directly between Begin and Commit;
-       if the commit record never lands, recovery quarantines the
-       rollback tables (they are redundant — rebuildable from ERA). *)
+    (* One redo-logged op writes every list: each pair's drop (clearing
+       chunks a crashed build or drop left under it) and then its rows,
+       so a crash leaves each list whole or absent. A kind with no list
+       left starts from empty tables first: B+trees never shrink, so the
+       pages of every dropped list would stay allocated for good. The
+       checkpoints around make the reset safe (no unended op wrote the
+       tables) and the lists durable on return, for a process that
+       opens the environment next. *)
     let env = Index.env index in
-    let kinds = List.map (fun (k, _, _) -> k) work |> List.sort_uniq compare in
-    let op_tables = List.concat_map (fun k -> [ table_name k; catalog_name k ]) kinds in
-    Env.with_build_op env ~op:"rpl_build" ~tables:op_tables ~rollback:op_tables
-      (fun () ->
-        (* A kind with no list left starts from empty tables: B+trees
-           never shrink, so the pages of every dropped list would stay
-           allocated for good. A crash before the commit quarantines
-           these tables anyway. *)
-        List.iter
-          (fun kind ->
-            if catalog index kind = [] then begin
-              Env.drop_table env (table_name kind);
-              Env.drop_table env (catalog_name kind)
-            end)
-          kinds;
-        List.iter
-          (fun (kind, term, sid) ->
-            let entries =
-              match Hashtbl.find_opt by_pair (term, sid) with
-              | Some c -> !c
-              | None -> []
-            in
-            let n, sz = write_list index kind ~term ~sid ?prefix:rpl_prefix entries in
-            built := (term, sid) :: !built;
-            entries_written := !entries_written + n;
-            bytes := !bytes + sz)
-          work);
+    Env.checkpoint env;
+    List.iter
+      (fun kind ->
+        if catalog index kind = [] then begin
+          Env.drop_table env (table_name kind);
+          Env.drop_table env (catalog_name kind)
+        end)
+      (List.sort_uniq compare (List.map (fun (k, _, _) -> k) work));
+    let lists =
+      List.map
+        (fun (kind, term, sid) ->
+          let entries =
+            match Hashtbl.find_opt by_pair (term, sid) with Some c -> !c | None -> []
+          in
+          ((term, sid), list_puts kind ~term ~sid ?prefix:rpl_prefix entries))
+        work
+    in
+    Env.run_logged_op env ~op:"rpl_build"
+      ~steps:
+        (List.concat_map (fun (kind, term, sid) -> drop_actions kind ~term ~sid) work
+        @ List.concat_map (fun (_, (puts, _, _)) -> puts) lists)
+      ();
+    Env.checkpoint env;
+    let sum f = List.fold_left (fun acc (_, l) -> acc + f l) 0 lists in
     {
-      pairs_built = List.rev !built;
+      pairs_built = List.map fst lists;
       pairs_reused = pairs_total - List.length work;
-      entries_written = !entries_written;
-      bytes_estimate = !bytes;
+      entries_written = sum (fun (_, n, _) -> n);
+      bytes_estimate = sum (fun (_, _, bytes) -> bytes);
     }
   end
 
-(* Catalog row first: once it is gone the list is not servable
-   (planning and cursors go through the catalog), so a crash mid-drop
-   can orphan unreferenced chunks but never leave a half-deleted list
-   visible. [write_list] clears orphans when the pair is rebuilt. *)
-let drop index kind ~term ~sid =
-  let cat = Env.table (Index.env index) (catalog_name kind) in
-  ignore (Bptree.remove cat (catalog_key ~term ~sid));
-  let tbl = Env.table (Index.env index) (table_name kind) in
-  let prefix = pair_prefix ~term ~sid in
-  let keys = ref [] in
-  Bptree.iter_prefix tbl ~prefix (fun k _ -> keys := k :: !keys);
-  List.iter (fun k -> ignore (Bptree.remove tbl k)) !keys
+let drop_lists index lists =
+  Env.run_logged_op (Index.env index) ~op:"rpl_drop"
+    ~steps:(List.concat_map (fun (kind, term, sid) -> drop_actions kind ~term ~sid) lists)
+    ()
 
-(* The same drop as physical manifest actions, for redo-logged
-   operations (catalog removal ordered first, as in {!drop}). *)
-let drop_actions kind ~term ~sid =
-  [
-    Manifest.Remove { table = catalog_name kind; key = catalog_key ~term ~sid };
-    Manifest.Remove_prefix
-      { table = table_name kind; prefix = pair_prefix ~term ~sid };
-  ]
+let drop index kind ~term ~sid = drop_lists index [ (kind, term, sid) ]
 
 let drop_all index kind =
-  List.iter (fun (term, sid, _, _) -> drop index kind ~term ~sid) (catalog index kind)
+  drop_lists index (List.map (fun (term, sid, _, _) -> (kind, term, sid)) (catalog index kind))
 
 (* ---- cursors ---- *)
 

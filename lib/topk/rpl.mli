@@ -66,6 +66,15 @@ val build :
     materialized list is reused. A list without a catalog row is
     built, and any rows left under its pair are cleared first.
 
+    Every list is written by one redo-logged operation
+    ([Env.run_logged_op] named ["rpl_build"]): each pair's
+    {!drop_actions}, then its rows and catalog row as puts, so a crash
+    leaves each list whole or absent, never half-written. The build
+    checkpoints before it (a kind with no list left then starts from
+    empty tables, releasing the pages of dropped lists) and after it,
+    so the lists are durable in their tables on return — another
+    process may open the environment next.
+
     [rpl_prefix] stores only the [n] highest-scoring entries of each
     RPL — the paper's observation (§4) that "only the part of the RPLs
     that is needed for computing the top-k elements must be stored".
@@ -96,19 +105,26 @@ val list_truncated : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> 
 (** Whether the stored list is a truncated prefix. Carried explicitly
     in the catalog row — a bound of 0.0 does not mean complete. *)
 
-val drop : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> unit
-(** Remove one list and its catalog entry (catalog row first, so a
-    crash mid-drop never leaves a servable half-deleted list). *)
-
 val drop_actions :
   kind -> term:string -> sid:int -> Trex_storage.Manifest.action list
-(** {!drop} expressed as physical manifest actions, for redo-logged
-    operations ([Env.run_logged_op]) that must drop stale lists
-    atomically with base-table writes (e.g. [add_document]). *)
+(** The drop of one list as physical manifest actions: its catalog row,
+    then every row under its pair. Every drop below is one redo-logged
+    operation of these ([Env.run_logged_op] named ["rpl_drop"]), durable
+    once it returns, so a crash leaves each list whole or gone; other
+    operations (e.g. [add_document]) make them leading steps of their
+    own. *)
+
+val drop_lists : Trex_invindex.Index.t -> (kind * string * int) list -> unit
+(** Remove the (kind, term, sid) lists and their catalog rows in one
+    operation. *)
+
+val drop : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> unit
+(** {!drop_lists} of one list. *)
 
 val drop_all : Trex_invindex.Index.t -> kind -> unit
-(** Remove every materialized list of the kind (e.g. to reclaim the
-    space used by a measurement pass before applying an advisor plan). *)
+(** Remove every materialized list of the kind in one operation (e.g.
+    to reclaim the space used by a measurement pass before applying an
+    advisor plan). *)
 
 val catalog : Trex_invindex.Index.t -> kind -> (string * int * int * int) list
 (** All materialized lists as (term, sid, entries, bytes). *)

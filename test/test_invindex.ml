@@ -251,11 +251,9 @@ let test_attach_roundtrip () =
 
 let test_attach_empty_env_fails () =
   let env = Env.in_memory () in
-  Alcotest.(check bool) "fails" true
-    (try
-       ignore (Index.attach env);
-       false
-     with Failure _ -> true)
+  Alcotest.check_raises "refused as holding no index" (Index.No_index "memory") (fun () ->
+      ignore (Index.attach env));
+  Alcotest.(check (list string)) "no table created" [] (Env.table_names env)
 
 let test_add_document () =
   let _, summary, index = build_index () in

@@ -85,6 +85,35 @@ let build_collection dir ~docs ~seed =
 let era_sig engine =
   sig_of (Trex.query engine ~k:5 ~method_:Trex.Strategy.Era_method nexi)
 
+(* Every list a catalog advertises must be fully readable: a cursor
+   over it drains to the catalog's entry count. Returns the advertised
+   lists as (kind, term, sid, entries). *)
+let drain_advertised ctx index =
+  List.concat_map
+    (fun kind ->
+      List.map
+        (fun (term, sid, entries, _) ->
+          let c = Rpl.Cursor.create index kind ~term ~sid in
+          let n = ref 0 in
+          while Rpl.Cursor.next c <> None do incr n done;
+          check Alcotest.int
+            (Printf.sprintf "%s: %s list (%s, %d) complete" ctx (Rpl.kind_to_string kind) term
+               sid)
+            entries !n;
+          (kind, term, sid, entries))
+        (Rpl.catalog index kind))
+    [ Rpl.Rpl; Rpl.Erpl ]
+
+(* The labels a redo-logged list operation passes through, named by
+   the op; a crash matrix that saw none of them tested another
+   protocol. *)
+let check_logged_points ctx op points =
+  List.iter
+    (fun p ->
+      check Alcotest.bool (Printf.sprintf "%s: passes %s" ctx p) true (List.mem p points))
+    [ "op:" ^ op ^ ":planned"; "op:" ^ op ^ ":committed"; "op:" ^ op ^ ":applied";
+      "checkpoint:ended" ]
+
 let assert_verify_clean ctx reports =
   List.iter
     (fun (r : Env.table_report) ->
@@ -94,13 +123,15 @@ let assert_verify_clean ctx reports =
     reports
 
 (* Run [f ()] with a hook that raises [Injected_crash] at the [at]-th
-   sequence point; returns the number of points seen. With [at] beyond
-   the end, nothing fires and [f]'s result stands. *)
-let run_with_crash_at at f =
+   sequence point; returns the number of points seen (their labels are
+   prepended to [points]). With [at] beyond the end, nothing fires and
+   [f]'s result stands. *)
+let run_with_crash_at ?(points = ref []) at f =
   let count = ref 0 in
   Env.set_op_hook
     (Some
        (fun point ->
+         points := point :: !points;
          let i = !count in
          incr count;
          if i = at then raise (Pager.Injected_crash ("hook:" ^ point))));
@@ -118,7 +149,6 @@ let sample_records =
         op_id = 1;
         op = "add_document";
         tables = [ "elements"; "postings" ];
-        rollback = [];
         generation = 1;
       };
     Manifest.Step
@@ -130,7 +160,7 @@ let sample_records =
     Manifest.Commit { op_id = 1 };
     Manifest.End { op_id = 1 };
     Manifest.Begin
-      { op_id = 2; op = "rpl_build"; tables = [ "rpls" ]; rollback = [ "rpls" ]; generation = 2 };
+      { op_id = 2; op = "rpl_build"; tables = [ "rpls" ]; generation = 2 };
     Manifest.Abort { op_id = 2; note = "build failed: boom" };
   ]
 
@@ -155,13 +185,12 @@ let test_pending_classification () =
   (* Committed but no End -> roll forward, with its steps. *)
   let a = Manifest.Put { table = "t"; key = "k"; value = "v" } in
   Manifest.append m
-    (Manifest.Begin { op_id = 1; op = "fwd"; tables = [ "t" ]; rollback = []; generation = 1 });
+    (Manifest.Begin { op_id = 1; op = "fwd"; tables = [ "t" ]; generation = 1 });
   Manifest.append m (Manifest.Step { op_id = 1; action = a });
   Manifest.append m (Manifest.Commit { op_id = 1 });
   (* Begun but never committed -> roll back. *)
   Manifest.append m
-    (Manifest.Begin
-       { op_id = 2; op = "back"; tables = [ "u" ]; rollback = [ "u" ]; generation = 2 });
+    (Manifest.Begin { op_id = 2; op = "back"; tables = [ "u" ]; generation = 2 });
   match Manifest.pending m with
   | [ p1; p2 ] ->
       check Alcotest.bool "op 1 rolls forward" true
@@ -171,7 +200,7 @@ let test_pending_classification () =
       check Alcotest.bool "op 2 rolls back" true
         (p2.Manifest.p_op_id = 2
         && p2.Manifest.p_status = Manifest.Roll_back
-        && p2.Manifest.p_rollback = [ "u" ])
+        && p2.Manifest.p_tables = [ "u" ])
   | l -> Alcotest.failf "expected 2 pending ops, got %d" (List.length l)
 
 (* Resolved operations leave memory as they resolve; the ones still
@@ -182,13 +211,13 @@ let test_pending_after_many_resolved () =
   let path = Filename.concat dir "m.mf" in
   let m = Manifest.open_file path in
   let put i = Manifest.Put { table = "t"; key = string_of_int i; value = "v" } in
-  let begin_op op_id =
+  let append_begin op_id =
     Manifest.append m
       (Manifest.Begin
-         { op_id; op = "op"; tables = [ "t" ]; rollback = [ "t" ]; generation = op_id })
+         { op_id; op = "op"; tables = [ "t" ]; generation = op_id })
   in
   for op_id = 1 to 500 do
-    begin_op op_id;
+    append_begin op_id;
     Manifest.append m (Manifest.Step { op_id; action = put op_id });
     if op_id mod 7 = 0 then Manifest.append m (Manifest.Abort { op_id; note = "no" })
     else begin
@@ -198,10 +227,10 @@ let test_pending_after_many_resolved () =
   done;
   check Alcotest.int "resolved ops are not pending" 0 (List.length (Manifest.pending m));
   check Alcotest.bool "appended records are not retained" true (Manifest.records m = []);
-  begin_op 501;
+  append_begin 501;
   Manifest.append m (Manifest.Step { op_id = 501; action = put 501 });
   Manifest.append m (Manifest.Commit { op_id = 501 });
-  begin_op 502;
+  append_begin 502;
   Manifest.append m (Manifest.Step { op_id = 502; action = put 502 });
   Manifest.sync m;
   let classify label m =
@@ -214,7 +243,7 @@ let test_pending_after_many_resolved () =
         check Alcotest.bool (label ^ ": op 502 rolls back") true
           (p2.Manifest.p_op_id = 502
           && p2.Manifest.p_status = Manifest.Roll_back
-          && p2.Manifest.p_rollback = [ "t" ])
+          && p2.Manifest.p_steps = [ put 502 ])
     | l -> Alcotest.failf "%s: expected 2 pending ops, got %d" label (List.length l)
   in
   classify "before reopen" m;
@@ -358,6 +387,50 @@ let test_replay_creates_rootless_table () =
   check Alcotest.(option string) "the put is durable" (Some "v")
     (Bptree.find (Env.table env "fresh") "k");
   Env.close env
+
+(* An operation whose apply raises in process (a drop over a damaged
+   list table) stays committed, and is applied again before any later
+   one: a later op is refused while it still fails, and once the pair
+   is quarantined and rebuilt, nothing replays it over the rebuilt
+   lists at the next open. *)
+let test_failed_apply_applied_first () =
+  let dir = temp_dir () in
+  let env, engine = build_collection dir ~docs:8 ~seed:53 in
+  ignore (Trex.materialize engine nexi);
+  let lists = List.length (Rpl.catalog (Trex.index engine) Rpl.Rpl) in
+  Trex.Env.close env;
+  (* Damage every page of the RPL table; its header slots stay whole. *)
+  let path = Filename.concat dir "rpls.tbl" in
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0 in
+  let off = ref 228 in
+  while !off < file_length path do
+    ignore (Unix.lseek fd !off Unix.SEEK_SET);
+    ignore (Unix.write_substring fd "\xff\xff\xff\xff" 0 4);
+    off := !off + 8196
+  done;
+  Unix.close fd;
+  let env = Trex.Env.on_disk dir in
+  let engine = Trex.attach ~env () in
+  let index = Trex.index engine in
+  let raises_corruption ctx f =
+    match f () with
+    | () -> Alcotest.failf "%s: read no damaged page" ctx
+    | exception Pager.Corruption _ -> ()
+  in
+  raises_corruption "the drop" (fun () -> Rpl.drop_all index Rpl.Rpl);
+  raises_corruption "a later op" (fun () ->
+      ignore (Trex.add_document engine ~name:"later" ~xml:"<a><b>word</b></a>"));
+  List.iter (Env.quarantine_table env) [ "rpls"; "rpl_catalog" ];
+  ignore (Trex.materialize engine ~kinds:[ Rpl.Rpl ] nexi);
+  check Alcotest.int "lists rebuilt" lists (List.length (Rpl.catalog index Rpl.Rpl));
+  Trex.Env.close env;
+  let env = Trex.Env.on_disk dir in
+  check Alcotest.int "nothing left to replay" 0 (List.length (Env.manifest_resolutions env));
+  let engine = Trex.attach ~env () in
+  ignore (drain_advertised "reopened" (Trex.index engine));
+  check Alcotest.int "rebuilt lists survive the reopen" lists
+    (List.length (Rpl.catalog (Trex.index engine) Rpl.Rpl));
+  Trex.Env.close env
 
 (* ---- add_document crash matrix (hook points) ---- *)
 
@@ -556,16 +629,18 @@ let test_materialize_crash_matrix () =
   let pre_sig = era_sig engine in
   Trex.Env.close env;
   let work = temp_dir () in
+  let points = ref [] in
   let run at =
     copy_dir pristine work;
     let env = Trex.Env.on_disk work in
     let engine = Trex.attach ~env () in
-    let r = run_with_crash_at at (fun () -> ignore (Trex.materialize engine nexi)) in
+    let r = run_with_crash_at ~points at (fun () -> ignore (Trex.materialize engine nexi)) in
     Env.abort env;
     r
   in
   let total, crashed = run max_int in
   check Alcotest.bool "counting pass completes" false crashed;
+  check_logged_points "materialize" "rpl_build" !points;
   check Alcotest.bool "materialize has sequence points" true (total >= 4);
   let committed = ref 0 and rolled_back = ref 0 in
   for at = 0 to total - 1 do
@@ -602,27 +677,51 @@ let test_materialize_crash_matrix () =
 
 (* ---- Advisor.apply crash matrix ---- *)
 
+let other_nexi = "//article//abs[about(., multimedia systems)]"
+let stale_nexi = "//article//sec[about(., xml data)]"
+
+(* The pre-state already holds the lists of the plan's first selected
+   query (which the plan keeps), plus lists of a query outside the
+   workload (which it drops); [apply] drops, keeps and builds. A list
+   the plan keeps must survive every crash point whole: a crash may
+   lose the plan's progress, never what it kept. *)
 let test_advisor_apply_crash_matrix () =
   let pristine = temp_dir () in
   let env, engine = build_collection pristine ~docs:6 ~seed:31 in
   let pre_sig = era_sig engine in
+  let workload =
+    Trex.Workload.create
+      [
+        { Trex.Workload.id = "q1"; nexi; k = 5; frequency = 0.6 };
+        { Trex.Workload.id = "q2"; nexi = other_nexi; k = 5; frequency = 0.4 };
+      ]
+  in
   (* Plan once (measurement passes drop/build lists; do it on the
      pristine env so crash runs only replay [apply]). *)
-  let workload =
-    Trex.Workload.create [ { Trex.Workload.id = "q1"; nexi; k = 5; frequency = 1.0 } ]
-  in
   let plan, profiles = Trex.advise engine ~workload ~budget:max_int ~runs:1 () in
+  let selected =
+    List.filter (fun (_, c) -> c <> Trex.Advisor.No_index) plan.Trex.Advisor.decisions
+  in
+  check Alcotest.bool "plan selects an index" true (selected <> []);
+  let first_id, first_choice = List.hd selected in
+  let first = Option.get (Trex.Workload.find workload first_id) in
+  let kept_kind = if first_choice = Trex.Advisor.Use_rpl then Rpl.Rpl else Rpl.Erpl in
+  ignore (Trex.materialize engine ~kinds:[ kept_kind ] first.Trex.Workload.nexi);
+  let kept = drain_advertised "pre-state" (Trex.index engine) in
+  ignore (Trex.materialize engine stale_nexi);
+  check Alcotest.bool "pre-state holds lists the plan drops" true
+    (List.length (drain_advertised "pre-state" (Trex.index engine)) > List.length kept);
+  check Alcotest.bool "pre-state holds lists the plan keeps" true (kept <> []);
   Trex.vacuum engine;
   Trex.Env.close env;
-  check Alcotest.bool "plan selects an index" true
-    (List.exists (fun (_, c) -> c <> Trex.Advisor.No_index) plan.Trex.Advisor.decisions);
   let work = temp_dir () in
+  let points = ref [] in
   let run at =
     copy_dir pristine work;
     let env = Trex.Env.on_disk work in
     let engine = Trex.attach ~env () in
     let r =
-      run_with_crash_at at (fun () ->
+      run_with_crash_at ~points at (fun () ->
           Trex.Advisor.apply (Trex.index engine) ~scoring:(Trex.scoring engine)
             ~workload ~profiles plan)
     in
@@ -631,6 +730,7 @@ let test_advisor_apply_crash_matrix () =
   in
   let total, crashed = run max_int in
   check Alcotest.bool "counting pass completes" false crashed;
+  check_logged_points "apply" "rpl_drop" !points;
   check Alcotest.bool "apply has sequence points" true (total >= 6);
   for at = 0 to total - 1 do
     let _, crashed = run at in
@@ -640,77 +740,167 @@ let test_advisor_apply_crash_matrix () =
     assert_verify_clean ctx reports;
     check Alcotest.int (ctx ^ ": nothing unresolved") 0 (Env.manifest_unresolved env);
     let engine = Trex.attach ~env () in
-    (* Every list a catalog still advertises must be fully readable:
-       a cursor over it drains without error. *)
+    let advertised = drain_advertised ctx (Trex.index engine) in
     List.iter
-      (fun kind ->
-        List.iter
-          (fun (term, sid, entries, _) ->
-            let c = Rpl.Cursor.create (Trex.index engine) kind ~term ~sid in
-            let n = ref 0 in
-            while Rpl.Cursor.next c <> None do incr n done;
-            check Alcotest.int
-              (Printf.sprintf "%s: %s list (%s, %d) complete" ctx
-                 (Rpl.kind_to_string kind) term sid)
-              entries !n)
-          (Rpl.catalog (Trex.index engine) kind))
-      [ Rpl.Rpl; Rpl.Erpl ];
+      (fun (kind, term, sid, entries) ->
+        check Alcotest.bool
+          (Printf.sprintf "%s: kept %s list (%s, %d) survives" ctx (Rpl.kind_to_string kind)
+             term sid)
+          true
+          (List.mem (kind, term, sid, entries) advertised))
+      kept;
     check sig_testable (ctx ^ ": answers unchanged") pre_sig (era_sig engine);
     Trex.Env.close env
   done
 
+(* ---- Rpl.drop_all crash matrix ---- *)
+
+(* Both kinds' drops, then the checkpoint that makes them durable in
+   the tables, crashed at every point: each list is whole (advertised,
+   and drains to its catalog count) or gone (no catalog row and no row
+   under its pair). *)
+let test_drop_all_crash_matrix () =
+  let pristine = temp_dir () in
+  let env, engine = build_collection pristine ~docs:6 ~seed:37 in
+  ignore (Trex.materialize engine nexi);
+  ignore (Trex.materialize engine other_nexi);
+  let pre = drain_advertised "pre-state" (Trex.index engine) in
+  let pre_sig = era_sig engine in
+  Trex.Env.close env;
+  check Alcotest.bool "pre-state holds lists" true (pre <> []);
+  let work = temp_dir () in
+  let points = ref [] in
+  let run at =
+    copy_dir pristine work;
+    let env = Trex.Env.on_disk work in
+    let engine = Trex.attach ~env () in
+    let r =
+      run_with_crash_at ~points at (fun () ->
+          List.iter (Rpl.drop_all (Trex.index engine)) [ Rpl.Rpl; Rpl.Erpl ];
+          Env.checkpoint env)
+    in
+    Env.abort env;
+    r
+  in
+  let total, crashed = run max_int in
+  check Alcotest.bool "counting pass completes" false crashed;
+  check_logged_points "drop_all" "rpl_drop" !points;
+  let whole = ref 0 and gone = ref 0 in
+  for at = 0 to total do
+    let _, crashed = run at in
+    check Alcotest.bool (Printf.sprintf "point %d: crash fired" at) (at < total) crashed;
+    let ctx = Printf.sprintf "drop_all crash at point %d" at in
+    let env, reports = Env.open_with_recovery work in
+    assert_verify_clean ctx reports;
+    check Alcotest.int (ctx ^ ": nothing unresolved") 0 (Env.manifest_unresolved env);
+    let engine = Trex.attach ~env () in
+    let index = Trex.index engine in
+    let advertised = drain_advertised ctx index in
+    List.iter
+      (fun ((kind, term, sid, _) as l) ->
+        if List.mem l advertised then incr whole
+        else begin
+          let rows = ref 0 in
+          Bptree.iter_prefix (Env.table env (Rpl.table_name kind))
+            ~prefix:
+              (Trex_util.Codec.concat_keys
+                 [ Trex_util.Codec.key_of_string term; Trex_util.Codec.key_of_int sid ])
+            (fun _ _ -> incr rows);
+          check Alcotest.int
+            (Printf.sprintf "%s: dropped %s list (%s, %d) leaves no rows" ctx
+               (Rpl.kind_to_string kind) term sid)
+            0 !rows;
+          incr gone
+        end)
+      pre;
+    check Alcotest.bool (ctx ^ ": no list appears") true
+      (List.for_all (fun l -> List.mem l pre) advertised);
+    check sig_testable (ctx ^ ": answers unchanged") pre_sig (era_sig engine);
+    Trex.Env.close env
+  done;
+  check Alcotest.bool "matrix saw lists kept whole" true (!whole > 0);
+  check Alcotest.bool "matrix saw lists gone" true (!gone > 0)
+
 (* ---- Autopilot.maybe_heal interrupted mid-rebuild ---- *)
 
+(* The heal quarantines the pair and rebuilds it with [Rpl.build]; an
+   interruption at any point of the build's logged op or checkpoint
+   (in-process, so in memory) leaves the pair's lists all or nothing
+   and its breakers open, and the next pass converges. *)
 let test_heal_interrupted_converges () =
-  (* In-memory env: the interruption is in-process (the breaker layer's
-     concern), not a process crash. *)
-  let coll = Trex_corpus.Gen.ieee ~doc_count:10 ~seed:47 () in
-  let env = Trex.Env.in_memory () in
-  let engine = Trex.build ~env ~alias:coll.alias (coll.docs ()) in
-  ignore (Trex.materialize engine nexi);
-  let baseline = Trex.query engine ~k:5 ~method_:Trex.Strategy.Ta_method nexi in
-  let pilot =
-    Trex.Autopilot.create (Trex.index engine) ~scoring:(Trex.scoring engine)
-      ~budget:max_int ()
+  let setup () =
+    let coll = Trex_corpus.Gen.ieee ~doc_count:10 ~seed:47 () in
+    let env = Trex.Env.in_memory () in
+    let engine = Trex.build ~env ~alias:coll.alias (coll.docs ()) in
+    ignore (Trex.materialize engine nexi);
+    let pilot =
+      Trex.Autopilot.create (Trex.index engine) ~scoring:(Trex.scoring engine)
+        ~budget:max_int ()
+    in
+    Trex.Autopilot.record pilot ~nexi ~k:5;
+    (env, engine, pilot)
   in
-  Trex.Autopilot.record pilot ~nexi ~k:5;
-  Env.trip_table env "rpls" ~reason:"injected for the interruption test";
-  Breaker.set_cooldown (Env.breaker env "rpls") 0.0;
-  (* First heal attempt: crash inside the rebuild's table writes. *)
-  Env.set_op_hook
-    (Some
-       (fun point ->
-         if point = "op:rpl_build:flushed:rpls" then
-           raise (Pager.Injected_crash ("hook:" ^ point))));
-  (match
-     Fun.protect
-       ~finally:(fun () -> Env.set_op_hook None)
-       (fun () -> Trex.Autopilot.maybe_heal pilot)
-   with
-  | [ { Trex.Autopilot.action = Trex.Autopilot.Still_failing _; _ } ] -> ()
-  | reports ->
-      Alcotest.failf "expected one still-failing report, got %d"
-        (List.length reports));
-  (* The interruption must leave the pair quarantined, not half-built.
-     (The breaker's cooldown is 0 here, so [table_available] would
-     admit a half-open probe; the state is what must not be Closed.) *)
-  Alcotest.(check bool) "breaker stays open" true
-    (Breaker.state (Env.breaker env "rpls") <> Breaker.Closed);
-  check Alcotest.int "rpls left empty, not half-rebuilt" 0
-    (List.length (Rpl.catalog (Trex.index engine) Rpl.Rpl));
-  (* Next pass (cooldown elapsed) converges: rebuild completes. *)
-  Breaker.set_cooldown (Env.breaker env "rpls") 0.0;
-  Breaker.set_cooldown (Env.breaker env "rpl_catalog") 0.0;
-  (match Trex.Autopilot.maybe_heal pilot with
-  | [ { Trex.Autopilot.action = Trex.Autopilot.Rebuilt _; _ } ] -> ()
-  | reports ->
-      Alcotest.failf "expected one rebuilt report, got %d" (List.length reports));
-  Alcotest.(check bool) "breaker closed" true (Env.table_available env "rpls");
-  check Alcotest.int "nothing left to heal" 0
-    (List.length (Trex.Autopilot.maybe_heal pilot));
-  let after = Trex.query engine ~k:5 ~method_:Trex.Strategy.Ta_method nexi in
-  check sig_testable "TA serves exactly as before the damage" (sig_of baseline)
-    (sig_of after)
+  let trip env =
+    Env.trip_table env "rpls" ~reason:"injected for the interruption test";
+    Breaker.set_cooldown (Env.breaker env "rpls") 0.0
+  in
+  let heal_at ?points pilot at =
+    let reports = ref [] in
+    let _, crashed =
+      run_with_crash_at ?points at (fun () -> reports := Trex.Autopilot.maybe_heal pilot)
+    in
+    (crashed, !reports)
+  in
+  let points = ref [] in
+  let env, engine, pilot = setup () in
+  let baseline = Trex.query engine ~k:5 ~method_:Trex.Strategy.Ta_method nexi in
+  trip env;
+  let t = Trex.translate engine (Trex.parse engine nexi) in
+  let sids = Trex.Translate.all_sids t and terms = Trex.Translate.all_terms t in
+  (* Counting pass: the heal's own points. *)
+  (match heal_at ~points pilot max_int with
+  | false, [ { Trex.Autopilot.action = Trex.Autopilot.Rebuilt _; _ } ] -> ()
+  | crashed, reports ->
+      Alcotest.failf "counting pass: expected one rebuilt report, got %s%s"
+        (String.concat "; " (List.map (Format.asprintf "%a" Trex.Autopilot.pp_heal) reports))
+        (if crashed then " (crashed)" else ""));
+  check_logged_points "heal" "rpl_build" !points;
+  let total = List.length !points in
+  for at = 0 to total - 1 do
+    let ctx = Printf.sprintf "heal interrupted at point %d" at in
+    let env, engine, pilot = setup () in
+    trip env;
+    let index = Trex.index engine in
+    (* First heal attempt: interrupted inside the rebuild. [maybe_heal]
+       reports the failure rather than raising it. *)
+    (match heal_at pilot at with
+    | false, [ { Trex.Autopilot.action = Trex.Autopilot.Still_failing _; _ } ] -> ()
+    | _, reports ->
+        Alcotest.failf "%s: expected one still-failing report, got %d" ctx
+          (List.length reports));
+    (* The interruption must leave the pair's lists whole or absent, not
+       half-built. (The breaker's cooldown is 0 here, so
+       [table_available] would admit a half-open probe; the state is
+       what must not be Closed.) *)
+    Alcotest.(check bool) (ctx ^ ": breaker stays open") true
+      (Breaker.state (Env.breaker env "rpls") <> Breaker.Closed);
+    ignore (drain_advertised ctx index);
+    check Alcotest.bool (ctx ^ ": rpls all or nothing") true
+      (Rpl.covers index Rpl.Rpl ~sids ~terms || Rpl.catalog index Rpl.Rpl = []);
+    (* Next pass (cooldown elapsed) converges: rebuild completes. *)
+    Breaker.set_cooldown (Env.breaker env "rpls") 0.0;
+    Breaker.set_cooldown (Env.breaker env "rpl_catalog") 0.0;
+    (match Trex.Autopilot.maybe_heal pilot with
+    | [ { Trex.Autopilot.action = Trex.Autopilot.Rebuilt _; _ } ] -> ()
+    | reports ->
+        Alcotest.failf "%s: expected one rebuilt report, got %d" ctx (List.length reports));
+    Alcotest.(check bool) (ctx ^ ": breaker closed") true (Env.table_available env "rpls");
+    check Alcotest.int (ctx ^ ": nothing left to heal") 0
+      (List.length (Trex.Autopilot.maybe_heal pilot));
+    let after = Trex.query engine ~k:5 ~method_:Trex.Strategy.Ta_method nexi in
+    check sig_testable (ctx ^ ": TA serves exactly as before the damage") (sig_of baseline)
+      (sig_of after)
+  done
 
 (* ---- stale generation blocks cursors, verify flags it ---- *)
 
@@ -731,7 +921,6 @@ let test_unresolved_blocks_generation () =
          op_id;
          op = "forged";
          tables = [ "rpls"; "rpl_catalog" ];
-         rollback = [];
          generation = Manifest.next_generation m;
        });
   Manifest.append m
@@ -954,9 +1143,9 @@ let check_untouched ctx before dir =
   check Alcotest.(list string) (ctx ^ ": same files") (List.map fst before) (List.map fst after);
   check Alcotest.(list string) (ctx ^ ": files changed") [] changed
 
-(* The JSON manifest's magic (an older version) and a newer one: the
-   open refuses the environment before the sweep could restart the
-   file, and writes nothing. *)
+(* The JSON manifest's magic, the build-op one (older versions) and a
+   newer one: the open refuses the environment before the sweep could
+   restart the file, and writes nothing. *)
 let test_other_manifest_versions_refused () =
   let dir = temp_dir () in
   let env, _ = build_collection dir ~docs:4 ~seed:21 in
@@ -969,13 +1158,13 @@ let test_other_manifest_versions_refused () =
       Trex_util.Framing.append fd {|{"t":"checkpoint","gen":1,"next":1}|};
       Unix.close fd;
       let before = snapshot dir in
-      let refused = Manifest.Unsupported_format { found = Some ("TREXMF" ^ version); expected = "TREXMF2" } in
+      let refused = Manifest.Unsupported_format { found = Some ("TREXMF" ^ version); expected = "TREXMF3" } in
       Alcotest.check_raises ("TREXMF" ^ version ^ " refused at open") refused (fun () ->
           ignore (Env.on_disk dir));
       Alcotest.check_raises ("TREXMF" ^ version ^ " refused by recovery") refused (fun () ->
           ignore (Env.open_with_recovery dir));
       check_untouched ("TREXMF" ^ version) before dir)
-    [ "1"; "9" ]
+    [ "1"; "2"; "9" ]
 
 (* An index written before the [format] key (its meta says
    [postings_layout = blocked] instead) and one of another format value
@@ -1009,6 +1198,40 @@ let test_other_index_formats_refused () =
       refused ("format " ^ old) (Some old))
     [ "trex-0"; "trex-1" ]
 
+(* A path holding no index — missing, an empty directory, a directory
+   of other files — is refused with [Index.No_index] by the attach and
+   by the inspection path ([verify], [health]), and left as it was: no
+   directory, table file, manifest or journal created. *)
+let test_missing_index_refused () =
+  let root = temp_dir () in
+  let absent = Filename.concat root "absent" in
+  let empty = Filename.concat root "empty" in
+  let stray = Filename.concat root "stray" in
+  Unix.mkdir empty 0o755;
+  Unix.mkdir stray 0o755;
+  Out_channel.with_open_bin (Filename.concat stray "notes.txt") (fun oc ->
+      output_string oc "not an index");
+  let refuse dir =
+    let env = Env.on_disk dir in
+    Alcotest.check_raises (dir ^ ": attach refused") (Index.No_index dir) (fun () ->
+        ignore (Trex.attach ~env ()));
+    check Alcotest.bool (dir ^ ": no journal") false (Env.has_journal env);
+    Env.close env;
+    let env, reports = Env.open_with_recovery dir in
+    check Alcotest.int (dir ^ ": nothing to verify") 0 (List.length reports);
+    Alcotest.check_raises (dir ^ ": inspection refused") (Index.No_index dir) (fun () ->
+        Index.require env);
+    Env.close env
+  in
+  refuse absent;
+  check Alcotest.bool "a missing directory stays missing" false (Sys.file_exists absent);
+  List.iter
+    (fun dir ->
+      let before = snapshot dir in
+      refuse dir;
+      check_untouched dir before dir)
+    [ empty; stray ]
+
 (* An environment whose manifest holds only resolved history (as one
    closed by a build that compacted nothing) opens without writing:
    had it been of another format, refusing it would leave every file
@@ -1022,8 +1245,7 @@ let test_resolved_history_open_writes_nothing () =
   Manifest.append_records m
     [
       Manifest.Begin
-        { op_id; op = "rpl_build"; tables = [ "rpls" ]; rollback = [ "rpls" ];
-          generation = Manifest.next_generation m };
+        { op_id; op = "rpl_build"; tables = [ "rpls" ]; generation = Manifest.next_generation m };
       Manifest.Commit { op_id };
       Manifest.End { op_id };
     ];
@@ -1096,6 +1318,7 @@ let () =
             test_other_manifest_versions_refused;
           Alcotest.test_case "other index formats refused" `Quick
             test_other_index_formats_refused;
+          Alcotest.test_case "missing index refused" `Quick test_missing_index_refused;
           Alcotest.test_case "resolved history opens without writing" `Quick
             test_resolved_history_open_writes_nothing;
         ] );
@@ -1105,6 +1328,8 @@ let () =
             test_run_logged_op_applies;
           Alcotest.test_case "replay creates a rootless table" `Quick
             test_replay_creates_rootless_table;
+          Alcotest.test_case "failed apply applied first" `Quick
+            test_failed_apply_applied_first;
           Alcotest.test_case "manifest compacts at open" `Quick
             test_manifest_compacts_at_open;
           Alcotest.test_case "dir fsync after unlink" `Quick
@@ -1121,6 +1346,7 @@ let () =
             test_materialize_crash_matrix;
           Alcotest.test_case "advisor apply hook points" `Slow
             test_advisor_apply_crash_matrix;
+          Alcotest.test_case "drop_all hook points" `Slow test_drop_all_crash_matrix;
           Alcotest.test_case "checkpoint hook points" `Slow test_checkpoint_crash_matrix;
           Alcotest.test_case "add past the frame limit" `Slow test_oversized_add_recovers;
         ] );
