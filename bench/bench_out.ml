@@ -93,7 +93,6 @@ let flush ~quick section =
         let v name = Metrics.value (Metrics.counter name) in
         Json.Obj
           [
-            ("retries", Json.Int (v "resilience.retries"));
             ("breaker_trips", Json.Int (v "resilience.breaker_trips"));
             ("degraded_runs", Json.Int (v "resilience.degraded_runs"));
           ]

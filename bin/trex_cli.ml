@@ -53,24 +53,46 @@ let write_file path content =
   output_string oc content;
   close_out oc
 
-let alias_of_name = function
-  | "ieee" -> (Trex_corpus.Gen.ieee ~doc_count:1 ()).alias
-  | "wiki" -> (Trex_corpus.Gen.wikipedia ~doc_count:1 ()).alias
-  | "none" -> Trex.Alias.identity
-  | other -> failwith (Printf.sprintf "unknown alias set %S (ieee|wiki|none)" other)
+(* ---- shared options ----
 
-let method_of_string = function
-  | "era" -> Trex.Strategy.Era_method
-  | "ta" -> Trex.Strategy.Ta_method
-  | "ita" -> Trex.Strategy.Ita_method
-  | "merge" -> Trex.Strategy.Merge_method
-  | other -> failwith (Printf.sprintf "unknown method %S" other)
+   Counts and fixed choices are parsed by Cmdliner, so a bad value is a
+   usage error (exit 124), reported before anything is opened. *)
+
+let positive_int =
+  Arg.conv ~docv:"N"
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n > 0 -> Ok n
+        | _ -> Error (`Msg (Printf.sprintf "expected a positive integer, got %S" s))),
+      Format.pp_print_int )
+
+let k_arg = Arg.(value & opt positive_int 10 & info [ "k" ] ~doc:"answers to return")
+
+let method_arg =
+  let methods =
+    List.map
+      (fun m -> (String.lowercase_ascii (Trex.Strategy.method_to_string m), m))
+      Trex.Strategy.all_methods
+  in
+  Arg.(value & opt (some (enum methods)) None & info [ "method" ] ~doc:"era|ta|ita|merge")
+
+let alias_arg =
+  Arg.(value
+       & opt (enum [ ("ieee", `Ieee); ("wiki", `Wiki); ("none", `None) ]) `None
+       & info [ "alias" ] ~doc:"ieee, wiki or none")
+
+let alias_of_name = function
+  | `Ieee -> (Trex_corpus.Gen.ieee ~doc_count:1 ()).alias
+  | `Wiki -> (Trex_corpus.Gen.wikipedia ~doc_count:1 ()).alias
+  | `None -> Trex.Alias.identity
 
 (* ---- gen ---- *)
 
 let gen_cmd =
   let collection =
-    Arg.(value & opt string "ieee" & info [ "collection" ] ~doc:"ieee or wiki")
+    Arg.(value
+         & opt (enum [ ("ieee", `Ieee); ("wiki", `Wiki) ]) `Ieee
+         & info [ "collection" ] ~doc:"ieee or wiki")
   in
   let docs = Arg.(value & opt int 100 & info [ "docs" ] ~doc:"number of documents") in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"generator seed") in
@@ -78,9 +100,8 @@ let gen_cmd =
   let run collection docs seed out =
     let coll =
       match collection with
-      | "ieee" -> Trex_corpus.Gen.ieee ~doc_count:docs ~seed ()
-      | "wiki" -> Trex_corpus.Gen.wikipedia ~doc_count:docs ~seed ()
-      | other -> failwith (Printf.sprintf "unknown collection %S" other)
+      | `Ieee -> Trex_corpus.Gen.ieee ~doc_count:docs ~seed ()
+      | `Wiki -> Trex_corpus.Gen.wikipedia ~doc_count:docs ~seed ()
     in
     if not (Sys.file_exists out) then Unix.mkdir out 0o755;
     Seq.iter (fun (name, xml) -> write_file (Filename.concat out name) xml) (coll.docs ());
@@ -98,12 +119,28 @@ let index_cmd =
   let src =
     Arg.(required & opt (some string) None & info [ "src" ] ~doc:"directory of .xml files")
   in
-  let alias = Arg.(value & opt string "none" & info [ "alias" ] ~doc:"ieee, wiki or none") in
   let summary =
-    Arg.(value & opt string "incoming"
+    let parse = function
+      | "incoming" -> Ok Trex.Summary.Incoming
+      | "tag" -> Ok Trex.Summary.Tag
+      | s -> (
+          match
+            if String.length s >= 2 && s.[0] = 'a' then
+              int_of_string_opt (String.sub s 1 (String.length s - 1))
+            else None
+          with
+          | Some k when k >= 1 -> Ok (Trex.Summary.A_k k)
+          | _ -> Error (`Msg (Printf.sprintf "unknown summary %S" s)))
+    in
+    let print fmt = function
+      | Trex.Summary.Incoming -> Format.pp_print_string fmt "incoming"
+      | Trex.Summary.Tag -> Format.pp_print_string fmt "tag"
+      | Trex.Summary.A_k k -> Format.fprintf fmt "a%d" k
+    in
+    Arg.(value & opt (conv (parse, print)) Trex.Summary.Incoming
          & info [ "summary" ] ~doc:"incoming, tag, or aK (e.g. a2) for an A(k)-index")
   in
-  let run src env alias summary =
+  let run src env alias criterion =
     let files =
       Sys.readdir src |> Array.to_list
       |> List.filter (fun f -> Filename.check_suffix f ".xml")
@@ -113,16 +150,6 @@ let index_cmd =
     let docs =
       List.to_seq files
       |> Seq.map (fun f -> (f, read_file (Filename.concat src f)))
-    in
-    let criterion =
-      match summary with
-      | "incoming" -> Trex.Summary.Incoming
-      | "tag" -> Trex.Summary.Tag
-      | s when String.length s >= 2 && s.[0] = 'a' -> (
-          match int_of_string_opt (String.sub s 1 (String.length s - 1)) with
-          | Some k -> Trex.Summary.A_k k
-          | None -> failwith (Printf.sprintf "unknown summary %S" s))
-      | other -> failwith (Printf.sprintf "unknown summary %S" other)
     in
     let storage = Trex.Env.on_disk env in
     let t0 = Unix.gettimeofday () in
@@ -137,7 +164,7 @@ let index_cmd =
       (Unix.gettimeofday () -. t0)
   in
   Cmd.v (Cmd.info "index" ~doc:"Build an index over XML files")
-    Term.(const run $ src $ env_arg $ alias $ summary)
+    Term.(const run $ src $ env_arg $ alias_arg $ summary)
 
 (* ---- query ---- *)
 
@@ -149,10 +176,6 @@ let syntax_error cmd ~message ~pos =
 
 let query_cmd =
   let nexi = Arg.(required & pos 0 (some string) None & info [] ~docv:"NEXI") in
-  let k = Arg.(value & opt int 10 & info [ "k" ] ~doc:"answers to return") in
-  let method_ =
-    Arg.(value & opt (some string) None & info [ "method" ] ~doc:"era|ta|ita|merge")
-  in
   let strict = Arg.(value & flag & info [ "strict" ] ~doc:"strict interpretation") in
   let structured =
     Arg.(value & flag & info [ "structured" ] ~doc:"full NEXI semantics")
@@ -198,7 +221,7 @@ let query_cmd =
           Trex.query_structured engine ~k ?deadline_ms ?page_budget nexi
         else
           Trex.query engine ~k
-            ?method_:(Option.map method_of_string method_)
+            ?method_
             ~strict ?deadline_ms ?page_budget nexi
       with Trex_nexi.Parser.Syntax_error { message; pos } ->
         Trex.Env.close storage;
@@ -248,24 +271,26 @@ let query_cmd =
     if outcome.degraded then exit 3
   in
   Cmd.v (Cmd.info "query" ~doc:"Evaluate a NEXI query")
-    Term.(const run $ env_arg $ nexi $ k $ method_ $ strict $ structured $ trace
+    Term.(const run $ env_arg $ nexi $ k_arg $ method_arg $ strict $ structured $ trace
           $ trace_out $ deadline_ms $ page_budget $ journal)
 
 (* ---- materialize ---- *)
 
 let materialize_cmd =
   let nexi = Arg.(required & pos 0 (some string) None & info [] ~docv:"NEXI") in
-  let kind =
-    Arg.(value & opt string "both" & info [ "kind" ] ~doc:"rpl, erpl or both")
+  let kinds =
+    Arg.(value
+         & opt
+             (enum
+                [
+                  ("rpl", [ Trex.Rpl.Rpl ]);
+                  ("erpl", [ Trex.Rpl.Erpl ]);
+                  ("both", [ Trex.Rpl.Rpl; Trex.Rpl.Erpl ]);
+                ])
+             [ Trex.Rpl.Rpl; Trex.Rpl.Erpl ]
+         & info [ "kind" ] ~doc:"rpl, erpl or both")
   in
-  let run env nexi kind =
-    let kinds =
-      match kind with
-      | "rpl" -> [ Trex.Rpl.Rpl ]
-      | "erpl" -> [ Trex.Rpl.Erpl ]
-      | "both" -> [ Trex.Rpl.Rpl; Trex.Rpl.Erpl ]
-      | other -> failwith (Printf.sprintf "unknown kind %S" other)
-    in
+  let run env nexi kinds =
     let storage = Trex.Env.on_disk env in
     let engine = Trex.attach ~env:storage () in
     let report = Trex.materialize engine ~kinds nexi in
@@ -276,7 +301,7 @@ let materialize_cmd =
   in
   Cmd.v
     (Cmd.info "materialize" ~doc:"Materialize the RPL/ERPL lists a query needs")
-    Term.(const run $ env_arg $ nexi $ kind)
+    Term.(const run $ env_arg $ nexi $ kinds)
 
 (* ---- vacuum ---- *)
 
@@ -434,8 +459,6 @@ let health_cmd =
     List.iter
       (fun name -> Printf.printf "  %-32s %d\n" name (v name))
       [
-        "resilience.retries";
-        "resilience.retry_exhaustions";
         "resilience.breaker_trips";
         "resilience.breaker_closes";
         "resilience.degraded_runs";
@@ -443,7 +466,6 @@ let health_cmd =
         "resilience.deadline_exceeded";
         "resilience.page_budget_exceeded";
         "resilience.rebuilds";
-        "pager.transient_faults";
         "env.quarantines";
         "manifest.rolled_forward";
         "manifest.rolled_back";
@@ -788,9 +810,8 @@ let shard_create_cmd =
     Arg.(required & opt (some string) None & info [ "src" ] ~doc:"directory of .xml files")
   in
   let shards =
-    Arg.(value & opt int 2 & info [ "shards" ] ~doc:"number of shards")
+    Arg.(value & opt positive_int 2 & info [ "shards" ] ~doc:"number of shards")
   in
-  let alias = Arg.(value & opt string "none" & info [ "alias" ] ~doc:"ieee, wiki or none") in
   let run src dir shards alias =
     let files =
       Sys.readdir src |> Array.to_list
@@ -812,14 +833,10 @@ let shard_create_cmd =
       (Unix.gettimeofday () -. t0)
   in
   Cmd.v (Cmd.info "create" ~doc:"Partition a collection into shard indexes")
-    Term.(const run $ src $ shard_dir_arg $ shards $ alias)
+    Term.(const run $ src $ shard_dir_arg $ shards $ alias_arg)
 
 let shard_query_cmd =
   let nexi = Arg.(required & pos 0 (some string) None & info [] ~docv:"NEXI") in
-  let k = Arg.(value & opt int 10 & info [ "k" ] ~doc:"answers to return") in
-  let method_ =
-    Arg.(value & opt (some string) None & info [ "method" ] ~doc:"era|ta|ita|merge")
-  in
   let strict = Arg.(value & flag & info [ "strict" ] ~doc:"strict interpretation") in
   let deadline_ms =
     Arg.(value & opt (some float) None
@@ -868,7 +885,6 @@ let shard_query_cmd =
     let want_trace = trace || trace_out <> None in
     if want_trace then Trex.Obs.Span.set_enabled true;
     if journal then Trex.Obs.Journal.set_enabled true;
-    let m = Option.map method_of_string method_ in
     let r =
       try
         if process then begin
@@ -877,14 +893,14 @@ let shard_query_cmd =
             ~finally:(fun () -> Supervisor.close s)
             (fun () ->
               ignore (Supervisor.await_healthy s);
-              Supervisor.query s ~k ?method_:m ~strict ?deadline_ms ?page_budget
+              Supervisor.query s ~k ?method_ ~strict ?deadline_ms ?page_budget
                 ?fanout nexi)
         end
         else begin
           let t = Shard.open_ dir in
           Fun.protect
             ~finally:(fun () -> Shard.close t)
-            (fun () -> Shard.query t ~k ?method_:m ~strict ?deadline_ms ?page_budget nexi)
+            (fun () -> Shard.query t ~k ?method_ ~strict ?deadline_ms ?page_budget nexi)
         end
       with Trex_nexi.Parser.Syntax_error { message; pos } ->
         syntax_error "shard query" ~message ~pos
@@ -934,7 +950,7 @@ let shard_query_cmd =
     if r.degraded then exit 3
   in
   Cmd.v (Cmd.info "query" ~doc:"Scatter-gather a NEXI query across the shards")
-    Term.(const run $ shard_dir_arg $ nexi $ k $ method_ $ strict $ deadline_ms
+    Term.(const run $ shard_dir_arg $ nexi $ k_arg $ method_arg $ strict $ deadline_ms
           $ page_budget $ process $ fanout $ trace $ trace_out $ journal)
 
 let shard_health_cmd =
@@ -1145,10 +1161,6 @@ let client_cmd =
     Arg.(required & opt (some string) None
          & info [ "addr" ] ~docv:"HOST:PORT" ~doc:"serve daemon to query")
   in
-  let k = Arg.(value & opt int 10 & info [ "k" ] ~doc:"answers to return") in
-  let method_ =
-    Arg.(value & opt (some string) None & info [ "method" ] ~doc:"era|ta|ita|merge")
-  in
   let strict = Arg.(value & flag & info [ "strict" ] ~doc:"strict interpretation") in
   let deadline_ms =
     Arg.(value & opt (some float) None
@@ -1169,7 +1181,7 @@ let client_cmd =
       {
         Wire.c_nexi = nexi;
         c_k = k;
-        c_method = Option.map method_of_string method_;
+        c_method = method_;
         c_strict = strict;
         c_deadline_ms = deadline_ms;
         c_page_budget = page_budget;
@@ -1214,7 +1226,7 @@ let client_cmd =
     (Cmd.info "client"
        ~doc:"Query a serve daemon (exit 0 ok, 3 degraded, 6 shed, 7 \
              draining/unreachable)")
-    Term.(const run $ addr $ nexi $ k $ method_ $ strict $ deadline_ms
+    Term.(const run $ addr $ nexi $ k_arg $ method_arg $ strict $ deadline_ms
           $ page_budget $ timeout_s)
 
 let () =

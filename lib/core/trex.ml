@@ -20,7 +20,6 @@ module Advisor = Trex_selfman.Advisor
 module Autopilot = Trex_selfman.Autopilot
 module Obs = Trex_obs
 module Guard = Trex_resilience.Guard
-module Retry = Trex_resilience.Retry
 module Breaker = Trex_resilience.Breaker
 
 type t = { index : Index.t }

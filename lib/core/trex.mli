@@ -45,13 +45,11 @@ module Obs = Trex_obs
     enabled with [Obs.Span.set_enabled true]. *)
 
 module Guard = Trex_resilience.Guard
-module Retry = Trex_resilience.Retry
 module Breaker = Trex_resilience.Breaker
-(** Resilience: query deadlines/page budgets ({!Guard}), transient-I/O
-    retry ({!Retry}) and the per-table circuit breakers ({!Breaker},
-    managed by {!Env}) behind {!query}'s degradation and fallback
-    behavior. The contract is DESIGN.md §6: never wrong, possibly
-    partial, always tagged. *)
+(** Resilience: query deadlines/page budgets ({!Guard}) and the
+    per-table circuit breakers ({!Breaker}, managed by {!Env}) behind
+    {!query}'s degradation and fallback behavior. The contract is
+    DESIGN.md §6: never wrong, possibly partial, always tagged. *)
 
 type t
 
@@ -125,11 +123,10 @@ val evaluate :
     Resilience: [deadline_ms]/[page_budget] arm a {!Guard}; on expiry
     the run stops where it is and returns best-effort answers with
     [degraded = true] instead of raising. Storage failures
-    ([Pager.Corruption], retry exhaustion) inside TA/ITA/Merge trip the
-    affected tables' circuit breakers and the query transparently falls
-    back to the next surviving method (recorded in [fallbacks]); only
-    failures of the base tables — which have no redundant substitute —
-    propagate. *)
+    ([Pager.Corruption]) inside TA/ITA/Merge trip the affected tables'
+    circuit breakers and the query transparently falls back to the next
+    surviving method (recorded in [fallbacks]); only failures of the
+    base tables — which have no redundant substitute — propagate. *)
 
 val query :
   t ->

@@ -19,7 +19,6 @@ type record = {
   heap_ops : int;
   degraded : bool;
   fallbacks : int;
-  retried : bool;
   spans : (string * float) list;
 }
 
@@ -53,7 +52,6 @@ let record_to_json r =
       ("heap_ops", Json.Int r.heap_ops);
       ("degraded", Json.Bool r.degraded);
       ("fallbacks", Json.Int r.fallbacks);
-      ("retried", Json.Bool r.retried);
       ("spans", Json.Obj (List.map (fun (p, ms) -> (p, Json.Float ms)) r.spans));
     ]
 
@@ -102,7 +100,6 @@ let record_of_json j =
           heap_ops = jint j "heap_ops" 0;
           degraded = jbool j "degraded" false;
           fallbacks = jint j "fallbacks" 0;
-          retried = jbool j "retried" false;
           spans;
         }
   | _ -> None
@@ -205,7 +202,6 @@ let c_reads = Metrics.counter "pager.physical_reads"
 let c_hits = Metrics.counter "pager.cache_hits"
 let c_misses = Metrics.counter "pager.cache_misses"
 let c_heap = Metrics.counter "ta.heap_operations"
-let c_retries = Metrics.counter "resilience.retries"
 
 type started = {
   s_t0 : float;
@@ -213,7 +209,6 @@ type started = {
   s_hits : int;
   s_misses : int;
   s_heap : int;
-  s_retries : int;
 }
 
 let start_query () =
@@ -226,7 +221,6 @@ let start_query () =
         s_hits = Metrics.value c_hits;
         s_misses = Metrics.value c_misses;
         s_heap = Metrics.value c_heap;
-        s_retries = Metrics.value c_retries;
       }
 
 let finish_query started journal ~label ~strategy ~k ~degraded
@@ -260,6 +254,5 @@ let finish_query started journal ~label ~strategy ~k ~degraded
          heap_ops = Metrics.value c_heap - started.s_heap;
          degraded;
          fallbacks;
-         retried = Metrics.value c_retries > started.s_retries;
          spans = spans @ breakdown;
        })

@@ -2,7 +2,7 @@
 
     Every posed query appends one structured record — query digest,
     strategy, k, wall ms, physical reads, cache hit ratio, heap ops,
-    degraded/fallback/retry flags, span summary — to an append-only
+    degraded flag, fallback count, span summary — to an append-only
     file framed for torn-write safety. The entry point that receives
     the query writes it ([Trex.query], [Trex.query_structured],
     [Shard.scatter]), through {!finish_query}; evaluations below them
@@ -56,7 +56,6 @@ type record = {
   heap_ops : int;  (** TA heap operations during the evaluation. *)
   degraded : bool;
   fallbacks : int;  (** Methods abandoned by [evaluate_resilient]. *)
-  retried : bool;  (** Any I/O retry fired during the evaluation. *)
   spans : (string * float) list;
       (** Flattened summary of the query's root span, [(path, ms)]
           (empty unless span tracing was on), then a scatter's
@@ -115,8 +114,7 @@ val start_query : unit -> started option
     record. Otherwise snapshots the monotonic clock and the registry
     counters a record derives its deltas from
     ([pager.physical_reads], [pager.cache_hits],
-    [pager.cache_misses], [ta.heap_operations],
-    [resilience.retries]). *)
+    [pager.cache_misses], [ta.heap_operations]). *)
 
 val finish_query :
   started ->

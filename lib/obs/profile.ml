@@ -4,7 +4,6 @@ type group = {
   mutable g_n : int;
   mutable g_sum_ms : float;
   mutable g_degraded : int;
-  mutable g_retried : int;
 }
 
 type t = {
@@ -39,7 +38,6 @@ let group tbl order hist_name key =
           g_n = 0;
           g_sum_ms = 0.0;
           g_degraded = 0;
-          g_retried = 0;
         }
       in
       Hashtbl.add tbl key g;
@@ -51,7 +49,6 @@ let feed g (r : Journal.record) =
   g.g_sum_ms <- g.g_sum_ms +. r.wall_ms;
   if r.label <> "" then g.g_label <- r.label;
   if r.degraded then g.g_degraded <- g.g_degraded + 1;
-  if r.retried then g.g_retried <- g.g_retried + 1;
   Metrics.observe g.g_hist r.wall_ms
 
 let insert_slow t (r : Journal.record) =
@@ -101,7 +98,6 @@ type stat = {
   p99_ms : float;
   max_ms : float;
   degraded : int;
-  retried : int;
 }
 
 let stat_of t key g =
@@ -118,7 +114,6 @@ let stat_of t key g =
     p99_ms = s.Metrics.p99;
     max_ms = s.Metrics.max;
     degraded = g.g_degraded;
-    retried = g.g_retried;
   }
 
 let rows tbl order t =
@@ -143,7 +138,6 @@ let stat_to_json s =
       ("p99_ms", Json.Float s.p99_ms);
       ("max_ms", Json.Float s.max_ms);
       ("degraded", Json.Int s.degraded);
-      ("retried", Json.Int s.retried);
     ]
 
 let to_json t =
@@ -157,13 +151,13 @@ let to_json t =
 
 let pp_stats fmt ~header stats =
   Format.fprintf fmt "@[<v>%s@," header;
-  Format.fprintf fmt "  %-10s %5s %6s %9s %9s %9s %4s %4s  %s@," "key" "n"
-    "share" "p50 ms" "p95 ms" "max ms" "dgr" "rty" "label";
+  Format.fprintf fmt "  %-10s %5s %6s %9s %9s %9s %4s  %s@," "key" "n"
+    "share" "p50 ms" "p95 ms" "max ms" "dgr" "label";
   List.iter
     (fun s ->
-      Format.fprintf fmt "  %-10s %5d %5.1f%% %9.3f %9.3f %9.3f %4d %4d  %s@,"
+      Format.fprintf fmt "  %-10s %5d %5.1f%% %9.3f %9.3f %9.3f %4d  %s@,"
         s.key s.n (100.0 *. s.share) s.p50_ms s.p95_ms s.max_ms s.degraded
-        s.retried s.label)
+        s.label)
     stats;
   Format.fprintf fmt "@]"
 

@@ -5,7 +5,7 @@
     histograms (both registered in the {!Metrics} registry under
     [profile.query.<digest>.ms] / [profile.strategy.<name>.ms], so they
     show up in [stats] dumps and [Metrics.to_json] like every other
-    metric), a top-N slow-query list, and degraded/retry tallies. *)
+    metric), a top-N slow-query list, and degraded tallies. *)
 
 type t
 
@@ -30,7 +30,6 @@ type stat = {
   p99_ms : float;
   max_ms : float;
   degraded : int;
-  retried : int;
 }
 
 val by_digest : t -> stat list

@@ -1,8 +1,8 @@
 (** Per-resource circuit breaker.
 
-    [Env] keeps one breaker per table. A {!trip} (corruption, retry
-    exhaustion) opens the circuit; {!allow} rejects callers while open,
-    then lets a single probe through once the cooldown elapses
+    [Env] keeps one breaker per table. A {!trip} (corruption) opens
+    the circuit; {!allow} rejects callers while open, then lets a
+    single probe through once the cooldown elapses
     (half-open); {!record_success} closes the circuit again,
     {!record_failure} re-opens it. [Strategy.available] consults
     breaker state so query planning routes around quarantined tables,
@@ -44,7 +44,7 @@ val ready : t -> bool
     actually touch the resource must still call {!allow}. *)
 
 val trip : t -> reason:string -> unit
-(** Open the circuit immediately (corruption, retry exhaustion). *)
+(** Open the circuit immediately (corruption). *)
 
 val record_failure : t -> reason:string -> unit
 (** Count a failure; opens the circuit from Half_open or once the

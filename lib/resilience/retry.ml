@@ -1,8 +1,4 @@
-module Metrics = Trex_obs.Metrics
 module Prng = Trex_util.Prng
-
-let m_retries = Metrics.counter "resilience.retries"
-let m_exhaustions = Metrics.counter "resilience.retry_exhaustions"
 
 type jitter = No_jitter | Decorrelated of { seed : int }
 
@@ -11,29 +7,10 @@ type policy = {
   base_delay_ms : float;
   max_delay_ms : float;
   jitter : jitter;
-  sleep : float -> unit;
 }
 
 let default_policy =
-  {
-    max_attempts = 4;
-    base_delay_ms = 1.0;
-    max_delay_ms = 16.0;
-    jitter = No_jitter;
-    sleep = Unix.sleepf;
-  }
-
-let no_sleep policy = { policy with sleep = (fun _ -> ()) }
-
-exception Exhausted of { name : string; attempts : int; last : exn }
-
-let () =
-  Printexc.register_printer (function
-    | Exhausted { name; attempts; last } ->
-        Some
-          (Printf.sprintf "Retry.Exhausted(%s after %d attempts: %s)" name
-             attempts (Printexc.to_string last))
-    | _ -> None)
+  { max_attempts = 4; base_delay_ms = 1.0; max_delay_ms = 16.0; jitter = No_jitter }
 
 let delay_ms policy ~retry_index =
   Float.min policy.max_delay_ms
@@ -62,27 +39,3 @@ let backoff_delays_ms ?(salt = 0) policy =
           in
           prev := d;
           d)
-
-let with_retries ?(policy = default_policy) ?(name = "io") ~retryable f =
-  let max_attempts = max 1 policy.max_attempts in
-  (* One schedule per call, salted by the call-site name so concurrent
-     retriers of different operations don't share a jitter stream. *)
-  let delays = Array.of_list (backoff_delays_ms ~salt:(Hashtbl.hash name) policy) in
-  let rec go attempt =
-    try f ()
-    with e when retryable e ->
-      if attempt >= max_attempts then begin
-        Metrics.incr m_exhaustions;
-        raise (Exhausted { name; attempts = attempt; last = e })
-      end
-      else begin
-        Metrics.incr m_retries;
-        let d =
-          if attempt - 1 < Array.length delays then delays.(attempt - 1)
-          else delay_ms policy ~retry_index:(attempt - 1)
-        in
-        policy.sleep (d /. 1000.);
-        go (attempt + 1)
-      end
-  in
-  go 1

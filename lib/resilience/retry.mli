@@ -1,41 +1,29 @@
-(** Capped exponential-backoff retry, optionally with seeded
+(** Capped exponential backoff schedules, optionally with seeded
     decorrelated jitter.
 
-    Wraps the pager's physical page I/O (and any other operation that
-    can fail transiently). The default schedule is fully determined by
-    the policy — no jitter — so fault-injection tests replay exactly.
-    Peers that can fail {e together} (a fleet of remote shard workers
-    reconnecting after a coordinator restart) opt into
+    The shard supervisor spaces a dead worker's restarts by this
+    schedule. The default schedule is fully determined by the policy —
+    no jitter — so restart tests replay exactly. Peers that can fail {e together} (a fleet of remote shard
+    workers reconnecting after a coordinator restart) opt into
     {!Decorrelated} jitter: still deterministic under a fixed seed,
-    but spread per-peer by a salt so they cannot thundering-herd.
-
-    Every retried attempt bumps ["resilience.retries"]; giving up bumps
-    ["resilience.retry_exhaustions"] and raises {!Exhausted} carrying
-    the last underlying error, which the circuit-breaker layer treats
-    as a table-tripping failure. *)
+    but spread per-peer by a salt so they cannot thundering-herd. *)
 
 type jitter =
   | No_jitter  (** pure capped doubling — bit-replayable *)
   | Decorrelated of { seed : int }
-      (** [min(cap, uniform(base, 3 * prev))] per retry, drawn from a
+      (** [min(cap, uniform(base, 3 * prev))] per step, drawn from a
           splitmix PRNG seeded by [(seed, salt)] — deterministic for a
           fixed pair, decorrelated across salts *)
 
 type policy = {
-  max_attempts : int;  (** total attempts, including the first *)
-  base_delay_ms : float;  (** delay before the first retry *)
+  max_attempts : int;  (** schedule length plus one *)
+  base_delay_ms : float;  (** first delay *)
   max_delay_ms : float;  (** cap on the doubling schedule *)
   jitter : jitter;  (** {!No_jitter} unless peers can herd *)
-  sleep : float -> unit;  (** seconds; injectable so tests don't wait *)
 }
 
 val default_policy : policy
-(** 4 attempts, 1ms base, 16ms cap, no jitter, [Unix.sleepf]. *)
-
-val no_sleep : policy -> policy
-(** The same schedule with [sleep] replaced by a no-op (for tests). *)
-
-exception Exhausted of { name : string; attempts : int; last : exn }
+(** 4 attempts, 1ms base, 16ms cap, no jitter. *)
 
 val backoff_delays_ms : ?salt:int -> policy -> float list
 (** The delay schedule (length [max_attempts - 1]). Deterministic for
@@ -43,10 +31,3 @@ val backoff_delays_ms : ?salt:int -> policy -> float list
     {!Decorrelated} jitter, where each peer should pass its own (e.g.
     a hash of its name). Every delay lies in
     [[base_delay_ms, max_delay_ms]] either way. *)
-
-val with_retries :
-  ?policy:policy -> ?name:string -> retryable:(exn -> bool) -> (unit -> 'a) -> 'a
-(** [with_retries ~retryable f] runs [f], retrying on exceptions that
-    [retryable] accepts, sleeping the backoff schedule between
-    attempts. Non-retryable exceptions propagate untouched.
-    @raise Exhausted when [max_attempts] retryable failures occur. *)

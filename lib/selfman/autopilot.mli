@@ -65,8 +65,8 @@ val pp_verdict : Format.formatter -> verdict -> unit
 (** {1 Healing}
 
     The other half of the closed loop: when a query trips a table's
-    circuit breaker (corruption, retry exhaustion — see
-    [Trex_storage.Env]), the autopilot schedules the repair. Redundant
+    circuit breaker (corruption — see [Trex_storage.Env]), the
+    autopilot schedules the repair. Redundant
     tables (RPL/ERPL lists and their catalogs) are quarantined as
     (lists, catalog) pairs — dropping one without the other would leave
     a catalog advertising lists that don't exist, i.e. silent wrong

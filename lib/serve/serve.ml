@@ -171,7 +171,6 @@ let journal_refusal journal ~nexi ~k ~disposition ~queued_ms =
          heap_ops = 0;
          degraded = true;
          fallbacks = 0;
-         retried = false;
          spans = [];
        })
 

@@ -492,6 +492,7 @@ let breakdown r =
          r.degraded_shards)
 
 let run_waves ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
+  if k < 1 then invalid_arg "k must be positive";
   Metrics.incr m_queries;
   let ast = Nexi_parser.parse nexi in
   let started = Trex_util.Stopclock.now () in

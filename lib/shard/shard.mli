@@ -255,6 +255,8 @@ val scatter :
     text, strategy {!method_used} (["mixed"] when there is none), the
     fallback count, and the per-shard breakdown — [shard:<name>] evaluation ms per reply,
     [lost:<name>] per shard without one. Dispatches never journal.
+    @raise Invalid_argument ["k must be positive"] when [k < 1], before
+    any dispatch
     @raise Trex_nexi.Parser.Syntax_error before any dispatch *)
 
 val materialize :

@@ -56,12 +56,11 @@ type config = {
       (** consecutive restarts (no successful answer between) before
           escalating to the breaker (default 3) *)
   restart_policy : Trex_resilience.Retry.policy;
-      (** backoff schedule between restarts ([sleep] is unused — the
-          supervisor schedules respawns on its own clock). The schedule
-          is salted per shard, so a {!Trex_resilience.Retry.Decorrelated}
-          policy keeps a fleet of reconnecting remote workers from
-          thundering-herding; the default [No_jitter] stays
-          bit-replayable *)
+      (** backoff schedule between restarts, kept on the supervisor's
+          own clock. The schedule is salted per shard, so a
+          {!Trex_resilience.Retry.Decorrelated} policy keeps a fleet of
+          reconnecting remote workers from thundering-herding; the
+          default [No_jitter] stays bit-replayable *)
   connect_timeout_s : float;
       (** bound on a remote (TCP) worker connect (default 1.0); a
           refused or timed-out connect counts as a worker death and

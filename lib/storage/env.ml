@@ -659,9 +659,6 @@ let verify_table t name =
   | exception Pager.Corruption { detail; page; _ } ->
       broken_report name ~recovered:false
         (if page >= 0 then Printf.sprintf "page %d: %s" page detail else detail)
-  | exception Trex_resilience.Retry.Exhausted { name = op; attempts; _ } ->
-      broken_report name ~recovered:false
-        (Printf.sprintf "%s failed after %d attempts" op attempts)
 
 let verify t = List.map (verify_table t) (table_names t)
 

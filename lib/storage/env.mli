@@ -140,9 +140,9 @@ val open_with_recovery :
 
     One lazily-created {!Trex_resilience.Breaker} per table. The query
     layer trips a table's breaker when it observes [Pager.Corruption]
-    or retry exhaustion there; [Strategy.available]/[choose] consult
-    {!table_available} so planning routes around quarantined tables,
-    and [Autopilot.maybe_heal] rebuilds + probes before closing. *)
+    there; [Strategy.available]/[choose] consult {!table_available} so
+    planning routes around quarantined tables, and
+    [Autopilot.maybe_heal] rebuilds + probes before closing. *)
 
 val breaker : t -> string -> Trex_resilience.Breaker.t
 (** Find or create the table's breaker. *)

@@ -10,7 +10,6 @@ let m_cache_misses = Metrics.counter "pager.cache_misses"
 let m_checksum_failures = Metrics.counter "pager.checksum_failures"
 let m_fsyncs = Metrics.counter "pager.fsyncs"
 let m_recoveries = Metrics.counter "pager.recoveries"
-let m_transient_faults = Metrics.counter "pager.transient_faults"
 
 type stats = {
   physical_reads : int;
@@ -27,8 +26,6 @@ exception Corruption of corruption_info
 
 exception Injected_crash of string
 
-exception Io_transient of { path : string; op : string; detail : string }
-
 let () =
   Printexc.register_printer (function
     | Corruption { path; page; detail } ->
@@ -36,20 +33,13 @@ let () =
           (if page < 0 then Printf.sprintf "Corruption in %s: %s" path detail
            else Printf.sprintf "Corruption in %s, page %d: %s" path page detail)
     | Injected_crash what -> Some ("Injected_crash: " ^ what)
-    | Io_transient { path; op; detail } ->
-        Some (Printf.sprintf "Io_transient in %s (%s): %s" path op detail)
     | _ -> None)
-
-type transient_spec = { seed : int; fail_one_in : int; fail_streak : int }
 
 type fault =
   | Crash_after_writes of int
   | Torn_write of { after_writes : int; keep_bytes : int }
   | Flip_bit of { after_writes : int; byte_index : int; bit : int }
   | Drop_fsync
-  | Transient_read of transient_spec
-  | Transient_write of transient_spec
-  | Transient_fsync of transient_spec
 
 type recovery = { recovered : bool; epoch_used : int; note : string }
 
@@ -71,24 +61,6 @@ type backend =
   | Memory
   | File of { fd : Unix.file_descr; cache_pages : int; path : string }
 
-type transient_op = Read_op | Write_op | Fsync_op
-
-(* Runtime state of one armed Transient_* fault: the PRNG decides when
-   an episode starts; [pending] counts the remaining consecutive
-   failures of the current episode, after which the operation succeeds
-   again — so retry with enough attempts always recovers. *)
-type transient_state = {
-  ts_op : transient_op;
-  ts_prng : Trex_util.Prng.t;
-  ts_fail_one_in : int;
-  ts_fail_streak : int;
-  mutable ts_pending : int;
-  (* guarantees the op right after an episode succeeds, so the
-     documented "succeeds on attempt fail_streak + 1" holds even when
-     the PRNG would immediately start a new episode *)
-  mutable ts_grace : bool;
-}
-
 type t = {
   backend : backend;
   page_size : int;
@@ -104,7 +76,6 @@ type t = {
   cache : (int, frame) Hashtbl.t;
   mutable tick : int;
   mutable faults : fault list;
-  mutable transients : transient_state list;
   mutable io_seq : int; (* every raw write, pages and header slots alike *)
   mutable physical_reads : int;
   mutable physical_writes : int;
@@ -152,7 +123,6 @@ let mk backend ~page_size ~page_count ~root ~epoch ~recoveries =
     cache = Hashtbl.create 64;
     tick = 0;
     faults = [];
-    transients = [];
     io_seq = 0;
     physical_reads = 0;
     physical_writes = 0;
@@ -168,94 +138,20 @@ let create_memory ?(page_size = default_page_size) () =
 
 (* ---- fault injection ---- *)
 
-let transient_state_of_fault = function
-  | Transient_read { seed; fail_one_in; fail_streak } ->
-      Some (Read_op, seed, fail_one_in, fail_streak)
-  | Transient_write { seed; fail_one_in; fail_streak } ->
-      Some (Write_op, seed, fail_one_in, fail_streak)
-  | Transient_fsync { seed; fail_one_in; fail_streak } ->
-      Some (Fsync_op, seed, fail_one_in, fail_streak)
-  | Crash_after_writes _ | Torn_write _ | Flip_bit _ | Drop_fsync -> None
-
 let create_faulty ~faults t =
   t.faults <- faults @ t.faults;
-  let armed =
-    List.filter_map
-      (fun f ->
-        match transient_state_of_fault f with
-        | None -> None
-        | Some (ts_op, seed, fail_one_in, fail_streak) ->
-            if fail_one_in <= 0 || fail_streak <= 0 then
-              invalid_arg "Pager.create_faulty: transient spec must be positive";
-            Some
-              {
-                ts_op;
-                ts_prng = Trex_util.Prng.create seed;
-                ts_fail_one_in = fail_one_in;
-                ts_fail_streak = fail_streak;
-                ts_pending = 0;
-                ts_grace = false;
-              })
-      faults
-  in
-  t.transients <- armed @ t.transients;
   t
 
 let io_seq t = t.io_seq
-
-let op_name = function
-  | Read_op -> "read"
-  | Write_op -> "write"
-  | Fsync_op -> "fsync"
-
-(* Called at the head of each physical operation, before any bytes
-   move, so a failed attempt leaves both the file and the raw-write
-   sequence untouched and a retry replays it exactly. *)
-let maybe_transient t op =
-  List.iter
-    (fun ts ->
-      if ts.ts_op = op then begin
-        let fail detail =
-          Metrics.incr m_transient_faults;
-          raise (Io_transient { path = path t; op = op_name op; detail })
-        in
-        if ts.ts_pending > 0 then begin
-          ts.ts_pending <- ts.ts_pending - 1;
-          if ts.ts_pending = 0 then ts.ts_grace <- true;
-          fail
-            (Printf.sprintf "injected transient (%d more in episode)"
-               ts.ts_pending)
-        end
-        else if ts.ts_grace then ts.ts_grace <- false
-        else if Trex_util.Prng.int ts.ts_prng ts.ts_fail_one_in = 0 then begin
-          ts.ts_pending <- ts.ts_fail_streak - 1;
-          if ts.ts_pending = 0 then ts.ts_grace <- true;
-          fail
-            (Printf.sprintf "injected transient (episode of %d)" ts.ts_fail_streak)
-        end
-      end)
-    t.transients
-
-(* Physical I/O below runs under this policy; transient failures are
-   retried with deterministic backoff, anything else propagates. *)
-let retry_policy_ref = ref Trex_resilience.Retry.default_policy
-let set_retry_policy p = retry_policy_ref := p
-let retry_policy () = !retry_policy_ref
-let io_retryable = function Io_transient _ -> true | _ -> false
-
-let with_io_retries name f =
-  Trex_resilience.Retry.with_retries ~policy:!retry_policy_ref ~name
-    ~retryable:io_retryable f
 
 let fsync_dropped t =
   List.exists (function Drop_fsync -> true | _ -> false) t.faults
 
 let do_fsync t fd =
-  if not (fsync_dropped t) then
-    with_io_retries "pager.fsync" (fun () ->
-        maybe_transient t Fsync_op;
-        Metrics.incr m_fsyncs;
-        Unix.fsync fd)
+  if not (fsync_dropped t) then begin
+    Metrics.incr m_fsyncs;
+    Unix.fsync fd
+  end
 
 (* All bytes that reach the file go through here, so the fault plan sees
    a single write sequence covering pages and header slots. *)
@@ -285,10 +181,7 @@ let raw_write t fd ~off buf len =
             Bytes.set buf i
               (Char.chr (Char.code (Bytes.get buf i) lxor (1 lsl (bit land 7))))
           end
-      | Drop_fsync -> ()
-      | Transient_read _ | Transient_write _ | Transient_fsync _ ->
-          (* handled in [maybe_transient], before any bytes move *)
-          ())
+      | Drop_fsync -> ())
     t.faults;
   ignore (Unix.lseek fd off Unix.SEEK_SET);
   let rec go o =
@@ -456,8 +349,6 @@ let get_root t = t.root
 let file_offset t id = header_size + (id * (t.page_size + page_trailer))
 
 let physical_read t fd id buf =
-  with_io_retries "pager.read" @@ fun () ->
-  maybe_transient t Read_op;
   let slot = t.page_size + page_trailer in
   ignore (Unix.lseek fd (file_offset t id) Unix.SEEK_SET);
   let rec fill off =
@@ -485,8 +376,6 @@ let physical_read t fd id buf =
   Bytes.blit t.scratch 0 buf 0 t.page_size
 
 let physical_write t fd id buf =
-  with_io_retries "pager.write" @@ fun () ->
-  maybe_transient t Write_op;
   Bytes.blit buf 0 t.scratch 0 t.page_size;
   Bytes.set_int32_be t.scratch t.page_size
     (Crc32.bytes t.scratch ~pos:0 ~len:t.page_size);

@@ -161,23 +161,6 @@ exception Injected_crash of string
 (** Simulated power cut. The pager must then be {!abort}ed, not
     {!close}d (closing would flush and "un-crash" it). *)
 
-exception Io_transient of { path : string; op : string; detail : string }
-(** An injected transient I/O error. Raised before any bytes move, so a
-    failed attempt has no on-disk effect; physical page reads, writes
-    and fsyncs retry these internally under {!retry_policy} and only an
-    exhausted retry budget escapes (as
-    [Trex_resilience.Retry.Exhausted], which the circuit-breaker layer
-    treats as a table failure). *)
-
-type transient_spec = {
-  seed : int;  (** PRNG seed; equal seeds replay equal fault schedules *)
-  fail_one_in : int;  (** an episode starts with probability 1/n per op *)
-  fail_streak : int;
-      (** consecutive failures per episode — the op succeeds on attempt
-          [fail_streak + 1], so retry with more attempts than the streak
-          always recovers *)
-}
-
 type fault =
   | Crash_after_writes of int
       (** allow that many raw writes, then raise {!Injected_crash}
@@ -189,22 +172,9 @@ type fault =
       (** silently corrupt one bit of write #[after_writes+1]
           ([byte_index] wraps modulo the write length) *)
   | Drop_fsync  (** turn [fsync] into a no-op *)
-  | Transient_read of transient_spec
-      (** physical page reads fail transiently per the spec *)
-  | Transient_write of transient_spec
-      (** physical page writes fail transiently per the spec *)
-  | Transient_fsync of transient_spec
-      (** fsyncs fail transiently per the spec *)
 
 val create_faulty : faults:fault list -> t -> t
 (** Arm a fault plan on a pager (returned for chaining). *)
-
-val set_retry_policy : Trex_resilience.Retry.policy -> unit
-(** Replace the process-wide policy under which physical page I/O
-    retries {!Io_transient} failures (default
-    [Trex_resilience.Retry.default_policy]). *)
-
-val retry_policy : unit -> Trex_resilience.Retry.policy
 
 val io_seq : t -> int
 (** Raw writes performed so far; [Crash_after_writes (io_seq t)] crashes

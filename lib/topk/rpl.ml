@@ -280,9 +280,15 @@ let decode_catalog_row v =
   let cat_bound = if cat_truncated then Codec.Reader.float r else 0.0 in
   { cat_entries; cat_bytes; cat_bound; cat_truncated }
 
+(* A missing catalog table means no list of its kind is materialized:
+   reads leave it missing rather than create it. *)
+let catalog_table index kind =
+  let env = Index.env index and name = catalog_name kind in
+  if Env.has_table env name then Some (Env.table env name) else None
+
 let catalog_find index kind ~term ~sid =
-  let tbl = Env.table (Index.env index) (catalog_name kind) in
-  Option.map decode_catalog_row (Bptree.find tbl (catalog_key ~term ~sid))
+  Option.bind (catalog_table index kind) (fun tbl ->
+      Option.map decode_catalog_row (Bptree.find tbl (catalog_key ~term ~sid)))
 
 let encode_catalog_row ~entries ~bytes ~truncated ~bound =
   let b = Codec.Buf.create ~capacity:24 () in
@@ -315,13 +321,15 @@ let list_truncated index kind ~term ~sid =
   | None -> false
 
 let catalog index kind =
-  let tbl = Env.table (Index.env index) (catalog_name kind) in
   let out = ref [] in
-  Bptree.iter tbl (fun k v ->
-      let term, p = Codec.string_of_key k ~pos:0 in
-      let sid, _ = Codec.int_of_key k ~pos:p in
-      let row = decode_catalog_row v in
-      out := (term, sid, row.cat_entries, row.cat_bytes) :: !out);
+  Option.iter
+    (fun tbl ->
+      Bptree.iter tbl (fun k v ->
+          let term, p = Codec.string_of_key k ~pos:0 in
+          let sid, _ = Codec.int_of_key k ~pos:p in
+          let row = decode_catalog_row v in
+          out := (term, sid, row.cat_entries, row.cat_bytes) :: !out))
+    (catalog_table index kind);
   List.rev !out
 
 let total_bytes index kind =

@@ -4,7 +4,6 @@ module Span = Trex_obs.Span
 module Env = Trex_storage.Env
 module Pager = Trex_storage.Pager
 module Guard = Trex_resilience.Guard
-module Retry = Trex_resilience.Retry
 
 let m_degraded_runs = Metrics.counter "resilience.degraded_runs"
 let m_fallbacks = Metrics.counter "resilience.fallbacks"
@@ -102,18 +101,31 @@ let evaluate index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
   Metrics.observe (Metrics.histogram ("strategy.seconds." ^ name)) outcome.elapsed_seconds;
   outcome
 
-let breakers_permit index method_ =
+(* Whether [method_]'s breakers admit it and its lists cover the
+   query. The breakers are asked first, so planning never reads a
+   tripped catalog; a catalog that fails its read trips the method's
+   tables, as a failed evaluation would, and the planner routes around
+   it. *)
+let usable index method_ kind ~sids ~terms =
   let env = Trex_invindex.Index.env index in
-  List.for_all (Env.table_available env) (tables_of_method method_)
+  let tables = tables_of_method method_ in
+  List.for_all (Env.table_available env) tables
+  &&
+  match Rpl.covers index kind ~sids ~terms with
+  | covered -> covered
+  | exception (Pager.Corruption _ as e) ->
+      let reason = Printexc.to_string e in
+      List.iter (fun tbl -> Env.trip_table env tbl ~reason) tables;
+      false
 
 let available index ~sids ~terms =
-  let rpl_ok = Rpl.covers index Rpl.Rpl ~sids ~terms in
-  let erpl_ok = Rpl.covers index Rpl.Erpl ~sids ~terms in
+  let rpl_ok = usable index Ta_method Rpl.Rpl ~sids ~terms in
+  let erpl_ok = usable index Merge_method Rpl.Erpl ~sids ~terms in
   List.filter
     (function
       | Era_method -> true
-      | Ta_method | Ita_method -> rpl_ok && breakers_permit index Ta_method
-      | Merge_method -> erpl_ok && breakers_permit index Merge_method)
+      | Ta_method | Ita_method -> rpl_ok
+      | Merge_method -> erpl_ok)
     all_methods
 
 let materialized_entries index kind ~sids ~terms =
@@ -127,12 +139,12 @@ let materialized_entries index kind ~sids ~terms =
 let choose index ~sids ~terms ~k =
   let methods = available index ~sids ~terms in
   let has m = List.mem m methods in
-  let total_rpl = materialized_entries index Rpl.Rpl ~sids ~terms in
   (* TA wins when it can stop after a small prefix; once k approaches
      the list sizes it reads everything and pays heap management on
      top, where Merge's single pass wins (paper §5.2). The rule is
      [20 k <= max 1 total_rpl], divided out so a huge k cannot wrap. *)
-  if has Ta_method && k <= max 1 total_rpl / 20 then Ta_method
+  if has Ta_method && k <= max 1 (materialized_entries index Rpl.Rpl ~sids ~terms) / 20
+  then Ta_method
   else if has Merge_method then Merge_method
   else if has Ta_method then Ta_method
   else Era_method
@@ -177,7 +189,7 @@ let evaluate_resilient index ~scoring ~sids ~terms ~k ?guard ?floor ?method_ ()
         end
         else List.iter (Env.note_table_success env) tables;
         (outcome, List.rev failovers)
-    | exception ((Pager.Corruption _ | Retry.Exhausted _ | Rpl.Stale_generation _) as e)
+    | exception ((Pager.Corruption _ | Rpl.Stale_generation _) as e)
       when tables <> [] ->
         let error = Printexc.to_string e in
         List.iter (fun tbl -> Env.trip_table env tbl ~reason:error) tables;

@@ -49,9 +49,11 @@ val evaluate :
     materialized. *)
 
 val available : Trex_invindex.Index.t -> sids:int list -> terms:string list -> method_ list
-(** Methods whose required indexes exist (ERA always qualifies) {e and}
-    whose tables' circuit breakers admit callers — a tripped RPL table
-    takes TA/ITA out of planning until its breaker closes. *)
+(** Methods whose tables' circuit breakers admit callers {e and} whose
+    required indexes exist (ERA always qualifies) — a tripped RPL table
+    takes TA/ITA out of planning until its breaker closes. A catalog
+    that raises {!Trex_storage.Pager.Corruption} while being read here
+    trips its method's tables, and the method is left out. *)
 
 type failover = { failed : method_; error : string }
 
@@ -67,7 +69,7 @@ val evaluate_resilient :
   unit ->
   outcome * failover list
 (** Like {!evaluate} ([method_] forces the first attempt; otherwise
-    {!choose}), but a [Pager.Corruption], retry exhaustion, or
+    {!choose}), but a [Pager.Corruption] or
     {!Rpl.Stale_generation} (table blocked pending manifest resolution)
     inside a redundant-index method trips that method's tables' breakers and
     re-plans over the surviving methods — TA falls back to Merge falls

@@ -49,7 +49,6 @@ let mk ?(digest = "00c0ffee") ?(label = "") ?(strategy = "TA") ?(k = 5)
     heap_ops = 7;
     degraded = false;
     fallbacks = 0;
-    retried = false;
     spans = [ ("eval.TA", 1.25) ];
   }
 
@@ -71,7 +70,7 @@ let test_record_json_roundtrip () =
     mk ~digest:"deadbeef" ~label:"//sec[about(., x \"y\")]" ~strategy:"Merge"
       ~k:100 ~ms:12.75 ()
   in
-  let r = { r with degraded = true; fallbacks = 2; retried = true } in
+  let r = { r with degraded = true; fallbacks = 2 } in
   match Journal.record_of_json (Trex_obs.Json.parse
       (Trex_obs.Json.to_string (Journal.record_to_json r)))
   with

@@ -1256,6 +1256,26 @@ let test_resolved_history_open_writes_nothing () =
   check_untouched "open over resolved history" before dir;
   Trex.Env.close env
 
+(* A query over an env with no materialized list reads the missing
+   list catalogs as empty and creates no file: a table created by a
+   reader has no committed root until a close, so a reader killed
+   before then would leave a table no later open can attach. *)
+let test_query_creates_no_file () =
+  let dir = temp_dir () in
+  let env, _ = build_collection dir ~docs:4 ~seed:25 in
+  Trex.Env.close env;
+  let listing () = List.sort compare (Array.to_list (Sys.readdir dir)) in
+  let before = listing () in
+  let env = Trex.Env.on_disk dir in
+  let engine = Trex.attach ~env () in
+  ignore (Trex.query engine ~k:5 nexi);
+  ignore (Trex.query engine ~k:1000 nexi);
+  check Alcotest.int "no list cataloged" 0
+    (List.length (Trex.Rpl.catalog (Trex.index engine) Trex.Rpl.Rpl));
+  check Alcotest.(list string) "same files while open" before (listing ());
+  Trex.Env.close env;
+  check Alcotest.(list string) "same files after close" before (listing ())
+
 (* ---- list tables start fresh once every list is dropped ---- *)
 
 (* Each cycle adds documents, which moves every score and so the keys
@@ -1321,6 +1341,7 @@ let () =
           Alcotest.test_case "missing index refused" `Quick test_missing_index_refused;
           Alcotest.test_case "resolved history opens without writing" `Quick
             test_resolved_history_open_writes_nothing;
+          Alcotest.test_case "a query creates no file" `Quick test_query_creates_no_file;
         ] );
       ( "protocol",
         [

@@ -13,7 +13,6 @@
 module Pager = Trex_storage.Pager
 module Env = Trex_storage.Env
 module Breaker = Trex_resilience.Breaker
-module Retry = Trex_resilience.Retry
 module Metrics = Trex_obs.Metrics
 module Journal = Trex_obs.Journal
 module Shard = Trex_shard.Shard
@@ -56,11 +55,6 @@ let rec cp_r src dst =
       let oc = open_out_bin dst in
       output_string oc bytes;
       close_out oc
-
-let with_no_sleep_policy f =
-  let saved = Pager.retry_policy () in
-  Pager.set_retry_policy (Retry.no_sleep saved);
-  Fun.protect ~finally:(fun () -> Pager.set_retry_policy saved) f
 
 let nexi = "//article//sec[about(., information retrieval)]"
 
@@ -383,6 +377,28 @@ let test_core_page_slicing () =
   Alcotest.(check (list int)) "replies rebased to global docids" [ 0; 20; 30 ]
     (List.sort compare
        (List.map (fun (e : Answer.entry) -> e.Answer.element.Types.docid) r.Shard.answers))
+
+(* A k below 1 has no top k to merge into: the scatter refuses it
+   before any shard is dispatched. *)
+let test_scatter_refuses_nonpositive_k () =
+  let target =
+    {
+      Shard.shard = { Shard.name = "a"; base = 0; docs = 10 };
+      breaker = Breaker.create "test.k0";
+      unavailable = (fun () -> None);
+    }
+  in
+  let dispatched = ref false in
+  let dispatch _ _ shards =
+    dispatched := true;
+    List.map (fun _ -> Shard.Lost "unreachable") shards
+  in
+  Alcotest.check_raises "k = 0 refused" (Invalid_argument "k must be positive")
+    (fun () ->
+      ignore
+        (Shard.scatter ~k:0 ~wave:1 ~span:"test.scatter" ~journal:Journal.in_memory
+           ~dispatch [ target ] nexi));
+  Alcotest.(check bool) "nothing dispatched" false !dispatched
 
 (* ---- rebalance: split / merge preserve the ranking ---- *)
 
@@ -785,16 +801,46 @@ let soak_seeds () =
 
 let soak_queries = [ nexi; "//article//p[about(., database systems)]" ]
 
-(* One soak round: a disk-backed coordinator under a deterministic
-   fault schedule — transient I/O streaks on every shard table, one
-   shard lost outright on some seeds, and budget pressure — must
-   answer every query either exactly or as a tagged sound partial.
+let soak_methods =
+  [ None; Some Strategy.Ta_method; Some Strategy.Merge_method; Some Strategy.Era_method ]
+
+let flip_bit_in_file path ~off ~bit =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+  let b = Bytes.create 1 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.read fd b 0 1);
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor (1 lsl (bit land 7))));
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 1);
+  Unix.close fd
+
+(* Flip one bit inside page [page] of a table file, so the page's CRC
+   fails on its next physical read. [page] chooses among the file's
+   pages given its committed root and page count. *)
+let damage_page path ~page =
+  let p = Pager.open_file path in
+  let victim = page ~root:(Pager.get_root p) ~pages:(Pager.page_count p) in
+  let stride = Pager.page_size p + 4 in
+  Pager.abort p;
+  flip_bit_in_file path ~off:(128 + (victim * stride) + 17) ~bit:3
+
+type soak_counts = { exact : int; degraded : int; raised : int; failovers : int }
+
+(* One soak round: a disk-backed coordinator with materialized lists,
+   seeded on-disk page damage in its shards, one shard lost outright on
+   some seeds, and budget pressure, must answer every query either
+   exactly or as a tagged sound partial. Every seed damages one page of
+   a redundant table in one shard, so TA and Merge fail over there; odd
+   seeds also damage the root page of a base table, so that shard's
+   evaluations raise a typed Corruption and the shard is tagged.
    Exceptions never escape the coordinator. *)
 let run_soak_seed seed =
-  with_no_sleep_policy @@ fun () ->
   let coll, docs, engine = corpus ~docs:12 ~seed:(2000 + seed) in
   let dir = temp_dir () in
   let t = Shard.create ~dir ~shards:3 ~alias:coll.alias docs in
+  List.iter (Shard.materialize t) soak_queries;
+  let names = List.map (fun (i : Shard.shard_info) -> i.Shard.name) (Shard.shards t) in
+  Shard.close t;
   (* Exact full answer sets for soundness checks. *)
   let exact_scores =
     List.map
@@ -806,32 +852,15 @@ let run_soak_seed seed =
             (baseline engine ~k:1_000_000 q) ))
       soak_queries
   in
-  (* Arm a deterministic transient-read schedule on every table of
-     every shard; even seeds stay under the retry budget (recoverable),
-     odd seeds exceed it (exhaustions → shard tagged). *)
-  let streak = if seed mod 2 = 0 then 2 else 8 in
-  List.iteri
-    (fun si (i : Shard.shard_info) ->
-      match Shard.index_of t i.Shard.name with
-      | None -> ()
-      | Some index ->
-          let env = Index.env index in
-          List.iteri
-            (fun ti name ->
-              ignore
-                (Pager.create_faulty
-                   ~faults:
-                     [
-                       Pager.Transient_read
-                         {
-                           seed = (seed * 131) + (si * 17) + ti;
-                           fail_one_in = 30;
-                           fail_streak = streak;
-                         };
-                     ]
-                   (Trex_storage.Bptree.pager (Env.table env name))))
-            (List.sort String.compare (Env.table_names env)))
-    (Shard.shards t);
+  let rng = Trex_util.Prng.create (seed * 7919) in
+  let pick l = List.nth l (Trex_util.Prng.int rng (List.length l)) in
+  let file table = Filename.concat (Filename.concat dir (pick names)) (table ^ ".tbl") in
+  damage_page
+    (file (pick [ "rpls"; "erpls"; "rpl_catalog"; "erpl_catalog" ]))
+    ~page:(fun ~root:_ ~pages -> Trex_util.Prng.int rng pages);
+  if seed mod 2 = 1 then
+    damage_page (file (pick [ "elements"; "postings" ])) ~page:(fun ~root ~pages:_ -> root);
+  let t = Shard.open_ dir in
   (* Some seeds also lose a whole shard mid-query. *)
   let lost = if seed mod 3 = 0 then [ "shard-001" ] else [] in
   Shard.set_shard_hook t
@@ -839,13 +868,20 @@ let run_soak_seed seed =
        (fun name ->
          if List.mem name lost then failwith "soak: injected shard loss"));
   let exact_runs = ref 0 and degraded_runs = ref 0 in
+  let raised = ref 0 and failovers = ref 0 in
   List.iter
     (fun q ->
       let scores = List.assoc q exact_scores in
       List.iter
-        (fun deadline_ms ->
-          match Shard.query t ~k:5 ?deadline_ms q with
+        (fun (method_, deadline_ms) ->
+          match Shard.query t ~k:5 ?method_ ?deadline_ms q with
           | r ->
+              if r.Shard.fallbacks <> [] then incr failovers;
+              if
+                List.exists
+                  (fun (_, reason) -> String.starts_with ~prefix:"Corruption" reason)
+                  r.Shard.degraded_shards
+              then incr raised;
               if r.Shard.degraded then begin
                 incr degraded_runs;
                 (* Sound partial: every answer is a real element with a
@@ -871,24 +907,37 @@ let run_soak_seed seed =
           | exception e ->
               Alcotest.failf "seed %d: escaped the coordinator: %s" seed
                 (Printexc.to_string e))
-        [ None; Some 0.0 ])
+        (List.map (fun m -> (m, None)) soak_methods @ [ (None, Some 0.0) ]))
     soak_queries;
+  (* A failover inside a shard is that shard's own business: with no
+     shard raising or lost, health reports every shard breaker closed. *)
+  let open_shards =
+    List.filter (fun (h : Shard.health) -> h.Shard.h_breaker <> Breaker.Closed) (Shard.health t)
+  in
+  if !raised = 0 && lost = [] then
+    check Alcotest.int (Printf.sprintf "seed %d: no shard breaker open" seed) 0
+      (List.length open_shards);
   Shard.close t;
   rm_rf dir;
-  Printf.printf "shard soak seed %d: %d exact, %d degraded\n%!" seed !exact_runs
-    !degraded_runs;
-  (!exact_runs, !degraded_runs)
+  Printf.printf "shard soak seed %d: %d exact, %d degraded, %d raised, %d failovers\n%!"
+    seed !exact_runs !degraded_runs !raised !failovers;
+  (* Damage confined to redundant tables is always routed around. *)
+  if seed mod 2 = 0 then
+    check Alcotest.int (Printf.sprintf "seed %d: redundant damage raises nothing" seed)
+      0 !raised;
+  { exact = !exact_runs; degraded = !degraded_runs; raised = !raised; failovers = !failovers }
 
+(* At least two seeds run, so both the even (redundant damage only) and
+   the odd (base damage too) schedule are covered. *)
 let test_soak () =
-  let seeds = soak_seeds () in
-  let exact = ref 0 and degraded = ref 0 in
-  for seed = 1 to seeds do
-    let e, d = run_soak_seed seed in
-    exact := !exact + e;
-    degraded := !degraded + d
-  done;
-  Alcotest.(check bool) "some runs exact" true (!exact > 0);
-  Alcotest.(check bool) "the soak reached the degraded bucket" true (!degraded > 0)
+  let runs = List.init (max 2 (soak_seeds ())) (fun i -> run_soak_seed (i + 1)) in
+  let total f = List.fold_left (fun acc c -> acc + f c) 0 runs in
+  Alcotest.(check bool) "some runs exact" true (total (fun c -> c.exact) > 0);
+  Alcotest.(check bool) "the soak reached the degraded bucket" true
+    (total (fun c -> c.degraded) > 0);
+  Alcotest.(check bool) "some run failed over" true (total (fun c -> c.failovers) > 0);
+  Alcotest.(check bool) "some shard raised a typed error" true
+    (total (fun c -> c.raised) > 0)
 
 let () =
   Alcotest.run "trex_shard"
@@ -916,6 +965,8 @@ let () =
         [
           Alcotest.test_case "page slices go to dispatched shards only" `Quick
             test_core_page_slicing;
+          Alcotest.test_case "k below 1 refused before dispatch" `Quick
+            test_scatter_refuses_nonpositive_k;
         ] );
       ( "rebalance",
         [
