@@ -351,6 +351,8 @@ let figure_for_query ~section (q : Queries.t) =
           ("heap_pushes", stats.heap_pushes);
           ("heap_evictions", stats.heap_evictions);
           ("candidates", stats.candidates);
+          ("extents_visited", stats.extents_visited);
+          ("extents_skipped", stats.extents_skipped);
           ("stopped_early", if stats.stopped_early then 1 else 0);
         ]
       in

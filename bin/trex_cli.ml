@@ -1259,8 +1259,9 @@ let () =
       [ gen_cmd; index_cmd; add_cmd; query_cmd; materialize_cmd; stats_cmd; advise_cmd; vacuum_cmd; verify_cmd; health_cmd; journal_cmd; autopilot_cmd; xpath_cmd; shard_cmd; serve_cmd; client_cmd ]
   in
   (* Exceptions are caught here, not by cmdliner, so an unreadable
-     environment, a path holding no index or a directory that is no
-     shard coordinator is one line and exit 1, and a coordinator whose
+     environment, a path holding no index, a directory that is no
+     shard coordinator or a forced method whose lists are not
+     materialized is one line and exit 1, and a coordinator whose
      map change could not be replayed one line and exit 2 (as [verify]
      reports an unresolvable op), rather than an internal error; any
      other exception is
@@ -1270,7 +1271,7 @@ let () =
     | code -> code
     | exception
         (( Trex_storage.Manifest.Unsupported_format _ | Trex.Index.No_index _
-         | Shard.Not_a_coordinator _ ) as e) ->
+         | Shard.Not_a_coordinator _ | Trex.Rpl.Cursor.Missing_list _ ) as e) ->
         prerr_endline ("trex: " ^ Printexc.to_string e);
         1
     | exception (Shard.Map_unresolved _ as e) ->

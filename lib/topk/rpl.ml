@@ -505,6 +505,14 @@ let drop_all index kind =
 module Cursor = struct
   exception Missing_list of { kind : kind; term : string; sid : int }
 
+  let () =
+    Printexc.register_printer (function
+      | Missing_list { kind; term; sid } ->
+          Some
+            (Printf.sprintf "no materialized %s for term %S in extent %d"
+               (kind_to_string kind) term sid)
+      | _ -> None)
+
   type seg_state = {
     ss_seg : Codec.Block.t;
     ss_dict : float array;
@@ -512,9 +520,9 @@ module Cursor = struct
   }
 
   (* One (term, sid) list: lazily decoded blocks behind a B+tree cursor
-     bounded to the pair prefix. A score floor (set only by the RPL
-     term cursor below) ends a descending-score list at the first block
-     whose quantized max is at or below it, undecoded. *)
+     bounded to the pair prefix. A score floor ([set_bound], RPLs only)
+     ends a descending-score list at the first block whose quantized max
+     is at or below it, undecoded. *)
   type t = {
     cursor : Bptree.Cursor.cursor;
     sid : int;
@@ -590,66 +598,30 @@ module Cursor = struct
               fill t
           | None -> t.finished <- true)
 
-  let rec next t =
+  let rec peek t =
     match t.chunk with
-    | e :: rest ->
-        t.chunk <- rest;
-        t.read <- t.read + 1;
-        Some e
+    | e :: _ -> Some e
     | [] ->
         if t.finished then None
         else begin
           fill t;
-          next t
+          peek t
         end
 
-  let entries_read t = t.read
-  let blocks_decoded t = t.blocks_decoded
-end
-
-module Term_cursor = struct
-  (* The query's per-sid readers of one term, merged by a heap in the
-     RPL entry order. *)
-  module Heap = Trex_util.Heap.Make (struct
-    type t = entry * Cursor.t
-
-    let compare (a, _) (b, _) = compare_rpl_order a b
-  end)
-
-  type t = { readers : Cursor.t array; heap : Heap.t; mutable read : int }
-
-  let create index ~term ~sids =
-    let heap = Heap.create () in
-    let readers =
-      List.sort_uniq compare sids
-      |> List.map (fun sid -> Cursor.create index Rpl ~term ~sid)
-      |> Array.of_list
-    in
-    Array.iter
-      (fun r -> Option.iter (fun e -> Heap.push heap (e, r)) (Cursor.next r))
-      readers;
-    { readers; heap; read = 0 }
-
-  (* The heads already buffered stay: only yet-undecoded blocks are
-     pruned, which keeps the stream a prefix of the unbounded one. *)
-  let set_bound t floor = Array.iter (fun (r : Cursor.t) -> r.floor <- floor) t.readers
-
   let next t =
-    match Heap.pop t.heap with
-    | None -> None
-    | Some (e, r) ->
-        Option.iter (fun e' -> Heap.push t.heap (e', r)) (Cursor.next r);
+    match peek t with
+    | Some e ->
+        t.chunk <- List.tl t.chunk;
         t.read <- t.read + 1;
         Some e
+    | None -> None
 
+  (* Entries already decoded stay: only yet-undecoded blocks are
+     pruned, which keeps the stream a prefix of the unbounded one. *)
+  let set_bound t floor = t.floor <- floor
   let entries_read t = t.read
-
-  let blocks_skipped t =
-    Array.fold_left (fun acc (r : Cursor.t) -> acc + r.blocks_skipped) 0 t.readers
-
-  let truncation_bound t =
-    Array.fold_left (fun acc (r : Cursor.t) -> Float.max acc r.bound) 0.0 t.readers
-
-  let truncated t =
-    Array.exists (fun (r : Cursor.t) -> r.stored_truncated || r.floor_stopped) t.readers
+  let blocks_decoded t = t.blocks_decoded
+  let blocks_skipped t = t.blocks_skipped
+  let truncation_bound t = t.bound
+  let truncated t = t.stored_truncated || t.floor_stopped
 end

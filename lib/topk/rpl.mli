@@ -16,13 +16,11 @@
     A deliberate deviation from the paper, and the only layout: the
     paper keys one RPL per term as [(token, ir, SID, ...)] and lets TA
     {e skip} entries with foreign sids, while we key by
-    [(token, SID, ir, ...)] and merge the requested sid lists. TA never
-    reads a foreign-extent entry, the self-manager buys, prices and
-    drops lists in exact (term, sid) units, and TA's access pattern
-    (global descending score over the query's sids) is unchanged. The
-    price is TA's merge across the query's sids ({!Term_cursor},
-    DESIGN.md §9.1); Merge needs none, since its position merge takes
-    every (term, sid) ERPL directly. *)
+    [(token, SID, ir, ...)]. TA never reads a foreign-extent entry, the
+    self-manager buys, prices and drops lists in exact (term, sid)
+    units, and no evaluation merges lists across sids by score: TA
+    reads one extent's lists at a time, and Merge's position
+    merge takes every (term, sid) ERPL directly (DESIGN.md §9.1). *)
 
 type entry = { element : Trex_invindex.Types.element; score : float }
 
@@ -133,16 +131,32 @@ val total_bytes : Trex_invindex.Index.t -> kind -> int
 
 (** A reader of exactly one (term, sid) list, in the list's order:
     descending score for {!Rpl}, document position for {!Erpl}. Merge
-    reads every (term, sid) ERPL through one. *)
+    reads every (term, sid) ERPL through one, TA every (term, sid)
+    RPL. *)
 module Cursor : sig
   type t
 
   exception Missing_list of { kind : kind; term : string; sid : int }
 
   val create : Trex_invindex.Index.t -> kind -> term:string -> sid:int -> t
-  (** @raise Missing_list if the list has no catalog row.
+  (** Decodes no block until the first {!peek} or {!next}.
+      @raise Missing_list if the list has no catalog row.
       @raise Stale_generation when the kind's tables are blocked
         pending manifest resolution. *)
+
+  val set_bound : t -> float -> unit
+  (** Install a score floor the caller has already achieved (e.g. the
+      scatter-gather global k-th score) on an RPL. Entries at or below
+      it cannot matter, so the list ends at its first block whose
+      quantized max is within the floor, undecoded — recorded as a
+      dynamic truncation ({!truncation_bound}/{!truncated}), keeping
+      TA's certification obligation explicit. Entries already decoded
+      stay, so the stream stays a prefix of the unbounded one. [0.0]
+      disables the stop. *)
+
+  val peek : t -> entry option
+  (** The next entry without consuming it (not counted by
+      {!entries_read}); decodes its block if needed. *)
 
   val next : t -> entry option
   (** Blocks are decoded one at a time, as the reader reaches them.
@@ -151,40 +165,17 @@ module Cursor : sig
 
   val entries_read : t -> int
   val blocks_decoded : t -> int
-end
 
-(** TA's sorted access to one term: the term's RPL readers over a sid
-    set, merged by a heap into one descending-score stream (DESIGN.md
-    §9.1). *)
-module Term_cursor : sig
-  type t
-
-  val create : Trex_invindex.Index.t -> term:string -> sids:int list -> t
-  (** @raise Cursor.Missing_list if any required RPL is absent.
-      @raise Stale_generation as {!Cursor.create}. *)
-
-  val set_bound : t -> float -> unit
-  (** Install a score floor the caller has already achieved (e.g. the
-      scatter-gather global k-th score). Entries at or below it cannot
-      matter, so each list ends at its first block whose quantized max
-      is within the floor, undecoded — recorded as a dynamic truncation
-      ({!truncation_bound}/{!truncated}), keeping TA's certification
-      obligation explicit. Entries already buffered stay, so the stream
-      stays a prefix of the unbounded one. [0.0] disables the stop. *)
-
-  val next : t -> entry option
-  (** Descending score, ties in element order. *)
-
-  val entries_read : t -> int
   val blocks_skipped : t -> int
+  (** Blocks the floor of {!set_bound} left undecoded. *)
 
   val truncation_bound : t -> float
-  (** Upper bound on the score of any entry the materialized prefixes
-      dropped {e or} the floor left undecoded; [0.] when every list is
+  (** Upper bound on the score of any entry the materialized prefix
+      dropped {e or} the floor left undecoded; [0.] when the list is
       complete and read to its end. *)
 
   val truncated : t -> bool
-  (** Whether any merged list is incomplete — stored truncated flag or
-      a floor stop. Unlike [truncation_bound > 0.] this is exact even
+  (** Whether the list is incomplete — stored truncated flag or a
+      floor stop. Unlike [truncation_bound > 0.] this is exact even
       when the bound is 0.0. *)
 end

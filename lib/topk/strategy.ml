@@ -72,9 +72,11 @@ let evaluate_inner index ~scoring ~sids ~terms ~k ?guard ?floor method_ =
         degraded = stats.degraded;
         detail =
           Printf.sprintf
-            "accesses=%d heap_ops=%d pushes=%d evictions=%d candidates=%d early=%b"
+            "accesses=%d heap_ops=%d pushes=%d evictions=%d candidates=%d \
+             extents_visited=%d extents_skipped=%d early=%b"
             stats.sorted_accesses stats.heap_operations stats.heap_pushes
-            stats.heap_evictions stats.candidates stats.stopped_early;
+            stats.heap_evictions stats.candidates stats.extents_visited
+            stats.extents_skipped stats.stopped_early;
       }
   | Merge_method ->
       let answers, stats = Merge.run ?guard index ~sids ~terms in

@@ -12,6 +12,7 @@ let m_sorted = Metrics.counter "ta.sorted_accesses"
 let m_heap_ops = Metrics.counter "ta.heap_operations"
 let m_candidates = Metrics.counter "ta.candidates"
 let m_blocks_skipped = Metrics.counter "ta.blocks_skipped"
+let m_extents_skipped = Metrics.counter "ta.extents_skipped"
 
 type stats = {
   sorted_accesses : int;
@@ -20,6 +21,8 @@ type stats = {
   heap_evictions : int;
   candidates : int;
   blocks_skipped : int;
+  extents_visited : int;
+  extents_skipped : int;
   stopped_early : bool;
   elapsed_seconds : float;
   heap_seconds : float;
@@ -30,6 +33,7 @@ type candidate = {
   c_element : Types.element;
   mutable c_worst : float; (* sum of the scores seen so far *)
   c_seen : bool array;
+  c_bounds : float array; (* its extent's [last_seen]: bounds of the unseen *)
   mutable c_nseen : int;
   mutable c_slot : int; (* position in the top-k heap, -1 outside it *)
   mutable c_rank : int; (* position in the run's candidate order *)
@@ -45,10 +49,11 @@ module Candidates = Hashtbl.Make (struct
 end)
 
 (* The top-k set: an indexed binary min-heap of at most [k] live
-   candidates, worst score first, then docid, then endpos. Each member
-   records its slot, so a score increase sifts in place and a candidate
-   outside the heap enters only by replacing a root it beats. [ops]
-   counts one per level a sift visits plus one per root comparison. *)
+   candidates in reverse answer order (worst score first, then the later
+   element), so the root is the k-th answer. Each member records its
+   slot, so a score increase sifts in place and a candidate outside the
+   heap enters only by replacing a root it beats. [ops] counts one per
+   level a sift visits plus one per root comparison. *)
 type topk = {
   k : int;
   mutable slots : candidate array;
@@ -57,12 +62,11 @@ type topk = {
   mutable evictions : int; (* offers to a full heap: the loser leaves *)
 }
 
+let precedes (a : Types.element) (b : Types.element) =
+  a.docid < b.docid || (a.docid = b.docid && a.endpos < b.endpos)
+
 let below a b =
-  a.c_worst < b.c_worst
-  || a.c_worst = b.c_worst
-     &&
-     let ea = a.c_element and eb = b.c_element in
-     ea.docid < eb.docid || (ea.docid = eb.docid && ea.endpos < eb.endpos)
+  a.c_worst < b.c_worst || (a.c_worst = b.c_worst && precedes b.c_element a.c_element)
 
 let place h i c =
   h.slots.(i) <- c;
@@ -112,26 +116,48 @@ let offer h c =
 
 exception Truncated_rpl
 
+(* One summary extent: its RPL readers in query-term order. An answer
+   element lies in exactly one extent, and its score is the sum of its
+   entries in these lists. *)
+type extent = {
+  readers : Rpl.Cursor.t array;
+  last_seen : float array;
+      (* per list, a bound on its unseen entries: the last score read,
+         the head's before any read, the truncation bound at its end *)
+  mutable last_read : Rpl.entry option;
+  bound : float; (* the sum of the head scores: no element scores more *)
+}
+
 let run index ~sids ~terms ~k ?(ideal_heap = false) ?(floor = 0.0) ?guard () =
   if k <= 0 then invalid_arg "Ta.run: k must be positive";
   if terms = [] then invalid_arg "Ta.run: no terms";
   let clock = Stopclock.create () in
   let tick_guard () = match guard with Some g -> Guard.tick g | None -> () in
   let n = List.length terms in
-  let cursor_of term =
-    let c = Rpl.Term_cursor.create index ~term ~sids in
-    (* A single-term query can end its stream at the floor: dropped
-       entries score at most the floor, so the exhaustion threshold
-       stays within [w] and certification below always succeeds. With
-       several terms the per-stream bounds sum past the floor, so the
-       skip could forfeit a certifiable answer — leave it off and let
-       the threshold test stop the run instead. *)
-    if floor > 0.0 && n = 1 then Rpl.Term_cursor.set_bound c floor;
-    c
+  let open_extent sid =
+    let readers =
+      Array.of_list (List.map (fun term -> Rpl.Cursor.create index Rpl.Rpl ~term ~sid) terms)
+    in
+    (* A single-term query can end its lists at the floor: dropped
+       entries score at most the floor, so the exhaustion threshold stays
+       within it and certification below always succeeds. With several
+       terms the per-list bounds sum past the floor, so the skip could
+       forfeit a certifiable answer — the threshold test stops instead. *)
+    if floor > 0.0 && n = 1 then Array.iter (fun c -> Rpl.Cursor.set_bound c floor) readers;
+    let head c =
+      match Rpl.Cursor.peek c with
+      | Some e -> e.Rpl.score
+      | None -> Rpl.Cursor.truncation_bound c
+    in
+    let last_seen = Array.map head readers in
+    { readers; last_seen; last_read = None; bound = Array.fold_left ( +. ) 0.0 last_seen }
   in
-  let cursors = Array.of_list (List.map cursor_of terms) in
-  let last_seen = Array.make n infinity in
-  let exhausted = Array.make n false in
+  (* Highest bound first, ties in sid order. *)
+  let extents =
+    List.sort_uniq compare sids
+    |> List.map open_extent
+    |> List.stable_sort (fun a b -> Float.compare b.bound a.bound)
+  in
   let candidates = Candidates.create 256 in
   (* Every candidate in first-seen order, for the can-beat scan and the
      final selection. *)
@@ -150,43 +176,68 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(floor = 0.0) ?guard () =
       offer heap c
     end
   in
-  let stopped_early = ref false in
-  let current_w () = if heap.size < k then 0.0 else heap.slots.(0).c_worst in
-  let threshold () = Array.fold_left ( +. ) 0.0 last_seen in
-  (* Would any candidate with unseen terms still be able to beat w?
-     [last_seen] already holds the truncation bound once a stream is
-     exhausted, so it bounds the unseen contribution either way.
-
-     The candidates in [!order.(0 .. !cleared - 1)] are known not to:
-     a candidate's best score never rises (a seen score replaces the
-     bound it was charged, and bounds only fall) while w never falls,
-     so each is cleared once instead of rescanned at every check. The
-     first uncleared candidate is the last witness, re-verified first.
-     A newly seen score re-sums the best score in another float order,
-     so [accept_entry] moves such a candidate back past the boundary;
-     a bound that rises (an exhausted stream's truncation bound) empties
-     the cleared prefix. The answer is exactly that of a full scan. *)
-  let cleared = ref 0 in
+  (* Whether no element scoring at most [b] can enter the answer: it is
+     below the running k-th score, or within the caller's floor (entries
+     at or below it may be partial — see the interface). A score {e equal}
+     to the k-th is not settled: its element may precede the k-th. *)
+  let settled b =
+    (heap.size >= k && b < heap.slots.(0).c_worst) || (floor > 0.0 && b <= floor)
+  in
   let best c =
     let b = ref c.c_worst in
     for t = 0 to n - 1 do
-      if not c.c_seen.(t) then b := !b +. last_seen.(t)
+      if not c.c_seen.(t) then b := !b +. c.c_bounds.(t)
     done;
     !b
   in
-  let rec some_candidate_can_beat w =
+  (* A partial candidate is unresolved while its unseen terms could
+     still raise it to an unsettled score.
+
+     The candidates in [!order.(0 .. !cleared - 1)] are known to be
+     resolved: a candidate's best score never rises (a seen score
+     replaces the bound it was charged, and bounds only fall) while the
+     k-th score never falls, so each is cleared once instead of
+     rescanned at every check. The first uncleared candidate is the last
+     witness, re-verified first. A newly seen score re-sums the best
+     score in another float order, so [accept_entry] moves such a
+     candidate back past the boundary; a bound that rises (an exhausted
+     list's truncation bound) empties the cleared prefix. The answer is
+     exactly that of a full scan. *)
+  let cleared = ref 0 in
+  let rec some_candidate_unresolved () =
     !cleared < !count
     &&
     let c = !order.(!cleared) in
-    (c.c_nseen < n && best c > w)
+    (c.c_nseen < n
+    &&
+    let b = best c in
+    b > c.c_worst && not (settled b))
     || begin
          incr cleared;
-         some_candidate_can_beat w
+         some_candidate_unresolved ()
        end
   in
-  let set_last_seen t s =
-    if s > last_seen.(t) then cleared := 0;
-    last_seen.(t) <- s
+  (* Whether no unseen element of [x] can enter the answer. A
+     single-term extent also settles a tie with the k-th score when its
+     last read entry ranks at or after the k-th: its unseen entries tie
+     only behind that entry, in the list's element order. *)
+  let unseen_settled x =
+    let tau = Array.fold_left ( +. ) 0.0 x.last_seen in
+    settled tau
+    || n = 1
+       && heap.size >= k
+       &&
+       let kth = heap.slots.(0) in
+       tau = kth.c_worst
+       &&
+       match x.last_read with
+       | Some e -> e.score = tau && not (precedes e.element kth.c_element)
+       | None -> false
+  in
+  let can_stop x = unseen_settled x && not (some_candidate_unresolved ()) in
+  let set_last_seen x t s =
+    if s > x.last_seen.(t) then cleared := 0;
+    x.last_seen.(t) <- s
   in
   let recheck c =
     decr cleared;
@@ -196,12 +247,13 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(floor = 0.0) ?guard () =
     !order.(!cleared) <- c;
     c.c_rank <- !cleared
   in
-  let add_candidate (element : Types.element) =
+  let add_candidate x (element : Types.element) =
     let c =
       {
         c_element = element;
         c_worst = 0.0;
         c_seen = Array.make n false;
+        c_bounds = x.last_seen;
         c_nseen = 0;
         c_slot = -1;
         c_rank = !count;
@@ -217,12 +269,13 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(floor = 0.0) ?guard () =
     incr count;
     c
   in
-  let accept_entry t (entry : Rpl.entry) =
-    set_last_seen t entry.score;
+  let accept_entry x t (entry : Rpl.entry) =
+    set_last_seen x t entry.score;
+    x.last_read <- Some entry;
     let c =
       match Candidates.find_opt candidates entry.element with
       | Some c -> c
-      | None -> add_candidate entry.element
+      | None -> add_candidate x entry.element
     in
     if not c.c_seen.(t) then begin
       c.c_seen.(t) <- true;
@@ -233,72 +286,55 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(floor = 0.0) ?guard () =
       heap_offer c
     end
   in
-  let check_interval = 16 in
-  let until_next_check = ref check_interval in
-  let running = ref true in
+  (* Read [x]'s lists round-robin until the threshold test proves that
+     nothing unseen in it can enter the answer (true) or every list
+     ends (false). The test runs after every round: an extent may hold
+     only a few entries, and the cleared prefix keeps the test cheap. *)
+  let visit x =
+    let rec rounds () =
+      let progressed = ref false in
+      for t = 0 to n - 1 do
+        tick_guard ();
+        match Rpl.Cursor.next x.readers.(t) with
+        | Some entry ->
+            progressed := true;
+            accept_entry x t entry
+        | None ->
+            (* Entries past a truncated prefix (stored or bound-skipped)
+               score at most the recorded bound. *)
+            set_last_seen x t (Rpl.Cursor.truncation_bound x.readers.(t))
+      done;
+      !progressed && (can_stop x || rounds ())
+    in
+    rounds ()
+  in
+  let visited = ref 0 and skipped = ref 0 and stopped = ref false in
   let degraded = ref false in
-  (* On guard expiry the partial sums accumulated so far are salvaged
-     as a best-effort (degraded) answer: every partial sum is a lower
-     bound of the true score, so the prefix is sound, just possibly
-     incomplete. Certification is skipped — degraded answers are not
-     certified, they are tagged. *)
+  (* Extents in descending bound order, sharing the candidates and the
+     top-k heap: the first extent whose bound is settled ends the run,
+     since every later bound is at most its own. A visit that ran out
+     with a truncated list owes certification, checked at the end
+     against the final k-th score. On guard expiry the partial sums so
+     far are salvaged as a best-effort (degraded) answer: each is a
+     lower bound of the true score, so the prefix is sound, just
+     possibly incomplete. Degraded answers are tagged, not certified. *)
   (try
-     while !running do
-       let progressed = ref false in
-       for t = 0 to n - 1 do
-         if not exhausted.(t) then begin
-           tick_guard ();
-           match Rpl.Term_cursor.next cursors.(t) with
-           | Some entry ->
-               progressed := true;
-               accept_entry t entry
-           | None ->
-               exhausted.(t) <- true;
-               (* Entries past a truncated prefix (stored or
-                  bound-skipped) score at most the recorded bound. *)
-               set_last_seen t (Rpl.Term_cursor.truncation_bound cursors.(t))
-         end
-       done;
-       if not !progressed then running := false
-       else begin
-         decr until_next_check;
-         if !until_next_check <= 0 then begin
-           until_next_check := check_interval;
-           let tau = threshold () in
-           (* The floor acts as a k-th score already achieved elsewhere
-              (scatter-gather): entries at or below it cannot enter the
-              global top-k, so stopping is sound as soon as neither the
-              threshold nor any partial candidate can exceed
-              [max w floor] — even before k candidates are live. *)
-           let w = Float.max (current_w ()) floor in
-           if
-             (heap.size >= k || floor > 0.0)
-             && w >= tau
-             && not (some_candidate_can_beat w)
-           then begin
-             stopped_early := true;
-             running := false
-           end
-         end
-       end
-     done;
-     (* With truncated prefixes an exhausted run must still certify the
-        top-k before answering: unseen (dropped) entries are bounded by
-        the truncation bounds, so the usual threshold test applies. The
-        explicit truncated flag — not [bound > 0.0] — decides whether
-        certification is owed: a truncated list whose dropped entries
-        all scored 0.0 is still incomplete. *)
-     if (not !stopped_early) && Array.exists Rpl.Term_cursor.truncated cursors
-     then begin
-       let tau = threshold () in
-       let w = Float.max (current_w ()) floor in
-       if
-         not
-           ((heap.size >= k || floor > 0.0)
-           && w >= tau
-           && not (some_candidate_can_beat w))
-       then raise Truncated_rpl
-     end
+     let rec go owed = function
+       | [] -> owed
+       | x :: rest when settled x.bound ->
+           skipped := 1 + List.length rest;
+           owed
+       | x :: rest ->
+           incr visited;
+           let ran_out = not (visit x) in
+           if not ran_out then stopped := true;
+           let owes = ran_out && Array.exists Rpl.Cursor.truncated x.readers in
+           go (if owes then x :: owed else owed) rest
+     in
+     (* The explicit truncated flag — not [bound > 0.0] — decides
+        whether certification is owed: a truncated list whose dropped
+        entries all scored 0.0 is still incomplete. *)
+     if not (List.for_all can_stop (go [] extents)) then raise Truncated_rpl
    with Guard.Budget_exceeded _ -> degraded := true);
   let top =
     Answer.select k (fun emit ->
@@ -308,18 +344,19 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(floor = 0.0) ?guard () =
         done)
   in
   let elapsed = Stopclock.elapsed clock in
-  let total_reads =
-    Array.fold_left (fun acc c -> acc + Rpl.Term_cursor.entries_read c) 0 cursors
+  let sum f =
+    List.fold_left (fun acc x -> Array.fold_left (fun acc c -> acc + f c) acc x.readers) 0 extents
   in
-  let total_blocks_skipped =
-    Array.fold_left (fun acc c -> acc + Rpl.Term_cursor.blocks_skipped c) 0 cursors
-  in
+  let total_reads = sum Rpl.Cursor.entries_read in
+  let total_blocks_skipped = sum Rpl.Cursor.blocks_skipped in
+  let stopped_early = !stopped || !skipped > 0 in
   Metrics.incr (if ideal_heap then m_ita_runs else m_runs);
-  if !stopped_early then Metrics.incr m_early_stops;
+  if stopped_early then Metrics.incr m_early_stops;
   Metrics.add m_sorted total_reads;
   Metrics.add m_heap_ops heap.ops;
   Metrics.add m_candidates !count;
   Metrics.add m_blocks_skipped total_blocks_skipped;
+  Metrics.add m_extents_skipped !skipped;
   ( top,
     {
       sorted_accesses = total_reads;
@@ -328,7 +365,9 @@ let run index ~sids ~terms ~k ?(ideal_heap = false) ?(floor = 0.0) ?guard () =
       heap_evictions = heap.evictions;
       candidates = !count;
       blocks_skipped = total_blocks_skipped;
-      stopped_early = !stopped_early;
+      extents_visited = !visited;
+      extents_skipped = !skipped;
+      stopped_early;
       elapsed_seconds = elapsed;
       heap_seconds = Stopclock.paused_time clock;
       degraded = !degraded;

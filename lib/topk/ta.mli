@@ -1,14 +1,21 @@
-(** Threshold algorithm over RPLs (paper §3.3, TopX-style).
+(** Threshold algorithm over RPLs (paper §3.3, TopX-style), one summary
+    extent at a time.
 
-    One descending-score {!Rpl.Term_cursor} per query term, merging that
-    term's per-(term, sid) RPLs over the query sids, is consumed
-    round-robin; partial sums accumulate per element, an indexed
-    min-heap of at most k candidates maintains the current top-k, and
-    the run stops when the threshold — the sum of the last score seen
-    in each list — proves no unseen or partially-seen element can enter
-    the top-k. Requires the RPLs of every (term, sid) pair of the query.
-    Unlike the paper's full-term lists (§3.3), no entry of a foreign
-    extent is ever read or skipped (DESIGN.md §9.1).
+    An answer element lies in exactly one extent (sid) and scores the
+    sum of its entries in that extent's (term, sid) RPLs, so the top-k
+    is the top-k of the per-extent top-k's. Each list's head is read
+    once; an extent's bound is the sum of its heads. Extents are visited
+    in descending bound order, each consuming its n lists round-robin:
+    partial sums accumulate per element, one indexed min-heap of at most
+    k candidates, shared by every extent, holds the top-k, and the visit
+    stops when the threshold — the sum of the last score seen in each of
+    its lists — proves nothing unseen or partially seen in the extent
+    can enter the top-k. The run ends at the first extent whose bound is
+    strictly below the running k-th score (or within the caller's
+    floor): an element tied with the k-th score may precede it in
+    document order, so a tie never prunes. Requires the RPLs of every
+    (term, sid) pair of the query; no entry of a foreign extent is ever
+    read or skipped (DESIGN.md §9.1).
 
     With [ideal_heap] the paper's ITA variant is measured: the
     stop-clock is paused around top-k-heap operations so their cost is
@@ -26,7 +33,11 @@ type stats = {
   blocks_skipped : int;
       (** segment blocks dropped undecoded by the single-term floor
           skip (see DESIGN.md §7) *)
-  stopped_early : bool;  (** threshold fired before exhausting lists *)
+  extents_visited : int;  (** extents whose lists were read *)
+  extents_skipped : int;
+      (** extents left unread because their bound was settled by the
+          running k-th score or the floor *)
+  stopped_early : bool;  (** a visit's threshold fired or an extent was skipped *)
   elapsed_seconds : float;  (** heap time excluded when [ideal_heap] *)
   heap_seconds : float;  (** measured only when [ideal_heap] *)
   degraded : bool;

@@ -135,7 +135,6 @@ let drain_with next c =
   go ()
 
 let drain = drain_with Rpl.Cursor.next
-let drain_term = drain_with Rpl.Term_cursor.next
 
 let entry_eq (a : Rpl.entry) (b : Rpl.entry) =
   Types.compare_element a.element b.element = 0 && a.score = b.score
@@ -180,12 +179,21 @@ let test_cursors_equal_era () =
                 sids)
             terms)
         [ Rpl.Rpl; Rpl.Erpl ];
-      (* TA's term cursor merges the sids into one descending stream. *)
+      (* A term's RPLs over the query's sids, merged in descending
+         score order, are ERA's entries for the term. *)
       List.iter
         (fun term ->
-          let got = drain_term (Rpl.Term_cursor.create index ~term ~sids) in
+          let got =
+            List.concat_map
+              (fun sid -> drain (Rpl.Cursor.create index Rpl.Rpl ~term ~sid))
+              sids
+            |> List.stable_sort (fun (a : Rpl.entry) (b : Rpl.entry) ->
+                   match Float.compare b.score a.score with
+                   | 0 -> Types.compare_element a.element b.element
+                   | c -> c)
+          in
           Alcotest.(check bool)
-            (Printf.sprintf "RPL term cursor %s = ERA, bit for bit" term)
+            (Printf.sprintf "RPL term %s over the sids = ERA, bit for bit" term)
             true
             (entries_eq got (era_entries index Rpl.Rpl ~sids ~term)))
         terms)
@@ -196,14 +204,14 @@ let test_set_bound_yields_prefix () =
   let sids, terms = List.hd (queries (index, summary)) in
   materialize index ~sids ~terms;
   let term = List.hd terms in
-  let sid = [ List.hd sids ] in
-  let full = drain_term (Rpl.Term_cursor.create index ~term ~sids:sid) in
+  let sid = List.hd sids in
+  let full = drain (Rpl.Cursor.create index Rpl.Rpl ~term ~sid) in
   if List.length full > 2 then begin
     (* Floor at the median score: everything above it must survive. *)
     let floor = (List.nth full (List.length full / 2)).Rpl.score in
-    let c = Rpl.Term_cursor.create index ~term ~sids:sid in
-    Rpl.Term_cursor.set_bound c floor;
-    let bounded = drain_term c in
+    let c = Rpl.Cursor.create index Rpl.Rpl ~term ~sid in
+    Rpl.Cursor.set_bound c floor;
+    let bounded = drain c in
     let rec is_prefix a b =
       match (a, b) with
       | [], _ -> true
@@ -220,9 +228,9 @@ let test_set_bound_yields_prefix () =
       full;
     if List.length bounded < List.length full then begin
       Alcotest.(check bool) "skip flagged as truncation" true
-        (Rpl.Term_cursor.truncated c);
+        (Rpl.Cursor.truncated c);
       Alcotest.(check bool) "bound recorded" true
-        (Rpl.Term_cursor.truncation_bound c > 0.0)
+        (Rpl.Cursor.truncation_bound c > 0.0)
     end
   end
 
@@ -239,8 +247,8 @@ let test_catalog_truncation_flag () =
        ~rpl_prefix:1 ());
   Alcotest.(check bool) "prefix list flagged truncated" true
     (Rpl.list_truncated index Rpl.Rpl ~term ~sid);
-  let c = Rpl.Term_cursor.create index ~term ~sids:[ sid ] in
-  Alcotest.(check bool) "cursor sees the flag" true (Rpl.Term_cursor.truncated c);
+  let c = Rpl.Cursor.create index Rpl.Rpl ~term ~sid in
+  Alcotest.(check bool) "cursor sees the flag" true (Rpl.Cursor.truncated c);
   Rpl.drop index Rpl.Rpl ~term ~sid;
   ignore
     (Rpl.build index ~scoring ~sids:[ sid ] ~terms:[ term ] ~kinds:[ Rpl.Rpl ] ());

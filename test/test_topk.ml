@@ -113,9 +113,11 @@ let era_answers index ~sids ~terms =
   Era.score_results index ~scoring ~terms results
 
 (* TA agreement modulo ties: identical score sequence, and each TA
-   element carries its exact ERA score. *)
-let ta_matches_era ~k (ta : Answer.t) (era : Answer.t) =
-  let era_top = Answer.top_k era k in
+   element carries its exact ERA score. Under a [floor] only the
+   entries above it are owed (see [Ta.run]). *)
+let ta_matches_era ?(floor = neg_infinity) ~k (ta : Answer.t) (era : Answer.t) =
+  let above = List.filter (fun (e : Answer.entry) -> e.score > floor) in
+  let era_top = above (Answer.top_k era k) and ta = above ta in
   List.length ta = List.length era_top
   && List.for_all2
        (fun (a : Answer.entry) (b : Answer.entry) ->
@@ -173,20 +175,25 @@ let test_ita_same_answers_as_ta () =
 
 (* TA's stopping point is fixed by its sorted accesses alone: the
    bookkeeping behind it (top-k heap, candidate table, can-beat test)
-   must never move it. The expected values were recorded with an
-   earlier lazy-deletion top-k heap. Heap work is bounded by one
-   sift of at most ceil(log2(k+1)) levels, plus a root comparison, per
-   score update; the lazy heap's stale entries broke that bound. *)
+   must never move it. The expected values were recorded with TA
+   visiting one extent at a time. Heap work is bounded by one sift of
+   at most ceil(log2(k+1)) levels, plus a root comparison, per score
+   update; an earlier lazy-deletion heap's stale entries broke that
+   bound. *)
 let test_ta_stop_and_heap_work_pinned () =
   let index, summary = Lazy.force generated in
   let expected =
     (* per agreement query, per k in [1; 10; 100; all]:
-       (sorted_accesses, stopped_early, candidates) *)
+       (sorted_accesses, stopped_early, candidates, extents visited,
+       extents skipped) *)
     [|
-      [ (288, true, 171); (336, true, 198); (658, false, 323); (658, false, 323) ];
-      [ (48, true, 32); (144, true, 87); (288, false, 175); (288, false, 175) ];
-      [ (1480, true, 1123); (1768, true, 1290); (1941, false, 1351); (1941, false, 1351) ];
-      [ (9, false, 9); (9, false, 9); (9, false, 9); (9, false, 9) ];
+      [ (159, true, 104, 3, 3); (297, true, 174, 3, 3); (649, true, 319, 4, 2);
+        (658, false, 323, 6, 0) ];
+      [ (24, true, 16, 3, 3); (177, true, 106, 3, 3); (288, false, 175, 6, 0);
+        (288, false, 175, 6, 0) ];
+      [ (277, true, 221, 3, 27); (1420, true, 1039, 8, 22); (1858, true, 1288, 19, 11);
+        (1941, true, 1351, 28, 2) ];
+      [ (1, true, 1, 1, 0); (9, false, 9, 1, 0); (9, false, 9, 1, 0); (9, true, 9, 1, 0) ];
     |]
   in
   let rec bits k = if k = 0 then 0 else 1 + bits (k lsr 1) in
@@ -195,12 +202,14 @@ let test_ta_stop_and_heap_work_pinned () =
       ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ Rpl.Rpl ] ());
       let all = Answer.size (era_answers index ~sids ~terms) in
       List.iter2
-        (fun k (sorted, early, cands) ->
+        (fun k (sorted, early, cands, visited, skipped) ->
           let _, s = Ta.run index ~sids ~terms ~k () in
           let label what = Printf.sprintf "q%d k=%d %s" qi k what in
           check Alcotest.int (label "sorted accesses") sorted s.Ta.sorted_accesses;
           check Alcotest.bool (label "stopped early") early s.Ta.stopped_early;
           check Alcotest.int (label "candidates") cands s.Ta.candidates;
+          check Alcotest.int (label "extents visited") visited s.Ta.extents_visited;
+          check Alcotest.int (label "extents skipped") skipped s.Ta.extents_skipped;
           let bound = s.Ta.heap_pushes * (bits k + 2) in
           if s.Ta.heap_operations > bound then
             Alcotest.failf "%s: %d heap operations > %d" (label "heap work")
@@ -319,6 +328,77 @@ let test_merge_missing_erpl_raises () =
        ignore (Merge.run index ~sids:[ 1 ] ~terms:[ "red" ]);
        false
      with Rpl.Cursor.Missing_list _ -> true)
+
+(* Equal scores in two extents straddling position k. b's extent has
+   the higher bound (its "fox fox" element), so it is visited first,
+   and its tied element is in the latest document; c's two tied
+   elements come earlier. So at k = 2, pruning c's extent on the tie
+   with the k-th score returns the wrong element, and at k = 3 so does
+   ending c's visit after its first entry. ERA ranks ties in document
+   order. *)
+let test_ta_cross_extent_tie () =
+  let env = Env.in_memory () in
+  let summary = Summary.create Summary.Incoming in
+  let docs =
+    [
+      ("d0.xml", "<a><c>fox</c></a>");
+      ("d1.xml", "<a><c>fox</c></a>");
+      ("d2.xml", "<a><b>fox</b></a>");
+      ("d3.xml", "<a><b>fox fox</b></a>");
+    ]
+  in
+  let index = Index.build ~env ~summary ~analyzer:Analyzer.exact (List.to_seq docs) in
+  let sids = [ sid_of summary [ "a"; "b" ]; sid_of summary [ "a"; "c" ] ] in
+  let terms = [ "fox" ] in
+  ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ Rpl.Rpl ] ());
+  let era = era_answers index ~sids ~terms in
+  check (Alcotest.list Alcotest.int) "ERA: the top element, then the tie in document order"
+    [ 3; 0; 1; 2 ]
+    (List.map (fun (e : Answer.entry) -> e.element.Types.docid) era);
+  (match era with
+  | _ :: tied ->
+      List.iter
+        (fun (e : Answer.entry) ->
+          check (Alcotest.float 0.0) "an exact tie" (List.hd tied).score e.score)
+        tied
+  | [] -> ());
+  List.iter
+    (fun k ->
+      List.iter
+        (fun ideal_heap ->
+          let ta, stats = Ta.run index ~sids ~terms ~k ~ideal_heap () in
+          Alcotest.(check bool)
+            (Printf.sprintf "k=%d: ERA's ranking, ties in document order" k)
+            true
+            (Answer.equal ~eps:0.0 (Answer.top_k era k) ta);
+          if k > 1 then check Alcotest.int "both extents visited" 2 stats.Ta.extents_visited)
+        [ false; true ])
+    [ 1; 2; 3; 4 ]
+
+(* A floor above every extent's bound: nothing can beat it, so no list
+   is read past its head and the answer is empty — single-term queries
+   (whose lists stop at the floor) and multi-term ones alike. *)
+let test_ta_floor_above_every_bound () =
+  let index, summary = Lazy.force generated in
+  List.iter
+    (fun (sids, terms) ->
+      ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ Rpl.Rpl ] ());
+      List.iter
+        (fun terms ->
+          List.iter
+            (fun ideal_heap ->
+              let answers, stats =
+                Ta.run index ~sids ~terms ~k:10 ~floor:1e9 ~ideal_heap ()
+              in
+              check Alcotest.int "no answers" 0 (List.length answers);
+              check Alcotest.int "no entry read" 0 stats.Ta.sorted_accesses;
+              check Alcotest.int "no extent visited" 0 stats.Ta.extents_visited;
+              check Alcotest.int "every extent skipped"
+                (List.length (List.sort_uniq compare sids))
+                stats.Ta.extents_skipped)
+            [ false; true ])
+        [ terms; [ List.hd terms ] ])
+    (queries_for_agreement index summary)
 
 (* ---- RPL / ERPL store ---- *)
 
@@ -552,15 +632,21 @@ let random_queries index summary rng ~count =
       let words = List.init (1 + Random.State.int rng 3) (fun _ -> pick terms) in
       Printf.sprintf "%s[about(., %s)]" target (String.concat " " words))
 
+(* Extents TA and ITA skipped under a floor, over every case of the
+   property below: at least one case must prune. *)
+let floored_extents_skipped = ref 0
+
 (* Randomized cross-strategy agreement: a fresh corpus per seed, fixed
    and generated queries, every method through [Strategy.evaluate] with
    the method forced. Merge must equal ERA plus a sort exactly (same
    elements, bit-identical scores, same order); TA and ITA must give
-   ERA's top k. *)
+   ERA's top k, and under a random positive floor every entry of it
+   above the floor. *)
+
 let prop_strategies_agree_on_random_corpora =
   QCheck.Test.make ~name:"strategies agree on random corpora" ~count:6
-    QCheck.(triple small_nat (int_bound 59) small_nat)
-    (fun (seed, k, qseed) ->
+    QCheck.(quad small_nat (int_bound 59) small_nat (float_bound_inclusive 1.0))
+    (fun (seed, k, qseed, u) ->
       (* k in 1..60, drawn from 0..59 so shrinking stays in range *)
       let k = k + 1 in
       let coll = Trex_corpus.Gen.ieee ~doc_count:12 ~seed:(seed + 100) () in
@@ -597,13 +683,30 @@ let prop_strategies_agree_on_random_corpora =
               Types.compare_element a.element b.element = 0 && a.score = b.score
             in
             let merge = answers Strategy.Merge_method in
+            (* A positive floor below the top score, as a scatter's
+               running global k-th score would be. *)
+            let floor =
+              match era with
+              | top :: _ -> top.Answer.score *. (0.05 +. (0.9 *. u))
+              | [] -> 1.0
+            in
+            let skipped = Trex_obs.Metrics.counter "ta.extents_skipped" in
+            let floored m =
+              let before = Trex_obs.Metrics.value skipped in
+              let o = Strategy.evaluate index ~scoring ~sids ~terms ~k ~floor m in
+              floored_extents_skipped :=
+                !floored_extents_skipped + Trex_obs.Metrics.value skipped - before;
+              o.Strategy.answers
+            in
             let ok =
               List.length merge = List.length era
               && List.for_all2 exact merge era
               && ta_matches_era ~k (answers Strategy.Ta_method) era
               && ta_matches_era ~k (answers Strategy.Ita_method) era
+              && ta_matches_era ~floor ~k (floored Strategy.Ta_method) era
+              && ta_matches_era ~floor ~k (floored Strategy.Ita_method) era
             in
-            if not ok then QCheck.Test.fail_reportf "%s at k = %d" nexi k;
+            if not ok then QCheck.Test.fail_reportf "%s at k = %d, floor %h" nexi k floor;
             ok
           end)
         queries)
@@ -762,7 +865,16 @@ let () =
             test_era_matches_naive_oracle;
           Alcotest.test_case "per-term scores sum to combined" `Quick
             test_per_term_scores_sum_to_combined;
-          QCheck_alcotest.to_alcotest prop_strategies_agree_on_random_corpora;
+          (let name, speed, run =
+             QCheck_alcotest.to_alcotest prop_strategies_agree_on_random_corpora
+           in
+           ( name,
+             speed,
+             fun () ->
+               run ();
+               Alcotest.(check bool)
+                 "some floored run skipped an extent" true
+                 (!floored_extents_skipped > 0) ));
         ] );
       ( "agreement",
         [
@@ -772,6 +884,9 @@ let () =
           Alcotest.test_case "ita equals ta" `Quick test_ita_same_answers_as_ta;
           Alcotest.test_case "ta stop and heap work pinned" `Quick
             test_ta_stop_and_heap_work_pinned;
+          Alcotest.test_case "ta cross-extent tie" `Quick test_ta_cross_extent_tie;
+          Alcotest.test_case "ta floor above every bound" `Quick
+            test_ta_floor_above_every_bound;
           Alcotest.test_case "ita clock invariants" `Quick test_ita_clock_invariants;
         ] );
       ( "observability",
