@@ -35,7 +35,6 @@
                      worker transport
      effectiveness - P@10/MAP/nDCG against the generator's topic ground
                      truth; BM25 vs TF-IDF
-     bechamel      - one Bechamel Test.make per table/figure family
 
    Timing protocol mirrors the paper: five runs per point, best and
    worst dropped, the remaining three averaged (--quick: three runs,
@@ -1294,81 +1293,6 @@ let section_effectiveness () =
       Printf.printf "  %-8s MAP = %.3f\n" name (Metrics.mean (fun x -> x) scores))
     [ ("BM25", engine_for Queries.Ieee); ("TF-IDF", tfidf) ]
 
-(* ---- section: bechamel ---- *)
-
-let section_bechamel () =
-  header "BECHAMEL: one Test.make per table/figure family";
-  materialize_all ();
-  let open Bechamel in
-  let of_query id m k =
-    let q = Queries.find id in
-    let engine, sids, terms = translated q in
-    Staged.stage (fun () ->
-        ignore
-          (Strategy.evaluate (Trex.index engine) ~scoring:(Trex.scoring engine) ~sids
-             ~terms ~k m))
-  in
-  let tests =
-    [
-      (* sizes: index-build throughput on a small slice *)
-      Test.make ~name:"sizes/index_build_20docs"
-        (Staged.stage (fun () ->
-             let coll = Gen.ieee ~doc_count:20 ~seed:99 () in
-             let env = Trex.Env.in_memory () in
-             ignore (Trex.build ~env ~alias:coll.alias (coll.docs ()))));
-      (* table1: the translation phase *)
-      Test.make ~name:"table1/translate_all_queries"
-        (Staged.stage (fun () ->
-             List.iter
-               (fun (q : Queries.t) ->
-                 let engine = engine_for q.collection in
-                 ignore (Trex.translate engine (Trex.parse engine q.nexi)))
-               Queries.all));
-      (* fig4: Q202-shape (Merge << TA ~ ERA) *)
-      Test.make ~name:"fig4/q202_merge" (of_query "202" Strategy.Merge_method max_int);
-      Test.make ~name:"fig4/q202_ta_k10" (of_query "202" Strategy.Ta_method 10);
-      (* fig5: Q270-shape *)
-      Test.make ~name:"fig5/q270_merge" (of_query "270" Strategy.Merge_method max_int);
-      Test.make ~name:"fig5/q270_ta_k10" (of_query "270" Strategy.Ta_method 10);
-      (* fig6: Q233-shape (TA ~ Merge << ERA) *)
-      Test.make ~name:"fig6/q233_ta_k10" (of_query "233" Strategy.Ta_method 10);
-      Test.make ~name:"fig6/q292_merge" (of_query "292" Strategy.Merge_method max_int);
-      (* selfman: the greedy solver on a synthetic 12-query instance *)
-      Test.make ~name:"selfman/greedy_12_queries"
-        (Staged.stage (fun () ->
-             let profiles =
-               List.init 12 (fun i ->
-                   Trex.Cost.make
-                     ~id:(string_of_int i)
-                     ~frequency:(1.0 /. 12.0)
-                     ~time_era:(10.0 +. float_of_int i)
-                     ~time_merge:1.0 ~time_ta:2.0
-                     ~rpl_lists:[ ("t" ^ string_of_int i, i, 100 + i) ]
-                     ~erpl_lists:[ ("t" ^ string_of_int i, i, 150 + i) ])
-             in
-             ignore (Trex.Advisor.greedy ~budget:1000 profiles)));
-    ]
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 10) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name ols ->
-          match Analyze.OLS.estimates ols with
-          | Some [ est ] -> Printf.printf "  %-34s %14.2f ns/run\n%!" name est
-          | Some _ | None -> Printf.printf "  %-34s (no estimate)\n%!" name)
-        results)
-    tests
-
 (* ---- main ---- *)
 
 let () =
@@ -1396,5 +1320,4 @@ let () =
   if want "shard_proc" then section_shard_proc ();
   if want "telemetry" then section_telemetry ();
   if want "serve" then section_serve ();
-  if want "bechamel" then section_bechamel ();
   Printf.printf "\ndone.\n"

@@ -29,23 +29,7 @@ let build ~env ?(summary_criterion = Summary.Incoming) ?(alias = Alias.identity)
   let summary = Summary.create ~alias summary_criterion in
   { index = Index.build ~env ~summary ?analyzer ~scoring docs }
 
-let attach ~env ?(verify = false) () =
-  if verify then begin
-    let bad = List.filter (fun (r : Env.table_report) -> not r.ok) (Env.verify env) in
-    match bad with
-    | [] -> ()
-    | r :: _ ->
-        raise
-          (Trex_storage.Pager.Corruption
-             {
-               path = r.table;
-               page = -1;
-               detail =
-                 Printf.sprintf "table %s failed verification: %s" r.table
-                   (String.concat "; " r.problems);
-             })
-  end;
-  { index = Index.attach env }
+let attach ~env () = { index = Index.attach env }
 
 let index t = t.index
 let summary t = Index.summary t.index

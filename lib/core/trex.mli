@@ -66,14 +66,11 @@ val build :
     every RPL/ERPL materialized later, are stored as block-compressed
     segments (DESIGN.md §7). *)
 
-val attach : env:Env.t -> ?verify:bool -> unit -> t
+val attach : env:Env.t -> unit -> t
 (** Re-open a previously built engine, with the scorer stored at
     {!build} and the scoring statistics stored in the environment, so a
-    coordinator's shard attaches like a plain environment. With
-    [~verify:true] every storage table is checksum-swept and
-    structurally verified first.
-    @raise Trex_storage.Pager.Corruption if verification finds damage —
-    the engine is never attached over corrupt tables silently.
+    coordinator's shard attaches like a plain environment. Damage is
+    found on read, or up front by {!Env.verify} ([trex verify]).
     @raise Trex_storage.Manifest.Unsupported_format on an environment
     written in another format version (see {!Index.attach}). *)
 

@@ -314,21 +314,26 @@ let read_map dir =
   sweep_stale_worker_artifacts dir infos;
   { map with infos }
 
-let attach_engine env =
+(* The one attach of a shard directory, in process and in a worker:
+   the engine with the scorer and the corpus-wide statistics stored in
+   the shard. A shard without them is refused — scoring it with its own
+   statistics would be wrong, not partial. *)
+let attach_shard sdir =
+  if not (Sys.file_exists sdir) then failwith "shard directory missing";
+  let env = Env.on_disk sdir in
   match
     let engine = Trex.attach ~env () in
     Index.require_pinned (Trex.index engine);
     engine
   with
-  | engine -> engine
+  | engine -> (env, engine)
   | exception e ->
       Env.close env;
       raise e
 
 (* (Re-)attach every servable shard of the map. Shards that fail to
    attach are quarantined, not fatal — the coordinator serves what it
-   can and tags the rest. A shard without pinned statistics is one of
-   them: scoring it with its own would be wrong, not partial. *)
+   can and tags the rest. *)
 let attach_all t pre_blocked =
   List.iter (fun a -> Env.close a.a_env) t.attached;
   t.attached <- [];
@@ -336,13 +341,8 @@ let attach_all t pre_blocked =
   List.iter
     (fun info ->
       if not (List.mem_assoc info.name pre_blocked) then begin
-        let sdir = Filename.concat t.t_dir info.name in
-        match
-          if not (Sys.file_exists sdir) then failwith "shard directory missing";
-          let env = Env.on_disk sdir in
-          { a_info = info; a_env = env; a_engine = attach_engine env }
-        with
-        | a -> acc := a :: !acc
+        match attach_shard (Filename.concat t.t_dir info.name) with
+        | a_env, a_engine -> acc := { a_info = info; a_env; a_engine } :: !acc
         | exception e -> blocked := !blocked @ [ (info.name, Printexc.to_string e) ]
       end)
     t.infos;
@@ -466,6 +466,18 @@ type reply = {
 }
 
 type outcome = Reply of reply | Failed of string | Lost of string
+
+let reply_of (o : Trex.outcome) =
+  let s = o.Trex.strategy in
+  {
+    local_answers = s.Strategy.answers;
+    partial = o.Trex.degraded;
+    method_used = Some s.Strategy.method_used;
+    entries_read = s.Strategy.entries_read;
+    elapsed_s = s.Strategy.elapsed_seconds;
+    pages_used = o.Trex.pages_used;
+    fallbacks = o.Trex.fallbacks;
+  }
 
 type target = {
   shard : shard_info;
@@ -642,17 +654,7 @@ let scatter_in_process ~engine ~span ~journal ~contain ~k ?method_ ~strict
           Trex.evaluate (engine info) ~k ~strict ?method_ ~floor:slice.floor
             ?deadline_ms:slice.deadline_ms ?page_budget:slice.page_budget ast
         with
-        | { Trex.strategy = s; degraded = partial; pages_used; fallbacks; _ } ->
-            Reply
-              {
-                local_answers = s.Strategy.answers;
-                partial;
-                method_used = Some s.Strategy.method_used;
-                entries_read = s.Strategy.entries_read;
-                elapsed_s = s.Strategy.elapsed_seconds;
-                pages_used;
-                fallbacks;
-              }
+        | o -> Reply (reply_of o)
         | exception e -> contain e)
       shards
   in

@@ -119,6 +119,15 @@ val coordinator_journal : string -> Trex_obs.Journal.t Lazy.t
     coordinator environment's journal file, opened when forced: where
     both shard dispatches journal their queries. *)
 
+val attach_shard : string -> Trex_storage.Env.t * Trex.t
+(** [attach_shard sdir] opens the shard directory [sdir]
+    ([Env.on_disk], which replays its manifest) and attaches its engine
+    with the scorer and corpus-wide statistics stored in it — the one
+    attach of a shard, by {!open_}, a rebalance and a shard worker.
+    @raise Failure when [sdir] is missing
+    @raise Trex_invindex.Index.Unpinned_statistics on a plain
+    environment, the environment closed again *)
+
 val index_of : t -> string -> Trex_invindex.Index.t option
 (** The attached shard's index, scoring with its stored corpus-wide
     statistics — for tests and tools that evaluate one shard directly;
@@ -146,9 +155,10 @@ type result = {
           what the remaining shards hold *)
   reports : shard_report list;  (** per evaluated shard, scatter order *)
   fallbacks : Trex_topk.Strategy.failover list;
-      (** methods in-process evaluations abandoned after storage
-          failures — not a degradation, the answers are complete; [[]]
-          from {!Supervisor.query}, whose wire does not carry them *)
+      (** methods the shards' evaluations abandoned after storage
+          failures, in reply order — not a degradation, the answers are
+          complete. Worker replies carry them too, so every dispatch
+          reports the same list *)
 }
 
 val method_used : result -> Trex_topk.Strategy.method_ option
@@ -213,8 +223,13 @@ type reply = {
   elapsed_s : float;
   pages_used : int;
   fallbacks : Trex_topk.Strategy.failover list;
-      (** methods the evaluation abandoned ([[]] over the wire) *)
+      (** methods the evaluation abandoned *)
 }
+
+val reply_of : Trex.outcome -> reply
+(** A shard's reply from its {!Trex.evaluate} outcome — the one
+    conversion, used by the in-process dispatch and by the shard worker
+    before the reply crosses the wire. *)
 
 type outcome =
   | Reply of reply

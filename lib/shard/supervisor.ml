@@ -2,7 +2,6 @@ module Env = Trex_storage.Env
 module Index = Trex_invindex.Index
 module Strategy = Trex_topk.Strategy
 module Breaker = Trex_resilience.Breaker
-module Retry = Trex_resilience.Retry
 module Framing = Trex_util.Framing
 module Stopclock = Trex_util.Stopclock
 module Obs = Trex_obs
@@ -19,7 +18,6 @@ type config = {
   heartbeat_timeout_s : float;
   deadline_grace_ms : float;
   max_restarts : int;
-  restart_policy : Retry.policy;
   connect_timeout_s : float;
 }
 
@@ -29,7 +27,6 @@ let default_config =
     heartbeat_timeout_s = 2.0;
     deadline_grace_ms = 250.0;
     max_restarts = 3;
-    restart_policy = { Retry.default_policy with base_delay_ms = 10.0 };
     connect_timeout_s = 1.0;
   }
 
@@ -224,10 +221,11 @@ let kill_proc p =
   try Unix.close p.p_fd with Unix.Unix_error _ -> ()
 
 (* The worker is gone (exit, EPIPE, corrupt stream, heartbeat timeout,
-   deadline kill). Schedule the restart — capped exponential backoff
-   from the retry policy — or escalate to the breaker once the restart
-   budget is spent. A death while the breaker was half-open fails the
-   probe explicitly so the slot is not leaked. *)
+   deadline kill). Schedule the restart — 10 ms doubling per consecutive
+   restart, capped at 16 ms: 10, 16, 16 ms under the default
+   [max_restarts] — or escalate to the breaker once the restart budget
+   is spent. A death while the breaker was half-open fails the probe
+   explicitly so the slot is not leaked. *)
 let on_death t w reason =
   (match w.proc with Some p -> kill_proc p | None -> ());
   w.proc <- None;
@@ -245,20 +243,7 @@ let on_death t w reason =
              reason)
   end
   else begin
-    (* Salted per shard: under a Decorrelated restart policy a fleet of
-       remote workers cut off together reconnects spread out, not as a
-       thundering herd. With the default No_jitter policy the salt is
-       inert and the schedule replays exactly. *)
-    let delays =
-      Retry.backoff_delays_ms
-        ~salt:(Hashtbl.hash w.info.Shard.name)
-        t.config.restart_policy
-    in
-    let delay_ms =
-      match delays with
-      | [] -> 0.0
-      | l -> List.nth l (min w.restarts (List.length l - 1))
-    in
+    let delay_ms = Float.min 16.0 (10.0 *. Float.pow 2.0 (float_of_int w.restarts)) in
     w.restarts <- w.restarts + 1;
     w.phase <- P_stopped (Stopclock.now () +. (delay_ms /. 1000.0));
     Metrics.incr m_restarts
@@ -629,19 +614,9 @@ let query t ?(k = 10) ?method_ ?(strict = false) ?deadline_ms ?page_budget ?fano
       ~start_s:d.d_sent_at
       ~seconds:(Stopclock.now () -. d.d_sent_at)
       ~children:a.Wire.a_spans ();
-    match a.Wire.a_error with
-    | Some reason -> Shard.Failed reason
-    | None ->
-        Shard.Reply
-          {
-            Shard.local_answers = a.Wire.a_answers;
-            partial = a.Wire.a_degraded;
-            method_used = a.Wire.a_method;
-            entries_read = a.Wire.a_entries_read;
-            elapsed_s = a.Wire.a_elapsed_s;
-            pages_used = a.Wire.a_pages_used;
-            fallbacks = [];
-          }
+    match a.Wire.a_reply with
+    | Ok reply -> Shard.Reply reply
+    | Error reason -> Shard.Failed reason
   in
   let dispatch _ast (slice : Shard.slice) shards =
     let dispatches =
@@ -824,13 +799,13 @@ let serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup rx tx =
               | Some id -> [ ("trace_id", id) ]
               | None -> [])
             in
-            let evaluated =
+            let reply =
               match
                 Obs.Span.with_ ~name:("shard.query." ^ shard)
                   ~attrs:root_attrs
                   (fun () -> evaluate q)
               with
-              | o -> Ok o
+              | o -> Ok (Shard.reply_of o)
               | exception
                   ((Trex_topk.Rpl.Cursor.Missing_list _ | Trex_topk.Ta.Truncated_rpl)
                    as e) ->
@@ -853,35 +828,8 @@ let serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup rx tx =
               Obs.Span.reset ()
             end;
             let counters = Metrics.counters_delta before (Metrics.counters ()) in
-            let answer =
-              match evaluated with
-              | Ok { Trex.strategy = s; degraded; pages_used; _ } ->
-                  {
-                    Wire.a_degraded = degraded;
-                    a_method = Some s.Strategy.method_used;
-                    a_entries_read = s.Strategy.entries_read;
-                    a_elapsed_s = s.Strategy.elapsed_seconds;
-                    a_pages_used = pages_used;
-                    a_answers = s.Strategy.answers;
-                    a_spans = spans;
-                    a_counters = counters;
-                    a_error = None;
-                  }
-              | Error error ->
-                  {
-                    Wire.a_degraded = false;
-                    a_method = None;
-                    a_entries_read = 0;
-                    a_elapsed_s = 0.0;
-                    a_pages_used = 0;
-                    a_answers = [];
-                    a_spans = spans;
-                    a_counters = counters;
-                    a_error = Some error;
-                  }
-            in
             fault_point "pre-reply";
-            send (Wire.Answer answer);
+            send (Wire.Answer { Wire.a_reply = reply; a_spans = spans; a_counters = counters });
             fault_point "post-reply");
         loop ()
   in
@@ -890,19 +838,11 @@ let serve_worker_conn ~shard ~env ~engine ~armed ~fault_point ~cleanup rx tx =
     Printf.eprintf "shard-worker %s: protocol error: %s\n%!" shard e;
     false
 
-(* Opened through table recovery, not plain [on_disk]: a SIGKILLed
-   predecessor is a genuine crash and may have left a table (typically
-   a lazily-created RPL catalog) whose creation never committed; the
-   recovery path reinitializes it instead of poisoning every future
-   worker with [Pager.Corruption] at first touch. The shard scores with
-   the statistics stored in it, exactly as in process. *)
+(* The in-process attach ([Shard.attach_shard]): a SIGKILLed predecessor
+   is a crash like any other, which the environment's replay settles at
+   open, and the shard scores with the statistics stored in it. *)
 let worker_attach ~dir ~shard ~cleanup =
-  match
-    let env, _reports = Env.open_with_recovery (Filename.concat dir shard) in
-    let engine = Trex.attach ~env () in
-    Index.require_pinned (Trex.index engine);
-    (env, engine)
-  with
+  match Shard.attach_shard (Filename.concat dir shard) with
   | pair -> pair
   | exception e ->
       Printf.eprintf "shard-worker %s: attach failed: %s\n%!" shard

@@ -9,19 +9,24 @@
     any shard failure is one process:
 
     - {b Lifecycle.} Each worker is spawned, handshaken (it sends
-      [Hello] once its index is attached), heartbeated ([Ping]/[Pong]
-      while idle), and on any death — exit, EPIPE, heartbeat timeout,
-      deadline kill, protocol corruption — restarted with capped
-      exponential backoff from a {!Trex_resilience.Retry.policy}. After
-      [max_restarts] consecutive restarts without a successful answer
-      the shard's {!Trex_resilience.Breaker} is tripped (escalation):
-      queries degrade to tagged partials until the cooldown elapses,
-      then one respawn is admitted as the half-open probe.
+      [Hello] once it has attached its shard with {!Shard.attach_shard},
+      the in-process coordinator's attach), heartbeated
+      ([Ping]/[Pong] while idle), and on any death — exit, EPIPE,
+      heartbeat timeout, deadline kill, protocol corruption — restarted
+      after a delay that doubles from 10 ms per consecutive restart,
+      capped at 16 ms (10, 16, 16 ms under the default
+      [max_restarts]). After [max_restarts] consecutive restarts
+      without a successful answer the shard's
+      {!Trex_resilience.Breaker} is tripped (escalation): queries
+      degrade to tagged partials until the cooldown elapses, then one
+      respawn is admitted as the half-open probe.
     - {b Scatter.} {!query} is the in-process coordinator's scatter
-      core ({!Shard.scatter}) with workers as the dispatch, so a query
-      over all-healthy workers is answer-identical to {!Shard.query}
-      and to the single-environment engine; a worker that blows its
-      deadline slice is SIGKILLed and restarted.
+      core ({!Shard.scatter}) with workers as the dispatch. A worker
+      answers with {!Shard.reply_of} of its evaluation, the reply the
+      in-process dispatch builds, so a query over all-healthy workers
+      is answer-, method- and fallback-identical to {!Shard.query} and
+      answer-identical to the single-environment engine; a worker that
+      blows its deadline slice is SIGKILLed and restarted.
     - {b Worker state machine.} [Starting → Ready ⇄ Busy], any death →
       [Stopped(backoff)] → [Starting]; restarts exhausted →
       [Escalated] → (breaker cooldown) → [Starting] as probe. See
@@ -54,13 +59,8 @@ type config = {
           (default 250) — covers wire and scheduling latency *)
   max_restarts : int;
       (** consecutive restarts (no successful answer between) before
-          escalating to the breaker (default 3) *)
-  restart_policy : Trex_resilience.Retry.policy;
-      (** backoff schedule between restarts, kept on the supervisor's
-          own clock. The schedule is salted per shard, so a
-          {!Trex_resilience.Retry.Decorrelated} policy keeps a fleet of
-          reconnecting remote workers from thundering-herding; the
-          default [No_jitter] stays bit-replayable *)
+          escalating to the breaker (default 3); the delay before each
+          doubles from 10 ms, capped at 16 ms *)
   connect_timeout_s : float;
       (** bound on a remote (TCP) worker connect (default 1.0); a
           refused or timed-out connect counts as a worker death and
@@ -103,7 +103,7 @@ val create : ?config:config -> ?remote:(string * string) list -> string -> t
     handshake, heartbeats, deadline kills (a dropped connection), the
     telemetry harvest, backoff restarts, breaker escalation — is
     identical to a local worker, and reconnects follow the same
-    (optionally jittered) restart policy. Unknown names raise
+    restart delays. Unknown names raise
     [Invalid_argument]. *)
 
 val close : t -> unit
@@ -167,10 +167,11 @@ val worker_main : dir:string -> shard:string -> unit -> 'a
 (** The worker-process entry point ([trex_cli shard-worker --dir D
     --shard S] — and the test/bench executables dispatch here too,
     since workers exec their parent's binary). Attaches the shard once
-    ([Env.open_with_recovery], then {!Trex.attach}: the scorer and the
-    corpus-wide statistics stored in the shard; a shard without them
-    fails its attach, exit 1), writes [worker.pid], answers each query with
-    {!Trex.evaluate} over {!Wire} requests on stdin/stdout (the protocol fds are dup'd
+    with {!Shard.attach_shard} (the scorer and the corpus-wide
+    statistics stored in the shard; a shard without them fails its
+    attach, exit 1), writes [worker.pid], answers each query with
+    {!Shard.reply_of} of {!Trex.evaluate} over {!Wire} requests on
+    stdin/stdout (the protocol fds are dup'd
     away and stdout is re-pointed at stderr first, so stray prints
     cannot tear frames), and exits on [Shutdown] or EOF. Never
     returns.

@@ -8,7 +8,7 @@ exception Protocol_error of string
 
 (* Bumped whenever a message gains or changes a field; wire.mli keeps
    the revision history and how a mixed fleet fails loud. *)
-let version = 7
+let version = 8
 
 type query = {
   q_nexi : string;
@@ -39,15 +39,9 @@ type client_query = {
 type request = Ping of int | Query of query | Client_query of client_query | Shutdown
 
 type answer = {
-  a_degraded : bool;
-  a_method : Strategy.method_ option;
-  a_entries_read : int;
-  a_elapsed_s : float;
-  a_pages_used : int;
-  a_answers : Answer.t;
+  a_reply : (Shard.reply, string) result;
   a_spans : Span.t list;
   a_counters : (string * int) list;
-  a_error : string option;
 }
 
 type client_answer = {
@@ -251,18 +245,34 @@ let encode_response r =
           :: ("elapsed_s", Json.Float ca.ca_elapsed_s)
           :: opt_field "method" (fun s -> Json.String s) ca.ca_method)
     | Answer a ->
+        let reply =
+          match a.a_reply with
+          (* An empty "answers" still marks the frame as an answer. *)
+          | Error e -> [ ("answers", Json.List []); ("error", Json.String e) ]
+          | Ok (r : Shard.reply) ->
+              ("degraded", Json.Bool r.partial)
+              :: ("entries_read", Json.Int r.entries_read)
+              :: ("elapsed_s", Json.Float r.elapsed_s)
+              :: ("pages_used", Json.Int r.pages_used)
+              :: ("answers", Json.List (List.map entry_to_json r.local_answers))
+              :: ( "fallbacks",
+                   Json.List
+                     (List.map
+                        (fun (f : Strategy.failover) ->
+                          Json.List
+                            [
+                              Json.String (Strategy.method_to_string f.failed);
+                              Json.String f.error;
+                            ])
+                        r.fallbacks) )
+              :: method_field r.method_used
+        in
         Json.Obj
-          (("degraded", Json.Bool a.a_degraded)
-          :: ("entries_read", Json.Int a.a_entries_read)
-          :: ("elapsed_s", Json.Float a.a_elapsed_s)
-          :: ("pages_used", Json.Int a.a_pages_used)
-          :: ("answers", Json.List (List.map entry_to_json a.a_answers))
-          :: ("spans", Span.to_json a.a_spans)
-          :: ( "counters",
-               Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) a.a_counters)
-             )
-          :: (method_field a.a_method
-             @ opt_field "error" (fun s -> Json.String s) a.a_error))
+          (reply
+          @ [
+              ("spans", Span.to_json a.a_spans);
+              ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) a.a_counters));
+            ])
   in
   Json.to_string j
 
@@ -333,14 +343,30 @@ let decode_response s =
           h_wire }
   | _, Some (Json.Int seq), _ -> Pong seq
   | _, _, Some (Json.List entries) ->
+      let fallback = function
+        | Json.List [ Json.String m; Json.String error ] ->
+            { Strategy.failed = method_of_string m; error }
+        | _ -> fail "fallbacks"
+      in
       Answer
         {
-          a_degraded = get_bool "degraded" j;
-          a_method = opt_method j;
-          a_entries_read = get_int "entries_read" j;
-          a_elapsed_s = get_float "elapsed_s" j;
-          a_pages_used = get_int "pages_used" j;
-          a_answers = List.map entry_of_json entries;
+          a_reply =
+            (match opt_string "error" j with
+            | Some e -> Error e
+            | None ->
+                Ok
+                  {
+                    Shard.local_answers = List.map entry_of_json entries;
+                    partial = get_bool "degraded" j;
+                    method_used = opt_method j;
+                    entries_read = get_int "entries_read" j;
+                    elapsed_s = get_float "elapsed_s" j;
+                    pages_used = get_int "pages_used" j;
+                    fallbacks =
+                      (match get "fallbacks" j with
+                      | Json.List l -> List.map fallback l
+                      | _ -> fail "fallbacks");
+                  });
           (* Telemetry decode is lenient: versioning is enforced at the
              Hello handshake, and a missing payload degrades to "no
              telemetry", never to a poisoned merge. *)
@@ -356,6 +382,5 @@ let decode_response s =
                     match v with Json.Int i -> Some (n, i) | _ -> None)
                   fields
             | _ -> []);
-          a_error = opt_string "error" j;
         }
   | _ -> fail "unrecognized response")))

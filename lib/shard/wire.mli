@@ -25,7 +25,8 @@
 exception Protocol_error of string
 
 val version : int
-(** Current wire revision (7: the answer drops the shard's translated
+(** Current wire revision (8: the answer is the shard's
+    {!Shard.reply}, storage fallbacks included; 7: the answer drops the shard's translated
     terms — the self-manager translates a query's NEXI itself; 6: the
     query drops its journal flag and the answer carries the shard's
     translated terms in place of a journal record — workers never
@@ -74,23 +75,18 @@ type request =
   | Shutdown
 
 type answer = {
-  a_degraded : bool;  (** the worker's guard expired mid-evaluation *)
-  a_method : Trex_topk.Strategy.method_ option;  (** [None] only with [a_error] *)
-  a_entries_read : int;
-  a_elapsed_s : float;
-  a_pages_used : int;  (** physical page reads charged to the budget *)
-  a_answers : Trex_topk.Answer.t;  (** shard-local docids *)
+  a_reply : (Shard.reply, string) result;
+      (** the shard's {!Shard.reply_of} (shard-local docids, storage
+          fallbacks as method plus error), or the text of a per-query
+          failure the worker survives (a forced method over lists this
+          shard lacks): the coordinator tags the shard with it and
+          records a breaker failure *)
   a_spans : Trex_obs.Span.t list;
       (** the worker's span tree for this query ([] unless
           [q_trace]) *)
   a_counters : (string * int) list;
       (** registry counter delta over the evaluation — what the
           coordinator folds into its own registry *)
-  a_error : string option;
-      (** the evaluation raised a per-query failure the worker survives
-          (a forced method over lists this shard lacks): the answer
-          carries no entries, and the coordinator tags the shard with
-          this text and records a breaker failure *)
 }
 
 (** What a front-door client gets back: global docids, the "never

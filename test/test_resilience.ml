@@ -1,4 +1,4 @@
-(* Resilience suite: guards, backoff schedules, circuit breakers,
+(* Resilience suite: guards, circuit breakers,
    strategy fallback, degraded queries, autopilot healing — and the
    seeded fault soak.
 
@@ -14,7 +14,6 @@ module Pager = Trex_storage.Pager
 module Bptree = Trex_storage.Bptree
 module Env = Trex_storage.Env
 module Guard = Trex_resilience.Guard
-module Retry = Trex_resilience.Retry
 module Breaker = Trex_resilience.Breaker
 module Metrics = Trex_obs.Metrics
 module Stopclock = Trex_util.Stopclock
@@ -67,52 +66,6 @@ let test_guard_page_budget () =
   | exception Guard.Budget_exceeded { reason = Guard.Page_budget; _ } -> ()
   | exception Guard.Budget_exceeded _ -> Alcotest.fail "wrong reason")
 
-(* ---- backoff schedule ---- *)
-
-let test_backoff_schedule () =
-  let p =
-    { Retry.max_attempts = 5; base_delay_ms = 1.0; max_delay_ms = 4.0;
-      jitter = Retry.No_jitter }
-  in
-  check
-    (Alcotest.list (Alcotest.float 1e-9))
-    "doubles then caps" [ 1.0; 2.0; 4.0; 4.0 ] (Retry.backoff_delays_ms p)
-
-let test_decorrelated_jitter () =
-  let p =
-    { Retry.max_attempts = 8; base_delay_ms = 2.0; max_delay_ms = 50.0;
-      jitter = Retry.Decorrelated { seed = 42 } }
-  in
-  let a = Retry.backoff_delays_ms ~salt:1 p in
-  (* Deterministic: the same (seed, salt) replays the same schedule. *)
-  check
-    (Alcotest.list (Alcotest.float 1e-12))
-    "replayable" a
-    (Retry.backoff_delays_ms ~salt:1 p);
-  check Alcotest.int "full length" 7 (List.length a);
-  (* Bounded: every delay within [base, cap]. *)
-  List.iter
-    (fun d ->
-      Alcotest.(check bool)
-        (Printf.sprintf "delay %g within [base, cap]" d)
-        true
-        (d >= p.Retry.base_delay_ms && d <= p.Retry.max_delay_ms))
-    a;
-  (* Decorrelated: distinct salts (one per reconnecting peer) and
-     distinct seeds yield distinct schedules — no thundering herd. *)
-  let b = Retry.backoff_delays_ms ~salt:2 p in
-  Alcotest.(check bool) "salts decorrelate" true (a <> b);
-  let c =
-    Retry.backoff_delays_ms ~salt:1
-      { p with Retry.jitter = Retry.Decorrelated { seed = 43 } }
-  in
-  Alcotest.(check bool) "seeds decorrelate" true (a <> c);
-  (* The default stays pure capped-exponential. *)
-  check
-    (Alcotest.list (Alcotest.float 1e-9))
-    "no-jitter default unchanged" [ 1.0; 2.0; 4.0 ]
-    (Retry.backoff_delays_ms ~salt:7 Retry.default_policy)
-
 (* ---- breaker ---- *)
 
 let test_breaker_lifecycle () =
@@ -145,32 +98,17 @@ let test_breaker_lifecycle () =
   check Alcotest.int "three openings counted" 3
     (metric "resilience.breaker_trips" - trips0)
 
-(* Two flapping workers restarted on the shared backoff schedule (the
-   supervisor indexes [backoff_delays_ms] by restart count, clamped to
-   the last entry) must keep independent probe slots: one worker's
-   in-flight half-open probe must neither take nor block the other's,
-   and each circuit resolves on its own probe outcome alone. *)
+(* Two flapping workers must keep independent probe slots: one
+   worker's in-flight half-open probe must neither take nor block the
+   other's, and each circuit resolves on its own probe outcome alone. *)
 let test_probe_slots_independent () =
-  let policy =
-    { Retry.max_attempts = 4; base_delay_ms = 1.0; max_delay_ms = 4.0;
-      jitter = Retry.No_jitter }
-  in
-  let delays = Retry.backoff_delays_ms policy in
-  let delay_for restarts =
-    List.nth delays (min restarts (List.length delays - 1))
-  in
-  (* Past the end of the schedule the supervisor keeps paying the cap,
-     never wraps back to the aggressive base delay. *)
-  check (Alcotest.float 1e-9) "clamped past the schedule" policy.max_delay_ms
-    (delay_for 100);
   let a = Breaker.create ~failure_threshold:2 ~cooldown_s:1e9 "worker-a" in
   let b = Breaker.create ~failure_threshold:2 ~cooldown_s:1e9 "worker-b" in
   (* Restart storm: interleaved crash-loops burn both restart budgets. *)
-  List.iter
-    (fun _delay ->
-      Breaker.record_failure a ~reason:"crash loop";
-      Breaker.record_failure b ~reason:"crash loop")
-    delays;
+  for _ = 1 to 3 do
+    Breaker.record_failure a ~reason:"crash loop";
+    Breaker.record_failure b ~reason:"crash loop"
+  done;
   Alcotest.(check bool) "a escalated open" true (Breaker.state a = Breaker.Open);
   Alcotest.(check bool) "b escalated open" true (Breaker.state b = Breaker.Open);
   Breaker.set_cooldown a 0.0;
@@ -191,9 +129,7 @@ let test_probe_slots_independent () =
     (Breaker.state b = Breaker.Closed);
   Alcotest.(check bool) "closed b admits traffic freely" true
     (Breaker.allow b && Breaker.allow b);
-  (* A pays another capped backoff round, then converges too. *)
-  check (Alcotest.float 1e-9) "a still at the capped delay" policy.max_delay_ms
-    (delay_for (List.length delays + 3));
+  (* A cools down again, then converges too. *)
   Breaker.set_cooldown a 0.0;
   Alcotest.(check bool) "a re-probes after cooldown" true (Breaker.allow a);
   Breaker.record_success a;
@@ -711,11 +647,6 @@ let () =
           Alcotest.test_case "unlimited never expires" `Quick test_guard_unlimited;
           Alcotest.test_case "deadline" `Quick test_guard_deadline;
           Alcotest.test_case "page budget" `Quick test_guard_page_budget;
-        ] );
-      ( "retry",
-        [
-          Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule;
-          Alcotest.test_case "decorrelated jitter" `Quick test_decorrelated_jitter;
         ] );
       ( "breaker",
         [

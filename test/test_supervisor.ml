@@ -18,13 +18,13 @@
 
 module Env = Trex_storage.Env
 module Breaker = Trex_resilience.Breaker
-module Retry = Trex_resilience.Retry
 module Metrics = Trex_obs.Metrics
 module Span = Trex_obs.Span
 module Journal = Trex_obs.Journal
 module Shard = Trex_shard.Shard
 module Supervisor = Trex_shard.Supervisor
 module Wire = Trex_shard.Wire
+module Serve = Trex_serve.Serve
 module Strategy = Trex_topk.Strategy
 module Answer = Trex_topk.Answer
 module Types = Trex_invindex.Types
@@ -109,8 +109,6 @@ let fast_config =
     heartbeat_timeout_s = 0.5;
     deadline_grace_ms = 150.0;
     max_restarts = 3;
-    restart_policy =
-      { Retry.default_policy with base_delay_ms = 5.0; max_delay_ms = 20.0 };
     connect_timeout_s = 1.0;
   }
 
@@ -176,27 +174,41 @@ let test_wire_roundtrip () =
       children = [ leaf ];
     }
   in
+  let reply =
+    {
+      Shard.local_answers = [ entry 0.9876543210123456; entry 1e-300 ];
+      partial = true;
+      method_used = Some Strategy.Merge_method;
+      entries_read = 42;
+      elapsed_s = 0.0375;
+      pages_used = 6;
+      fallbacks = [ { Strategy.failed = Strategy.Ta_method; error = "Corruption in rpl_catalog" } ];
+    }
+  in
   let a =
     Wire.Answer
       {
-        Wire.a_degraded = true;
-        a_method = Some Strategy.Merge_method;
-        a_entries_read = 42;
-        a_elapsed_s = 0.0375;
-        a_pages_used = 6;
-        a_answers = [ entry 0.9876543210123456; entry 1e-300 ];
+        Wire.a_reply = Ok reply;
         a_spans = [ root ];
         a_counters = [ ("pager.physical_reads", 11); ("ta.heap_operations", 17) ];
-        a_error = None;
       }
   in
   match Wire.decode_response (Wire.encode_response a) with
-  | Wire.Answer a' ->
-      Alcotest.(check bool) "degraded" true a'.Wire.a_degraded;
-      Alcotest.(check int) "pages" 6 a'.Wire.a_pages_used;
+  | Wire.Answer ({ Wire.a_reply = Ok r; _ } as a') ->
+      Alcotest.(check bool) "partial" true r.Shard.partial;
+      Alcotest.(check int) "pages" 6 r.Shard.pages_used;
+      Alcotest.(check int) "entries read" 42 r.Shard.entries_read;
+      Alcotest.(check (option string)) "method" (Some "Merge")
+        (Option.map Strategy.method_to_string r.Shard.method_used);
+      Alcotest.(check (list (pair string string)))
+        "fallbacks roundtrip"
+        [ ("TA", "Corruption in rpl_catalog") ]
+        (List.map
+           (fun (f : Strategy.failover) -> (Strategy.method_to_string f.failed, f.error))
+           r.Shard.fallbacks);
       check answers_testable "entries bit-identical"
         [ entry 0.9876543210123456; entry 1e-300 ]
-        a'.Wire.a_answers;
+        r.Shard.local_answers;
       (match a'.Wire.a_spans with
       | [ r ] ->
           Alcotest.(check string) "span root" "shard.query.shard-001" r.Span.name;
@@ -393,6 +405,112 @@ let test_in_process_parity () =
   Alcotest.(check (list int)) "no worker restarted" [ 0; 0; 0 ] (all_restarts s);
   rm_rf dir
 
+let flip_bit_in_file path ~off ~bit =
+  let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+  let b = Bytes.create 1 in
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.read fd b 0 1);
+  Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor (1 lsl (bit land 7))));
+  ignore (Unix.lseek fd off Unix.SEEK_SET);
+  ignore (Unix.write fd b 0 1);
+  Unix.close fd
+
+let fallback_sig (r : Shard.result) =
+  List.map
+    (fun (f : Strategy.failover) -> (Strategy.method_to_string f.failed, f.error))
+    r.Shard.fallbacks
+
+(* A storage fallback is reported the same whichever process evaluates
+   the shard. Every page of one shard's RPL catalog carries a flipped
+   bit, so a forced TA fails over to Merge there: in-process and
+   supervised scatter return the same answers, per-shard methods and
+   fallbacks, the coordinator's journal record counts the fallback, and
+   the serve front door over the coordinator tags it without degrading
+   the answer. *)
+let test_fallback_parity () =
+  let dir, _engine = build_coordinator ~docs:24 ~seed:42 in
+  let t = Shard.open_ dir in
+  Shard.materialize t nexi;
+  Shard.close t;
+  (* Pages start at byte 128, each followed by its 4-byte CRC. *)
+  let catalog = Filename.concat (Filename.concat dir "shard-001") "rpl_catalog.tbl" in
+  let len = (Unix.stat catalog).Unix.st_size in
+  let off = ref (128 + 17) in
+  while !off < len do
+    flip_bit_in_file catalog ~off:!off ~bit:3;
+    off := !off + 8196
+  done;
+  let forced_ta q = q ~k:5 ~method_:Strategy.Ta_method nexi in
+  let t = Shard.open_ dir in
+  let expect = forced_ta (fun ~k ~method_ q -> Shard.query t ~k ~method_ q) in
+  Shard.close t;
+  Alcotest.(check (list string)) "the damaged shard fell back in process" [ "TA" ]
+    (List.map fst (fallback_sig expect));
+  Alcotest.(check bool) "a fallback is not a degradation" false expect.Shard.degraded;
+  (with_supervisor dir @@ fun s ->
+   require_healthy s;
+   Journal.set_enabled true;
+   let r =
+     Fun.protect
+       ~finally:(fun () -> Journal.set_enabled false)
+       (fun () -> forced_ta (fun ~k ~method_ q -> Supervisor.query s ~k ~method_ ~fanout:1 q))
+   in
+   check answers_testable "answers" expect.Shard.answers r.Shard.answers;
+   Alcotest.(check (list (pair string string)))
+     "degraded shards" expect.Shard.degraded_shards r.Shard.degraded_shards;
+   Alcotest.(check (list (pair (pair string (option string)) (pair int string))))
+     "per-shard methods"
+     (List.map report_sig expect.Shard.reports)
+     (List.map report_sig r.Shard.reports);
+   Alcotest.(check (list (pair string string)))
+     "fallbacks" (fallback_sig expect) (fallback_sig r));
+  let j = Journal.open_file (Filename.concat dir "query_journal.qj") in
+  let recs = Journal.records j in
+  Journal.close j;
+  Alcotest.(check (list int)) "the journal record counts the fallback" [ 1 ]
+    (List.map (fun (r : Journal.record) -> r.Journal.fallbacks) recs);
+  let listen = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Unix.setsockopt listen Unix.SO_REUSEADDR true;
+  Unix.bind listen (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen listen 8;
+  let addr =
+    match Unix.getsockname listen with
+    | Unix.ADDR_INET (_, port) -> Printf.sprintf "127.0.0.1:%d" port
+    | _ -> assert false
+  in
+  flush stdout;
+  flush stderr;
+  match Unix.fork () with
+  | 0 -> Unix._exit (try Serve.run ~listen_fd:listen ~dir ~addr:"-" () with _ -> 9)
+  | pid ->
+      Unix.close listen;
+      Fun.protect
+        ~finally:(fun () ->
+          (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+          (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
+          rm_rf dir)
+      @@ fun () ->
+      let c = Serve.Client.connect ~timeout_s:15.0 addr in
+      Fun.protect ~finally:(fun () -> Serve.Client.close c) @@ fun () ->
+      let q =
+        {
+          Wire.c_nexi = nexi;
+          c_k = 5;
+          c_method = Some Strategy.Ta_method;
+          c_strict = false;
+          c_deadline_ms = None;
+          c_page_budget = None;
+        }
+      in
+      match Serve.Client.request ~timeout_s:30.0 c q with
+      | Serve.Client.Answer a ->
+          Alcotest.(check bool) "served answer not degraded" false a.Wire.ca_degraded;
+          Alcotest.(check (list (pair string string)))
+            "serve tags the fallback" (fallback_sig expect) a.Wire.ca_tags;
+          check answers_testable "served answers" expect.Shard.answers a.Wire.ca_answers
+      | Serve.Client.Shed { reason; _ } -> Alcotest.failf "fallback query shed: %s" reason
+      | Serve.Client.Draining -> Alcotest.fail "server draining unprompted"
+
 (* A malformed query is the caller's error: it is refused before any
    dispatch, exactly as in-process, and no worker sees it. *)
 let test_malformed_nexi () =
@@ -442,23 +560,10 @@ let test_forced_method_without_lists () =
   rm_rf dir
 
 let test_wire_answer_error () =
-  let a =
-    {
-      Wire.a_degraded = false;
-      a_method = None;
-      a_entries_read = 0;
-      a_elapsed_s = 0.0;
-      a_pages_used = 0;
-      a_answers = [];
-      a_spans = [];
-      a_counters = [];
-      a_error = Some "Missing_list";
-    }
-  in
+  let a = { Wire.a_reply = Error "Missing_list"; a_spans = []; a_counters = [] } in
   match Wire.decode_response (Wire.encode_response (Wire.Answer a)) with
-  | Wire.Answer a' ->
-      Alcotest.(check (option string))
-        "error survives" (Some "Missing_list") a'.Wire.a_error
+  | Wire.Answer { Wire.a_reply = Error e; _ } ->
+      Alcotest.(check string) "error survives" "Missing_list" e
   | _ -> Alcotest.fail "answer did not roundtrip"
 
 (* ---- the kill matrix ----
@@ -760,10 +865,10 @@ let find_supervisor_root () =
    Two levellers make the comparison exact: fanout:1 serializes the
    scatter so the floor evolves exactly as the in-process coordinator's
    sequential loop (concurrent waves see weaker floors and legitimately
-   read more), and a warm-up query runs on the in-process path first —
-   workers arrive warm because the Hello handshake's [Index.stats] scan
-   pages the shard in, so the cold-cache miss/hit split would otherwise
-   differ while the work stays identical. *)
+   read more), and each path runs the query once untraced before the
+   measured run, so both measure a warm page cache — the cold-cache
+   miss/hit split would otherwise differ while the work stays
+   identical. *)
 let test_telemetry_merge () =
   let dir, _engine = build_coordinator ~docs:24 ~seed:55 in
   let tracked =
@@ -787,10 +892,10 @@ let test_telemetry_merge () =
   Shard.close t;
   Alcotest.(check bool) "in-process work is visible (hits > 0)" true
     (List.nth in_deltas 1 > 0);
-  with_telemetry @@ fun () ->
   with_supervisor dir (fun s ->
       require_healthy s;
-      Span.reset ();
+      ignore (Supervisor.query s ~k:5 ~fanout:1 nexi) (* warm the workers' caches *);
+      with_telemetry @@ fun () ->
       let wb = metric "worker.shard-000.pager.cache_hits" in
       let r, proc_deltas =
         deltas (fun () -> Supervisor.query s ~k:5 ~fanout:1 nexi)
@@ -835,10 +940,10 @@ let test_telemetry_merge () =
         r.Journal.strategy;
       Alcotest.(check string) "label is the NEXI text" nexi r.Journal.label;
       Alcotest.(check bool) "untagged" false r.Journal.degraded;
-      (* Workers run warm (Hello's stats scan pages the shard in), so
-         physical reads are 0; the absorbed cache hits still surface in
-         the record's hit ratio — the fleet's pager activity was
-         journaled, not lost. *)
+      (* Workers run warm (the untraced warm-up query), so physical
+         reads are 0; the absorbed cache hits still surface in the
+         record's hit ratio — the fleet's pager activity was journaled,
+         not lost. *)
       Alcotest.(check bool) "fleet pager activity absorbed" true
         (r.Journal.cache_hit_ratio > 0.0);
       List.iter
@@ -1375,6 +1480,8 @@ let () =
         ] );
       ( "errors",
         [
+          Alcotest.test_case "storage fallback: workers = in process = serve tags"
+            `Quick test_fallback_parity;
           Alcotest.test_case "malformed NEXI raises, no worker restarts" `Quick
             test_malformed_nexi;
           Alcotest.test_case "forced method without lists: tagged, workers up"
