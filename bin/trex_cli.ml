@@ -917,6 +917,15 @@ let shard_query_cmd =
           (s.r_elapsed_seconds *. 1000.0)
           s.r_kept s.r_floor)
       r.reports;
+    List.iter
+      (fun (s : Shard.shard_report) ->
+        List.iter
+          (fun (f : Trex.Strategy.failover) ->
+            Printf.printf "fallback: %s %s failed (%s)\n" s.r_shard
+              (Trex.Strategy.method_to_string f.failed)
+              f.error)
+          s.r_fallbacks)
+      r.reports;
     List.iteri
       (fun i (e : Trex.Answer.entry) ->
         Printf.printf "%2d. [%.4f] doc=%d sid=%d end=%d\n" (i + 1) e.score

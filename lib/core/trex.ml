@@ -62,7 +62,14 @@ let pages_used = function Some g -> Guard.pages_used g | None -> 0
 
 let evaluate t ~k ?method_ ~strict ~floor ?deadline_ms ?page_budget ast =
   let translation = Obs.Span.with_ ~name:"translate" (fun () -> translate t ast) in
-  let sids = Translate.all_sids translation in
+  (* Strict answers lie in the target extent, so only its lists are
+     read; an element's score does not depend on which extents are
+     evaluated beside it, so the strict answers score as the vague
+     ones do. *)
+  let sids =
+    if strict then List.sort_uniq compare translation.Translate.target_sids
+    else Translate.all_sids translation
+  in
   let terms = Translate.all_terms translation in
   (* With no matching extent or no query term there is nothing to
      read: ERA answers that empty retrieval without touching an index,
@@ -73,17 +80,12 @@ let evaluate t ~k ?method_ ~strict ~floor ?deadline_ms ?page_budget ast =
     Strategy.evaluate_resilient t.index ~scoring:(scoring t) ~sids ~terms ~k
       ?guard ~floor ?method_ ()
   in
-  (* Entries at or below the floor cannot enter the caller's top k;
-     strict keeps the target extent only. Unfloored vague queries skip
-     the pass. *)
+  (* Entries at or below the floor cannot enter the caller's top k.
+     Unfloored queries skip the pass. *)
   let answers =
-    if floor <= 0.0 && not strict then strategy.Strategy.answers
+    if floor <= 0.0 then strategy.Strategy.answers
     else
-      let target = translation.Translate.target_sids in
-      List.filter
-        (fun (e : Answer.entry) ->
-          e.score > floor && ((not strict) || List.mem e.element.Types.sid target))
-        strategy.Strategy.answers
+      List.filter (fun (e : Answer.entry) -> e.score > floor) strategy.Strategy.answers
   in
   (* ERA and Merge compute all answers; present a consistent top-k. *)
   let strategy = { strategy with Strategy.answers = Answer.top_k answers k } in

@@ -110,12 +110,13 @@ val evaluate :
 (** The one evaluation of a parsed query on this environment, behind
     {!query}, both shard dispatches and the shard worker: translate,
     evaluate the union of the (sids, terms) — the paper's retrieval
-    unit — keep the entries scoring above [floor] (a scatter's global
-    k-th score; [<= 0] filters nothing), in the target extent when
-    [strict], and truncate to [k]. The method defaults to
-    {!Strategy.choose}'s pick; a translation with no sid or no term is
-    answered by ERA, which has nothing to read. Never journals: the
-    entry point that posed the query writes its record.
+    unit; under [strict] the target extent's sids alone, with the
+    same terms — keep the entries scoring above [floor] (a scatter's
+    global k-th score; [<= 0] filters nothing), and truncate to [k].
+    The method defaults to {!Strategy.choose}'s pick; a translation
+    with no sid or no term is answered by ERA, which has nothing to
+    read. Never journals: the entry point that posed the query writes
+    its record.
 
     Resilience: [deadline_ms]/[page_budget] arm a {!Guard}; on expiry
     the run stops where it is and returns best-effort answers with

@@ -121,41 +121,46 @@ let best_single ~budget profiles =
   | None -> ());
   plan_of profiles table
 
+(* The multiple-choice knapsack greedy: each step takes the move with
+   the best ratio of incremental saving to incremental bytes among those
+   that fit — a query without an index takes one of its options, and a
+   query holding one may switch to its other. Without the switch, a
+   query whose cheap option was taken first could never reach its
+   better one, and the 2-approximation fails. Bytes are those of the
+   union of the chosen lists, so a switch frees the lists only the old
+   option used. A move that frees bytes or costs none dominates. Every
+   move raises the saving, so the loop ends. *)
 let greedy ~budget profiles =
   let chosen = Hashtbl.create 8 in
-  let set = ref List_set.empty in
   let used = ref 0 in
   let finished = ref false in
   while not !finished do
-    (* Best (query, choice) by saving / incremental-bytes among those
-       that still fit; zero-cost positive-saving options dominate. *)
     let best = ref None in
     List.iter
       (fun (p : Cost.profile) ->
-        if not (Hashtbl.mem chosen p.id) then
-          List.iter
-            (fun choice ->
-              let saving = saving_of_choice p choice in
-              if saving > 0.0 then begin
-                let cost = incremental_bytes !set (lists_of_choice p choice) in
-                if !used + cost <= budget then begin
-                  let ratio =
-                    if cost = 0 then infinity else saving /. float_of_int cost
-                  in
-                  match !best with
-                  | Some (_, _, best_ratio) when best_ratio >= ratio -> ()
-                  | Some _ | None -> best := Some (p, choice, ratio)
-                end
-              end)
-            all_choices)
+        let current = Option.value (Hashtbl.find_opt chosen p.id) ~default:No_index in
+        List.iter
+          (fun choice ->
+            let gain = saving_of_choice p choice -. saving_of_choice p current in
+            if choice <> current && gain > 0.0 then begin
+              Hashtbl.replace chosen p.id choice;
+              let bytes = (plan_of profiles chosen).bytes_used in
+              Hashtbl.replace chosen p.id current;
+              if bytes <= budget then begin
+                let cost = bytes - !used in
+                let ratio = if cost <= 0 then infinity else gain /. float_of_int cost in
+                match !best with
+                | Some (_, _, _, best_ratio) when best_ratio >= ratio -> ()
+                | Some _ | None -> best := Some (p, choice, bytes, ratio)
+              end
+            end)
+          all_choices)
       profiles;
     match !best with
     | None -> finished := true
-    | Some (p, choice, _) ->
-        let set', added = add_lists !set (lists_of_choice p choice) in
-        set := set';
-        used := !used + added;
-        Hashtbl.replace chosen p.id choice
+    | Some (p, choice, bytes, _) ->
+        Hashtbl.replace chosen p.id choice;
+        used := bytes
   done;
   let ratio_plan = plan_of profiles chosen in
   let single_plan = best_single ~budget profiles in

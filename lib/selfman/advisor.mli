@@ -24,9 +24,12 @@ type plan = {
 val choice_to_string : choice -> string
 
 val greedy : budget:int -> Cost.profile list -> plan
-(** Iteratively add the query option with the best ratio of
-    frequency-weighted saving to {e incremental} bytes (lists already
-    chosen are free), until nothing fits. 2-approximation
+(** The multiple-choice knapsack greedy: repeatedly take the move with
+    the best ratio of {e incremental} frequency-weighted saving to
+    {e incremental} bytes of the chosen lists' union (lists already
+    chosen are free) — a query takes an option, or switches its chosen
+    option to the other one — until no saving move fits; then return
+    the better of that plan and the best single option. 2-approximation
     (Theorem 4.2). *)
 
 val branch_and_bound : budget:int -> Cost.profile list -> plan

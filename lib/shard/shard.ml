@@ -442,6 +442,7 @@ type shard_report = {
   r_elapsed_seconds : float;
   r_kept : int;
   r_floor : float;
+  r_fallbacks : Strategy.failover list;
 }
 
 type result = {
@@ -512,7 +513,6 @@ let run_waves ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
   let merged = ref ([] : Answer.t) in
   let tags = ref [] in
   let reports = ref [] in
-  let fallbacks = ref [] in
   let tag name reason = tags := (name, reason) :: !tags in
   let skip name reason =
     Metrics.incr m_skipped;
@@ -529,7 +529,6 @@ let run_waves ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
         end
         else Breaker.record_success b;
         pages_spent := !pages_spent + r.pages_used;
-        fallbacks := !fallbacks @ r.fallbacks;
         let kept =
           List.map
             (fun (e : Answer.entry) ->
@@ -547,6 +546,7 @@ let run_waves ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
             r_elapsed_seconds = r.elapsed_s;
             r_kept = List.length kept;
             r_floor = floor;
+            r_fallbacks = r.fallbacks;
           }
           :: !reports
     | Failed reason ->
@@ -611,14 +611,15 @@ let run_waves ~k ~wave ?deadline_ms ?page_budget ~dispatch targets nexi =
   in
   waves targets;
   let degraded_shards = List.rev !tags in
+  let reports = List.rev !reports in
   if degraded_shards <> [] then Metrics.incr m_degraded;
   {
     answers = !merged;
     k;
     degraded = degraded_shards <> [];
     degraded_shards;
-    reports = List.rev !reports;
-    fallbacks = !fallbacks;
+    reports;
+    fallbacks = List.concat_map (fun rep -> rep.r_fallbacks) reports;
   }
 
 let scatter ~k ~wave ?deadline_ms ?page_budget ~span ?span_attrs ~journal ~dispatch

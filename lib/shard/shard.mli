@@ -140,9 +140,11 @@ type shard_report = {
   r_entries_read : int;
   r_elapsed_seconds : float;
   r_kept : int;
-      (** answers kept after the floor/strict filter and the shard's
-          top-k *)
+      (** answers kept after the floor filter and the shard's top-k *)
   r_floor : float;  (** global k-th score when this shard ran *)
+  r_fallbacks : Trex_topk.Strategy.failover list;
+      (** methods this shard's evaluation abandoned after storage
+          failures, as its reply carried them *)
 }
 
 type result = {

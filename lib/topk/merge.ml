@@ -15,99 +15,84 @@ type stats = {
   degraded : bool;
 }
 
-(* The merge frontier: one heap element per non-exhausted (term, sid)
-   list, keyed by the head entry's document position so the pop order
-   is the global position order. Ties on position (the same element
-   reached from several terms) break on the list index, which is
-   term-major, so an element's term scores are summed in query term
-   order; equal positions are drained together below. *)
-module Pos_heap = Trex_util.Heap.Make (struct
-  type t = (int * int) * int (* position, stream index *)
-
-  let compare ((p1, i1) : t) ((p2, i2) : t) =
-    match compare p1 p2 with 0 -> compare i1 i2 | c -> c
-end)
+(* Merge one summary extent's ERPLs, one cursor per query term in term
+   order, calling [emit] once per element in position order. An element
+   lies in exactly one extent, so no element is split across two calls.
+   The n heads are scanned linearly for the least (docid, endpos); the
+   strict comparison makes the lowest term index at that position win,
+   and the heads at the same position are drained upward from it, so an
+   element's term scores are summed in term order — ERA's order, bit
+   for bit. The guard ticks once per element, before its drain, so an
+   element is emitted whole or not at all. *)
+let merge_extent ?guard cursors emit =
+  let n = Array.length cursors in
+  let heads = Array.map Rpl.Cursor.next cursors in
+  let before (a : Types.element) (b : Types.element) =
+    a.docid < b.docid || (a.docid = b.docid && a.endpos < b.endpos)
+  in
+  let running = ref true in
+  while !running do
+    let first = ref (-1) and least = ref None in
+    for i = 0 to n - 1 do
+      match (heads.(i), !least) with
+      | Some e, Some (l : Rpl.entry) when not (before e.element l.element) -> ()
+      | (Some _ as head), _ ->
+          first := i;
+          least := head
+      | None, _ -> ()
+    done;
+    match !least with
+    | None -> running := false
+    | Some l ->
+        Option.iter Trex_resilience.Guard.tick guard;
+        let score = ref 0.0 in
+        for i = !first to n - 1 do
+          match heads.(i) with
+          | Some e when not (before l.element e.element) ->
+              score := !score +. e.score;
+              heads.(i) <- Rpl.Cursor.next cursors.(i)
+          | Some _ | None -> ()
+        done;
+        emit l.element !score
+  done
 
 let run ?guard index ~sids ~terms =
   if terms = [] then invalid_arg "Merge.run: no terms";
   let clock = Stopclock.create () in
-  let sids = List.sort_uniq compare sids in
-  (* One reader per (term, sid) ERPL; heads.(i) is the entry behind the
-     heap element carrying list i. Each term's readers are opened and
-     primed together. *)
-  let cursors, heads =
-    List.concat_map
-      (fun term ->
-        List.map (fun sid -> Rpl.Cursor.create index Rpl.Erpl ~term ~sid) sids
-        |> List.map (fun c -> (c, Rpl.Cursor.next c)))
-      terms
-    |> List.split
-  in
-  let cursors = Array.of_list cursors and heads = Array.of_list heads in
-  let position (e : Rpl.entry) = (e.element.Types.docid, e.element.Types.endpos) in
-  let heap = Pos_heap.create () in
-  let advance i =
-    match heads.(i) with
-    | Some e -> Pos_heap.push heap (position e, i)
-    | None -> ()
-  in
-  Array.iteri (fun i _ -> advance i) heads;
   let merged = ref [] in
-  let merged_count = ref 0 in
-  let running = ref true in
+  let opened = ref [] in
   let degraded = ref false in
-  (* The guard is checked between elements, never mid-drain, so every
-     merged element carries its exact summed score; a degraded run is a
-     position-prefix of the full merge with exact scores. *)
+  (* One extent at a time, in sid order: a degraded run returns every
+     finished extent plus a position-prefix of the current one, each
+     element with its exact summed score. *)
   (try
-  while !running do
-    (match guard with
-    | Some g -> Trex_resilience.Guard.tick g
-    | None -> ());
-    match Pos_heap.pop heap with
-    | None -> running := false
-    | Some (p, i) ->
-        (* Sum the scores of every list head sitting at position p:
-           keep popping while the heap minimum matches. Each list is
-           advanced exactly once per element it contributes, so the
-           whole run is O(entries * log lists). *)
-        let e = match heads.(i) with Some e -> e | None -> assert false in
-        let score = ref e.score in
-        let element = ref e.element in
-        heads.(i) <- Rpl.Cursor.next cursors.(i);
-        advance i;
-        let same_pos = ref true in
-        while !same_pos do
-          match Pos_heap.peek heap with
-          | Some (q, j) when q = p ->
-              ignore (Pos_heap.pop heap);
-              let e' = match heads.(j) with Some e -> e | None -> assert false in
-              score := !score +. e'.score;
-              element := e'.element;
-              heads.(j) <- Rpl.Cursor.next cursors.(j);
-              advance j
-          | Some _ | None -> same_pos := false
-        done;
-        incr merged_count;
-        merged := (!element, !score) :: !merged
-  done
+     List.iter
+       (fun sid ->
+         let cursors =
+           List.map (fun term -> Rpl.Cursor.create index Rpl.Erpl ~term ~sid) terms
+           |> Array.of_list
+         in
+         opened := cursors :: !opened;
+         merge_extent ?guard cursors (fun element score ->
+             merged := (element, score) :: !merged))
+       (List.sort_uniq Int.compare sids)
    with Trex_resilience.Guard.Budget_exceeded _ -> degraded := true);
   (* The paper sorts V with QuickSort; Answer.of_unsorted is our
      equivalent (List.sort, descending score). *)
   let answers = Answer.of_unsorted !merged in
-  let entries_read =
-    Array.fold_left (fun acc c -> acc + Rpl.Cursor.entries_read c) 0 cursors
+  let elements_merged = List.length !merged in
+  let total f =
+    List.fold_left (Array.fold_left (fun acc c -> acc + f c)) 0 !opened
   in
-  let blocks_decoded =
-    Array.fold_left (fun acc c -> acc + Rpl.Cursor.blocks_decoded c) 0 cursors
-  in
+  let entries_read = total Rpl.Cursor.entries_read in
+  let blocks_decoded = total Rpl.Cursor.blocks_decoded in
   Metrics.incr m_runs;
   Metrics.add m_entries_read entries_read;
-  Metrics.add m_elements_merged !merged_count;
+  Metrics.add m_elements_merged elements_merged;
   ( answers,
     {
       entries_read;
-      elements_merged = !merged_count;
+      elements_merged;
       blocks_decoded;
       elapsed_seconds = Stopclock.elapsed clock;
       degraded = !degraded;

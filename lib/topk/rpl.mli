@@ -18,9 +18,9 @@
     {e skip} entries with foreign sids, while we key by
     [(token, SID, ir, ...)]. TA never reads a foreign-extent entry, the
     self-manager buys, prices and drops lists in exact (term, sid)
-    units, and no evaluation merges lists across sids by score: TA
-    reads one extent's lists at a time, and Merge's position
-    merge takes every (term, sid) ERPL directly (DESIGN.md §9.1). *)
+    units, and no evaluation merges lists across sids: TA and Merge
+    both read one extent's lists at a time, since an answer element
+    lies in exactly one extent (DESIGN.md §9.1). *)
 
 type entry = { element : Trex_invindex.Types.element; score : float }
 

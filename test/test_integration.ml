@@ -86,6 +86,40 @@ let test_strict_filters_to_target () =
         (List.mem e.element.Trex.Types.sid target))
     strict.strategy.answers
 
+(* Strict answers lie in the target extent, so a strict query reads that
+   extent's lists alone: TA's top k is then the strict top k, where a top
+   k ranked over every vague extent and filtered afterwards came up short
+   (IEEE-200, Q233 at k = 10: 7 answers from TA against ERA's 10). *)
+let test_strict_methods_agree () =
+  let coll = Gen.ieee ~doc_count:200 ~seed:42 () in
+  let engine = Trex.build ~env:(Trex.Env.in_memory ()) ~alias:coll.alias (coll.docs ()) in
+  let queries = Queries.for_collection Queries.Ieee in
+  List.iter (fun (q : Queries.t) -> ignore (Trex.materialize engine q.nexi)) queries;
+  let answers (q : Queries.t) k m =
+    (Trex.query engine ~k ~method_:m ~strict:true q.nexi).strategy.answers
+  in
+  List.iter
+    (fun (q : Queries.t) ->
+      List.iter
+        (fun k ->
+          let era = answers q k Trex.Strategy.Era_method in
+          List.iter
+            (fun (m, eps) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s k=%d strict %s = ERA" q.id k
+                   (Trex.Strategy.method_to_string m))
+                true
+                (Trex.Answer.equal ~eps era (answers q k m)))
+            [
+              (Trex.Strategy.Merge_method, 0.0);
+              (Trex.Strategy.Ta_method, 1e-9);
+              (Trex.Strategy.Ita_method, 1e-9);
+            ])
+        [ 10; 100 ])
+    queries;
+  check Alcotest.int "233 k=10 strict TA answers" 10
+    (List.length (answers (Queries.find "233") 10 Trex.Strategy.Ta_method))
+
 let test_structured_evaluation () =
   let engine = engine_for Queries.Ieee in
   let nexi = "//article[about(.//bdy, synthesizers) and about(.//bdy, music)]" in
@@ -397,6 +431,7 @@ let () =
             test_query_default_method_uses_available_indexes;
           Alcotest.test_case "strict interpretation" `Quick
             test_strict_filters_to_target;
+          Alcotest.test_case "strict methods agree" `Quick test_strict_methods_agree;
           Alcotest.test_case "structured evaluation" `Quick test_structured_evaluation;
           Alcotest.test_case "structured exclusion" `Quick test_structured_exclusion;
           Alcotest.test_case "hits presentable" `Quick test_hits_are_presentable;

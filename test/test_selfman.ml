@@ -234,6 +234,21 @@ let prop_greedy_two_approximation =
       g.bytes_used <= budget
       && o.expected_saving <= (2.0 *. g.expected_saving) +. 1e-9)
 
+(* A replayed counterexample: a greedy that took a query's cheap option
+   first and could not switch it to the query's other option saved
+   4.348 in 101 bytes against the optimum's 8.962 in 318 (budget 411). *)
+let test_greedy_switches_option () =
+  let rng = Prng.create (-2825397586855324594) in
+  let profiles = random_private_instance rng in
+  let budget = 50 + Prng.int rng 400 in
+  check Alcotest.int "budget" 411 budget;
+  let g = Advisor.greedy ~budget profiles in
+  let o = Advisor.branch_and_bound ~budget profiles in
+  check (Alcotest.float 1e-3) "optimum" 8.962 o.expected_saving;
+  Alcotest.(check bool) "within budget" true (g.bytes_used <= budget);
+  Alcotest.(check bool) "2-approximation" true
+    (o.expected_saving <= (2.0 *. g.expected_saving) +. 1e-9)
+
 let prop_greedy_never_beats_optimal =
   QCheck.Test.make ~name:"greedy never exceeds optimal (shared lists)" ~count:100
     QCheck.int (fun seed ->
@@ -423,6 +438,8 @@ let () =
             test_shared_lists_counted_once;
           Alcotest.test_case "bnb beats greedy on ratio trap" `Quick
             test_branch_and_bound_beats_greedy_when_ratio_misleads;
+          Alcotest.test_case "greedy switches a chosen query's option" `Quick
+            test_greedy_switches_option;
           qtest prop_bnb_is_optimal;
           qtest prop_greedy_two_approximation;
           qtest prop_greedy_never_beats_optimal;

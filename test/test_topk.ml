@@ -304,6 +304,67 @@ let test_merge_stats_exact () =
         stats.Merge.elements_merged
   | [] -> Alcotest.fail "no queries"
 
+(* A guard that expires inside a multi-extent query: Merge works one
+   summary extent at a time, in sid order, so the degraded answers are
+   every finished extent whole plus a position-prefix of the extent it
+   stopped in, each element once and with ERA's exact score. A zero
+   deadline checked every [cut] ticks stops it deterministically, before
+   the [cut]-th element's drain. *)
+let test_merge_degraded_prefix () =
+  let index, summary = Lazy.force generated in
+  let sids, terms =
+    let q = Trex_nexi.Parser.parse (Trex_corpus.Queries.find "260").nexi in
+    let t = Trex_nexi.Translate.translate ~summary ~normalize:(Index.normalize_term index) q in
+    (Trex_nexi.Translate.all_sids t, Trex_nexi.Translate.all_terms t)
+  in
+  ignore (Rpl.build index ~scoring ~sids ~terms ~kinds:[ Rpl.Erpl ] ());
+  let era = era_answers index ~sids ~terms in
+  let cut = List.length era / 2 in
+  let guard = Trex_resilience.Guard.create ~deadline_ms:0.0 ~check_every:cut () in
+  let answers, stats = Merge.run ~guard index ~sids ~terms in
+  Alcotest.(check bool) "tagged degraded" true stats.Merge.degraded;
+  check Alcotest.int "elements before the cut" (cut - 1) (List.length answers);
+  check Alcotest.int "elements_merged" (cut - 1) stats.Merge.elements_merged;
+  List.iter
+    (fun (a : Answer.entry) ->
+      Alcotest.(check bool) "an ERA answer with its exact score" true
+        (List.exists
+           (fun (b : Answer.entry) ->
+             Types.compare_element a.element b.element = 0 && a.score = b.score)
+           era))
+    answers;
+  let elements = List.map (fun (a : Answer.entry) -> a.element) answers in
+  check Alcotest.int "no element twice" (List.length elements)
+    (List.length (List.sort_uniq Types.compare_element elements));
+  (* Position order within one extent: ERA's answers of [sid], by
+     (docid, endpos). *)
+  let in_extent sid l =
+    List.filter (fun (e : Types.element) -> e.sid = sid) l
+    |> List.sort Types.compare_element
+  in
+  let era_elements = List.map (fun (a : Answer.entry) -> a.element) era in
+  let returned_sids = List.sort_uniq compare (List.map (fun (e : Types.element) -> e.sid) elements) in
+  Alcotest.(check bool) "the cut falls past the first extent" true
+    (List.length returned_sids >= 2);
+  let current = List.fold_left max min_int returned_sids in
+  List.iter
+    (fun sid ->
+      let got = in_extent sid elements and all = in_extent sid era_elements in
+      if sid < current then
+        check Alcotest.int (Printf.sprintf "extent %d whole" sid) (List.length all)
+          (List.length got)
+      else
+        Alcotest.(check bool) "the current extent is a position-prefix" true
+          (List.for_all2 (fun a b -> Types.compare_element a b = 0) got
+             (List.filteri (fun i _ -> i < List.length got) all)))
+    returned_sids;
+  List.iter
+    (fun sid ->
+      if sid < current && not (List.mem sid returned_sids) then
+        check Alcotest.int (Printf.sprintf "extent %d has no answer" sid) 0
+          (List.length (in_extent sid era_elements)))
+    sids
+
 let test_ta_invalid_k () =
   let index, summary = Lazy.force generated in
   ignore summary;
@@ -879,6 +940,7 @@ let () =
       ( "agreement",
         [
           Alcotest.test_case "merge equals era" `Quick test_merge_equals_era;
+          Alcotest.test_case "merge degraded prefix" `Quick test_merge_degraded_prefix;
           Alcotest.test_case "ta matches era across k" `Quick
             test_ta_matches_era_at_many_k;
           Alcotest.test_case "ita equals ta" `Quick test_ita_same_answers_as_ta;
